@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Common errors.
@@ -38,8 +39,9 @@ type FunctionalCache struct {
 	size     int
 	byFile   map[int]map[int][]byte // fileID -> chunkIndex -> payload
 
-	hits   uint64
-	misses uint64
+	// Atomic, not under mu: lookups count while holding only the read lock.
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewFunctionalCache creates a functional cache holding at most capacity
@@ -97,15 +99,19 @@ func (c *FunctionalCache) Put(key ChunkKey, data []byte) bool {
 
 // Get retrieves a cached chunk.
 func (c *FunctionalCache) Get(key ChunkKey) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	data, ok := c.byFile[key.FileID][key.ChunkIndex]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
+	c.count(ok)
 	return data, ok
+}
+
+func (c *FunctionalCache) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 // GetFile returns all cached chunks of a file, keyed by chunk index.
@@ -122,11 +128,15 @@ func (c *FunctionalCache) GetFile(fileID int) map[int][]byte {
 
 // VisitFile calls visit for every cached chunk of the file until visit
 // returns false. The read lock is held for the duration of the visit;
-// callbacks must be quick and must not call back into the cache.
+// callbacks must be quick and must not call back into the cache. A visit
+// counts as one lookup in Stats: a hit when the file has any chunk cached, a
+// miss otherwise.
 func (c *FunctionalCache) VisitFile(fileID int, visit func(chunkIndex int, data []byte) bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for idx, data := range c.byFile[fileID] {
+	file := c.byFile[fileID]
+	c.count(len(file) > 0)
+	for idx, data := range file {
 		if !visit(idx, data) {
 			return
 		}
@@ -189,9 +199,7 @@ func (c *FunctionalCache) TrimFile(fileID, keep int) int {
 
 // Stats returns cumulative hit and miss counts.
 func (c *FunctionalCache) Stats() (hits, misses uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Allocation returns the number of cached chunks per file.

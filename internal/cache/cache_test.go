@@ -29,6 +29,28 @@ func TestFunctionalCachePutGet(t *testing.T) {
 	}
 }
 
+// VisitFile is the only lookup the controller's read plane makes; it must
+// show in Stats, one hit or miss per visit however many chunks it yields.
+func TestFunctionalCacheVisitFileCounted(t *testing.T) {
+	c := NewFunctionalCache(4)
+	c.Put(ChunkKey{1, 0}, []byte("a"))
+	c.Put(ChunkKey{1, 1}, []byte("b"))
+	seen := 0
+	c.VisitFile(1, func(int, []byte) bool { seen++; return true })
+	c.VisitFile(1, func(int, []byte) bool { return false })
+	c.VisitFile(2, func(int, []byte) bool { t.Error("visited a chunk of an uncached file"); return true })
+	if seen != 2 {
+		t.Fatalf("visited %d chunks, want 2", seen)
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses, want 2 and 1", hits, misses)
+	}
+	visit := func(int, []byte) bool { return true }
+	if allocs := testing.AllocsPerRun(100, func() { c.VisitFile(1, visit) }); allocs != 0 {
+		t.Fatalf("VisitFile allocates %v times per call", allocs)
+	}
+}
+
 func TestFunctionalCacheCapacityEnforced(t *testing.T) {
 	c := NewFunctionalCache(2)
 	ok1 := c.Put(ChunkKey{1, 0}, []byte("a"))

@@ -1,0 +1,417 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"sprout/internal/cluster"
+	"sprout/internal/optimizer"
+	"sprout/internal/queue"
+)
+
+// backlogController serves one (n,k)-coded file placed on nodes 0..n-1 of a
+// cluster with one node per entry of means (deterministic service of that
+// many seconds), with no cache, so every read fetches k chunks.
+func backlogController(t *testing.T, means []float64, n, k int, serve ServeOptions) (*Controller, *fakeStore) {
+	t.Helper()
+	nodes := make([]cluster.Node, len(means))
+	for i, m := range means {
+		nodes[i] = cluster.Node{ID: 100 + i, Name: fmt.Sprintf("osd-%d", i), Service: queue.Deterministic{Value: m}}
+	}
+	placement := make([]int, n)
+	for i := range placement {
+		placement[i] = nodes[i].ID
+	}
+	clu := &cluster.Cluster{Nodes: nodes, Files: []cluster.File{{
+		ID: 0, Name: "f0", SizeBytes: 600, K: k, N: n, Placement: placement, Lambda: 0.01,
+	}}}
+	ctrl, err := NewControllerWith(clu, 0, optimizer.Options{MaxOuterIter: 6}, serve, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ctrl.Close() })
+	store := newFakeStore()
+	meta := ctrl.Files()[0]
+	payload := make([]byte, meta.SizeBytes)
+	for i := range payload {
+		payload[i] = byte(3 * i)
+	}
+	store.addFile(t, meta, payload)
+	if _, err := ctrl.PlanTimeBin([]float64{0.01}); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl, store
+}
+
+func uniformMeans(n int, mean float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = mean
+	}
+	return out
+}
+
+// candidateNodes runs candidates() once and returns the ranked node
+// positions and the Madow draw it started from.
+func candidateNodes(ctrl *Controller, need int) (ranked, draw []int) {
+	sc := getReadScratch()
+	defer putReadScratch(sc)
+	ctrl.candidates(sc, ctrl.epoch.Load(), ctrl.files[0], need)
+	for _, cand := range sc.cands {
+		ranked = append(ranked, cand.node)
+	}
+	return ranked, append([]int(nil), sc.picks...)
+}
+
+// TestCandidatesRankedByBacklog pins what the read plane's node choice is
+// made of: the Madow draw when nothing distinguishes the nodes, expected
+// work (inflight+1)·E[S] when something does, and never a down node.
+func TestCandidatesRankedByBacklog(t *testing.T) {
+	const n, k = 5, 2
+	hetero := []float64{0.016, 0.004, 0.012, 0.008, 0.020, 0.001} // node 5 holds no chunk
+	// Expected orders are functions of the incoming order (the draw, then
+	// the rest of the live placement), which differs from trial to trial.
+	unchanged := func(incoming []int) []int { return incoming }
+	fixed := func(order ...int) func([]int) []int {
+		return func([]int) []int { return order }
+	}
+	sunk := func(nodes ...int) func([]int) []int {
+		return func(incoming []int) []int {
+			var head, tail []int
+			for _, node := range incoming {
+				if slices.Contains(nodes, node) {
+					tail = append(tail, node)
+				} else {
+					head = append(head, node)
+				}
+			}
+			return append(head, tail...)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		means    []float64
+		inflight map[int]int64 // by node position
+		down     []int         // node positions
+		want     func(incoming []int) []int
+	}{
+		{name: "idle homogeneous is the paper's draw", means: uniformMeans(6, 0.004), want: unchanged},
+		{name: "backlogged nodes sink in draw order", means: uniformMeans(6, 0.004),
+			inflight: map[int]int64{0: 3, 2: 3}, want: sunk(0, 2)},
+		{name: "heterogeneous idle cluster prefers fast nodes", means: hetero, want: fixed(1, 3, 2, 0, 4)},
+		{name: "backlog outweighs speed", means: hetero,
+			inflight: map[int]int64{1: 9}, want: fixed(3, 2, 0, 4, 1)},
+		{name: "down nodes never appear", means: hetero, down: []int{1, 3}, want: fixed(2, 0, 4)},
+		{name: "an idle down node loses to busy live ones", means: uniformMeans(6, 0.004),
+			inflight: map[int]int64{0: 5, 1: 5, 2: 5, 3: 5}, down: []int{4}, want: unchanged},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, _ := backlogController(t, tc.means, n, k, ServeOptions{})
+			for _, node := range tc.down {
+				ctrl.SetNodeDown(nodeIDAt(ctrl.epoch.Load().clu, node))
+			}
+			for node, v := range tc.inflight {
+				ctrl.nodeInFlight[node].Store(v)
+			}
+			for trial := 0; trial < 50; trial++ {
+				ranked, draw := candidateNodes(ctrl, k)
+				incoming := append([]int(nil), draw...)
+				for node := 0; node < n; node++ {
+					if !slices.Contains(draw, node) && !slices.Contains(tc.down, node) {
+						incoming = append(incoming, node)
+					}
+				}
+				if want := tc.want(incoming); !slices.Equal(ranked, want) {
+					t.Fatalf("candidates %v, want %v (draw %v)", ranked, want, draw)
+				}
+			}
+		})
+	}
+}
+
+// TestPicksReorderedCounter: the counter moves exactly when the ranking
+// changes the fetched set, not when it merely permutes the draw or the
+// backups.
+func TestPicksReorderedCounter(t *testing.T) {
+	const need = 2
+	ctrl, _ := backlogController(t, uniformMeans(5, 0.004), 5, need, ServeOptions{})
+	idlePair := func(nodes []int) bool {
+		return len(nodes) == 2 && slices.Contains(nodes, 3) && slices.Contains(nodes, 4)
+	}
+	for i := 0; i < 50; i++ {
+		candidateNodes(ctrl, need)
+	}
+	if got := ctrl.Stats().PicksReordered; got != 0 {
+		t.Fatalf("PicksReordered = %d on an idle homogeneous cluster, want 0", got)
+	}
+	for node := 0; node < 3; node++ {
+		ctrl.nodeInFlight[node].Store(2)
+	}
+	var want int64
+	for i := 0; i < 200; i++ {
+		ranked, draw := candidateNodes(ctrl, need)
+		if !idlePair(ranked[:need]) {
+			t.Fatalf("fetched set %v with nodes 0-2 backlogged, want the idle nodes 3 and 4", ranked[:need])
+		}
+		if !idlePair(draw) {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("every draw already was the idle pair; the scenario shows nothing")
+	}
+	if got := ctrl.Stats().PicksReordered; got != want {
+		t.Fatalf("PicksReordered = %d, want %d (draws that were not the idle pair)", got, want)
+	}
+}
+
+// waitNodesIdle waits for every per-node in-flight counter to return to
+// zero, failing on a counter that went negative or never drained.
+func waitNodesIdle(t *testing.T, ctrl *Controller) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		busy := false
+		for node, v := range ctrl.NodeInFlight() {
+			if v < 0 {
+				t.Fatalf("node %d in-flight counter is %d", node, v)
+			}
+			busy = busy || v > 0
+		}
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight counters never drained: %v", ctrl.NodeInFlight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStuckNodeIsAvoided parks N fetches on one node behind a blocking
+// fetcher. While enough other live nodes exist no read may touch that node;
+// once they do not, reads fall back to it rather than fail.
+func TestStuckNodeIsAvoided(t *testing.T) {
+	const n, k, stuck, parked = 5, 2, 2, 3
+	ctrl, store := backlogController(t, uniformMeans(n, 0.004), n, k, ServeOptions{})
+	ctx := context.Background()
+	meta := ctrl.Files()[0]
+	stuckID := nodeIDAt(ctrl.epoch.Load().clu, stuck)
+
+	release := make(chan struct{})
+	var entered atomic.Int64
+	blocking := FetcherFunc(func(context.Context, int, int, int) ([]byte, error) {
+		entered.Add(1)
+		<-release
+		return nil, errors.New("released")
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < parked; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cand := fetchCandidate{chunkIndex: chunkIndexOnNode(meta, stuck), node: stuck, nodeID: stuckID}
+			_, _, _ = ctrl.fetchChunkObserved(ctx, blocking, 0, cand) // the outcome is the injected error
+		}()
+	}
+	for entered.Load() < parked {
+		time.Sleep(time.Millisecond)
+	}
+	if got := ctrl.NodeInFlight()[stuckID]; got != parked {
+		t.Fatalf("node %d shows %d fetches in flight, want %d", stuck, got, parked)
+	}
+
+	for i := 0; i < 200; i++ {
+		got, err := ctrl.Read(ctx, 0, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, store.data[0]) {
+			t.Fatal("read returned wrong data")
+		}
+	}
+	if got := store.fetchCount(stuckID); got != 0 {
+		t.Fatalf("%d fetches went to the node holding %d stuck fetches while %d idle nodes held the file", got, parked, n-1)
+	}
+
+	// Leave only the stuck node and one other: k = 2 needs both.
+	for node := 0; node < n; node++ {
+		if node != stuck && node != 0 {
+			ctrl.SetNodeDown(nodeIDAt(ctrl.epoch.Load().clu, node))
+		}
+	}
+	if _, err := ctrl.Read(ctx, 0, store); err != nil {
+		t.Fatalf("read with only the backlogged node left to complete k: %v", err)
+	}
+	if got := store.fetchCount(stuckID); got != 1 {
+		t.Fatalf("fetches on the backlogged node = %d, want 1 once it is needed", got)
+	}
+
+	close(release)
+	wg.Wait()
+	waitNodesIdle(t, ctrl)
+}
+
+// versionFlipFetcher reports stripe version 1 for its first fetch and 2 for
+// all later ones: the first read attempt sees a mixed stripe and retries.
+type versionFlipFetcher struct {
+	*fakeStore
+	calls atomic.Int64
+}
+
+func (f *versionFlipFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, StripeInfo, error) {
+	version := uint64(2)
+	if f.calls.Add(1) == 1 {
+		version = 1
+	}
+	data, err := f.fakeStore.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+	return data, StripeInfo{Version: version, Size: len(f.data[fileID])}, err
+}
+
+// TestNodeInFlightReturnsToZero: whatever way a read ends, every fetch it
+// started is counted out again when that fetch returns — no sooner (a hedge
+// loser keeps its node busy) and no later.
+func TestNodeInFlightReturnsToZero(t *testing.T) {
+	ctx := context.Background()
+
+	t.Run("success", func(t *testing.T) {
+		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+		for i := 0; i < 20; i++ {
+			if _, err := ctrl.Read(ctx, 0, store); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitNodesIdle(t, ctrl)
+	})
+
+	t.Run("fetch error and failover", func(t *testing.T) {
+		for _, sequential := range []bool{false, true} {
+			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{SequentialFetch: sequential})
+			store.fail[[2]int{0, 1}] = errors.New("bad sector")
+			store.fail[[2]int{0, 3}] = errors.New("bad sector")
+			for i := 0; i < 20; i++ {
+				if _, err := ctrl.Read(ctx, 0, store); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ctrl.Stats().FetchFailovers == 0 {
+				t.Fatal("no failover happened")
+			}
+			waitNodesIdle(t, ctrl)
+		}
+	})
+
+	t.Run("hedge win with the loser still running", func(t *testing.T) {
+		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 2,
+			ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 1})
+		release := make(chan struct{})
+		var calls atomic.Int64
+		var loserID atomic.Int64
+		// The read's first fetch hangs, deaf to cancellation, until released.
+		fetcher := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+			if calls.Add(1) == 1 {
+				loserID.Store(int64(nodeID))
+				<-release
+			}
+			return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+		})
+		if _, err := ctrl.Read(ctx, 0, fetcher); err != nil {
+			t.Fatal(err)
+		}
+		if ctrl.Stats().HedgeWins != 1 {
+			t.Fatalf("stats = %+v, want the read completed by one hedge win", ctrl.Stats())
+		}
+		inflight := ctrl.NodeInFlight()
+		for node, v := range inflight {
+			want := int64(0)
+			if node == int(loserID.Load()) {
+				want = 1
+			}
+			if v != want {
+				t.Fatalf("in flight after the read returned = %v, want only the hedge loser on node %d", inflight, loserID.Load())
+			}
+		}
+		// The abandoned fetch still counts as backlog: the next reads avoid
+		// its node.
+		before := store.fetchCount(int(loserID.Load()))
+		for i := 0; i < 20; i++ {
+			if _, err := ctrl.Read(ctx, 0, fetcher); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := store.fetchCount(int(loserID.Load())); after != before {
+			t.Fatalf("%d fetches reached the node still busy with the hedge loser", after-before)
+		}
+		close(release)
+		waitNodesIdle(t, ctrl)
+	})
+
+	t.Run("context cancellation", func(t *testing.T) {
+		ctrl, _ := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+		cctx, cancel := context.WithCancel(ctx)
+		blocking := FetcherFunc(func(ctx context.Context, _, _, _ int) ([]byte, error) {
+			cancel()
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		if _, err := ctrl.Read(cctx, 0, blocking); !errors.Is(err, context.Canceled) {
+			t.Fatalf("expected context.Canceled, got %v", err)
+		}
+		waitNodesIdle(t, ctrl)
+	})
+
+	t.Run("stripe-version retry", func(t *testing.T) {
+		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+		got, err := ctrl.Read(ctx, 0, &versionFlipFetcher{fakeStore: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, store.data[0]) {
+			t.Fatal("retried read returned wrong data")
+		}
+		if ctrl.Stats().ReadRetries != 1 {
+			t.Fatalf("ReadRetries = %d, want 1", ctrl.Stats().ReadRetries)
+		}
+		waitNodesIdle(t, ctrl)
+	})
+
+	t.Run("concurrent mix", func(t *testing.T) {
+		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3,
+			ServeOptions{HedgeDelay: time.Millisecond, HedgeExtra: 1})
+		flaky := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+			switch chunkIndex {
+			case 0:
+				return nil, errors.New("injected")
+			case 1:
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-time.After(3 * time.Millisecond):
+				}
+			}
+			return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+		})
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					if _, err := ctrl.Read(ctx, 0, flaky); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		waitNodesIdle(t, ctrl)
+	})
+}

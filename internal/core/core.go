@@ -2,11 +2,12 @@
 // glued into a usable component. A Controller owns the description of an
 // erasure-coded storage cluster, a functional cache, and the per-time-bin
 // cache plan produced by the optimizer. It serves file reads by combining
-// cached functional chunks with chunks fetched from the least-loaded storage
-// nodes chosen by probabilistic scheduling, and it applies the cache
-// transition rule of Section III when the workload moves to a new time bin:
-// allocations that shrink are trimmed immediately, allocations that grow are
-// materialised in the background after the file's next read.
+// cached functional chunks with chunks fetched from the placement nodes with
+// the least expected work (probabilistic scheduling draws the starting order
+// and breaks ties), and it applies the cache transition rule of Section III
+// when the workload moves to a new time bin: allocations that shrink are
+// trimmed immediately, allocations that grow are materialised in the
+// background after the file's next read.
 //
 // The controller is split into two planes:
 //
@@ -267,6 +268,12 @@ type Controller struct {
 	serve    ServeOptions
 	// nodeIdx maps cluster node IDs to positions in clu.Nodes (immutable).
 	nodeIdx map[int]int
+	// serviceMean[j] is E[S_j], the mean chunk service time in seconds of the
+	// node at position j (immutable); nodeInFlight[j] counts this controller's
+	// storage fetches currently outstanding on it. Together they are the
+	// expected-work key the read plane ranks fetch candidates by.
+	serviceMean  []float64
+	nodeInFlight []atomic.Int64
 
 	// epoch is the read plane's view; written only by the control plane
 	// under mu.
@@ -381,19 +388,24 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	}
 	serve = serve.withDefaults()
 	c := &Controller{
-		files:     files,
-		capacity:  cacheCapacity,
-		cache:     cache.NewFunctionalCache(cacheCapacity),
-		opts:      opts,
-		serve:     serve,
-		nodeIdx:   idx,
-		fileSizes: make([]atomic.Int64, len(files)),
-		cacheInfo: make([]atomic.Pointer[StripeInfo], len(files)),
-		fillQ:     wfq.New[fillJob](wfq.Config{QueueCap: serve.FillQueue, Weights: tenantWeights(serve.Tenants)}),
-		stopCh:    make(chan struct{}),
+		files:        files,
+		capacity:     cacheCapacity,
+		cache:        cache.NewFunctionalCache(cacheCapacity),
+		opts:         opts,
+		serve:        serve,
+		nodeIdx:      idx,
+		serviceMean:  make([]float64, len(clu.Nodes)),
+		nodeInFlight: make([]atomic.Int64, len(clu.Nodes)),
+		fileSizes:    make([]atomic.Int64, len(files)),
+		cacheInfo:    make([]atomic.Pointer[StripeInfo], len(files)),
+		fillQ:        wfq.New[fillJob](wfq.Config{QueueCap: serve.FillQueue, Weights: tenantWeights(serve.Tenants)}),
+		stopCh:       make(chan struct{}),
 	}
 	for i := range files {
 		c.fileSizes[i].Store(int64(files[i].SizeBytes))
+	}
+	for j, n := range clu.Nodes {
+		c.serviceMean[j] = n.Service.Mean()
 	}
 	c.tenants, c.tenantDefault = buildTenants(serve.Tenants)
 	if shares, names := tenantShares(serve.Tenants, len(files)); shares != nil {

@@ -74,6 +74,13 @@ func (s *fakeStore) FetchChunk(_ context.Context, fileID, chunkIndex, nodeID int
 	return ch, nil
 }
 
+// fetchCount returns how many fetches reached the node so far.
+func (s *fakeStore) fetchCount(nodeID int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fetches[nodeID]
+}
+
 // testCluster builds a small 4-node cluster with files of the given sizes
 // using a (3,2) code and moderate load.
 func testCluster(numFiles int, lambda float64) *cluster.Cluster {

@@ -8,6 +8,7 @@ import (
 
 	"sprout/internal/cancel"
 	"sprout/internal/erasure"
+	"sprout/internal/scheduler"
 )
 
 // readMaxAttempts bounds how often a read is retried after it observed an
@@ -17,8 +18,8 @@ import (
 const readMaxAttempts = 4
 
 // Read serves a complete file: cached functional chunks are combined with
-// chunks fetched (via the fetcher) from storage nodes selected by the
-// probabilistic scheduler, and the file is decoded. If the file's cache
+// chunks fetched (via the fetcher) from the storage nodes candidates()
+// ranks first, and the file is decoded. If the file's cache
 // allocation grew in this time bin, a background fill job is enqueued after
 // decode so the missing functional chunks are generated and installed off
 // the read path.
@@ -305,20 +306,26 @@ func (c *Controller) dropStaleCache(fileID int, stale *StripeInfo) {
 }
 
 // fetchCandidate is one possible storage source for a chunk the read still
-// needs: the chunk index and the ID of the node holding it.
+// needs: the chunk index, and the node holding it both as a position in the
+// cluster's node list and as the node ID the fetcher is addressed by.
 type fetchCandidate struct {
 	chunkIndex int
+	node       int
 	nodeID     int
 }
 
 // candidates fills sc.cands with the storage sources for a read in
-// preference order: the scheduler-selected nodes first, then the rest of
-// the file's placement as backups (used when the scheduler yields fewer
-// distinct nodes than needed, when fetches fail, and as hedge targets).
-// Down nodes are skipped entirely — fetching from them would only burn a
-// failover. sc.chunks holds the chunks already in hand (from the cache).
-// Returns the healthy-candidate boundary (see demoteTripped).
-func (c *Controller) candidates(sc *readScratch, ep *epoch, meta FileMeta) int {
+// preference order: the file's live placement nodes by ascending expected
+// completion (inflight+1)·E[S] of one more fetch, where inflight is this
+// controller's outstanding fetches on the node. Ties keep the order of the
+// scheduler's Madow draw from π followed by the rest of the placement, so on
+// an idle cluster of equal nodes the head is exactly the paper's
+// probabilistic pick. The first need entries are fetched; the rest are the
+// failover and hedge order. Down nodes are skipped entirely — fetching from
+// them would only burn a failover. sc.chunks holds the chunks already in
+// hand (from the cache). Returns the healthy-candidate boundary (see
+// demoteTripped).
+func (c *Controller) candidates(sc *readScratch, ep *epoch, meta FileMeta, need int) int {
 	sc.used = [4]uint64{}
 	for _, ch := range sc.chunks {
 		sc.markUsed(ch.Index)
@@ -335,13 +342,30 @@ func (c *Controller) candidates(sc *readScratch, ep *epoch, meta FileMeta) int {
 			continue
 		}
 		sc.markUsed(ci)
-		sc.cands = append(sc.cands, fetchCandidate{chunkIndex: ci, nodeID: nodeIDAt(ep.clu, node)})
+		sc.cands = append(sc.cands, fetchCandidate{chunkIndex: ci, node: node, nodeID: nodeIDAt(ep.clu, node)})
 	}
+	drawn := len(sc.cands)
 	for ci, node := range meta.Placement {
 		if sc.isUsed(ci) || ep.down[node] {
 			continue
 		}
-		sc.cands = append(sc.cands, fetchCandidate{chunkIndex: ci, nodeID: nodeIDAt(ep.clu, node)})
+		sc.cands = append(sc.cands, fetchCandidate{chunkIndex: ci, node: node, nodeID: nodeIDAt(ep.clu, node)})
+	}
+
+	sc.work = sc.work[:0]
+	for _, cand := range sc.cands {
+		sc.work = append(sc.work, scheduler.ExpectedWork(c.nodeInFlight[cand.node].Load(), c.serviceMean[cand.node]))
+	}
+	scheduler.RankByWork(sc.cands, sc.work)
+	// Only drawn candidates have their chunk marked used, so an unmarked one
+	// among the first need means the ranking replaced a node of the draw.
+	if drawn >= need {
+		for _, cand := range sc.cands[:need] {
+			if !sc.isUsed(cand.chunkIndex) {
+				c.stats.picksReordered.Add(1)
+				break
+			}
+		}
 	}
 	return c.demoteTripped(sc)
 }
@@ -380,10 +404,16 @@ func (c *Controller) demoteTripped(sc *readScratch) int {
 
 // fetchChunkObserved fetches one chunk and reports the outcome to the
 // node's circuit breaker (latency included, so slow nodes trip breakers
-// with a latency threshold even while answering correctly).
+// with a latency threshold even while answering correctly). Every storage
+// fetch of the read plane — parallel, sequential, failover, hedge — passes
+// through here, which is what makes the node's in-flight counter the backlog
+// candidates() ranks by: a hedge loser keeps its node busy until the fetch
+// really returns.
 func (c *Controller) fetchChunkObserved(ctx context.Context, fetcher ChunkFetcher, fileID int, cand fetchCandidate) ([]byte, StripeInfo, error) {
 	t0 := time.Now()
+	c.nodeInFlight[cand.node].Add(1)
 	data, info, err := fetchChunkV(ctx, fetcher, fileID, cand.chunkIndex, cand.nodeID)
+	c.nodeInFlight[cand.node].Add(-1)
 	c.serve.Breakers.Observe(cand.nodeID, err, time.Since(t0))
 	return data, info, err
 }
@@ -392,7 +422,7 @@ func (c *Controller) fetchChunkObserved(ctx context.Context, fetcher ChunkFetche
 // onto sc.chunks and sc.infos. It returns the number of fetch errors the
 // read absorbed.
 func (c *Controller) fetchChunks(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, ep *epoch, meta FileMeta, need, level int) (int, error) {
-	healthy := c.candidates(sc, ep, meta)
+	healthy := c.candidates(sc, ep, meta, need)
 	if c.serve.SequentialFetch {
 		return c.fetchSequential(ctx, sc, fetcher, meta.ID, need)
 	}

@@ -9,16 +9,19 @@ import (
 )
 
 // readScratch aggregates every buffer one read attempt needs — the chunk
-// set, stripe infos, candidate list, scheduler picks, decode scratch, the
-// cancellation flag, and the fetch fan-out slots — so the warm read path
-// performs no allocations at all. A scratch is owned by exactly one Read
-// call at a time and recycled through readScratchPool.
+// set, stripe infos, candidate list and ranking keys, scheduler picks,
+// decode scratch, the cancellation flag, and the fetch fan-out slots — so
+// the warm read path performs no allocations at all. A scratch is owned by
+// exactly one Read call at a time and recycled through readScratchPool.
 type readScratch struct {
 	chunks  []erasure.Chunk
 	infos   []StripeInfo
 	cands   []fetchCandidate
 	demoted []fetchCandidate
 	picks   []int
+	// work[i] is the expected completion of one more fetch on cands[i]'s
+	// node, the key candidates() ranks by.
+	work []float64
 	// used is a bitset over chunk indices (GF(2^8) bounds a code to 256
 	// chunks, so four words always suffice).
 	used [4]uint64

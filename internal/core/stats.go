@@ -38,6 +38,7 @@ type counters struct {
 	invalidationsApplied atomic.Int64
 	invalidationsStale   atomic.Int64
 
+	picksReordered   atomic.Int64
 	breakerDemotions atomic.Int64
 	brownoutReads    atomic.Int64
 	hedgesSuppressed atomic.Int64
@@ -116,6 +117,11 @@ type Stats struct {
 	InvalidationsApplied int64
 	InvalidationsStale   int64
 
+	// PicksReordered counts reads whose fetched node set differs from the
+	// plain Madow draw from π because the expected-work ranking put another
+	// placement node ahead of a drawn one (a backlog on the drawn node, or on
+	// a heterogeneous cluster a slower service mean).
+	PicksReordered int64
 	// BreakerDemotions counts fetch candidates pushed to the tail of the
 	// candidate order because their node's circuit breaker was open.
 	BreakerDemotions int64
@@ -182,6 +188,7 @@ func (c *Controller) Stats() Stats {
 		InvalidationsApplied: c.stats.invalidationsApplied.Load(),
 		InvalidationsStale:   c.stats.invalidationsStale.Load(),
 
+		PicksReordered:   c.stats.picksReordered.Load(),
 		BreakerDemotions: c.stats.breakerDemotions.Load(),
 		BrownoutReads:    c.stats.brownoutReads.Load(),
 		HedgesSuppressed: c.stats.hedgesSuppressed.Load(),
@@ -478,6 +485,17 @@ func (l *LatencyHist) Snapshot() LatencySnapshot { return l.h.snapshot() }
 
 // Buckets returns the raw cumulative buckets for the metrics exporter.
 func (l *LatencyHist) Buckets() HistogramBuckets { return l.h.bucketsSnapshot() }
+
+// NodeInFlight reports, by storage node ID, how many of this controller's
+// chunk fetches are outstanding on the node right now — the backlog the read
+// plane ranks fetch candidates by.
+func (c *Controller) NodeInFlight() map[int]int64 {
+	out := make(map[int]int64, len(c.nodeIdx))
+	for id, pos := range c.nodeIdx {
+		out[id] = c.nodeInFlight[pos].Load()
+	}
+	return out
+}
 
 // InFlightReads reports the number of reads currently inside the admission
 // gate (0 when admission control is off).

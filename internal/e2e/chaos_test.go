@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,44 +17,43 @@ import (
 // All chaos scenarios run under `go test -run TestChaos ./internal/e2e`
 // (the CI chaos job). They wire the full stack with the transport chaos
 // harness attached and assert — loosely, with generous slack, because they
-// share CI machines — the resilience-plane acceptance behaviour: bounded
-// tail latency next to a slow node, zero read errors next to a flaky node,
-// availability across an asymmetric partition during repair, and graceful
-// shed-and-recover under overload.
+// share CI machines — the resilience-plane acceptance behaviour: a slow
+// node starved of fetches once its breaker opens, zero read errors next to
+// a flaky node, availability across an asymmetric partition during repair,
+// and graceful shed-and-recover under overload.
 
-// quantileDur returns the q-quantile of the samples (q in [0,1]).
-func quantileDur(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
-// readRounds reads every file `rounds` times through the controller,
-// returning per-read latencies; any read error fails the test.
-func readRounds(t *testing.T, h *harness, rounds int) []time.Duration {
+// readRounds reads every file `rounds` times through the controller; any
+// read error fails the test.
+func readRounds(t *testing.T, h *harness, rounds int) {
 	t.Helper()
 	ctx := context.Background()
-	durs := make([]time.Duration, 0, rounds*e2eObjects)
 	for r := 0; r < rounds; r++ {
 		for fileID := 0; fileID < e2eObjects; fileID++ {
-			start := time.Now()
 			if err := h.readAndCheck(ctx, fileID, h.payload(fileID)); err != nil {
 				t.Fatalf("round %d: %v", r, err)
 			}
-			durs = append(durs, time.Since(start))
 		}
 	}
-	return durs
 }
 
-// TestChaosSlowNode injects 10×-baseline latency into one OSD. With
+// fetchesTo reads every file `rounds` times and returns how many chunk
+// fetches reached the OSD meanwhile. The chaos harness counts one injected
+// delay per request it sees for an OSD with a rule, so the OSD must have one.
+func fetchesTo(t *testing.T, h *harness, chaos *transport.Chaos, rounds int) int64 {
+	t.Helper()
+	before := chaos.Stats().DelaysInjected
+	readRounds(t, h, rounds)
+	return chaos.Stats().DelaysInjected - before
+}
+
+// TestChaosSlowNode injects 100×-baseline latency into one OSD. With
 // latency-aware breakers and hedging on, the read plane must learn to avoid
-// it: after the breaker opens, read p99 stays within 2× the healthy
-// baseline (plus scheduling slack) and no read errors occur.
+// it: once the breaker opens the OSD is demoted behind every healthy
+// placement node and hedges never reach it, so its share of the fetches
+// falls from its scheduling share to (nearly) nothing, and no read fails.
+// The assertions are on counters, not on wall-clock latency: the reads are
+// sequential, so the expected-work ranking sees no backlog and the healthy
+// share is the plan's, whatever the machine's speed.
 func TestChaosSlowNode(t *testing.T) {
 	chaos := transport.NewChaos(7)
 	// HedgeDelay must exceed LatencyThreshold: a fetch through the slow node
@@ -76,47 +74,52 @@ func TestChaosSlowNode(t *testing.T) {
 	// The plan concentrates fetches on a fixed subset of OSDs (cache serves
 	// the rest), so slowing an arbitrary OSD may perturb nothing. Probe with
 	// a harmless 1µs rule to find an OSD that actually takes fetch traffic.
+	const healthyRounds, faultRounds = 8, 12
 	slow := -1
-	for osd := 0; osd < e2eOSDs; osd++ {
-		before := chaos.Stats().DelaysInjected
+	var healthy int64
+	for osd := 0; osd < e2eOSDs && slow < 0; osd++ {
 		chaos.SetRule(osd, transport.ChaosRule{Latency: time.Microsecond})
-		readRounds(t, h, 1)
-		chaos.ClearRule(osd)
-		if chaos.Stats().DelaysInjected > before {
+		if fetchesTo(t, h, chaos, 1) > 0 {
 			slow = osd
-			break
+			healthy = fetchesTo(t, h, chaos, healthyRounds)
 		}
+		chaos.ClearRule(osd)
 	}
 	if slow < 0 {
 		t.Fatal("no OSD receives fetch traffic — harness wiring broken")
 	}
+	if healthy == 0 {
+		t.Fatalf("OSD %d took fetches in the probe round but none in %d more", slow, healthyRounds)
+	}
 
-	healthy := quantileDur(readRounds(t, h, 8), 0.99)
-
-	delaysBefore := chaos.Stats().DelaysInjected
 	chaos.SetRule(slow, transport.ChaosRule{Latency: 30 * time.Millisecond})
 	// Warm up until the slow node's breaker opens: each read that touches it
 	// either absorbs the 30ms delay or loses to the hedge with an overdue
 	// cancel, and both register as slow observations.
+	var warmup int64
 	deadline := time.Now().Add(15 * time.Second)
 	for breakers.State(slow) != resilience.BreakerOpen {
 		if time.Now().After(deadline) {
 			t.Fatalf("slow OSD %d never tripped its breaker despite taking fetch traffic", slow)
 		}
-		readRounds(t, h, 1)
+		warmup += fetchesTo(t, h, chaos, 1)
+	}
+	if warmup == 0 {
+		t.Fatal("breaker opened without the chaos harness delaying a single fetch — scenario did not exercise the slow node")
 	}
 
-	p99 := quantileDur(readRounds(t, h, 12), 0.99)
-	// Loose bound: 2× healthy p99 plus fixed slack, well below the 30ms
-	// injected latency a read would absorb if it still touched the slow node.
-	if limit := 2*healthy + 10*time.Millisecond; p99 > limit {
-		t.Fatalf("p99 with slow node = %v, want <= %v (healthy p99 %v)", p99, limit, healthy)
+	demotionsBefore := h.ctrl.Stats().BreakerDemotions
+	faulty := fetchesTo(t, h, chaos, faultRounds)
+	// Per round the slow OSD must now take at most a quarter of the fetches
+	// it took while healthy. Expected is zero; the slack covers a healthy
+	// node's breaker tripping on a stalled CI core, which can push a read
+	// below the healthy boundary and into the demoted tail.
+	if faulty*healthyRounds*4 > healthy*faultRounds {
+		t.Fatalf("slow OSD %d still took %d fetches in %d rounds with its breaker open (healthy: %d in %d rounds)",
+			slow, faulty, faultRounds, healthy, healthyRounds)
 	}
-	if h.ctrl.Stats().BreakerDemotions == 0 {
+	if h.ctrl.Stats().BreakerDemotions == demotionsBefore {
 		t.Fatal("open breaker never demoted the slow node")
-	}
-	if st := chaos.Stats(); st.DelaysInjected == delaysBefore {
-		t.Fatal("chaos harness injected no delays — scenario did not exercise the slow node")
 	}
 }
 

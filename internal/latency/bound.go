@@ -100,6 +100,12 @@ func FileBound(pi []float64, moments []queue.ResponseMoments) (bound, zOpt float
 		// File served entirely from cache: latency bound is zero.
 		return 0, 0
 	}
+	if maxMean == 0 {
+		// Every contacted node answers in zero time (zero-mean service, so
+		// zero variance too): the bound is zero at z = 0. Without this case
+		// the bracket expansion below would double hi = 0 forever.
+		return 0, 0
+	}
 
 	// The objective is convex in z; its derivative is increasing. At z=0 the
 	// derivative may already be >= 0 (then z*=0); otherwise bisect on an

@@ -169,6 +169,7 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_write_through_chunks_total", "Cache chunks installed directly from just-written data.", func(s core.Stats) int64 { return s.WriteThroughChunks }},
 		{"sprout_stale_cache_reloads_total", "Reads that caught and dropped a superseded cached stripe.", func(s core.Stats) int64 { return s.StaleCacheReloads }},
 		{"sprout_read_retries_total", "Read attempts repeated after a stripe-consistency violation.", func(s core.Stats) int64 { return s.ReadRetries }},
+		{"sprout_picks_reordered_total", "Reads whose fetched node set left the Madow draw because expected-work ranking preferred another placement node.", func(s core.Stats) int64 { return s.PicksReordered }},
 		{"sprout_breaker_demotions_total", "Fetch candidates demoted because their node's circuit breaker was open.", func(s core.Stats) int64 { return s.BreakerDemotions }},
 		{"sprout_brownout_reads_total", "Reads admitted while the saturation gate was at any brownout level.", func(s core.Stats) int64 { return s.BrownoutReads }},
 		{"sprout_hedges_suppressed_total", "Hedge timers withheld at brownout level 1 or deeper.", func(s core.Stats) int64 { return s.HedgesSuppressed }},
@@ -234,6 +235,18 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		func() float64 { return c.SaturationScore() })
 	gauge(r, "sprout_inflight_reads_requests", "Reads currently inside the admission gate.",
 		func() float64 { return float64(c.InFlightReads()) })
+	r.MustRegister(metrics.Desc{
+		Name: "sprout_node_inflight_requests",
+		Help: "Chunk fetches this controller has outstanding on each storage node, the backlog that ranks fetch candidates.",
+		Kind: metrics.KindGauge, Labels: []string{"node"},
+	}, metrics.CollectorFunc(func() []metrics.Sample {
+		inflight := c.NodeInFlight()
+		out := make([]metrics.Sample, 0, len(inflight))
+		for id, n := range inflight {
+			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(id)}, Value: float64(n)})
+		}
+		return out
+	}))
 	r.MustRegister(metrics.Desc{
 		Name: "sprout_analyzer_score_ratio", Help: "Saturation analyzer's last windowed score.",
 		Kind: metrics.KindGauge,

@@ -116,6 +116,8 @@ func TestExpositionParsesStrictly(t *testing.T) {
 		"sprout_read_latency_seconds",
 		"sprout_write_latency_seconds",
 		"sprout_saturation_level",
+		"sprout_node_inflight_requests",
+		"sprout_picks_reordered_total",
 		"sprout_autoscale_target_chunks",
 		"sprout_cache_occupancy_chunks",
 		"sprout_transport_frames_total",

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sprout/internal/cluster"
 	"sprout/internal/queue"
@@ -404,5 +405,41 @@ func TestFromClusterExcluding(t *testing.T) {
 		if row[0] != 0 || row[5] != 0 {
 			t.Fatalf("file %d scheduled on down node: pi[0]=%v pi[5]=%v", i, row[0], row[5])
 		}
+	}
+}
+
+// Zero-mean service (queue.Deterministic{Value: 0}, an emulated store with
+// no service time) used to spin forever in latency.FileBound's bracket
+// expansion. Optimize runs on its own goroutine so that a regression fails
+// here after two seconds instead of hanging the whole test binary.
+func TestOptimizeZeroMeanServiceTerminates(t *testing.T) {
+	p := smallProblem(6, 4, 5)
+	for j := range p.Nodes {
+		p.Nodes[j] = queue.StatsFromDist(queue.Deterministic{Value: 0})
+	}
+	type result struct {
+		plan *Plan
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		plan, err := Optimize(p, Options{})
+		done <- result{plan, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("Optimize: %v", r.err)
+		}
+		if r.plan.Objective != 0 {
+			t.Fatalf("latency bound = %v with zero service time, want 0", r.plan.Objective)
+		}
+		for i, d := range r.plan.D {
+			if got := sumSlice(r.plan.Pi[i]); math.Abs(got-float64(p.Files[i].K-d)) > 1e-6 {
+				t.Fatalf("file %d: pi sums to %v, want k-d = %d", i, got, p.Files[i].K-d)
+			}
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Optimize did not return within 2s on zero-mean service distributions")
 	}
 }

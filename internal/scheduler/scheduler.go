@@ -6,6 +6,10 @@
 //
 // The selection uses Madow's systematic sampling, which realises arbitrary
 // inclusion probabilities summing to an integer with a single uniform draw.
+//
+// A caller that knows how much work each node already holds can refine the
+// draw with RankByWork: candidates are ordered by expected completion and
+// the draw survives as the tie-break.
 package scheduler
 
 import (
@@ -267,3 +271,31 @@ func (a *Assignment) ChunksFromStorage(file int) int {
 
 // NumFiles returns the number of files covered by the assignment.
 func (a *Assignment) NumFiles() int { return len(a.pickers) }
+
+// ExpectedWork is the ranking key of queue-aware chunk scheduling: the
+// expected completion time of one more chunk request sent to a node that
+// already holds inflight outstanding requests and serves one in mean seconds
+// on average, (inflight+1)·E[S].
+func ExpectedWork(inflight int64, mean float64) float64 {
+	return float64(inflight+1) * mean
+}
+
+// RankByWork stably sorts items by ascending work, where work[i] belongs to
+// items[i]; both slices are permuted together. Equal work keeps the incoming
+// order, so a caller that passes the Madow draw first and the rest of the
+// placement after it keeps π as the tie-break: with no backlog and equal
+// service means the order is the draw itself.
+//
+// It is an insertion sort: a file has at most n candidates (a handful), the
+// input is already sorted whenever the cluster is idle, and nothing is
+// allocated.
+func RankByWork[T any](items []T, work []float64) {
+	for i := 1; i < len(items); i++ {
+		it, w := items[i], work[i]
+		j := i
+		for ; j > 0 && w < work[j-1]; j-- {
+			items[j], work[j] = items[j-1], work[j-1]
+		}
+		items[j], work[j] = it, w
+	}
+}

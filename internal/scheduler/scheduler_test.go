@@ -285,3 +285,77 @@ func TestAssignmentExcludingSharesHealthyPickers(t *testing.T) {
 		t.Fatalf("file 0 pick = %v, want [1]", got)
 	}
 }
+
+// The candidates arrive in tie-break order: the Madow draw first, then the
+// rest of the placement. RankByWork must move a node only past nodes with
+// strictly more expected work.
+func TestRankByWork(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		nodes    []int           // incoming (Madow-first) order
+		inflight map[int]int64   // by node; absent = idle
+		mean     map[int]float64 // by node; absent = 1
+		want     []int
+	}{
+		{name: "empty"},
+		{name: "single", nodes: []int{4}, want: []int{4}},
+		{name: "idle homogeneous keeps the draw", nodes: []int{3, 0, 5, 1, 2}, want: []int{3, 0, 5, 1, 2}},
+		{name: "equal backlog everywhere keeps the draw", nodes: []int{3, 0, 5},
+			inflight: map[int]int64{3: 2, 0: 2, 5: 2}, want: []int{3, 0, 5}},
+		{name: "backlogged draw sinks behind idle placement", nodes: []int{3, 0, 5, 1, 2},
+			inflight: map[int]int64{3: 4}, want: []int{0, 5, 1, 2, 3}},
+		{name: "ties among the backlogged keep the draw order", nodes: []int{3, 0, 5, 1},
+			inflight: map[int]int64{3: 1, 0: 1}, want: []int{5, 1, 3, 0}},
+		{name: "heterogeneous means order an idle cluster", nodes: []int{2, 0, 1},
+			mean: map[int]float64{0: 0.004, 1: 0.008, 2: 0.016}, want: []int{0, 1, 2}},
+		{name: "backlog on the fast node outweighs its speed", nodes: []int{2, 0, 1},
+			inflight: map[int]int64{0: 4},
+			mean:     map[int]float64{0: 0.004, 1: 0.008, 2: 0.016}, want: []int{1, 2, 0}},
+		{name: "equal products tie back to the draw", nodes: []int{1, 0},
+			inflight: map[int]int64{0: 1},
+			mean:     map[int]float64{0: 0.004, 1: 0.008}, want: []int{1, 0}},
+		{name: "zero-mean service ranks nothing", nodes: []int{2, 0, 1},
+			inflight: map[int]int64{2: 9},
+			mean:     map[int]float64{0: 0, 1: 0, 2: 0}, want: []int{2, 0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := append([]int(nil), tc.nodes...)
+			work := make([]float64, len(nodes))
+			for i, node := range nodes {
+				mean, ok := tc.mean[node]
+				if !ok {
+					mean = 1
+				}
+				work[i] = ExpectedWork(tc.inflight[node], mean)
+			}
+			RankByWork(nodes, work)
+			if len(nodes) != len(tc.want) {
+				t.Fatalf("ranked %v, want %v", nodes, tc.want)
+			}
+			for i := range nodes {
+				if nodes[i] != tc.want[i] {
+					t.Fatalf("ranked %v, want %v", nodes, tc.want)
+				}
+			}
+			for i := 1; i < len(work); i++ {
+				if work[i] < work[i-1] {
+					t.Fatalf("work not ascending after ranking: %v", work)
+				}
+			}
+		})
+	}
+}
+
+func TestRankByWorkDoesNotAllocate(t *testing.T) {
+	nodes := []int{0, 1, 2, 3, 4, 5, 6}
+	work := make([]float64, len(nodes))
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range work {
+			work[i] = ExpectedWork(int64(len(work)-i), 0.004)
+		}
+		RankByWork(nodes, work)
+	})
+	if allocs != 0 {
+		t.Fatalf("RankByWork allocates %v times per call", allocs)
+	}
+}
