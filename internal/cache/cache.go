@@ -168,6 +168,32 @@ func (c *FunctionalCache) DeleteFile(fileID int) int {
 	return removed
 }
 
+// ReplaceFile swaps the file's whole chunk set for the given one —
+// payloads[i] stored under chunk index indices[i] — in one critical section,
+// so a concurrent VisitFile sees the old set or the new one and never a mix
+// of the two. It is all or nothing: when the new set would not fit beside
+// the other files' chunks the cache is left unchanged and ok is false. An
+// empty set deletes the file. evicted is the size of the set replaced.
+func (c *FunctionalCache) ReplaceFile(fileID int, indices []int, payloads [][]byte) (evicted int, ok bool) {
+	file := make(map[int][]byte, len(indices))
+	for i, idx := range indices {
+		file[idx] = payloads[i]
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	evicted = len(c.byFile[fileID])
+	if c.size-evicted+len(file) > c.capacity {
+		return 0, false
+	}
+	c.size += len(file) - evicted
+	if len(file) == 0 {
+		delete(c.byFile, fileID)
+	} else {
+		c.byFile[fileID] = file
+	}
+	return evicted, true
+}
+
 // TrimFile removes chunks of the file until at most keep remain, evicting
 // the highest chunk indices first (the chunks generated last). It returns
 // the number of evicted chunks.

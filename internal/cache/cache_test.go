@@ -143,6 +143,84 @@ func TestFunctionalCacheTrimFile(t *testing.T) {
 	}
 }
 
+func TestFunctionalCacheReplaceFile(t *testing.T) {
+	c := NewFunctionalCache(6)
+	c.Put(ChunkKey{FileID: 2, ChunkIndex: 7}, []byte("other"))
+	for i := 0; i < 2; i++ {
+		c.Put(ChunkKey{FileID: 1, ChunkIndex: 7 + i}, []byte{byte(i)})
+	}
+	// A different, larger index set replaces the old one entirely.
+	evicted, ok := c.ReplaceFile(1, []int{0, 1, 2, 3}, [][]byte{{10}, {11}, {12}, {13}})
+	if !ok || evicted != 2 {
+		t.Fatalf("ReplaceFile = (%d, %v), want (2, true)", evicted, ok)
+	}
+	if got := c.GetFile(1); len(got) != 4 || got[0][0] != 10 || got[3][0] != 13 {
+		t.Fatalf("file after replace: %v", got)
+	}
+	if c.Len() != 5 || c.ChunksForFile(2) != 1 {
+		t.Fatalf("len %d, neighbour %d", c.Len(), c.ChunksForFile(2))
+	}
+	// All or nothing: a set that does not fit beside the other files leaves
+	// the old set in place.
+	six := [][]byte{{1}, {2}, {3}, {4}, {5}, {6}}
+	if evicted, ok := c.ReplaceFile(1, []int{7, 8, 9, 10, 11, 12}, six); ok || evicted != 0 {
+		t.Fatalf("oversized ReplaceFile = (%d, %v), want (0, false)", evicted, ok)
+	}
+	if got := c.GetFile(1); len(got) != 4 || got[0][0] != 10 {
+		t.Fatalf("refused replace changed the file: %v", got)
+	}
+	// Exactly filling the capacity is fine: the replaced set's slots count.
+	if _, ok := c.ReplaceFile(1, []int{7, 8, 9, 10, 11}, six[:5]); !ok || c.Len() != 6 {
+		t.Fatalf("exact-fit replace refused, len %d", c.Len())
+	}
+	// The empty set deletes the file.
+	if evicted, ok := c.ReplaceFile(1, nil, nil); !ok || evicted != 5 || c.ChunksForFile(1) != 0 || c.Len() != 1 {
+		t.Fatalf("empty replace = (%d, %v), len %d", evicted, ok, c.Len())
+	}
+	if evicted, ok := c.ReplaceFile(9, nil, nil); !ok || evicted != 0 {
+		t.Fatalf("empty replace of an absent file = (%d, %v)", evicted, ok)
+	}
+}
+
+// TestFunctionalCacheReplaceFileIsAtomic: a visitor sees one whole set or
+// the other, never chunks of both.
+func TestFunctionalCacheReplaceFileIsAtomic(t *testing.T) {
+	c := NewFunctionalCache(8)
+	sets := [2]struct {
+		indices  []int
+		payloads [][]byte
+	}{
+		{[]int{0, 1, 2, 3}, [][]byte{{0}, {0}, {0}, {0}}},
+		{[]int{7, 8}, [][]byte{{1}, {1}}},
+	}
+	c.ReplaceFile(1, sets[0].indices, sets[0].payloads)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 2000; i++ {
+			c.ReplaceFile(1, sets[i%2].indices, sets[i%2].payloads)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		seen, tag := 0, byte(0)
+		c.VisitFile(1, func(idx int, data []byte) bool {
+			if seen > 0 && data[0] != tag {
+				t.Errorf("visit saw chunks of both sets")
+			}
+			seen, tag = seen+1, data[0]
+			return true
+		})
+		if want := len(sets[tag].indices); seen != want {
+			t.Fatalf("visit saw %d chunks of set %d, want %d", seen, tag, want)
+		}
+	}
+}
+
 func TestFunctionalCacheConcurrency(t *testing.T) {
 	c := NewFunctionalCache(1000)
 	var wg sync.WaitGroup

@@ -27,7 +27,7 @@ func (s *benchStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) ([
 	return file[chunkIndex], nil
 }
 
-func benchController(b *testing.B, numFiles, capacity int, serve ServeOptions) (*Controller, *benchStore) {
+func benchController(b *testing.B, numFiles, fileSize, capacity int, serve ServeOptions) (*Controller, *benchStore) {
 	b.Helper()
 	nodes := make([]cluster.Node, 8)
 	for i := range nodes {
@@ -38,7 +38,7 @@ func benchController(b *testing.B, numFiles, capacity int, serve ServeOptions) (
 	for i := range files {
 		placement, _ := cluster.RandomPlacement(rng, 8, 5)
 		files[i] = cluster.File{
-			ID: i, Name: fmt.Sprintf("f%d", i), SizeBytes: 16 << 10,
+			ID: i, Name: fmt.Sprintf("f%d", i), SizeBytes: int64(fileSize),
 			K: 3, N: 5, Placement: placement, Lambda: 0.01,
 		}
 	}
@@ -75,28 +75,35 @@ func benchController(b *testing.B, numFiles, capacity int, serve ServeOptions) (
 // (scheduling, cache lookup, parallel fetch fan-out, decode) over an
 // instant in-memory store, across concurrent readers via RunParallel.
 // Each reader reuses a payload buffer through ReadInto, so allocs/op
-// isolates the serving path itself: the cached variant must stay at zero.
+// isolates the serving path itself: every variant must stay at zero. The
+// cached variants hold every file whole, so their reads are k copies;
+// cached-1MiB is the size where that copy, not the bookkeeping, is the cost.
 func BenchmarkControllerRead(b *testing.B) {
-	for _, caps := range []struct {
-		name     string
-		capacity int
-	}{{"nocache", 0}, {"cached", 256}} {
-		b.Run(caps.name, func(b *testing.B) {
-			ctrl, store := benchController(b, 64, caps.capacity, ServeOptions{})
+	for _, bc := range []struct {
+		name                  string
+		files, size, capacity int
+	}{
+		{"nocache", 64, 16 << 10, 0},
+		{"cached", 64, 16 << 10, 256},
+		{"cached-1MiB", 8, 1 << 20, 32},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctrl, store := benchController(b, bc.files, bc.size, bc.capacity, ServeOptions{})
 			defer ctrl.Close()
-			if caps.capacity > 0 {
+			if bc.capacity > 0 {
 				if err := ctrl.PrefetchCache(context.Background(), store); err != nil {
 					b.Fatal(err)
 				}
 			}
 			ctx := context.Background()
 			var seq atomic.Int64
+			b.SetBytes(int64(bc.size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				var buf []byte
 				for pb.Next() {
-					fileID := int(seq.Add(1)) % 64
+					fileID := int(seq.Add(1)) % bc.files
 					payload, err := ctrl.ReadInto(ctx, fileID, store, buf)
 					if err != nil {
 						b.Fatal(err)
@@ -111,7 +118,7 @@ func BenchmarkControllerRead(b *testing.B) {
 // BenchmarkControllerReadSequentialFetch is the seed-style serialised fetch
 // baseline for A/B comparison with BenchmarkControllerRead.
 func BenchmarkControllerReadSequentialFetch(b *testing.B) {
-	ctrl, store := benchController(b, 64, 0, ServeOptions{SequentialFetch: true})
+	ctrl, store := benchController(b, 64, 16<<10, 0, ServeOptions{SequentialFetch: true})
 	defer ctrl.Close()
 	ctx := context.Background()
 	var seq atomic.Int64

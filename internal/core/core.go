@@ -9,6 +9,12 @@
 // trimmed immediately, allocations that grow are materialised in the
 // background after the file's next read.
 //
+// Which chunks the cache holds for an allocation of d is erasure.CacheRows'
+// decision, and every install goes through it: d functional chunks while
+// 0 < d < k, so any k-d storage chunks complete the decode, and the k data
+// chunks themselves once d = k, where no storage chunk takes part and a hit
+// decodes by copy.
+//
 // The controller is split into two planes:
 //
 //   - The read plane (Read) is lock-free: it works off an immutable epoch
@@ -30,6 +36,7 @@ import (
 	"time"
 
 	"sprout/internal/cache"
+	"sprout/internal/cancel"
 	"sprout/internal/cluster"
 	"sprout/internal/erasure"
 	"sprout/internal/optimizer"
@@ -100,6 +107,15 @@ func (f ObjectWriterFunc) WriteObject(ctx context.Context, fileID int, data []by
 // consume the payload already split into k data chunks avoids re-splitting
 // it. Controller.Write splits once for the cache write-through and hands
 // the same chunks to the storage write when the writer supports it.
+//
+// Ownership: the chunks handed to WriteDataChunks are shared, not given.
+// When the file is fully cached the controller installs those very slices
+// in the functional cache after the write returns (write-through by
+// reference — no copy, no coding), where lock-free readers copy out of them
+// for as long as the entry lives. So they are immutable from the moment they
+// are handed over: an implementation may read them and may keep references
+// past its return (a send queue, a retry), but must never write to them or
+// recycle their memory.
 type DataChunkWriter interface {
 	ObjectWriter
 	WriteDataChunks(ctx context.Context, fileID int, dataChunks [][]byte, size int) (uint64, error)
@@ -546,7 +562,8 @@ func (c *Controller) swapEpochLocked(mutate func(*epoch)) {
 
 // PlanTimeBin runs the cache optimization for a time bin with the given
 // per-file arrival rates and applies the cache transition rule: shrinking
-// allocations are trimmed immediately; growing allocations are recorded in
+// allocations are trimmed immediately (a fully cached file re-encodes its
+// remaining functional chunks locally); growing allocations are recorded in
 // the new epoch's pending set and materialised in the background after the
 // file's next read. The optimization runs against the live membership:
 // down nodes are excluded from every file's candidate set, so the plan
@@ -587,6 +604,13 @@ func (c *Controller) PlanTimeBin(lambdas []float64) (*optimizer.Plan, error) {
 		return nil, err
 	}
 
+	c.applyPlan(clu, plan, base, lambdas)
+	return plan, nil
+}
+
+// applyPlan runs the cache transition for a freshly computed plan — shrink
+// now, grow lazily — and publishes the plan's epoch.
+func (c *Controller) applyPlan(clu *cluster.Cluster, plan *optimizer.Plan, base *scheduler.Assignment, lambdas []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pending := make(map[int]int)
@@ -594,7 +618,7 @@ func (c *Controller) PlanTimeBin(lambdas []float64) (*optimizer.Plan, error) {
 		have := c.cache.ChunksForFile(fileID)
 		switch {
 		case target < have:
-			c.cache.TrimFile(fileID, target)
+			c.shrinkCachedLocked(c.files[fileID], target)
 		case target > have:
 			pending[fileID] = target
 		}
@@ -615,7 +639,6 @@ func (c *Controller) PlanTimeBin(lambdas []float64) (*optimizer.Plan, error) {
 	if c.est != nil {
 		c.est.StartBin(lambdas)
 	}
-	return plan, nil
 }
 
 // fetchChunkV fetches one chunk, reporting the stripe it belongs to when the
@@ -628,44 +651,85 @@ func fetchChunkV(ctx context.Context, fetcher ChunkFetcher, fileID, chunkIndex, 
 	return data, StripeInfo{}, err
 }
 
+// shrinkCachedLocked cuts the file's cached set down to target chunks. A
+// partially cached file holds functional rows n..n+have-1 and loses the
+// highest ones. A fully cached file holds the systematic rows, and keeping
+// target of those would leave an exact-caching subset that shadows storage
+// chunks 0..target-1 — the scheduler would lose that many of its n placement
+// choices — so its target functional rows are re-encoded from the cached data
+// chunks instead (local GF(2^8) work, no storage I/O) and swapped in whole.
+// The stripe record stays: both sets are images of the same stripe. Must be
+// called with c.mu held.
+func (c *Controller) shrinkCachedLocked(meta FileMeta, target int) {
+	if data := c.cachedDataChunks(meta); data != nil && target > 0 {
+		if set, err := meta.Code.CacheSet(data, target); err == nil {
+			c.installCacheSetLocked(meta, data, set)
+			return
+		}
+	}
+	c.cache.TrimFile(meta.ID, target)
+}
+
+// cachedDataChunks returns the file's k data chunks when the cache holds it
+// whole (the systematic set), nil otherwise.
+func (c *Controller) cachedDataChunks(meta FileMeta) [][]byte {
+	cached := c.cache.GetFile(meta.ID)
+	data := make([][]byte, 0, meta.K)
+	for _, row := range meta.Code.CacheRows(meta.K) {
+		if ch, ok := cached[row]; ok {
+			data = append(data, ch)
+		}
+	}
+	if len(data) != meta.K {
+		return nil
+	}
+	return data
+}
+
 // PrefetchCache eagerly materialises the planned cache content for every
 // file using the fetcher (the offline placement phase described in the
-// paper, typically run during low-load hours).
+// paper, typically run during low-load hours). Each file's k chunks come
+// through the read plane's own fetch path — candidates() ranks the live
+// placement nodes and skips down ones, fetchParallel fans the fetches out
+// and fails over — so a down or failing node costs a failover, not the
+// prefetch.
 func (c *Controller) PrefetchCache(ctx context.Context, fetcher ChunkFetcher) error {
 	ep := c.epoch.Load()
 	if ep.plan == nil {
 		return ErrNoPlan
 	}
 	for fileID := range ep.pending {
-		meta := c.files[fileID]
-		chunks := make([]erasure.Chunk, 0, meta.K)
-		var stripe StripeInfo
-		for chunkIndex, node := range meta.Placement {
-			if len(chunks) >= meta.K {
-				break
-			}
-			data, info, err := fetchChunkV(ctx, fetcher, fileID, chunkIndex, nodeIDAt(ep.clu, node))
-			if err != nil {
-				return fmt.Errorf("core: prefetch file %d: %w", fileID, err)
-			}
-			if info.Version != 0 {
-				if stripe.Version == 0 {
-					stripe = info
-				} else if stripe != info {
-					return fmt.Errorf("core: prefetch file %d: stripe version changed under the prefetch", fileID)
-				}
-			}
-			chunks = append(chunks, erasure.Chunk{Index: chunkIndex, Data: data})
-		}
-		dataChunks, err := meta.Code.Reconstruct(chunks)
-		if err != nil {
-			return err
-		}
-		if err := c.installFill(fileID, dataChunks, stripe); err != nil {
-			return err
+		if err := c.prefetchFile(ctx, fetcher, ep, c.files[fileID]); err != nil {
+			return fmt.Errorf("core: prefetch file %d: %w", fileID, err)
 		}
 	}
 	return nil
+}
+
+// prefetchFile fetches k storage chunks of one file, checks they belong to
+// one stripe version, decodes them and installs the file's pending fill.
+func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep *epoch, meta FileMeta) error {
+	sc := getReadScratch()
+	sc.flag.Reset()
+	detach := cancel.Bind(ctx, &sc.flag)
+	defer func() {
+		detach()
+		putReadScratch(sc)
+	}()
+	if _, err := c.fetchChunks(ctx, sc, fetcher, ep, meta, meta.K, 0); err != nil {
+		return err
+	}
+	stripe, err := singleStripe(meta.ID, sc.infos)
+	if err != nil {
+		return err
+	}
+	// Reconstruct, not ReconstructInto(&sc.dec): the pooled scratch would
+	// keep a file-sized backing array alive that no read ever uses.
+	dataChunks, err := meta.Code.Reconstruct(sc.chunks)
+	if err != nil {
+		return err
+	}
+	return c.installFill(meta.ID, dataChunks, stripe)
 }
 
 // Estimator returns the workload estimator feeding the auto-replanner, or

@@ -354,49 +354,59 @@ func TestCacheAllocationTarget(t *testing.T) {
 
 func TestFunctionalChunksAreValidErasureChunks(t *testing.T) {
 	// The cached chunks installed by the controller must verify against the
-	// file's code (i.e. they really are functional chunks, not copies).
-	ctrl, store := buildController(t, 1, 2, 0.3)
-	plan, err := ctrl.PlanTimeBin([]float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.D[0] == 0 {
-		t.Skip("no cache allocated")
-	}
-	if err := ctrl.PrefetchCache(context.Background(), store); err != nil {
-		t.Fatal(err)
-	}
-	meta := ctrl.Files()[0]
-	dataChunks, err := meta.Code.Split(store.data[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := ctrl.Cache().GetFile(0)
-	if len(cached) == 0 {
-		t.Fatal("no cached chunks found")
-	}
-	for idx, payload := range cached {
-		if idx < meta.N {
-			t.Fatalf("cached chunk %d is a storage chunk copy, not a functional chunk", idx)
-		}
-		if err := meta.Code.Verify(idx, payload, dataChunks); err != nil {
-			t.Fatalf("cached chunk %d fails verification: %v", idx, err)
-		}
-	}
-	// And decoding using only cache chunks + the first storage chunks works.
-	chunks := make([]erasure.Chunk, 0, meta.K)
-	for idx, payload := range cached {
-		chunks = append(chunks, erasure.Chunk{Index: idx, Data: payload})
-	}
-	for c := 0; len(chunks) < meta.K; c++ {
-		chunks = append(chunks, erasure.Chunk{Index: c, Data: mustChunk(t, store, 0, c)})
-	}
-	got, err := meta.Code.Decode(chunks, meta.SizeBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, store.data[0]) {
-		t.Fatal("decode using cached functional chunks failed")
+	// file's code. A partially cached file holds functional chunks, not
+	// copies of storage chunks; a fully cached one holds the k data chunks
+	// and decodes from them alone.
+	for _, capacity := range []int{1, 2} {
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			ctrl, store := buildController(t, 1, capacity, 0.3)
+			plan, err := ctrl.PlanTimeBin([]float64{0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.D[0] != capacity {
+				t.Fatalf("test premise: allocation %d, want the whole cache (%d)", plan.D[0], capacity)
+			}
+			if err := ctrl.PrefetchCache(context.Background(), store); err != nil {
+				t.Fatal(err)
+			}
+			meta := ctrl.Files()[0]
+			dataChunks, err := meta.Code.Split(store.data[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached := ctrl.Cache().GetFile(0)
+			if len(cached) != plan.D[0] {
+				t.Fatalf("%d cached chunks found, want %d", len(cached), plan.D[0])
+			}
+			for idx, payload := range cached {
+				if plan.D[0] < meta.K && idx < meta.N {
+					t.Fatalf("cached chunk %d is a storage chunk copy, not a functional chunk", idx)
+				}
+				if plan.D[0] == meta.K && idx >= meta.K {
+					t.Fatalf("cached chunk %d of a fully cached file is not a data chunk", idx)
+				}
+				if err := meta.Code.Verify(idx, payload, dataChunks); err != nil {
+					t.Fatalf("cached chunk %d fails verification: %v", idx, err)
+				}
+			}
+			// And decoding using only cache chunks + the first storage chunks
+			// works (for the fully cached file: the cache chunks alone).
+			chunks := make([]erasure.Chunk, 0, meta.K)
+			for idx, payload := range cached {
+				chunks = append(chunks, erasure.Chunk{Index: idx, Data: payload})
+			}
+			for c := 0; len(chunks) < meta.K; c++ {
+				chunks = append(chunks, erasure.Chunk{Index: c, Data: mustChunk(t, store, 0, c)})
+			}
+			got, err := meta.Code.Decode(chunks, meta.SizeBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, store.data[0]) {
+				t.Fatal("decode using cached chunks failed")
+			}
+		})
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
 	"sprout/internal/arena"
-	"sprout/internal/cache"
 	"sprout/internal/ring"
 )
 
@@ -14,9 +14,9 @@ func (c *Controller) FillTenantStats() map[string]ring.Stats { return c.fillQ.Te
 
 // fillArena recycles the chunk copies that background fills carry. A read
 // that enqueues a fill does not hand over its decode output — that memory
-// belongs to the read's pooled scratch — it copies the data chunks into a
-// leased buffer the fill job owns until runFill (or the enqueue/Close drop
-// paths) releases it.
+// is the caller's payload buffer — it copies the data chunks into a leased
+// buffer the fill job owns until runFill (or the enqueue/Close drop paths)
+// releases it.
 var fillArena = arena.New("core_fill_chunks")
 
 // FillArena exposes the fill-copy arena's lease accounting for leak checks
@@ -71,24 +71,21 @@ func (t *fillTracker) wait() {
 	t.mu.Unlock()
 }
 
-// enqueueFill copies a decoded file into an arena lease and hands it to the
-// background materialisation pool through the weighted-fair fill scheduler,
-// queued under the reading tenant so one tenant's fill backlog cannot starve
-// or overflow another's. At most one job per file is in flight; when the
-// tenant's ring is full the job is dropped (lease released) and the file's
-// next read re-enqueues it.
-func (c *Controller) enqueueFill(tenant string, fileID int, dataChunks [][]byte, stripe StripeInfo) {
+// enqueueFill copies a decoded file — its k data chunks back-to-back in data,
+// padding included — into an arena lease and hands it to the background
+// materialisation pool through the weighted-fair fill scheduler, queued under
+// the reading tenant so one tenant's fill backlog cannot starve or overflow
+// another's. At most one job per file is in flight; when the tenant's ring is
+// full the job is dropped (lease released) and the file's next read
+// re-enqueues it.
+func (c *Controller) enqueueFill(tenant string, fileID, k int, data []byte, stripe StripeInfo) {
 	if _, loaded := c.fillInFlight.LoadOrStore(fileID, struct{}{}); loaded {
 		return
 	}
-	k := len(dataChunks)
-	size := len(dataChunks[0])
-	lease := fillArena.Lease(k * size)
-	for i, ch := range dataChunks {
-		copy(lease.B[i*size:(i+1)*size], ch)
-	}
+	lease := fillArena.Lease(len(data))
+	copy(lease.B, data)
 	c.fills.add(1)
-	job := fillJob{fileID: fileID, k: k, chunkSize: size, lease: lease, stripe: stripe}
+	job := fillJob{fileID: fileID, k: k, chunkSize: len(data) / k, lease: lease, stripe: stripe}
 	if c.fillQ.Push(tenant, job) {
 		c.stats.fillsEnqueued.Add(1)
 	} else {
@@ -140,14 +137,14 @@ func (c *Controller) runFill(job fillJob, views [][]byte) {
 	}
 }
 
-// installFill generates the file's pending functional cache chunks from its
-// reconstructed data chunks and installs them, completing a fill. The chunk
-// generation runs outside the control-plane mutex; the install revalidates
-// the pending target against the current epoch under the mutex, so fills
-// racing a plan change (e.g. an allocation that shrank again) never install
-// chunks beyond the live plan — and revalidates the stripe version, so a
-// fill holding data decoded before an overwrite never clobbers the cache
-// with superseded chunks.
+// installFill builds the file's pending cache set from its reconstructed
+// data chunks (borrowed: the caller may reuse them once it returns) and
+// installs it, completing a fill. The chunk generation runs outside the
+// control-plane mutex; the install revalidates the pending target against
+// the current epoch under the mutex, so fills racing a plan change (e.g. an
+// allocation that shrank again) never install chunks beyond the live plan —
+// and revalidates the stripe version, so a fill holding data decoded before
+// an overwrite never clobbers the cache with superseded chunks.
 func (c *Controller) installFill(fileID int, dataChunks [][]byte, stripe StripeInfo) error {
 	meta := c.files[fileID]
 	for attempt := 0; attempt < 3; attempt++ {
@@ -158,9 +155,14 @@ func (c *Controller) installFill(fileID int, dataChunks [][]byte, stripe StripeI
 		if target > meta.K {
 			target = meta.K
 		}
-		cacheChunks, err := meta.Code.CacheChunks(dataChunks, target)
+		cacheSet, err := meta.Code.CacheSet(dataChunks, target)
 		if err != nil {
 			return fmt.Errorf("core: generating cache chunks for file %d: %w", fileID, err)
+		}
+		if target == meta.K {
+			// CacheSet returned the borrowed data chunks themselves; the
+			// cache needs memory of its own.
+			cacheSet = cloneChunks(cacheSet)
 		}
 
 		c.mu.Lock()
@@ -186,10 +188,7 @@ func (c *Controller) installFill(fileID int, dataChunks [][]byte, stripe StripeI
 			c.mu.Unlock()
 			return nil
 		}
-		for i, data := range cacheChunks {
-			key := cache.ChunkKey{FileID: fileID, ChunkIndex: meta.Code.CacheChunkIndex(i)}
-			c.cache.Put(key, data)
-		}
+		c.installCacheSetLocked(meta, dataChunks, cacheSet)
 		if stripe.Version != 0 {
 			info := stripe
 			c.cacheInfo[fileID].Store(&info)
@@ -202,4 +201,37 @@ func (c *Controller) installFill(fileID int, dataChunks [][]byte, stripe StripeI
 	// The plan kept changing under us; leave the file pending — its next
 	// read re-enqueues the fill.
 	return nil
+}
+
+// installCacheSetLocked swaps the file's cached chunks for set (nil evicts
+// the file), which must be CacheSet(dataChunks, len(set)), in one cache
+// critical section: a reader visits the old set or the new one, never a mix.
+// It returns how many chunks were evicted and installed. Must be called with
+// c.mu held — every cache mutation is, which is what makes the room left for
+// a refused set exact.
+func (c *Controller) installCacheSetLocked(meta FileMeta, dataChunks, set [][]byte) (evicted, installed int) {
+	evicted, ok := c.cache.ReplaceFile(meta.ID, meta.Code.CacheRows(len(set)), set)
+	if !ok {
+		// Another file took the room since set was built. Install the
+		// functional rows for the count that fits, also when set is the
+		// systematic one: that is only ever installed whole, because a part
+		// of it would be an exact-caching subset shadowing storage chunks
+		// 0..room-1 and cost the scheduler that many placement choices.
+		room := c.cache.Capacity() - c.cache.Len() + c.cache.ChunksForFile(meta.ID)
+		// room < len(set) <= k and dataChunks built set, so this cannot
+		// fail; if it did, the nil set would evict the stale chunks.
+		set, _ = meta.Code.CacheSet(dataChunks, room)
+		// A set of room chunks fits by construction.
+		evicted, _ = c.cache.ReplaceFile(meta.ID, meta.Code.CacheRows(len(set)), set)
+	}
+	return evicted, len(set)
+}
+
+// cloneChunks returns copies of the chunks in a slice of its own.
+func cloneChunks(chunks [][]byte) [][]byte {
+	out := make([][]byte, len(chunks))
+	for i, ch := range chunks {
+		out[i] = bytes.Clone(ch)
+	}
+	return out
 }

@@ -174,30 +174,14 @@ func (c *Controller) readOnce(ctx context.Context, sc *readScratch, fileID int, 
 	}
 	fetchErrs := 0
 	var stripe StripeInfo
-	sawUnversioned := false
 	if need > 0 {
 		errs, err := c.fetchChunks(ctx, sc, fetcher, ep, meta, need, fetchLevel)
 		if err != nil {
 			return nil, false, err
 		}
 		fetchErrs = errs
-		// Every storage chunk must come from one stripe version; a mix means
-		// an overwrite committed between two fetches of this read. A chunk
-		// with no version next to versioned siblings also means a mix: the
-		// backend became versioned between the two fetches.
-		for _, info := range sc.infos {
-			if info.Version == 0 {
-				sawUnversioned = true
-				continue
-			}
-			if stripe.Version == 0 {
-				stripe = info
-			} else if stripe != info {
-				return nil, true, fmt.Errorf("core: file %d: fetched chunks span stripe versions %d and %d", fileID, stripe.Version, info.Version)
-			}
-		}
-		if sawUnversioned && stripe.Version != 0 {
-			return nil, true, fmt.Errorf("core: file %d: fetched chunks mix versioned and unversioned stripes", fileID)
+		if stripe, err = singleStripe(fileID, sc.infos); err != nil {
+			return nil, true, err
 		}
 	}
 	// The cache contents must not have been swapped while we were reading
@@ -221,10 +205,6 @@ func (c *Controller) readOnce(ctx context.Context, sc *readScratch, fileID int, 
 		return nil, false, fmt.Errorf("core: only %d of %d chunks available for file %d", len(sc.chunks), meta.K, fileID)
 	}
 
-	dataChunks, err := meta.Code.ReconstructInto(&sc.dec, sc.chunks)
-	if err != nil {
-		return nil, true, err
-	}
 	size := int(c.fileSizes[fileID].Load())
 	switch {
 	case stripe.Size != 0:
@@ -232,7 +212,10 @@ func (c *Controller) readOnce(ctx context.Context, sc *readScratch, fileID int, 
 	case fromCache > 0 && cacheStripe != nil && cacheStripe.Size != 0:
 		size = cacheStripe.Size
 	}
-	payload, err := meta.Code.AppendJoin(dst[:0], dataChunks, size)
+	// One decode path: every data row lands directly in the caller's buffer.
+	// For a fully cached file the chunks are the systematic rows
+	// (erasure.CacheRows), so the decode is k copies and nothing else.
+	payload, err := meta.Code.DecodeInto(&sc.dec, dst, sc.chunks, size)
 	if err != nil {
 		return nil, true, err
 	}
@@ -278,18 +261,44 @@ func (c *Controller) readOnce(ctx context.Context, sc *readScratch, fileID int, 
 			if fillStripe.Version == 0 && cacheStripe != nil {
 				fillStripe = *cacheStripe
 			}
-			// enqueueFill copies the data chunks out of sc.dec — the fill
-			// outlives this read's scratch lease. The job queues under the
-			// reading tenant's name so the fill scheduler can hold each
-			// tenant to its weighted share.
+			// enqueueFill copies the decoded data chunks — payload's backing
+			// holds all k of them, zero padding included — because the fill
+			// outlives the caller's buffer. The job queues under the reading
+			// tenant's name so the fill scheduler can hold each tenant to
+			// its weighted share.
 			fillTenant := ""
 			if ts != nil {
 				fillTenant = ts.policy.Name
 			}
-			c.enqueueFill(fillTenant, fileID, dataChunks, fillStripe)
+			c.enqueueFill(fillTenant, fileID, meta.K, payload[:meta.K*len(sc.chunks[0].Data)], fillStripe)
 		}
 	}
 	return payload, false, nil
+}
+
+// singleStripe returns the one stripe every fetched chunk of a read belongs
+// to (the zero StripeInfo when the fetcher is unversioned). A mix of versions
+// means an overwrite committed between two fetches; a chunk with no version
+// next to versioned siblings also means a mix — the backend became versioned
+// between the two fetches.
+func singleStripe(fileID int, infos []StripeInfo) (StripeInfo, error) {
+	var stripe StripeInfo
+	sawUnversioned := false
+	for _, info := range infos {
+		if info.Version == 0 {
+			sawUnversioned = true
+			continue
+		}
+		if stripe.Version == 0 {
+			stripe = info
+		} else if stripe != info {
+			return StripeInfo{}, fmt.Errorf("core: file %d: fetched chunks span stripe versions %d and %d", fileID, stripe.Version, info.Version)
+		}
+	}
+	if sawUnversioned && stripe.Version != 0 {
+		return StripeInfo{}, fmt.Errorf("core: file %d: fetched chunks mix versioned and unversioned stripes", fileID)
+	}
+	return stripe, nil
 }
 
 // dropStaleCache evicts the file's cached chunks if they still belong to the

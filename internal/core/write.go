@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"sprout/internal/cache"
 )
 
 // Write ingests new content for a file: the writer stores the object in the
@@ -71,12 +69,15 @@ func (c *Controller) WriteVersion(ctx context.Context, fileID int, data []byte, 
 		return 0, err
 	}
 
-	// The storage plane now serves the new stripe; generate the target cache
-	// chunks from the new data before taking the control-plane mutex
-	// (generation is the expensive part).
-	var cacheChunks [][]byte
+	// The storage plane now serves the new stripe; build the target cache set
+	// from the new data before taking the control-plane mutex. For a partial
+	// allocation that generates functional chunks (the expensive part); a
+	// fully cached file's set is the chunks Split already copied, handed to
+	// the cache by reference — the writer above only read them, and nothing
+	// writes to them again (see DataChunkWriter).
+	var cacheSet [][]byte
 	if target > 0 {
-		if cacheChunks, err = meta.Code.CacheChunks(dataChunks, target); err != nil {
+		if cacheSet, err = meta.Code.CacheSet(dataChunks, target); err != nil {
 			c.stats.writeErrors.Add(1)
 			return 0, fmt.Errorf("core: generating cache chunks for file %d: %w", fileID, err)
 		}
@@ -90,13 +91,7 @@ func (c *Controller) WriteVersion(ctx context.Context, fileID int, data []byte, 
 		// resurrect content the storage plane has discarded.
 	} else {
 		c.fileSizes[fileID].Store(int64(len(data)))
-		evicted = c.cache.DeleteFile(fileID)
-		for i, chunk := range cacheChunks {
-			key := cache.ChunkKey{FileID: fileID, ChunkIndex: meta.Code.CacheChunkIndex(i)}
-			if c.cache.Put(key, chunk) {
-				installed++
-			}
-		}
+		evicted, installed = c.installCacheSetLocked(meta, dataChunks, cacheSet)
 		var info *StripeInfo
 		if version != 0 {
 			info = &StripeInfo{Version: version, Size: len(data)}

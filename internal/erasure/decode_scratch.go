@@ -1,14 +1,19 @@
 package erasure
 
-import "fmt"
+import (
+	"fmt"
+
+	"sprout/internal/gf256"
+)
 
 // DecodeScratch holds every buffer a decode needs: the sorted working
-// copy of the chunk set, the plan-key scratch, and the output chunks'
-// backing array. A scratch is owned by one decode at a time; the chunk
-// views ReconstructInto returns alias sc.backing and stay valid only
-// until the scratch's next decode (or until its owner recycles it).
-// The controller pools these per request, which is what takes the warm
-// read path to zero allocations.
+// copy of the chunk set, the plan-key scratch, the output row views and —
+// for ReconstructInto only — the output chunks' backing array. A scratch is
+// owned by one decode at a time; the chunk views ReconstructInto returns
+// alias sc.backing and stay valid only until the scratch's next decode (or
+// until its owner recycles it). DecodeInto writes into the caller's buffer
+// and never touches the backing. The controller pools these per request,
+// which is what takes the warm read path to zero allocations.
 type DecodeScratch struct {
 	use      []Chunk
 	rows     []int
@@ -58,8 +63,59 @@ func (sc *DecodeScratch) chunkViews(count, size int) [][]byte {
 // data chunks alias sc's backing array — consume or copy them before
 // reusing or recycling sc.
 func (c *Code) ReconstructInto(sc *DecodeScratch, chunks []Chunk) ([][]byte, error) {
+	inv, payloads, err := c.decodePlanFor(sc, chunks)
+	if err != nil {
+		return nil, err
+	}
+	out := sc.chunkViews(c.k, len(payloads[0]))
+	c.decodeRows(sc, inv, payloads, out)
+	return out, nil
+}
+
+// DecodeInto decodes the file of the given byte size from any k coded
+// chunks straight into dst and returns dst[:size]: data row r is written at
+// dst[r·chunk:(r+1)·chunk], so there is no intermediate chunk buffer and no
+// join. dst's contents are overwritten; when its capacity is below the k
+// whole chunks the row loop writes (at most k-1 bytes more than size) a new
+// buffer is allocated, so a caller that keeps passing the returned slice back
+// allocates once. Nothing the scratch retains aliases dst or the chunks.
+func (c *Code) DecodeInto(sc *DecodeScratch, dst []byte, chunks []Chunk, size int) ([]byte, error) {
+	inv, payloads, err := c.decodePlanFor(sc, chunks)
+	if err != nil {
+		return nil, err
+	}
+	chunk := len(payloads[0])
+	total := c.k * chunk
+	if size < 0 || size > total {
+		return nil, fmt.Errorf("%w: decoded %d bytes, need %d", ErrShortData, total, size)
+	}
+	if cap(dst) < total {
+		dst = make([]byte, total)
+	}
+	dst = dst[:total]
+	if cap(sc.outs) < c.k {
+		sc.outs = make([][]byte, c.k)
+	}
+	out := sc.outs[:c.k]
+	for r := range out {
+		out[r] = dst[r*chunk : (r+1)*chunk : (r+1)*chunk]
+	}
+	c.decodeRows(sc, inv, payloads, out)
+	// A pooled scratch must not pin the caller's buffer or the chunk
+	// payloads (cache entries, fetched frames) until its next decode.
+	clear(out)
+	clear(payloads)
+	clear(sc.use)
+	clear(sc.denseOuts)
+	return dst[:size], nil
+}
+
+// decodePlanFor validates the chunk set and returns the inverted generator
+// submatrix for its first k chunks together with their payloads, ordered by
+// chunk index to match the inverse's columns. Both views live in sc.
+func (c *Code) decodePlanFor(sc *DecodeScratch, chunks []Chunk) (*gf256.Matrix, [][]byte, error) {
 	if len(chunks) < c.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrShortData, len(chunks), c.k)
+		return nil, nil, fmt.Errorf("%w: have %d, need %d", ErrShortData, len(chunks), c.k)
 	}
 	// Sort the first k chunks by index into the scratch's working copy:
 	// a canonical order lets every permutation of one erasure pattern
@@ -79,13 +135,13 @@ func (c *Code) ReconstructInto(sc *DecodeScratch, chunks []Chunk) ([][]byte, err
 	payloads := sc.payloads[:c.k]
 	for i, ch := range use {
 		if ch.Index < 0 || ch.Index >= c.TotalChunks() {
-			return nil, fmt.Errorf("%w: index %d", ErrUnknownChunk, ch.Index)
+			return nil, nil, fmt.Errorf("%w: index %d", ErrUnknownChunk, ch.Index)
 		}
 		if i > 0 && ch.Index == use[i-1].Index {
-			return nil, fmt.Errorf("%w: duplicate chunk index %d", ErrInvalidParams, ch.Index)
+			return nil, nil, fmt.Errorf("%w: duplicate chunk index %d", ErrInvalidParams, ch.Index)
 		}
 		if len(ch.Data) != size {
-			return nil, ErrShapeMismatch
+			return nil, nil, ErrShapeMismatch
 		}
 		rows[i] = ch.Index
 		key[i] = byte(ch.Index)
@@ -98,13 +154,18 @@ func (c *Code) ReconstructInto(sc *DecodeScratch, chunks []Chunk) ([][]byte, err
 		var err error
 		inv, err = sub.Invert()
 		if err != nil {
-			return nil, fmt.Errorf("erasure: selected chunks not decodable: %w", err)
+			return nil, nil, fmt.Errorf("erasure: selected chunks not decodable: %w", err)
 		}
 		plans.put(planKey(key), inv)
 	}
-	out := sc.chunkViews(c.k, size)
-	// Unit inverse rows are plain copies; dense rows accumulate through
-	// the striped kernels and need their (recycled) output zeroed first.
+	return inv, payloads, nil
+}
+
+// decodeRows computes the k data rows out[r] = inv[r] · payloads. Unit
+// inverse rows (the systematic chunk is among the inputs) are one copy;
+// dense rows accumulate in place through the striped kernels, so their
+// (recycled) output is zeroed first.
+func (c *Code) decodeRows(sc *DecodeScratch, inv *gf256.Matrix, payloads, out [][]byte) {
 	denseRows := sc.denseRows[:0]
 	denseOuts := sc.denseOuts[:0]
 	for r := 0; r < c.k; r++ {
@@ -121,10 +182,11 @@ func (c *Code) ReconstructInto(sc *DecodeScratch, chunks []Chunk) ([][]byte, err
 	if len(denseRows) > 0 {
 		parallel := codeRows(denseRows, payloads, denseOuts)
 		c.counters.countOp(parallel)
+	} else {
+		c.counters.copyOnlyDecodes.Add(1)
 	}
 	c.counters.reconstructs.Add(1)
-	c.counters.bytesReconstructed.Add(int64(size) * int64(c.k))
-	return out, nil
+	c.counters.bytesReconstructed.Add(int64(len(payloads[0])) * int64(c.k))
 }
 
 // AppendJoin appends the concatenation of the data chunks, trimmed to

@@ -95,6 +95,30 @@ func (c *Code) TotalChunks() int { return c.n + c.k }
 // chunk (0 <= i < K).
 func (c *Code) CacheChunkIndex(i int) int { return c.n + i }
 
+// CacheRows returns the generator rows (global chunk indices) a cache
+// allocation of d chunks holds. This is the one place that decides it:
+//
+//   - 0 < d < k: the functional rows n..n+d-1. Together with any k-d of the
+//     n storage rows they are k distinct rows of the (n+k, k) MDS generator,
+//     so the read plane may pick its storage chunks freely (Section III).
+//   - d >= k: the systematic rows 0..k-1. No storage chunk takes part in the
+//     decode, so there is no MDS relation to storage left to protect and the
+//     cache may hold any invertible image of the file; the identity is the
+//     one that decodes by copy.
+//
+// d <= 0 yields no rows.
+func (c *Code) CacheRows(d int) []int {
+	first := c.n
+	if d >= c.k {
+		first, d = 0, c.k
+	}
+	rows := make([]int, 0, max(d, 0))
+	for i := 0; i < d; i++ {
+		rows = append(rows, first+i)
+	}
+	return rows
+}
+
 // Split partitions data into k equally sized data chunks, padding the final
 // chunk with zeros. The returned chunk size is ceil(len(data)/k).
 func (c *Code) Split(data []byte) ([][]byte, error) {
@@ -125,24 +149,43 @@ func (c *Code) Join(chunks [][]byte, size int) ([]byte, error) {
 
 // Encode produces the n storage chunks for the given data chunks. The first
 // k of them are the data chunks themselves (systematic code), copied so the
-// result does not alias the input. Parity chunks are computed with the
-// striped row kernels, in parallel for large chunks.
+// result does not alias the input; the rest are EncodeParity's rows. Callers
+// that may send the data chunks by reference use EncodeParity directly and
+// skip the copies.
 func (c *Code) Encode(dataChunks [][]byte) ([][]byte, error) {
 	if err := c.checkDataChunks(dataChunks); err != nil {
 		return nil, err
 	}
-	size := len(dataChunks[0])
-	out := allocChunks(c.n, size)
+	out := allocChunks(c.n, len(dataChunks[0]))
 	for i := 0; i < c.k; i++ {
 		copy(out[i], dataChunks[i])
 	}
-	if c.n > c.k {
-		parallel := codeRows(c.generator.Data[c.k:c.n], dataChunks, out[c.k:])
+	c.encodeParity(dataChunks, out[c.k:])
+	return out, nil
+}
+
+// EncodeParity produces only the n-k parity storage chunks (coded chunks
+// k..n-1) for the given data chunks; storage chunks 0..k-1 are the data
+// chunks themselves. Parity is computed with the striped row kernels, in
+// parallel for large chunks.
+func (c *Code) EncodeParity(dataChunks [][]byte) ([][]byte, error) {
+	if err := c.checkDataChunks(dataChunks); err != nil {
+		return nil, err
+	}
+	out := allocChunks(c.n-c.k, len(dataChunks[0]))
+	c.encodeParity(dataChunks, out)
+	return out, nil
+}
+
+// encodeParity computes generator rows k..n-1 into the zeroed parity chunks
+// and counts one encode.
+func (c *Code) encodeParity(dataChunks, parity [][]byte) {
+	if len(parity) > 0 {
+		parallel := codeRows(c.generator.Data[c.k:c.n], dataChunks, parity)
 		c.counters.countOp(parallel)
 	}
 	c.counters.encodes.Add(1)
-	c.counters.bytesEncoded.Add(int64(size) * int64(c.k))
-	return out, nil
+	c.counters.bytesEncoded.Add(int64(len(dataChunks[0])) * int64(c.k))
 }
 
 // allocChunks allocates count zeroed chunks of the given size backed by a
@@ -159,8 +202,24 @@ func allocChunks(count, size int) [][]byte {
 	return out
 }
 
-// CacheChunks produces d functional cache chunks (0 <= d <= k) from the data
-// chunks. Together with the n storage chunks they form an (n+d, k) MDS code.
+// CacheSet returns the chunks a cache allocation of d holds, in CacheRows(d)
+// order. For 0 < d < k they are freshly generated functional chunks. For
+// d == k they are the data chunks themselves, returned by reference — no
+// copy, no GF(2^8) work — so the caller must own dataChunks (or clone the
+// result) and never write to them again once they are cached.
+func (c *Code) CacheSet(dataChunks [][]byte, d int) ([][]byte, error) {
+	if d != c.k {
+		return c.CacheChunks(dataChunks, d)
+	}
+	if err := c.checkDataChunks(dataChunks); err != nil {
+		return nil, err
+	}
+	return dataChunks, nil
+}
+
+// CacheChunks produces the d functional cache chunks n..n+d-1 (0 <= d <= k)
+// from the data chunks. Together with the n storage chunks they form an
+// (n+d, k) MDS code.
 func (c *Code) CacheChunks(dataChunks [][]byte, d int) ([][]byte, error) {
 	if d < 0 || d > c.k {
 		return nil, fmt.Errorf("%w: d=%d must be in [0,%d]", ErrInvalidParams, d, c.k)
@@ -243,11 +302,7 @@ func unitColumn(row []byte) int {
 // Decode reconstructs the original file of the given byte size from any k
 // coded chunks.
 func (c *Code) Decode(chunks []Chunk, size int) ([]byte, error) {
-	data, err := c.Reconstruct(chunks)
-	if err != nil {
-		return nil, err
-	}
-	return c.Join(data, size)
+	return c.DecodeInto(new(DecodeScratch), nil, chunks, size)
 }
 
 // Verify checks that the supplied coded chunk matches what the code would

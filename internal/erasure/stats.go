@@ -9,6 +9,11 @@ type CoderStats struct {
 	// Encodes and Reconstructs count completed operations.
 	Encodes      int64
 	Reconstructs int64
+	// CopyOnlyDecodes counts the reconstructs whose inverse was all unit
+	// rows — every systematic chunk was among the inputs (a fully cached
+	// file, or a storage read that fetched chunks 0..k-1), so the decode was
+	// k copies and no GF(2^8) work.
+	CopyOnlyDecodes int64
 	// BytesEncoded and BytesReconstructed are cumulative payload bytes.
 	BytesEncoded       int64
 	BytesReconstructed int64
@@ -29,6 +34,7 @@ func (s CoderStats) Add(o CoderStats) CoderStats {
 	return CoderStats{
 		Encodes:            s.Encodes + o.Encodes,
 		Reconstructs:       s.Reconstructs + o.Reconstructs,
+		CopyOnlyDecodes:    s.CopyOnlyDecodes + o.CopyOnlyDecodes,
 		BytesEncoded:       s.BytesEncoded + o.BytesEncoded,
 		BytesReconstructed: s.BytesReconstructed + o.BytesReconstructed,
 		PlanHits:           s.PlanHits + o.PlanHits,
@@ -43,6 +49,7 @@ func (s CoderStats) Add(o CoderStats) CoderStats {
 type coderCounters struct {
 	encodes            atomic.Int64
 	reconstructs       atomic.Int64
+	copyOnlyDecodes    atomic.Int64
 	bytesEncoded       atomic.Int64
 	bytesReconstructed atomic.Int64
 	parallelOps        atomic.Int64
@@ -63,6 +70,7 @@ func (c *Code) Stats() CoderStats {
 	return CoderStats{
 		Encodes:            c.counters.encodes.Load(),
 		Reconstructs:       c.counters.reconstructs.Load(),
+		CopyOnlyDecodes:    c.counters.copyOnlyDecodes.Load(),
 		BytesEncoded:       c.counters.bytesEncoded.Load(),
 		BytesReconstructed: c.counters.bytesReconstructed.Load(),
 		PlanHits:           plans.hits.Load(),

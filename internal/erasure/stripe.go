@@ -24,16 +24,34 @@ const (
 // the submitting goroutine runs the stripe inline instead of queueing.
 var (
 	codePoolOnce sync.Once
-	codeTasks    chan func()
+	codeTasks    chan stripeJob
 )
+
+// stripeJob is one byte range of a striped coding operation. It travels to
+// the pool by value and its WaitGroup is recycled, so striping a warm
+// operation allocates nothing.
+type stripeJob struct {
+	rows, srcs, outs [][]byte
+	lo, hi           int
+	done             *sync.WaitGroup
+}
+
+func (j stripeJob) run() {
+	defer j.done.Done()
+	sc := scratchPool.Get().(*stripeScratch)
+	defer putScratch(sc)
+	applyRows(j.rows, j.srcs, j.outs, j.lo, j.hi, sc)
+}
+
+var stripeWaitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 func startCodePool() {
 	workers := runtime.GOMAXPROCS(0)
-	codeTasks = make(chan func(), workers)
+	codeTasks = make(chan stripeJob, workers)
 	for i := 0; i < workers; i++ {
 		go func() {
-			for fn := range codeTasks {
-				fn()
+			for job := range codeTasks {
+				job.run()
 			}
 		}()
 	}
@@ -41,11 +59,11 @@ func startCodePool() {
 
 // submitStripe hands a stripe to the pool, or runs it inline when every
 // worker is busy (keeping the caller productive under saturation).
-func submitStripe(fn func()) {
+func submitStripe(job stripeJob) {
 	select {
-	case codeTasks <- fn:
+	case codeTasks <- job:
 	default:
-		fn()
+		job.run()
 	}
 }
 
@@ -87,21 +105,17 @@ func codeRows(rows [][]byte, srcs [][]byte, outs [][]byte) bool {
 	stripes := runtime.GOMAXPROCS(0)
 	stripeSize := (size + stripes - 1) / stripes
 	stripeSize = (stripeSize + stripeAlign - 1) &^ (stripeAlign - 1)
-	var wg sync.WaitGroup
+	wg := stripeWaitGroups.Get().(*sync.WaitGroup)
 	for lo := 0; lo < size; lo += stripeSize {
 		hi := lo + stripeSize
 		if hi > size {
 			hi = size
 		}
 		wg.Add(1)
-		submitStripe(func() {
-			defer wg.Done()
-			sc := scratchPool.Get().(*stripeScratch)
-			defer putScratch(sc)
-			applyRows(rows, srcs, outs, lo, hi, sc)
-		})
+		submitStripe(stripeJob{rows: rows, srcs: srcs, outs: outs, lo: lo, hi: hi, done: wg})
 	}
 	wg.Wait()
+	stripeWaitGroups.Put(wg)
 	return true
 }
 

@@ -466,6 +466,7 @@ func registerErasure(r *metrics.Registry, st func() erasure.CoderStats) {
 	}{
 		{"sprout_erasure_encodes_total", "Erasure encode operations completed.", func(s erasure.CoderStats) int64 { return s.Encodes }},
 		{"sprout_erasure_reconstructs_total", "Erasure reconstruct operations completed.", func(s erasure.CoderStats) int64 { return s.Reconstructs }},
+		{"sprout_erasure_copy_only_decodes_total", "Reconstructs whose inputs held every systematic chunk: k copies, no GF(2^8) work.", func(s erasure.CoderStats) int64 { return s.CopyOnlyDecodes }},
 		{"sprout_erasure_encoded_bytes_total", "Payload bytes encoded.", func(s erasure.CoderStats) int64 { return s.BytesEncoded }},
 		{"sprout_erasure_reconstructed_bytes_total", "Payload bytes reconstructed.", func(s erasure.CoderStats) int64 { return s.BytesReconstructed }},
 		{"sprout_erasure_plan_hits_total", "Decode-plan cache hits.", func(s erasure.CoderStats) int64 { return s.PlanHits }},

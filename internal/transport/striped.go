@@ -56,12 +56,16 @@ func (w *StripedWriter) Put(ctx context.Context, object string, data []byte) (ui
 	return w.putChunks(ctx, object, dataChunks, len(data))
 }
 
-// putChunks encodes pre-split data chunks and runs the staged write.
+// putChunks encodes pre-split data chunks and runs the staged write. Only
+// the n-k parity chunks are computed; the code is systematic, so storage
+// chunks 0..k-1 are the data chunks themselves and are sent by reference —
+// never copied, never multiplied, only read.
 func (w *StripedWriter) putChunks(ctx context.Context, object string, dataChunks [][]byte, size int) (uint64, error) {
-	storage, err := w.Code.Encode(dataChunks)
+	parity, err := w.Code.EncodeParity(dataChunks)
 	if err != nil {
 		return 0, err
 	}
+	storage := append(append(make([][]byte, 0, w.Code.N()), dataChunks...), parity...)
 	version, err := w.Client.BeginPut(ctx, w.Pool, object)
 	if err != nil {
 		return 0, err
@@ -109,7 +113,8 @@ func (w *StripedWriter) WriteObject(ctx context.Context, fileID int, data []byte
 
 // WriteDataChunks implements the controller's DataChunkWriter fast path:
 // the controller already split the payload for its cache write-through, so
-// the striped write encodes straight from the shared data chunks.
+// the striped write encodes straight from the shared data chunks and, per
+// the interface's ownership rule, only reads them.
 func (w *StripedWriter) WriteDataChunks(ctx context.Context, fileID int, dataChunks [][]byte, size int) (uint64, error) {
 	return w.putChunks(ctx, w.objectName(fileID), dataChunks, size)
 }

@@ -96,6 +96,55 @@ func TestStripedWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteDataChunksOnlyReadsItsInput pins the DataChunkWriter ownership
+// rule from the writer's side: the shared data chunks (and the caller's slice
+// of them) come back untouched, and what lands in storage is what Encode
+// would have produced — data chunks sent by reference, parity computed.
+func TestWriteDataChunksOnlyReadsItsInput(t *testing.T) {
+	_, _, client := stripedTestServer(t)
+	ctx := context.Background()
+	writer, err := NewStripedWriter(ctx, client, "ec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 10<<10+1)
+	rand.New(rand.NewSource(7)).Read(payload)
+	dataChunks, err := writer.Code.Split(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spare capacity in the caller's slice must not be written into either.
+	shared := append(make([][]byte, 0, 8), dataChunks...)
+	before := make([][]byte, len(shared))
+	for i, ch := range shared {
+		before[i] = bytes.Clone(ch)
+	}
+	if _, err := writer.WriteDataChunks(ctx, 3, shared, len(payload)); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range shared {
+		if &ch[0] != &dataChunks[i][0] || !bytes.Equal(ch, before[i]) {
+			t.Fatalf("data chunk %d was replaced or written to", i)
+		}
+	}
+	if spare := shared[:cap(shared)][len(shared)]; spare != nil {
+		t.Fatal("the caller's slice was appended to in place")
+	}
+	want, err := writer.Code.Encode(dataChunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		got, _, size, err := client.GetChunkV(ctx, "ec", "file-0003", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) || size != int64(len(payload)) {
+			t.Fatalf("storage chunk %d differs from Encode's (size %d)", i, size)
+		}
+	}
+}
+
 func TestStripedWriterAbortOnFailure(t *testing.T) {
 	cluster, pool, client := stripedTestServer(t)
 	ctx := context.Background()
