@@ -54,6 +54,10 @@ import (
 // Fetchers must honour context cancellation: the controller cancels the
 // fetch context as soon as it has gathered enough chunks (hedged fetches) or
 // when the caller's context is done.
+//
+// The returned payload may be memory shared with the store — the in-process
+// object store returns its stored chunk by reference — so the controller
+// only ever reads it (objstore's chunk-ownership rule).
 type ChunkFetcher interface {
 	FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error)
 }
@@ -108,14 +112,14 @@ func (f ObjectWriterFunc) WriteObject(ctx context.Context, fileID int, data []by
 // it. Controller.Write splits once for the cache write-through and hands
 // the same chunks to the storage write when the writer supports it.
 //
-// Ownership: the chunks handed to WriteDataChunks are shared, not given.
-// When the file is fully cached the controller installs those very slices
-// in the functional cache after the write returns (write-through by
-// reference — no copy, no coding), where lock-free readers copy out of them
-// for as long as the entry lives. So they are immutable from the moment they
-// are handed over: an implementation may read them and may keep references
-// past its return (a send queue, a retry), but must never write to them or
-// recycle their memory.
+// Ownership follows objstore's chunk-ownership rule — a chunk is immutable
+// from the moment it is handed over: when the file is fully cached the
+// controller installs these very slices in the functional cache after the
+// write returns (write-through by reference — no copy, no coding), where
+// lock-free readers copy out of them for as long as the entry lives. An
+// implementation may read them and may keep references past its return (a
+// send queue, a retry, an in-process store that keeps them as its stored
+// chunks), but must never write to them or recycle their memory.
 type DataChunkWriter interface {
 	ObjectWriter
 	WriteDataChunks(ctx context.Context, fileID int, dataChunks [][]byte, size int) (uint64, error)

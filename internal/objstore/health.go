@@ -223,7 +223,8 @@ func (p *Pool) DegradedObjects() []DegradedObject {
 // the chunk's current home if it is alive, otherwise a live OSD that hosts
 // no other chunk of the object (recorded as a repair override so reads and
 // future repairs resolve the new location). It returns the OSD that
-// received the chunk.
+// received the chunk. The pool takes ownership of data: it is stored by
+// reference and must not be written to again.
 func (p *Pool) PlaceChunk(ctx context.Context, object string, chunk int, data []byte) (*OSD, error) {
 	p.mu.RLock()
 	meta, ok := p.objects[object]

@@ -163,7 +163,8 @@ func (p *Pool) stageTarget(s *stagedPut, chunk int) (*OSD, error) {
 // StageChunk writes one coded chunk of a staged put to its target OSD. The
 // put must have been opened with BeginPut; all chunks of a stripe must carry
 // equally sized payloads. Re-staging the same chunk (a client retry)
-// overwrites the previous payload.
+// replaces the previous payload. The pool takes ownership of data: it is
+// stored by reference and must not be written to again.
 func (p *Pool) StageChunk(ctx context.Context, object string, version uint64, chunk int, data []byte) error {
 	if chunk < 0 || chunk >= p.N {
 		return fmt.Errorf("%w: chunk %d", ErrChunkMissing, chunk)
@@ -383,16 +384,18 @@ func (p *Pool) AbortStaleStaged(olderThan time.Duration) int {
 // committed stripe version: encode into n chunks (the SIMD data plane),
 // stage them in parallel, then flip the version. On any staging or commit
 // failure the staged chunks are aborted and the previously committed stripe
-// remains untouched.
+// remains untouched. data is copied exactly once, by Split; the split chunks
+// and their parity are staged by reference, so the caller keeps data.
 func (p *Pool) PutV(ctx context.Context, object string, data []byte) (uint64, error) {
 	dataChunks, err := p.code.Split(data)
 	if err != nil {
 		return 0, err
 	}
-	storage, err := p.code.Encode(dataChunks)
+	parity, err := p.code.EncodeParity(dataChunks)
 	if err != nil {
 		return 0, err
 	}
+	storage := append(append(make([][]byte, 0, p.N), dataChunks...), parity...)
 	version, err := p.BeginPut(object)
 	if err != nil {
 		return 0, err

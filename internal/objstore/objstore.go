@@ -6,6 +6,23 @@
 // write-back cache tier (the paper's baseline). A set of "equivalent code"
 // pools, (n, k-d) for d = 0..k, implements the functional-caching evaluation
 // methodology of Section V-C.
+//
+// # Chunk ownership
+//
+// A chunk payload is immutable from the moment it is handed over, and every
+// layer passes the slice instead of copying it. OSD.PutChunk — and
+// Pool.StageChunk and Pool.PlaceChunk above it — take ownership of data: the
+// slice itself becomes the stored chunk, so the caller must never write to
+// it or recycle its memory afterwards (the transport server hands over the
+// frame buffer it read the chunk into; Pool.PutV and repair hand over
+// freshly coded chunks). OSD.GetChunk — and Pool.GetChunk and GetChunkV —
+// return the stored slice by reference: shared read-only memory that readers
+// may keep for as long as they like (deleting or replacing a chunk only
+// drops the store's own reference) and must never write to or recycle. The
+// same rule continues upwards through core.DataChunkWriter and the
+// functional cache, so a chunk is copied only where bytes change shape:
+// erasure.Split on the way in, DecodeInto on the way out, and the kernel's
+// socket copies in between.
 package objstore
 
 import (
@@ -95,7 +112,9 @@ func (o *OSD) sampleService(size int64) time.Duration {
 }
 
 // PutChunk stores a chunk, blocking for the simulated service time while
-// holding the OSD busy (FIFO service through the service mutex).
+// holding the OSD busy (FIFO service through the service mutex). It takes
+// ownership of data (see the package's chunk-ownership rule): the slice is
+// stored as is, not copied.
 func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 	if o.State() == StateDown {
 		return o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
@@ -106,9 +125,8 @@ func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 	if err := sleepCtx(ctx, delay); err != nil {
 		return o.observe(err)
 	}
-	cp := append([]byte(nil), data...)
 	o.dataMu.Lock()
-	o.chunks[key] = cp
+	o.chunks[key] = data
 	o.dataMu.Unlock()
 	o.served.Add(1)
 	o.busyNS.Add(int64(delay))
@@ -116,7 +134,9 @@ func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 }
 
 // GetChunk retrieves a chunk, blocking for the simulated service time while
-// holding the OSD busy (FIFO service through the service mutex).
+// holding the OSD busy (FIFO service through the service mutex). The returned
+// slice is the stored chunk itself — shared, read-only memory (see the
+// package's chunk-ownership rule).
 func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
 	if o.State() == StateDown {
 		return nil, o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
@@ -138,7 +158,7 @@ func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
 	if err := o.observe(nil); err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // DeleteChunk removes a chunk without service delay (metadata operation).
@@ -151,6 +171,19 @@ func (o *OSD) DeleteChunk(key string) error {
 	delete(o.chunks, key)
 	o.dataMu.Unlock()
 	return nil
+}
+
+// Chunks returns a snapshot of what the OSD stores: every chunk key with
+// the stored slice itself (shared and read-only, like GetChunk's result),
+// without service delay. Audits use it to check stored bytes in place.
+func (o *OSD) Chunks() map[string][]byte {
+	o.dataMu.Lock()
+	defer o.dataMu.Unlock()
+	out := make(map[string][]byte, len(o.chunks))
+	for key, data := range o.chunks {
+		out[key] = data
+	}
+	return out
 }
 
 // NumChunks returns how many chunks the OSD currently stores.
@@ -465,7 +498,7 @@ func (p *Pool) getVersion(ctx context.Context, object string, meta objectMeta) (
 
 // GetChunk reads one specific coded chunk of an object's committed stripe
 // directly from its hosting OSD (used by Sprout's functional-cache read
-// path).
+// path). The chunk is returned by reference and is read-only.
 func (p *Pool) GetChunk(ctx context.Context, object string, chunk int) ([]byte, error) {
 	data, _, _, err := p.GetChunkV(ctx, object, chunk)
 	return data, err
@@ -475,7 +508,8 @@ func (p *Pool) GetChunk(ctx context.Context, object string, chunk int) ([]byte, 
 // size it belongs to, so callers assembling a stripe from several GetChunkV
 // calls (the controller's read plane) can detect a concurrent overwrite
 // instead of decoding a mixed-version stripe. A read that loses its pinned
-// version to a concurrent commit retries against the new version.
+// version to a concurrent commit retries against the new version. The chunk
+// is returned by reference and is read-only.
 func (p *Pool) GetChunkV(ctx context.Context, object string, chunk int) ([]byte, uint64, int, error) {
 	var lastErr error
 	for attempt := 0; attempt < versionRetries; attempt++ {

@@ -528,6 +528,10 @@ func registerTransport(r *metrics.Registry, client, server func() transport.Tran
 		}
 		return out
 	}))
+	perSide("sprout_transport_payload_bytes_by_reference_total", "Payload bytes handed to the kernel as the caller's or the store's own slice, never copied in user space.",
+		func(s transport.TransportStats) int64 { return s.BytesByReference })
+	perSide("sprout_transport_requests_withdrawn_total", "Round trips cancelled while still queued, whose request never reached the wire.",
+		func(s transport.TransportStats) int64 { return s.RequestsWithdrawn })
 	perSide("sprout_transport_requests_total", "Round trips started (client) or dispatched (server).",
 		func(s transport.TransportStats) int64 { return s.Requests })
 	perSide("sprout_transport_retries_total", "Round trips replayed after a broken connection.",

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -176,10 +175,11 @@ func (c *Client) conn(slot int) (*clientConn, error) {
 	cc := &clientConn{
 		client:  c,
 		conn:    conn,
-		out:     make(chan *Request, 128),
+		out:     make(chan *outRequest, 128),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]chan Response),
 	}
+	cc.written.L = &cc.wmu
 	s.cc = cc
 	go cc.readLoop()
 	go cc.writeLoop()
@@ -258,6 +258,8 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 }
 
 // Put writes an object into a pool and returns the server-side latency.
+// data is only read until the call returns — also when it returns early
+// because ctx is done — so the caller may reuse the buffer afterwards.
 func (c *Client) Put(ctx context.Context, pool, object string, data []byte) (time.Duration, error) {
 	resp, err := c.call(ctx, Request{Op: OpPut, Pool: pool, Object: object, Data: data})
 	return resp.Latency, err
@@ -297,6 +299,9 @@ func (c *Client) BeginPut(ctx context.Context, pool, object string) (uint64, err
 
 // PutChunk stages one locally encoded chunk of a two-phase put on its target
 // OSD. Re-sending the same chunk (a retry) overwrites the staged payload.
+// data is sent by reference but only read until the call returns — also
+// when it returns early because ctx is done — so the caller may reuse the
+// buffer afterwards.
 func (c *Client) PutChunk(ctx context.Context, pool, object string, version uint64, chunk int, data []byte) (time.Duration, error) {
 	resp, err := c.call(ctx, Request{Op: OpPutChunk, Pool: pool, Object: object, Version: version, Chunk: chunk, Data: data})
 	return resp.Latency, err
@@ -389,14 +394,37 @@ func (c *Client) RecoverOSD(ctx context.Context, osdID int) error {
 type clientConn struct {
 	client *Client
 	conn   net.Conn
-	out    chan *Request
+	out    chan *outRequest
 	done   chan struct{}
+
+	// written is signalled (under wmu) whenever the write loop has flushed
+	// a batch and no longer reads its requests' payloads; a round trip that
+	// gives up while its request is being written waits on it (see settle).
+	wmu     sync.Mutex
+	written sync.Cond
 
 	mu       sync.Mutex
 	pending  map[uint64]chan Response
 	err      error
 	failOnce sync.Once
 }
+
+// outRequest is a request queued for the write loop. state arbitrates
+// between the write loop and a round trip that gives up, so that the write
+// loop never reads req.Data after the caller has its buffer back:
+// reqQueued → reqWriting → reqWritten when the write loop wins,
+// reqQueued → reqWithdrawn when the round trip does.
+type outRequest struct {
+	req   Request
+	state atomic.Uint32
+}
+
+const (
+	reqQueued uint32 = iota
+	reqWriting
+	reqWritten
+	reqWithdrawn
+)
 
 func (cc *clientConn) broken() bool {
 	select {
@@ -446,8 +474,9 @@ func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, err
 	if err != nil {
 		return Response{}, err
 	}
+	out := &outRequest{req: req}
 	select {
-	case cc.out <- &req:
+	case cc.out <- out:
 	case <-cc.done:
 		cc.unregister(req.ID)
 		return Response{}, cc.brokenErr()
@@ -465,12 +494,32 @@ func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, err
 		case resp := <-ch:
 			return resp, nil
 		default:
+			cc.settle(out)
 			return Response{}, cc.brokenErr()
 		}
 	case <-ctx.Done():
 		cc.unregister(req.ID)
+		cc.settle(out)
 		return Response{}, ctx.Err()
 	}
+}
+
+// settle ends the write loop's claim on a queued request whose round trip
+// is giving up without a response, so the caller gets its payload buffer
+// back with nobody reading it: a request still in the queue is withdrawn
+// (the write loop will skip it — it never reaches the wire); one the write
+// loop has gathered into a batch is waited for, which lasts until that batch
+// is flushed or the connection fails. A request without a payload lends the
+// write loop nothing, so it is never waited for.
+func (cc *clientConn) settle(out *outRequest) {
+	if out.state.CompareAndSwap(reqQueued, reqWithdrawn) || len(out.req.Data) == 0 {
+		return
+	}
+	cc.wmu.Lock()
+	for out.state.Load() == reqWriting {
+		cc.written.Wait()
+	}
+	cc.wmu.Unlock()
 }
 
 // brokenErr returns the recorded connection-failure cause (which wraps
@@ -485,9 +534,9 @@ func (cc *clientConn) brokenErr() error {
 }
 
 func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.conn, 64<<10)
+	fr := newFrameReader(cc.conn)
 	for {
-		payload, err := readFrame(br, cc.client.cfg.MaxFrameSize)
+		payload, err := fr.next(cc.client.cfg.MaxFrameSize)
 		if err != nil {
 			if !isDisconnect(err) {
 				cc.client.counters.decodeErrors.Add(1)
@@ -516,15 +565,19 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
+// clientWriter is the write loop's state: the batch being gathered and the
+// requests in it whose payloads the batch reads until the next flush.
+type clientWriter struct {
+	batch frameBatch
+	held  []*outRequest
+}
+
 func (cc *clientConn) writeLoop() {
-	bw := bufio.NewWriterSize(cc.conn, 64<<10)
-	var buf []byte
+	w := &clientWriter{batch: frameBatch{enc: make([]byte, 0, batchBufSize), ctr: &cc.client.counters}}
 	for {
 		select {
-		case req := <-cc.out:
-			ok := false
-			buf, ok = cc.writeBatch(bw, buf, req)
-			if !ok {
+		case out := <-cc.out:
+			if !cc.writeBatch(w, out) {
 				cc.fail(errConnBroken)
 				return
 			}
@@ -534,20 +587,29 @@ func (cc *clientConn) writeLoop() {
 	}
 }
 
-// writeBatch encodes req into the reusable buffer and writes it, then keeps
-// draining queued requests — yielding once when the queue looks empty so
-// concurrent callers coalesce — and flushes once per batch, amortising
-// syscalls under load.
-func (cc *clientConn) writeBatch(bw *bufio.Writer, buf []byte, req *Request) ([]byte, bool) {
+// writeBatch gathers out into the batch, then keeps draining queued requests
+// — yielding once when the queue looks empty so concurrent callers coalesce
+// — and flushes once per batch (or whenever the batch buffer is full),
+// amortising syscalls under load. Requests withdrawn while queued are
+// skipped and counted.
+func (cc *clientConn) writeBatch(w *clientWriter, out *outRequest) bool {
 	yielded := false
 	for {
-		buf = appendRequest(buf[:0], req)
-		if _, err := bw.Write(buf); err != nil {
-			return buf, false
+		if w.batch.full(encodedSize(requestPayloadSize(&out.req), out.req.Data)) && !cc.flush(w) {
+			return false
 		}
-		cc.client.counters.countFrameOut(len(buf))
+		if !out.state.CompareAndSwap(reqQueued, reqWriting) {
+			cc.client.counters.withdrawn.Add(1)
+		} else {
+			w.batch.addRequest(&out.req)
+			if len(out.req.Data) == 0 {
+				out.state.Store(reqWritten) // nothing lent, nobody waits
+			} else {
+				w.held = append(w.held, out)
+			}
+		}
 		select {
-		case req = <-cc.out:
+		case out = <-cc.out:
 			yielded = false
 			continue
 		default:
@@ -556,11 +618,28 @@ func (cc *clientConn) writeBatch(bw *bufio.Writer, buf []byte, req *Request) ([]
 			yielded = true
 			runtime.Gosched()
 			select {
-			case req = <-cc.out:
+			case out = <-cc.out:
 				continue
 			default:
 			}
 		}
-		return buf, bw.Flush() == nil
+		return cc.flush(w)
 	}
+}
+
+// flush writes the batch out and releases the requests whose payloads it
+// read; they are released on failure too, as nothing reads them again.
+func (cc *clientConn) flush(w *clientWriter) bool {
+	err := w.batch.flush(cc.conn)
+	if len(w.held) > 0 {
+		cc.wmu.Lock()
+		for i, out := range w.held {
+			out.state.Store(reqWritten)
+			w.held[i] = nil
+		}
+		cc.wmu.Unlock()
+		cc.written.Broadcast()
+		w.held = w.held[:0]
+	}
+	return err == nil
 }

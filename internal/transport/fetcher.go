@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"sprout/internal/core"
 )
@@ -19,6 +20,12 @@ type RemoteFetcher struct {
 	// ObjectName maps a controller file ID to the remote object name.
 	// Defaults to "file-%04d", matching cluster.Config.Build naming.
 	ObjectName func(fileID int) string
+
+	// names caches the default object names by file ID, so the fetch path
+	// formats each name once instead of once per chunk. A published table
+	// is complete and never written again; growing swaps in a larger copy.
+	// Nil until the first default-named fetch, so a struct literal works.
+	names atomic.Pointer[[]string]
 }
 
 var _ core.VersionedChunkFetcher = (*RemoteFetcher)(nil)
@@ -51,5 +58,38 @@ func (f *RemoteFetcher) objectName(fileID int) string {
 	if f.ObjectName != nil {
 		return f.ObjectName(fileID)
 	}
-	return fmt.Sprintf("file-%04d", fileID)
+	if t := f.names.Load(); t != nil && fileID >= 0 && fileID < len(*t) {
+		return (*t)[fileID]
+	}
+	return f.growNames(fileID)
+}
+
+// maxCachedNames bounds the default-name table; IDs past it (or negative)
+// are formatted per call.
+const maxCachedNames = 1 << 16
+
+// growNames publishes a table of default names that covers fileID and
+// returns fileID's name. Concurrent growers race on one compare-and-swap;
+// the loser retries against the winner's table.
+func (f *RemoteFetcher) growNames(fileID int) string {
+	if fileID < 0 || fileID >= maxCachedNames {
+		return fmt.Sprintf("file-%04d", fileID)
+	}
+	for {
+		old := f.names.Load()
+		var have []string
+		if old != nil {
+			have = *old
+		}
+		if fileID < len(have) {
+			return have[fileID]
+		}
+		grown := make([]string, max(64, 2*len(have), fileID+1))
+		for i := copy(grown, have); i < len(grown); i++ {
+			grown[i] = fmt.Sprintf("file-%04d", i)
+		}
+		if f.names.CompareAndSwap(old, &grown) {
+			return grown[fileID]
+		}
+	}
 }

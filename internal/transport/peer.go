@@ -82,7 +82,8 @@ func (c *Client) CtrlRead(ctx context.Context, fileID int) ([]byte, error) {
 }
 
 // CtrlWrite routes a write of fileID to the shard behind this client and
-// returns the committed stripe version.
+// returns the committed stripe version. data is only read until the call
+// returns — also when it returns early because ctx is done.
 func (c *Client) CtrlWrite(ctx context.Context, fileID int, data []byte) (uint64, error) {
 	resp, err := c.call(ctx, Request{Op: OpCtrlWrite, Chunk: fileID, Data: data})
 	if err != nil {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -24,8 +23,8 @@ import (
 
 // frameArena recycles the per-batch response-encode buffers: a write loop
 // leases one when a batch starts and releases it after the flush, so idle
-// connections pin no encode memory and busy ones recycle size-classed
-// backing instead of growing a private slice each.
+// connections pin no encode memory. Every lease is batchBufSize — headers
+// and small payloads only; chunk-sized payloads go out by reference.
 var frameArena = arena.New("transport_frame_encode")
 
 // FrameArena exposes the response-encode arena for metrics export and
@@ -554,8 +553,8 @@ func (s *Server) Close() error {
 }
 
 // serverConn is one accepted connection: a read loop decoding request
-// frames and a write loop that encodes responses into a reusable buffer and
-// batches them into flushes.
+// frames and a write loop that gathers responses into batches, one writev
+// each.
 type serverConn struct {
 	srv       *Server
 	conn      net.Conn
@@ -605,9 +604,9 @@ func (sc *serverConn) send(resp *Response) {
 func (sc *serverConn) readLoop() {
 	defer sc.srv.connWG.Done()
 	defer sc.teardown()
-	br := bufio.NewReaderSize(sc.conn, 64<<10)
+	fr := newFrameReader(sc.conn)
 	for {
-		payload, err := readFrame(br, sc.srv.cfg.MaxFrameSize)
+		payload, err := fr.next(sc.srv.cfg.MaxFrameSize)
 		if err != nil {
 			if !isDisconnect(err) {
 				sc.srv.counters.decodeErrors.Add(1)
@@ -645,11 +644,11 @@ func (sc *serverConn) readLoop() {
 
 func (sc *serverConn) writeLoop() {
 	defer sc.srv.connWG.Done()
-	bw := bufio.NewWriterSize(sc.conn, 64<<10)
+	batch := frameBatch{ctr: &sc.srv.counters}
 	for {
 		select {
 		case resp := <-sc.out:
-			if !sc.writeBatch(bw, resp) {
+			if !sc.writeBatch(&batch, resp) {
 				sc.teardown()
 				return
 			}
@@ -659,37 +658,27 @@ func (sc *serverConn) writeLoop() {
 	}
 }
 
-// frameSizeHint estimates the encoded size of resp so the batch lease
-// starts in the right arena size class. Underestimates are benign: the
-// buffer grows with append and the original backing still returns to its
-// class on release.
-func frameSizeHint(resp *Response) int {
-	n := 128 + len(resp.Data) + len(resp.Err)
-	for _, name := range resp.Names {
-		n += len(name) + 4
-	}
-	return n
-}
-
-// writeBatch leases an encode buffer from the frame arena, encodes resp
-// into it and writes it, then keeps draining queued responses — yielding
-// once when the queue looks empty so responses finishing close together
-// coalesce — and flushes once per batch, amortising syscalls under load.
-// The lease is released after the flush (on error paths too), so encode
-// memory is pinned only while a batch is actually in flight: idle
-// connections hold no buffer, and busy ones share size-classed backing
-// instead of each growing a private slice.
-func (sc *serverConn) writeBatch(bw *bufio.Writer, resp *Response) bool {
-	lease := frameArena.Lease(frameSizeHint(resp))
-	defer lease.Release()
-	buf := lease.B
+// writeBatch leases an encode buffer from the frame arena, gathers resp
+// into the batch, then keeps draining queued responses — yielding once when
+// the queue looks empty so responses finishing close together coalesce —
+// and flushes once per batch (or whenever the buffer is full), amortising
+// syscalls under load. Response payloads sent by reference are stored
+// chunks or buffers made for this response, so nothing changes them before
+// the flush. The lease is released after the flush (on error paths too), so
+// encode memory is pinned only while a batch is actually in flight.
+func (sc *serverConn) writeBatch(b *frameBatch, resp *Response) bool {
+	lease := frameArena.Lease(batchBufSize)
+	b.enc = lease.B[:0]
+	defer func() {
+		b.enc = nil
+		lease.Release()
+	}()
 	yielded := false
 	for {
-		buf = appendResponse(buf[:0], resp)
-		if _, err := bw.Write(buf); err != nil {
+		if b.full(encodedSize(responsePayloadSize(resp), resp.Data)) && b.flush(sc.conn) != nil {
 			return false
 		}
-		sc.srv.counters.countFrameOut(len(buf))
+		b.addResponse(resp)
 		select {
 		case resp = <-sc.out:
 			yielded = false
@@ -705,7 +694,7 @@ func (sc *serverConn) writeBatch(bw *bufio.Writer, resp *Response) bool {
 			default:
 			}
 		}
-		return bw.Flush() == nil
+		return b.flush(sc.conn) == nil
 	}
 }
 

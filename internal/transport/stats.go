@@ -14,11 +14,19 @@ type TransportStats struct {
 	// 4-byte length prefix.
 	BytesSent     int64
 	BytesReceived int64
+	// BytesByReference is the part of BytesSent that was never copied in
+	// user space: payloads of byRefMin bytes or more, handed to the kernel
+	// as the caller's (client) or the store's (server) own slice.
+	BytesByReference int64
 	// Requests counts round trips started (client) or frames dispatched to
 	// the worker pool (server).
 	Requests int64
 	// Retries counts client round trips replayed after a broken connection.
 	Retries int64
+	// RequestsWithdrawn counts round trips that were cancelled while their
+	// request was still queued for the write loop, which then skipped it: the
+	// request never reached the wire (client only).
+	RequestsWithdrawn int64
 	// OverloadRejections counts requests shed by the server's max-in-flight
 	// limit (server) or overload responses observed (client).
 	OverloadRejections int64
@@ -46,6 +54,8 @@ func (s TransportStats) Add(o TransportStats) TransportStats {
 		BytesReceived:      s.BytesReceived + o.BytesReceived,
 		Requests:           s.Requests + o.Requests,
 		Retries:            s.Retries + o.Retries,
+		BytesByReference:   s.BytesByReference + o.BytesByReference,
+		RequestsWithdrawn:  s.RequestsWithdrawn + o.RequestsWithdrawn,
 		OverloadRejections: s.OverloadRejections + o.OverloadRejections,
 		DeadlineRejections: s.DeadlineRejections + o.DeadlineRejections,
 		RetriesDenied:      s.RetriesDenied + o.RetriesDenied,
@@ -60,8 +70,10 @@ type transportCounters struct {
 	framesReceived     atomic.Int64
 	bytesSent          atomic.Int64
 	bytesReceived      atomic.Int64
+	bytesByRef         atomic.Int64
 	requests           atomic.Int64
 	retries            atomic.Int64
+	withdrawn          atomic.Int64
 	overloadRejections atomic.Int64
 	deadlineRejections atomic.Int64
 	retriesDenied      atomic.Int64
@@ -77,6 +89,8 @@ func (c *transportCounters) snapshot() TransportStats {
 		BytesReceived:      c.bytesReceived.Load(),
 		Requests:           c.requests.Load(),
 		Retries:            c.retries.Load(),
+		BytesByReference:   c.bytesByRef.Load(),
+		RequestsWithdrawn:  c.withdrawn.Load(),
 		OverloadRejections: c.overloadRejections.Load(),
 		DeadlineRejections: c.deadlineRejections.Load(),
 		RetriesDenied:      c.retriesDenied.Load(),
@@ -85,9 +99,14 @@ func (c *transportCounters) snapshot() TransportStats {
 	}
 }
 
-func (c *transportCounters) countFrameOut(n int) {
+// countFrameOut counts one frame of n wire bytes (length prefix, header and
+// data), byRef of which were sent by reference.
+func (c *transportCounters) countFrameOut(n, byRef int) {
 	c.framesSent.Add(1)
 	c.bytesSent.Add(int64(n))
+	if byRef > 0 {
+		c.bytesByRef.Add(int64(byRef))
+	}
 }
 
 func (c *transportCounters) countFrameIn(n int) {

@@ -46,14 +46,30 @@
 // client (objstore.ErrObjectNotFound, objstore.ErrPoolNotFound,
 // objstore.ErrChunkMissing, ErrOverloaded, context.DeadlineExceeded) so
 // callers can errors.Is them.
+//
+// # Payloads travel by reference
+//
+// The format above says which bytes cross the wire, not how they get there.
+// Both write loops gather a batch of frames into one vector (frameBatch) and
+// flush it with a single writev: headers and data fields shorter than
+// byRefMin are encoded into the batch's buffer, a data field of byRefMin
+// bytes or more is put in the vector as the caller's slice itself, so the
+// only copy of a chunk-sized payload on the way out is the kernel's. On the
+// way in, a frame of byRefMin bytes or more is read from the connection
+// straight into its own freshly allocated buffer (frameReader), which the
+// decoded Request.Data or Response.Data then aliases — on the server that
+// buffer becomes the stored chunk (objstore's chunk-ownership rule). The
+// bytes on the wire are the same either way.
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"sprout/internal/objstore"
@@ -193,10 +209,25 @@ func validateRequest(req *Request, maxFrame int) error {
 	if len(req.Pool) > maxString16 || len(req.Object) > maxString16 || len(req.Tenant) > maxString16 {
 		return fmt.Errorf("%w: name longer than %d bytes", ErrRequestTooLarge, maxString16)
 	}
-	if size := requestOverhead + len(req.Pool) + len(req.Object) + len(req.Tenant) + len(req.Data); size > maxFrame {
+	if size := requestPayloadSize(req); size > maxFrame {
 		return fmt.Errorf("%w: frame would be %d bytes, limit %d", ErrRequestTooLarge, size, maxFrame)
 	}
 	return nil
+}
+
+// requestPayloadSize is the length of req's encoded frame payload — the
+// value of the frame's length prefix.
+func requestPayloadSize(req *Request) int {
+	return requestOverhead + len(req.Pool) + len(req.Object) + len(req.Tenant) + len(req.Data)
+}
+
+// responsePayloadSize is requestPayloadSize for a response.
+func responsePayloadSize(resp *Response) int {
+	size := responseOverhead + len(resp.Err) + len(resp.Data)
+	for _, n := range resp.Names {
+		size += 2 + len(n)
+	}
+	return size
 }
 
 // responseFits reports whether resp can be encoded within maxFrame; callers
@@ -206,14 +237,12 @@ func responseFits(resp *Response, maxFrame int) bool {
 	if len(resp.Names) > maxString16 {
 		return false
 	}
-	size := responseOverhead + len(resp.Err) + len(resp.Data)
 	for _, n := range resp.Names {
 		if len(n) > maxString16 {
 			return false
 		}
-		size += 2 + len(n)
 	}
-	return size <= maxFrame
+	return responsePayloadSize(resp) <= maxFrame
 }
 
 // overloadError is ErrOverloaded's concrete type: it unwraps to
@@ -334,11 +363,23 @@ func errorFromResponse(resp *Response) error {
 	}
 }
 
-// appendRequest encodes req as a complete frame (length prefix included).
-func appendRequest(buf []byte, req *Request) []byte {
-	payload := requestOverhead + len(req.Pool) + len(req.Object) + len(req.Tenant) + len(req.Data)
-	buf = append(buf, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf[len(buf)-4:], uint32(payload))
+// byRefMin is the size from which bytes stop being worth a copy: a data
+// field this large is sent by reference instead of being copied into the
+// batch buffer, and a received frame this large is read past the read buffer
+// (which is this size, so at most byRefMin bytes of any frame are ever
+// copied twice on the way in). Below it the memcpy is cheaper than two more
+// vector segments on the way out and a read syscall of its own on the way
+// in; CHANGES.md (PR 18) has the sweep it was chosen from.
+const byRefMin = 16 << 10
+
+// batchBufSize is the capacity a batch's encode buffer starts with: enough
+// for a run of small frames to leave in one syscall.
+const batchBufSize = 64 << 10
+
+// appendRequestHeader encodes req's frame up to and including the length of
+// its data field; the frame is complete once len(req.Data) bytes follow.
+func appendRequestHeader(buf []byte, req *Request) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(requestPayloadSize(req)))
 	buf = append(buf, frameRequest)
 	buf = binary.BigEndian.AppendUint64(buf, req.ID)
 	buf = append(buf, byte(req.Op))
@@ -348,23 +389,18 @@ func appendRequest(buf []byte, req *Request) []byte {
 	buf = appendString16(buf, req.Pool)
 	buf = appendString16(buf, req.Object)
 	buf = appendString16(buf, req.Tenant)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req.Data)))
-	return append(buf, req.Data...)
+	return binary.BigEndian.AppendUint32(buf, uint32(len(req.Data)))
 }
 
-// appendResponse encodes resp as a complete frame (length prefix included).
-// Names and Data must have been checked with responseFits; Err is clamped
-// here so arbitrarily long error messages cannot desync the stream.
-func appendResponse(buf []byte, resp *Response) []byte {
+// appendResponseHeader encodes resp's frame up to and including the length
+// of its data field. Names and Data must have been checked with
+// responseFits; Err is clamped here so arbitrarily long error messages
+// cannot desync the stream.
+func appendResponseHeader(buf []byte, resp *Response) []byte {
 	if len(resp.Err) > maxString16 {
 		resp.Err = resp.Err[:maxString16]
 	}
-	payload := responseOverhead + len(resp.Err) + len(resp.Data)
-	for _, n := range resp.Names {
-		payload += 2 + len(n)
-	}
-	buf = append(buf, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf[len(buf)-4:], uint32(payload))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(responsePayloadSize(resp)))
 	buf = append(buf, frameResponse)
 	buf = binary.BigEndian.AppendUint64(buf, resp.ID)
 	buf = append(buf, resp.Code)
@@ -376,8 +412,7 @@ func appendResponse(buf []byte, resp *Response) []byte {
 	for _, n := range resp.Names {
 		buf = appendString16(buf, n)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(resp.Data)))
-	return append(buf, resp.Data...)
+	return binary.BigEndian.AppendUint32(buf, uint32(len(resp.Data)))
 }
 
 func appendString16(buf []byte, s string) []byte {
@@ -385,18 +420,125 @@ func appendString16(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// readFrame reads one frame payload from r, enforcing the size limit.
-func readFrame(r io.Reader, maxSize int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameBatch gathers the frames of one write-loop batch and puts them on the
+// wire with a single writev. enc holds everything that is encoded or copied
+// — headers and data fields below byRefMin — contiguously in wire order; vec
+// lists the batch's segments in wire order: runs of enc interleaved with the
+// data fields that travel by reference. A referenced payload must stay
+// unchanged until flush returns. The batch is reused across flushes, so a
+// steady write loop allocates nothing per frame.
+type frameBatch struct {
+	enc []byte
+	cut int // enc[:cut] is already listed in vec
+	vec net.Buffers
+	// out is the slice header net.Buffers.WriteTo consumes; it lives here
+	// rather than on flush's stack so that taking its address allocates
+	// nothing.
+	out net.Buffers
+	ctr *transportCounters
+}
+
+// full reports whether a frame whose encoded part is n bytes should wait for
+// the next flush: the batch already holds something and the frame would make
+// enc outgrow its buffer. (A single frame larger than the buffer just grows
+// it.)
+func (b *frameBatch) full(n int) bool {
+	return len(b.enc) > 0 && len(b.enc)+n > cap(b.enc)
+}
+
+func (b *frameBatch) addRequest(req *Request) {
+	start := len(b.enc)
+	b.enc = appendRequestHeader(b.enc, req)
+	b.addData(start, req.Data)
+}
+
+func (b *frameBatch) addResponse(resp *Response) {
+	start := len(b.enc)
+	b.enc = appendResponseHeader(b.enc, resp)
+	b.addData(start, resp.Data)
+}
+
+// addData completes the frame whose header starts at enc[start:] with its
+// data field and counts the frame.
+func (b *frameBatch) addData(start int, data []byte) {
+	if len(data) < byRefMin {
+		b.enc = append(b.enc, data...)
+		b.ctr.countFrameOut(len(b.enc)-start, 0)
+		return
+	}
+	// If a later append moves enc, the segment cut here keeps pointing at
+	// the old backing array, whose bytes up to this point are final.
+	b.vec = append(b.vec, b.enc[b.cut:], data)
+	b.cut = len(b.enc)
+	b.ctr.countFrameOut(len(b.enc)-start+len(data), len(data))
+}
+
+// flush writes the gathered frames to w — one writev when w is a TCP
+// connection — and empties the batch, dropping its payload references.
+func (b *frameBatch) flush(w io.Writer) error {
+	if b.cut < len(b.enc) {
+		b.vec = append(b.vec, b.enc[b.cut:])
+	}
+	b.out = b.vec
+	_, err := b.out.WriteTo(w)
+	// WriteTo niled the segments it wrote; after an error some remain.
+	clear(b.vec)
+	b.vec, b.out = b.vec[:0], nil
+	b.enc, b.cut = b.enc[:0], 0
+	return err
+}
+
+// encodedSize is the part of a frame a batch encodes or copies into its
+// buffer, given the frame's payload size and its data field: everything,
+// length prefix included, but a by-reference data field.
+func encodedSize(payloadSize int, data []byte) int {
+	if len(data) >= byRefMin {
+		payloadSize -= len(data)
+	}
+	return 4 + payloadSize
+}
+
+// frameReader reads frames off one connection. Frame headers and small
+// frames come through a read buffer of byRefMin bytes, so a run of small
+// frames shares one read syscall; what a frame of byRefMin bytes or more
+// still has outstanding once the buffer is drained is read from the
+// connection straight into the frame's own buffer instead of bouncing
+// through the read buffer.
+type frameReader struct {
+	src io.Reader
+	br  *bufio.Reader
+}
+
+func newFrameReader(src io.Reader) *frameReader {
+	return &frameReader{src: src, br: bufio.NewReaderSize(src, byRefMin)}
+}
+
+// next reads one frame payload, enforcing the size limit. The returned
+// buffer is freshly allocated and never reused: decoded requests and
+// responses alias it.
+func (fr *frameReader) next(maxSize int) ([]byte, error) {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
+	size := int(binary.BigEndian.Uint32(hdr))
 	if size < 1 || size > maxSize {
 		return nil, fmt.Errorf("transport: frame size %d outside (0, %d]", size, maxSize)
 	}
+	_, _ = fr.br.Discard(4) // the four bytes were just peeked: cannot fail
 	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	buffered := size
+	if size >= byRefMin && fr.br.Buffered() < size {
+		buffered = fr.br.Buffered()
+	}
+	_, err = io.ReadFull(fr.br, payload[:buffered])
+	if err == nil && buffered < size {
+		_, err = io.ReadFull(fr.src, payload[buffered:])
+	}
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
