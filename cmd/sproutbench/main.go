@@ -112,7 +112,7 @@ func experiments() []experiment {
 			}
 			return bench.TransportTable(r), nil
 		}},
-		{"read", "controller serving path: sequential vs parallel vs hedged fetches", func(cfg bench.Config) (*bench.Table, error) {
+		{"read", "controller serving path: parallel vs hedged fetches", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.ReadThroughput(cfg)
 			if err != nil {
 				return nil, err

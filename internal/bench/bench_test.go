@@ -292,7 +292,7 @@ func TestReadPointModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"seq", "par", "hedge"} {
+	for _, mode := range []string{"par", "hedge"} {
 		res, err := readPoint(clu, lambdas, chunks, cfg, 2*cfg.Files, mode, 4, 40)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -314,8 +314,8 @@ func TestReadPointModes(t *testing.T) {
 
 func TestReadTableSpeedupColumn(t *testing.T) {
 	results := []ReadResult{
-		{Cache: "cold", Mode: "seq", Readers: 16, Ops: 10, OpsPerSec: 100},
-		{Cache: "cold", Mode: "par", Readers: 16, Ops: 10, OpsPerSec: 250},
+		{Cache: "cold", Mode: "par", Readers: 16, Ops: 10, OpsPerSec: 100},
+		{Cache: "cold", Mode: "hedge", Readers: 16, Ops: 10, OpsPerSec: 250},
 	}
 	var buf bytes.Buffer
 	ReadTable(results).Write(&buf)

@@ -20,7 +20,7 @@ import (
 // fetch mode × concurrent readers × cache warmth.
 type ReadResult struct {
 	Cache     string // "cold" (no cache) or "warm" (planned + prefetched)
-	Mode      string // "seq" (seed baseline), "par", or "hedge"
+	Mode      string // "par" or "hedge"
 	Readers   int
 	Ops       int
 	OpsPerSec float64
@@ -133,8 +133,6 @@ func (s *instantStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) 
 // readServeOptions maps an experiment mode to controller serving options.
 func readServeOptions(mode string) (core.ServeOptions, error) {
 	switch mode {
-	case "seq":
-		return core.ServeOptions{SequentialFetch: true}, nil
 	case "par":
 		return core.ServeOptions{}, nil
 	case "hedge":
@@ -146,8 +144,8 @@ func readServeOptions(mode string) (core.ServeOptions, error) {
 
 // ReadThroughput drives the controller end to end — scheduling, cache
 // lookups, concurrent chunk fetches against an emulated-latency store, and
-// decode — and A/Bs the seed's sequential fetch loop against the parallel
-// and hedged read planes across reader counts and cache warmth.
+// decode — and A/Bs the parallel read plane with and without hedging across
+// reader counts and cache warmth.
 func ReadThroughput(cfg Config) ([]ReadResult, error) {
 	cfg = cfg.withDefaults()
 	files := cfg.Files
@@ -172,7 +170,7 @@ func ReadThroughput(cfg Config) ([]ReadResult, error) {
 		name     string
 		capacity int
 	}{{"cold", 0}, {"warm", 2 * files}} {
-		for _, mode := range []string{"seq", "par", "hedge"} {
+		for _, mode := range []string{"par", "hedge"} {
 			for _, readers := range []int{1, 4, 16} {
 				ops := opsBase * readers
 				if ops > 8*opsBase {
@@ -334,27 +332,27 @@ func readPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg C
 	}, nil
 }
 
-// ReadTable renders ReadThroughput results, with the speedup of each mode
-// over the sequential baseline at matching cache warmth and concurrency.
+// ReadTable renders ReadThroughput results, with the speedup of hedging over
+// the plain parallel fan-out at matching cache warmth and concurrency.
 func ReadTable(results []ReadResult) *Table {
 	t := &Table{
-		Title:   "controller serving path: sequential vs parallel vs hedged chunk fetches",
+		Title:   "controller serving path: parallel vs hedged chunk fetches",
 		Headers: []string{"cache", "mode", "readers", "ops", "ops/s", "p50 ms", "p99 ms", "speedup", "cache%", "hedges", "wins"},
 		Notes: []string{
 			"store emulates 0.5ms+Exp(1ms) per chunk fetch with 3% stragglers at 8x",
-			"seq replays the seed's serialised fetch loop; par fans fetches out; hedge adds 4ms/2-extra hedging",
+			"par fans fetches out; hedge adds 4ms/2-extra hedging",
 			"warm points plan + prefetch the functional cache before measuring",
 		},
 	}
 	base := make(map[string]float64)
 	for _, r := range results {
-		if r.Mode == "seq" {
+		if r.Mode == "par" {
 			base[fmt.Sprintf("%s/%d", r.Cache, r.Readers)] = r.OpsPerSec
 		}
 	}
 	for _, r := range results {
 		speedup := "1.00x"
-		if b := base[fmt.Sprintf("%s/%d", r.Cache, r.Readers)]; b > 0 && r.Mode != "seq" {
+		if b := base[fmt.Sprintf("%s/%d", r.Cache, r.Readers)]; b > 0 && r.Mode != "par" {
 			speedup = fmt.Sprintf("%.2fx", r.OpsPerSec/b)
 		}
 		t.AddRow(
@@ -371,8 +369,8 @@ func ReadTable(results []ReadResult) *Table {
 			i64toa(r.HedgeWins),
 		)
 	}
-	// Gate on the warm high-concurrency ratios: parallel fan-out must keep
-	// its speedup over the sequential loop, and hedging must not give it back.
+	// Report the warm high-concurrency ratio: hedging must not give back the
+	// parallel fan-out's throughput.
 	maxReaders := 0
 	for _, r := range results {
 		if r.Cache == "warm" && r.Readers > maxReaders {
@@ -383,13 +381,8 @@ func ReadTable(results []ReadResult) *Table {
 		if r.Cache != "warm" || r.Readers != maxReaders {
 			continue
 		}
-		if b := base[fmt.Sprintf("warm/%d", r.Readers)]; b > 0 {
-			switch r.Mode {
-			case "par":
-				t.AddMetric("warm_par_speedup_vs_seq", r.OpsPerSec/b, "ratio", true, 0)
-			case "hedge":
-				t.AddMetric("warm_hedge_speedup_vs_seq", r.OpsPerSec/b, "ratio", true, 0)
-			}
+		if b := base[fmt.Sprintf("warm/%d", r.Readers)]; b > 0 && r.Mode == "hedge" {
+			t.AddMetric("warm_hedge_speedup_vs_par", r.OpsPerSec/b, "ratio", true, 0)
 		}
 	}
 	return t

@@ -58,6 +58,35 @@ func uniformMeans(n int, mean float64) []float64 {
 	return out
 }
 
+// fetchPath is one of the ways the read plane obtains a chunk's bytes. The
+// tables below run over all of them: launch and completion accounting is the
+// same code whichever is taken.
+type fetchPath struct {
+	name string
+	// wrap presents a blocking fetcher to the controller over this path.
+	wrap func(t *testing.T, f ChunkFetcher) ChunkFetcher
+	// inline marks the path whose completions run inside StartFetches: a
+	// scenario whose fetcher blocks until the test releases it cannot use it.
+	inline bool
+}
+
+var fetchPaths = []fetchPath{
+	{name: "workers", wrap: func(_ *testing.T, f ChunkFetcher) ChunkFetcher { return f }},
+	{name: "async", wrap: func(t *testing.T, f ChunkFetcher) ChunkFetcher { return newAsyncFake(t, f, false) }},
+	{name: "async-inline", inline: true, wrap: func(t *testing.T, f ChunkFetcher) ChunkFetcher { return newAsyncFake(t, f, true) }},
+}
+
+// overFetchPaths runs fn once per fetch path, as a subtest.
+func overFetchPaths(t *testing.T, blocks bool, fn func(t *testing.T, path fetchPath)) {
+	t.Helper()
+	for _, path := range fetchPaths {
+		if blocks && path.inline {
+			continue
+		}
+		t.Run(path.name, func(t *testing.T) { fn(t, path) })
+	}
+}
+
 // candidateNodes runs candidates() once and returns the ranked node
 // positions and the Madow draw it started from.
 func candidateNodes(ctrl *Controller, need int) (ranked, draw []int) {
@@ -199,26 +228,35 @@ func waitNodesIdle(t *testing.T, ctrl *Controller) {
 // fetcher. While enough other live nodes exist no read may touch that node;
 // once they do not, reads fall back to it rather than fail.
 func TestStuckNodeIsAvoided(t *testing.T) {
+	overFetchPaths(t, true, testStuckNodeIsAvoided)
+}
+
+func testStuckNodeIsAvoided(t *testing.T, path fetchPath) {
 	const n, k, stuck, parked = 5, 2, 2, 3
-	ctrl, store := backlogController(t, uniformMeans(n, 0.004), n, k, ServeOptions{})
+	ctrl, fake := backlogController(t, uniformMeans(n, 0.004), n, k, ServeOptions{})
+	store := path.wrap(t, fake)
 	ctx := context.Background()
 	meta := ctrl.Files()[0]
 	stuckID := nodeIDAt(ctrl.epoch.Load().clu, stuck)
 
 	release := make(chan struct{})
 	var entered atomic.Int64
-	blocking := FetcherFunc(func(context.Context, int, int, int) ([]byte, error) {
+	blocking := path.wrap(t, FetcherFunc(func(context.Context, int, int, int) ([]byte, error) {
 		entered.Add(1)
 		<-release
 		return nil, errors.New("released")
-	})
+	}))
 	var wg sync.WaitGroup
 	for i := 0; i < parked; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cand := fetchCandidate{chunkIndex: chunkIndexOnNode(meta, stuck), node: stuck, nodeID: stuckID}
-			_, _, _ = ctrl.fetchChunkObserved(ctx, blocking, 0, cand) // the outcome is the injected error
+			// A fan-out of one over the stuck node alone: launched and
+			// completed the way a read's fetches are.
+			sc := getReadScratch()
+			defer putReadScratch(sc)
+			sc.cands = append(sc.cands[:0], fetchCandidate{chunkIndex: chunkIndexOnNode(meta, stuck), node: stuck, nodeID: stuckID})
+			_, _ = ctrl.fetchParallel(ctx, sc, blocking, 0, 1, 1, 0) // the outcome is the injected error
 		}()
 	}
 	for entered.Load() < parked {
@@ -233,11 +271,11 @@ func TestStuckNodeIsAvoided(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, store.data[0]) {
+		if !bytes.Equal(got, fake.data[0]) {
 			t.Fatal("read returned wrong data")
 		}
 	}
-	if got := store.fetchCount(stuckID); got != 0 {
+	if got := fake.fetchCount(stuckID); got != 0 {
 		t.Fatalf("%d fetches went to the node holding %d stuck fetches while %d idle nodes held the file", got, parked, n-1)
 	}
 
@@ -250,7 +288,7 @@ func TestStuckNodeIsAvoided(t *testing.T) {
 	if _, err := ctrl.Read(ctx, 0, store); err != nil {
 		t.Fatalf("read with only the backlogged node left to complete k: %v", err)
 	}
-	if got := store.fetchCount(stuckID); got != 1 {
+	if got := fake.fetchCount(stuckID); got != 1 {
 		t.Fatalf("fetches on the backlogged node = %d, want 1 once it is needed", got)
 	}
 
@@ -277,25 +315,40 @@ func (f *versionFlipFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex
 
 // TestNodeInFlightReturnsToZero: whatever way a read ends, every fetch it
 // started is counted out again when that fetch returns — no sooner (a hedge
-// loser keeps its node busy) and no later.
+// loser keeps its node busy) and no later — and the read's scratch lease is
+// balanced, also when completions arrive after the read gave up.
 func TestNodeInFlightReturnsToZero(t *testing.T) {
 	ctx := context.Background()
+	// settled waits for the stragglers, then checks the leases.
+	settled := func(t *testing.T, ctrl *Controller, leases int64) {
+		t.Helper()
+		waitNodesIdle(t, ctrl)
+		if got := ReadScratchPool().Outstanding(); got != leases {
+			t.Fatalf("read scratch leases: outstanding %d -> %d", leases, got)
+		}
+	}
 
 	t.Run("success", func(t *testing.T) {
-		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
-		for i := 0; i < 20; i++ {
-			if _, err := ctrl.Read(ctx, 0, store); err != nil {
-				t.Fatal(err)
+		overFetchPaths(t, false, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, fake := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+			store := path.wrap(t, fake)
+			for i := 0; i < 20; i++ {
+				if _, err := ctrl.Read(ctx, 0, store); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		waitNodesIdle(t, ctrl)
+			settled(t, ctrl, leases)
+		})
 	})
 
 	t.Run("fetch error and failover", func(t *testing.T) {
-		for _, sequential := range []bool{false, true} {
-			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{SequentialFetch: sequential})
-			store.fail[[2]int{0, 1}] = errors.New("bad sector")
-			store.fail[[2]int{0, 3}] = errors.New("bad sector")
+		overFetchPaths(t, false, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, fake := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+			fake.fail[[2]int{0, 1}] = errors.New("bad sector")
+			fake.fail[[2]int{0, 3}] = errors.New("bad sector")
+			store := path.wrap(t, fake)
 			for i := 0; i < 20; i++ {
 				if _, err := ctrl.Read(ctx, 0, store); err != nil {
 					t.Fatal(err)
@@ -304,114 +357,140 @@ func TestNodeInFlightReturnsToZero(t *testing.T) {
 			if ctrl.Stats().FetchFailovers == 0 {
 				t.Fatal("no failover happened")
 			}
-			waitNodesIdle(t, ctrl)
-		}
+			settled(t, ctrl, leases)
+		})
 	})
 
 	t.Run("hedge win with the loser still running", func(t *testing.T) {
-		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 2,
-			ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 1})
-		release := make(chan struct{})
-		var calls atomic.Int64
-		var loserID atomic.Int64
-		// The read's first fetch hangs, deaf to cancellation, until released.
-		fetcher := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-			if calls.Add(1) == 1 {
-				loserID.Store(int64(nodeID))
-				<-release
-			}
-			return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
-		})
-		if _, err := ctrl.Read(ctx, 0, fetcher); err != nil {
-			t.Fatal(err)
-		}
-		if ctrl.Stats().HedgeWins != 1 {
-			t.Fatalf("stats = %+v, want the read completed by one hedge win", ctrl.Stats())
-		}
-		inflight := ctrl.NodeInFlight()
-		for node, v := range inflight {
-			want := int64(0)
-			if node == int(loserID.Load()) {
-				want = 1
-			}
-			if v != want {
-				t.Fatalf("in flight after the read returned = %v, want only the hedge loser on node %d", inflight, loserID.Load())
-			}
-		}
-		// The abandoned fetch still counts as backlog: the next reads avoid
-		// its node.
-		before := store.fetchCount(int(loserID.Load()))
-		for i := 0; i < 20; i++ {
+		overFetchPaths(t, true, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 2,
+				ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 1})
+			release := make(chan struct{})
+			var calls atomic.Int64
+			var loserID atomic.Int64
+			// The read's first fetch hangs, deaf to cancellation, until released.
+			fetcher := path.wrap(t, FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+				if calls.Add(1) == 1 {
+					loserID.Store(int64(nodeID))
+					<-release
+				}
+				return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+			}))
 			if _, err := ctrl.Read(ctx, 0, fetcher); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if after := store.fetchCount(int(loserID.Load())); after != before {
-			t.Fatalf("%d fetches reached the node still busy with the hedge loser", after-before)
-		}
-		close(release)
-		waitNodesIdle(t, ctrl)
+			if ctrl.Stats().HedgeWins != 1 {
+				t.Fatalf("stats = %+v, want the read completed by one hedge win", ctrl.Stats())
+			}
+			inflight := ctrl.NodeInFlight()
+			for node, v := range inflight {
+				want := int64(0)
+				if node == int(loserID.Load()) {
+					want = 1
+				}
+				if v != want {
+					t.Fatalf("in flight after the read returned = %v, want only the hedge loser on node %d", inflight, loserID.Load())
+				}
+			}
+			// The abandoned fetch still counts as backlog: the next reads avoid
+			// its node.
+			before := store.fetchCount(int(loserID.Load()))
+			for i := 0; i < 20; i++ {
+				if _, err := ctrl.Read(ctx, 0, fetcher); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if after := store.fetchCount(int(loserID.Load())); after != before {
+				t.Fatalf("%d fetches reached the node still busy with the hedge loser", after-before)
+			}
+			close(release)
+			settled(t, ctrl, leases)
+		})
 	})
 
 	t.Run("context cancellation", func(t *testing.T) {
-		ctrl, _ := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
-		cctx, cancel := context.WithCancel(ctx)
-		blocking := FetcherFunc(func(ctx context.Context, _, _, _ int) ([]byte, error) {
-			cancel()
-			<-ctx.Done()
-			return nil, ctx.Err()
+		overFetchPaths(t, true, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, _ := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+			cctx, cancel := context.WithCancel(ctx)
+			// Every fetch outlives the read: it returns some time after the
+			// cancellation the read leaves on.
+			release := make(chan struct{})
+			blocking := path.wrap(t, FetcherFunc(func(ctx context.Context, _, _, _ int) ([]byte, error) {
+				cancel()
+				<-release
+				return nil, ctx.Err()
+			}))
+			if _, err := ctrl.Read(cctx, 0, blocking); !errors.Is(err, context.Canceled) {
+				t.Fatalf("expected context.Canceled, got %v", err)
+			}
+			busy := int64(0)
+			for _, v := range ctrl.NodeInFlight() {
+				busy += v
+			}
+			if busy != 3 {
+				t.Fatalf("%d fetches in flight after the read gave up, want all 3 still counted", busy)
+			}
+			if got := ReadScratchPool().Outstanding(); got != leases {
+				t.Fatalf("read scratch leases with stragglers outstanding: %d -> %d (the scratch is retired, not leaked)", leases, got)
+			}
+			close(release)
+			settled(t, ctrl, leases)
 		})
-		if _, err := ctrl.Read(cctx, 0, blocking); !errors.Is(err, context.Canceled) {
-			t.Fatalf("expected context.Canceled, got %v", err)
-		}
-		waitNodesIdle(t, ctrl)
 	})
 
 	t.Run("stripe-version retry", func(t *testing.T) {
-		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
-		got, err := ctrl.Read(ctx, 0, &versionFlipFetcher{fakeStore: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, store.data[0]) {
-			t.Fatal("retried read returned wrong data")
-		}
-		if ctrl.Stats().ReadRetries != 1 {
-			t.Fatalf("ReadRetries = %d, want 1", ctrl.Stats().ReadRetries)
-		}
-		waitNodesIdle(t, ctrl)
+		overFetchPaths(t, false, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+			got, err := ctrl.Read(ctx, 0, path.wrap(t, &versionFlipFetcher{fakeStore: store}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, store.data[0]) {
+				t.Fatal("retried read returned wrong data")
+			}
+			if ctrl.Stats().ReadRetries != 1 {
+				t.Fatalf("ReadRetries = %d, want 1", ctrl.Stats().ReadRetries)
+			}
+			settled(t, ctrl, leases)
+		})
 	})
 
 	t.Run("concurrent mix", func(t *testing.T) {
-		ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3,
-			ServeOptions{HedgeDelay: time.Millisecond, HedgeExtra: 1})
-		flaky := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-			switch chunkIndex {
-			case 0:
-				return nil, errors.New("injected")
-			case 1:
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-time.After(3 * time.Millisecond):
-				}
-			}
-			return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
-		})
-		var wg sync.WaitGroup
-		for r := 0; r < 8; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 40; i++ {
-					if _, err := ctrl.Read(ctx, 0, flaky); err != nil {
-						t.Error(err)
-						return
+		overFetchPaths(t, false, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3,
+				ServeOptions{HedgeDelay: time.Millisecond, HedgeExtra: 1})
+			flaky := path.wrap(t, FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+				switch chunkIndex {
+				case 0:
+					return nil, errors.New("injected")
+				case 1:
+					select {
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					case <-time.After(3 * time.Millisecond):
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		waitNodesIdle(t, ctrl)
+				return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+			}))
+			var wg sync.WaitGroup
+			for r := 0; r < 8; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						if _, err := ctrl.Read(ctx, 0, flaky); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			settled(t, ctrl, leases)
+		})
 	})
 }

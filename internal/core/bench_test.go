@@ -27,6 +27,18 @@ func (s *benchStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) ([
 	return file[chunkIndex], nil
 }
 
+// benchAsyncStore is benchStore as an AsyncChunkFetcher that completes every
+// fetch inside StartFetches: the read plane's asynchronous launch and
+// completion with nothing else on the path.
+type benchAsyncStore struct{ *benchStore }
+
+func (s benchAsyncStore) StartFetches(ctx context.Context, fileID int, refs []FetchRef) {
+	for _, ref := range refs {
+		data, err := s.FetchChunk(ctx, fileID, ref.ChunkIndex, ref.NodeID)
+		ref.Sink.FetchDone(data, StripeInfo{}, err)
+	}
+}
+
 func benchController(b *testing.B, numFiles, fileSize, capacity int, serve ServeOptions) (*Controller, *benchStore) {
 	b.Helper()
 	nodes := make([]cluster.Node, 8)
@@ -75,21 +87,29 @@ func benchController(b *testing.B, numFiles, fileSize, capacity int, serve Serve
 // (scheduling, cache lookup, parallel fetch fan-out, decode) over an
 // instant in-memory store, across concurrent readers via RunParallel.
 // Each reader reuses a payload buffer through ReadInto, so allocs/op
-// isolates the serving path itself: every variant must stay at zero. The
-// cached variants hold every file whole, so their reads are k copies;
-// cached-1MiB is the size where that copy, not the bookkeeping, is the cost.
+// isolates the serving path itself: every variant must stay at zero. nocache
+// fetches through the parked fetch workers, nocache-async through an
+// AsyncChunkFetcher. The cached variants hold every file whole, so their
+// reads are k copies; cached-1MiB is the size where that copy, not the
+// bookkeeping, is the cost.
 func BenchmarkControllerRead(b *testing.B) {
 	for _, bc := range []struct {
 		name                  string
 		files, size, capacity int
+		async                 bool
 	}{
-		{"nocache", 64, 16 << 10, 0},
-		{"cached", 64, 16 << 10, 256},
-		{"cached-1MiB", 8, 1 << 20, 32},
+		{"nocache", 64, 16 << 10, 0, false},
+		{"nocache-async", 64, 16 << 10, 0, true},
+		{"cached", 64, 16 << 10, 256, false},
+		{"cached-1MiB", 8, 1 << 20, 32, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			ctrl, store := benchController(b, bc.files, bc.size, bc.capacity, ServeOptions{})
+			ctrl, blocking := benchController(b, bc.files, bc.size, bc.capacity, ServeOptions{})
 			defer ctrl.Close()
+			var store ChunkFetcher = blocking
+			if bc.async {
+				store = benchAsyncStore{blocking}
+			}
 			if bc.capacity > 0 {
 				if err := ctrl.PrefetchCache(context.Background(), store); err != nil {
 					b.Fatal(err)
@@ -113,26 +133,4 @@ func BenchmarkControllerRead(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkControllerReadSequentialFetch is the seed-style serialised fetch
-// baseline for A/B comparison with BenchmarkControllerRead.
-func BenchmarkControllerReadSequentialFetch(b *testing.B) {
-	ctrl, store := benchController(b, 64, 16<<10, 0, ServeOptions{SequentialFetch: true})
-	defer ctrl.Close()
-	ctx := context.Background()
-	var seq atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var buf []byte
-		for pb.Next() {
-			fileID := int(seq.Add(1)) % 64
-			payload, err := ctrl.ReadInto(ctx, fileID, store, buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf = payload
-		}
-	})
 }

@@ -19,8 +19,10 @@
 //
 //   - The read plane (Read) is lock-free: it works off an immutable epoch
 //     snapshot published through an atomic pointer, fans chunk fetches out
-//     concurrently (optionally hedging stragglers), and records statistics
-//     in atomic counters and a latency histogram.
+//     concurrently (optionally hedging stragglers) — sending them itself when
+//     the fetcher is an AsyncChunkFetcher, through parked fetch workers
+//     otherwise — and records statistics in atomic counters and a latency
+//     histogram.
 //   - The control plane (PlanTimeBin, the background fill workers, and the
 //     auto-replanner) serialises on a mutex and publishes each change as a
 //     fresh epoch snapshot.
@@ -90,6 +92,51 @@ type VersionedChunkFetcher interface {
 	FetchChunkV(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, StripeInfo, error)
 }
 
+// FetchSink receives the outcome of one asynchronous chunk fetch: the chunk's
+// payload and stripe on success, the fetch error otherwise.
+type FetchSink interface {
+	FetchDone(data []byte, info StripeInfo, err error)
+}
+
+// FetchRef is one fetch of a StartFetches batch: a coded chunk, the node
+// holding it, and the sink its outcome is delivered to.
+type FetchRef struct {
+	ChunkIndex int
+	NodeID     int
+	Sink       FetchSink
+}
+
+// AsyncChunkFetcher is implemented by fetchers that can send a read's chunk
+// requests without a goroutine blocking in each round trip (the transport's
+// RemoteFetcher). When the fetcher has it, the read plane issues all the
+// fetches it launches at one point — the initial k−d, a failover, the hedges
+// — with a single StartFetches call from the read's own goroutine and takes
+// the outcomes as completions; a fetcher without it is served by the
+// controller's fetch workers, which run the blocking FetchChunk and deliver
+// to the same sink.
+//
+// The contract, for each ref of a call:
+//
+//   - Sink.FetchDone is called exactly once, with the outcome FetchChunkV
+//     would have returned for that chunk.
+//   - It may be called from any goroutine, and before StartFetches returns —
+//     a fetch that fails before it is sent completes inside the call.
+//   - It is never called with a lock of the fetcher's held, and it does not
+//     block, so the fetcher may call it from a connection's read loop.
+//   - refs is only valid during the call; the sinks are kept until they have
+//     been called.
+//   - Cancelling ctx does not complete a fetch: the read watches its own
+//     context and leaves; the outcome still arrives — the response, or
+//     context.DeadlineExceeded once the deadline (ctx's, else the fetcher's
+//     default) has passed, whichever is first — and is delivered to the sink,
+//     which must therefore outlive the read. Only ctx's deadline is used.
+//   - The payload follows the same rule as ChunkFetcher's: it may be memory
+//     shared with the store, so the controller only reads it.
+type AsyncChunkFetcher interface {
+	ChunkFetcher
+	StartFetches(ctx context.Context, fileID int, refs []FetchRef)
+}
+
 // ObjectWriter stores a complete object in the storage plane and returns the
 // committed stripe version (0 when the backend is unversioned). The
 // transport's StripedWriter — client-side SIMD encode, parallel staged chunk
@@ -139,16 +186,13 @@ type FileMeta struct {
 // value fetches chunks in parallel without hedging, runs two background fill
 // workers, and leaves auto-replanning off.
 type ServeOptions struct {
-	// SequentialFetch restores the seed behaviour of fetching storage chunks
-	// one at a time. Kept as the measured baseline for A/B benchmarks. It
-	// takes precedence over hedging: the serialised loop never arms the
-	// hedge timer, so HedgeDelay/HedgeExtra are zeroed when it is set.
-	SequentialFetch bool
-
 	// HedgeDelay, when positive, arms a timer per read: if the read has not
 	// gathered its chunks when the timer fires, up to HedgeExtra additional
 	// fetches are launched against other nodes holding chunks of the file,
-	// and the fastest responses win (losers are cancelled via context).
+	// and the fastest responses win. A loser running on a fetch worker is
+	// cancelled through its context; one sent by an AsyncChunkFetcher simply
+	// completes later. Either way its node counts it in flight until the fetch
+	// really returns.
 	HedgeDelay time.Duration
 	// HedgeExtra is the maximum number of extra hedged fetches per read.
 	// Defaults to 1 when HedgeDelay is set.
@@ -227,9 +271,6 @@ type ServeOptions struct {
 }
 
 func (o ServeOptions) withDefaults() ServeOptions {
-	if o.SequentialFetch {
-		o.HedgeDelay, o.HedgeExtra = 0, 0
-	}
 	if o.HedgeDelay > 0 && o.HedgeExtra <= 0 {
 		o.HedgeExtra = 1
 	}
@@ -332,7 +373,8 @@ type Controller struct {
 	tenantShares  []optimizer.TenantShare
 	tenantOwner   []int // file -> index into tenantShares; nil when no split
 
-	// Reusable fetch-worker free list for the read plane's fan-out: a
+	// Reusable fetch-worker free list, for fetchers that only have the
+	// blocking FetchChunk (an AsyncChunkFetcher needs no worker): a
 	// mutex-guarded idle stack plus a poison protocol on Close. Spawning
 	// happens only on cold start or concurrency growth; the steady state
 	// dispatches onto parked workers without goroutine or closure

@@ -411,68 +411,19 @@ func (c *Controller) demoteTripped(sc *readScratch) int {
 	return healthy
 }
 
-// fetchChunkObserved fetches one chunk and reports the outcome to the
-// node's circuit breaker (latency included, so slow nodes trip breakers
-// with a latency threshold even while answering correctly). Every storage
-// fetch of the read plane — parallel, sequential, failover, hedge — passes
-// through here, which is what makes the node's in-flight counter the backlog
-// candidates() ranks by: a hedge loser keeps its node busy until the fetch
-// really returns.
-func (c *Controller) fetchChunkObserved(ctx context.Context, fetcher ChunkFetcher, fileID int, cand fetchCandidate) ([]byte, StripeInfo, error) {
-	t0 := time.Now()
-	c.nodeInFlight[cand.node].Add(1)
-	data, info, err := fetchChunkV(ctx, fetcher, fileID, cand.chunkIndex, cand.nodeID)
-	c.nodeInFlight[cand.node].Add(-1)
-	c.serve.Breakers.Observe(cand.nodeID, err, time.Since(t0))
-	return data, info, err
-}
-
 // fetchChunks appends the needed storage chunks (and their stripe infos)
 // onto sc.chunks and sc.infos. It returns the number of fetch errors the
 // read absorbed.
 func (c *Controller) fetchChunks(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, ep *epoch, meta FileMeta, need, level int) (int, error) {
 	healthy := c.candidates(sc, ep, meta, need)
-	if c.serve.SequentialFetch {
-		return c.fetchSequential(ctx, sc, fetcher, meta.ID, need)
-	}
 	return c.fetchParallel(ctx, sc, fetcher, meta.ID, healthy, need, level)
 }
 
-// fetchSequential is the seed's serialised fetch loop, kept as the measured
-// A/B baseline: one chunk at a time, moving to the next candidate on error.
-func (c *Controller) fetchSequential(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, fileID, need int) (int, error) {
-	fetchErrs := 0
-	got := 0
-	var lastErr error
-	for i := range sc.cands {
-		if got >= need {
-			break
-		}
-		cand := sc.cands[i]
-		data, info, err := c.fetchChunkObserved(ctx, fetcher, fileID, cand)
-		if err != nil {
-			lastErr = fmt.Errorf("core: fetching chunk %d of file %d: %w", cand.chunkIndex, fileID, err)
-			fetchErrs++
-			c.stats.fetchFailovers.Add(1)
-			continue
-		}
-		sc.chunks = append(sc.chunks, erasure.Chunk{Index: cand.chunkIndex, Data: data})
-		sc.infos = append(sc.infos, info)
-		got++
-	}
-	if got < need {
-		return fetchErrs, fetchShortfallError(fileID, got, need, lastErr)
-	}
-	return fetchErrs, nil
-}
-
 // fetchParallel fans the needed chunk fetches out concurrently over
-// sc.cands via the controller's reusable fetch workers. Failures fail over
-// to the next unused candidate. When hedging is enabled and the read is
-// still incomplete after HedgeDelay, up to HedgeExtra additional candidates
-// are launched and the fastest responses win; once enough chunks are in
-// hand the hedge context is cancelled so losing fetches stop early.
-// Brownout level >= 1 suppresses hedging: speculative load is the first
+// sc.cands. Failures fail over to the next unused candidate. When hedging is
+// enabled and the read is still incomplete after HedgeDelay, up to
+// HedgeExtra additional candidates are launched and the fastest responses
+// win. Brownout level >= 1 suppresses hedging: speculative load is the first
 // capacity given back under saturation. Hedges only target the first
 // `healthy` (non-breaker-demoted) candidates — failover may fall back to a
 // tripped node when nothing else is left, but speculative work never
@@ -481,10 +432,20 @@ func (c *Controller) fetchSequential(ctx context.Context, sc *readScratch, fetch
 // suspect node, so hedging over the remaining demoted candidates is rescue,
 // not waste.
 //
-// A derived cancellable context is created only when hedging actually arms:
+// Every fetch is a launch and a completion. The launch runs here, on the
+// read's goroutine: it stamps the start time and counts the fetch in flight
+// on its node, so concurrent reads rank against each other's picks, not only
+// against fetches that already reached a worker. The completion is the
+// slot's FetchDone, whoever calls it. How the bytes are obtained in between
+// depends on the fetcher's type alone: an AsyncChunkFetcher is handed all the
+// launches of one point in one StartFetches call and completes them from its
+// own goroutines; any other fetcher's blocking FetchChunk runs on one of the
+// controller's parked fetch workers.
+//
+// Only the workers need a cancellable context, and only when hedging arms:
 // without hedges every launched fetch's result is received before success,
-// so there is nothing to cancel and the fast path skips the two
-// context.WithCancel allocations.
+// so there is nothing to cancel, and an asynchronous fetch is not cancelled
+// at all — the loser completes into the scratch this read leaves behind.
 func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, fileID int, healthy, need, level int) (int, error) {
 	cands := sc.cands
 	if cap(sc.slots) < len(cands) {
@@ -509,33 +470,47 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 		c.stats.hedgesSuppressed.Add(1)
 		hedging = false
 	}
+	async, _ := fetcher.(AsyncChunkFetcher)
 	fctx := ctx
 	var hedgeC <-chan time.Time
 	if hedging {
-		var cancelHedges context.CancelFunc
-		fctx, cancelHedges = context.WithCancel(ctx)
-		defer cancelHedges()
+		if async == nil {
+			var cancelHedges context.CancelFunc
+			fctx, cancelHedges = context.WithCancel(ctx)
+			defer cancelHedges()
+		}
 		timer := time.NewTimer(c.serve.HedgeDelay)
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
 
-	launch := func(i int, hedged bool) {
+	launch := func(i int, hedged bool, now time.Time) {
 		slot := &slots[i]
-		slot.ctx = fctx
-		slot.fetcher = fetcher
-		slot.sc = sc
-		slot.fileID = fileID
-		slot.idx = int32(i)
-		slot.hedged = hedged
-		slot.cand = cands[i]
-		slot.data, slot.err = nil, nil
+		*slot = fetchSlot{ctrl: c, sc: sc, idx: int32(i), hedged: hedged, cand: cands[i], start: now}
+		c.nodeInFlight[slot.cand.node].Add(1)
+		if async != nil {
+			sc.refs = append(sc.refs, FetchRef{ChunkIndex: slot.cand.chunkIndex, NodeID: slot.cand.nodeID, Sink: slot})
+			return
+		}
+		slot.ctx, slot.fetcher, slot.fileID = fctx, fetcher, fileID
 		c.dispatchFetch(slot)
 	}
-
-	for i := 0; i < initial; i++ {
-		launch(i, false)
+	// start hands the launches gathered since the last call to an
+	// asynchronous fetcher; worker launches are already running.
+	start := func() {
+		if len(sc.refs) == 0 {
+			return
+		}
+		async.StartFetches(fctx, fileID, sc.refs)
+		clear(sc.refs)
+		sc.refs = sc.refs[:0]
 	}
+
+	now := time.Now()
+	for i := 0; i < initial; i++ {
+		launch(i, false, now)
+	}
+	start()
 	next := initial
 	outstanding := initial
 
@@ -558,7 +533,8 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 				// hedge may still complete the read.
 				fetchErrs++
 				if next < len(cands) {
-					launch(next, false)
+					launch(next, false, time.Now())
+					start()
 					next++
 					outstanding++
 					c.stats.fetchFailovers.Add(1)
@@ -573,12 +549,14 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 			}
 		case <-hedgeC:
 			hedgeC = nil
+			now := time.Now()
 			for extra := 0; extra < c.serve.HedgeExtra && next < hedgeBound; extra++ {
-				launch(next, true)
+				launch(next, true, now)
 				next++
 				outstanding++
 				c.stats.hedgesLaunched.Add(1)
 			}
+			start()
 		case <-ctx.Done():
 			sc.outstanding = outstanding
 			return fetchErrs, ctx.Err()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"sprout/internal/arena"
 	"sprout/internal/cancel"
@@ -29,12 +30,15 @@ type readScratch struct {
 	dec  erasure.DecodeScratch
 	flag cancel.Flag
 
-	// slots carries the in-flight fetch fan-out; slot i is owned by the
-	// worker running candidate i from dispatch until its index appears on
-	// results. results is buffered to at least len(cands), so a straggler's
-	// send never blocks even after the read abandoned the scratch.
+	// slots carries the in-flight fetch fan-out; slot i is owned by whoever
+	// completes candidate i — a fetch worker or the asynchronous fetcher —
+	// from launch until its index appears on results. results is buffered to
+	// at least len(cands), so a straggler's send never blocks even after the
+	// read abandoned the scratch. refs gathers the launches of one point for
+	// an asynchronous fetcher's StartFetches.
 	slots   []fetchSlot
 	results chan int32
+	refs    []FetchRef
 	// outstanding counts fetches launched but not yet received by the last
 	// parallel fan-out. Non-zero at release time means a straggler may
 	// still write into slots — the scratch is abandoned to the GC instead
@@ -60,7 +64,7 @@ func getReadScratch() *readScratch {
 }
 
 // putReadScratch returns a scratch to the pool — unless the last fan-out
-// left fetches outstanding, in which case a straggler worker may still
+// left fetches outstanding, in which case a straggler's completion may still
 // write into sc.slots and send on sc.results; recycling it would hand
 // those writes to an unrelated request, so the scratch is abandoned
 // (Forget balances the leak counter; the GC reclaims it once the last
@@ -82,25 +86,47 @@ func putReadScratch(sc *readScratch) {
 	readScratchPool.Put(sc)
 }
 
-// fetchSlot is the mailbox between a read and one fetch worker: the read
-// fills the input fields and dispatches, the worker runs the fetch, stores
-// the outputs, and sends the slot's index on sc.results. Passing a slot
-// pointer over a per-worker channel keeps the whole hand-off
-// allocation-free once the worker pool is warm.
+// fetchSlot is one fetch of a read's fan-out, and the sink its outcome is
+// delivered to: the read fills the input fields at launch, whoever obtains
+// the bytes calls FetchDone, which stores the outputs and sends the slot's
+// index on sc.results. A slot pointer is all that changes hands, so the
+// fan-out allocates nothing once the scratch is warm.
 type fetchSlot struct {
-	// Set by the read before dispatch.
+	// Set by the read at launch.
+	ctrl   *Controller
+	sc     *readScratch
+	idx    int32
+	hedged bool
+	cand   fetchCandidate
+	start  time.Time
+	// What a fetch worker needs to run the blocking fetch; unset when an
+	// asynchronous fetcher was handed the slot as a FetchRef.
 	ctx     context.Context
 	fetcher ChunkFetcher
-	sc      *readScratch
 	fileID  int
-	idx     int32
-	hedged  bool
-	cand    fetchCandidate
 
-	// Set by the worker before it sends idx on sc.results.
+	// Set by FetchDone before it sends idx on sc.results.
 	data []byte
 	info StripeInfo
 	err  error
+}
+
+// FetchDone implements FetchSink. It is the one completion of every storage
+// fetch of the read plane — initial, failover or hedge, from a fetch worker
+// or from an asynchronous fetcher's goroutine — and so the one place a fetch
+// is counted out of its node's in-flight backlog and reported to the node's
+// circuit breaker (latency included, so slow nodes trip breakers with a
+// latency threshold even while answering correctly). A hedge loser keeps its
+// node busy until this runs. The send is the last touch: once the read has
+// received the index the slot may be recycled.
+func (s *fetchSlot) FetchDone(data []byte, info StripeInfo, err error) {
+	c := s.ctrl
+	c.nodeInFlight[s.cand.node].Add(-1)
+	c.serve.Breakers.Observe(s.cand.nodeID, err, time.Since(s.start))
+	s.data, s.info, s.err = data, info, err
+	// The results channel is buffered to the attempt's full fan-out, so this
+	// send never blocks — even when the read already gave up.
+	s.sc.results <- s.idx
 }
 
 // fetchWorker is one reusable fetch goroutine. Its job channel holds one
@@ -115,10 +141,11 @@ type fetchWorker struct {
 // pin goroutines forever.
 const maxIdleFetchWorkers = 256
 
-// dispatchFetch hands a fetch to an idle worker, spawning a fresh one only
-// when the free list is empty (cold start or concurrency growth). Steady
-// state reuses parked workers, so the fan-out launches without the
-// per-request goroutine and closure allocations of `go func(){...}()`.
+// dispatchFetch hands a launched fetch of a blocking fetcher to an idle
+// worker, spawning a fresh one only when the free list is empty (cold start
+// or concurrency growth). Steady state reuses parked workers, so the fan-out
+// launches without the per-request goroutine and closure allocations of
+// `go func(){...}()`.
 func (c *Controller) dispatchFetch(slot *fetchSlot) {
 	c.fwMu.Lock()
 	if n := len(c.fwIdle); n > 0 {
@@ -136,10 +163,10 @@ func (c *Controller) dispatchFetch(slot *fetchSlot) {
 	go c.fetchWorkerLoop(w)
 }
 
-// fetchWorkerLoop runs fetches until poisoned (nil slot) or retired. The
-// worker re-parks itself on the idle list BEFORE sending the result, so by
-// the time the read processes the result the worker is already reusable
-// for the failover or hedge that result may trigger.
+// fetchWorkerLoop runs blocking fetches until poisoned (nil slot) or
+// retired. The worker re-parks itself on the idle list BEFORE completing the
+// slot, so by the time the read processes the result the worker is already
+// reusable for the failover or hedge that result may trigger.
 func (c *Controller) fetchWorkerLoop(w *fetchWorker) {
 	defer c.fwWG.Done()
 	for {
@@ -147,7 +174,7 @@ func (c *Controller) fetchWorkerLoop(w *fetchWorker) {
 		if slot == nil {
 			return
 		}
-		slot.data, slot.info, slot.err = c.fetchChunkObserved(slot.ctx, slot.fetcher, slot.fileID, slot.cand)
+		data, info, err := fetchChunkV(slot.ctx, slot.fetcher, slot.fileID, slot.cand.chunkIndex, slot.cand.nodeID)
 		exit := false
 		c.fwMu.Lock()
 		if c.fwClosed || len(c.fwIdle) >= maxIdleFetchWorkers {
@@ -156,9 +183,7 @@ func (c *Controller) fetchWorkerLoop(w *fetchWorker) {
 			c.fwIdle = append(c.fwIdle, w)
 		}
 		c.fwMu.Unlock()
-		// The results channel is buffered to the attempt's full fan-out, so
-		// this send never blocks — even when the read already gave up.
-		slot.sc.results <- slot.idx
+		slot.FetchDone(data, info, err)
 		if exit {
 			return
 		}

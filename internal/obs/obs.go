@@ -532,6 +532,10 @@ func registerTransport(r *metrics.Registry, client, server func() transport.Tran
 		func(s transport.TransportStats) int64 { return s.BytesByReference })
 	perSide("sprout_transport_requests_withdrawn_total", "Round trips cancelled while still queued, whose request never reached the wire.",
 		func(s transport.TransportStats) int64 { return s.RequestsWithdrawn })
+	perSide("sprout_transport_fetch_batches_total", "Batches of chunk requests a read sent itself, in one write (RemoteFetcher.StartFetches).",
+		func(s transport.TransportStats) int64 { return s.FetchBatches })
+	perSide("sprout_transport_async_fallbacks_total", "Chunk fetches of such batches that continued as blocking round trips: connection not up, busy or broken, or request shed.",
+		func(s transport.TransportStats) int64 { return s.AsyncFallbacks })
 	perSide("sprout_transport_requests_total", "Round trips started (client) or dispatched (server).",
 		func(s transport.TransportStats) int64 { return s.Requests })
 	perSide("sprout_transport_retries_total", "Round trips replayed after a broken connection.",

@@ -2,11 +2,15 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"sprout/internal/core"
 	"sprout/internal/objstore"
+	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 )
 
@@ -198,4 +202,101 @@ func BenchmarkTransportChunk256K(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// remoteReadAllocBound is what one uncached 16 KiB read over the transport
+// may allocate, server side included, a few above the measured 41: the four
+// response frames and chunk payloads, the server's request decode, the wfq
+// hand-off. The blocking fetch path this benchmark ran before chunk fetches
+// became completions measured 72; a channel, queued request, context or
+// timer per fetch creeping back in adds four or more.
+const remoteReadAllocBound = 46
+
+// BenchmarkTransportRemoteRead is one reader's whole read over the network
+// data plane — controller, RemoteFetcher, loopback server, a 1 µs store — of
+// a 16 KiB object under a (7,4) code with nothing cached: the small-hot
+// workload of the repository benchmark in miniature, where the cost is what
+// it takes to issue and complete four chunk fetches. It fails when a read
+// allocates more than remoteReadAllocBound.
+func BenchmarkTransportRemoteRead(b *testing.B) {
+	const objects, size = 16, 16 << 10
+	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
+		NumOSDs:      12,
+		Services:     []queue.Dist{queue.Deterministic{Value: 1e-6}},
+		RefChunkSize: size / 4,
+		Seed:         1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := cluster.CreatePool("ec", 7, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	payload := make([]byte, size)
+	rand.New(rand.NewSource(2)).Read(payload)
+	lambdas := make([]float64, objects)
+	for i := range lambdas {
+		lambdas[i] = 1
+		if err := pool.Put(ctx, fmt.Sprintf("file-%04d", i), payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := NewServer(cluster)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := DialConfig(addr, ClientConfig{Conns: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	view, err := pool.ClusterView(lambdas)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl, err := core.NewController(view, 0, optimizer.Options{MaxOuterIter: 6}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ctrl.Close()
+	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
+		b.Fatal(err)
+	}
+	fetcher := &RemoteFetcher{Client: client, Pool: "ec"}
+	var buf []byte
+	read := func(i int) {
+		if buf, err = ctrl.ReadInto(ctx, i%objects, fetcher, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	// The allocation check runs over a fixed number of reads, so it holds at
+	// -benchtime 1x too; it doubles as the warm-up.
+	const measured = 500
+	for i := 0; i < 100; i++ {
+		read(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < measured; i++ {
+		read(i)
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := float64(after.Mallocs-before.Mallocs) / measured; perRead > remoteReadAllocBound {
+		b.Fatalf("a remote read allocates %.1f times, bound %d", perRead, remoteReadAllocBound)
+	}
+	if st := client.Stats(); st.AsyncFallbacks != 0 {
+		b.Fatalf("%d fetches took the blocking path; the benchmark is not measuring the asynchronous one", st.AsyncFallbacks)
+	}
+
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
 }

@@ -1,5 +1,36 @@
 package transport
 
+// The client half of the transport. A request reaches the server, and its
+// response the caller, in one of two ways; which goroutine writes what:
+//
+//   - A blocking round trip (call: Put, GetChunk, the peer ops, … and every
+//     retry) parks its caller on a channel of its own. The connection's write
+//     loop is the only goroutine that encodes and writes its frame, batched
+//     with whatever else is queued; a request that carries a payload lends it
+//     to the write loop until the batch is flushed (see settle).
+//   - An asynchronous chunk fetch (RemoteFetcher.StartFetches) has no
+//     goroutine of its own. The goroutine that calls StartFetches — a
+//     controller read — encodes the batch's frames and writes them to the
+//     socket itself, in one Write (one per connection when the chunks are
+//     large enough to be worth spreading over the pool). It never waits to
+//     do so: it takes the next connection whose send side is free, and when
+//     none is the batch's fetches become blocking round trips (below). Fetch
+//     requests carry no payload, so nothing is lent.
+//
+// Either way the frames of one write never interleave with another's: the
+// write loop's flush and a direct write each hold the connection's sendMu.
+//
+// The connection's read loop is the only reader. It looks the response's ID
+// up in the pending table, whose value says who waits: a round trip's
+// channel, or a fetch's sink, which the read loop completes on the spot
+// (Client.complete). Whatever cannot be sent or completed that way — a
+// connection that is not up, busy sending or broken, an overload rejection to
+// be retried — continues as a blocking round trip on a goroutine of its own
+// (Client.fallback), so dialing, retries, backoff and the retry budget exist
+// once. Deadlines of asynchronous fetches are enforced by one sweep goroutine
+// per client, not a timer per request. Close waits for every goroutine
+// mentioned here.
+
 import (
 	"context"
 	"encoding/binary"
@@ -13,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sprout/internal/core"
 	"sprout/internal/objstore"
 	"sprout/internal/resilience"
 )
@@ -87,16 +119,31 @@ type Client struct {
 	counters transportCounters
 	nextID   atomic.Uint64
 	rr       atomic.Uint64
-	closed   atomic.Bool
+	// chunkBytes is the payload size of the last chunk an asynchronous fetch
+	// received: what the next batch expects its chunks to weigh.
+	chunkBytes atomic.Int64
+
+	// base is cancelled by Close: the client is closed when base.Err() is
+	// set. It bounds what the client's own goroutines wait on — dials, retry
+	// backoff, fallback round trips, the sweep — never a caller's round trip.
+	base context.Context
+	stop context.CancelFunc
+	// lifeMu orders the start of a goroutine (reserve) against Close: base is
+	// cancelled under it, and after that nothing is added to wg, so Close's
+	// Wait sees them all.
+	lifeMu    sync.Mutex
+	wg        sync.WaitGroup
+	sweepOnce sync.Once
 
 	slots []connSlot
 }
 
-// connSlot guards one pooled connection; dialing holds only the slot's
-// mutex, so a slow dial on one slot never blocks requests using the others.
+// connSlot holds one pooled connection; dialing holds only the slot's mutex,
+// so a slow dial on one slot never blocks requests using the others, and the
+// connection is read without it.
 type connSlot struct {
 	mu sync.Mutex
-	cc *clientConn
+	cc atomic.Pointer[clientConn]
 }
 
 // NewClient creates a client for addr. Connections are dialed lazily.
@@ -106,7 +153,9 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 	if budget == nil && !cfg.NoRetryBudget {
 		budget = resilience.NewRetryBudget(0, 0)
 	}
-	return &Client{addr: addr, cfg: cfg, budget: budget, slots: make([]connSlot, cfg.Conns)}
+	c := &Client{addr: addr, cfg: cfg, budget: budget, slots: make([]connSlot, cfg.Conns)}
+	c.base, c.stop = context.WithCancel(context.Background())
+	return c
 }
 
 // RetryBudget exposes the client's retry budget (nil when disabled), so
@@ -125,6 +174,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	c := NewClient(addr, cfg)
 	if _, err := c.conn(0); err != nil {
+		_ = c.Close() // nothing was started; releases the base context
 		return nil, err
 	}
 	return c, nil
@@ -133,54 +183,93 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 // Stats returns a snapshot of the client's transport counters.
 func (c *Client) Stats() TransportStats { return c.counters.snapshot() }
 
-// Close closes every pooled connection; in-flight round trips fail with a
-// broken-connection error.
+// Close closes every pooled connection and returns once every goroutine the
+// client started — connection read and write loops, the deadline sweep,
+// fallback round trips — has exited. In-flight round trips fail with a
+// broken-connection error, asynchronous fetches still pending complete with
+// net.ErrClosed. Close may be called more than once.
 func (c *Client) Close() error {
-	c.closed.Store(true)
+	c.lifeMu.Lock()
+	c.stop()
+	c.lifeMu.Unlock()
 	for i := range c.slots {
-		s := &c.slots[i]
-		s.mu.Lock()
-		if s.cc != nil {
-			s.cc.fail(net.ErrClosed)
+		if cc := c.slots[i].cc.Load(); cc != nil {
+			cc.fail(net.ErrClosed)
 		}
-		s.mu.Unlock()
 	}
+	c.wg.Wait()
 	return nil
+}
+
+// reserve counts a goroutine about to be started into the set Close waits
+// for. It reports false, having counted nothing, once the client is closed.
+func (c *Client) reserve() bool {
+	c.lifeMu.Lock()
+	defer c.lifeMu.Unlock()
+	if c.base.Err() != nil {
+		return false
+	}
+	c.wg.Add(1)
+	return true
 }
 
 // conn returns the pooled connection at slot, dialing it if absent or
 // broken. Only the slot's own mutex is held across the dial.
 func (c *Client) conn(slot int) (*clientConn, error) {
-	if c.closed.Load() {
-		return nil, net.ErrClosed
-	}
 	s := &c.slots[slot]
+	if cc := s.cc.Load(); cc != nil && !cc.broken() {
+		return cc, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cc != nil && !s.cc.broken() {
-		return s.cc, nil
+	if cc := s.cc.Load(); cc != nil && !cc.broken() {
+		return cc, nil
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
-	}
-	if c.closed.Load() {
-		_ = conn.Close()
+	if c.base.Err() != nil {
 		return nil, net.ErrClosed
+	}
+	dialer := net.Dialer{Timeout: c.cfg.DialTimeout}
+	conn, err := dialer.DialContext(c.base, "tcp", c.addr)
+	if err != nil {
+		if c.base.Err() != nil {
+			return nil, net.ErrClosed
+		}
+		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	c.counters.connsOpened.Add(1)
+	return c.adopt(slot, conn)
+}
+
+// adopt makes conn the pooled connection at slot and starts its loops. The
+// caller holds the slot's mutex.
+func (c *Client) adopt(slot int, conn net.Conn) (*clientConn, error) {
 	cc := &clientConn{
-		client:  c,
-		conn:    conn,
+		client: c,
+		slot:   slot,
+		conn:   conn,
+		// Deep enough that a burst of callers queues without each waiting for
+		// the write loop to be scheduled; a caller that finds it full waits
+		// with its context.
 		out:     make(chan *outRequest, 128),
 		done:    make(chan struct{}),
-		pending: make(map[uint64]chan Response),
+		pending: make(map[uint64]waiter),
 	}
 	cc.written.L = &cc.wmu
-	s.cc = cc
+	// Counted and published in one step under lifeMu: a Close that does not
+	// find the connection has not cancelled base yet, so its Wait cannot miss
+	// the two loops either.
+	c.lifeMu.Lock()
+	if c.base.Err() != nil {
+		c.lifeMu.Unlock()
+		_ = conn.Close()
+		return nil, net.ErrClosed
+	}
+	c.wg.Add(2)
+	c.slots[slot].cc.Store(cc)
+	c.lifeMu.Unlock()
+	c.counters.connsOpened.Add(1)
 	go cc.readLoop()
 	go cc.writeLoop()
 	return cc, nil
@@ -205,9 +294,17 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 		req.Deadline = uint64(dl.UnixNano())
 	}
 	c.counters.requests.Add(1)
-	slot := int(c.rr.Add(1)) % c.cfg.Conns
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	return c.attempts(ctx, req, int(c.rr.Add(1))%c.cfg.Conns, 0, nil)
+}
+
+// attempts is the retry loop of one request: round trips number first,
+// first+1, … up to cfg.Retries, attempt 0 over the connection at slot and
+// each later one — after the budget granted it and the backoff was slept —
+// over the next. A caller that starts past attempt 0 (an asynchronous fetch
+// whose first attempt failed in a retryable way) passes that failure as
+// lastErr.
+func (c *Client) attempts(ctx context.Context, req Request, slot, first int, lastErr error) (Response, error) {
+	for attempt := first; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			if !c.budget.Withdraw() {
 				c.counters.retriesDenied.Add(1)
@@ -229,24 +326,11 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 		}
 		resp, err := cc.roundTrip(ctx, req)
 		if err == nil {
-			if resp.OK() {
-				c.budget.OnSuccess()
-				return resp, nil
-			}
-			respErr := errorFromResponse(&resp)
-			switch resp.Code {
-			case codeOverloaded:
-				// Retryable under the budget: back off and replay.
-				c.counters.overloadRejections.Add(1)
+			respErr, retry := c.classify(&resp)
+			if retry {
 				lastErr = respErr
 				continue
-			case codeDeadlineExceeded:
-				c.counters.deadlineRejections.Add(1)
-				return resp, respErr
 			}
-			// Typed application errors (not-found, chunk-missing, …) are
-			// successful round trips as far as the transport is concerned.
-			c.budget.OnSuccess()
 			return resp, respErr
 		}
 		if !errors.Is(err, errConnBroken) {
@@ -255,6 +339,32 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 		lastErr = err
 	}
 	return Response{}, fmt.Errorf("transport: request failed after retries: %w", lastErr)
+}
+
+// classify is the one place a response becomes a request's outcome, for
+// blocking round trips and asynchronous fetches alike: it counts the
+// response, credits the retry budget, and returns the error the caller gets
+// — or, with retry set, the error a replay under the budget starts from.
+func (c *Client) classify(resp *Response) (err error, retry bool) {
+	if resp.OK() {
+		c.budget.OnSuccess()
+		return nil, false
+	}
+	err = errorFromResponse(resp)
+	switch resp.Code {
+	case codeOverloaded:
+		// Retryable under the budget: back off and replay.
+		c.counters.overloadRejections.Add(1)
+		return err, true
+	case codeDeadlineExceeded:
+		// Never retried: the deadline will not come back.
+		c.counters.deadlineRejections.Add(1)
+		return err, false
+	}
+	// Typed application errors (not-found, chunk-missing, …) are
+	// successful round trips as far as the transport is concerned.
+	c.budget.OnSuccess()
+	return err, false
 }
 
 // Put writes an object into a pool and returns the server-side latency.
@@ -393,9 +503,22 @@ func (c *Client) RecoverOSD(ctx context.Context, osdID int) error {
 // waiters by ID.
 type clientConn struct {
 	client *Client
+	slot   int
 	conn   net.Conn
 	out    chan *outRequest
 	done   chan struct{}
+
+	// sendMu is held around every write to conn — the write loop's flush and
+	// an asynchronous batch's direct write — so the frames of one never
+	// interleave with another's. A direct write only ever TryLocks it: a read
+	// never waits behind another writer. fetchBuf, under sendMu, is what
+	// direct writes encode into. writeBy is the deadline (unix ns, 0 = none)
+	// of the direct write in progress; the sweep fails the connection when it
+	// passes, which is what keeps a peer that stopped reading from holding a
+	// read past its deadline.
+	sendMu   sync.Mutex
+	fetchBuf []byte
+	writeBy  atomic.Int64
 
 	// written is signalled (under wmu) whenever the write loop has flushed
 	// a batch and no longer reads its requests' payloads; a round trip that
@@ -404,9 +527,38 @@ type clientConn struct {
 	written sync.Cond
 
 	mu       sync.Mutex
-	pending  map[uint64]chan Response
+	pending  map[uint64]waiter
 	err      error
 	failOnce sync.Once
+}
+
+// waiter is what a pending request ID maps to — who gets the response: a
+// blocking round trip's channel, or (ch nil) an asynchronous chunk fetch,
+// which is all the state such a fetch has: no channel, context or timer.
+type waiter struct {
+	ch chan Response
+
+	sink     core.FetchSink
+	pool     string
+	object   string
+	chunk    int
+	deadline int64 // unix ns, 0 = none; also in the request frame
+}
+
+// of returns w as the waiter of one ref of its batch.
+func (w waiter) of(ref core.FetchRef) waiter {
+	w.sink, w.chunk = ref.Sink, ref.ChunkIndex
+	return w
+}
+
+// fail completes an asynchronous fetch with err, worded as FetchChunkV's.
+func (w waiter) fail(err error) {
+	w.sink.FetchDone(nil, core.StripeInfo{}, fetchError(w.chunk, w.pool, w.object, err))
+}
+
+// deliver completes an asynchronous fetch with the chunk a response carries.
+func (w waiter) deliver(resp *Response) {
+	w.sink.FetchDone(resp.Data, core.StripeInfo{Version: resp.Version, Size: int(resp.Size)}, nil)
 }
 
 // outRequest is a request queued for the write loop. state arbitrates
@@ -436,14 +588,27 @@ func (cc *clientConn) broken() bool {
 }
 
 // fail marks the connection broken and wakes every pending round trip.
+// Asynchronous fetches pending on it continue as blocking round trips over
+// another connection when the failure is one a round trip would retry.
 func (cc *clientConn) fail(err error) {
 	cc.failOnce.Do(func() {
 		cc.mu.Lock()
 		cc.err = err
+		pending := cc.pending
 		cc.pending = nil
 		cc.mu.Unlock()
 		close(cc.done)
 		_ = cc.conn.Close()
+		retryable := errors.Is(err, errConnBroken)
+		for _, w := range pending {
+			switch {
+			case w.sink == nil:
+			case retryable:
+				cc.client.fallback(w, cc.slot, 1, err)
+			default:
+				w.fail(err)
+			}
+		}
 	})
 }
 
@@ -456,7 +621,7 @@ func (cc *clientConn) register(id uint64) (chan Response, error) {
 	if cc.pending == nil {
 		return nil, errConnBroken
 	}
-	cc.pending[id] = ch
+	cc.pending[id] = waiter{ch: ch}
 	return ch, nil
 }
 
@@ -534,6 +699,7 @@ func (cc *clientConn) brokenErr() error {
 }
 
 func (cc *clientConn) readLoop() {
+	defer cc.client.wg.Done()
 	fr := newFrameReader(cc.conn)
 	for {
 		payload, err := fr.next(cc.client.cfg.MaxFrameSize)
@@ -552,16 +718,20 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		cc.mu.Lock()
-		ch := cc.pending[resp.ID]
-		if ch != nil {
+		w, ok := cc.pending[resp.ID]
+		if ok {
 			delete(cc.pending, resp.ID)
 		}
 		cc.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		switch {
+		case !ok:
+			// A response for an unknown ID belongs to a round trip that was
+			// cancelled or a fetch whose deadline passed; it is dropped.
+		case w.ch != nil:
+			w.ch <- resp
+		default:
+			cc.client.complete(w, cc.slot, &resp)
 		}
-		// A response for an unknown ID belongs to a round trip that was
-		// cancelled; it is dropped.
 	}
 }
 
@@ -573,6 +743,7 @@ type clientWriter struct {
 }
 
 func (cc *clientConn) writeLoop() {
+	defer cc.client.wg.Done()
 	w := &clientWriter{batch: frameBatch{enc: make([]byte, 0, batchBufSize), ctr: &cc.client.counters}}
 	for {
 		select {
@@ -630,7 +801,9 @@ func (cc *clientConn) writeBatch(w *clientWriter, out *outRequest) bool {
 // flush writes the batch out and releases the requests whose payloads it
 // read; they are released on failure too, as nothing reads them again.
 func (cc *clientConn) flush(w *clientWriter) bool {
+	cc.sendMu.Lock()
 	err := w.batch.flush(cc.conn)
+	cc.sendMu.Unlock()
 	if len(w.held) > 0 {
 		cc.wmu.Lock()
 		for i, out := range w.held {

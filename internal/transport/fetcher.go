@@ -11,7 +11,10 @@ import (
 // RemoteFetcher implements core.ChunkFetcher over the multiplexed binary
 // client, so a core.Controller can serve reads whose storage chunks live
 // behind the network: degraded reads fetch whichever coded chunks the
-// scheduler picks from the remote pool.
+// scheduler picks from the remote pool. It is a core.AsyncChunkFetcher, so a
+// controller read sends its chunk requests itself (StartFetches) and no
+// goroutine blocks in a round trip per chunk; the blocking FetchChunk and
+// FetchChunkV remain for callers that want one chunk and wait for it.
 type RemoteFetcher struct {
 	// Client is the pooled transport client to fetch through.
 	Client *Client
@@ -28,7 +31,10 @@ type RemoteFetcher struct {
 	names atomic.Pointer[[]string]
 }
 
-var _ core.VersionedChunkFetcher = (*RemoteFetcher)(nil)
+var (
+	_ core.VersionedChunkFetcher = (*RemoteFetcher)(nil)
+	_ core.AsyncChunkFetcher     = (*RemoteFetcher)(nil)
+)
 
 // FetchChunk retrieves one coded chunk of a file from the remote pool. The
 // node ID is ignored: placement is resolved server-side by the pool's
@@ -49,9 +55,22 @@ func (f *RemoteFetcher) fetch(ctx context.Context, fileID, chunkIndex int) ([]by
 	name := f.objectName(fileID)
 	data, version, size, err := f.Client.GetChunkV(ctx, f.Pool, name, chunkIndex)
 	if err != nil {
-		return nil, core.StripeInfo{}, fmt.Errorf("transport: fetch chunk %d of %s/%s: %w", chunkIndex, f.Pool, name, err)
+		return nil, core.StripeInfo{}, fetchError(chunkIndex, f.Pool, name, err)
 	}
 	return data, core.StripeInfo{Version: version, Size: int(size)}, nil
+}
+
+// StartFetches implements core.AsyncChunkFetcher: the chunk requests of refs
+// leave on one pooled connection, in one write from the calling goroutine
+// (divided over the pool, one write per connection, once the chunks are 64 KiB
+// or more), and each ref's sink receives what FetchChunkV would have returned — from
+// the connection's read loop as the responses arrive, with
+// context.DeadlineExceeded once the deadline (ctx's, else the client's
+// RequestTimeout) has passed, or after budgeted retries on the blocking path
+// when the server shed the request or the connection broke. As in FetchChunk
+// the node IDs are ignored.
+func (f *RemoteFetcher) StartFetches(ctx context.Context, fileID int, refs []core.FetchRef) {
+	f.Client.startFetches(ctx, f.Pool, f.objectName(fileID), refs)
 }
 
 func (f *RemoteFetcher) objectName(fileID int) string {

@@ -232,15 +232,17 @@ func TestBrokenConnRetrySucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Break every pooled connection out from under the client.
-	for i := range client.slots {
-		s := &client.slots[i]
-		s.mu.Lock()
-		if s.cc != nil {
-			s.cc.fail(errConnBroken)
-		}
-		s.mu.Unlock()
-	}
+	breakConns(client)
 	if _, _, err := client.Get(ctx, "data", "obj"); err != nil {
 		t.Fatalf("read after broken connections = %v, want redial-and-retry success", err)
+	}
+}
+
+// breakConns fails every pooled connection out from under the client.
+func breakConns(client *Client) {
+	for i := range client.slots {
+		if cc := client.slots[i].cc.Load(); cc != nil {
+			cc.fail(errConnBroken)
+		}
 	}
 }

@@ -18,8 +18,9 @@ type TransportStats struct {
 	// user space: payloads of byRefMin bytes or more, handed to the kernel
 	// as the caller's (client) or the store's (server) own slice.
 	BytesByReference int64
-	// Requests counts round trips started (client) or frames dispatched to
-	// the worker pool (server).
+	// Requests counts requests started — blocking round trips and
+	// asynchronous chunk fetches alike (client) — or frames dispatched to the
+	// worker pool (server).
 	Requests int64
 	// Retries counts client round trips replayed after a broken connection.
 	Retries int64
@@ -27,6 +28,13 @@ type TransportStats struct {
 	// request was still queued for the write loop, which then skipped it: the
 	// request never reached the wire (client only).
 	RequestsWithdrawn int64
+	// FetchBatches counts calls to RemoteFetcher.StartFetches — batches of
+	// chunk requests a read sent itself — and AsyncFallbacks the fetches of
+	// such batches that continued on the blocking round-trip path (the
+	// connection was not up or broke, or the server shed the request). Both
+	// client only.
+	FetchBatches   int64
+	AsyncFallbacks int64
 	// OverloadRejections counts requests shed by the server's max-in-flight
 	// limit (server) or overload responses observed (client).
 	OverloadRejections int64
@@ -56,6 +64,8 @@ func (s TransportStats) Add(o TransportStats) TransportStats {
 		Retries:            s.Retries + o.Retries,
 		BytesByReference:   s.BytesByReference + o.BytesByReference,
 		RequestsWithdrawn:  s.RequestsWithdrawn + o.RequestsWithdrawn,
+		FetchBatches:       s.FetchBatches + o.FetchBatches,
+		AsyncFallbacks:     s.AsyncFallbacks + o.AsyncFallbacks,
 		OverloadRejections: s.OverloadRejections + o.OverloadRejections,
 		DeadlineRejections: s.DeadlineRejections + o.DeadlineRejections,
 		RetriesDenied:      s.RetriesDenied + o.RetriesDenied,
@@ -74,6 +84,8 @@ type transportCounters struct {
 	requests           atomic.Int64
 	retries            atomic.Int64
 	withdrawn          atomic.Int64
+	fetchBatches       atomic.Int64
+	asyncFallbacks     atomic.Int64
 	overloadRejections atomic.Int64
 	deadlineRejections atomic.Int64
 	retriesDenied      atomic.Int64
@@ -91,6 +103,8 @@ func (c *transportCounters) snapshot() TransportStats {
 		Retries:            c.retries.Load(),
 		BytesByReference:   c.bytesByRef.Load(),
 		RequestsWithdrawn:  c.withdrawn.Load(),
+		FetchBatches:       c.fetchBatches.Load(),
+		AsyncFallbacks:     c.asyncFallbacks.Load(),
 		OverloadRejections: c.overloadRejections.Load(),
 		DeadlineRejections: c.deadlineRejections.Load(),
 		RetriesDenied:      c.retriesDenied.Load(),
@@ -107,6 +121,13 @@ func (c *transportCounters) countFrameOut(n, byRef int) {
 	if byRef > 0 {
 		c.bytesByRef.Add(int64(byRef))
 	}
+}
+
+// countFramesOut counts a run of frames totalling n wire bytes, none of them
+// sent by reference.
+func (c *transportCounters) countFramesOut(frames, n int) {
+	c.framesSent.Add(int64(frames))
+	c.bytesSent.Add(int64(n))
 }
 
 func (c *transportCounters) countFrameIn(n int) {
