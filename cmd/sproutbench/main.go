@@ -105,13 +105,6 @@ func experiments() []experiment {
 			}
 			return bench.CoderTable(r), nil
 		}},
-		{"transport", "network data plane: gob baseline vs multiplexed binary transport", func(cfg bench.Config) (*bench.Table, error) {
-			r, err := bench.TransportThroughput(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return bench.TransportTable(r), nil
-		}},
 		{"read", "controller serving path: parallel vs hedged fetches", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.ReadThroughput(cfg)
 			if err != nil {

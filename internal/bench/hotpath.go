@@ -220,7 +220,10 @@ func measureReadAllocs(cfg Config, rep *HotpathReport) error {
 		return err
 	}
 	store := &instantStore{chunks: chunks}
-	ctx := context.Background()
+	// A context that can be cancelled, as every real caller's is: the gates
+	// must hold for it, not only for Background.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	measure := func(capacity int) (float64, error) {
 		ctrl, err := core.NewControllerWith(clu, capacity,

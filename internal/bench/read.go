@@ -13,6 +13,7 @@ import (
 	"sprout/internal/core"
 	"sprout/internal/erasure"
 	"sprout/internal/optimizer"
+	"sprout/internal/resilience"
 	"sprout/internal/workload"
 )
 
@@ -102,12 +103,8 @@ func (s *LatencyStore) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ in
 		d = time.Duration(float64(d) * s.StragglerX)
 	}
 	s.mu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return nil, core.StripeInfo{}, ctx.Err()
-	case <-t.C:
+	if err := resilience.Sleep(ctx, d); err != nil {
+		return nil, core.StripeInfo{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -179,57 +181,25 @@ func (c *Controller) SaturationScore() float64 {
 	return c.adm.score()
 }
 
-// lowValueFiles marks the files whose planned arrival rate is strictly
-// below the median — the reads the deepest brownout level sheds first,
-// because the plan assigns them the least latency value. When ties at the
-// median swallow the bottom half (fewer than ⌊n/2⌋ files are strictly
-// below it — e.g. two files at identical rates), the strict rule would
-// leave level 3 with nothing to shed even under hard saturation, so it
-// falls back to marking the bottom ⌊n/2⌋ files by rank (ties broken by
-// file ID).
+// lowValueFiles marks the bottom ⌊n/2⌋ files by planned arrival rate (ties
+// broken by file ID) — the reads the deepest brownout level sheds first,
+// because the plan assigns them the least latency value. Where no rates tie
+// at the median those are exactly the files strictly below it; where ties
+// swallow the bottom half (e.g. two files at identical rates) ranking still
+// leaves level 3 something to shed under hard saturation.
 func lowValueFiles(lambdas []float64) []bool {
 	n := len(lambdas)
 	if n == 0 {
 		return nil
 	}
-	sorted := append([]float64(nil), lambdas...)
-	// Insertion sort: plans are per time bin, n is the file count; avoiding
-	// the sort import keeps this allocation-only.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	median := sorted[n/2]
-	low := make([]bool, n)
-	marked := 0
-	for i, l := range lambdas {
-		if l < median {
-			low[i] = true
-			marked++
-		}
-	}
-	if marked >= n/2 {
-		return low
-	}
-	// Tie fallback: rank files by (rate, ID) and mark the bottom ⌊n/2⌋.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j], idx[j-1]
-			if lambdas[a] < lambdas[b] || (lambdas[a] == lambdas[b] && a < b) {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			} else {
-				break
-			}
-		}
-	}
-	for i := range low {
-		low[i] = false
-	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(lambdas[a], lambdas[b]), a-b)
+	})
+	low := make([]bool, n)
 	for _, f := range idx[:n/2] {
 		low[f] = true
 	}

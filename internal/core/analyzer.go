@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"sprout/internal/metrics"
 )
 
 // AnalyzerConfig tunes the saturation analyzer: a collector goroutine that
@@ -148,7 +150,7 @@ func (c *Controller) registerAnalyzerJob(a *analyzer) {
 	prev := c.readBucketsTotal()
 	var inflightSum int64
 	ticks := 0
-	c.registerJob("analyzer", a.cfg.SampleInterval, func(now time.Time) {
+	c.registerJob(a.cfg.SampleInterval, func(now time.Time) {
 		inflightSum += c.adm.inflight.Load()
 		ticks++
 		if ticks < windowTicks {
@@ -171,10 +173,10 @@ func (c *Controller) registerAnalyzerJob(a *analyzer) {
 
 // readBucketsTotal folds the three read-latency classes into one
 // distribution for the analyzer's windowed p99.
-func (c *Controller) readBucketsTotal() HistogramBuckets {
-	return c.hist.cacheHit.bucketsSnapshot().
-		Add(c.hist.storage.bucketsSnapshot()).
-		Add(c.hist.degraded.bucketsSnapshot())
+func (c *Controller) readBucketsTotal() metrics.HistogramBuckets {
+	return c.hist.cacheHit.Buckets().
+		Add(c.hist.storage.Buckets()).
+		Add(c.hist.degraded.Buckets())
 }
 
 // AnalyzerScore reports the saturation analyzer's last windowed score, or

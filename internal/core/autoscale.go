@@ -23,40 +23,34 @@ import (
 //     that turns hotter than anything in the plan — a viral flip — is
 //     granted the chunk budget freed by cold files, capped at its k.
 //
-// The cold/hot thresholds are deliberately separated (ColdRatio well below
-// HotRatio) and shrinks require ColdWindows consecutive cold evaluations, so
+// The cold/hot thresholds are deliberately separated (coldRatio well below
+// hotRatio) and shrinks require ColdWindows consecutive cold evaluations, so
 // a file oscillating around one threshold never flaps: growing resets the
 // cold streak, and another shrink needs the full dwell again.
 type AutoscaleConfig struct {
 	// Interval is the evaluation cadence (and the EWMA fold cadence when the
 	// autoscaler owns the estimator). Default 200ms.
 	Interval time.Duration
-	// ColdRatio: a file is cold when its measured rate falls below
-	// ColdRatio × its planned rate. Default 0.1.
-	ColdRatio float64
-	// HotRatio: a file is hot (eligible to regrow) when its measured rate is
-	// at least HotRatio × its planned rate. Default 0.5.
-	HotRatio float64
 	// MinRate is the absolute rate floor (req/s): below it a file is cold
 	// regardless of plan, and no file is considered hot. Default 0.05.
 	MinRate float64
 	// ColdWindows is how many consecutive cold evaluations a file must
 	// accumulate before it is scaled to zero. Default 3.
 	ColdWindows int
-	// EWMAAlpha is the weight of the newest window in the rate estimate when
-	// the autoscaler owns the estimator. Default ServeOptions.ReplanAlpha.
-	EWMAAlpha float64
 }
+
+const (
+	// coldRatio: a file is cold when its measured rate falls below
+	// coldRatio × its planned rate.
+	coldRatio = 0.1
+	// hotRatio: a file is hot (eligible to regrow) when its measured rate is
+	// at least hotRatio × its planned rate.
+	hotRatio = 0.5
+)
 
 func (cfg AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 200 * time.Millisecond
-	}
-	if cfg.ColdRatio <= 0 {
-		cfg.ColdRatio = 0.1
-	}
-	if cfg.HotRatio <= 0 {
-		cfg.HotRatio = 0.5
 	}
 	if cfg.MinRate <= 0 {
 		cfg.MinRate = 0.05
@@ -168,7 +162,7 @@ func (a *autoscaler) step(rates []float64) {
 	// Shrink pass: track cold streaks and scale long-cold files to zero.
 	for i := range a.target {
 		cold := rates[i] < a.cfg.MinRate
-		if !cold && a.planned[i] > 0 && rates[i] < a.cfg.ColdRatio*a.planned[i] {
+		if !cold && a.planned[i] > 0 && rates[i] < coldRatio*a.planned[i] {
 			cold = true
 		}
 		if !cold {
@@ -188,9 +182,9 @@ func (a *autoscaler) step(rates []float64) {
 			continue
 		}
 		want := a.plan.D[i]
-		if rates[i] < a.cfg.HotRatio*a.planned[i] {
+		if rates[i] < hotRatio*a.planned[i] {
 			// Lukewarm: below the hot threshold the overlay holds steady —
-			// the gap between ColdRatio and HotRatio is the hysteresis band.
+			// the gap between coldRatio and hotRatio is the hysteresis band.
 			continue
 		}
 		if want == 0 && rates[i] > a.maxPlanned {
@@ -256,7 +250,7 @@ func (a *autoscaler) grow(fileID, want int) {
 // overlay evaluation.
 func (c *Controller) registerAutoscaleJob(a *autoscaler) {
 	last := time.Now()
-	c.registerJob("autoscale", a.cfg.Interval, func(now time.Time) {
+	c.registerJob(a.cfg.Interval, func(now time.Time) {
 		rates := c.est.Tick(now.Sub(last).Seconds())
 		last = now
 		a.step(rates)

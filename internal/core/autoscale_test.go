@@ -105,7 +105,7 @@ func TestAutoscalerHysteresis(t *testing.T) {
 			}
 			return 5
 		}, 0},
-		// Lukewarm (between ColdRatio·λ and HotRatio·λ): inside the
+		// Lukewarm (between coldRatio·λ and hotRatio·λ): inside the
 		// hysteresis band the overlay holds steady.
 		{"lukewarm holds steady", func(int) float64 { return 1.0 }, 0},
 		// Noise around the hot threshold: file stays hot, never shrinks.

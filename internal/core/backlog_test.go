@@ -302,11 +302,17 @@ func testStuckNodeIsAvoided(t *testing.T, path fetchPath) {
 type versionFlipFetcher struct {
 	*fakeStore
 	calls atomic.Int64
+	// onCall, when set, is told the ordinal of every fetch as it starts.
+	onCall func(n int64)
 }
 
 func (f *versionFlipFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, StripeInfo, error) {
+	n := f.calls.Add(1)
+	if f.onCall != nil {
+		f.onCall(n)
+	}
 	version := uint64(2)
-	if f.calls.Add(1) == 1 {
+	if n == 1 {
 		version = 1
 	}
 	data, err := f.fakeStore.FetchChunk(ctx, fileID, chunkIndex, nodeID)
@@ -436,6 +442,61 @@ func TestNodeInFlightReturnsToZero(t *testing.T) {
 				t.Fatalf("read scratch leases with stragglers outstanding: %d -> %d (the scratch is retired, not leaked)", leases, got)
 			}
 			close(release)
+			settled(t, ctrl, leases)
+		})
+	})
+
+	// The two places that ask the context whether a failure is worth acting
+	// on. The cancellation lands while the attempt's fetches complete, so the
+	// read leaves either there or in the fan-out's own wait on ctx.Done —
+	// what must hold either way is that nothing more is launched.
+	t.Run("cancelled before the retry of a failed attempt", func(t *testing.T) {
+		overFetchPaths(t, false, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+			for i := 0; i < 20; i++ {
+				cctx, cancel := context.WithCancel(ctx)
+				// The first attempt sees a mixed stripe, which a retry would
+				// cure; its last fetch cancels the read.
+				flip := &versionFlipFetcher{fakeStore: store, onCall: func(n int64) {
+					if n == 3 {
+						cancel()
+					}
+				}}
+				if _, err := ctrl.Read(cctx, 0, path.wrap(t, flip)); err == nil {
+					t.Fatal("read of a mixed stripe succeeded")
+				}
+				waitNodesIdle(t, ctrl)
+				if calls := flip.calls.Load(); calls != 3 || ctrl.Stats().ReadRetries != 0 {
+					t.Fatalf("%d fetches, %d retries after cancellation; want the first attempt's 3 and no retry", calls, ctrl.Stats().ReadRetries)
+				}
+			}
+			settled(t, ctrl, leases)
+		})
+	})
+
+	t.Run("fetch error after cancellation", func(t *testing.T) {
+		overFetchPaths(t, false, func(t *testing.T, path fetchPath) {
+			leases := ReadScratchPool().Outstanding()
+			ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3, ServeOptions{})
+			for i := 0; i < 20; i++ {
+				cctx, cancel := context.WithCancel(ctx)
+				var calls atomic.Int64
+				fetcher := path.wrap(t, FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+					if calls.Add(1) == 1 {
+						cancel()
+						return nil, errors.New("bad sector")
+					}
+					return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+				}))
+				if _, err := ctrl.Read(cctx, 0, fetcher); !errors.Is(err, context.Canceled) {
+					t.Fatalf("expected context.Canceled, got %v", err)
+				}
+				waitNodesIdle(t, ctrl)
+				if calls.Load() != 3 || ctrl.Stats().FetchFailovers != 0 {
+					t.Fatalf("%d fetches, %d failovers; want no failover launched for a cancelled read", calls.Load(), ctrl.Stats().FetchFailovers)
+				}
+			}
 			settled(t, ctrl, leases)
 		})
 	})

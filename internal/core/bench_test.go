@@ -97,11 +97,16 @@ func BenchmarkControllerRead(b *testing.B) {
 		name                  string
 		files, size, capacity int
 		async                 bool
+		// cancellable: the readers share one context.WithCancel parent, as
+		// every real caller's context is; the others pass Background.
+		cancellable bool
 	}{
-		{"nocache", 64, 16 << 10, 0, false},
-		{"nocache-async", 64, 16 << 10, 0, true},
-		{"cached", 64, 16 << 10, 256, false},
-		{"cached-1MiB", 8, 1 << 20, 32, false},
+		{"nocache", 64, 16 << 10, 0, false, false},
+		{"nocache-async", 64, 16 << 10, 0, true, false},
+		{"nocache-async-cancellable", 64, 16 << 10, 0, true, true},
+		{"cached", 64, 16 << 10, 256, false, false},
+		{"cached-cancellable", 64, 16 << 10, 256, false, true},
+		{"cached-1MiB", 8, 1 << 20, 32, false, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ctrl, blocking := benchController(b, bc.files, bc.size, bc.capacity, ServeOptions{})
@@ -116,6 +121,11 @@ func BenchmarkControllerRead(b *testing.B) {
 				}
 			}
 			ctx := context.Background()
+			if bc.cancellable {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+			}
 			var seq atomic.Int64
 			b.SetBytes(int64(bc.size))
 			b.ReportAllocs()

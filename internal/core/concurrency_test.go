@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sprout/internal/metrics"
 	"sprout/internal/optimizer"
 )
 
@@ -342,7 +343,7 @@ func TestReadLatencyHistogram(t *testing.T) {
 	if total != 9 {
 		t.Fatalf("histogram holds %d reads, want 9", total)
 	}
-	for _, s := range []LatencySnapshot{lat.CacheHit, lat.Storage} {
+	for _, s := range []metrics.LatencySnapshot{lat.CacheHit, lat.Storage} {
 		if s.Count == 0 {
 			continue
 		}

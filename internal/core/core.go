@@ -38,9 +38,9 @@ import (
 	"time"
 
 	"sprout/internal/cache"
-	"sprout/internal/cancel"
 	"sprout/internal/cluster"
 	"sprout/internal/erasure"
+	"sprout/internal/metrics"
 	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
 	"sprout/internal/scheduler"
@@ -201,9 +201,6 @@ type ServeOptions struct {
 	// FillWorkers is the size of the background materialisation pool that
 	// installs grown cache allocations after reads decode. Default 2.
 	FillWorkers int
-	// FillQueue bounds the fill job queue; when full, fill jobs are dropped
-	// (the next read of the file re-enqueues). Default 64.
-	FillQueue int
 
 	// ReplanInterval, when positive, starts the auto-replanner: every
 	// interval the EWMA workload estimator folds the observed request rates,
@@ -253,9 +250,9 @@ type ServeOptions struct {
 	// periodic jobs (replan, autoscale, analyzer) on instead of running its
 	// own — one process-wide goroutine and timer batch every subsystem's
 	// maintenance. The caller owns the scheduler's lifetime; Close only
-	// unregisters the controller's jobs. At most one controller may share a
-	// given scheduler (job names are fixed). Nil means the controller owns
-	// a private scheduler when any periodic plane is enabled.
+	// unregisters the controller's jobs, so any number of controllers may
+	// share one scheduler. Nil means the controller owns a private
+	// scheduler when any periodic plane is enabled.
 	Tick *tick.Scheduler
 
 	// Tenants, when non-empty, makes tenants a first-class serving
@@ -276,9 +273,6 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	}
 	if o.FillWorkers <= 0 {
 		o.FillWorkers = 2
-	}
-	if o.FillQueue <= 0 {
-		o.FillQueue = 64
 	}
 	if o.ReplanThreshold <= 0 {
 		o.ReplanThreshold = 0.25
@@ -388,12 +382,14 @@ type Controller struct {
 	// sched batches the controller's periodic maintenance — auto-replan,
 	// autoscale, saturation analysis — onto one goroutine and one timer;
 	// nil when no periodic plane is enabled. A membership change kicks the
-	// "replan-now" job instead of nudging a dedicated channel.
+	// replanNow job (nil unless auto-replanning) instead of nudging a
+	// dedicated channel.
 	sched *tick.Scheduler
 	// ownSched records whether the controller created sched (and must close
 	// it) or borrowed it from ServeOptions.Tick (and must only unregister).
 	ownSched  bool
-	schedJobs []string
+	schedJobs []*tick.Job
+	replanNow *tick.Job
 	stopCh    chan struct{}
 	stopOnce  sync.Once
 
@@ -407,7 +403,7 @@ type Controller struct {
 
 	stats     counters
 	hist      readHist
-	writeHist latencyHist
+	writeHist metrics.Histogram
 }
 
 // Common errors.
@@ -460,7 +456,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 		nodeInFlight: make([]atomic.Int64, len(clu.Nodes)),
 		fileSizes:    make([]atomic.Int64, len(files)),
 		cacheInfo:    make([]atomic.Pointer[StripeInfo], len(files)),
-		fillQ:        wfq.New[fillJob](wfq.Config{QueueCap: serve.FillQueue, Weights: tenantWeights(serve.Tenants)}),
+		fillQ:        wfq.New[fillJob](wfq.Config{QueueCap: fillQueueCap, Weights: tenantWeights(serve.Tenants)}),
 		stopCh:       make(chan struct{}),
 	}
 	for i := range files {
@@ -498,11 +494,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 		go c.fillWorker()
 	}
 	if serve.ReplanInterval > 0 || serve.Autoscale != nil {
-		alpha := serve.ReplanAlpha
-		if serve.Autoscale != nil && serve.Autoscale.EWMAAlpha > 0 {
-			alpha = serve.Autoscale.EWMAAlpha
-		}
-		c.est = workload.NewEWMAEstimator(len(files), alpha)
+		c.est = workload.NewEWMAEstimator(len(files), serve.ReplanAlpha)
 	}
 	if serve.Tick != nil {
 		c.sched = serve.Tick
@@ -536,8 +528,8 @@ func (c *Controller) Close() error {
 		if c.ownSched {
 			c.sched.Close()
 		} else {
-			for _, name := range c.schedJobs {
-				c.sched.Unregister(name)
+			for _, job := range c.schedJobs {
+				c.sched.Unregister(job)
 			}
 		}
 	}
@@ -756,12 +748,7 @@ func (c *Controller) PrefetchCache(ctx context.Context, fetcher ChunkFetcher) er
 // one stripe version, decodes them and installs the file's pending fill.
 func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep *epoch, meta FileMeta) error {
 	sc := getReadScratch()
-	sc.flag.Reset()
-	detach := cancel.Bind(ctx, &sc.flag)
-	defer func() {
-		detach()
-		putReadScratch(sc)
-	}()
+	defer putReadScratch(sc)
 	if _, err := c.fetchChunks(ctx, sc, fetcher, ep, meta, meta.K, 0); err != nil {
 		return err
 	}
@@ -782,11 +769,12 @@ func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep 
 // nil when auto-replanning is off.
 func (c *Controller) Estimator() *workload.EWMAEstimator { return c.est }
 
-// registerJob registers a periodic job and records its name so Close can
+// registerJob registers a periodic job and records its handle so Close can
 // unregister from a shared scheduler.
-func (c *Controller) registerJob(name string, period time.Duration, fn func(now time.Time)) {
-	c.sched.Register(name, period, fn)
-	c.schedJobs = append(c.schedJobs, name)
+func (c *Controller) registerJob(period time.Duration, fn func(now time.Time)) *tick.Job {
+	job := c.sched.Register(period, fn)
+	c.schedJobs = append(c.schedJobs, job)
+	return job
 }
 
 // runReplan re-plans the time bin against the given rate estimate, counting
@@ -804,7 +792,7 @@ func (c *Controller) runReplan(rates []float64) {
 }
 
 // registerReplanJobs installs the auto-replanner on the shared scheduler:
-// a periodic drift check, plus a kick-only "replan-now" job a membership
+// a periodic drift check, plus the kick-only replanNow job a membership
 // change fires so PlanTimeBin re-runs against the new node set without
 // waiting for workload drift.
 func (c *Controller) registerReplanJobs(interval time.Duration, threshold float64) {
@@ -815,7 +803,7 @@ func (c *Controller) registerReplanJobs(interval time.Duration, threshold float6
 	// sequentially on the scheduler goroutine, so closure state needs no
 	// locking.
 	last := time.Now()
-	c.registerJob("replan", interval, func(now time.Time) {
+	c.registerJob(interval, func(now time.Time) {
 		if c.epoch.Load().plan == nil {
 			// Nothing to adapt until the first manual plan — and don't burn
 			// the estimator's first-tick seeding on the zero counters
@@ -837,7 +825,7 @@ func (c *Controller) registerReplanJobs(interval time.Duration, threshold float6
 		}
 		c.runReplan(rates)
 	})
-	c.registerJob("replan-now", 0, func(time.Time) {
+	c.replanNow = c.registerJob(0, func(time.Time) {
 		// Membership changed: re-plan immediately against the new node set,
 		// using the freshest rate estimate (falling back to the rates the
 		// current plan was computed for when the estimator has not folded a

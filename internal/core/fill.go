@@ -26,6 +26,10 @@ func FillArena() *arena.Arena { return fillArena }
 // FillQueueStats exposes the background-fill ring's telemetry counters.
 func (c *Controller) FillQueueStats() ring.Stats { return c.fillQ.Stats() }
 
+// fillQueueCap bounds the fill job queue; when full, fill jobs are dropped
+// (the next read of the file re-enqueues).
+const fillQueueCap = 64
+
 // fillJob asks the background pool to materialise the pending cache
 // allocation of one file. The file's k decoded data chunks live
 // back-to-back in lease.B (k slices of chunkSize bytes); stripe records

@@ -44,8 +44,8 @@ func (c *Controller) setMembership(nodeID int, down bool) bool {
 	c.stats.membershipChanges.Add(1)
 	c.mu.Unlock()
 
-	if c.est != nil && c.sched != nil {
-		c.sched.Kick("replan-now")
+	if c.replanNow != nil {
+		c.sched.Kick(c.replanNow)
 	}
 	return true
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sprout/internal/cancel"
 	"sprout/internal/erasure"
 	"sprout/internal/scheduler"
 )
@@ -39,8 +38,8 @@ func (c *Controller) Read(ctx context.Context, fileID int, fetcher ChunkFetcher)
 // ReadInto is lock-free with respect to the controller: it works off the
 // current epoch snapshot and never blocks on PlanTimeBin, fills, writes, or
 // other reads. All per-request state lives in a pooled scratch, and the
-// request context is folded into an atomic cancellation flag once at entry
-// — the fast path never calls ctx.Err(). When the fetcher is version-aware,
+// request context is consulted only where a read waits or has failed — the
+// fast path never calls ctx.Err(). When the fetcher is version-aware,
 // every chunk of the decoded stripe is verified to come from one committed
 // version — a read racing Controller.Write (or an external overwrite of the
 // backing object) retries against the new stripe instead of decoding mixed
@@ -83,11 +82,11 @@ func (c *Controller) ReadInto(ctx context.Context, fileID int, fetcher ChunkFetc
 		}
 	}
 	sc := getReadScratch()
-	sc.flag.Reset()
-	detach := cancel.Bind(ctx, &sc.flag)
-	var lastErr error
+	var payload []byte
+	var err error
 	for attempt := 0; attempt < readMaxAttempts; attempt++ {
-		payload, retryable, err := c.readOnce(ctx, sc, fileID, fetcher, dst, start, level, ts)
+		var retryable bool
+		payload, retryable, err = c.readOnce(ctx, sc, fileID, fetcher, dst, start, level, ts)
 		if err == nil {
 			elapsed := time.Since(start)
 			if c.adm != nil {
@@ -95,34 +94,25 @@ func (c *Controller) ReadInto(ctx context.Context, fileID int, fetcher ChunkFetc
 			}
 			if ts != nil {
 				ts.reads.Add(1)
-				ts.hist.observe(elapsed)
+				ts.hist.Observe(elapsed)
 			}
-			detach()
-			putReadScratch(sc)
-			return payload, nil
+			break
 		}
-		lastErr = err
-		if !retryable || sc.flag.IsSet() {
-			detach()
-			putReadScratch(sc)
-			return nil, err
+		if !retryable || ctx.Err() != nil {
+			break
 		}
 		c.stats.readRetries.Add(1)
 		if sc.outstanding > 0 {
 			// The failed attempt left fetches in flight; their stale results
 			// must never be mistaken for this retry's. Retire the scratch
-			// (the stragglers keep writing into it harmlessly) and rebind a
+			// (the stragglers keep writing into it harmlessly) and take a
 			// fresh one.
-			detach()
 			putReadScratch(sc)
 			sc = getReadScratch()
-			sc.flag.Reset()
-			detach = cancel.Bind(ctx, &sc.flag)
 		}
 	}
-	detach()
 	putReadScratch(sc)
-	return nil, lastErr
+	return payload, err
 }
 
 // readOnce performs one read attempt against the scratch. It reports
@@ -523,7 +513,7 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 			outstanding--
 			slot := &slots[idx]
 			if slot.err != nil {
-				if sc.flag.IsSet() {
+				if ctx.Err() != nil {
 					sc.outstanding = outstanding
 					return fetchErrs, ctx.Err()
 				}

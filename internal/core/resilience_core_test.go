@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -266,6 +268,70 @@ func TestLowValueFiles(t *testing.T) {
 	low = lowValueFiles([]float64{0.1, 0.2, 0.5, 0.5})
 	if !low[0] || !low[1] || low[2] || low[3] {
 		t.Fatalf("ties above median: lowValueFiles = %v, want the two slow files", low)
+	}
+}
+
+// medianRuleLowValue is the rule lowValueFiles was first written as, with its
+// two quadratic insertion sorts: mark the files strictly below the median
+// rate; when ties at the median leave fewer than ⌊n/2⌋ of them, mark the
+// bottom ⌊n/2⌋ by (rate, file ID) rank instead.
+func medianRuleLowValue(lambdas []float64) []bool {
+	n := len(lambdas)
+	if n == 0 {
+		return nil
+	}
+	sorted := append([]float64(nil), lambdas...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	median := sorted[n/2]
+	low := make([]bool, n)
+	marked := 0
+	for i, l := range lambdas {
+		if l < median {
+			low[i] = true
+			marked++
+		}
+	}
+	if marked >= n/2 {
+		return low
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0; j-- {
+			a, b := idx[j], idx[j-1]
+			if lambdas[a] < lambdas[b] || (lambdas[a] == lambdas[b] && a < b) {
+				idx[j], idx[j-1] = idx[j-1], idx[j]
+			} else {
+				break
+			}
+		}
+	}
+	clear(low)
+	for _, f := range idx[:n/2] {
+		low[f] = true
+	}
+	return low
+}
+
+// TestLowValueFilesMatchesMedianRule: the single sort marks exactly what the
+// median rule marked, on inputs full of ties.
+func TestLowValueFilesMatchesMedianRule(t *testing.T) {
+	values := []float64{0, 0.1, 0.3, 2}
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lambdas := make([]float64, rng.Intn(65))
+		for i := range lambdas {
+			lambdas[i] = values[rng.Intn(len(values))]
+		}
+		if got, want := lowValueFiles(lambdas), medianRuleLowValue(lambdas); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: rates %v\n got %v\nwant %v", seed, lambdas, got, want)
+		}
 	}
 }
 

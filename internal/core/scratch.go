@@ -5,15 +5,14 @@ import (
 	"time"
 
 	"sprout/internal/arena"
-	"sprout/internal/cancel"
 	"sprout/internal/erasure"
 )
 
 // readScratch aggregates every buffer one read attempt needs — the chunk
 // set, stripe infos, candidate list and ranking keys, scheduler picks,
-// decode scratch, the cancellation flag, and the fetch fan-out slots — so
-// the warm read path performs no allocations at all. A scratch is owned by
-// exactly one Read call at a time and recycled through readScratchPool.
+// decode scratch and the fetch fan-out slots — so the warm read path
+// performs no allocations at all. A scratch is owned by exactly one Read
+// call at a time and recycled through readScratchPool.
 type readScratch struct {
 	chunks  []erasure.Chunk
 	infos   []StripeInfo
@@ -27,8 +26,7 @@ type readScratch struct {
 	// chunks, so four words always suffice).
 	used [4]uint64
 
-	dec  erasure.DecodeScratch
-	flag cancel.Flag
+	dec erasure.DecodeScratch
 
 	// slots carries the in-flight fetch fan-out; slot i is owned by whoever
 	// completes candidate i — a fetch worker or the asynchronous fetcher —

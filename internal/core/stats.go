@@ -1,9 +1,10 @@
 package core
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"sprout/internal/metrics"
 )
 
 // counters are the controller's hot-path statistics. Everything is atomic:
@@ -206,124 +207,23 @@ func (c *Controller) Stats() Stats {
 	}
 }
 
-// histBuckets covers [1µs, ~134s] in power-of-two buckets (bucket 27 spans
-// [2^26µs ≈ 67s, 2^27µs ≈ 134s)); slower reads land in the last bucket.
-const histBuckets = 28
-
-// latencyHist is a lock-free log2 histogram of read latencies in
-// microseconds: bucket i counts latencies in [2^(i-1), 2^i) µs.
-type latencyHist struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sumNS   atomic.Int64
-	maxNS   atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(int64(d))
-	for {
-		cur := h.maxNS.Load()
-		if int64(d) <= cur || h.maxNS.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
-}
-
-// quantile returns an estimate of the q-quantile by locating the bucket
-// holding the rank and interpolating linearly inside it.
-func (h *latencyHist) quantile(q float64, counts *[histBuckets]int64, total int64) time.Duration {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for b := 0; b < histBuckets; b++ {
-		n := float64(counts[b])
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo, hi := bucketBounds(b)
-			frac := (rank - cum) / n
-			return lo + time.Duration(frac*float64(hi-lo))
-		}
-		cum += n
-	}
-	return time.Duration(h.maxNS.Load())
-}
-
-// bucketBounds returns the [lo, hi) latency range of bucket b.
-func bucketBounds(b int) (lo, hi time.Duration) {
-	if b == 0 {
-		return 0, time.Microsecond
-	}
-	lo = time.Duration(1<<(b-1)) * time.Microsecond
-	hi = time.Duration(1<<b) * time.Microsecond
-	return lo, hi
-}
-
-// LatencySnapshot summarises one latency distribution.
-type LatencySnapshot struct {
-	Count int64
-	Mean  time.Duration
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-func (h *latencyHist) snapshot() LatencySnapshot {
-	var counts [histBuckets]int64
-	var total int64
-	for b := range counts {
-		counts[b] = h.buckets[b].Load()
-		total += counts[b]
-	}
-	s := LatencySnapshot{Count: total, Max: time.Duration(h.maxNS.Load())}
-	if total > 0 {
-		s.Mean = time.Duration(h.sumNS.Load() / total)
-		// Interpolated estimates can overshoot the true extreme inside a
-		// bucket; clamp to the observed maximum so percentiles stay ordered.
-		clamp := func(d time.Duration) time.Duration {
-			if d > s.Max {
-				return s.Max
-			}
-			return d
-		}
-		s.P50 = clamp(h.quantile(0.50, &counts, total))
-		s.P90 = clamp(h.quantile(0.90, &counts, total))
-		s.P99 = clamp(h.quantile(0.99, &counts, total))
-	}
-	return s
-}
-
 // readHist splits read latencies by how the read was served: entirely from
 // cache, from healthy storage fetches, or degraded (failover used, or the
 // read only succeeded because cached chunks covered for dead storage).
 type readHist struct {
-	cacheHit latencyHist
-	storage  latencyHist
-	degraded latencyHist
+	cacheHit metrics.Histogram
+	storage  metrics.Histogram
+	degraded metrics.Histogram
 }
 
 func (h *readHist) observe(d time.Duration, cacheOnly, degraded bool) {
 	switch {
 	case degraded:
-		h.degraded.observe(d)
+		h.degraded.Observe(d)
 	case cacheOnly:
-		h.cacheHit.observe(d)
+		h.cacheHit.Observe(d)
 	default:
-		h.storage.observe(d)
+		h.storage.Observe(d)
 	}
 }
 
@@ -333,158 +233,42 @@ type ReadLatencyStats struct {
 	// Storage covers healthy reads that fetched at least one chunk from
 	// storage nodes; Degraded covers reads that failed over or were served
 	// while fewer than k storage chunks were on live nodes.
-	CacheHit LatencySnapshot
-	Storage  LatencySnapshot
-	Degraded LatencySnapshot
+	CacheHit metrics.LatencySnapshot
+	Storage  metrics.LatencySnapshot
+	Degraded metrics.LatencySnapshot
 }
 
 // ReadLatency returns percentile snapshots of read latency split by cache
 // hits versus healthy storage reads versus degraded reads.
 func (c *Controller) ReadLatency() ReadLatencyStats {
 	return ReadLatencyStats{
-		CacheHit: c.hist.cacheHit.snapshot(),
-		Storage:  c.hist.storage.snapshot(),
-		Degraded: c.hist.degraded.snapshot(),
+		CacheHit: c.hist.cacheHit.Buckets().Snapshot(),
+		Storage:  c.hist.storage.Buckets().Snapshot(),
+		Degraded: c.hist.degraded.Buckets().Snapshot(),
 	}
 }
 
 // WriteLatency returns the percentile snapshot of Controller.Write latency
 // end to end: storage write (encode, staged chunk fan-out, commit) plus the
 // write-through cache refresh.
-func (c *Controller) WriteLatency() LatencySnapshot {
-	return c.writeHist.snapshot()
-}
-
-// HistogramBuckets exposes the raw buckets behind one latency histogram for
-// the metrics exporter and the saturation analyzer: Counts[i] is the number
-// of observations in [2^(i-1), 2^i) microseconds (bucket 0 holds sub-µs
-// observations, the final bucket overflows). Counts are cumulative over the
-// controller's lifetime; windowed consumers diff successive snapshots.
-type HistogramBuckets struct {
-	Counts [histBuckets]int64
-	Count  int64
-	SumNS  int64
-	// MaxNS is the largest observation the histogram had seen at snapshot
-	// time. For a windowed delta (Sub) it is an upper bound on the window's
-	// maximum — the cumulative max only grows, so the newer snapshot's max
-	// dominates every sample inside the window. Quantile uses it to keep
-	// overflow-bucket estimates anchored to data that was actually observed.
-	MaxNS int64
-}
-
-// Sub returns the bucket-wise difference s - prev, the delta of two
-// snapshots of the same histogram. The delta keeps s's MaxNS: an upper
-// bound on the window max (exact when the max landed inside the window).
-func (s HistogramBuckets) Sub(prev HistogramBuckets) HistogramBuckets {
-	d := HistogramBuckets{Count: s.Count - prev.Count, SumNS: s.SumNS - prev.SumNS, MaxNS: s.MaxNS}
-	for i := range s.Counts {
-		d.Counts[i] = s.Counts[i] - prev.Counts[i]
-	}
-	return d
-}
-
-// Quantile estimates the q-quantile of the (possibly windowed) distribution
-// by interpolating inside the bucket holding the rank. A rank that lands in
-// the overflow bucket is clamped to the observed maximum rather than the
-// bucket's synthetic ~134s upper bound — returning the bound would fabricate
-// a latency no read ever exhibited (and, fed to the saturation analyzer,
-// slam the gate to its deepest brownout level). When no max was recorded the
-// overflow bucket contributes its lower bound instead of its width.
-func (s HistogramBuckets) Quantile(q float64) time.Duration {
-	if s.Count <= 0 {
-		return 0
-	}
-	max := time.Duration(s.MaxNS)
-	rank := q * float64(s.Count)
-	var cum float64
-	for b := 0; b < histBuckets; b++ {
-		n := float64(s.Counts[b])
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo, hi := bucketBounds(b)
-			if b == histBuckets-1 {
-				hi = max
-				if hi < lo {
-					hi = lo
-				}
-			}
-			v := lo + time.Duration((rank-cum)/n*float64(hi-lo))
-			if max > 0 && v > max {
-				v = max
-			}
-			return v
-		}
-		cum += n
-	}
-	// Rank beyond the counted mass (float rounding): the distribution's top.
-	if max > 0 {
-		return max
-	}
-	for b := histBuckets - 1; b >= 0; b-- {
-		if s.Counts[b] > 0 {
-			_, hi := bucketBounds(b)
-			return hi
-		}
-	}
-	return 0
-}
-
-// Add returns the bucket-wise sum of two snapshots (for folding the
-// cache-hit/storage/degraded classes into one distribution).
-func (s HistogramBuckets) Add(o HistogramBuckets) HistogramBuckets {
-	t := HistogramBuckets{Count: s.Count + o.Count, SumNS: s.SumNS + o.SumNS, MaxNS: s.MaxNS}
-	if o.MaxNS > t.MaxNS {
-		t.MaxNS = o.MaxNS
-	}
-	for i := range s.Counts {
-		t.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return t
-}
-
-func (h *latencyHist) bucketsSnapshot() HistogramBuckets {
-	var s HistogramBuckets
-	for b := range s.Counts {
-		s.Counts[b] = h.buckets[b].Load()
-		s.Count += s.Counts[b]
-	}
-	s.SumNS = h.sumNS.Load()
-	s.MaxNS = h.maxNS.Load()
-	return s
+func (c *Controller) WriteLatency() metrics.LatencySnapshot {
+	return c.writeHist.Buckets().Snapshot()
 }
 
 // ReadLatencyBuckets returns the raw read-latency buckets keyed by serving
 // class: "cache_hit", "storage", and "degraded".
-func (c *Controller) ReadLatencyBuckets() map[string]HistogramBuckets {
-	return map[string]HistogramBuckets{
-		"cache_hit": c.hist.cacheHit.bucketsSnapshot(),
-		"storage":   c.hist.storage.bucketsSnapshot(),
-		"degraded":  c.hist.degraded.bucketsSnapshot(),
+func (c *Controller) ReadLatencyBuckets() map[string]metrics.HistogramBuckets {
+	return map[string]metrics.HistogramBuckets{
+		"cache_hit": c.hist.cacheHit.Buckets(),
+		"storage":   c.hist.storage.Buckets(),
+		"degraded":  c.hist.degraded.Buckets(),
 	}
 }
 
 // WriteLatencyBuckets returns the raw write-latency buckets.
-func (c *Controller) WriteLatencyBuckets() HistogramBuckets {
-	return c.writeHist.bucketsSnapshot()
+func (c *Controller) WriteLatencyBuckets() metrics.HistogramBuckets {
+	return c.writeHist.Buckets()
 }
-
-// LatencyHist is the controller's lock-free log2 latency histogram, exported
-// for other planes (the shard router records invalidation fan-out latency in
-// one). The zero value is ready to use.
-type LatencyHist struct {
-	h latencyHist
-}
-
-// Observe records one latency sample.
-func (l *LatencyHist) Observe(d time.Duration) { l.h.observe(d) }
-
-// Snapshot summarises the distribution observed so far.
-func (l *LatencyHist) Snapshot() LatencySnapshot { return l.h.snapshot() }
-
-// Buckets returns the raw cumulative buckets for the metrics exporter.
-func (l *LatencyHist) Buckets() HistogramBuckets { return l.h.bucketsSnapshot() }
 
 // NodeInFlight reports, by storage node ID, how many of this controller's
 // chunk fetches are outstanding on the node right now — the backlog the read

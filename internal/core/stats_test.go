@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"sprout/internal/metrics"
 )
 
 // TestHistogramQuantileOverflowClamped locks in the overflow-bucket fix: a
@@ -11,12 +13,13 @@ import (
 // bound — that fabricated value fed the saturation analyzer a p99 no read
 // ever exhibited.
 func TestHistogramQuantileOverflowClamped(t *testing.T) {
-	lo, hi := bucketBounds(histBuckets - 1)
-
 	// All mass in the overflow bucket with a recorded max just above its
 	// lower bound: every quantile must stay within [lo, max].
-	var s HistogramBuckets
-	s.Counts[histBuckets-1] = 10
+	var s metrics.HistogramBuckets
+	overflow := len(s.Counts) - 1
+	lo := time.Duration(1<<(overflow-1)) * time.Microsecond
+	hi := 2 * lo
+	s.Counts[overflow] = 10
 	s.Count = 10
 	s.MaxNS = int64(lo + 3*time.Second)
 	for _, q := range []float64{0.5, 0.99, 1.0} {
@@ -41,11 +44,11 @@ func TestHistogramQuantileOverflowClamped(t *testing.T) {
 // saturation analyzer uses: one slow read in the overflow bucket must yield
 // a windowed p99 bounded by the observed latency.
 func TestHistogramWindowedDeltaCarriesMax(t *testing.T) {
-	var h latencyHist
-	prev := h.bucketsSnapshot()
+	var h metrics.Histogram
+	prev := h.Buckets()
 	slow := 90 * time.Second // lands in the overflow bucket (≥ ~67s)
-	h.observe(slow)
-	delta := h.bucketsSnapshot().Sub(prev)
+	h.Observe(slow)
+	delta := h.Buckets().Sub(prev)
 	if delta.Count != 1 {
 		t.Fatalf("delta count = %d, want 1", delta.Count)
 	}
@@ -54,9 +57,9 @@ func TestHistogramWindowedDeltaCarriesMax(t *testing.T) {
 	}
 
 	// Folding classes (Add) must keep the larger max.
-	var h2 latencyHist
-	h2.observe(time.Millisecond)
-	sum := delta.Add(h2.bucketsSnapshot())
+	var h2 metrics.Histogram
+	h2.Observe(time.Millisecond)
+	sum := delta.Add(h2.Buckets())
 	if got := sum.Quantile(1.0); got > slow {
 		t.Fatalf("folded max quantile = %v, want ≤ %v", got, slow)
 	}

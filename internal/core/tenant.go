@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"sprout/internal/metrics"
 	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
 )
@@ -69,7 +70,7 @@ func (p TenantPolicy) withDefaults() TenantPolicy {
 type tenantState struct {
 	policy      TenantPolicy
 	limiter     *resilience.RateLimiter
-	hist        latencyHist
+	hist        metrics.Histogram
 	reads       atomic.Int64
 	sheds       atomic.Int64
 	rateLimited atomic.Int64
@@ -178,7 +179,7 @@ type TenantSnapshot struct {
 	Sheds       int64
 	RateLimited int64
 	// Latency summarises the tenant's served-read latency distribution.
-	Latency LatencySnapshot
+	Latency metrics.LatencySnapshot
 	// CacheShare is the tenant's slice of the cache budget in chunks (0 when
 	// no budget split is configured).
 	CacheShare int
@@ -197,7 +198,7 @@ func (c *Controller) TenantStats() map[string]TenantSnapshot {
 			Reads:       ts.reads.Load(),
 			Sheds:       ts.sheds.Load(),
 			RateLimited: ts.rateLimited.Load(),
-			Latency:     ts.hist.snapshot(),
+			Latency:     ts.hist.Buckets().Snapshot(),
 			CacheShare:  ts.cacheShare,
 		}
 	}
@@ -206,13 +207,13 @@ func (c *Controller) TenantStats() map[string]TenantSnapshot {
 
 // TenantLatencyBuckets returns the raw per-tenant read-latency buckets for
 // the metrics exporter. Nil when tenants are not configured.
-func (c *Controller) TenantLatencyBuckets() map[string]HistogramBuckets {
+func (c *Controller) TenantLatencyBuckets() map[string]metrics.HistogramBuckets {
 	if c.tenants == nil {
 		return nil
 	}
-	out := make(map[string]HistogramBuckets, len(c.tenants))
+	out := make(map[string]metrics.HistogramBuckets, len(c.tenants))
 	for name, ts := range c.tenants {
-		out[name] = ts.hist.bucketsSnapshot()
+		out[name] = ts.hist.Buckets()
 	}
 	return out
 }

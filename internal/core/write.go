@@ -106,7 +106,7 @@ func (c *Controller) WriteVersion(ctx context.Context, fileID int, data []byte, 
 	c.stats.writeBytes.Add(int64(len(data)))
 	c.stats.cacheInvalidations.Add(int64(evicted))
 	c.stats.writeThroughChunks.Add(int64(installed))
-	c.writeHist.observe(time.Since(start))
+	c.writeHist.Observe(time.Since(start))
 	return version, nil
 }
 

@@ -5,25 +5,19 @@
 // progress, OSD health, cache occupancy — can be bridged into one scrapeable
 // endpoint without adding a client-library dependency.
 //
-// Two styles of metric coexist:
-//
-//   - Live instruments (Counter, Gauge, Histogram) for code that wants to
-//     record directly. The histogram reuses the controller's lock-free log2
-//     bucket layout: bucket i counts observations in [2^(i-1), 2^i)
-//     microseconds.
-//   - Collectors (CollectorFunc) that pull values out of existing stats
-//     structs at scrape time, so the hot paths keep their current atomic
-//     counters and pay nothing for the exporter.
+// Families are fed by collectors (CollectorFunc) that pull values out of
+// existing stats structs at scrape time, so the hot paths keep their atomic
+// counters and pay nothing for the exporter. The one live instrument is
+// Histogram, the lock-free log2 latency histogram every plane records into;
+// its snapshots carry the delta, fold and quantile arithmetic as well as the
+// conversion to the exposition's HistValue.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"regexp"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind is the metric family type.
@@ -187,143 +181,4 @@ func (r *Registry) Gather() []Family {
 		out = append(out, Family{Desc: f.desc, Samples: kept})
 	}
 	return out
-}
-
-// ---- Live instruments ----
-
-// Counter is a monotonically increasing counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increments by n (negative deltas are ignored: counters only go up).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Collect implements Collector.
-func (c *Counter) Collect() []Sample {
-	return []Sample{{Value: float64(c.v.Load())}}
-}
-
-// NewCounter registers and returns a label-less counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.MustRegister(Desc{Name: name, Help: help, Kind: KindCounter}, c)
-	return c
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Collect implements Collector.
-func (g *Gauge) Collect() []Sample {
-	return []Sample{{Value: g.Value()}}
-}
-
-// NewGauge registers and returns a label-less gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.MustRegister(Desc{Name: name, Help: help, Kind: KindGauge}, g)
-	return g
-}
-
-// histBuckets matches the controller's lock-free latency histogram: 28
-// power-of-two microsecond buckets spanning [1µs, ~134s].
-const histBuckets = 28
-
-// Histogram is a lock-free log2 latency histogram: bucket i counts
-// observations in [2^(i-1), 2^i) microseconds; the last bucket overflows.
-type Histogram struct {
-	buckets [histBuckets]atomic.Uint64
-	sumNS   atomic.Int64
-}
-
-// ObserveSeconds records one observation given in seconds.
-func (h *Histogram) ObserveSeconds(sec float64) {
-	if sec < 0 {
-		sec = 0
-	}
-	us := uint64(sec * 1e6)
-	b := log2Bucket(us)
-	h.buckets[b].Add(1)
-	h.sumNS.Add(int64(sec * 1e9))
-}
-
-func log2Bucket(us uint64) int {
-	b := bits.Len64(us)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
-
-// Log2UpperBounds returns the shared bucket upper bounds, in seconds, of the
-// log2 microsecond layout: 2^i µs for i in [0, histBuckets-1); the final
-// bucket is the +Inf overflow. Bridges exporting the controller's latency
-// histograms reuse these bounds so every histogram in the exposition has an
-// identical layout.
-func Log2UpperBounds() []float64 {
-	bounds := make([]float64, histBuckets-1)
-	for i := range bounds {
-		bounds[i] = float64(uint64(1)<<uint(i)) / 1e6
-	}
-	return bounds
-}
-
-// Value snapshots the histogram into a HistValue. Count is derived from the
-// summed bucket loads rather than kept as a separate atomic: the buckets are
-// loaded one by one, so an independent total could disagree with their sum
-// under concurrent ObserveSeconds, and the exposition's +Inf bucket (the sum)
-// would then mismatch _count — exactly what strict parsers reject.
-func (h *Histogram) Value() *HistValue {
-	v := &HistValue{
-		UpperBounds: Log2UpperBounds(),
-		Counts:      make([]uint64, histBuckets),
-		Sum:         float64(h.sumNS.Load()) / 1e9,
-	}
-	for i := range v.Counts {
-		v.Counts[i] = h.buckets[i].Load()
-		v.Count += v.Counts[i]
-	}
-	return v
-}
-
-// Collect implements Collector.
-func (h *Histogram) Collect() []Sample {
-	return []Sample{{Hist: h.Value()}}
-}
-
-// NewHistogram registers and returns a label-less log2 histogram.
-func (r *Registry) NewHistogram(name, help string) *Histogram {
-	h := &Histogram{}
-	r.MustRegister(Desc{Name: name, Help: help, Kind: KindHistogram}, h)
-	return h
 }

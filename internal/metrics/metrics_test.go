@@ -9,15 +9,16 @@ import (
 	"time"
 )
 
+// value registers a label-less family of the given kind whose one sample is v.
+func value(reg *Registry, name, help string, kind Kind, v float64) {
+	reg.MustRegister(Desc{Name: name, Help: help, Kind: kind},
+		CollectorFunc(func() []Sample { return []Sample{{Value: v}} }))
+}
+
 func TestCounterGaugeRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("sprout_test_ops_total", "ops")
-	g := reg.NewGauge("sprout_test_depth_requests", "queue depth")
-	c.Inc()
-	c.Add(4)
-	c.Add(-3) // ignored: counters only go up
-	g.Set(2.5)
-	g.Add(0.5)
+	value(reg, "sprout_test_ops_total", "ops", KindCounter, 5)
+	value(reg, "sprout_test_depth_requests", "queue depth", KindGauge, 3)
 
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -46,9 +47,11 @@ func TestCounterGaugeRoundTrip(t *testing.T) {
 
 func TestHistogramBucketsCumulative(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("sprout_test_latency_seconds", "latency")
+	var h Histogram
+	reg.MustRegister(Desc{Name: "sprout_test_latency_seconds", Help: "latency", Kind: KindHistogram},
+		CollectorFunc(func() []Sample { return []Sample{{Hist: h.Buckets().HistValue()}} }))
 	for _, d := range []time.Duration{time.Microsecond, 3 * time.Microsecond, time.Millisecond, time.Second} {
-		h.ObserveSeconds(d.Seconds())
+		h.Observe(d)
 	}
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -157,7 +160,7 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 
 func TestHandlerServesTextFormat(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("sprout_handler_ops_total", "ops").Add(7)
+	value(reg, "sprout_handler_ops_total", "ops", KindCounter, 7)
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -177,6 +180,9 @@ func TestHandlerServesTextFormat(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrentObserve: snapshots taken while writers run are
+// self-consistent (Count is the bucket sum, which is what keeps _count equal
+// to the +Inf bucket), and at quiescence no observation is lost.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -185,21 +191,32 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.ObserveSeconds(float64(i) * 1e-6)
+				h.Observe(time.Duration(i) * time.Microsecond)
 			}
 		}()
 	}
-	wg.Wait()
-	v := h.Value()
-	if v.Count != 8000 {
-		t.Errorf("count = %d, want 8000", v.Count)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s := h.Buckets()
+		var sum int64
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if sum != s.Count || s.HistValue().Count != uint64(sum) {
+			t.Fatalf("snapshot count %d disagrees with its bucket sum %d", s.Count, sum)
+		}
 	}
-	var sum uint64
-	for _, c := range v.Counts {
-		sum += c
-	}
-	if sum != 8000 {
-		t.Errorf("bucket sum = %d, want 8000", sum)
+	if got := h.Buckets().Count; got != 8000 {
+		t.Errorf("count at quiescence = %d, want 8000", got)
 	}
 }
 
@@ -224,13 +241,19 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestGaugeNaNAndInf(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.NewGauge("sprout_inf_ratio", "x")
-	g.Set(math.Inf(1))
+	value(reg, "sprout_inf_ratio", "x", KindGauge, math.Inf(1))
+	value(reg, "sprout_neginf_ratio", "x", KindGauge, math.Inf(-1))
+	value(reg, "sprout_nan_ratio", "x", KindGauge, math.NaN())
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "sprout_inf_ratio +Inf") {
-		t.Errorf("exposition lacks +Inf rendering:\n%s", sb.String())
+	for _, want := range []string{"sprout_inf_ratio +Inf\n", "sprout_neginf_ratio -Inf\n", "sprout_nan_ratio NaN\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, sb.String())
+		}
+	}
+	if _, err := ParseText(strings.NewReader(sb.String())); err != nil {
+		t.Errorf("strict parse of non-finite values: %v", err)
 	}
 }

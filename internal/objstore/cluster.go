@@ -10,6 +10,7 @@ import (
 	"sprout/internal/cache"
 	"sprout/internal/erasure"
 	"sprout/internal/queue"
+	"sprout/internal/resilience"
 )
 
 // ClusterConfig describes an emulated Ceph cluster.
@@ -137,7 +138,7 @@ func (c *Cluster) cacheRead(ctx context.Context, size int64) (time.Duration, err
 	// A single shared generator is enough here: cache reads are not a
 	// queueing bottleneck in the paper's setup.
 	d := time.Duration(queue.Scaled{Base: c.cfg.CacheService, Factor: float64(size) / float64(c.cfg.RefChunkSize)}.Mean() * float64(time.Second))
-	return d, sleepCtx(ctx, d)
+	return d, resilience.Sleep(ctx, d)
 }
 
 // ReadThroughLRU reads an object with the Ceph cache-tier baseline: on a

@@ -39,6 +39,7 @@ import (
 
 	"sprout/internal/erasure"
 	"sprout/internal/queue"
+	"sprout/internal/resilience"
 )
 
 // Common errors.
@@ -122,7 +123,7 @@ func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 	delay := o.sampleService(int64(len(data)))
 	o.svcMu.Lock()
 	defer o.svcMu.Unlock()
-	if err := sleepCtx(ctx, delay); err != nil {
+	if err := resilience.Sleep(ctx, delay); err != nil {
 		return o.observe(err)
 	}
 	o.dataMu.Lock()
@@ -150,7 +151,7 @@ func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
 		return nil, o.observe(fmt.Errorf("%w: %s on osd %d", ErrChunkMissing, key, o.ID))
 	}
 	delay := o.sampleService(int64(len(data)))
-	if err := sleepCtx(ctx, delay); err != nil {
+	if err := resilience.Sleep(ctx, delay); err != nil {
 		return nil, o.observe(err)
 	}
 	o.served.Add(1)
@@ -210,20 +211,6 @@ func (o *OSD) HasChunk(key string) bool {
 // busy time.
 func (o *OSD) Stats() (served int64, busy time.Duration) {
 	return o.served.Load(), time.Duration(o.busyNS.Load())
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Pool is an erasure-coded pool: objects written to it are split into k data

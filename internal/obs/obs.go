@@ -124,23 +124,6 @@ func gauge(r *metrics.Registry, name, help string, fn func() float64) {
 		}))
 }
 
-// histValue converts the controller's raw log2 buckets into the exposition
-// shape (shared upper bounds, per-bucket counts, sum in seconds).
-func histValue(b core.HistogramBuckets) *metrics.HistValue {
-	v := &metrics.HistValue{
-		UpperBounds: metrics.Log2UpperBounds(),
-		Counts:      make([]uint64, len(b.Counts)),
-		Count:       uint64(b.Count),
-		Sum:         float64(b.SumNS) / 1e9,
-	}
-	for i, n := range b.Counts {
-		if n > 0 {
-			v.Counts[i] = uint64(n)
-		}
-	}
-	return v
-}
-
 func registerController(r *metrics.Registry, c *core.Controller) {
 	st := func() core.Stats { return c.Stats() }
 	for _, m := range []struct {
@@ -218,7 +201,7 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		byClass := c.ReadLatencyBuckets()
 		out := make([]metrics.Sample, 0, len(byClass))
 		for _, class := range []string{"cache_hit", "storage", "degraded"} {
-			out = append(out, metrics.Sample{LabelValues: []string{class}, Hist: histValue(byClass[class])})
+			out = append(out, metrics.Sample{LabelValues: []string{class}, Hist: byClass[class].HistValue()})
 		}
 		return out
 	}))
@@ -226,7 +209,7 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		Name: "sprout_write_latency_seconds", Help: "End-to-end object write latency.",
 		Kind: metrics.KindHistogram,
 	}, metrics.CollectorFunc(func() []metrics.Sample {
-		return []metrics.Sample{{Hist: histValue(c.WriteLatencyBuckets())}}
+		return []metrics.Sample{{Hist: c.WriteLatencyBuckets().HistValue()}}
 	}))
 
 	gauge(r, "sprout_saturation_level", "Admission-gate brownout level (0 healthy … 3 shedding).",
@@ -335,7 +318,7 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		sort.Strings(names)
 		out := make([]metrics.Sample, 0, len(names))
 		for _, tn := range names {
-			out = append(out, metrics.Sample{LabelValues: []string{tn}, Hist: histValue(byTenant[tn])})
+			out = append(out, metrics.Sample{LabelValues: []string{tn}, Hist: byTenant[tn].HistValue()})
 		}
 		return out
 	}))
@@ -395,7 +378,7 @@ func registerRouter(r *metrics.Registry, rt *router.Router) {
 		Help: "Write-side latency of the full invalidation fan-out barrier.",
 		Kind: metrics.KindHistogram,
 	}, metrics.CollectorFunc(func() []metrics.Sample {
-		return []metrics.Sample{{Hist: histValue(rt.FanoutLatencyBuckets())}}
+		return []metrics.Sample{{Hist: rt.FanoutLatencyBuckets().HistValue()}}
 	}))
 	gauge(r, "sprout_router_shard_count", "Shards currently on the hash ring.",
 		func() float64 { return float64(len(rt.Stats().Shards)) })
@@ -449,11 +432,11 @@ func registerShards(r *metrics.Registry, shards []ShardSource) {
 	}, metrics.CollectorFunc(func() []metrics.Sample {
 		out := make([]metrics.Sample, len(shards))
 		for i, s := range shards {
-			var all core.HistogramBuckets
+			var all metrics.HistogramBuckets
 			for _, b := range s.Controller.ReadLatencyBuckets() {
 				all = all.Add(b)
 			}
-			out[i] = metrics.Sample{LabelValues: []string{s.Shard}, Hist: histValue(all)}
+			out[i] = metrics.Sample{LabelValues: []string{s.Shard}, Hist: all.HistValue()}
 		}
 		return out
 	}))

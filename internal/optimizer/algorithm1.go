@@ -15,17 +15,20 @@ type Options struct {
 	OuterTol float64
 	// MaxOuterIter caps the number of outer iterations.
 	MaxOuterIter int
-	// RoundFraction is the fraction of still-fractional files whose cache
-	// allocation is fixed to an integer in each inner rounding pass.
-	RoundFraction float64
-	// PGMaxIter caps projected-gradient iterations per Prob Π solve.
-	PGMaxIter int
-	// PGTolerance is the per-step improvement threshold for Prob Π.
-	PGTolerance float64
 	// WarmStart optionally provides an initial cache allocation d_i; the
 	// scheduling probabilities are spread evenly over each file's nodes.
 	WarmStart []int
 }
+
+const (
+	// roundFraction is the fraction of still-fractional files whose cache
+	// allocation is fixed to an integer in each inner rounding pass.
+	roundFraction = 0.5
+	// pgMaxIter caps projected-gradient iterations per Prob Π solve.
+	pgMaxIter = 80
+	// pgTolerance is the per-step improvement threshold for Prob Π.
+	pgTolerance = 1e-6
+)
 
 func (o Options) withDefaults() Options {
 	if o.OuterTol <= 0 {
@@ -33,15 +36,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxOuterIter <= 0 {
 		o.MaxOuterIter = 30
-	}
-	if o.RoundFraction <= 0 || o.RoundFraction > 1 {
-		o.RoundFraction = 0.5
-	}
-	if o.PGMaxIter <= 0 {
-		o.PGMaxIter = 80
-	}
-	if o.PGTolerance <= 0 {
-		o.PGTolerance = 1e-6
 	}
 	return o
 }
@@ -216,8 +210,8 @@ func refineScheduling(p *Problem, l layout, e *evaluator, x []float64, z []float
 		obj := func(y []float64) float64 { return e.objective(y, z) }
 		grad := func(y []float64, g []float64) { e.gradient(y, z, g) }
 		res := solver.ProjectedGradient(obj, grad, project, x, solver.PGOptions{
-			MaxIter:     opts.PGMaxIter,
-			Tolerance:   opts.PGTolerance,
+			MaxIter:     pgMaxIter,
+			Tolerance:   pgTolerance,
 			InitialStep: 64,
 		})
 		if !isFiniteObjective(res.Value) {
@@ -478,11 +472,11 @@ func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, o
 	obj := func(y []float64) float64 { return e.objective(y, z) }
 	grad := func(y []float64, g []float64) { e.gradient(y, z, g) }
 
-	maxRounds := 2 + int(math.Ceil(math.Log(float64(r)+1)/math.Log(1/(1-opts.RoundFraction))))
+	maxRounds := 2 + int(math.Ceil(math.Log(float64(r)+1)/math.Log(1/(1-roundFraction))))
 	for round := 0; round < maxRounds+r; round++ {
 		res := solver.ProjectedGradient(obj, grad, project, x, solver.PGOptions{
-			MaxIter:     opts.PGMaxIter,
-			Tolerance:   opts.PGTolerance,
+			MaxIter:     pgMaxIter,
+			Tolerance:   pgTolerance,
 			InitialStep: 64,
 		})
 		if !isFiniteObjective(res.Value) {
@@ -514,7 +508,7 @@ func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, o
 		// Pin the files with the largest fractional part to the ceiling of
 		// their storage reads (less cache for them), following the paper.
 		sort.Slice(fracs, func(a, b int) bool { return fracs[a].frac > fracs[b].frac })
-		batch := int(math.Ceil(opts.RoundFraction * float64(len(fracs))))
+		batch := int(math.Ceil(roundFraction * float64(len(fracs))))
 		if batch < 1 {
 			batch = 1
 		}

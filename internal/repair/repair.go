@@ -107,9 +107,10 @@ type Manager struct {
 
 	// sched drives the periodic degradation scan (and Kick requests);
 	// ownSched records whether Close must stop it or only unregister.
+	// scanJob is set by Start; Kick may race it, hence the atomic.
 	sched    *tick.Scheduler
 	ownSched bool
-	scanJob  string
+	scanJob  atomic.Pointer[tick.Job]
 
 	// attemptMu guards the persistent retry bookkeeping. attempts carries a
 	// chunk's failure count across scans; stalled maps a chunk that
@@ -142,10 +143,6 @@ type Manager struct {
 
 // NewManager builds a repair manager over the pool. Call Start to launch
 // the workers and the periodic scan.
-// managerSeq makes scan-job names unique so several managers can share one
-// injected scheduler.
-var managerSeq atomic.Int64
-
 func NewManager(pool *objstore.Pool, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -153,7 +150,6 @@ func NewManager(pool *objstore.Pool, cfg Config) *Manager {
 		pool:     pool,
 		cfg:      cfg,
 		queue:    newRepairQueue(cfg.Workers),
-		scanJob:  fmt.Sprintf("repair-scan-%d", managerSeq.Add(1)),
 		attempts: make(map[string]int),
 		stalled:  make(map[string]int),
 		ctx:      ctx,
@@ -177,7 +173,7 @@ func (m *Manager) Start() {
 			m.wg.Add(1)
 			go m.worker()
 		}
-		m.sched.Register(m.scanJob, m.cfg.ScanInterval, func(time.Time) { m.scanTick() })
+		m.scanJob.Store(m.sched.Register(m.cfg.ScanInterval, func(time.Time) { m.scanTick() }))
 	})
 }
 
@@ -189,7 +185,7 @@ func (m *Manager) Close() {
 			if m.ownSched {
 				m.sched.Close()
 			} else {
-				m.sched.Unregister(m.scanJob)
+				m.sched.Unregister(m.scanJob.Load())
 			}
 		}
 		m.queue.close()
@@ -201,7 +197,9 @@ func (m *Manager) Close() {
 // was injected or detected) without waiting for the next periodic tick.
 // A Kick before Start is a no-op (the scan job is not registered yet).
 func (m *Manager) Kick() {
-	m.sched.Kick(m.scanJob)
+	if job := m.scanJob.Load(); job != nil {
+		m.sched.Kick(job)
+	}
 }
 
 // ScanOnce scans the pool for degraded objects and enqueues their missing

@@ -28,8 +28,8 @@ var ErrOverload = errors.New("resilience: overloaded")
 // overload, admission-gate saturation) rather than a genuine failure.
 func IsOverload(err error) bool { return errors.Is(err, ErrOverload) }
 
-// Sleep waits for d or until the context is done, whichever comes first,
-// and returns the context's error in the latter case.
+// Sleep is every plane's one context-aware wait: it returns nil after d, or
+// earlier with the context's error once the context is done.
 func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

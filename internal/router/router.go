@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"sprout/internal/core"
+	"sprout/internal/metrics"
 	"sprout/internal/shard"
 	"sprout/internal/transport"
 )
@@ -39,9 +40,6 @@ type Shard struct {
 
 // Options tunes the router.
 type Options struct {
-	// VirtualNodes is the per-shard point count on the hash ring
-	// (shard.DefaultVirtualNodes when 0).
-	VirtualNodes int
 	// FanoutWorkers sizes the invalidation fan-out pool (default 4). The
 	// workers are persistent; Close stops them.
 	FanoutWorkers int
@@ -93,7 +91,7 @@ type Router struct {
 	invStale   atomic.Int64 // peer dropped it as late/duplicate
 	invErrors  atomic.Int64 // deliveries that failed after retries
 	fanouts    atomic.Int64 // writes that fanned out
-	fanoutHist core.LatencyHist
+	fanoutHist metrics.Histogram
 }
 
 // New builds a router with no shards; add them with AddShard.
@@ -103,7 +101,7 @@ func New(opts Options) *Router {
 	}
 	r := &Router{
 		opts:   opts,
-		ring:   shard.New(opts.VirtualNodes),
+		ring:   shard.New(shard.DefaultVirtualNodes),
 		shards: make(map[string]*handle),
 		jobs:   make(chan invJob),
 		stopCh: make(chan struct{}),
@@ -416,7 +414,7 @@ type Stats struct {
 	// Fanouts counts writes that triggered a fan-out; FanoutLatency is the
 	// write-side latency of the full fan-out barrier.
 	Fanouts       int64
-	FanoutLatency core.LatencySnapshot
+	FanoutLatency metrics.LatencySnapshot
 }
 
 // Stats snapshots the router counters.
@@ -442,13 +440,13 @@ func (r *Router) Stats() Stats {
 		InvalidationsStale:   r.invStale.Load(),
 		InvalidationErrors:   r.invErrors.Load(),
 		Fanouts:              r.fanouts.Load(),
-		FanoutLatency:        r.fanoutHist.Snapshot(),
+		FanoutLatency:        r.fanoutHist.Buckets().Snapshot(),
 	}
 }
 
 // FanoutLatencyBuckets exposes the raw fan-out latency histogram for the
 // metrics exporter.
-func (r *Router) FanoutLatencyBuckets() core.HistogramBuckets {
+func (r *Router) FanoutLatencyBuckets() metrics.HistogramBuckets {
 	return r.fanoutHist.Buckets()
 }
 
@@ -530,10 +528,10 @@ func (r *Router) AggregateStats() core.Stats {
 
 // AggregateReadLatencyBuckets folds every in-process shard's read-latency
 // histograms into one set of buckets per serving class.
-func (r *Router) AggregateReadLatencyBuckets() map[string]core.HistogramBuckets {
+func (r *Router) AggregateReadLatencyBuckets() map[string]metrics.HistogramBuckets {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := map[string]core.HistogramBuckets{}
+	out := map[string]metrics.HistogramBuckets{}
 	for _, h := range r.shards {
 		if h.ctrl == nil {
 			continue
@@ -543,22 +541,4 @@ func (r *Router) AggregateReadLatencyBuckets() map[string]core.HistogramBuckets 
 		}
 	}
 	return out
-}
-
-// AggregateReadLatency summarises the folded cross-shard read-latency
-// distribution (all serving classes combined).
-func (r *Router) AggregateReadLatency() core.LatencySnapshot {
-	var all core.HistogramBuckets
-	for _, b := range r.AggregateReadLatencyBuckets() {
-		all = all.Add(b)
-	}
-	s := core.LatencySnapshot{Count: all.Count}
-	if all.Count > 0 {
-		s.Mean = time.Duration(all.SumNS / all.Count)
-		s.P50 = all.Quantile(0.50)
-		s.P90 = all.Quantile(0.90)
-		s.P99 = all.Quantile(0.99)
-		s.Max = all.Quantile(1.0)
-	}
-	return s
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sprout/internal/core"
+	"sprout/internal/metrics"
 	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
@@ -140,7 +141,11 @@ func TestRouterRoutesToOwner(t *testing.T) {
 	if agg.Reads != objects {
 		t.Fatalf("aggregated controller reads = %d, want %d", agg.Reads, objects)
 	}
-	if lat := r.AggregateReadLatency(); lat.Count != objects || lat.P99 <= 0 {
+	var all metrics.HistogramBuckets
+	for _, b := range r.AggregateReadLatencyBuckets() {
+		all = all.Add(b)
+	}
+	if lat := all.Snapshot(); lat.Count != objects || lat.P99 <= 0 {
 		t.Fatalf("aggregated latency snapshot = %+v", lat)
 	}
 

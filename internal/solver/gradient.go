@@ -112,27 +112,3 @@ func ProjectedGradient(obj Objective, grad Gradient, project Projection, x0 []fl
 	result.X, result.Value = x, fx
 	return result
 }
-
-// GoldenSection minimises a one-dimensional convex function on [lo, hi].
-func GoldenSection(f func(float64) float64, lo, hi float64, iters int) (xMin, fMin float64) {
-	const phi = 0.6180339887498949 // (sqrt(5)-1)/2
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := f(c), f(d)
-	for i := 0; i < iters; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = f(d)
-		}
-	}
-	if fc < fd {
-		return c, fc
-	}
-	return d, fd
-}

@@ -1,8 +1,7 @@
 // Package solver provides the small convex-optimization toolkit the cache
 // optimizer needs in place of the commercial solver (MOSEK) used in the
-// paper: Euclidean projections onto the constraint sets of Prob Π, Dykstra's
-// alternating-projection method for their intersection, and a projected
-// gradient descent with backtracking line search.
+// paper: Euclidean projections onto the constraint sets of Prob Π and a
+// projected gradient descent with backtracking line search.
 package solver
 
 import (
@@ -102,61 +101,5 @@ func maxAbs(x []float64) float64 {
 	return m
 }
 
-// ProjectMinSum projects x onto the half-space { y : sum_i y_i >= minSum }
-// in place (a uniform shift when the constraint is violated).
-func ProjectMinSum(x []float64, minSum float64) {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	if s >= minSum || len(x) == 0 {
-		return
-	}
-	shift := (minSum - s) / float64(len(x))
-	for i := range x {
-		x[i] += shift
-	}
-}
-
 // Projection is a function that maps a point onto a convex set in place.
 type Projection func(x []float64)
-
-// Dykstra computes the Euclidean projection of x onto the intersection of
-// the given convex sets using Dykstra's algorithm, modifying x in place.
-// maxIter bounds the sweeps over all sets; tol is the stopping threshold on
-// the change of x between sweeps.
-func Dykstra(x []float64, sets []Projection, maxIter int, tol float64) {
-	if len(sets) == 0 {
-		return
-	}
-	n := len(x)
-	// One correction term per set.
-	corrections := make([][]float64, len(sets))
-	for i := range corrections {
-		corrections[i] = make([]float64, n)
-	}
-	prev := make([]float64, n)
-	tmp := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		copy(prev, x)
-		for s, project := range sets {
-			// y = x + correction_s
-			for i := range x {
-				tmp[i] = x[i] + corrections[s][i]
-			}
-			copy(x, tmp)
-			project(x)
-			for i := range x {
-				corrections[s][i] = tmp[i] - x[i]
-			}
-		}
-		var delta float64
-		for i := range x {
-			d := x[i] - prev[i]
-			delta += d * d
-		}
-		if math.Sqrt(delta) < tol {
-			return
-		}
-	}
-}

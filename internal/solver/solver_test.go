@@ -142,47 +142,6 @@ func dist2(a, b []float64) float64 {
 	return d
 }
 
-func TestProjectMinSum(t *testing.T) {
-	x := []float64{0.1, 0.2, 0.3}
-	ProjectMinSum(x, 0.3) // already satisfied
-	if math.Abs(sum(x)-0.6) > 1e-12 {
-		t.Fatalf("sum changed unnecessarily: %v", sum(x))
-	}
-	ProjectMinSum(x, 3)
-	if math.Abs(sum(x)-3) > 1e-9 {
-		t.Fatalf("sum = %v, want 3", sum(x))
-	}
-	ProjectMinSum(nil, 5) // must not panic
-}
-
-func TestDykstraIntersection(t *testing.T) {
-	// Project onto the intersection of the unit box-sum set and a min-sum
-	// half-space; the result must satisfy both constraints.
-	x := []float64{2, 2, -1, 0.1}
-	sets := []Projection{
-		func(y []float64) { _ = ProjectCappedSimplex(y, 0, 3) },
-		func(y []float64) { ProjectMinSum(y, 2) },
-	}
-	Dykstra(x, sets, 200, 1e-10)
-	s := sum(x)
-	if s < 2-1e-6 || s > 3+1e-6 {
-		t.Fatalf("sum = %v outside [2,3]", s)
-	}
-	for _, v := range x {
-		if v < -1e-6 || v > 1+1e-6 {
-			t.Fatalf("coordinate outside box: %v", x)
-		}
-	}
-}
-
-func TestDykstraNoSets(t *testing.T) {
-	x := []float64{1, 2}
-	Dykstra(x, nil, 10, 1e-9)
-	if x[0] != 1 || x[1] != 2 {
-		t.Fatal("Dykstra with no sets should be a no-op")
-	}
-}
-
 func TestProjectedGradientQuadratic(t *testing.T) {
 	// Minimise ||x - c||^2 over the box [0,1]^3: solution is clip(c).
 	c := []float64{0.5, 2, -1}
@@ -243,13 +202,5 @@ func TestProjectedGradientInfeasibleStart(t *testing.T) {
 	res := ProjectedGradient(obj, grad, project, []float64{0}, PGOptions{MaxIter: 5})
 	if !math.IsInf(res.Value, 1) || res.Iterations != 0 {
 		t.Fatalf("infeasible start should return immediately, got %+v", res)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 2.5) * (x - 2.5) }
-	x, fx := GoldenSection(f, 0, 10, 100)
-	if math.Abs(x-2.5) > 1e-6 || fx > 1e-10 {
-		t.Fatalf("golden section found x=%v f=%v", x, fx)
 	}
 }

@@ -14,31 +14,28 @@ package tick
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Job is one registered periodic task. Run receives the scheduler's
-// notion of now; elapsed-time accounting is the job's own business.
-type job struct {
-	name   string
+// Job is one registered periodic task, the handle Register returns and
+// Kick and Unregister take. fn receives the scheduler's notion of now;
+// elapsed-time accounting is the job's own business.
+type Job struct {
 	period time.Duration // 0 = kick-only: runs only via Kick
 	fn     func(now time.Time)
 	next   time.Time
 	kicked bool
-	runs   atomic.Int64
 }
 
 // Scheduler batches periodic jobs onto one goroutine. Construct with
 // New; register jobs before or after Start.
 type Scheduler struct {
 	mu     sync.Mutex
-	jobs   []*job
+	jobs   []*Job
 	kickCh chan struct{}
 	stopCh chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
-	runs   atomic.Int64
 }
 
 // New returns a running scheduler.
@@ -52,53 +49,40 @@ func New() *Scheduler {
 	return s
 }
 
-// Register adds a periodic job. period == 0 registers a kick-only job
-// that runs solely when Kick(name) is called. Registering a name twice
-// replaces the previous job's schedule (the new one starts fresh).
-func (s *Scheduler) Register(name string, period time.Duration, fn func(now time.Time)) {
-	j := &job{name: name, period: period, fn: fn}
+// Register adds a periodic job and returns its handle. period == 0
+// registers a kick-only job that runs solely when Kick is called. Every
+// call adds a job of its own, so subsystems sharing one scheduler cannot
+// disturb each other's.
+func (s *Scheduler) Register(period time.Duration, fn func(now time.Time)) *Job {
+	j := &Job{period: period, fn: fn}
 	if period > 0 {
 		j.next = time.Now().Add(period)
 	}
 	s.mu.Lock()
-	replaced := false
-	for i, old := range s.jobs {
-		if old.name == name {
-			s.jobs[i] = j
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		s.jobs = append(s.jobs, j)
-	}
+	s.jobs = append(s.jobs, j)
 	s.mu.Unlock()
 	s.wake()
+	return j
 }
 
-// Kick schedules the named job to run at the next loop wakeup,
-// regardless of its period. Unknown names are ignored.
-func (s *Scheduler) Kick(name string) {
+// Kick schedules the job to run at the next loop wakeup, regardless of
+// its period. A job that is no longer registered is ignored.
+func (s *Scheduler) Kick(j *Job) {
 	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.name == name {
-			j.kicked = true
-			break
-		}
-	}
+	j.kicked = true
 	s.mu.Unlock()
 	s.wake()
 }
 
-// Unregister removes the named job. Needed by subsystems that run their
+// Unregister removes the job. Needed by subsystems that run their
 // periodic work on a shared (injected) scheduler: their Close cannot stop
 // the scheduler, so they pull their jobs instead. A job currently
 // executing finishes; it is only its future runs that are cancelled.
-// Unknown names are ignored.
-func (s *Scheduler) Unregister(name string) {
+// A job that is no longer registered is ignored.
+func (s *Scheduler) Unregister(j *Job) {
 	s.mu.Lock()
-	for i, j := range s.jobs {
-		if j.name == name {
+	for i, old := range s.jobs {
+		if old == j {
 			s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
 			break
 		}
@@ -120,22 +104,6 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// Runs returns the total number of job executions (for tests/metrics).
-func (s *Scheduler) Runs() int64 { return s.runs.Load() }
-
-// JobRuns returns how many times the named job has run, or -1 if the
-// name is unknown.
-func (s *Scheduler) JobRuns(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		if j.name == name {
-			return j.runs.Load()
-		}
-	}
-	return -1
-}
-
 // NumJobs returns the number of registered jobs.
 func (s *Scheduler) NumJobs() int {
 	s.mu.Lock()
@@ -147,7 +115,7 @@ func (s *Scheduler) loop() {
 	defer s.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	var due []*job
+	var due []*Job
 	for {
 		now := time.Now()
 		due = due[:0]
@@ -173,8 +141,6 @@ func (s *Scheduler) loop() {
 
 		for _, j := range due {
 			j.fn(now)
-			j.runs.Add(1)
-			s.runs.Add(1)
 		}
 
 		if !timer.Stop() {

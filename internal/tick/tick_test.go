@@ -10,8 +10,8 @@ func TestPeriodicRuns(t *testing.T) {
 	s := New()
 	defer s.Close()
 	var fast, slow atomic.Int64
-	s.Register("fast", 5*time.Millisecond, func(time.Time) { fast.Add(1) })
-	s.Register("slow", 50*time.Millisecond, func(time.Time) { slow.Add(1) })
+	s.Register(5*time.Millisecond, func(time.Time) { fast.Add(1) })
+	s.Register(50*time.Millisecond, func(time.Time) { slow.Add(1) })
 
 	deadline := time.Now().Add(5 * time.Second)
 	for fast.Load() < 10 || slow.Load() < 1 {
@@ -23,25 +23,19 @@ func TestPeriodicRuns(t *testing.T) {
 	if f, sl := fast.Load(), slow.Load(); f < sl {
 		t.Fatalf("fast job (%d runs) ran less than slow job (%d runs)", f, sl)
 	}
-	if s.JobRuns("fast") < 10 {
-		t.Fatalf("JobRuns(fast) = %d", s.JobRuns("fast"))
-	}
-	if s.JobRuns("nope") != -1 {
-		t.Fatal("JobRuns on unknown name should be -1")
-	}
 }
 
 func TestKickOnlyJob(t *testing.T) {
 	s := New()
 	defer s.Close()
 	var runs atomic.Int64
-	s.Register("manual", 0, func(time.Time) { runs.Add(1) })
+	manual := s.Register(0, func(time.Time) { runs.Add(1) })
 
 	time.Sleep(20 * time.Millisecond)
 	if got := runs.Load(); got != 0 {
 		t.Fatalf("kick-only job ran %d times without a kick", got)
 	}
-	s.Kick("manual")
+	s.Kick(manual)
 	deadline := time.Now().Add(5 * time.Second)
 	for runs.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -49,15 +43,20 @@ func TestKickOnlyJob(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Kick("unknown") // must not panic or wedge
+	s.Unregister(manual)
+	s.Kick(manual) // no longer registered: must not panic, wedge or run
+	s.Unregister(manual)
+	time.Sleep(10 * time.Millisecond)
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("unregistered job ran: %d runs, want 1", got)
+	}
 }
 
 func TestKickRunsPromptly(t *testing.T) {
 	s := New()
 	defer s.Close()
 	var runs atomic.Int64
-	s.Register("rare", time.Hour, func(time.Time) { runs.Add(1) })
-	s.Kick("rare")
+	s.Kick(s.Register(time.Hour, func(time.Time) { runs.Add(1) }))
 	deadline := time.Now().Add(5 * time.Second)
 	for runs.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -67,19 +66,33 @@ func TestKickRunsPromptly(t *testing.T) {
 	}
 }
 
-func TestRegisterReplaces(t *testing.T) {
+// TestRegisterTwiceKeepsBoth: every Register adds a job of its own, so two
+// subsystems sharing a scheduler cannot evict each other's work, and
+// unregistering one leaves the other running.
+func TestRegisterTwiceKeepsBoth(t *testing.T) {
 	s := New()
 	defer s.Close()
 	var a, b atomic.Int64
-	s.Register("job", 5*time.Millisecond, func(time.Time) { a.Add(1) })
-	s.Register("job", 5*time.Millisecond, func(time.Time) { b.Add(1) })
-	if got := s.NumJobs(); got != 1 {
-		t.Fatalf("NumJobs = %d after replacement, want 1", got)
+	first := s.Register(5*time.Millisecond, func(time.Time) { a.Add(1) })
+	s.Register(5*time.Millisecond, func(time.Time) { b.Add(1) })
+	if got := s.NumJobs(); got != 2 {
+		t.Fatalf("NumJobs = %d after two registrations, want 2", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Load() < 3 {
+	for a.Load() < 3 || b.Load() < 3 {
 		if time.Now().After(deadline) {
-			t.Fatal("replacement job never ran")
+			t.Fatalf("both jobs must run: a=%d b=%d", a.Load(), b.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Unregister(first)
+	if got := s.NumJobs(); got != 1 {
+		t.Fatalf("NumJobs = %d after Unregister, want 1", got)
+	}
+	was := b.Load()
+	for b.Load() < was+3 {
+		if time.Now().After(deadline) {
+			t.Fatal("surviving job stopped running")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -88,7 +101,7 @@ func TestRegisterReplaces(t *testing.T) {
 func TestCloseStopsAndIsIdempotent(t *testing.T) {
 	s := New()
 	var runs atomic.Int64
-	s.Register("j", time.Millisecond, func(time.Time) { runs.Add(1) })
+	s.Register(time.Millisecond, func(time.Time) { runs.Add(1) })
 	deadline := time.Now().Add(5 * time.Second)
 	for runs.Load() == 0 {
 		if time.Now().After(deadline) {

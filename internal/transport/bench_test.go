@@ -97,31 +97,6 @@ func BenchmarkTransportBinaryGetChunkParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkTransportGobGetChunk measures the seed gob baseline for the same
-// operation.
-func BenchmarkTransportGobGetChunk(b *testing.B) {
-	cluster := benchCluster(b, 4<<10)
-	srv := NewGobServer(cluster)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := DialGob(addr, time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	b.SetBytes(4 << 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := client.GetChunk("data", "obj", i%5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTransportEncodeRequest isolates the frame encoder: one 4 KiB
 // request gathered into a batch, header and payload both copied.
 func BenchmarkTransportEncodeRequest(b *testing.B) {

@@ -10,12 +10,12 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"sprout/internal/arena"
 	"sprout/internal/objstore"
+	"sprout/internal/resilience"
 	"sprout/internal/ring"
 	"sprout/internal/tick"
 	"sprout/internal/wfq"
@@ -115,11 +115,10 @@ type Server struct {
 
 	// sched runs the staged-put janitor; nil when StagedPutTTL is unset.
 	// ownSched records whether Close must stop it (private) or only
-	// unregister the job (shared via ServerConfig.Tick). janitorJob is
-	// this server's unique job name on that scheduler.
+	// unregister janitorJob (shared via ServerConfig.Tick).
 	sched      *tick.Scheduler
 	ownSched   bool
-	janitorJob string
+	janitorJob *tick.Job
 
 	counters transportCounters
 
@@ -315,7 +314,7 @@ func (s *Server) chaosIntercept(t *task) bool {
 	}
 	delay, verdict := ch.decide(osd)
 	if delay > 0 {
-		_ = sleepCtxTransport(s.ctx, delay)
+		_ = resilience.Sleep(s.ctx, delay)
 	}
 	switch verdict {
 	case chaosInjectError:
@@ -732,21 +731,7 @@ func (m *netMeter) wait(ctx context.Context, bytes int64) {
 	end := start.Add(d)
 	m.nextFree = end
 	m.mu.Unlock()
-	_ = sleepCtxTransport(ctx, end.Sub(now))
-}
-
-func sleepCtxTransport(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	_ = resilience.Sleep(ctx, end.Sub(now))
 }
 
 // nicWait charges one transfer against the emulated fabric; a no-op when the
@@ -756,12 +741,6 @@ func (s *Server) nicWait(ctx context.Context, bytes int64) {
 		s.nic.wait(ctx, bytes)
 	}
 }
-
-// janitorSeq makes staged-janitor job names unique so several servers can
-// share one injected scheduler: tick.Register replaces same-name jobs, so
-// a fixed name would let a second server silently evict the first
-// server's sweep.
-var janitorSeq atomic.Int64
 
 // startStagedJanitor registers the periodic staged-put sweep: staged puts
 // that outlived StagedPutTTL are aborted in every pool — a client that died
@@ -778,8 +757,7 @@ func (s *Server) startStagedJanitor() {
 		s.sched = tick.New()
 		s.ownSched = true
 	}
-	s.janitorJob = fmt.Sprintf("transport-staged-janitor-%d", janitorSeq.Add(1))
-	s.sched.Register(s.janitorJob, interval, func(time.Time) {
+	s.janitorJob = s.sched.Register(interval, func(time.Time) {
 		for _, name := range s.cluster.PoolNames() {
 			pool, err := s.cluster.Pool(name)
 			if err != nil {

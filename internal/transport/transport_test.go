@@ -470,37 +470,6 @@ func TestServerStatsCount(t *testing.T) {
 	}
 }
 
-// TestGobBaselineStillWorks keeps the benchmark baseline honest.
-func TestGobBaselineStillWorks(t *testing.T) {
-	cluster := testClusterWithService(t, 0.0001)
-	srv := NewGobServer(cluster)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	client, err := DialGob(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = client.Close() })
-	payload := make([]byte, 2500)
-	rand.New(rand.NewSource(9)).Read(payload)
-	if _, err := client.Put("data", "obj", payload); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := client.Get("data", "obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("gob round-trip mismatch")
-	}
-	if _, _, err := client.Get("data", "missing"); err == nil {
-		t.Fatal("expected error for missing object over gob")
-	}
-}
-
 func TestHealthDeleteAndFailOpsOverTCP(t *testing.T) {
 	_, client, cluster := startServer(t)
 	ctx := context.Background()

@@ -5,8 +5,7 @@
 // when its in-flight limit is reached; the client keeps a connection pool,
 // pipelines concurrent requests, demultiplexes responses by ID, honours
 // context deadlines/cancellation, and retries idempotent requests once a
-// connection breaks. The seed gob implementation is retained in gob.go as
-// the benchmark baseline.
+// connection breaks.
 //
 // # Wire format
 //

@@ -38,21 +38,18 @@ type Config struct {
 	// QueueCap is the per-tenant ring capacity (rounded up to a power of
 	// two). Default 256.
 	QueueCap int
-	// Quantum is the number of items one weight unit buys per round.
-	// Default 1.
-	Quantum int
 	// Weights maps tenant names to their fair-share weight. Tenants not
 	// listed (including the unnamed "" tenant) get weight 1. Values < 1 are
 	// clamped to 1.
 	Weights map[string]int
 }
 
+// quantum is the number of items one weight unit buys per round.
+const quantum = 1
+
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1
 	}
 	return c
 }
@@ -164,7 +161,7 @@ func (s *Sched[T]) TryPop() (T, bool) {
 	for visits := 0; visits < n; visits++ {
 		q := order[s.cursor]
 		if q.deficit <= 0 {
-			q.deficit = q.weight * s.cfg.Quantum
+			q.deficit = q.weight * quantum
 		}
 		if v, ok := q.buf.TryPop(); ok {
 			q.deficit--

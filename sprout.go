@@ -62,7 +62,7 @@ type (
 	// and the auto-replanner.
 	ServeOptions = core.ServeOptions
 	// LatencySnapshot summarises one read-latency distribution (p50/p90/p99).
-	LatencySnapshot = core.LatencySnapshot
+	LatencySnapshot = metrics.LatencySnapshot
 	// ReadLatencyStats splits read-latency percentiles by cache hits versus
 	// reads that touched storage.
 	ReadLatencyStats = core.ReadLatencyStats
