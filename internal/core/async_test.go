@@ -77,7 +77,7 @@ func (s *onceSink) FetchDone(data []byte, info StripeInfo, err error) {
 // TestAsyncFetchBatches pins what the read hands an asynchronous fetcher:
 // everything launched at one point in one StartFetches call — the initial
 // k−d, each failover alone, the hedges together — and nothing through the
-// fetch workers.
+// blocking adapter's workers.
 func TestAsyncFetchBatches(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -141,10 +141,7 @@ func TestAsyncFetchBatches(t *testing.T) {
 				t.Fatalf("StartFetches calls carried %v refs, want %v", got, tc.want)
 			}
 			waitNodesIdle(t, ctrl)
-			ctrl.fwMu.Lock()
-			workers := len(ctrl.fwIdle)
-			ctrl.fwMu.Unlock()
-			if workers != 0 {
+			if workers := parkedFetchWorkers(ctrl); workers != 0 {
 				t.Fatalf("%d fetch workers were started for an asynchronous fetcher", workers)
 			}
 		})

@@ -58,9 +58,9 @@ func uniformMeans(n int, mean float64) []float64 {
 	return out
 }
 
-// fetchPath is one of the ways the read plane obtains a chunk's bytes. The
-// tables below run over all of them: launch and completion accounting is the
-// same code whichever is taken.
+// fetchPath is one of the fetchers the read plane's one fetch path is driven
+// through. The tables below run over all of them: launch and completion
+// accounting is the same code whoever completes.
 type fetchPath struct {
 	name string
 	// wrap presents a blocking fetcher to the controller over this path.
@@ -71,6 +71,8 @@ type fetchPath struct {
 }
 
 var fetchPaths = []fetchPath{
+	// A blocking fetcher as it is: the controller adapts it (blockingFetches)
+	// and its parked workers run the fetches.
 	{name: "workers", wrap: func(_ *testing.T, f ChunkFetcher) ChunkFetcher { return f }},
 	{name: "async", wrap: func(t *testing.T, f ChunkFetcher) ChunkFetcher { return newAsyncFake(t, f, false) }},
 	{name: "async-inline", inline: true, wrap: func(t *testing.T, f ChunkFetcher) ChunkFetcher { return newAsyncFake(t, f, true) }},

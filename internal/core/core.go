@@ -18,11 +18,11 @@
 // The controller is split into two planes:
 //
 //   - The read plane (Read) is lock-free: it works off an immutable epoch
-//     snapshot published through an atomic pointer, fans chunk fetches out
-//     concurrently (optionally hedging stragglers) — sending them itself when
-//     the fetcher is an AsyncChunkFetcher, through parked fetch workers
-//     otherwise — and records statistics in atomic counters and a latency
-//     histogram.
+//     snapshot published through an atomic pointer, hands the chunk fetches of
+//     a read to the fetcher's StartFetches (optionally hedging stragglers) and
+//     takes their outcomes as completions — a fetcher that only has the
+//     blocking FetchChunk is adapted to that shape once, in fetchParallel —
+//     and records statistics in atomic counters and a latency histogram.
 //   - The control plane (PlanTimeBin, the background fill workers, and the
 //     auto-replanner) serialises on a mutex and publishes each change as a
 //     fresh epoch snapshot.
@@ -53,9 +53,11 @@ import (
 // storage node. Implementations include the in-process object store and the
 // TCP client; tests use in-memory fakes.
 //
-// Fetchers must honour context cancellation: the controller cancels the
-// fetch context as soon as it has gathered enough chunks (hedged fetches) or
-// when the caller's context is done.
+// Fetchers must honour context cancellation. A FetchChunk the read plane
+// runs for a fetcher that is not an AsyncChunkFetcher gets a context that ends
+// with the caller's and, when the read hedges, as soon as the read has
+// gathered enough chunks: the adapter that runs those calls (blockingFetches)
+// cancels the hedge losers. Nothing else is cancelled by the controller.
 //
 // The returned payload may be memory shared with the store — the in-process
 // object store returns its stored chunk by reference — so the controller
@@ -99,21 +101,23 @@ type FetchSink interface {
 }
 
 // FetchRef is one fetch of a StartFetches batch: a coded chunk, the node
-// holding it, and the sink its outcome is delivered to.
+// holding it, the payload size the caller expects (⌈file size/k⌉; 0 when it
+// does not know), and the sink its outcome is delivered to.
 type FetchRef struct {
 	ChunkIndex int
 	NodeID     int
+	Size       int
 	Sink       FetchSink
 }
 
 // AsyncChunkFetcher is implemented by fetchers that can send a read's chunk
 // requests without a goroutine blocking in each round trip (the transport's
-// RemoteFetcher). When the fetcher has it, the read plane issues all the
-// fetches it launches at one point — the initial k−d, a failover, the hedges
-// — with a single StartFetches call from the read's own goroutine and takes
-// the outcomes as completions; a fetcher without it is served by the
-// controller's fetch workers, which run the blocking FetchChunk and deliver
-// to the same sink.
+// RemoteFetcher). It is the one shape the read plane fetches through: all the
+// fetches a read launches at one point — the initial k−d, a failover, the
+// hedges — are issued with a single StartFetches call from the read's own
+// goroutine, and their outcomes are taken as completions. A fetcher without
+// it is wrapped in one that has: its blocking FetchChunk runs on the
+// controller's parked workers, which deliver to the same sinks.
 //
 // The contract, for each ref of a call:
 //
@@ -189,10 +193,9 @@ type ServeOptions struct {
 	// HedgeDelay, when positive, arms a timer per read: if the read has not
 	// gathered its chunks when the timer fires, up to HedgeExtra additional
 	// fetches are launched against other nodes holding chunks of the file,
-	// and the fastest responses win. A loser running on a fetch worker is
-	// cancelled through its context; one sent by an AsyncChunkFetcher simply
-	// completes later. Either way its node counts it in flight until the fetch
-	// really returns.
+	// and the fastest responses win. A loser simply completes later (a blocking
+	// FetchChunk has its context cancelled, see ChunkFetcher); its node counts
+	// it in flight until the fetch really returns.
 	HedgeDelay time.Duration
 	// HedgeExtra is the maximum number of extra hedged fetches per read.
 	// Defaults to 1 when HedgeDelay is set.
@@ -367,16 +370,9 @@ type Controller struct {
 	tenantShares  []optimizer.TenantShare
 	tenantOwner   []int // file -> index into tenantShares; nil when no split
 
-	// Reusable fetch-worker free list, for fetchers that only have the
-	// blocking FetchChunk (an AsyncChunkFetcher needs no worker): a
-	// mutex-guarded idle stack plus a poison protocol on Close. Spawning
-	// happens only on cold start or concurrency growth; the steady state
-	// dispatches onto parked workers without goroutine or closure
-	// allocations.
-	fwMu     sync.Mutex
-	fwIdle   []*fetchWorker
-	fwClosed bool
-	fwWG     sync.WaitGroup
+	// workers run the fetches of fetchers that only have the blocking
+	// FetchChunk (see blockingFetches); an AsyncChunkFetcher starts none.
+	workers fetchWorkers
 
 	est *workload.EWMAEstimator // non-nil when auto-replanning
 	// sched batches the controller's periodic maintenance — auto-replan,
@@ -545,7 +541,7 @@ func (c *Controller) Close() error {
 		c.fillInFlight.Delete(job.fileID)
 		c.fills.add(-1)
 	}
-	c.stopFetchWorkers()
+	c.workers.stop()
 	return nil
 }
 

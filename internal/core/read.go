@@ -425,17 +425,15 @@ func (c *Controller) fetchChunks(ctx context.Context, sc *readScratch, fetcher C
 // Every fetch is a launch and a completion. The launch runs here, on the
 // read's goroutine: it stamps the start time and counts the fetch in flight
 // on its node, so concurrent reads rank against each other's picks, not only
-// against fetches that already reached a worker. The completion is the
-// slot's FetchDone, whoever calls it. How the bytes are obtained in between
-// depends on the fetcher's type alone: an AsyncChunkFetcher is handed all the
-// launches of one point in one StartFetches call and completes them from its
-// own goroutines; any other fetcher's blocking FetchChunk runs on one of the
-// controller's parked fetch workers.
+// against fetches that already left. The completion is the slot's FetchDone,
+// whoever calls it. In between the fetch is the fetcher's: all the launches
+// of one point are handed over in one StartFetches call and completed from
+// the fetcher's own goroutines. This is the one place a fetcher that only has
+// the blocking FetchChunk is adapted to that shape (blockingFetches).
 //
-// Only the workers need a cancellable context, and only when hedging arms:
-// without hedges every launched fetch's result is received before success,
-// so there is nothing to cancel, and an asynchronous fetch is not cancelled
-// at all — the loser completes into the scratch this read leaves behind.
+// The read does not cancel a fetch it no longer needs: a hedge loser completes
+// into the scratch this read leaves behind. (The adapter does cancel its own,
+// the only ones that can be.)
 func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, fileID int, healthy, need, level int) (int, error) {
 	cands := sc.cands
 	if cap(sc.slots) < len(cands) {
@@ -460,38 +458,33 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 		c.stats.hedgesSuppressed.Add(1)
 		hedging = false
 	}
-	async, _ := fetcher.(AsyncChunkFetcher)
-	fctx := ctx
+	async, ok := fetcher.(AsyncChunkFetcher)
+	if !ok {
+		sc.blocking.bind(ctx, &c.workers, fetcher, hedging)
+		defer sc.blocking.release()
+		async = &sc.blocking
+	}
 	var hedgeC <-chan time.Time
 	if hedging {
-		if async == nil {
-			var cancelHedges context.CancelFunc
-			fctx, cancelHedges = context.WithCancel(ctx)
-			defer cancelHedges()
-		}
 		timer := time.NewTimer(c.serve.HedgeDelay)
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
+	k := c.files[fileID].K
+	chunkSize := (int(c.fileSizes[fileID].Load()) + k - 1) / k
 
 	launch := func(i int, hedged bool, now time.Time) {
 		slot := &slots[i]
 		*slot = fetchSlot{ctrl: c, sc: sc, idx: int32(i), hedged: hedged, cand: cands[i], start: now}
 		c.nodeInFlight[slot.cand.node].Add(1)
-		if async != nil {
-			sc.refs = append(sc.refs, FetchRef{ChunkIndex: slot.cand.chunkIndex, NodeID: slot.cand.nodeID, Sink: slot})
-			return
-		}
-		slot.ctx, slot.fetcher, slot.fileID = fctx, fetcher, fileID
-		c.dispatchFetch(slot)
+		sc.refs = append(sc.refs, FetchRef{ChunkIndex: slot.cand.chunkIndex, NodeID: slot.cand.nodeID, Size: chunkSize, Sink: slot})
 	}
-	// start hands the launches gathered since the last call to an
-	// asynchronous fetcher; worker launches are already running.
+	// start hands the launches gathered since the last call to the fetcher.
 	start := func() {
 		if len(sc.refs) == 0 {
 			return
 		}
-		async.StartFetches(fctx, fileID, sc.refs)
+		async.StartFetches(ctx, fileID, sc.refs)
 		clear(sc.refs)
 		sc.refs = sc.refs[:0]
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"sprout/internal/arena"
@@ -28,15 +29,16 @@ type readScratch struct {
 
 	dec erasure.DecodeScratch
 
-	// slots carries the in-flight fetch fan-out; slot i is owned by whoever
-	// completes candidate i — a fetch worker or the asynchronous fetcher —
-	// from launch until its index appears on results. results is buffered to
-	// at least len(cands), so a straggler's send never blocks even after the
-	// read abandoned the scratch. refs gathers the launches of one point for
-	// an asynchronous fetcher's StartFetches.
-	slots   []fetchSlot
-	results chan int32
-	refs    []FetchRef
+	// slots carries the in-flight fetch fan-out; slot i is owned by the
+	// fetcher from launch until its index appears on results. results is
+	// buffered to at least len(cands), so a straggler's send never blocks even
+	// after the read abandoned the scratch. refs gathers the launches of one
+	// point for the fetcher's StartFetches. blocking is that fetcher when the
+	// caller's only has the blocking FetchChunk, bound for one fan-out.
+	slots    []fetchSlot
+	results  chan int32
+	refs     []FetchRef
+	blocking blockingFetches
 	// outstanding counts fetches launched but not yet received by the last
 	// parallel fan-out. Non-zero at release time means a straggler may
 	// still write into slots — the scratch is abandoned to the GC instead
@@ -72,8 +74,8 @@ func putReadScratch(sc *readScratch) {
 		readScratchPool.Forget()
 		return
 	}
-	// Drop payload, fetcher, and context references so a parked scratch
-	// does not pin them until its next use.
+	// Drop payload references so a parked scratch does not pin them until
+	// its next use.
 	clear(sc.chunks)
 	sc.chunks = sc.chunks[:0]
 	sc.infos = sc.infos[:0]
@@ -97,11 +99,6 @@ type fetchSlot struct {
 	hedged bool
 	cand   fetchCandidate
 	start  time.Time
-	// What a fetch worker needs to run the blocking fetch; unset when an
-	// asynchronous fetcher was handed the slot as a FetchRef.
-	ctx     context.Context
-	fetcher ChunkFetcher
-	fileID  int
 
 	// Set by FetchDone before it sends idx on sc.results.
 	data []byte
@@ -110,8 +107,8 @@ type fetchSlot struct {
 }
 
 // FetchDone implements FetchSink. It is the one completion of every storage
-// fetch of the read plane — initial, failover or hedge, from a fetch worker
-// or from an asynchronous fetcher's goroutine — and so the one place a fetch
+// fetch of the read plane — initial, failover or hedge, from whichever of the
+// fetcher's goroutines has the outcome — and so the one place a fetch
 // is counted out of its node's in-flight backlog and reported to the node's
 // circuit breaker (latency included, so slow nodes trip breakers with a
 // latency threshold even while answering correctly). A hedge loser keeps its
@@ -127,11 +124,67 @@ func (s *fetchSlot) FetchDone(data []byte, info StripeInfo, err error) {
 	s.sc.results <- s.idx
 }
 
-// fetchWorker is one reusable fetch goroutine. Its job channel holds one
-// slot so a dispatcher that popped the worker from the idle list can hand
-// over without waiting for the worker to reach its receive.
-type fetchWorker struct {
-	jobs chan *fetchSlot
+// blockingFetches presents a fetcher that only has the blocking FetchChunk
+// as an AsyncChunkFetcher, for the one fan-out it is bound to: StartFetches
+// runs each fetch on one of the controller's parked workers, which completes
+// the ref's sink with what FetchChunkV returned. It lives in the read scratch,
+// so adapting allocates nothing. Its fetches are the only ones that can be
+// cancelled one fan-out at a time — through the context they run under — so
+// the hedge-loser cancellation is its own (bind, release).
+type blockingFetches struct {
+	ChunkFetcher
+	workers *fetchWorkers
+	ctx     context.Context
+	cancel  context.CancelFunc
+}
+
+// bind makes b the asynchronous face of fetcher for one fan-out under ctx,
+// the context StartFetches will be handed. A fan-out that hedges may return
+// with fetches still running and binds cancellable; any other has received
+// every outcome by the time it succeeds.
+func (b *blockingFetches) bind(ctx context.Context, workers *fetchWorkers, fetcher ChunkFetcher, cancellable bool) {
+	b.ChunkFetcher, b.workers, b.ctx = fetcher, workers, ctx
+	if cancellable {
+		b.ctx, b.cancel = context.WithCancel(ctx)
+	}
+}
+
+// StartFetches implements AsyncChunkFetcher.
+func (b *blockingFetches) StartFetches(_ context.Context, fileID int, refs []FetchRef) {
+	for _, ref := range refs {
+		b.workers.run(fetchJob{ctx: b.ctx, fetcher: b.ChunkFetcher, fileID: fileID, ref: ref})
+	}
+}
+
+// release ends the binding, cancelling the fetches of a cancellable one that
+// are still running. The jobs carry what they need, so nothing reads b after.
+func (b *blockingFetches) release() {
+	if b.cancel != nil {
+		b.cancel()
+	}
+	*b = blockingFetches{}
+}
+
+// fetchJob is one blocking fetch handed to a worker; the zero job (no sink)
+// tells a parked worker to exit.
+type fetchJob struct {
+	ctx     context.Context
+	fetcher ChunkFetcher
+	fileID  int
+	ref     FetchRef
+}
+
+// fetchWorkers is a controller's free list of reusable fetch goroutines: a
+// mutex-guarded idle stack plus a poison protocol on stop. A worker is its job
+// channel, which holds one job so that whoever popped it from the idle list
+// hands over without waiting for the worker to reach its receive. Spawning
+// happens only on cold start or concurrency growth; the steady state has no
+// per-request goroutine and closure allocations of `go func(){...}()`.
+type fetchWorkers struct {
+	mu     sync.Mutex
+	idle   []chan fetchJob
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // maxIdleFetchWorkers bounds the parked-worker free list; workers beyond
@@ -139,66 +192,61 @@ type fetchWorker struct {
 // pin goroutines forever.
 const maxIdleFetchWorkers = 256
 
-// dispatchFetch hands a launched fetch of a blocking fetcher to an idle
-// worker, spawning a fresh one only when the free list is empty (cold start
-// or concurrency growth). Steady state reuses parked workers, so the fan-out
-// launches without the per-request goroutine and closure allocations of
-// `go func(){...}()`.
-func (c *Controller) dispatchFetch(slot *fetchSlot) {
-	c.fwMu.Lock()
-	if n := len(c.fwIdle); n > 0 {
-		w := c.fwIdle[n-1]
-		c.fwIdle[n-1] = nil
-		c.fwIdle = c.fwIdle[:n-1]
-		c.fwMu.Unlock()
-		w.jobs <- slot
+// run hands job to an idle worker, spawning a fresh one only when the free
+// list is empty.
+func (p *fetchWorkers) run(job fetchJob) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		w <- job
 		return
 	}
-	c.fwMu.Unlock()
-	w := &fetchWorker{jobs: make(chan *fetchSlot, 1)}
-	w.jobs <- slot
-	c.fwWG.Add(1)
-	go c.fetchWorkerLoop(w)
+	p.mu.Unlock()
+	w := make(chan fetchJob, 1)
+	w <- job
+	p.wg.Add(1)
+	go p.loop(w)
 }
 
-// fetchWorkerLoop runs blocking fetches until poisoned (nil slot) or
-// retired. The worker re-parks itself on the idle list BEFORE completing the
-// slot, so by the time the read processes the result the worker is already
-// reusable for the failover or hedge that result may trigger.
-func (c *Controller) fetchWorkerLoop(w *fetchWorker) {
-	defer c.fwWG.Done()
+// loop runs blocking fetches until poisoned or retired. The worker re-parks
+// itself on the idle list BEFORE completing the sink, so by the time the read
+// processes the result the worker is already reusable for the failover or
+// hedge that result may trigger.
+func (p *fetchWorkers) loop(w chan fetchJob) {
+	defer p.wg.Done()
 	for {
-		slot := <-w.jobs
-		if slot == nil {
+		job := <-w
+		if job.ref.Sink == nil {
 			return
 		}
-		data, info, err := fetchChunkV(slot.ctx, slot.fetcher, slot.fileID, slot.cand.chunkIndex, slot.cand.nodeID)
-		exit := false
-		c.fwMu.Lock()
-		if c.fwClosed || len(c.fwIdle) >= maxIdleFetchWorkers {
-			exit = true
-		} else {
-			c.fwIdle = append(c.fwIdle, w)
+		data, info, err := fetchChunkV(job.ctx, job.fetcher, job.fileID, job.ref.ChunkIndex, job.ref.NodeID)
+		p.mu.Lock()
+		park := !p.closed && len(p.idle) < maxIdleFetchWorkers
+		if park {
+			p.idle = append(p.idle, w)
 		}
-		c.fwMu.Unlock()
-		slot.FetchDone(data, info, err)
-		if exit {
+		p.mu.Unlock()
+		job.ref.Sink.FetchDone(data, info, err)
+		if !park {
 			return
 		}
 	}
 }
 
-// stopFetchWorkers poisons every parked fetch worker and waits for busy
-// ones to finish their current fetch and exit. Called from Close after the
-// serving path has quiesced (Read must not run concurrently).
-func (c *Controller) stopFetchWorkers() {
-	c.fwMu.Lock()
-	c.fwClosed = true
-	idle := c.fwIdle
-	c.fwIdle = nil
-	c.fwMu.Unlock()
+// stop poisons every parked worker and waits for busy ones to finish their
+// current fetch and exit. Called from Close after the serving path has
+// quiesced (Read must not run concurrently).
+func (p *fetchWorkers) stop() {
+	p.mu.Lock()
+	p.closed = true
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
 	for _, w := range idle {
-		w.jobs <- nil
+		w <- fetchJob{}
 	}
-	c.fwWG.Wait()
+	p.wg.Wait()
 }

@@ -91,8 +91,15 @@ func TestReadPathLeaseBalance(t *testing.T) {
 	}
 }
 
-// TestFetchWorkersExitOnClose is the goroutine-leak check for the read
-// plane's reusable fetch workers and the ring-fed fill workers: everything
+// parkedFetchWorkers counts the workers the blocking adapter has parked.
+func parkedFetchWorkers(ctrl *Controller) int {
+	ctrl.workers.mu.Lock()
+	defer ctrl.workers.mu.Unlock()
+	return len(ctrl.workers.idle)
+}
+
+// TestFetchWorkersExitOnClose is the goroutine-leak check for the blocking
+// adapter's reusable fetch workers and the ring-fed fill workers: everything
 // spawned while serving must be gone after Close.
 func TestFetchWorkersExitOnClose(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -107,7 +114,13 @@ func TestFetchWorkersExitOnClose(t *testing.T) {
 			}
 		}
 	}
+	if parkedFetchWorkers(ctrl) == 0 {
+		t.Fatal("reads through a blocking fetcher parked no worker: the check below shows nothing")
+	}
 	ctrl.Close()
+	if n := parkedFetchWorkers(ctrl); n != 0 {
+		t.Fatalf("%d fetch workers still parked after Close", n)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before {
@@ -124,7 +137,7 @@ func TestFetchWorkersExitOnClose(t *testing.T) {
 // acceptance: a warm cache-complete read through ReadInto must not
 // allocate at all.
 func TestReadIntoZeroAllocCached(t *testing.T) {
-	if raceEnabled {
+	if racedetect.Enabled {
 		t.Skip("race instrumentation changes escape analysis; alloc counts measured without -race")
 	}
 	ctrl, store := buildController(t, 2, 64, 0.05)

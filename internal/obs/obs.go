@@ -513,8 +513,6 @@ func registerTransport(r *metrics.Registry, client, server func() transport.Tran
 	}))
 	perSide("sprout_transport_payload_bytes_by_reference_total", "Payload bytes handed to the kernel as the caller's or the store's own slice, never copied in user space.",
 		func(s transport.TransportStats) int64 { return s.BytesByReference })
-	perSide("sprout_transport_requests_withdrawn_total", "Round trips cancelled while still queued, whose request never reached the wire.",
-		func(s transport.TransportStats) int64 { return s.RequestsWithdrawn })
 	perSide("sprout_transport_fetch_batches_total", "Batches of chunk requests a read sent itself, in one write (RemoteFetcher.StartFetches).",
 		func(s transport.TransportStats) int64 { return s.FetchBatches })
 	perSide("sprout_transport_async_fallbacks_total", "Chunk fetches of such batches that continued as blocking round trips: connection not up, busy or broken, or request shed.",

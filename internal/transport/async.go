@@ -9,11 +9,12 @@ import (
 	"sprout/internal/core"
 )
 
-// sweepInterval is how often the client looks for asynchronous fetches whose
-// deadline has passed: such a fetch completes with context.DeadlineExceeded
-// no later than this (plus scheduling) after its deadline. The read that
-// started it watches its own context and has left by then; the sweep is what
-// returns the node's in-flight count and the pending-table entry.
+// sweepInterval is how often the client looks for asynchronous fetches and
+// writes whose deadline has passed: such a fetch completes with
+// context.DeadlineExceeded, and such a write's connection fails, no later than
+// this (plus scheduling) after the deadline. The read that started a fetch
+// watches its own context and has left by then; the sweep is what returns the
+// node's in-flight count and the pending-table entry.
 const sweepInterval = 10 * time.Millisecond
 
 // startFetches issues one GetChunk per ref for the same object and returns
@@ -43,18 +44,14 @@ func (c *Client) startFetches(ctx context.Context, pool, object string, refs []c
 	}
 	req.Deadline = uint64(w.deadline)
 	c.counters.requests.Add(int64(len(refs)))
-	c.sweepOnce.Do(func() {
-		if c.reserve() {
-			go c.sweepLoop()
-		}
-	})
 
 	// Small chunks leave in one write over one connection. Large ones are
 	// spread over the pool, as separate round trips would have been: a
 	// connection carries its responses one after another, and from spreadMin
-	// on that transfer, not the extra write, is what the read waits for.
+	// on that transfer, not the extra write, is what the read waits for. The
+	// chunks of one object are all the size the caller expects of the first.
 	parts := 1
-	if c.chunkBytes.Load() >= spreadMin {
+	if len(refs) > 0 && refs[0].Size >= spreadMin {
 		parts = min(c.cfg.Conns, len(refs))
 	}
 	for ; parts > 1; parts-- {
@@ -87,46 +84,36 @@ func (c *Client) sendBatch(req *Request, w waiter, refs []core.FetchRef) {
 }
 
 // send registers a waiter per ref and puts the batch's request frames on the
-// wire with a single Write from the calling goroutine. It reports false,
+// wire with a single write from the calling goroutine. It reports false,
 // having registered and sent nothing, when the connection is broken or its
-// send side is busy — the write loop or another batch is writing, possibly
-// to a peer that has stopped reading. Once it reports true every ref is
-// somebody's to complete: the read loop's, fail's, or the sweep's.
+// send side is busy — a round trip or another batch is writing, possibly to a
+// peer that has stopped reading. Once it reports true every ref is somebody's
+// to complete: the read loop's, fail's, or the sweep's.
 func (cc *clientConn) send(req *Request, w waiter, refs []core.FetchRef) bool {
-	if !cc.sendMu.TryLock() {
+	select {
+	case cc.sending <- struct{}{}:
+	default:
 		return false
 	}
-	c := cc.client
 	n := uint64(len(refs))
-	first := c.nextID.Add(n) - n + 1
-	buf := cc.fetchBuf[:0]
-	for i, ref := range refs {
-		req.ID, req.Chunk = first+uint64(i), ref.ChunkIndex
-		buf = appendRequestHeader(buf, req)
-	}
-	cc.fetchBuf = buf
-
+	first := cc.client.nextID.Add(n) - n + 1
 	// Registered before anything is written, or a response could beat its
 	// waiter to the table.
 	cc.mu.Lock()
 	if cc.pending == nil {
 		cc.mu.Unlock()
-		cc.sendMu.Unlock()
+		<-cc.sending
 		return false
 	}
 	for i, ref := range refs {
 		cc.pending[first+uint64(i)] = w.of(ref)
 	}
 	cc.mu.Unlock()
-
-	cc.writeBy.Store(w.deadline)
-	_, err := cc.conn.Write(buf)
-	cc.writeBy.Store(0)
-	cc.sendMu.Unlock()
-	c.counters.countFramesOut(len(refs), len(buf))
-	if err != nil {
-		cc.fail(fmt.Errorf("%w: %v", errConnBroken, err))
+	for i, ref := range refs {
+		req.ID, req.Chunk = first+uint64(i), ref.ChunkIndex
+		cc.batch.addRequest(req)
 	}
+	cc.write(w.deadline)
 	return true
 }
 
@@ -140,10 +127,6 @@ func (c *Client) complete(w waiter, slot int, resp *Response) {
 	case err != nil:
 		w.fail(err)
 	default:
-		// What the next batches take for the size of a chunk (see spreadMin).
-		if n := int64(len(resp.Data)); c.chunkBytes.Load() != n {
-			c.chunkBytes.Store(n)
-		}
 		w.deliver(resp)
 	}
 }
@@ -182,8 +165,8 @@ func (c *Client) fallback(w waiter, slot, attempt int, lastErr error) {
 	}()
 }
 
-// sweepLoop enforces the deadlines of asynchronous fetches, one pass over
-// every connection's pending table per tick, until Close.
+// sweepLoop enforces the deadlines of asynchronous fetches and of writes, one
+// pass over every connection per tick, until Close.
 func (c *Client) sweepLoop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(sweepInterval)
@@ -204,14 +187,14 @@ func (c *Client) sweepLoop() {
 	}
 }
 
-// errPeerStalled fails a connection whose peer stopped reading while a direct
-// write was in progress; it is retried over another connection like any
+// errPeerStalled fails a connection whose peer stopped reading while a write
+// was in progress; it is retried over another connection like any
 // broken one.
 var errPeerStalled = fmt.Errorf("%w: peer stopped reading", errConnBroken)
 
 // sweep completes the connection's asynchronous fetches whose deadline has
-// passed with context.DeadlineExceeded, and fails the connection if a direct
-// write has been stuck past its own. expired is scratch, returned emptied.
+// passed with context.DeadlineExceeded, and fails the connection if a write
+// has been stuck past its own. expired is scratch, returned emptied.
 func (cc *clientConn) sweep(now int64, expired []waiter) []waiter {
 	if by := cc.writeBy.Load(); by != 0 && now >= by {
 		cc.fail(errPeerStalled)

@@ -43,14 +43,20 @@ func (s *testSink) FetchDone(data []byte, info core.StripeInfo, err error) {
 	s.done <- fetchOutcome{data: data, info: info, err: err, at: time.Now()}
 }
 
-// startBatch starts one asynchronous fetch per chunk index and returns the
-// sinks in the same order.
+// startBatch starts one asynchronous fetch per chunk index, with no size
+// hint, and returns the sinks in the same order.
 func startBatch(t *testing.T, ctx context.Context, f *RemoteFetcher, fileID int, chunks ...int) []*testSink {
+	return startSizedBatch(t, ctx, f, fileID, 0, chunks...)
+}
+
+// startSizedBatch is startBatch telling the fetcher to expect chunks of size
+// bytes.
+func startSizedBatch(t *testing.T, ctx context.Context, f *RemoteFetcher, fileID, size int, chunks ...int) []*testSink {
 	sinks := make([]*testSink, len(chunks))
 	refs := make([]core.FetchRef, len(chunks))
 	for i, chunk := range chunks {
 		sinks[i] = &testSink{t: t, done: make(chan fetchOutcome, 1)}
-		refs[i] = core.FetchRef{ChunkIndex: chunk, Sink: sinks[i]}
+		refs[i] = core.FetchRef{ChunkIndex: chunk, Size: size, Sink: sinks[i]}
 	}
 	f.StartFetches(ctx, fileID, refs)
 	clear(refs) // the fetcher may not keep the slice
@@ -200,17 +206,20 @@ func TestStartFetchesOneWrite(t *testing.T) {
 	}
 }
 
-// TestStartFetchesSpreadsLargeChunks: once the client has seen chunks of
-// spreadMin bytes, a batch is divided over the pooled connections — still one
-// write each — while small chunks keep sharing one connection and one write.
+// TestStartFetchesSpreadsLargeChunks: a batch whose refs expect chunks of
+// spreadMin bytes is divided over the pooled connections — still one write
+// each, from the first batch on — while smaller chunks, and chunks of unknown
+// size whatever they turn out to weigh, share one connection and one write.
 func TestStartFetchesSpreadsLargeChunks(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
+		hint      int
 		chunkSize int
-		perConn   []int // requests of the second batch, by connection, sorted
+		perConn   []int // the batch's requests, by connection, sorted
 	}{
-		{"small chunks share a connection", spreadMin - 1, []int{0, 4}},
-		{"large chunks are spread", spreadMin, []int{2, 2}},
+		{"small chunks share a connection", spreadMin - 1, spreadMin - 1, []int{0, 4}},
+		{"large chunks are spread", spreadMin, spreadMin, []int{2, 2}},
+		{"no hint means one write", 0, spreadMin, []int{0, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
@@ -231,21 +240,12 @@ func TestStartFetchesSpreadsLargeChunks(t *testing.T) {
 				}
 			}
 			f := &RemoteFetcher{Client: client, Pool: "ec"}
-			ctx := context.Background()
-			fetch := func() {
-				t.Helper()
-				for i, got := range await(t, startBatch(t, ctx, f, 1, 0, 1, 2, 3), 5*time.Second) {
-					if got.err != nil || !allBytes(got.data, byte(i)) || len(got.data) != tc.chunkSize {
-						t.Fatalf("chunk %d: %d bytes, %v", i, len(got.data), got.err)
-					}
+			sinks := startSizedBatch(t, context.Background(), f, 1, tc.hint, 0, 1, 2, 3)
+			for i, got := range await(t, sinks, 5*time.Second) {
+				if got.err != nil || !allBytes(got.data, byte(i)) || len(got.data) != tc.chunkSize {
+					t.Fatalf("chunk %d: %d bytes, %v", i, len(got.data), got.err)
 				}
 			}
-			fetch() // the client learns the chunk size from this one
-			mu.Lock()
-			clear(perConn)
-			mu.Unlock()
-			framesBefore := client.Stats().FramesSent
-			fetch()
 			mu.Lock()
 			got := []int{perConn[0], perConn[1]}
 			mu.Unlock()
@@ -253,8 +253,8 @@ func TestStartFetchesSpreadsLargeChunks(t *testing.T) {
 			if !slices.Equal(got, tc.perConn) {
 				t.Fatalf("the batch's requests went %v over the two connections, want %v", got, tc.perConn)
 			}
-			if st := client.Stats(); st.FramesSent-framesBefore != 4 || st.AsyncFallbacks != 0 || st.FetchBatches != 2 {
-				t.Fatalf("stats %+v, want 4 more frames, 2 batches and no fallback", st)
+			if st := client.Stats(); st.FramesSent != 4 || st.AsyncFallbacks != 0 || st.FetchBatches != 1 {
+				t.Fatalf("stats %+v, want 4 frames, 1 batch and no fallback", st)
 			}
 		})
 	}
@@ -588,9 +588,65 @@ func TestAsyncFetchStalledPeer(t *testing.T) {
 	close(release)
 }
 
+// TestBlockingWriteStalledPeer: a blocking round trip writes its own frame,
+// and a peer that stopped reading blocks that write. The sweep fails the
+// connection once the call's deadline has passed, so the call returns an error
+// within the deadline plus two sweeps, nothing reads its payload afterwards,
+// and the next call goes over a fresh connection.
+func TestBlockingWriteStalledPeer(t *testing.T) {
+	const timeout, slack = 100 * time.Millisecond, 400 * time.Millisecond
+	release := make(chan struct{})
+	defer close(release)
+	addr := scriptedServer(t, func(i int, conn net.Conn) {
+		if i == 0 {
+			shrinkSocketBuffers(t, conn)
+			<-release // accepts, never reads
+			return
+		}
+		answering(t, conn, func(Request) (Response, bool) { return Response{}, true })
+	})
+	client, err := DialConfig(addr, ClientConfig{Conns: 1, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	shrinkSocketBuffers(t, client.slots[0].cc.Load().conn)
+
+	buf := filled(4<<20, 'A')
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	start := time.Now()
+	returned := make(chan error, 1)
+	go func() {
+		_, err := client.PutChunk(ctx, "p", "o", 1, 0, buf)
+		// The buffer is the caller's again: reuse it at once.
+		for j := range buf {
+			buf[j] = 0xFF
+		}
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		if err == nil {
+			t.Fatal("PutChunk succeeded against a peer that never reads")
+		}
+		if held := time.Since(start); held < timeout/2 {
+			t.Fatalf("PutChunk failed after %v (%v): its write never blocked, the scenario shows nothing", held, err)
+		}
+	case <-time.After(timeout + 2*sweepInterval + slack):
+		t.Fatalf("PutChunk still blocked %v after its %v deadline, want an error within two sweeps of it", time.Since(start)-timeout, timeout)
+	}
+	if _, err := client.PutChunk(context.Background(), "p", "o", 1, 1, filled(1000, 'B')); err != nil {
+		t.Fatalf("PutChunk after the stalled connection was failed: %v", err)
+	}
+	if st := client.Stats(); st.ConnsOpened != 2 {
+		t.Fatalf("stats %+v, want the second call on a second connection", st)
+	}
+}
+
 // TestClientCloseWaitsForGoroutines: when Close returns, every goroutine the
-// client started has exited — read and write loops of every connection it
-// ever dialed, the sweep, fallbacks — and a second Close is harmless.
+// client started has exited — the read loop of every connection it ever
+// dialed, the sweep, fallbacks — and a second Close is harmless.
 func TestClientCloseWaitsForGoroutines(t *testing.T) {
 	cluster := testClusterWithService(t, 0.0001)
 	srv := NewServerWithConfig(cluster, ServerConfig{})

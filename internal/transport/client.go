@@ -1,35 +1,32 @@
 package transport
 
-// The client half of the transport. A request reaches the server, and its
-// response the caller, in one of two ways; which goroutine writes what:
+// The client half of the transport. Every request reaches the server, and its
+// response the caller, the same way; which goroutine does what:
 //
-//   - A blocking round trip (call: Put, GetChunk, the peer ops, … and every
-//     retry) parks its caller on a channel of its own. The connection's write
-//     loop is the only goroutine that encodes and writes its frame, batched
-//     with whatever else is queued; a request that carries a payload lends it
-//     to the write loop until the batch is flushed (see settle).
-//   - An asynchronous chunk fetch (RemoteFetcher.StartFetches) has no
-//     goroutine of its own. The goroutine that calls StartFetches — a
-//     controller read — encodes the batch's frames and writes them to the
-//     socket itself, in one Write (one per connection when the chunks are
-//     large enough to be worth spreading over the pool). It never waits to
-//     do so: it takes the next connection whose send side is free, and when
-//     none is the batch's fetches become blocking round trips (below). Fetch
-//     requests carry no payload, so nothing is lent.
+//   - The goroutine that has a request — a blocking round trip (call: Put,
+//     GetChunk, the peer ops, … and every retry) or a controller read with a
+//     batch of chunk fetches (RemoteFetcher.StartFetches) — takes the
+//     connection's send side, registers who waits for each response, encodes
+//     the frames into the connection's one frameBatch and writes them itself,
+//     in one write. So a payload is only ever read inside its own caller's
+//     write: nothing is lent to another goroutine.
+//   - A round trip waits for the send side, as long as its context and the
+//     connection last, and then for its response on a channel of its own. A
+//     batch never waits: it takes the next connection whose send side is free
+//     (one per connection when the chunks are large enough to be worth
+//     spreading over the pool), and when none is, or the connection breaks, or
+//     the server sheds a request, its fetches continue as blocking round trips
+//     on goroutines of their own (Client.fallback) — so dialing, retries,
+//     backoff and the retry budget exist once.
+//   - The connection's read loop is the only reader. It looks the response's
+//     ID up in the pending table, whose value says who waits: a round trip's
+//     channel, or a fetch's sink, which it completes on the spot
+//     (Client.complete).
+//   - One sweep goroutine per client enforces the deadlines of asynchronous
+//     fetches and of writes in progress (a peer that stopped reading), not a
+//     timer per request.
 //
-// Either way the frames of one write never interleave with another's: the
-// write loop's flush and a direct write each hold the connection's sendMu.
-//
-// The connection's read loop is the only reader. It looks the response's ID
-// up in the pending table, whose value says who waits: a round trip's
-// channel, or a fetch's sink, which the read loop completes on the spot
-// (Client.complete). Whatever cannot be sent or completed that way — a
-// connection that is not up, busy sending or broken, an overload rejection to
-// be retried — continues as a blocking round trip on a goroutine of its own
-// (Client.fallback), so dialing, retries, backoff and the retry budget exist
-// once. Deadlines of asynchronous fetches are enforced by one sweep goroutine
-// per client, not a timer per request. Close waits for every goroutine
-// mentioned here.
+// Close waits for every goroutine mentioned here.
 
 import (
 	"context"
@@ -39,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,9 +115,6 @@ type Client struct {
 	counters transportCounters
 	nextID   atomic.Uint64
 	rr       atomic.Uint64
-	// chunkBytes is the payload size of the last chunk an asynchronous fetch
-	// received: what the next batch expects its chunks to weigh.
-	chunkBytes atomic.Int64
 
 	// base is cancelled by Close: the client is closed when base.Err() is
 	// set. It bounds what the client's own goroutines wait on — dials, retry
@@ -130,7 +123,8 @@ type Client struct {
 	stop context.CancelFunc
 	// lifeMu orders the start of a goroutine (reserve) against Close: base is
 	// cancelled under it, and after that nothing is added to wg, so Close's
-	// Wait sees them all.
+	// Wait sees them all. The sweep starts with the client's first connection,
+	// so before anything is written.
 	lifeMu    sync.Mutex
 	wg        sync.WaitGroup
 	sweepOnce sync.Once
@@ -184,8 +178,8 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 func (c *Client) Stats() TransportStats { return c.counters.snapshot() }
 
 // Close closes every pooled connection and returns once every goroutine the
-// client started — connection read and write loops, the deadline sweep,
-// fallback round trips — has exited. In-flight round trips fail with a
+// client started — connection read loops, the deadline sweep, fallback round
+// trips — has exited. In-flight round trips fail with a
 // broken-connection error, asynchronous fetches still pending complete with
 // net.ErrClosed. Close may be called more than once.
 func (c *Client) Close() error {
@@ -242,36 +236,37 @@ func (c *Client) conn(slot int) (*clientConn, error) {
 	return c.adopt(slot, conn)
 }
 
-// adopt makes conn the pooled connection at slot and starts its loops. The
-// caller holds the slot's mutex.
+// adopt makes conn the pooled connection at slot and starts its read loop —
+// and, with the client's first connection, the sweep. The caller holds the
+// slot's mutex.
 func (c *Client) adopt(slot int, conn net.Conn) (*clientConn, error) {
 	cc := &clientConn{
-		client: c,
-		slot:   slot,
-		conn:   conn,
-		// Deep enough that a burst of callers queues without each waiting for
-		// the write loop to be scheduled; a caller that finds it full waits
-		// with its context.
-		out:     make(chan *outRequest, 128),
+		client:  c,
+		slot:    slot,
+		conn:    conn,
+		sending: make(chan struct{}, 1),
+		batch:   frameBatch{ctr: &c.counters},
 		done:    make(chan struct{}),
 		pending: make(map[uint64]waiter),
 	}
-	cc.written.L = &cc.wmu
 	// Counted and published in one step under lifeMu: a Close that does not
 	// find the connection has not cancelled base yet, so its Wait cannot miss
-	// the two loops either.
+	// the read loop either.
 	c.lifeMu.Lock()
 	if c.base.Err() != nil {
 		c.lifeMu.Unlock()
 		_ = conn.Close()
 		return nil, net.ErrClosed
 	}
-	c.wg.Add(2)
+	c.wg.Add(1)
 	c.slots[slot].cc.Store(cc)
+	c.sweepOnce.Do(func() {
+		c.wg.Add(1)
+		go c.sweepLoop()
+	})
 	c.lifeMu.Unlock()
 	c.counters.connsOpened.Add(1)
 	go cc.readLoop()
-	go cc.writeLoop()
 	return cc, nil
 }
 
@@ -498,33 +493,23 @@ func (c *Client) RecoverOSD(ctx context.Context, osdID int) error {
 	return err
 }
 
-// clientConn is one pooled connection: a write loop that encodes and
-// batches request frames and a read loop that demultiplexes responses to
-// waiters by ID.
+// clientConn is one pooled connection: whoever has a request writes it
+// (roundTrip, send), and a read loop demultiplexes responses to waiters by ID.
 type clientConn struct {
 	client *Client
 	slot   int
 	conn   net.Conn
-	out    chan *outRequest
 	done   chan struct{}
 
-	// sendMu is held around every write to conn — the write loop's flush and
-	// an asynchronous batch's direct write — so the frames of one never
-	// interleave with another's. A direct write only ever TryLocks it: a read
-	// never waits behind another writer. fetchBuf, under sendMu, is what
-	// direct writes encode into. writeBy is the deadline (unix ns, 0 = none)
-	// of the direct write in progress; the sweep fails the connection when it
-	// passes, which is what keeps a peer that stopped reading from holding a
-	// read past its deadline.
-	sendMu   sync.Mutex
-	fetchBuf []byte
-	writeBy  atomic.Int64
-
-	// written is signalled (under wmu) whenever the write loop has flushed
-	// a batch and no longer reads its requests' payloads; a round trip that
-	// gives up while its request is being written waits on it (see settle).
-	wmu     sync.Mutex
-	written sync.Cond
+	// sending is the connection's send side, held (a token in the one-slot
+	// channel) around every write to conn, so the frames of one write never
+	// interleave with another's. batch, under it, is what every write encodes
+	// into. writeBy is the deadline (unix ns, 0 = none) of the write in
+	// progress; the sweep fails the connection when it passes, which is what
+	// keeps a peer that stopped reading from holding a caller past it.
+	sending chan struct{}
+	batch   frameBatch
+	writeBy atomic.Int64
 
 	mu       sync.Mutex
 	pending  map[uint64]waiter
@@ -561,23 +546,6 @@ func (w waiter) deliver(resp *Response) {
 	w.sink.FetchDone(resp.Data, core.StripeInfo{Version: resp.Version, Size: int(resp.Size)}, nil)
 }
 
-// outRequest is a request queued for the write loop. state arbitrates
-// between the write loop and a round trip that gives up, so that the write
-// loop never reads req.Data after the caller has its buffer back:
-// reqQueued → reqWriting → reqWritten when the write loop wins,
-// reqQueued → reqWithdrawn when the round trip does.
-type outRequest struct {
-	req   Request
-	state atomic.Uint32
-}
-
-const (
-	reqQueued uint32 = iota
-	reqWriting
-	reqWritten
-	reqWithdrawn
-)
-
 func (cc *clientConn) broken() bool {
 	select {
 	case <-cc.done:
@@ -612,42 +580,33 @@ func (cc *clientConn) fail(err error) {
 	})
 }
 
-// register installs a response channel for id; it fails if the connection
-// is already broken.
-func (cc *clientConn) register(id uint64) (chan Response, error) {
-	ch := make(chan Response, 1)
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.pending == nil {
-		return nil, errConnBroken
-	}
-	cc.pending[id] = waiter{ch: ch}
-	return ch, nil
-}
-
-func (cc *clientConn) unregister(id uint64) {
-	cc.mu.Lock()
-	if cc.pending != nil {
-		delete(cc.pending, id)
-	}
-	cc.mu.Unlock()
-}
-
+// roundTrip sends req and waits for its response. It waits for the send side
+// no longer than ctx and the connection last; a call that gives up there has
+// put nothing on the wire. req.Data is read only during the write below, on
+// this goroutine, so the caller has its buffer back whenever roundTrip returns.
 func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, error) {
-	req.ID = cc.client.nextID.Add(1)
-	ch, err := cc.register(req.ID)
-	if err != nil {
-		return Response{}, err
-	}
-	out := &outRequest{req: req}
 	select {
-	case cc.out <- out:
+	case cc.sending <- struct{}{}:
 	case <-cc.done:
-		cc.unregister(req.ID)
 		return Response{}, cc.brokenErr()
 	case <-ctx.Done():
-		cc.unregister(req.ID)
 		return Response{}, ctx.Err()
+	}
+	req.ID = cc.client.nextID.Add(1)
+	ch := make(chan Response, 1)
+	// Registered before anything is written, or the response could beat its
+	// waiter to the table.
+	cc.mu.Lock()
+	if cc.pending == nil {
+		cc.mu.Unlock()
+		<-cc.sending
+		return Response{}, cc.brokenErr()
+	}
+	cc.pending[req.ID] = waiter{ch: ch}
+	cc.mu.Unlock()
+	cc.batch.addRequest(&req)
+	if !cc.write(int64(req.Deadline)) {
+		return Response{}, cc.brokenErr()
 	}
 	select {
 	case resp := <-ch:
@@ -659,32 +618,29 @@ func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, err
 		case resp := <-ch:
 			return resp, nil
 		default:
-			cc.settle(out)
 			return Response{}, cc.brokenErr()
 		}
 	case <-ctx.Done():
-		cc.unregister(req.ID)
-		cc.settle(out)
+		cc.mu.Lock()
+		delete(cc.pending, req.ID)
+		cc.mu.Unlock()
 		return Response{}, ctx.Err()
 	}
 }
 
-// settle ends the write loop's claim on a queued request whose round trip
-// is giving up without a response, so the caller gets its payload buffer
-// back with nobody reading it: a request still in the queue is withdrawn
-// (the write loop will skip it — it never reaches the wire); one the write
-// loop has gathered into a batch is waited for, which lasts until that batch
-// is flushed or the connection fails. A request without a payload lends the
-// write loop nothing, so it is never waited for.
-func (cc *clientConn) settle(out *outRequest) {
-	if out.state.CompareAndSwap(reqQueued, reqWithdrawn) || len(out.req.Data) == 0 {
-		return
+// write puts the frames gathered in cc.batch on the wire in one write, with
+// deadline published for the sweep while it lasts, and gives the send side up.
+// A failed write fails the connection, which completes or retries whatever was
+// registered on it. The caller holds the send side.
+func (cc *clientConn) write(deadline int64) bool {
+	cc.writeBy.Store(deadline)
+	err := cc.batch.flush(cc.conn)
+	cc.writeBy.Store(0)
+	<-cc.sending
+	if err != nil {
+		cc.fail(fmt.Errorf("%w: %v", errConnBroken, err))
 	}
-	cc.wmu.Lock()
-	for out.state.Load() == reqWriting {
-		cc.written.Wait()
-	}
-	cc.wmu.Unlock()
+	return err == nil
 }
 
 // brokenErr returns the recorded connection-failure cause (which wraps
@@ -733,86 +689,4 @@ func (cc *clientConn) readLoop() {
 			cc.client.complete(w, cc.slot, &resp)
 		}
 	}
-}
-
-// clientWriter is the write loop's state: the batch being gathered and the
-// requests in it whose payloads the batch reads until the next flush.
-type clientWriter struct {
-	batch frameBatch
-	held  []*outRequest
-}
-
-func (cc *clientConn) writeLoop() {
-	defer cc.client.wg.Done()
-	w := &clientWriter{batch: frameBatch{enc: make([]byte, 0, batchBufSize), ctr: &cc.client.counters}}
-	for {
-		select {
-		case out := <-cc.out:
-			if !cc.writeBatch(w, out) {
-				cc.fail(errConnBroken)
-				return
-			}
-		case <-cc.done:
-			return
-		}
-	}
-}
-
-// writeBatch gathers out into the batch, then keeps draining queued requests
-// — yielding once when the queue looks empty so concurrent callers coalesce
-// — and flushes once per batch (or whenever the batch buffer is full),
-// amortising syscalls under load. Requests withdrawn while queued are
-// skipped and counted.
-func (cc *clientConn) writeBatch(w *clientWriter, out *outRequest) bool {
-	yielded := false
-	for {
-		if w.batch.full(encodedSize(requestPayloadSize(&out.req), out.req.Data)) && !cc.flush(w) {
-			return false
-		}
-		if !out.state.CompareAndSwap(reqQueued, reqWriting) {
-			cc.client.counters.withdrawn.Add(1)
-		} else {
-			w.batch.addRequest(&out.req)
-			if len(out.req.Data) == 0 {
-				out.state.Store(reqWritten) // nothing lent, nobody waits
-			} else {
-				w.held = append(w.held, out)
-			}
-		}
-		select {
-		case out = <-cc.out:
-			yielded = false
-			continue
-		default:
-		}
-		if !yielded {
-			yielded = true
-			runtime.Gosched()
-			select {
-			case out = <-cc.out:
-				continue
-			default:
-			}
-		}
-		return cc.flush(w)
-	}
-}
-
-// flush writes the batch out and releases the requests whose payloads it
-// read; they are released on failure too, as nothing reads them again.
-func (cc *clientConn) flush(w *clientWriter) bool {
-	cc.sendMu.Lock()
-	err := w.batch.flush(cc.conn)
-	cc.sendMu.Unlock()
-	if len(w.held) > 0 {
-		cc.wmu.Lock()
-		for i, out := range w.held {
-			out.state.Store(reqWritten)
-			w.held[i] = nil
-		}
-		cc.wmu.Unlock()
-		cc.written.Broadcast()
-		w.held = w.held[:0]
-	}
-	return err == nil
 }

@@ -24,10 +24,6 @@ type TransportStats struct {
 	Requests int64
 	// Retries counts client round trips replayed after a broken connection.
 	Retries int64
-	// RequestsWithdrawn counts round trips that were cancelled while their
-	// request was still queued for the write loop, which then skipped it: the
-	// request never reached the wire (client only).
-	RequestsWithdrawn int64
 	// FetchBatches counts calls to RemoteFetcher.StartFetches — batches of
 	// chunk requests a read sent itself — and AsyncFallbacks the fetches of
 	// such batches that continued on the blocking round-trip path (the
@@ -63,7 +59,6 @@ func (s TransportStats) Add(o TransportStats) TransportStats {
 		Requests:           s.Requests + o.Requests,
 		Retries:            s.Retries + o.Retries,
 		BytesByReference:   s.BytesByReference + o.BytesByReference,
-		RequestsWithdrawn:  s.RequestsWithdrawn + o.RequestsWithdrawn,
 		FetchBatches:       s.FetchBatches + o.FetchBatches,
 		AsyncFallbacks:     s.AsyncFallbacks + o.AsyncFallbacks,
 		OverloadRejections: s.OverloadRejections + o.OverloadRejections,
@@ -83,7 +78,6 @@ type transportCounters struct {
 	bytesByRef         atomic.Int64
 	requests           atomic.Int64
 	retries            atomic.Int64
-	withdrawn          atomic.Int64
 	fetchBatches       atomic.Int64
 	asyncFallbacks     atomic.Int64
 	overloadRejections atomic.Int64
@@ -102,7 +96,6 @@ func (c *transportCounters) snapshot() TransportStats {
 		Requests:           c.requests.Load(),
 		Retries:            c.retries.Load(),
 		BytesByReference:   c.bytesByRef.Load(),
-		RequestsWithdrawn:  c.withdrawn.Load(),
 		FetchBatches:       c.fetchBatches.Load(),
 		AsyncFallbacks:     c.asyncFallbacks.Load(),
 		OverloadRejections: c.overloadRejections.Load(),
@@ -121,13 +114,6 @@ func (c *transportCounters) countFrameOut(n, byRef int) {
 	if byRef > 0 {
 		c.bytesByRef.Add(int64(byRef))
 	}
-}
-
-// countFramesOut counts a run of frames totalling n wire bytes, none of them
-// sent by reference.
-func (c *transportCounters) countFramesOut(frames, n int) {
-	c.framesSent.Add(int64(frames))
-	c.bytesSent.Add(int64(n))
 }
 
 func (c *transportCounters) countFrameIn(n int) {

@@ -334,12 +334,13 @@ func TestVectoredRetryResendsSameBytes(t *testing.T) {
 }
 
 // TestCancelledRoundTripKeepsPayload is the regression test for a cancelled
-// round trip leaving its payload with the write loop. The server stalls its
-// reads, so one PutChunk blocks mid-write and the others queue behind it;
-// all are cancelled and every caller overwrites its buffer the moment its
-// call returns. When the server reads again, no frame may carry overwritten
-// bytes: queued requests were withdrawn and never sent, the one being
-// written was waited for.
+// round trip whose payload is read after its caller has the buffer back. The
+// server stalls its reads, so one PutChunk blocks mid-write, holding the
+// connection's send side, and the others wait for it; all are cancelled and
+// every caller overwrites its buffer the moment its call returns. The waiting
+// calls return at once and their frames never reach the wire; the one being
+// written returns when its write does, and when the server reads again the
+// one frame that arrives carries the bytes its caller sent.
 func TestCancelledRoundTripKeepsPayload(t *testing.T) {
 	const calls, size = 6, 1 << 20
 	const scribble = 0xFF
@@ -392,42 +393,35 @@ func TestCancelledRoundTripKeepsPayload(t *testing.T) {
 			t.Errorf("PutChunk %d: %v, want context.Canceled", i, err)
 		}
 	}
-	// The first call fills the socket and blocks the write loop mid-frame.
+	// The first call fills the socket and blocks mid-frame. Its frame is
+	// counted once it has the send side, which it then keeps until the server
+	// reads again: whenever the others arrive, they find it taken.
 	wg.Add(1)
 	go put(0)
 	if !waitFor(5*time.Second, func() bool { return client.Stats().FramesSent == 1 }) {
-		t.Fatal("first request never reached the write loop")
+		t.Fatal("first request never took the send side")
 	}
-	time.Sleep(10 * time.Millisecond)
 	for i := 1; i < calls; i++ {
 		wg.Add(1)
 		go put(i)
 	}
-	// With the write loop blocked, the rest sit in the queue. (Any that
-	// slipped into the first batch are simply written and waited for.)
-	waitFor(2*time.Second, func() bool { return len(cc.out) == calls-1 })
-	queued := int64(len(cc.out))
-	if queued == 0 {
-		t.Fatal("the write loop never blocked: no request was left in the queue")
-	}
 	cancel()
-	if !waitFor(5*time.Second, func() bool { return returned.Load() >= queued }) {
-		t.Fatalf("%d of %d queued calls returned after cancellation", returned.Load(), queued)
+	// With the server still stalled, every call but the one writing returns.
+	if !waitFor(5*time.Second, func() bool { return returned.Load() == calls-1 }) {
+		t.Fatalf("%d of %d waiting calls returned after cancellation", returned.Load(), calls-1)
 	}
-	if sent := client.Stats().FramesSent; sent != calls-queued {
-		t.Fatalf("%d frames gathered while the server was stalled, want %d", sent, calls-queued)
+	if sent := client.Stats().FramesSent; sent != 1 {
+		t.Fatalf("%d frames encoded while the server was stalled, want 1", sent)
 	}
 	close(resume)
 	wg.Wait()
-	// Settled calls left nothing behind: wait for the write loop to skip the
-	// withdrawn requests, then hang up so the server sees the end.
-	if !waitFor(5*time.Second, func() bool { return client.Stats().RequestsWithdrawn == queued }) {
-		t.Fatalf("write loop counted %d withdrawn requests, want %d", client.Stats().RequestsWithdrawn, queued)
-	}
+	// Hang up so the server sees the end.
 	_ = client.Close()
-	chunks := <-arrived
-	if int64(len(chunks)) != calls-queued {
-		t.Fatalf("%d frames arrived (chunks %v), want %d: withdrawn requests must never reach the wire", len(chunks), chunks, calls-queued)
+	if chunks := <-arrived; len(chunks) != 1 || chunks[0] != 0 {
+		t.Fatalf("frames of chunks %v arrived, want only chunk 0's: a call cancelled while it waited must never reach the wire", chunks)
+	}
+	if sent := client.Stats().FramesSent; sent != 1 {
+		t.Fatalf("%d frames sent in all, want 1", sent)
 	}
 }
 

@@ -49,8 +49,9 @@
 // # Payloads travel by reference
 //
 // The format above says which bytes cross the wire, not how they get there.
-// Both write loops gather a batch of frames into one vector (frameBatch) and
-// flush it with a single writev: headers and data fields shorter than
+// Every writer — a client goroutine sending its own requests, the server's
+// write loop — gathers its frames into one vector (frameBatch) and flushes it
+// with a single writev: headers and data fields shorter than
 // byRefMin are encoded into the batch's buffer, a data field of byRefMin
 // bytes or more is put in the vector as the caller's slice itself, so the
 // only copy of a chunk-sized payload on the way out is the kernel's. On the
@@ -419,13 +420,13 @@ func appendString16(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// frameBatch gathers the frames of one write-loop batch and puts them on the
-// wire with a single writev. enc holds everything that is encoded or copied
+// frameBatch gathers the frames of one write and puts them on the wire with a
+// single writev. enc holds everything that is encoded or copied
 // — headers and data fields below byRefMin — contiguously in wire order; vec
 // lists the batch's segments in wire order: runs of enc interleaved with the
 // data fields that travel by reference. A referenced payload must stay
 // unchanged until flush returns. The batch is reused across flushes, so a
-// steady write loop allocates nothing per frame.
+// connection in steady use allocates nothing per frame.
 type frameBatch struct {
 	enc []byte
 	cut int // enc[:cut] is already listed in vec

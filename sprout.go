@@ -57,9 +57,8 @@ type (
 	FileMeta = core.FileMeta
 	// ControllerStats are the controller's observability counters.
 	ControllerStats = core.Stats
-	// ServeOptions tunes the controller's concurrent serving path: parallel
-	// vs sequential chunk fetches, hedged fetches, background fill workers,
-	// and the auto-replanner.
+	// ServeOptions tunes the controller's concurrent serving path: hedged
+	// fetches, background fill workers, and the auto-replanner.
 	ServeOptions = core.ServeOptions
 	// LatencySnapshot summarises one read-latency distribution (p50/p90/p99).
 	LatencySnapshot = metrics.LatencySnapshot
