@@ -17,7 +17,7 @@ import (
 // AutoscalePhase measures one arm of the closed-loop capacity experiment
 // during one traffic phase.
 type AutoscalePhase struct {
-	Arm   string // "replan" (EWMA auto-replan only) or "closed" (analyzer + autoscaler)
+	Arm   string // "replan" (EWMA auto-replan only) or "closed" (admission + autoscaler)
 	Phase string // "day", "night", "viral"
 	Ops   int
 	// Errors counts failed reads (saturation sheds included).
@@ -41,7 +41,7 @@ type AutoscalePhase struct {
 // trace (day traffic over a Zipf catalogue, a near-idle night over two hot
 // files, then a viral flip onto the catalogue's coldest file) served by two
 // controllers — one with the EWMA auto-replanner only, one with the
-// saturation analyzer and cache autoscaler layered on top.
+// admission gate and cache autoscaler layered on top.
 //
 // The closed loop must (a) free at least half the cache during the night
 // phase, scaling at least one file to zero; (b) stay within 1.3x of the
@@ -81,8 +81,8 @@ func AutoscaleClosedLoop(cfg Config) ([]AutoscalePhase, error) {
 }
 
 // autoscaleServeOptions builds one arm's controller options. Both arms
-// auto-replan at the same cadence; the closed arm adds the analyzer and the
-// autoscaler on top.
+// auto-replan at the same cadence; the closed arm adds the admission gate
+// (at its defaults) and the autoscaler on top.
 func autoscaleServeOptions(closed bool) core.ServeOptions {
 	serve := core.ServeOptions{
 		ReplanInterval:  500 * time.Millisecond,
@@ -95,11 +95,7 @@ func autoscaleServeOptions(closed bool) core.ServeOptions {
 			ColdWindows: 3,
 			MinRate:     0.5,
 		}
-		serve.Analyzer = &core.AnalyzerConfig{
-			SampleInterval: 10 * time.Millisecond,
-			Window:         60 * time.Millisecond,
-			Dwell:          250 * time.Millisecond,
-		}
+		serve.Admission = &core.AdmissionConfig{}
 	}
 	return serve
 }
@@ -245,13 +241,13 @@ func findPhase(results []AutoscalePhase, arm, phase string) *AutoscalePhase {
 // acceptance metrics.
 func AutoscaleTable(results []AutoscalePhase) *Table {
 	t := &Table{
-		Title: "closed-loop capacity plane: EWMA replan only vs analyzer + cache autoscaler",
+		Title: "closed-loop capacity plane: EWMA replan only vs admission + cache autoscaler",
 		Headers: []string{"arm", "phase", "ops", "ops/s", "p50 ms", "p99 ms",
 			"cache chunks", "zero files", "viral chunks", "shed", "to-zero"},
 		Notes: []string{
 			"diurnal trace: Zipf day, near-idle 2-file night, then the coldest file goes viral (70% of traffic)",
 			"cache chunks / zero files / viral chunks are sampled at each phase end",
-			"closed arm: 60ms autoscale interval (3 cold windows to shrink), 60ms analyzer window with 250ms dwell",
+			"closed arm: 60ms autoscale interval (3 cold windows to shrink), admission gate at its defaults (in-flight signal only)",
 		},
 	}
 	for _, r := range results {
@@ -289,7 +285,7 @@ func AutoscaleTable(results []AutoscalePhase) *Table {
 		p99Ratio = closedDay.P99ms / replanDay.P99ms
 	}
 	t.AddMetric("day_p99_ratio_vs_replan", p99Ratio, "ratio", false, 0.4)
-	// Acceptance: analyzer-driven admission sheds nothing while unloaded.
+	// Acceptance: admission sheds nothing while unloaded.
 	// Ideal is zero, but a slow shared runner can legitimately shed a
 	// handful of reads, so the gate grants a small absolute allowance
 	// instead of failing on any positive value.

@@ -227,15 +227,10 @@ type ServeOptions struct {
 	// Admission, when set, enables the saturation gate in front of Read:
 	// as pressure rises the controller first stops hedging, then suppresses
 	// background cache fills, and finally sheds low-value reads that would
-	// need storage fetches (ErrSaturated).
+	// need storage fetches (ErrSaturated). With a LatencyTarget the
+	// controller also runs a periodic job that measures the read p99 of each
+	// 250 ms window for the gate's latency signal.
 	Admission *AdmissionConfig
-
-	// Analyzer, when set, starts the saturation analyzer: a collector
-	// goroutine that samples queue depth and windowed latency histograms and
-	// drives the admission gate's brownout level from those measurements
-	// (with dwell hysteresis) instead of the gate's instantaneous score.
-	// Implies Admission (a default gate is created when Admission is nil).
-	Analyzer *AnalyzerConfig
 
 	// Autoscale, when set, starts the cache autoscaler: between replans it
 	// continuously shrinks long-cold files' cache allocation to zero and
@@ -250,12 +245,12 @@ type ServeOptions struct {
 	Logf func(format string, args ...any)
 
 	// Tick, when set, is a shared scheduler the controller registers its
-	// periodic jobs (replan, autoscale, analyzer) on instead of running its
-	// own — one process-wide goroutine and timer batch every subsystem's
-	// maintenance. The caller owns the scheduler's lifetime; Close only
-	// unregisters the controller's jobs, so any number of controllers may
-	// share one scheduler. Nil means the controller owns a private
-	// scheduler when any periodic plane is enabled.
+	// periodic jobs (replan, autoscale, the admission gate's latency window)
+	// on instead of running its own — one process-wide goroutine and timer
+	// batch every subsystem's maintenance. The caller owns the scheduler's
+	// lifetime; Close only unregisters the controller's jobs, so any number
+	// of controllers may share one scheduler. Nil means the controller owns
+	// a private scheduler when any periodic plane is enabled.
 	Tick *tick.Scheduler
 
 	// Tenants, when non-empty, makes tenants a first-class serving
@@ -376,7 +371,7 @@ type Controller struct {
 
 	est *workload.EWMAEstimator // non-nil when auto-replanning
 	// sched batches the controller's periodic maintenance — auto-replan,
-	// autoscale, saturation analysis — onto one goroutine and one timer;
+	// autoscale, the admission window — onto one goroutine and one timer;
 	// nil when no periodic plane is enabled. A membership change kicks the
 	// replanNow job (nil unless auto-replanning) instead of nudging a
 	// dedicated channel.
@@ -391,9 +386,6 @@ type Controller struct {
 
 	// adm is the saturation gate; nil when admission control is off.
 	adm *admissionGate
-	// analyzer drives adm's brownout level from windowed measurements; nil
-	// when the saturation analyzer is off.
-	analyzer *analyzer
 	// asc is the cache autoscaler; nil when autoscaling is off.
 	asc *autoscaler
 
@@ -418,6 +410,9 @@ func NewController(clu *cluster.Cluster, cacheCapacity int, opts optimizer.Optio
 // NewControllerWith builds a controller with explicit serving options.
 func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.Options, serve ServeOptions, seed int64) (*Controller, error) {
 	if err := clu.Validate(); err != nil {
+		return nil, err
+	}
+	if err := validateTenants(serve.Tenants, len(clu.Files)); err != nil {
 		return nil, err
 	}
 	idx := clu.NodeIndex()
@@ -477,10 +472,8 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	}
 	if serve.Admission != nil {
 		c.adm = newAdmissionGate(*serve.Admission)
-	} else if serve.Analyzer != nil {
-		// The analyzer needs a gate to actuate; give it one with defaults.
-		c.adm = newAdmissionGate(AdmissionConfig{})
 	}
+	latencyWindow := c.adm != nil && c.adm.cfg.LatencyTarget > 0
 	c.rngPool.New = func() any {
 		return rand.New(rand.NewSource(seed + c.rngSeq.Add(1)))
 	}
@@ -494,7 +487,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	}
 	if serve.Tick != nil {
 		c.sched = serve.Tick
-	} else if serve.ReplanInterval > 0 || serve.Autoscale != nil || serve.Analyzer != nil {
+	} else if serve.ReplanInterval > 0 || serve.Autoscale != nil || latencyWindow {
 		// All periodic maintenance shares one scheduler goroutine and one
 		// timer: an idle controller does one bounded wakeup per earliest
 		// period instead of one per plane.
@@ -508,9 +501,8 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 		c.asc = newAutoscaler(c, *serve.Autoscale)
 		c.registerAutoscaleJob(c.asc)
 	}
-	if serve.Analyzer != nil {
-		c.analyzer = newAnalyzer(*serve.Analyzer, c.adm)
-		c.registerAnalyzerJob(c.analyzer)
+	if latencyWindow {
+		c.registerWindowJob()
 	}
 	return c, nil
 }

@@ -239,10 +239,10 @@ func TestSharedSchedulerKeepsControllersApart(t *testing.T) {
 		perCtrl int
 	}{
 		{"replan", ServeOptions{ReplanInterval: time.Hour}, 2},
-		{"replan+autoscale+analyzer", ServeOptions{
+		{"replan+autoscale+admission", ServeOptions{
 			ReplanInterval: time.Hour,
 			Autoscale:      &AutoscaleConfig{Interval: time.Hour},
-			Analyzer:       &AnalyzerConfig{SampleInterval: time.Hour},
+			Admission:      &AdmissionConfig{LatencyTarget: time.Second},
 		}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

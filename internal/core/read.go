@@ -88,13 +88,9 @@ func (c *Controller) ReadInto(ctx context.Context, fileID int, fetcher ChunkFetc
 		var retryable bool
 		payload, retryable, err = c.readOnce(ctx, sc, fileID, fetcher, dst, start, level, ts)
 		if err == nil {
-			elapsed := time.Since(start)
-			if c.adm != nil {
-				c.adm.observe(elapsed)
-			}
 			if ts != nil {
 				ts.reads.Add(1)
-				ts.hist.Observe(elapsed)
+				ts.hist.Observe(time.Since(start))
 			}
 			break
 		}

@@ -12,6 +12,7 @@ import (
 
 	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
+	"sprout/internal/tick"
 )
 
 // failingNodeFetcher wraps a fakeStore and fails every fetch aimed at one
@@ -114,16 +115,15 @@ func TestOverloadPropagatesThroughFailover(t *testing.T) {
 	}
 }
 
-// saturate pushes the admission gate's p99 estimate far past the target so
-// subsequent reads observe the deepest brownout level.
+// saturate pushes the admission gate's in-flight count to twice its
+// MaxInFlight so subsequent reads observe the deepest brownout level. The
+// window job only writes the latency signal, so nothing pulls it back.
 func saturate(t *testing.T, ctrl *Controller) {
 	t.Helper()
 	if ctrl.adm == nil {
 		t.Fatal("admission gate not configured")
 	}
-	for i := 0; i < 8; i++ {
-		ctrl.adm.observe(time.Second)
-	}
+	ctrl.adm.inflight.Add(2 * int64(ctrl.adm.cfg.MaxInFlight))
 	if lvl := ctrl.SaturationLevel(); lvl != 3 {
 		t.Fatalf("saturation level = %d, want 3", lvl)
 	}
@@ -222,19 +222,143 @@ func TestAdmissionGateLevels(t *testing.T) {
 	if lvl := g.level(); lvl != 0 {
 		t.Fatalf("level after drain = %d, want 0", lvl)
 	}
-	// Latency signal: pushing the p99 estimate past the target saturates the
-	// gate even with zero in-flight reads; fast reads pull it back down.
-	for i := 0; i < 8; i++ {
-		g.observe(10 * time.Second)
-	}
+	// Latency signal: a window p99 past the target saturates the gate even
+	// with zero in-flight reads; a fast window pulls it back down.
+	g.p99.Store(int64(10 * time.Second))
 	if lvl := g.level(); lvl != 3 {
 		t.Fatalf("level under slow p99 = %d, want 3", lvl)
 	}
-	for i := 0; i < 5000; i++ {
-		g.observe(time.Microsecond)
-	}
+	g.p99.Store(int64(time.Microsecond))
 	if lvl := g.level(); lvl != 0 {
 		t.Fatalf("level after recovery = %d, want 0 (score %v)", lvl, g.score())
+	}
+}
+
+// TestAdmissionScoreWorstSignalWins: the score is the worse of the
+// queue-depth and window-p99 signals, each normalised by its target.
+func TestAdmissionScoreWorstSignalWins(t *testing.T) {
+	g := newAdmissionGate(AdmissionConfig{LatencyTarget: 100 * time.Millisecond})
+	// 128 in flight of 256 max = 0.5; 150ms p99 of 100ms target = 1.5.
+	g.inflight.Store(int64(g.cfg.MaxInFlight) / 2)
+	g.p99.Store(int64(150 * time.Millisecond))
+	if got := g.score(); got != 1.5 {
+		t.Fatalf("score = %v, want 1.5", got)
+	}
+	g.p99.Store(int64(time.Millisecond))
+	if got := g.score(); got != 0.5 {
+		t.Fatalf("score = %v, want 0.5", got)
+	}
+	// Without a latency target the window p99 is ignored.
+	g = newAdmissionGate(AdmissionConfig{})
+	g.p99.Store(int64(time.Hour))
+	if got := g.score(); got != 0 {
+		t.Fatalf("score without a latency target = %v, want 0", got)
+	}
+}
+
+// stoppedTick is a scheduler that never runs its jobs: a controller given it
+// registers its window job there, and the test is the only one folding.
+func stoppedTick() *tick.Scheduler {
+	s := tick.New()
+	s.Close()
+	return s
+}
+
+// TestSaturationLevelMapsScore: whichever signal drives it, SaturationLevel
+// is the threshold map of SaturationScore — 0.75, 1.0 and 1.25 open levels
+// 1, 2 and 3.
+func TestSaturationLevelMapsScore(t *testing.T) {
+	ctrl, _ := buildControllerWith(t, 2, 0, 0.05, ServeOptions{
+		Admission: &AdmissionConfig{MaxInFlight: 100, LatencyTarget: 100 * time.Millisecond},
+		Tick:      stoppedTick(),
+	})
+	defer ctrl.Close()
+	for _, tc := range []struct {
+		inflight int64
+		p99      time.Duration
+		score    float64
+		level    int
+	}{
+		{0, 0, 0, 0},
+		{50, 0, 0.5, 0},
+		{74, 0, 0.74, 0},
+		{75, 0, 0.75, 1},
+		{99, 0, 0.99, 1},
+		{100, 0, 1.0, 2},
+		{124, 0, 1.24, 2},
+		{125, 0, 1.25, 3},
+		{1000, 0, 10, 3},
+		{0, 75 * time.Millisecond, 0.75, 1},
+		{0, 125 * time.Millisecond, 1.25, 3},
+		{50, 100 * time.Millisecond, 1.0, 2},
+		{125, 50 * time.Millisecond, 1.25, 3},
+	} {
+		ctrl.adm.inflight.Store(tc.inflight)
+		ctrl.adm.p99.Store(int64(tc.p99))
+		score, level := ctrl.SaturationScore(), ctrl.SaturationLevel()
+		if score != tc.score || level != tc.level || level != brownoutLevel(score) {
+			t.Errorf("inflight %d, p99 %v: score %v level %d, want score %v level %d",
+				tc.inflight, tc.p99, score, level, tc.score, tc.level)
+		}
+	}
+}
+
+// TestSaturationWindowFold drives the latency signal through the window
+// fold itself: one window of slow reads takes the level to 3, the next
+// window of fast reads brings it back to 0, and a window without reads
+// reports no latency.
+func TestSaturationWindowFold(t *testing.T) {
+	ctrl, _ := buildControllerWith(t, 2, 0, 0.05, ServeOptions{
+		Admission: &AdmissionConfig{LatencyTarget: 100 * time.Millisecond},
+		Tick:      stoppedTick(),
+	})
+	defer ctrl.Close()
+	fold := func() { ctrl.adm.fold(ctrl.readBucketsTotal()) }
+
+	for i := 0; i < 10; i++ {
+		ctrl.hist.storage.Observe(time.Second)
+	}
+	fold()
+	if lvl := ctrl.SaturationLevel(); lvl != 3 {
+		t.Fatalf("level after a slow window = %d, want 3 (score %v)", lvl, ctrl.SaturationScore())
+	}
+	for i := 0; i < 1000; i++ {
+		ctrl.hist.cacheHit.Observe(time.Millisecond)
+	}
+	fold()
+	if lvl := ctrl.SaturationLevel(); lvl != 0 {
+		t.Fatalf("level after a fast window = %d, want 0 (score %v)", lvl, ctrl.SaturationScore())
+	}
+	ctrl.hist.degraded.Observe(time.Second)
+	fold()
+	fold()
+	if p99 := ctrl.adm.p99.Load(); p99 != 0 {
+		t.Fatalf("window p99 after a window without reads = %v, want 0", time.Duration(p99))
+	}
+}
+
+// TestSaturationWindowEndToEnd runs the window job on the controller's own
+// scheduler: reads of an unloaded controller are measured within a window
+// and leave the gate at level 0.
+func TestSaturationWindowEndToEnd(t *testing.T) {
+	ctrl, store := buildControllerWith(t, 3, 0, 0.05, ServeOptions{
+		Admission: &AdmissionConfig{LatencyTarget: time.Minute},
+	})
+	defer ctrl.Close()
+	if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ctrl.adm.p99.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the window job never folded a read")
+		}
+		if _, err := ctrl.Read(context.Background(), 0, store); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if lvl := ctrl.SaturationLevel(); lvl != 0 {
+		t.Fatalf("unloaded controller at level %d", lvl)
 	}
 }
 
@@ -319,41 +443,57 @@ func medianRuleLowValue(lambdas []float64) []bool {
 	return low
 }
 
-// TestLowValueFilesMatchesMedianRule: the single sort marks exactly what the
-// median rule marked, on inputs full of ties.
+// TestLowValueFilesMatchesMedianRule: the single sort marks every zero-rate
+// file plus exactly what the median rule marks among the positive-rate
+// files, on inputs full of ties.
 func TestLowValueFilesMatchesMedianRule(t *testing.T) {
 	values := []float64{0, 0.1, 0.3, 2}
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lambdas := make([]float64, rng.Intn(65))
+		var served []int
+		var servedRates []float64
 		for i := range lambdas {
 			lambdas[i] = values[rng.Intn(len(values))]
+			if lambdas[i] > 0 {
+				served = append(served, i)
+				servedRates = append(servedRates, lambdas[i])
+			}
 		}
-		if got, want := lowValueFiles(lambdas), medianRuleLowValue(lambdas); !slices.Equal(got, want) {
+		var want []bool
+		if len(lambdas) > 0 {
+			want = make([]bool, len(lambdas))
+			for i, l := range lambdas {
+				want[i] = l == 0
+			}
+			for j, low := range medianRuleLowValue(servedRates) {
+				want[served[j]] = low
+			}
+		}
+		if got := lowValueFiles(lambdas); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: rates %v\n got %v\nwant %v", seed, lambdas, got, want)
 		}
 	}
 }
 
-// TestAdmissionColdStartSeedsFromFirstSample locks in the cold-start fix:
-// the EWMA p99 estimate must adopt the first observed sample outright, so a
-// single slow burst from idle immediately crosses NoHedgeAt instead of
-// taking ~1/Alpha samples to warm from zero.
-func TestAdmissionColdStartSeedsFromFirstSample(t *testing.T) {
-	g := newAdmissionGate(AdmissionConfig{MaxInFlight: 256, LatencyTarget: 50 * time.Millisecond})
-	// One sample exactly at the latency target: score 1.0 ≥ NoHedgeAt (0.75).
-	// Pre-fix the estimate warmed to Alpha·sample = 0.2 → level 0.
-	g.observe(50 * time.Millisecond)
-	if lvl := g.level(); lvl < 1 {
-		t.Fatalf("level after one target-latency sample from idle = %d, want ≥ 1 (score %v)", lvl, g.score())
+// TestSaturationShedsMaskedPlanServedFile: a shard controller is planned
+// over a masked rate vector — zeros for the files other shards own. At
+// level 3 it must still shed its own lowest-rate file; ranking the zeros
+// with the served files used to spend the whole bottom half on them.
+func TestSaturationShedsMaskedPlanServedFile(t *testing.T) {
+	ctrl, store := buildControllerWith(t, 8, 0, 0.05, ServeOptions{
+		Admission: &AdmissionConfig{},
+	})
+	defer ctrl.Close()
+	if _, err := ctrl.PlanTimeBin([]float64{0, 0, 0, 0, 0.01, 0.2, 0.3, 0.4}); err != nil {
+		t.Fatal(err)
 	}
-	// Subsequent samples must keep using the EWMA, not re-seed: a stream of
-	// fast reads pulls the estimate back down.
-	for i := 0; i < 5000; i++ {
-		g.observe(time.Microsecond)
+	saturate(t, ctrl)
+	if _, err := ctrl.Read(context.Background(), 4, store); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("read of the lowest-rate served file at level 3 = %v, want ErrSaturated", err)
 	}
-	if lvl := g.level(); lvl != 0 {
-		t.Fatalf("level after recovery = %d, want 0 (score %v)", lvl, g.score())
+	if _, err := ctrl.Read(context.Background(), 7, store); err != nil {
+		t.Fatalf("read of the highest-rate file at level 3: %v", err)
 	}
 }
 

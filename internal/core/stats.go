@@ -53,7 +53,6 @@ type counters struct {
 	autoscaleToZero  atomic.Int64
 	autoscaleFreed   atomic.Int64
 	autoscaleGranted atomic.Int64
-	analyzerShifts   atomic.Int64
 }
 
 // Stats exposes counters for observability and the evaluation harness.
@@ -151,9 +150,6 @@ type Stats struct {
 	AutoscaleToZero  int64
 	AutoscaleFreed   int64
 	AutoscaleGranted int64
-	// AnalyzerShifts counts brownout-level transitions applied by the
-	// saturation analyzer.
-	AnalyzerShifts int64
 }
 
 // Stats returns a snapshot of the controller counters.
@@ -203,7 +199,6 @@ func (c *Controller) Stats() Stats {
 		AutoscaleToZero:  c.stats.autoscaleToZero.Load(),
 		AutoscaleFreed:   c.stats.autoscaleFreed.Load(),
 		AutoscaleGranted: c.stats.autoscaleGranted.Load(),
-		AnalyzerShifts:   c.stats.analyzerShifts.Load(),
 	}
 }
 

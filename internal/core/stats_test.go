@@ -10,8 +10,8 @@ import (
 // TestHistogramQuantileOverflowClamped locks in the overflow-bucket fix: a
 // windowed delta whose rank lands in the last bucket must report a latency
 // anchored to the observed maximum, not the bucket's synthetic ~134s upper
-// bound — that fabricated value fed the saturation analyzer a p99 no read
-// ever exhibited.
+// bound — that fabricated value fed the admission gate's window a p99 no
+// read ever exhibited.
 func TestHistogramQuantileOverflowClamped(t *testing.T) {
 	// All mass in the overflow bucket with a recorded max just above its
 	// lower bound: every quantile must stay within [lo, max].
@@ -41,8 +41,8 @@ func TestHistogramQuantileOverflowClamped(t *testing.T) {
 }
 
 // TestHistogramWindowedDeltaCarriesMax drives the real snapshot/Sub path the
-// saturation analyzer uses: one slow read in the overflow bucket must yield
-// a windowed p99 bounded by the observed latency.
+// admission gate's window fold uses: one slow read in the overflow bucket
+// must yield a windowed p99 bounded by the observed latency.
 func TestHistogramWindowedDeltaCarriesMax(t *testing.T) {
 	var h metrics.Histogram
 	prev := h.Buckets()

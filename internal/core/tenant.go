@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"sprout/internal/metrics"
@@ -28,10 +30,11 @@ const DefaultTenant = "default"
 // TenantPolicy is one tenant's QoS contract with the controller.
 type TenantPolicy struct {
 	// Name is the tenant identifier carried by the wire protocol's Tenant
-	// field and the WithTenant context key.
+	// field and the WithTenant context key. Names are unique.
 	Name string
 	// Class is the SLO class: ClassGold, ClassSilver, or ClassBronze.
-	// Empty defaults to silver — the seed's behaviour.
+	// Empty defaults to silver — the seed's behaviour; any other value is
+	// rejected.
 	Class string
 	// Weight is the tenant's fair share relative to the others: the
 	// weighted-fair queues, the repair tie-break, and the cache-budget split
@@ -46,7 +49,8 @@ type TenantPolicy struct {
 	// Files lists the file IDs this tenant owns. Ownership drives the
 	// cache-budget split: the optimizer divides the cache across tenants in
 	// proportion to Weight, and the autoscaler regrows only within the
-	// owner's share. Files listed by no tenant belong to the default tenant.
+	// owner's share. Files listed by no tenant belong to the default tenant;
+	// a file listed twice, or out of range, is rejected.
 	Files []int
 }
 
@@ -93,6 +97,36 @@ func WithTenant(ctx context.Context, name string) context.Context {
 func TenantFrom(ctx context.Context) string {
 	name, _ := ctx.Value(tenantKey{}).(string)
 	return name
+}
+
+// validateTenants rejects policy sets the QoS plane would misread: an
+// unknown class (it would run with silver semantics), two policies under one
+// name (the later would replace the earlier), and a file ID that is out of
+// range or listed twice (the budget split would drop it).
+func validateTenants(policies []TenantPolicy, nFiles int) error {
+	names := make(map[string]bool, len(policies))
+	owner := make(map[int]string)
+	for _, p := range policies {
+		switch p.Class {
+		case "", ClassGold, ClassSilver, ClassBronze:
+		default:
+			return fmt.Errorf("core: tenant %q: unknown class %q", p.Name, p.Class)
+		}
+		if names[p.Name] {
+			return fmt.Errorf("core: tenant %q has two policies", p.Name)
+		}
+		names[p.Name] = true
+		for _, f := range p.Files {
+			if f < 0 || f >= nFiles {
+				return fmt.Errorf("core: tenant %q: file %d out of range [0, %d)", p.Name, f, nFiles)
+			}
+			if o, ok := owner[f]; ok {
+				return fmt.Errorf("core: file %d listed by tenants %q and %q", f, o, p.Name)
+			}
+			owner[f] = p.Name
+		}
+	}
+	return nil
 }
 
 // buildTenants materialises the per-tenant states from the serve options.
@@ -234,7 +268,9 @@ func tenantWeights(policies []TenantPolicy) map[string]int {
 // tenantShares derives the optimizer's cache-budget partition from the
 // tenant policies: every file listed by a policy belongs to that tenant,
 // everything else to the default tenant. Returns nil (no split) when no
-// policy lists files — the budget then stays one shared pool.
+// policy lists files — the budget then stays one shared pool. The policies
+// have passed validateTenants, so every listed file is in range and listed
+// once.
 func tenantShares(policies []TenantPolicy, nFiles int) ([]optimizer.TenantShare, []string) {
 	owned := false
 	for _, p := range policies {
@@ -246,30 +282,23 @@ func tenantShares(policies []TenantPolicy, nFiles int) ([]optimizer.TenantShare,
 	if !owned {
 		return nil, nil
 	}
-	owner := make([]int, nFiles)
-	for i := range owner {
-		owner[i] = -1
-	}
+	listed := make([]bool, nFiles)
 	shares := make([]optimizer.TenantShare, 0, len(policies)+1)
 	names := make([]string, 0, len(policies)+1)
 	for _, p := range policies {
 		p = p.withDefaults()
-		sh := optimizer.TenantShare{Weight: p.Weight}
+		if len(p.Files) == 0 {
+			continue
+		}
 		for _, f := range p.Files {
-			if f < 0 || f >= nFiles || owner[f] >= 0 {
-				continue
-			}
-			owner[f] = len(shares)
-			sh.Files = append(sh.Files, f)
+			listed[f] = true
 		}
-		if len(sh.Files) > 0 {
-			shares = append(shares, sh)
-			names = append(names, p.Name)
-		}
+		shares = append(shares, optimizer.TenantShare{Weight: p.Weight, Files: slices.Clone(p.Files)})
+		names = append(names, p.Name)
 	}
 	var rest []int
-	for f, o := range owner {
-		if o < 0 {
+	for f, l := range listed {
+		if !l {
 			rest = append(rest, f)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
 )
 
@@ -137,17 +138,16 @@ func TestTenantPriorityHedging(t *testing.T) {
 		o := tenantServe()
 		o.HedgeDelay = time.Nanosecond
 		o.HedgeExtra = 1
-		o.Admission = &AdmissionConfig{MaxInFlight: 1000, LatencyTarget: time.Millisecond}
+		o.Admission = &AdmissionConfig{MaxInFlight: 1000}
 		return o
 	}())
 	defer ctrl.Close()
 	if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
 		t.Fatal(err)
 	}
-	// Push the latency p99 into the NoHedge band (level 1, below CacheOnly).
-	for i := 0; i < 8; i++ {
-		ctrl.adm.observe(800 * time.Microsecond)
-	}
+	// Push the queue depth into the NoHedge band (level 1, below CacheOnly):
+	// 800 of 1000, and the test's own read adds one.
+	ctrl.adm.inflight.Add(800)
 	if lvl := ctrl.SaturationLevel(); lvl != 1 {
 		t.Fatalf("saturation level = %d, want 1", lvl)
 	}
@@ -212,6 +212,30 @@ func TestTenantCacheShares(t *testing.T) {
 	}
 	if cached > 6 {
 		t.Fatalf("split plan caches %d chunks, capacity 6", cached)
+	}
+}
+
+// TestTenantValidation: NewControllerWith rejects the tenant policy sets the
+// QoS plane would otherwise misread. (Every valid shape is built by the
+// other tenant tests.)
+func TestTenantValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		policies []TenantPolicy
+	}{
+		{"unknown class", []TenantPolicy{{Name: "a", Class: "Gold"}}},
+		{"duplicate name", []TenantPolicy{{Name: "a", Class: ClassGold}, {Name: "a", Class: ClassBronze}}},
+		{"file out of range", []TenantPolicy{{Name: "a", Files: []int{4}}}},
+		{"negative file", []TenantPolicy{{Name: "a", Files: []int{-1}}}},
+		{"file listed by two policies", []TenantPolicy{{Name: "a", Files: []int{0, 1}}, {Name: "b", Files: []int{1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{MaxOuterIter: 6}, ServeOptions{Tenants: tc.policies}, 1)
+			if err == nil {
+				ctrl.Close()
+				t.Fatal("NewControllerWith accepted the policies")
+			}
+		})
 	}
 }
 

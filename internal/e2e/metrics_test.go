@@ -24,7 +24,7 @@ import (
 // conformance lint, and show monotonically increasing read counters.
 func TestMetricsEndpoint(t *testing.T) {
 	h, client := newHarnessWith(t, core.ServeOptions{
-		Analyzer:  &core.AnalyzerConfig{},
+		Admission: &core.AdmissionConfig{LatencyTarget: 5 * time.Second},
 		Autoscale: &core.AutoscaleConfig{},
 	},
 		transport.ServerConfig{StagedPutTTL: time.Minute},

@@ -109,8 +109,8 @@ func bucketBounds(b int) (lo, hi time.Duration) {
 // observed maximum so percentiles stay ordered. A rank that lands in the
 // overflow bucket is anchored to that maximum rather than the bucket's
 // synthetic ~134s upper bound — returning the bound would fabricate a
-// latency no read ever exhibited (and, fed to the saturation analyzer, slam
-// the gate to its deepest brownout level). When no max was recorded the
+// latency no read ever exhibited (and, fed to the admission gate's window,
+// slam the gate to its deepest brownout level). When no max was recorded the
 // overflow bucket contributes its lower bound instead of its width.
 func (s HistogramBuckets) Quantile(q float64) time.Duration {
 	if s.Count <= 0 {

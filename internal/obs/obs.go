@@ -31,8 +31,8 @@ import (
 // registers all of them.
 type Sources struct {
 	// Controller bridges read/write counters, latency histograms, the
-	// saturation gate and analyzer, the autoscaler, cache occupancy, and the
-	// per-file erasure coders.
+	// saturation gate, the autoscaler, cache occupancy, and the per-file
+	// erasure coders.
 	Controller *core.Controller
 	// TransportClient and TransportServer snapshot each side's wire counters.
 	TransportClient func() transport.TransportStats
@@ -163,7 +163,6 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_autoscale_to_zero_total", "Autoscaler shrinks that released a file's entire allocation.", func(s core.Stats) int64 { return s.AutoscaleToZero }},
 		{"sprout_autoscale_freed_chunks_total", "Cache chunks released by autoscaler shrinks.", func(s core.Stats) int64 { return s.AutoscaleFreed }},
 		{"sprout_autoscale_granted_chunks_total", "Cache chunk budget handed out by autoscaler grows.", func(s core.Stats) int64 { return s.AutoscaleGranted }},
-		{"sprout_analyzer_shifts_total", "Brownout-level transitions applied by the saturation analyzer.", func(s core.Stats) int64 { return s.AnalyzerShifts }},
 		{"sprout_tenant_throttled_total", "Reads refused because the calling tenant was over its rate limit.", func(s core.Stats) int64 { return s.TenantThrottled }},
 		{"sprout_priority_hedges_total", "Gold-tenant reads that kept their hedge timer through brownout level 1.", func(s core.Stats) int64 { return s.PriorityHedges }},
 	} {
@@ -229,16 +228,6 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(id)}, Value: float64(n)})
 		}
 		return out
-	}))
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_analyzer_score_ratio", Help: "Saturation analyzer's last windowed score.",
-		Kind: metrics.KindGauge,
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		s := c.AnalyzerScore()
-		if s != s { // NaN: analyzer off or no window folded yet
-			return nil
-		}
-		return []metrics.Sample{{Value: s}}
 	}))
 
 	cache := c.Cache()

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sprout/internal/cluster"
 	"sprout/internal/core"
@@ -42,7 +43,7 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	}
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
 	ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{
-		Analyzer:  &core.AnalyzerConfig{},
+		Admission: &core.AdmissionConfig{LatencyTarget: time.Second},
 		Autoscale: &core.AutoscaleConfig{},
 		Tenants: []core.TenantPolicy{
 			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},

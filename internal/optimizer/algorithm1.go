@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"sprout/internal/solver"
 )
 
 // Options tunes Algorithm 1. The zero value selects reasonable defaults.
@@ -20,15 +18,9 @@ type Options struct {
 	WarmStart []int
 }
 
-const (
-	// roundFraction is the fraction of still-fractional files whose cache
-	// allocation is fixed to an integer in each inner rounding pass.
-	roundFraction = 0.5
-	// pgMaxIter caps projected-gradient iterations per Prob Π solve.
-	pgMaxIter = 80
-	// pgTolerance is the per-step improvement threshold for Prob Π.
-	pgTolerance = 1e-6
-)
+// roundFraction is the fraction of still-fractional files whose cache
+// allocation is fixed to an integer in each inner rounding pass.
+const roundFraction = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.OuterTol <= 0 {
@@ -209,15 +201,11 @@ func refineScheduling(p *Problem, l layout, e *evaluator, x []float64, z []float
 		}
 		obj := func(y []float64) float64 { return e.objective(y, z) }
 		grad := func(y []float64, g []float64) { e.gradient(y, z, g) }
-		res := solver.ProjectedGradient(obj, grad, project, x, solver.PGOptions{
-			MaxIter:     pgMaxIter,
-			Tolerance:   pgTolerance,
-			InitialStep: 64,
-		})
-		if !isFiniteObjective(res.Value) {
+		next, value := projectedGradient(obj, grad, project, x)
+		if !isFiniteObjective(value) {
 			return math.Inf(1), ErrInfeasible
 		}
-		copy(x, res.X)
+		copy(x, next)
 		cur := e.objective(x, z)
 		if prev-cur <= opts.OuterTol/4 {
 			prev = cur
@@ -474,15 +462,11 @@ func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, o
 
 	maxRounds := 2 + int(math.Ceil(math.Log(float64(r)+1)/math.Log(1/(1-roundFraction))))
 	for round := 0; round < maxRounds+r; round++ {
-		res := solver.ProjectedGradient(obj, grad, project, x, solver.PGOptions{
-			MaxIter:     pgMaxIter,
-			Tolerance:   pgTolerance,
-			InitialStep: 64,
-		})
-		if !isFiniteObjective(res.Value) {
+		next, value := projectedGradient(obj, grad, project, x)
+		if !isFiniteObjective(value) {
 			return ErrInfeasible
 		}
-		copy(x, res.X)
+		copy(x, next)
 
 		// Collect files whose storage-read total is still fractional.
 		type fractional struct {
@@ -534,7 +518,7 @@ func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, o
 func projectFeasible(p *Problem, l layout, y []float64, kL, kU []float64, minTotal float64) {
 	for i := range p.Files {
 		ys := l.fileSlice(y, i)
-		if err := solver.ProjectCappedSimplex(ys, kL[i], kU[i]); err != nil {
+		if err := projectCappedSimplex(ys, kL[i], kU[i]); err != nil {
 			// kL > len: clamp to the largest feasible sum (all ones).
 			for j := range ys {
 				ys[j] = 1

@@ -1,4 +1,4 @@
-package solver
+package optimizer
 
 import (
 	"math"
@@ -7,21 +7,16 @@ import (
 	"testing/quick"
 )
 
-func sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-func TestProjectBox(t *testing.T) {
+func TestProjectCappedSimplexClipsToBox(t *testing.T) {
+	// The sum bounds do not bind: the projection is the box clip.
 	x := []float64{-1, 0.5, 2}
-	ProjectBox(x, 0, 1)
+	if err := projectCappedSimplex(x, 0, 3); err != nil {
+		t.Fatal(err)
+	}
 	want := []float64{0, 0.5, 1}
 	for i := range want {
 		if x[i] != want[i] {
-			t.Fatalf("ProjectBox = %v", x)
+			t.Fatalf("projectCappedSimplex = %v, want %v", x, want)
 		}
 	}
 }
@@ -29,7 +24,7 @@ func TestProjectBox(t *testing.T) {
 func TestProjectCappedSimplexAlreadyFeasible(t *testing.T) {
 	x := []float64{0.2, 0.3, 0.1}
 	orig := append([]float64(nil), x...)
-	if err := ProjectCappedSimplex(x, 0, 3); err != nil {
+	if err := projectCappedSimplex(x, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -41,11 +36,11 @@ func TestProjectCappedSimplexAlreadyFeasible(t *testing.T) {
 
 func TestProjectCappedSimplexReducesSum(t *testing.T) {
 	x := []float64{0.9, 0.9, 0.9, 0.9}
-	if err := ProjectCappedSimplex(x, 0, 2); err != nil {
+	if err := projectCappedSimplex(x, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sum(x)-2) > 1e-6 {
-		t.Fatalf("sum = %v, want 2", sum(x))
+	if math.Abs(sumSlice(x)-2) > 1e-6 {
+		t.Fatalf("sum = %v, want 2", sumSlice(x))
 	}
 	for _, v := range x {
 		if v < -1e-12 || v > 1+1e-12 {
@@ -56,23 +51,23 @@ func TestProjectCappedSimplexReducesSum(t *testing.T) {
 
 func TestProjectCappedSimplexIncreasesSum(t *testing.T) {
 	x := []float64{0.1, 0.0, 0.2}
-	if err := ProjectCappedSimplex(x, 2, 3); err != nil {
+	if err := projectCappedSimplex(x, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sum(x)-2) > 1e-6 {
-		t.Fatalf("sum = %v, want 2", sum(x))
+	if math.Abs(sumSlice(x)-2) > 1e-6 {
+		t.Fatalf("sum = %v, want 2", sumSlice(x))
 	}
 }
 
 func TestProjectCappedSimplexInfeasible(t *testing.T) {
 	x := []float64{0.5, 0.5}
-	if err := ProjectCappedSimplex(x, 3, 4); err == nil {
+	if err := projectCappedSimplex(x, 3, 4); err == nil {
 		t.Fatal("expected infeasible error when L > len(x)")
 	}
-	if err := ProjectCappedSimplex(x, 2, 1); err == nil {
+	if err := projectCappedSimplex(x, 2, 1); err == nil {
 		t.Fatal("expected infeasible error when L > U")
 	}
-	if err := ProjectCappedSimplex(x, -1, -0.5); err == nil {
+	if err := projectCappedSimplex(x, -1, -0.5); err == nil {
 		t.Fatal("expected infeasible error when U < 0")
 	}
 }
@@ -93,10 +88,10 @@ func TestProjectCappedSimplexIsProjection(t *testing.T) {
 			u = float64(n)
 		}
 		proj := append([]float64(nil), x...)
-		if err := ProjectCappedSimplex(proj, l, u); err != nil {
+		if err := projectCappedSimplex(proj, l, u); err != nil {
 			return false
 		}
-		s := sum(proj)
+		s := sumSlice(proj)
 		if s < l-1e-6 || s > u+1e-6 {
 			return false
 		}
@@ -113,13 +108,13 @@ func TestProjectCappedSimplexIsProjection(t *testing.T) {
 				cand[i] = rng.Float64()
 			}
 			// Rescale into the sum interval if possible.
-			cs := sum(cand)
+			cs := sumSlice(cand)
 			if cs > u && cs > 0 {
 				for i := range cand {
 					cand[i] *= u / cs
 				}
 			}
-			if sum(cand) < l {
+			if sumSlice(cand) < l {
 				continue
 			}
 			if dist2(x, cand) < distProj-1e-9 {
@@ -142,6 +137,13 @@ func dist2(a, b []float64) float64 {
 	return d
 }
 
+// boxProject clips every coordinate to [0, 1].
+func boxProject(x []float64) {
+	for i := range x {
+		x[i] = clip(x[i], 0, 1)
+	}
+}
+
 func TestProjectedGradientQuadratic(t *testing.T) {
 	// Minimise ||x - c||^2 over the box [0,1]^3: solution is clip(c).
 	c := []float64{0.5, 2, -1}
@@ -158,16 +160,12 @@ func TestProjectedGradientQuadratic(t *testing.T) {
 			g[i] = 2 * (x[i] - c[i])
 		}
 	}
-	project := func(x []float64) { ProjectBox(x, 0, 1) }
-	res := ProjectedGradient(obj, grad, project, []float64{0.1, 0.1, 0.1}, PGOptions{MaxIter: 500})
+	x, _ := projectedGradient(obj, grad, boxProject, []float64{0.1, 0.1, 0.1})
 	want := []float64{0.5, 1, 0}
 	for i := range want {
-		if math.Abs(res.X[i]-want[i]) > 1e-4 {
-			t.Fatalf("solution %v, want %v", res.X, want)
+		if math.Abs(x[i]-want[i]) > 1e-4 {
+			t.Fatalf("solution %v, want %v", x, want)
 		}
-	}
-	if !res.Converged {
-		t.Fatal("expected convergence")
 	}
 }
 
@@ -186,21 +184,22 @@ func TestProjectedGradientConstrainedQuadratic(t *testing.T) {
 			g[i] = 2 * (x[i] - 1)
 		}
 	}
-	project := func(x []float64) { _ = ProjectCappedSimplex(x, 0, 1) }
-	res := ProjectedGradient(obj, grad, project, []float64{0, 0, 0, 0}, PGOptions{MaxIter: 1000})
-	for _, v := range res.X {
+	project := func(x []float64) { _ = projectCappedSimplex(x, 0, 1) }
+	x, _ := projectedGradient(obj, grad, project, []float64{0, 0, 0, 0})
+	for _, v := range x {
 		if math.Abs(v-0.25) > 1e-3 {
-			t.Fatalf("solution %v, want 0.25 each", res.X)
+			t.Fatalf("solution %v, want 0.25 each", x)
 		}
 	}
 }
 
 func TestProjectedGradientInfeasibleStart(t *testing.T) {
 	obj := func(x []float64) float64 { return math.Inf(1) }
-	grad := func(x []float64, g []float64) {}
+	grads := 0
+	grad := func(x []float64, g []float64) { grads++ }
 	project := func(x []float64) {}
-	res := ProjectedGradient(obj, grad, project, []float64{0}, PGOptions{MaxIter: 5})
-	if !math.IsInf(res.Value, 1) || res.Iterations != 0 {
-		t.Fatalf("infeasible start should return immediately, got %+v", res)
+	_, value := projectedGradient(obj, grad, project, []float64{0})
+	if !math.IsInf(value, 1) || grads != 0 {
+		t.Fatalf("infeasible start should return immediately, got value %v after %d gradients", value, grads)
 	}
 }

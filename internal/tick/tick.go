@@ -1,6 +1,6 @@
 // Package tick coalesces the control plane's periodic work onto one
 // goroutine and one timer. Before it, every maintenance loop — the
-// saturation analyzer, the cache autoscaler, the auto-replanner, the
+// saturation measurement, the cache autoscaler, the auto-replanner, the
 // transport server's staged-put janitor, the repair scanner — owned a
 // goroutine parked in its own time.Ticker select, so an idle server woke
 // up five times per interval set just to decide there was nothing to do.

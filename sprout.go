@@ -152,13 +152,10 @@ type (
 	RetryBudget = resilience.RetryBudget
 	// Backoff is capped exponential backoff with full jitter.
 	Backoff = resilience.Backoff
-	// AdmissionConfig tunes the controller's saturation gate (queue depth +
-	// latency EWMA scoring into progressive brownout levels).
+	// AdmissionConfig tunes the controller's saturation gate: in-flight reads
+	// and, with a latency target, the read p99 of each 250 ms window score
+	// into progressive brownout levels.
 	AdmissionConfig = core.AdmissionConfig
-	// AnalyzerConfig tunes the saturation analyzer: a sampling loop that
-	// scores measured queue depth and windowed p99 latency and drives the
-	// admission gate's brownout level with dwell hysteresis.
-	AnalyzerConfig = core.AnalyzerConfig
 	// AutoscaleConfig tunes the cache autoscaler: between replans it shrinks
 	// cold files' cache allocation (to zero after a cold dwell) and regrows
 	// hot or viral files from the freed budget.
