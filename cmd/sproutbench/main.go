@@ -119,7 +119,7 @@ func experiments() []experiment {
 			}
 			return bench.DegradedTable(r), nil
 		}},
-		{"write", "ingest plane: central-encode puts vs striped client-side writes", func(cfg bench.Config) (*bench.Table, error) {
+		{"write", "ingest plane: striped client-side writes across 1, 8 and 16 writers", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.WriteThroughput(cfg)
 			if err != nil {
 				return nil, err

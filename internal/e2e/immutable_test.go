@@ -82,7 +82,7 @@ func (f poolFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ int)
 func TestStoredChunksImmutable(t *testing.T) {
 	ctx := context.Background()
 	chaos := transport.NewChaos(5)
-	h, client := newHarnessWith(t,
+	h, _ := newHarnessWith(t,
 		core.ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 2},
 		transport.ServerConfig{StagedPutTTL: time.Minute, Chaos: chaos},
 		transport.ClientConfig{Conns: 3})
@@ -187,16 +187,16 @@ func TestStoredChunksImmutable(t *testing.T) {
 	}
 	readAll("initial striped ingest")
 
-	// Central writes: the whole object goes to the server, Pool.PutV encodes
-	// it there and stages the chunks by reference.
+	// In-process overwrites: Pool.PutV encodes the whole object and stages
+	// the chunks by reference.
 	for f := 0; f < 2; f++ {
 		data := payload(e2eSize, byte(40+f))
-		if _, err := client.Put(ctx, "ec", h.objName(f), data); err != nil {
+		if _, err := h.pool.PutV(ctx, h.objName(f), data); err != nil {
 			t.Fatal(err)
 		}
 		wrote(f, data, nil)
 	}
-	readAll("central overwrite")
+	readAll("in-process overwrite")
 
 	// Striped overwrites through each controller, twice, so superseded
 	// stripes are parked and reaped; the second round's 32 KiB chunks are

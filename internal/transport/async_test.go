@@ -662,9 +662,7 @@ func TestClientCloseWaitsForGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Put(ctx, "data", "file-0000", make([]byte, 3000)); err != nil {
-			t.Fatal(err)
-		}
+		seed(t, cluster, "file-0000", make([]byte, 3000))
 		f := &RemoteFetcher{Client: client, Pool: "data"}
 		fetchAll := func() {
 			if _, _, err := f.FetchChunkV(ctx, 0, 0, 0); err != nil {

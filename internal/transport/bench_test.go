@@ -101,7 +101,7 @@ func BenchmarkTransportBinaryGetChunkParallel(b *testing.B) {
 // request gathered into a batch, header and payload both copied.
 func BenchmarkTransportEncodeRequest(b *testing.B) {
 	data := make([]byte, 4<<10)
-	req := Request{ID: 1, Op: OpPut, Pool: "data", Object: "object-000", Data: data}
+	req := Request{ID: 1, Op: OpPutChunk, Pool: "data", Object: "object-000", Data: data}
 	batch := frameBatch{enc: make([]byte, 0, 5<<10), ctr: new(transportCounters)}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()

@@ -15,10 +15,7 @@ func chaosFixture(t *testing.T, ccfg ClientConfig) (*Chaos, *Client, int) {
 	cluster := testClusterWithService(t, 0.0001)
 	chaos := NewChaos(1)
 	_, client := startServerWithConfig(t, cluster, ServerConfig{Chaos: chaos}, ccfg)
-	ctx := context.Background()
-	if _, err := client.Put(ctx, "data", "obj", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "obj", make([]byte, 3000))
 	pool, err := cluster.Pool("data")
 	if err != nil {
 		t.Fatal(err)
@@ -140,20 +137,18 @@ func TestChaosHangNewConns(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = healthy.Close() })
 	ctx := context.Background()
-	if _, err := healthy.Put(ctx, "data", "obj", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "obj", make([]byte, 3000))
 
 	chaos.SetHangNewConns(true)
 	hung := NewClient(addr, ClientConfig{Conns: 1, Retries: -1})
 	t.Cleanup(func() { _ = hung.Close() })
 	qctx, qcancel := context.WithTimeout(ctx, 100*time.Millisecond)
 	defer qcancel()
-	if _, _, err := hung.Get(qctx, "data", "obj"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := hung.GetChunk(qctx, "data", "obj", 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("request on hung conn: err = %v, want DeadlineExceeded", err)
 	}
 	// Connections accepted before the hang keep working.
-	if _, _, err := healthy.Get(ctx, "data", "obj"); err != nil {
+	if _, _, err := healthy.GetChunk(ctx, "data", "obj", 0); err != nil {
 		t.Fatalf("pre-hang connection broken: %v", err)
 	}
 	if st := chaos.Stats(); st.ConnsHung == 0 {
@@ -165,7 +160,7 @@ func TestChaosHangNewConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fresh.Close() })
-	if _, _, err := fresh.Get(ctx, "data", "obj"); err != nil {
+	if _, _, err := fresh.GetChunk(ctx, "data", "obj", 0); err != nil {
 		t.Fatalf("after unhang: %v", err)
 	}
 }

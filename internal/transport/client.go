@@ -3,9 +3,9 @@ package transport
 // The client half of the transport. Every request reaches the server, and its
 // response the caller, the same way; which goroutine does what:
 //
-//   - The goroutine that has a request — a blocking round trip (call: Put,
-//     GetChunk, the peer ops, … and every retry) or a controller read with a
-//     batch of chunk fetches (RemoteFetcher.StartFetches) — takes the
+//   - The goroutine that has a request — a blocking round trip (call:
+//     GetChunk, PutChunk, the peer ops, … and every retry) or a controller
+//     read with a batch of chunk fetches (RemoteFetcher.StartFetches) — takes the
 //     connection's send side, registers who waits for each response, encodes
 //     the frames into the connection's one frameBatch and writes them itself,
 //     in one write. So a payload is only ever read inside its own caller's
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/objstore"
 	"sprout/internal/resilience"
 )
 
@@ -57,7 +56,10 @@ type ClientConfig struct {
 	RequestTimeout time.Duration
 	// Retries is the number of times a round trip is replayed after a
 	// retryable failure — a broken connection or an overload rejection.
-	// All protocol operations are idempotent, so replay is safe. Each
+	// Replay is safe for every operation: the reads, CommitObject, AbortPut
+	// and Invalidate are idempotent, a replayed PutChunk stages the same
+	// bytes again, and a replayed BeginPut or CtrlWrite at worst leaves an
+	// unused or superseded stripe version behind. Each
 	// retry waits a jittered exponential backoff and must be granted by the
 	// retry budget, so retries cannot amplify load into a struggling
 	// server. Default: 2. Set to -1 to disable retries entirely.
@@ -362,20 +364,6 @@ func (c *Client) classify(resp *Response) (err error, retry bool) {
 	return err, false
 }
 
-// Put writes an object into a pool and returns the server-side latency.
-// data is only read until the call returns — also when it returns early
-// because ctx is done — so the caller may reuse the buffer afterwards.
-func (c *Client) Put(ctx context.Context, pool, object string, data []byte) (time.Duration, error) {
-	resp, err := c.call(ctx, Request{Op: OpPut, Pool: pool, Object: object, Data: data})
-	return resp.Latency, err
-}
-
-// Get reads a whole object from a pool.
-func (c *Client) Get(ctx context.Context, pool, object string) ([]byte, time.Duration, error) {
-	resp, err := c.call(ctx, Request{Op: OpGet, Pool: pool, Object: object})
-	return resp.Data, resp.Latency, err
-}
-
 // GetChunk reads a single coded chunk of an object.
 func (c *Client) GetChunk(ctx context.Context, pool, object string, chunk int) ([]byte, time.Duration, error) {
 	resp, err := c.call(ctx, Request{Op: OpGetChunk, Pool: pool, Object: object, Chunk: chunk})
@@ -444,53 +432,10 @@ func (c *Client) PoolInfo(ctx context.Context, pool string) (n, k int, err error
 	return info.N, info.K, nil
 }
 
-// List returns the object names in a pool.
-func (c *Client) List(ctx context.Context, pool string) ([]string, error) {
-	resp, err := c.call(ctx, Request{Op: OpList, Pool: pool})
-	return resp.Names, err
-}
-
 // Pools returns the pool names served by the cluster.
 func (c *Client) Pools(ctx context.Context) ([]string, error) {
 	resp, err := c.call(ctx, Request{Op: OpPools})
 	return resp.Names, err
-}
-
-// DeleteChunk removes one coded chunk of an object from its hosting OSD.
-func (c *Client) DeleteChunk(ctx context.Context, pool, object string, chunk int) error {
-	_, err := c.call(ctx, Request{Op: OpDeleteChunk, Pool: pool, Object: object, Chunk: chunk})
-	return err
-}
-
-// Health returns the lifecycle state and health counters of every OSD in
-// the remote cluster.
-func (c *Client) Health(ctx context.Context) ([]objstore.OSDHealth, error) {
-	resp, err := c.call(ctx, Request{Op: OpHealth})
-	if err != nil {
-		return nil, err
-	}
-	var out []objstore.OSDHealth
-	if err := json.Unmarshal(resp.Data, &out); err != nil {
-		return nil, fmt.Errorf("transport: decoding health response: %w", err)
-	}
-	return out, nil
-}
-
-// FailOSD takes a remote OSD down, optionally dropping its chunks —
-// failure injection for drills against a live server.
-func (c *Client) FailOSD(ctx context.Context, osdID int, loseChunks bool) error {
-	var data []byte
-	if loseChunks {
-		data = []byte{1}
-	}
-	_, err := c.call(ctx, Request{Op: OpFailOSD, Chunk: osdID, Data: data})
-	return err
-}
-
-// RecoverOSD brings a remote OSD back from Down.
-func (c *Client) RecoverOSD(ctx context.Context, osdID int) error {
-	_, err := c.call(ctx, Request{Op: OpRecoverOSD, Chunk: osdID})
-	return err
 }
 
 // clientConn is one pooled connection: whoever has a request writes it

@@ -15,18 +15,19 @@ func body(frame []byte) []byte { return frame[4:] }
 // successfully, re-encoding it must reproduce the payload byte for byte
 // (so decode and encode agree on the wire format).
 func FuzzDecodeFrame(f *testing.F) {
-	// Valid request frames across every op, including the ingest plane's
-	// staged-write ops with stripe versions.
+	// Valid request frames across every op number, including the ingest
+	// plane's staged-write ops with stripe versions and the retired numbers
+	// (which still decode: only a server refuses them).
 	for _, req := range []Request{
-		{ID: 1, Op: OpPut, Pool: "ec", Object: "obj-1", Data: []byte("payload")},
-		{ID: 2, Op: OpGet, Pool: "ec", Object: "obj-1"},
+		{ID: 1, Op: Op(1), Pool: "ec", Object: "obj-1", Data: []byte("payload")},
+		{ID: 2, Op: Op(2), Pool: "ec", Object: "obj-1"},
 		{ID: 3, Op: OpGetChunk, Pool: "ec", Object: "obj-1", Chunk: 5},
-		{ID: 4, Op: OpList, Pool: "ec"},
+		{ID: 4, Op: Op(4), Pool: "ec"},
 		{ID: 5, Op: OpPools},
-		{ID: 6, Op: OpDeleteChunk, Pool: "ec", Object: "obj-1", Chunk: 2},
-		{ID: 7, Op: OpHealth},
-		{ID: 8, Op: OpFailOSD, Chunk: 3, Data: []byte{1}},
-		{ID: 9, Op: OpRecoverOSD, Chunk: 3},
+		{ID: 6, Op: Op(6), Pool: "ec", Object: "obj-1", Chunk: 2},
+		{ID: 7, Op: Op(7)},
+		{ID: 8, Op: Op(8), Chunk: 3, Data: []byte{1}},
+		{ID: 9, Op: Op(9), Chunk: 3},
 		{ID: 10, Op: OpGetChunk, Pool: "", Object: "", Chunk: -1},
 		{ID: 11, Op: OpBeginPut, Pool: "ec", Object: "obj-1"},
 		{ID: 12, Op: OpPutChunk, Pool: "ec", Object: "obj-1", Version: 7, Chunk: 4, Data: []byte("coded-chunk")},
@@ -35,8 +36,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		{ID: 15, Op: OpPoolInfo, Pool: "ec"},
 		{ID: 16, Op: OpPutChunk, Pool: "ec", Object: "obj-1", Version: ^uint64(0), Chunk: -1},
 		{ID: 17, Op: OpGetChunk, Pool: "ec", Object: "obj-1", Chunk: 2, Deadline: 1_700_000_000_000_000_000},
-		{ID: 18, Op: OpGet, Pool: "ec", Object: "obj-1", Deadline: ^uint64(0)},
-		{ID: 19, Op: OpPut, Pool: "ec", Object: "obj-1", Deadline: 1, Data: []byte("expired")},
+		{ID: 18, Op: Op(2), Pool: "ec", Object: "obj-1", Deadline: ^uint64(0)},
+		{ID: 19, Op: Op(1), Pool: "ec", Object: "obj-1", Deadline: 1, Data: []byte("expired")},
 	} {
 		req := req
 		f.Add(body(appendRequest(nil, &req)))
@@ -61,7 +62,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Truncated frames: prefixes of a representative request and response
 	// exercise every field boundary.
-	req := Request{ID: 99, Op: OpPut, Pool: "pool", Object: "object", Data: []byte("data")}
+	req := Request{ID: 99, Op: Op(1), Pool: "pool", Object: "object", Data: []byte("data")}
 	for b := body(appendRequest(nil, &req)); len(b) > 0; b = b[:len(b)-3] {
 		f.Add(append([]byte(nil), b...))
 		if len(b) < 3 {

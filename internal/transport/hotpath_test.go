@@ -29,9 +29,7 @@ func TestServerCloseMidFlightLeaksNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := client.Put(ctx, "data", "hot", make([]byte, 4000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "hot", make([]byte, 4000))
 
 	// Flood from several goroutines, then yank the server out from under
 	// them mid-burst. Errors are expected and irrelevant; only leaks fail.
@@ -41,7 +39,7 @@ func TestServerCloseMidFlightLeaksNothing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, _, err := client.Get(ctx, "data", "hot"); err != nil {
+				if _, _, err := client.GetChunk(ctx, "data", "hot", i%5); err != nil {
 					return
 				}
 			}

@@ -117,7 +117,7 @@ func TestPeerOpsRoundTrip(t *testing.T) {
 	}
 
 	// Storage ops on a peer-only endpoint fail cleanly.
-	if _, _, err := cli.Get(ctx, "ec", "obj"); err == nil {
+	if _, _, err := cli.GetChunk(ctx, "ec", "obj", 0); err == nil {
 		t.Fatal("storage op served without a cluster attached")
 	}
 }

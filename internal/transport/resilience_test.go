@@ -62,9 +62,7 @@ func TestOverloadRetryUnderBudget(t *testing.T) {
 		})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := client.Put(ctx, "data", "hot", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "hot", make([]byte, 3000))
 	const goroutines = 12
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
@@ -72,7 +70,7 @@ func TestOverloadRetryUnderBudget(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := client.Get(ctx, "data", "hot")
+			_, _, err := client.GetChunk(ctx, "data", "hot", 0)
 			errs <- err
 		}()
 	}
@@ -111,9 +109,7 @@ func TestRetryBudgetStopsRetryStorm(t *testing.T) {
 		})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := client.Put(ctx, "data", "hot", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "hot", make([]byte, 3000))
 	const goroutines = 10
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
@@ -121,7 +117,7 @@ func TestRetryBudgetStopsRetryStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := client.Get(ctx, "data", "hot")
+			_, _, err := client.GetChunk(ctx, "data", "hot", 0)
 			errs <- err
 		}()
 	}
@@ -162,14 +158,12 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 		ServerConfig{Workers: 1, MaxInFlight: 32}, ClientConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := client.Put(ctx, "data", "slow", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "slow", make([]byte, 3000))
 
 	// Occupy the single worker with a slow read.
 	slowDone := make(chan error, 1)
 	go func() {
-		_, _, err := client.Get(ctx, "data", "slow")
+		_, _, err := client.GetChunk(ctx, "data", "slow", 0)
 		slowDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -184,7 +178,7 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 			defer wg.Done()
 			qctx, qcancel := context.WithTimeout(ctx, 60*time.Millisecond)
 			defer qcancel()
-			_, _, err := client.Get(qctx, "data", "slow")
+			_, _, err := client.GetChunk(qctx, "data", "slow", 0)
 			errs <- err
 		}()
 	}
@@ -228,12 +222,10 @@ func TestBrokenConnRetrySucceeds(t *testing.T) {
 	_, client := startServerWithConfig(t, cluster, ServerConfig{},
 		ClientConfig{Conns: 2, Backoff: resilience.Backoff{Base: time.Millisecond}})
 	ctx := context.Background()
-	if _, err := client.Put(ctx, "data", "obj", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "obj", make([]byte, 3000))
 	// Break every pooled connection out from under the client.
 	breakConns(client)
-	if _, _, err := client.Get(ctx, "data", "obj"); err != nil {
+	if _, _, err := client.GetChunk(ctx, "data", "obj", 0); err != nil {
 		t.Fatalf("read after broken connections = %v, want redial-and-retry success", err)
 	}
 }

@@ -52,13 +52,6 @@ type ServerConfig struct {
 	// MaxFrameSize bounds accepted frame payloads. Default:
 	// DefaultMaxFrameSize.
 	MaxFrameSize int
-	// NICBandwidth, when positive, emulates the storage fabric as a shared
-	// link of this many bytes per second: request and response payload bytes
-	// occupy the link serially, and the primary-encode put path (OpPut)
-	// additionally pays for re-distributing its n−1 encoded chunks to the
-	// other OSDs — the traffic a loopback benchmark hides but a real cluster
-	// pays. Zero disables the emulation (default).
-	NICBandwidth int64
 	// StagedPutTTL, when positive, starts a janitor that aborts staged puts
 	// older than the TTL in every pool, so clients that die between BeginPut
 	// and CommitObject cannot leak staged chunks forever. Zero disables the
@@ -111,7 +104,6 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	work   *wfq.Sched[task]
-	nic    *netMeter
 
 	// sched runs the staged-put janitor; nil when StagedPutTTL is unset.
 	// ownSched records whether Close must stop it (private) or only
@@ -148,7 +140,7 @@ func NewServer(cluster *objstore.Cluster) *Server {
 func NewServerWithConfig(cluster *objstore.Cluster, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		cluster: cluster,
 		cfg:     cfg,
 		ctx:     ctx,
@@ -159,10 +151,6 @@ func NewServerWithConfig(cluster *objstore.Cluster, cfg ServerConfig) *Server {
 		}),
 		conns: make(map[*serverConn]struct{}),
 	}
-	if cfg.NICBandwidth > 0 {
-		s.nic = &netMeter{bandwidth: cfg.NICBandwidth}
-	}
-	return s
 }
 
 // Stats returns a snapshot of the server's transport counters.
@@ -283,8 +271,6 @@ func (s *Server) worker() {
 			continue
 		}
 		resp := s.handle(s.ctx, &t.req)
-		// Response payload bytes cross the emulated fabric back out.
-		s.nicWait(s.ctx, int64(len(resp.Data)))
 		if !responseFits(&resp, s.cfg.MaxFrameSize) {
 			// Sending a frame the client would reject kills the session;
 			// degrade to an in-band error instead.
@@ -338,7 +324,7 @@ func (s *Server) chaosIntercept(t *task) bool {
 // targets.
 func (s *Server) chaosTarget(req *Request) (int, bool) {
 	switch req.Op {
-	case OpGetChunk, OpDeleteChunk, OpPutChunk:
+	case OpGetChunk, OpPutChunk:
 	default:
 		return 0, false
 	}
@@ -363,8 +349,6 @@ func (s *Server) handle(ctx context.Context, req *Request) Response {
 		resp.Latency = time.Since(start)
 		return resp
 	}
-	// Request payload bytes crossed the emulated fabric to reach us.
-	s.nicWait(ctx, int64(len(req.Data)))
 	switch req.Op {
 	case OpCtrlRead, OpCtrlWrite, OpInvalidate, OpShardInfo:
 		return s.handlePeer(ctx, req, fail, ok)
@@ -374,33 +358,6 @@ func (s *Server) handle(ctx context.Context, req *Request) Response {
 		return fail(errors.New("transport: no object store attached to this endpoint"))
 	}
 	switch req.Op {
-	case OpPut:
-		pool, err := s.cluster.Pool(req.Pool)
-		if err != nil {
-			return fail(err)
-		}
-		// Primary-encode path: the primary OSD re-distributes the encoded
-		// chunks it does not store itself over the same fabric — the real
-		// cost of central encoding that loopback would hide.
-		chunkSize := (len(req.Data) + pool.K - 1) / pool.K
-		s.nicWait(ctx, int64(chunkSize)*int64(pool.N-1))
-		if err := pool.Put(ctx, req.Object, req.Data); err != nil {
-			return fail(err)
-		}
-		return ok(Response{})
-	case OpGet:
-		pool, err := s.cluster.Pool(req.Pool)
-		if err != nil {
-			return fail(err)
-		}
-		data, err := pool.Get(ctx, req.Object)
-		if err != nil {
-			return fail(err)
-		}
-		// The gathering OSD pulled k−1 chunks it does not host itself.
-		chunkSize := (len(data) + pool.K - 1) / pool.K
-		s.nicWait(ctx, int64(chunkSize)*int64(pool.K-1))
-		return ok(Response{Data: data})
 	case OpGetChunk:
 		pool, err := s.cluster.Pool(req.Pool)
 		if err != nil {
@@ -462,40 +419,8 @@ func (s *Server) handle(ctx context.Context, req *Request) Response {
 			return fail(err)
 		}
 		return ok(Response{Data: data})
-	case OpList:
-		pool, err := s.cluster.Pool(req.Pool)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(Response{Names: pool.Objects()})
 	case OpPools:
 		return ok(Response{Names: s.cluster.PoolNames()})
-	case OpDeleteChunk:
-		pool, err := s.cluster.Pool(req.Pool)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pool.DeleteChunk(req.Object, req.Chunk); err != nil {
-			return fail(err)
-		}
-		return ok(Response{})
-	case OpHealth:
-		data, err := json.Marshal(s.cluster.Health())
-		if err != nil {
-			return fail(err)
-		}
-		return ok(Response{Data: data})
-	case OpFailOSD:
-		lose := len(req.Data) > 0 && req.Data[0] != 0
-		if err := s.cluster.FailOSDs(lose, req.Chunk); err != nil {
-			return fail(err)
-		}
-		return ok(Response{})
-	case OpRecoverOSD:
-		if err := s.cluster.RecoverOSDs(req.Chunk); err != nil {
-			return fail(err)
-		}
-		return ok(Response{})
 	default:
 		return Response{
 			ID:      req.ID,
@@ -702,44 +627,6 @@ func (sc *serverConn) writeBatch(b *frameBatch, resp *Response) bool {
 func isDisconnect(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET)
-}
-
-// netMeter emulates a shared fabric link of fixed bandwidth with a
-// virtual-time token bucket: each transfer occupies the link for
-// bytes/bandwidth seconds, transfers serialise in arrival order, and the
-// caller sleeps until its transfer slot has drained. It stands for the
-// cluster's aggregate network capacity the same way the OSD service-time
-// distributions stand for its disks.
-type netMeter struct {
-	bandwidth int64 // bytes per second
-
-	mu       sync.Mutex
-	nextFree time.Time
-}
-
-func (m *netMeter) wait(ctx context.Context, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	d := time.Duration(float64(bytes) / float64(m.bandwidth) * float64(time.Second))
-	now := time.Now()
-	m.mu.Lock()
-	start := m.nextFree
-	if start.Before(now) {
-		start = now
-	}
-	end := start.Add(d)
-	m.nextFree = end
-	m.mu.Unlock()
-	_ = resilience.Sleep(ctx, end.Sub(now))
-}
-
-// nicWait charges one transfer against the emulated fabric; a no-op when the
-// emulation is disabled.
-func (s *Server) nicWait(ctx context.Context, bytes int64) {
-	if s.nic != nil {
-		s.nic.wait(ctx, bytes)
-	}
 }
 
 // startStagedJanitor registers the periodic staged-put sweep: staged puts

@@ -7,15 +7,13 @@ import (
 	"sprout/internal/erasure"
 )
 
-// StripedWriter is the client-side ingest path: it encodes objects locally
-// with the SIMD erasure coder and fans the n chunk writes out in parallel
-// over the client's pooled connections, wrapped in a two-phase commit —
-// stage every chunk under a fresh stripe version, then flip the object
-// metadata with CommitObject. A failed put is aborted and stays invisible
-// to readers. Compared with the central-encode OpPut path (ship the whole
-// object to one primary that encodes and re-distributes n−1 chunks), the
-// striped path moves n/k×S bytes instead of (1+(n−1)/k)×S and spends the
-// encode CPU at the client instead of the storage tier.
+// StripedWriter is the transport's one ingest path: it encodes objects
+// locally with the SIMD erasure coder and fans the n chunk writes out in
+// parallel over the client's pooled connections, wrapped in a two-phase
+// commit — stage every chunk under a fresh stripe version, then flip the
+// object metadata with CommitObject. A failed put is aborted and stays
+// invisible to readers. The server only stores chunks: n/k×S bytes cross
+// the wire per object and the encode CPU is spent at the client.
 type StripedWriter struct {
 	// Client is the pooled transport client the chunk writes multiplex over.
 	Client *Client

@@ -59,7 +59,7 @@ func TestStripedWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := client.Get(ctx, "ec", "obj")
+	got, err := pool.Get(ctx, "obj")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("get after striped put: err %v", err)
 	}
@@ -75,7 +75,7 @@ func TestStripedWriterRoundTrip(t *testing.T) {
 	if v2 <= v1 {
 		t.Fatalf("overwrite version %d not beyond %d", v2, v1)
 	}
-	got, _, err = client.Get(ctx, "ec", "obj")
+	got, err = pool.Get(ctx, "obj")
 	if err != nil || !bytes.Equal(got, payload2) {
 		t.Fatalf("get after overwrite: err %v", err)
 	}
@@ -176,7 +176,7 @@ func TestStripedWriterAbortOnFailure(t *testing.T) {
 	if err := cluster.RecoverOSDs(0, 1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := client.Get(ctx, "ec", "obj")
+	got, err := pool.Get(ctx, "obj")
 	if err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("old payload damaged by failed striped put: err %v", err)
 	}
@@ -200,7 +200,7 @@ func TestStripedWriterDuringOSDFailure(t *testing.T) {
 	if _, err := writer.Put(ctx, "obj", payload); err != nil {
 		t.Fatalf("striped put with 2 OSDs down: %v", err)
 	}
-	got, _, err := client.Get(ctx, "ec", "obj")
+	got, err := pool.Get(ctx, "obj")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read of write-during-failure: err %v", err)
 	}

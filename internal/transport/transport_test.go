@@ -56,27 +56,61 @@ func startServer(t *testing.T) (*Server, *Client, *objstore.Cluster) {
 	return srv, client, cluster
 }
 
+// seed writes an object into the "data" pool in process, behind the
+// server's back: the transport has no whole-object put.
+func seed(t *testing.T, cluster *objstore.Cluster, object string, payload []byte) {
+	t.Helper()
+	pool, err := cluster.Pool("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Put(context.Background(), object, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getObject reads an object of a (n, k) pool back over the wire the way
+// every reader does, chunk by chunk: the k systematic chunks, joined and
+// cut to the object size they report.
+func getObject(ctx context.Context, client *Client, pool, object string, k int) ([]byte, error) {
+	var out []byte
+	size := int64(-1)
+	for i := 0; i < k; i++ {
+		chunk, _, sz, err := client.GetChunkV(ctx, pool, object, i)
+		if err != nil {
+			return nil, err
+		}
+		out, size = append(out, chunk...), sz
+	}
+	if size < 0 || size > int64(len(out)) {
+		return nil, fmt.Errorf("object size %d outside the %d bytes read", size, len(out))
+	}
+	return out[:size], nil
+}
+
+// TestPutGetOverTCP writes an object the way every writer does — a striped
+// two-phase put over the wire — and reads it back chunk by chunk.
 func TestPutGetOverTCP(t *testing.T) {
 	_, client, _ := startServer(t)
 	ctx := context.Background()
 	payload := make([]byte, 9000)
 	rand.New(rand.NewSource(2)).Read(payload)
-	if _, err := client.Put(ctx, "data", "obj1", payload); err != nil {
+	w, err := NewStripedWriter(ctx, client, "data")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, latency, err := client.Get(ctx, "data", "obj1")
+	if _, err := w.Put(ctx, "obj1", payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := getObject(ctx, client, "data", "obj1", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("round-trip mismatch over TCP")
 	}
-	if latency <= 0 {
-		t.Fatalf("latency = %v", latency)
-	}
-	names, err := client.List(ctx, "data")
-	if err != nil || len(names) != 1 || names[0] != "obj1" {
-		t.Fatalf("List = %v, %v", names, err)
+	if _, latency, err := client.GetChunk(ctx, "data", "obj1", 4); err != nil || latency <= 0 {
+		t.Fatalf("GetChunk of a parity chunk: latency %v, err %v", latency, err)
 	}
 	pools, err := client.Pools(ctx)
 	if err != nil || len(pools) != 1 || pools[0] != "data" {
@@ -85,13 +119,11 @@ func TestPutGetOverTCP(t *testing.T) {
 }
 
 func TestGetChunkOverTCP(t *testing.T) {
-	_, client, _ := startServer(t)
+	_, client, cluster := startServer(t)
 	ctx := context.Background()
 	payload := make([]byte, 3000)
 	rand.New(rand.NewSource(3)).Read(payload)
-	if _, err := client.Put(ctx, "data", "obj2", payload); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "obj2", payload)
 	chunk, _, err := client.GetChunk(ctx, "data", "obj2", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -102,33 +134,46 @@ func TestGetChunkOverTCP(t *testing.T) {
 }
 
 func TestErrorsMapToSentinels(t *testing.T) {
-	_, client, _ := startServer(t)
+	_, client, cluster := startServer(t)
 	ctx := context.Background()
-	if _, _, err := client.Get(ctx, "data", "missing"); !errors.Is(err, objstore.ErrObjectNotFound) {
-		t.Fatalf("Get missing object: want ErrObjectNotFound, got %v", err)
+	if _, _, err := client.GetChunk(ctx, "nopool", "x", 0); !errors.Is(err, objstore.ErrPoolNotFound) {
+		t.Fatalf("GetChunk missing pool: want ErrPoolNotFound, got %v", err)
 	}
-	if _, _, err := client.Get(ctx, "nopool", "x"); !errors.Is(err, objstore.ErrPoolNotFound) {
-		t.Fatalf("Get missing pool: want ErrPoolNotFound, got %v", err)
-	}
-	if _, err := client.List(ctx, "nopool"); !errors.Is(err, objstore.ErrPoolNotFound) {
-		t.Fatalf("List missing pool: want ErrPoolNotFound, got %v", err)
+	if _, _, err := client.PoolInfo(ctx, "nopool"); !errors.Is(err, objstore.ErrPoolNotFound) {
+		t.Fatalf("PoolInfo missing pool: want ErrPoolNotFound, got %v", err)
 	}
 	if _, _, err := client.GetChunk(ctx, "data", "obj", 99); !errors.Is(err, objstore.ErrObjectNotFound) {
 		t.Fatalf("GetChunk missing object: want ErrObjectNotFound, got %v", err)
 	}
-	if _, err := client.Put(ctx, "data", "present", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "present", []byte("hello"))
 	if _, _, err := client.GetChunk(ctx, "data", "present", 99); !errors.Is(err, objstore.ErrChunkMissing) {
 		t.Fatalf("GetChunk out of range: want ErrChunkMissing, got %v", err)
 	}
 	// The server message must survive the wire alongside the sentinel.
-	_, _, err := client.Get(ctx, "data", "missing")
+	_, _, err := client.GetChunk(ctx, "data", "missing", 0)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("missing")) {
 		t.Fatalf("error message lost: %v", err)
 	}
+	// A chunk on a down OSD surfaces ErrOSDDown across the wire.
+	pool, err := cluster.Pool("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	osd, err := pool.ChunkOSD("present", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.FailOSDs(false, osd); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.GetChunk(ctx, "data", "present", 0); !errors.Is(err, objstore.ErrOSDDown) {
+		t.Fatalf("GetChunk on a down OSD: want ErrOSDDown, got %v", err)
+	}
+	if err := cluster.RecoverOSDs(osd); err != nil {
+		t.Fatal(err)
+	}
 	// The connection must remain usable after error responses.
-	if _, err := client.Put(ctx, "data", "after-error", []byte("hello world")); err != nil {
+	if _, _, err := client.GetChunk(ctx, "data", "present", 0); err != nil {
 		t.Fatalf("connection unusable after error: %v", err)
 	}
 }
@@ -143,7 +188,7 @@ func TestUnknownOp(t *testing.T) {
 // TestConcurrentPipelinedClients hammers one pooled client from many
 // goroutines so requests pipeline and interleave over shared connections.
 func TestConcurrentPipelinedClients(t *testing.T) {
-	_, client, _ := startServer(t)
+	_, client, cluster := startServer(t)
 	ctx := context.Background()
 	const objects = 4
 	payloads := make([][]byte, objects)
@@ -151,9 +196,7 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = make([]byte, 1500+300*i)
 		rng.Read(payloads[i])
-		if _, err := client.Put(ctx, "data", fmt.Sprintf("obj-%d", i), payloads[i]); err != nil {
-			t.Fatal(err)
-		}
+		seed(t, cluster, fmt.Sprintf("obj-%d", i), payloads[i])
 	}
 	const goroutines = 16
 	const opsPer = 25
@@ -167,7 +210,7 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 				obj := (g + j) % objects
 				switch j % 3 {
 				case 0:
-					got, _, err := client.Get(ctx, "data", fmt.Sprintf("obj-%d", obj))
+					got, err := getObject(ctx, client, "data", fmt.Sprintf("obj-%d", obj), 3)
 					if err != nil {
 						errCh <- err
 						return
@@ -182,7 +225,7 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := client.List(ctx, "data"); err != nil {
+					if _, err := client.Pools(ctx); err != nil {
 						errCh <- err
 						return
 					}
@@ -208,13 +251,11 @@ func TestContextCancellationMidFlight(t *testing.T) {
 	cluster := testClusterWithService(t, 0.2) // 200ms per chunk read
 	_, client := startServerWithConfig(t, cluster, ServerConfig{}, ClientConfig{})
 	bg := context.Background()
-	if _, err := client.Put(bg, "data", "slow", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "slow", make([]byte, 3000))
 	ctx, cancel := context.WithCancel(bg)
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := client.Get(ctx, "data", "slow")
+		_, _, err := client.GetChunk(ctx, "data", "slow", 0)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -225,10 +266,10 @@ func TestContextCancellationMidFlight(t *testing.T) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled Get did not return")
+		t.Fatal("cancelled GetChunk did not return")
 	}
 	// The connection must stay healthy for later requests.
-	if _, _, err := client.Get(bg, "data", "slow"); err != nil {
+	if _, _, err := client.GetChunk(bg, "data", "slow", 1); err != nil {
 		t.Fatalf("connection unusable after cancellation: %v", err)
 	}
 }
@@ -238,13 +279,9 @@ func TestRequestTimeout(t *testing.T) {
 	_, client := startServerWithConfig(t, cluster, ServerConfig{},
 		ClientConfig{RequestTimeout: 20 * time.Millisecond})
 	bg := context.Background()
-	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
-	defer cancel()
-	if _, err := client.Put(ctx, "data", "slow", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "slow", make([]byte, 3000))
 	start := time.Now()
-	if _, _, err := client.Get(bg, "data", "slow"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := client.GetChunk(bg, "data", "slow", 0); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded from default request timeout, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -261,9 +298,7 @@ func TestOverloadRejection(t *testing.T) {
 		ServerConfig{Workers: 1, MaxInFlight: 1}, ClientConfig{Conns: 1, Retries: -1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := client.Put(ctx, "data", "hot", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "hot", make([]byte, 3000))
 	const goroutines = 12
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
@@ -271,7 +306,7 @@ func TestOverloadRejection(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := client.Get(ctx, "data", "hot")
+			_, _, err := client.GetChunk(ctx, "data", "hot", 0)
 			errs <- err
 		}()
 	}
@@ -301,7 +336,7 @@ func TestOverloadRejection(t *testing.T) {
 		t.Fatal("client did not count observed overload rejections")
 	}
 	// After the burst drains, service resumes normally.
-	if _, _, err := client.Get(ctx, "data", "hot"); err != nil {
+	if _, _, err := client.GetChunk(ctx, "data", "hot", 0); err != nil {
 		t.Fatalf("server unusable after overload burst: %v", err)
 	}
 }
@@ -311,14 +346,12 @@ func TestServerCloseMidFlight(t *testing.T) {
 	srv, client := startServerWithConfig(t, cluster, ServerConfig{},
 		ClientConfig{Retries: -1, RequestTimeout: 5 * time.Second})
 	ctx := context.Background()
-	if _, err := client.Put(ctx, "data", "obj", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "obj", make([]byte, 3000))
 	const goroutines = 6
 	done := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func() {
-			_, _, err := client.Get(ctx, "data", "obj")
+			_, _, err := client.GetChunk(ctx, "data", "obj", g%5)
 			done <- err
 		}()
 	}
@@ -356,7 +389,8 @@ func TestRetryAcrossServerRestart(t *testing.T) {
 	ctx := context.Background()
 	payload := make([]byte, 2000)
 	rand.New(rand.NewSource(7)).Read(payload)
-	if _, err := client.Put(ctx, "data", "persist", payload); err != nil {
+	seed(t, cluster, "persist", payload)
+	if _, err := getObject(ctx, client, "data", "persist", 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -367,9 +401,9 @@ func TestRetryAcrossServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv2.Close() })
-	got, _, err := client.Get(ctx, "data", "persist")
+	got, err := getObject(ctx, client, "data", "persist", 3)
 	if err != nil {
-		t.Fatalf("Get after server restart: %v", err)
+		t.Fatalf("read after server restart: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload mismatch after restart")
@@ -380,12 +414,10 @@ func TestClientCloseUnblocksWaiters(t *testing.T) {
 	cluster := testClusterWithService(t, 0.5)
 	_, client := startServerWithConfig(t, cluster, ServerConfig{}, ClientConfig{})
 	ctx := context.Background()
-	if _, err := client.Put(ctx, "data", "obj", make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
+	seed(t, cluster, "obj", make([]byte, 3000))
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := client.Get(ctx, "data", "obj")
+		_, _, err := client.GetChunk(ctx, "data", "obj", 0)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -405,7 +437,11 @@ func TestRequestTooLargeRejectedLocally(t *testing.T) {
 	_, client := startServerWithConfig(t, cluster, ServerConfig{},
 		ClientConfig{MaxFrameSize: 1024})
 	ctx := context.Background()
-	_, err := client.Put(ctx, "data", "big", make([]byte, 2048))
+	version, err := client.BeginPut(ctx, "data", "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.PutChunk(ctx, "data", "obj", version, 0, make([]byte, 2048))
 	if !errors.Is(err, ErrRequestTooLarge) {
 		t.Fatalf("want ErrRequestTooLarge, got %v", err)
 	}
@@ -413,7 +449,7 @@ func TestRequestTooLargeRejectedLocally(t *testing.T) {
 		t.Fatal("oversized request must not burn retries on healthy connections")
 	}
 	// The pooled connections stay healthy for well-sized requests.
-	if _, err := client.Put(ctx, "data", "small", make([]byte, 128)); err != nil {
+	if _, err := client.PutChunk(ctx, "data", "obj", version, 0, make([]byte, 128)); err != nil {
 		t.Fatalf("connection poisoned by rejected oversized request: %v", err)
 	}
 }
@@ -423,21 +459,18 @@ func TestOversizedResponseDegradesToError(t *testing.T) {
 	_, client := startServerWithConfig(t, cluster,
 		ServerConfig{MaxFrameSize: 8192}, ClientConfig{})
 	ctx := context.Background()
-	// Each put request is small, but the accumulated List response exceeds
-	// the server's frame limit; the server must answer with an in-band
-	// error instead of emitting a frame the client would reject.
-	for i := 0; i < 300; i++ {
-		name := fmt.Sprintf("object-with-a-rather-long-name-%04d-%032d", i, i)
-		if _, err := client.Put(ctx, "data", name, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := client.List(ctx, "data")
+	// The request is small, but the chunk it asks for (10 000 bytes of a
+	// 30 000-byte object) exceeds the server's frame limit; the server must
+	// answer with an in-band error instead of emitting a frame the client
+	// would reject.
+	seed(t, cluster, "big", make([]byte, 30000))
+	seed(t, cluster, "small", []byte("x"))
+	_, _, err := client.GetChunk(ctx, "data", "big", 0)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("frame limit")) {
 		t.Fatalf("want in-band frame-limit error, got %v", err)
 	}
 	// The connection survives.
-	if _, _, err := client.Get(ctx, "data", "object-with-a-rather-long-name-0000-"+fmt.Sprintf("%032d", 0)); err != nil {
+	if _, _, err := client.GetChunk(ctx, "data", "small", 0); err != nil {
 		t.Fatalf("connection killed by oversized response handling: %v", err)
 	}
 }
@@ -449,12 +482,13 @@ func TestDialFailure(t *testing.T) {
 }
 
 func TestServerStatsCount(t *testing.T) {
-	srv, client, _ := startServer(t)
+	srv, client, cluster := startServer(t)
 	ctx := context.Background()
-	if _, err := client.Put(ctx, "data", "x", make([]byte, 1000)); err != nil {
+	seed(t, cluster, "x", make([]byte, 1000))
+	if _, _, err := client.GetChunk(ctx, "data", "x", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Get(ctx, "data", "x"); err != nil {
+	if _, err := client.Pools(ctx); err != nil {
 		t.Fatal(err)
 	}
 	s := srv.Stats()
@@ -467,73 +501,5 @@ func TestServerStatsCount(t *testing.T) {
 	c := client.Stats()
 	if c.FramesSent < 2 || c.FramesReceived < 2 {
 		t.Fatalf("client stats = %+v", c)
-	}
-}
-
-func TestHealthDeleteAndFailOpsOverTCP(t *testing.T) {
-	_, client, cluster := startServer(t)
-	ctx := context.Background()
-	payload := bytes.Repeat([]byte{7}, 3<<10)
-	if _, err := client.Put(ctx, "data", "obj", payload); err != nil {
-		t.Fatal(err)
-	}
-
-	health, err := client.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(health) != 6 {
-		t.Fatalf("health reported %d OSDs, want 6", len(health))
-	}
-	for _, h := range health {
-		if h.State != objstore.StateUp {
-			t.Fatalf("osd %d state %v, want up", h.ID, h.State)
-		}
-	}
-
-	// Fail an OSD remotely (losing chunks) and observe it via health.
-	if err := client.FailOSD(ctx, 2, true); err != nil {
-		t.Fatal(err)
-	}
-	health, err = client.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if health[2].State != objstore.StateDown {
-		t.Fatalf("osd 2 state %v after FailOSD, want down", health[2].State)
-	}
-	// Chunk ops against the down OSD surface the typed sentinel; which chunk
-	// index maps to OSD 2 depends on placement, so probe until one hits it.
-	sawDown := false
-	for chunk := 0; chunk < 5; chunk++ {
-		if _, _, err := client.GetChunk(ctx, "data", "obj", chunk); errors.Is(err, objstore.ErrOSDDown) {
-			sawDown = true
-		}
-	}
-	osd2, err := cluster.OSD(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hostsChunk := osd2.Health().LostChunks > 0; hostsChunk && !sawDown {
-		t.Fatal("no GetChunk returned ErrOSDDown although OSD 2 hosted chunks")
-	}
-
-	// Recover and delete a chunk remotely; a direct read then misses it.
-	if err := client.RecoverOSD(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.DeleteChunk(ctx, "data", "obj", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := client.GetChunk(ctx, "data", "obj", 0); !errors.Is(err, objstore.ErrChunkMissing) {
-		t.Fatalf("GetChunk after DeleteChunk: err=%v, want ErrChunkMissing", err)
-	}
-	// The whole object still decodes from the remaining chunks.
-	got, _, err := client.Get(ctx, "data", "obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("object corrupted after chunk delete")
 	}
 }

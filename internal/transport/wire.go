@@ -7,6 +7,11 @@
 // context deadlines/cancellation, and retries idempotent requests once a
 // connection breaks.
 //
+// There is one way in and one way out: a client reads an object chunk by
+// chunk (GetChunk) and writes it as a stripe it encoded itself
+// (StripedWriter: BeginPut, one PutChunk per chunk, CommitObject or
+// AbortPut). The server never encodes, gathers, or decodes an object.
+//
 // # Wire format
 //
 // Every frame is a 4-byte big-endian payload length followed by the payload.
@@ -79,30 +84,25 @@ import (
 // Op identifies a request type.
 type Op byte
 
-// Supported operations. DeleteChunk removes one coded chunk (failed-put
-// cleanup and repair tests); Health returns the per-OSD lifecycle and
-// health counters; FailOSD/RecoverOSD inject membership transitions into
-// the emulated cluster for failure drills under live load. The ingest ops
-// drive client-side striped writes: BeginPut opens a two-phase put and
-// returns the stripe version, PutChunk stages one locally encoded chunk
-// under it, CommitObject atomically flips the object to the staged version,
-// and AbortPut discards the staged chunks. PoolInfo reports a pool's (n, k)
-// so clients can build the matching erasure coder.
+// Supported operations. Reads are chunk by chunk: GetChunk serves one coded
+// chunk. Writes are whole stripes encoded by the client: BeginPut opens a
+// two-phase put and returns the stripe version, PutChunk stages one locally
+// encoded chunk under it, CommitObject atomically flips the object to the
+// staged version, and AbortPut discards the staged chunks. PoolInfo reports
+// a pool's (n, k) so clients can build the matching erasure coder; Pools
+// lists the pool names.
+//
+// Op numbers 1, 2, 4, 6, 7, 8 and 9 are reserved for retired ops. No op may
+// reuse them, so an old peer's frame is never mistaken for another op; a
+// server answers one with codeUnknownOp.
 const (
-	OpPut Op = iota + 1
-	OpGet
-	OpGetChunk
-	OpList
-	OpPools
-	OpDeleteChunk
-	OpHealth
-	OpFailOSD
-	OpRecoverOSD
-	OpBeginPut
-	OpPutChunk
-	OpCommitObject
-	OpAbortPut
-	OpPoolInfo
+	OpGetChunk     Op = 3
+	OpPools        Op = 5
+	OpBeginPut     Op = 10
+	OpPutChunk     Op = 11
+	OpCommitObject Op = 12
+	OpAbortPut     Op = 13
+	OpPoolInfo     Op = 14
 	// Controller-to-controller ops (served when ServerConfig.Peer is set).
 	// CtrlRead/CtrlWrite route a file read/write to the shard controller
 	// owning the file (Chunk carries the file ID); Invalidate fans a
@@ -110,32 +110,18 @@ const (
 	// carries the stripe version, Data an 8-byte payload size); ShardInfo
 	// exchanges ring membership (Response.Names holds id/address pairs,
 	// Response.Version the ring version).
-	OpCtrlRead
-	OpCtrlWrite
-	OpInvalidate
-	OpShardInfo
+	OpCtrlRead   Op = 15
+	OpCtrlWrite  Op = 16
+	OpInvalidate Op = 17
+	OpShardInfo  Op = 18
 )
 
 func (o Op) String() string {
 	switch o {
-	case OpPut:
-		return "put"
-	case OpGet:
-		return "get"
 	case OpGetChunk:
 		return "get-chunk"
-	case OpList:
-		return "list"
 	case OpPools:
 		return "pools"
-	case OpDeleteChunk:
-		return "delete-chunk"
-	case OpHealth:
-		return "health"
-	case OpFailOSD:
-		return "fail-osd"
-	case OpRecoverOSD:
-		return "recover-osd"
 	case OpBeginPut:
 		return "begin-put"
 	case OpPutChunk:

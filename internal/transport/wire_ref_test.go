@@ -87,7 +87,7 @@ func TestVectoredWireGolden(t *testing.T) {
 	// Every payload is a window into one patterned buffer, at an offset of
 	// its own so that no two cases carry the same bytes.
 	base := patterned(1<<20+64, 0)
-	for op := OpPut; op <= OpShardInfo; op++ {
+	for op := Op(1); op <= OpShardInfo; op++ {
 		for _, size := range goldenSizes {
 			reqs = append(reqs, Request{
 				ID: uint64(op)<<32 | uint64(size), Op: op, Chunk: int(op) - 3, Version: uint64(size) + 1,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -11,13 +12,93 @@ import (
 	"sprout/internal/objstore"
 )
 
+// TestWireOpcodes pins the byte value of every live op — the wire format of
+// each stays what it is whatever else is added or retired — and checks that
+// a frame carrying a retired op number is answered with codeUnknownOp.
+func TestWireOpcodes(t *testing.T) {
+	for _, c := range []struct {
+		op   Op
+		want byte
+	}{
+		{OpGetChunk, 3},
+		{OpPools, 5},
+		{OpBeginPut, 10},
+		{OpPutChunk, 11},
+		{OpCommitObject, 12},
+		{OpAbortPut, 13},
+		{OpPoolInfo, 14},
+		{OpCtrlRead, 15},
+		{OpCtrlWrite, 16},
+		{OpInvalidate, 17},
+		{OpShardInfo, 18},
+	} {
+		if byte(c.op) != c.want {
+			t.Errorf("%v = %d, want %d", c.op, byte(c.op), c.want)
+		}
+	}
+
+	srv := NewServer(testClusterWithService(t, 0.0001))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	// Each retired number as its old callers framed it, plus Pools as the
+	// live control.
+	reqs := []Request{
+		{ID: 1, Op: 1, Pool: "data", Object: "obj", Data: []byte("whole object")},
+		{ID: 2, Op: 2, Pool: "data", Object: "obj"},
+		{ID: 4, Op: 4, Pool: "data"},
+		{ID: 5, Op: OpPools},
+		{ID: 6, Op: 6, Pool: "data", Object: "obj", Chunk: 1},
+		{ID: 7, Op: 7},
+		{ID: 8, Op: 8, Chunk: 2, Data: []byte{1}},
+		{ID: 9, Op: 9, Chunk: 2},
+	}
+	var frames []byte
+	for i := range reqs {
+		frames = appendRequest(frames, &reqs[i])
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(conn)
+	codes := make(map[uint64]byte)
+	for range reqs {
+		payload, err := fr.next(DefaultMaxFrameSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes[resp.ID] = resp.Code
+	}
+	for _, req := range reqs {
+		want := codeUnknownOp
+		if req.Op == OpPools {
+			want = codeOK
+		}
+		if got, ok := codes[req.ID]; !ok || got != want {
+			t.Errorf("op %d: answered %d (present %v), want %d", byte(req.Op), got, ok, want)
+		}
+	}
+}
+
 func TestRequestCodecRoundTrip(t *testing.T) {
 	cases := []Request{
-		{ID: 1, Op: OpPut, Pool: "data", Object: "obj", Data: []byte("payload")},
+		{ID: 1, Op: OpPutChunk, Pool: "data", Object: "obj", Version: 3, Data: []byte("payload")},
 		{ID: 1<<63 + 7, Op: OpGetChunk, Pool: "p", Object: "o", Chunk: 42},
-		{ID: 0, Op: OpList, Pool: "pool-with-longer-name"},
+		{ID: 0, Op: OpPoolInfo, Pool: "pool-with-longer-name"},
 		{ID: 3, Op: OpPools},
-		{ID: 4, Op: OpGet, Pool: "", Object: "", Data: nil},
+		{ID: 4, Op: OpBeginPut, Pool: "", Object: "", Data: nil},
 		{ID: 5, Op: OpGetChunk, Chunk: -1},
 	}
 	for _, want := range cases {
@@ -61,7 +142,7 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 }
 
 func TestAppendExtendsExistingBuffer(t *testing.T) {
-	req := Request{ID: 2, Op: OpGet, Pool: "p", Object: "o"}
+	req := Request{ID: 2, Op: OpGetChunk, Pool: "p", Object: "o"}
 	prefix := []byte("prefix")
 	frame := appendRequest(append([]byte(nil), prefix...), &req)
 	if !bytes.HasPrefix(frame, prefix) {
@@ -77,7 +158,7 @@ func TestAppendExtendsExistingBuffer(t *testing.T) {
 }
 
 func TestReadFrameLimits(t *testing.T) {
-	req := Request{ID: 1, Op: OpPut, Data: make([]byte, 1024)}
+	req := Request{ID: 1, Op: OpPutChunk, Data: make([]byte, 1024)}
 	frame := appendRequest(nil, &req)
 	if _, err := readFrame(bytes.NewReader(frame), 64); err == nil {
 		t.Fatal("oversized frame accepted")
@@ -91,7 +172,7 @@ func TestReadFrameLimits(t *testing.T) {
 }
 
 func TestDecodeMalformedFrames(t *testing.T) {
-	req := Request{ID: 1, Op: OpPut, Pool: "data", Object: "o", Data: []byte("abc")}
+	req := Request{ID: 1, Op: OpPutChunk, Pool: "data", Object: "o", Data: []byte("abc")}
 	frame := appendRequest(nil, &req)
 	payload := frame[4:]
 	if _, err := decodeRequest(payload[:5]); err == nil {
