@@ -133,7 +133,7 @@ func experiments() []experiment {
 			}
 			return bench.ChaosTable(r), nil
 		}},
-		{"autoscale", "closed-loop capacity plane: diurnal+viral trace, EWMA replan only vs admission+autoscaler", func(cfg bench.Config) (*bench.Table, error) {
+		{"autoscale", "closed-loop capacity plane: diurnal+viral trace, adaptive loop at 500ms vs at 60ms + admission", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.AutoscaleClosedLoop(cfg)
 			if err != nil {
 				return nil, err

@@ -432,7 +432,7 @@ func (w *poolWriter) WriteObject(ctx context.Context, fileID int, data []byte) (
 // in-process shard controllers behind the read/write router. The total cache
 // budget is split evenly across shards and each shard plans only its owned
 // slice (lambda-masked). One process-wide scheduler batches every periodic
-// plane — the controllers' replan, autoscale and admission-window jobs and,
+// plane — the controllers' adaptive-loop and admission-window jobs and,
 // in ctrl mode, the repair scan — onto a single goroutine and timer.
 type plane struct {
 	oc        *objstore.Cluster

@@ -11,13 +11,14 @@ import (
 	"sprout/internal/cluster"
 	"sprout/internal/core"
 	"sprout/internal/optimizer"
+	"sprout/internal/queue"
 	"sprout/internal/workload"
 )
 
 // AutoscalePhase measures one arm of the closed-loop capacity experiment
 // during one traffic phase.
 type AutoscalePhase struct {
-	Arm   string // "replan" (EWMA auto-replan only) or "closed" (admission + autoscaler)
+	Arm   string // "replan" (adaptive loop at 500 ms) or "closed" (at 60 ms, plus admission)
 	Phase string // "day", "night", "viral"
 	Ops   int
 	// Errors counts failed reads (saturation sheds included).
@@ -31,27 +32,37 @@ type AutoscalePhase struct {
 	ZeroFiles   int
 	// ViralChunks is the cache occupancy of the viral-flip file at phase end.
 	ViralChunks int
-	// ShedReads and ToZero are the per-phase deltas of the controller's
-	// shed-read and autoscale-to-zero counters.
-	ShedReads int64
-	ToZero    int64
+	// ShedReads, Replans and ReplanErrors are the per-phase deltas of the
+	// controller's shed-read, auto-replan and failed auto-replan counters.
+	ShedReads    int64
+	Replans      int64
+	ReplanErrors int64
 }
+
+// autoscaleServiceRate is every node's service rate (chunks/s) in the
+// cluster the experiment plans. The LatencyStore the controllers read from
+// is a pure delay with no queue, so no load saturates it; planning with the
+// paper's ≈ 0.1 chunk/s per node — or even the store's own 1/(shift + mean)
+// ≈ 909/s — against the 1–15 k reads/s the closed loop offers makes every
+// replan infeasible, and the adaptive loop would never run.
+const autoscaleServiceRate = 1e5
 
 // AutoscaleClosedLoop runs the closed-loop capacity plane A/B: a diurnal
 // trace (day traffic over a Zipf catalogue, a near-idle night over two hot
 // files, then a viral flip onto the catalogue's coldest file) served by two
-// controllers — one with the EWMA auto-replanner only, one with the
-// admission gate and cache autoscaler layered on top.
+// controllers — one running the adaptive loop at 500 ms, one running it at
+// 60 ms with the admission gate on top.
 //
 // The closed loop must (a) free at least half the cache during the night
 // phase, scaling at least one file to zero; (b) stay within 1.3x of the
-// replan-only arm's day-phase p99 (the control loop must not tax the happy
-// path); and (c) shed nothing while unloaded.
+// replan arm's day-phase p99 (the control loop must not tax the happy
+// path); and (c) shed nothing while unloaded. No auto-replan may fail in
+// either arm.
 func AutoscaleClosedLoop(cfg Config) ([]AutoscalePhase, error) {
 	cfg = cfg.withDefaults()
 	files := cfg.Files
 	if files > 24 {
-		files = 24 // replans run every 500ms; bound the per-replan optimizer cost
+		files = 24 // replans run every 60ms; bound the per-replan optimizer cost
 	}
 	if files < 8 {
 		files = 8
@@ -59,6 +70,9 @@ func AutoscaleClosedLoop(cfg Config) ([]AutoscalePhase, error) {
 	clu, lambdas, err := readCluster(files, cfg.Seed)
 	if err != nil {
 		return nil, err
+	}
+	for i := range clu.Nodes {
+		clu.Nodes[i].Service = queue.NewExponential(autoscaleServiceRate)
 	}
 	chunks, err := encodeReadCorpus(clu, cfg.Seed)
 	if err != nil {
@@ -80,24 +94,13 @@ func AutoscaleClosedLoop(cfg Config) ([]AutoscalePhase, error) {
 	return out, nil
 }
 
-// autoscaleServeOptions builds one arm's controller options. Both arms
-// auto-replan at the same cadence; the closed arm adds the admission gate
-// (at its defaults) and the autoscaler on top.
+// autoscaleServeOptions builds one arm's controller options: the adaptive
+// loop at 500 ms, or at 60 ms with the admission gate at its defaults.
 func autoscaleServeOptions(closed bool) core.ServeOptions {
-	serve := core.ServeOptions{
-		ReplanInterval:  500 * time.Millisecond,
-		ReplanThreshold: 0.25,
-		ReplanAlpha:     0.4,
-	}
 	if closed {
-		serve.Autoscale = &core.AutoscaleConfig{
-			Interval:    60 * time.Millisecond,
-			ColdWindows: 3,
-			MinRate:     0.5,
-		}
-		serve.Admission = &core.AdmissionConfig{}
+		return core.ServeOptions{ReplanInterval: 60 * time.Millisecond, Admission: &core.AdmissionConfig{}}
 	}
-	return serve
+	return core.ServeOptions{ReplanInterval: 500 * time.Millisecond}
 }
 
 func runAutoscaleArm(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg Config, capacity int, armName string, closed bool) ([]AutoscalePhase, error) {
@@ -137,7 +140,8 @@ func runAutoscaleArm(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte,
 		res.Arm, res.Phase = armName, phase
 		st := ctrl.Stats()
 		res.ShedReads = st.ShedReads - prev.ShedReads
-		res.ToZero = st.AutoscaleToZero - prev.AutoscaleToZero
+		res.Replans = st.AutoReplans - prev.AutoReplans
+		res.ReplanErrors = st.ReplanErrors - prev.ReplanErrors
 		prev = st
 		res.CacheChunks = ctrl.Cache().Len()
 		res.ViralChunks = ctrl.Cache().ChunksForFile(viralFile)
@@ -167,6 +171,9 @@ func runAutoscaleArm(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte,
 		return viralMix(rng.Float64(), rng)
 	}); err != nil {
 		return nil, err
+	}
+	if n := ctrl.Stats().ReplanErrors; n > 0 {
+		return nil, fmt.Errorf("bench: autoscale %s arm: %d auto-replans failed", armName, n)
 	}
 	return phases, nil
 }
@@ -241,13 +248,14 @@ func findPhase(results []AutoscalePhase, arm, phase string) *AutoscalePhase {
 // acceptance metrics.
 func AutoscaleTable(results []AutoscalePhase) *Table {
 	t := &Table{
-		Title: "closed-loop capacity plane: EWMA replan only vs admission + cache autoscaler",
+		Title: "closed-loop capacity plane: adaptive loop at 500ms vs at 60ms + admission gate",
 		Headers: []string{"arm", "phase", "ops", "ops/s", "p50 ms", "p99 ms",
-			"cache chunks", "zero files", "viral chunks", "shed", "to-zero"},
+			"cache chunks", "zero files", "viral chunks", "shed", "replans", "replan errs"},
 		Notes: []string{
 			"diurnal trace: Zipf day, near-idle 2-file night, then the coldest file goes viral (70% of traffic)",
 			"cache chunks / zero files / viral chunks are sampled at each phase end",
-			"closed arm: 60ms autoscale interval (3 cold windows to shrink), admission gate at its defaults (in-flight signal only)",
+			"both arms re-plan (Algorithm 1) when folded rates move by > 25% or a file goes idle for 3 folds; closed arm: 60ms folds and the admission gate at its defaults (in-flight signal only)",
+			"planned with 1e5 chunks/s per node: the emulated store is a delay without a queue",
 		},
 	}
 	for _, r := range results {
@@ -257,7 +265,7 @@ func AutoscaleTable(results []AutoscalePhase) *Table {
 			fmt.Sprintf("%.2f", r.P50ms),
 			fmt.Sprintf("%.2f", r.P99ms),
 			itoa(r.CacheChunks), itoa(r.ZeroFiles), itoa(r.ViralChunks),
-			i64toa(r.ShedReads), i64toa(r.ToZero),
+			i64toa(r.ShedReads), i64toa(r.Replans), i64toa(r.ReplanErrors),
 		)
 	}
 
@@ -275,9 +283,10 @@ func AutoscaleTable(results []AutoscalePhase) *Table {
 		freed = 1 - float64(closedNight.CacheChunks)/float64(closedDay.CacheChunks)
 	}
 	t.AddMetric("night_cache_freed_fraction", freed, "fraction", true, 0.3)
-	// Acceptance: at least one file is scaled all the way to zero.
-	t.AddMetric("night_scale_to_zero_files", float64(closedNight.ToZero), "files", true, 0.9)
-	// Acceptance: the control loop costs ≤1.3x the replan-only arm's day p99.
+	// Acceptance: at least one file cached in the day is scaled all the way
+	// to zero at night.
+	t.AddMetric("night_scale_to_zero_files", float64(closedNight.ZeroFiles-closedDay.ZeroFiles), "files", true, 0.9)
+	// Acceptance: the control loop costs ≤1.3x the replan arm's day p99.
 	// The tolerance is set so the gate trips right around that documented
 	// 1.3x (baseline ~0.96 × 1.4 ≈ 1.34), not on ordinary runner jitter.
 	p99Ratio := 0.0
@@ -298,7 +307,7 @@ func AutoscaleTable(results []AutoscalePhase) *Table {
 	t.AddMetric("closed_day_ops_per_sec", closedDay.OpsPerSec, "ops/s", true, -1)
 
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"closed loop freed %.0f%% of day cache at night; day p99 %.2fx replan-only; %d night sheds",
+		"closed loop freed %.0f%% of day cache at night; day p99 %.2fx the replan arm; %d night sheds",
 		100*freed, p99Ratio, closedNight.ShedReads))
 	return t
 }

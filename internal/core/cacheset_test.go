@@ -112,15 +112,23 @@ func checkCacheSet(t *testing.T, step string, ctrl *Controller, fetcher ChunkFet
 	}
 }
 
+// replanToZero re-plans with file 0 idle, as the adaptive loop does once the
+// file sat out its idle folds: the plan gives it nothing.
+func replanToZero(t *testing.T, ctrl *Controller) {
+	t.Helper()
+	if _, err := ctrl.PlanTimeBin([]float64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCacheSetTransitions drives one (7,4) file's allocation 0 → k → 2 → k →
 // 0 through every path that installs or removes cached chunks — plan change,
-// lazy fill, write-through, autoscaler scale-to-zero — and checks the
-// representation rule after each step.
+// lazy fill, write-through, a replan that zeroes an idle file — and checks
+// the representation rule after each step.
 func TestCacheSetTransitions(t *testing.T) {
 	const size = 4<<10 + 3 // not a multiple of k: the last chunk is padded
 	ctrl, _, pf, writer, payloads := writeTestController(t, 2, size, 4)
 	fetcher := &countingFetcher{VersionedChunkFetcher: pf}
-	asc := newAutoscaler(ctrl, AutoscaleConfig{})
 	ctx := context.Background()
 	k := ctrl.files[0].K
 	payload := payloads[0]
@@ -164,8 +172,8 @@ func TestCacheSetTransitions(t *testing.T) {
 		{"plan 3 grows functional rows", plan(3), 3},
 		{"plan 2 trims the highest functional row", plan(2), 2},
 		{"plan k again", plan(k), k},
-		{"autoscaler scales to zero", func() { asc.shrinkToZero(0) }, 0},
-		{"write after scale-to-zero keeps the plan's k", write(4), k},
+		{"replan to zero", func() { replanToZero(t, ctrl) }, 0},
+		{"write after replan to zero caches nothing", write(4), 0},
 	} {
 		step.do()
 		checkCacheSet(t, step.name, ctrl, fetcher, 0, step.d, payload)
@@ -207,7 +215,6 @@ func TestSystematicSetInstalledWholeOrNotAtAll(t *testing.T) {
 func TestCacheSetTransitionsUnderReaders(t *testing.T) {
 	const size = 8 << 10
 	ctrl, _, fetcher, writer, payloads := writeTestController(t, 2, size, 4)
-	asc := newAutoscaler(ctrl, AutoscaleConfig{})
 	ctx := context.Background()
 	k := ctrl.files[0].K
 
@@ -255,7 +262,7 @@ func TestCacheSetTransitionsUnderReaders(t *testing.T) {
 			}
 		}
 		forcePlan(ctrl, k, 0)
-		asc.shrinkToZero(0)
+		replanToZero(t, ctrl)
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -188,7 +189,7 @@ type FileMeta struct {
 
 // ServeOptions tunes the controller's concurrent serving path. The zero
 // value fetches chunks in parallel without hedging, runs two background fill
-// workers, and leaves auto-replanning off.
+// workers, and leaves the adaptive loop off.
 type ServeOptions struct {
 	// HedgeDelay, when positive, arms a timer per read: if the read has not
 	// gathered its chunks when the timer fires, up to HedgeExtra additional
@@ -205,16 +206,22 @@ type ServeOptions struct {
 	// installs grown cache allocations after reads decode. Default 2.
 	FillWorkers int
 
-	// ReplanInterval, when positive, starts the auto-replanner: every
-	// interval the EWMA workload estimator folds the observed request rates,
-	// and when they deviate from the planned rates by more than
-	// ReplanThreshold the controller re-runs PlanTimeBin on its own.
+	// ReplanInterval, when positive, starts the adaptive loop, the one
+	// mechanism that changes what the cache holds between manual plans:
+	// every interval the EWMA workload estimator folds the observed request
+	// rates (a file without a read in the last three folds reports exactly
+	// 0), and when a folded rate moved between zero and non-zero, or by more
+	// than ReplanThreshold relative to the rate the live plan was computed
+	// with, the controller re-runs PlanTimeBin on the folded rates. The
+	// plan's transition does the rest: a file gone idle loses its cached
+	// chunks and pending fill at once, a file that turned hot is filled after
+	// its next read. A period of tens of milliseconds makes the loop scale
+	// the cache as fast as traffic moves; a long one is the paper's
+	// per-time-bin re-optimisation.
 	ReplanInterval time.Duration
 	// ReplanThreshold is the relative rate change that triggers a replan.
 	// Default 0.25.
 	ReplanThreshold float64
-	// ReplanAlpha is the EWMA weight of the newest interval. Default 0.3.
-	ReplanAlpha float64
 
 	// Breakers, when set, holds per-node circuit breakers consulted by the
 	// read plane. Nodes whose breaker is open are demoted to the tail of the
@@ -232,25 +239,18 @@ type ServeOptions struct {
 	// 250 ms window for the gate's latency signal.
 	Admission *AdmissionConfig
 
-	// Autoscale, when set, starts the cache autoscaler: between replans it
-	// continuously shrinks long-cold files' cache allocation to zero and
-	// regrows (or virally grants) allocation to files whose measured rate
-	// justifies it. Requires no ReplanInterval, but composes with it: the
-	// autoscaler then owns the estimator fold and the replanner reads the
-	// shared estimate.
-	Autoscale *AutoscaleConfig
-
 	// Logf, when set, receives diagnostics from the background planes
 	// (auto-replan failures). Never called on the read path.
 	Logf func(format string, args ...any)
 
 	// Tick, when set, is a shared scheduler the controller registers its
-	// periodic jobs (replan, autoscale, the admission gate's latency window)
-	// on instead of running its own — one process-wide goroutine and timer
-	// batch every subsystem's maintenance. The caller owns the scheduler's
-	// lifetime; Close only unregisters the controller's jobs, so any number
-	// of controllers may share one scheduler. Nil means the controller owns
-	// a private scheduler when any periodic plane is enabled.
+	// periodic jobs (the adaptive loop and its membership kick, the admission
+	// gate's latency window) on instead of running its own — one process-wide
+	// goroutine and timer batch every subsystem's maintenance. The caller
+	// owns the scheduler's lifetime; Close only unregisters the controller's
+	// jobs, so any number of controllers may share one scheduler. Nil means
+	// the controller owns a private scheduler when any periodic plane is
+	// enabled.
 	Tick *tick.Scheduler
 
 	// Tenants, when non-empty, makes tenants a first-class serving
@@ -259,9 +259,9 @@ type ServeOptions struct {
 	// policy shapes hedging, shedding, and rate limits, background fills are
 	// scheduled weighted-fair across tenants, and — when policies list owned
 	// files — the optimizer splits the cache budget across tenants by
-	// weight so the autoscaler regrows within each tenant's share. Requests
-	// from tenants no policy names are accounted under DefaultTenant with
-	// silver semantics.
+	// weight, so every plan, the adaptive loop's included, keeps each
+	// tenant's files within that tenant's share. Requests from tenants no
+	// policy names are accounted under DefaultTenant with silver semantics.
 	Tenants []TenantPolicy
 }
 
@@ -275,11 +275,12 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	if o.ReplanThreshold <= 0 {
 		o.ReplanThreshold = 0.25
 	}
-	if o.ReplanAlpha <= 0 {
-		o.ReplanAlpha = 0.3
-	}
 	return o
 }
+
+// rateAlpha is the EWMA weight of the newest fold of the adaptive loop's
+// rate estimator.
+const rateAlpha = 0.3
 
 // epoch is one immutable snapshot of the control plane's state. The read
 // plane loads it once per request through an atomic pointer and never takes
@@ -358,22 +359,21 @@ type Controller struct {
 
 	// tenants maps tenant names to their QoS state; nil when the QoS plane
 	// is off (ServeOptions.Tenants empty). tenantDefault absorbs unnamed and
-	// unknown tenants. tenantShares/tenantShareNames/tenantOwner describe the
-	// cache-budget partition (nil when no policy lists files).
+	// unknown tenants. tenantShares is the cache-budget partition (nil when
+	// no policy lists files).
 	tenants       map[string]*tenantState
 	tenantDefault *tenantState
 	tenantShares  []optimizer.TenantShare
-	tenantOwner   []int // file -> index into tenantShares; nil when no split
 
 	// workers run the fetches of fetchers that only have the blocking
 	// FetchChunk (see blockingFetches); an AsyncChunkFetcher starts none.
 	workers fetchWorkers
 
-	est *workload.EWMAEstimator // non-nil when auto-replanning
-	// sched batches the controller's periodic maintenance — auto-replan,
-	// autoscale, the admission window — onto one goroutine and one timer;
-	// nil when no periodic plane is enabled. A membership change kicks the
-	// replanNow job (nil unless auto-replanning) instead of nudging a
+	est *workload.EWMAEstimator // non-nil when the adaptive loop runs
+	// sched batches the controller's periodic maintenance — the adaptive
+	// loop, the admission window — onto one goroutine and one timer; nil
+	// when no periodic plane is enabled. A membership change kicks the
+	// replanNow job (nil unless the adaptive loop runs) instead of nudging a
 	// dedicated channel.
 	sched *tick.Scheduler
 	// ownSched records whether the controller created sched (and must close
@@ -386,8 +386,6 @@ type Controller struct {
 
 	// adm is the saturation gate; nil when admission control is off.
 	adm *admissionGate
-	// asc is the cache autoscaler; nil when autoscaling is off.
-	asc *autoscaler
 
 	stats     counters
 	hist      readHist
@@ -459,14 +457,9 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	c.tenants, c.tenantDefault = buildTenants(serve.Tenants)
 	if shares, names := tenantShares(serve.Tenants, len(files)); shares != nil {
 		c.tenantShares = shares
-		c.tenantOwner = make([]int, len(files))
-		budgets := optimizer.SplitBudgets(cacheCapacity, shares)
-		for t, sh := range shares {
+		for t, budget := range optimizer.SplitBudgets(cacheCapacity, shares) {
 			if ts := c.tenants[names[t]]; ts != nil {
-				ts.cacheShare = budgets[t]
-			}
-			for _, f := range sh.Files {
-				c.tenantOwner[f] = t
+				ts.cacheShare = budget
 			}
 		}
 	}
@@ -482,12 +475,12 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 		c.fillWG.Add(1)
 		go c.fillWorker()
 	}
-	if serve.ReplanInterval > 0 || serve.Autoscale != nil {
-		c.est = workload.NewEWMAEstimator(len(files), serve.ReplanAlpha)
+	if serve.ReplanInterval > 0 {
+		c.est = workload.NewEWMAEstimator(len(files), rateAlpha)
 	}
 	if serve.Tick != nil {
 		c.sched = serve.Tick
-	} else if serve.ReplanInterval > 0 || serve.Autoscale != nil || latencyWindow {
+	} else if serve.ReplanInterval > 0 || latencyWindow {
 		// All periodic maintenance shares one scheduler goroutine and one
 		// timer: an idle controller does one bounded wakeup per earliest
 		// period instead of one per plane.
@@ -495,11 +488,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 		c.ownSched = true
 	}
 	if serve.ReplanInterval > 0 {
-		c.registerReplanJobs(serve.ReplanInterval, serve.ReplanThreshold)
-	}
-	if serve.Autoscale != nil {
-		c.asc = newAutoscaler(c, *serve.Autoscale)
-		c.registerAutoscaleJob(c.asc)
+		c.registerReplanJobs(serve.ReplanInterval)
 	}
 	if latencyWindow {
 		c.registerWindowJob()
@@ -507,7 +496,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	return c, nil
 }
 
-// Close stops the background planes (fill workers and auto-replanner).
+// Close stops the background planes (fill workers and the adaptive loop).
 // In-flight fills are completed or discarded; Read must not be called after
 // Close.
 func (c *Controller) Close() error {
@@ -662,9 +651,6 @@ func (c *Controller) applyPlan(clu *cluster.Cluster, plan *optimizer.Plan, base 
 	next.assignment = base.Excluding(next.alive)
 	c.epoch.Store(next)
 	c.stats.planUpdates.Add(1)
-	if c.est != nil {
-		c.est.StartBin(lambdas)
-	}
 }
 
 // fetchChunkV fetches one chunk, reporting the stripe it belongs to when the
@@ -753,10 +739,6 @@ func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep 
 	return c.installFill(meta.ID, dataChunks, stripe)
 }
 
-// Estimator returns the workload estimator feeding the auto-replanner, or
-// nil when auto-replanning is off.
-func (c *Controller) Estimator() *workload.EWMAEstimator { return c.est }
-
 // registerJob registers a periodic job and records its handle so Close can
 // unregister from a shared scheduler.
 func (c *Controller) registerJob(period time.Duration, fn func(now time.Time)) *tick.Job {
@@ -779,11 +761,11 @@ func (c *Controller) runReplan(rates []float64) {
 	c.stats.autoReplans.Add(1)
 }
 
-// registerReplanJobs installs the auto-replanner on the shared scheduler:
-// a periodic drift check, plus the kick-only replanNow job a membership
+// registerReplanJobs installs the adaptive loop on the shared scheduler —
+// adapt every interval — plus the kick-only replanNow job a membership
 // change fires so PlanTimeBin re-runs against the new node set without
 // waiting for workload drift.
-func (c *Controller) registerReplanJobs(interval time.Duration, threshold float64) {
+func (c *Controller) registerReplanJobs(interval time.Duration) {
 	// Fold counters over measured elapsed time, not the nominal interval:
 	// when a slow PlanTimeBin delays the tick, the counters hold several
 	// intervals of requests and dividing by the interval would inflate the
@@ -792,26 +774,8 @@ func (c *Controller) registerReplanJobs(interval time.Duration, threshold float6
 	// locking.
 	last := time.Now()
 	c.registerJob(interval, func(now time.Time) {
-		if c.epoch.Load().plan == nil {
-			// Nothing to adapt until the first manual plan — and don't burn
-			// the estimator's first-tick seeding on the zero counters
-			// accumulated before serving starts.
-			last = now
-			return
-		}
-		var rates []float64
-		if c.asc != nil {
-			// The autoscale job owns the estimator fold at its finer
-			// cadence; the replanner reads the shared estimate.
-			rates = c.est.Rates()
-		} else {
-			rates = c.est.Tick(now.Sub(last).Seconds())
-		}
+		c.adapt(now.Sub(last).Seconds())
 		last = now
-		if !c.est.Deviates(threshold) {
-			return
-		}
-		c.runReplan(rates)
 	})
 	c.replanNow = c.registerJob(0, func(time.Time) {
 		// Membership changed: re-plan immediately against the new node set,
@@ -828,6 +792,36 @@ func (c *Controller) registerReplanJobs(interval time.Duration, threshold float6
 		}
 		c.runReplan(rates)
 	})
+}
+
+// adapt is one pass of the adaptive loop: it folds the estimator over the
+// elapsed seconds and re-plans when the folded rates moved away from the
+// rates the live plan was computed with.
+func (c *Controller) adapt(elapsed float64) {
+	ep := c.epoch.Load()
+	if ep.plan == nil {
+		// Nothing to adapt until the first manual plan — and don't burn the
+		// estimator's first-tick seeding on the zero counters accumulated
+		// before serving starts.
+		return
+	}
+	rates := c.est.Tick(elapsed)
+	if ratesMoved(ep.clu.Lambdas(), rates, c.serve.ReplanThreshold) {
+		c.runReplan(rates)
+	}
+}
+
+// ratesMoved reports whether any rate differs from its planned value: it
+// moved between zero and non-zero, or by more than threshold relative to the
+// planned rate.
+func ratesMoved(planned, rates []float64, threshold float64) bool {
+	for i, r := range rates {
+		p := planned[i]
+		if (p == 0) != (r == 0) || math.Abs(r-p) > threshold*p {
+			return true
+		}
+	}
+	return false
 }
 
 func anyPositive(xs []float64) bool {

@@ -239,11 +239,10 @@ func TestSharedSchedulerKeepsControllersApart(t *testing.T) {
 		perCtrl int
 	}{
 		{"replan", ServeOptions{ReplanInterval: time.Hour}, 2},
-		{"replan+autoscale+admission", ServeOptions{
+		{"replan+admission", ServeOptions{
 			ReplanInterval: time.Hour,
-			Autoscale:      &AutoscaleConfig{Interval: time.Hour},
 			Admission:      &AdmissionConfig{LatencyTarget: time.Second},
-		}, 4},
+		}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := tick.New()

@@ -47,12 +47,6 @@ type counters struct {
 	shedReads        atomic.Int64
 	tenantThrottled  atomic.Int64
 	priorityHedges   atomic.Int64
-
-	autoscaleUps     atomic.Int64
-	autoscaleDowns   atomic.Int64
-	autoscaleToZero  atomic.Int64
-	autoscaleFreed   atomic.Int64
-	autoscaleGranted atomic.Int64
 }
 
 // Stats exposes counters for observability and the evaluation harness.
@@ -139,17 +133,6 @@ type Stats struct {
 	// kept their hedge timer through brownout level 1.
 	TenantThrottled int64
 	PriorityHedges  int64
-
-	// AutoscaleUps and AutoscaleDowns count per-file allocation changes made
-	// by the cache autoscaler between replans; AutoscaleToZero is the subset
-	// of downs that released a file's entire allocation. AutoscaleFreed and
-	// AutoscaleGranted count the cache chunks released by shrinks and the
-	// chunk budget handed out by grows.
-	AutoscaleUps     int64
-	AutoscaleDowns   int64
-	AutoscaleToZero  int64
-	AutoscaleFreed   int64
-	AutoscaleGranted int64
 }
 
 // Stats returns a snapshot of the controller counters.
@@ -193,12 +176,6 @@ func (c *Controller) Stats() Stats {
 		ShedReads:        c.stats.shedReads.Load(),
 		TenantThrottled:  c.stats.tenantThrottled.Load(),
 		PriorityHedges:   c.stats.priorityHedges.Load(),
-
-		AutoscaleUps:     c.stats.autoscaleUps.Load(),
-		AutoscaleDowns:   c.stats.autoscaleDowns.Load(),
-		AutoscaleToZero:  c.stats.autoscaleToZero.Load(),
-		AutoscaleFreed:   c.stats.autoscaleFreed.Load(),
-		AutoscaleGranted: c.stats.autoscaleGranted.Load(),
 	}
 }
 

@@ -48,9 +48,9 @@ type TenantPolicy struct {
 	Burst     float64
 	// Files lists the file IDs this tenant owns. Ownership drives the
 	// cache-budget split: the optimizer divides the cache across tenants in
-	// proportion to Weight, and the autoscaler regrows only within the
-	// owner's share. Files listed by no tenant belong to the default tenant;
-	// a file listed twice, or out of range, is rejected.
+	// proportion to Weight and plans each tenant's files within its share.
+	// Files listed by no tenant belong to the default tenant; a file listed
+	// twice, or out of range, is rejected.
 	Files []int
 }
 

@@ -183,11 +183,14 @@ func TestTenantCacheShares(t *testing.T) {
 	}
 	ctrl, _ := buildControllerWith(t, 4, 6, 0.05, serve)
 	defer ctrl.Close()
-	if ctrl.tenantOwner == nil {
-		t.Fatal("file ownership configured but no budget split was derived")
+	owner := map[int]int{}
+	for t, sh := range ctrl.tenantShares {
+		for _, f := range sh.Files {
+			owner[f] = t
+		}
 	}
-	if ctrl.tenantOwner[0] != ctrl.tenantOwner[1] || ctrl.tenantOwner[0] == ctrl.tenantOwner[2] {
-		t.Fatalf("tenantOwner = %v, want files 0,1 together and 2 separate", ctrl.tenantOwner)
+	if len(owner) != 4 || owner[0] != owner[1] || owner[0] == owner[2] || owner[3] == owner[0] || owner[3] == owner[2] {
+		t.Fatalf("shares %+v, want files 0,1 together, 2 apart and 3 in the default share", ctrl.tenantShares)
 	}
 	stats := ctrl.TenantStats()
 	total := 0

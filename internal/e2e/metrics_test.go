@@ -24,8 +24,8 @@ import (
 // conformance lint, and show monotonically increasing read counters.
 func TestMetricsEndpoint(t *testing.T) {
 	h, client := newHarnessWith(t, core.ServeOptions{
-		Admission: &core.AdmissionConfig{LatencyTarget: 5 * time.Second},
-		Autoscale: &core.AutoscaleConfig{},
+		Admission:      &core.AdmissionConfig{LatencyTarget: 5 * time.Second},
+		ReplanInterval: 200 * time.Millisecond,
 	},
 		transport.ServerConfig{StagedPutTTL: time.Minute},
 		transport.ClientConfig{Conns: 3})

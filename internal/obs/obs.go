@@ -1,10 +1,10 @@
 // Package obs bridges every plane's existing stats structs into one
 // metrics.Registry, so a single /metrics endpoint exposes the whole stack —
-// controller read/write counters and latency histograms, saturation and
-// autoscaler state, transport client/server counters, repair progress, OSD
-// health, functional-cache occupancy, and the erasure coder's decode-plan
-// cache. All bridges collect at scrape time from the planes' atomic
-// snapshots: the hot paths pay nothing for the exporter.
+// controller read/write counters and latency histograms, saturation state
+// and the live plan's cache targets, transport client/server counters,
+// repair progress, OSD health, functional-cache occupancy, and the erasure
+// coder's decode-plan cache. All bridges collect at scrape time from the
+// planes' atomic snapshots: the hot paths pay nothing for the exporter.
 //
 // Metric names follow the conformance rules enforced by metrics.Lint (and by
 // CI): the sprout_ namespace, snake_case, _total counters, _seconds
@@ -31,8 +31,8 @@ import (
 // registers all of them.
 type Sources struct {
 	// Controller bridges read/write counters, latency histograms, the
-	// saturation gate, the autoscaler, cache occupancy, and the per-file
-	// erasure coders.
+	// saturation gate, the live plan's cache targets, cache occupancy, and
+	// the per-file erasure coders.
 	Controller *core.Controller
 	// TransportClient and TransportServer snapshot each side's wire counters.
 	TransportClient func() transport.TransportStats
@@ -158,11 +158,6 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_hedges_suppressed_total", "Hedge timers withheld at brownout level 1 or deeper.", func(s core.Stats) int64 { return s.HedgesSuppressed }},
 		{"sprout_fills_suppressed_total", "Background fills deferred at brownout level 2 or deeper.", func(s core.Stats) int64 { return s.FillsSuppressed }},
 		{"sprout_shed_reads_total", "Low-value reads rejected with ErrSaturated at brownout level 3.", func(s core.Stats) int64 { return s.ShedReads }},
-		{"sprout_autoscale_ups_total", "Per-file cache allocations grown by the autoscaler.", func(s core.Stats) int64 { return s.AutoscaleUps }},
-		{"sprout_autoscale_downs_total", "Per-file cache allocations shrunk by the autoscaler.", func(s core.Stats) int64 { return s.AutoscaleDowns }},
-		{"sprout_autoscale_to_zero_total", "Autoscaler shrinks that released a file's entire allocation.", func(s core.Stats) int64 { return s.AutoscaleToZero }},
-		{"sprout_autoscale_freed_chunks_total", "Cache chunks released by autoscaler shrinks.", func(s core.Stats) int64 { return s.AutoscaleFreed }},
-		{"sprout_autoscale_granted_chunks_total", "Cache chunk budget handed out by autoscaler grows.", func(s core.Stats) int64 { return s.AutoscaleGranted }},
 		{"sprout_tenant_throttled_total", "Reads refused because the calling tenant was over its rate limit.", func(s core.Stats) int64 { return s.TenantThrottled }},
 		{"sprout_priority_hedges_total", "Gold-tenant reads that kept their hedge timer through brownout level 1.", func(s core.Stats) int64 { return s.PriorityHedges }},
 	} {
@@ -251,13 +246,16 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		return out
 	}))
 	r.MustRegister(metrics.Desc{
-		Name: "sprout_autoscale_target_chunks", Help: "Autoscaler per-file cache allocation target.",
+		Name: "sprout_cache_target_chunks", Help: "Per-file cache allocation d_i of the live plan.",
 		Kind: metrics.KindGauge, Labels: []string{"file"},
 	}, metrics.CollectorFunc(func() []metrics.Sample {
-		targets := c.AutoscaleTargets()
-		out := make([]metrics.Sample, 0, len(targets))
-		for fileID, t := range targets {
-			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(fileID)}, Value: float64(t)})
+		plan := c.Plan()
+		if plan == nil {
+			return nil
+		}
+		out := make([]metrics.Sample, 0, len(plan.D))
+		for fileID, d := range plan.D {
+			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(fileID)}, Value: float64(d)})
 		}
 		return out
 	}))

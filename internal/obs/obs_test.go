@@ -43,8 +43,8 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	}
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
 	ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{
-		Admission: &core.AdmissionConfig{LatencyTarget: time.Second},
-		Autoscale: &core.AutoscaleConfig{},
+		Admission:      &core.AdmissionConfig{LatencyTarget: time.Second},
+		ReplanInterval: time.Hour,
 		Tenants: []core.TenantPolicy{
 			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},
 			{Name: "bronze", Class: core.ClassBronze, Weight: 1, RateLimit: 100},
@@ -119,7 +119,7 @@ func TestExpositionParsesStrictly(t *testing.T) {
 		"sprout_saturation_level",
 		"sprout_node_inflight_requests",
 		"sprout_picks_reordered_total",
-		"sprout_autoscale_target_chunks",
+		"sprout_cache_target_chunks",
 		"sprout_cache_occupancy_chunks",
 		"sprout_transport_frames_total",
 		"sprout_repair_scans_total",

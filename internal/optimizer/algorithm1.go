@@ -103,8 +103,13 @@ func Optimize(p *Problem, opts Options) (*Plan, error) {
 	if opts.WarmStart != nil {
 		warmD := make([]int, len(p.Files))
 		copy(warmD, opts.WarmStart)
-		for i := range warmD {
-			warmD[i] = clampInt(warmD[i], 0, p.Files[i].K)
+		for i, f := range p.Files {
+			warmD[i] = clampInt(warmD[i], 0, f.K)
+			if f.Lambda == 0 {
+				// A file nobody requests gets no cache in any plan: keeping
+				// the chunks a warm start gave it would never free them.
+				warmD[i] = 0
+			}
 		}
 		candidates = append(candidates, warmD)
 	}
@@ -451,6 +456,12 @@ func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, o
 	for i, f := range p.Files {
 		kL[i] = 0
 		kU[i] = float64(f.K)
+		if f.Lambda == 0 {
+			// Zero-rate files read all k chunks from storage (d_i = 0): their
+			// latency term is weightless, so nothing else would take back
+			// cache a warm start gave them.
+			kL[i] = kU[i]
+		}
 	}
 	minTotal := float64(p.totalK() - p.CacheCapacity)
 

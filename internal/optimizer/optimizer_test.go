@@ -259,6 +259,52 @@ func TestWarmStartRespectsAllocation(t *testing.T) {
 	}
 }
 
+// TestZeroRateFilesGetNoCache: a file with λ_i = 0 gets d_i = 0 in every
+// plan, Optimize's and OptimizeSplit's, even warm-started from a plan that
+// cached it — the replan that frees a file gone idle.
+func TestZeroRateFilesGetNoCache(t *testing.T) {
+	shares := []TenantShare{{Weight: 2, Files: []int{0, 1, 2}}, {Weight: 1, Files: []int{3, 4, 5}}}
+	solvers := []struct {
+		name  string
+		solve func(*Problem, Options) (*Plan, error)
+	}{
+		{"Optimize", Optimize},
+		{"OptimizeSplit", func(p *Problem, o Options) (*Plan, error) { return OptimizeSplit(p, o, shares) }},
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := smallProblem(6, 2+rng.Intn(7), 0)
+		for i := range p.Files {
+			p.Files[i].Lambda = 0.01 + 0.1*rng.Float64()
+		}
+		for _, s := range solvers {
+			q := *p
+			q.Files = append([]FileSpec(nil), p.Files...)
+			warm, err := s.solve(&q, Options{MaxOuterIter: 6})
+			if err != nil {
+				t.Fatalf("seed %d %s: warm plan: %v", seed, s.name, err)
+			}
+			// Zero a random subset of the files the warm plan cached, and
+			// maybe one it did not.
+			for i := range q.Files {
+				if (warm.D[i] > 0 && rng.Intn(3) > 0) || rng.Intn(6) == 0 {
+					q.Files[i].Lambda = 0
+				}
+			}
+			plan, err := s.solve(&q, Options{MaxOuterIter: 6, WarmStart: warm.D})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, s.name, err)
+			}
+			for i, f := range q.Files {
+				if f.Lambda == 0 && plan.D[i] != 0 {
+					t.Fatalf("seed %d %s: zero-rate file %d kept d=%d (warm D=%v, D=%v)",
+						seed, s.name, i, plan.D[i], warm.D, plan.D)
+				}
+			}
+		}
+	}
+}
+
 func TestNoCacheBaseline(t *testing.T) {
 	p := smallProblem(6, 4, 0.05)
 	plan, err := NoCache(p, Options{MaxOuterIter: 6})

@@ -453,7 +453,7 @@ func (r *Router) FanoutLatencyBuckets() metrics.HistogramBuckets {
 // PlanTimeBin replans every in-process shard over its slice of the
 // namespace: each shard sees the true arrival rate for the files it owns
 // and zero for the rest, so its optimizer run, epoch snapshot, fill pool,
-// and autoscaler work only its partition. Remote shards plan in their own
+// and adaptive loop work only its partition. Remote shards plan in their own
 // process and are skipped here.
 func (r *Router) PlanTimeBin(lambdas []float64) error {
 	r.mu.RLock()

@@ -80,12 +80,17 @@ func await(t *testing.T, sinks []*testSink, timeout time.Duration) []fetchOutcom
 }
 
 // clientGoroutines counts the goroutines running client code: connection
-// loops, the sweep, fallback round trips.
+// loops, the sweep, fallback round trips. One inside its deferred
+// WaitGroup.Done has finished — Close may return on that very call before
+// the goroutine does — so it is not counted.
 func clientGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*WaitGroup).Done") {
+			continue
+		}
 		if strings.Contains(g, "transport.(*Client).") || strings.Contains(g, "transport.(*clientConn).") {
 			n++
 		}
@@ -545,6 +550,9 @@ func TestAsyncFetchRetriesUnderBudget(t *testing.T) {
 func TestAsyncFetchStalledPeer(t *testing.T) {
 	const timeout, slack = 100 * time.Millisecond, 400 * time.Millisecond
 	release := make(chan struct{})
+	// Deferred, so a failing check still lets the scripted server's cleanup,
+	// which waits for this handler, finish.
+	defer close(release)
 	addr := scriptedServer(t, func(_ int, conn net.Conn) {
 		shrinkSocketBuffers(t, conn)
 		<-release // accepts, never reads
@@ -585,7 +593,6 @@ func TestAsyncFetchStalledPeer(t *testing.T) {
 	if n := clientGoroutines(); n > before {
 		t.Fatalf("%d client goroutines left after Close, %d before the client existed", n, before)
 	}
-	close(release)
 }
 
 // TestBlockingWriteStalledPeer: a blocking round trip writes its own frame,

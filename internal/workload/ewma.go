@@ -1,10 +1,15 @@
 package workload
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
+
+// idleWindows is how many consecutive ticks without a request make a file's
+// estimate exactly 0. The moving average alone only decays towards 0, so a
+// file nobody reads any more would otherwise keep a positive rate — and the
+// cache planned for it — indefinitely.
+const idleWindows = 3
 
 // EWMAEstimator estimates per-file arrival rates with an exponentially
 // weighted moving average over fixed ticks. Unlike RateEstimator (which
@@ -16,10 +21,10 @@ type EWMAEstimator struct {
 	alpha  float64
 	counts []atomic.Int64
 
-	mu       sync.Mutex
-	rates    []float64 // current EWMA estimate, updated by Tick
-	binRates []float64 // rates the current time bin was planned with
-	ticks    int
+	mu    sync.Mutex
+	rates []float64 // current EWMA estimate, updated by Tick
+	idle  []int     // consecutive ticks without a request, per file
+	ticks int
 }
 
 // NewEWMAEstimator creates an estimator over numFiles files. alpha in (0,1]
@@ -30,10 +35,10 @@ func NewEWMAEstimator(numFiles int, alpha float64) *EWMAEstimator {
 		alpha = 0.3
 	}
 	return &EWMAEstimator{
-		alpha:    alpha,
-		counts:   make([]atomic.Int64, numFiles),
-		rates:    make([]float64, numFiles),
-		binRates: make([]float64, numFiles),
+		alpha:  alpha,
+		counts: make([]atomic.Int64, numFiles),
+		rates:  make([]float64, numFiles),
+		idle:   make([]int, numFiles),
 	}
 }
 
@@ -49,7 +54,8 @@ func (e *EWMAEstimator) Observe(file int) {
 // Tick folds the requests observed since the previous Tick into the moving
 // average, treating them as spread over elapsed seconds, and returns a copy
 // of the updated per-file rate estimates. The first tick seeds the average
-// with the instantaneous rates.
+// with the instantaneous rates (0 for a file without requests); after that a
+// file without a request in the last three ticks reports exactly 0.
 func (e *EWMAEstimator) Tick(elapsed float64) []float64 {
 	if elapsed <= 0 {
 		elapsed = 1e-9
@@ -57,10 +63,19 @@ func (e *EWMAEstimator) Tick(elapsed float64) []float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range e.counts {
-		inst := float64(e.counts[i].Swap(0)) / elapsed
-		if e.ticks == 0 {
-			e.rates[i] = inst
+		n := e.counts[i].Swap(0)
+		if n == 0 {
+			e.idle[i]++
 		} else {
+			e.idle[i] = 0
+		}
+		inst := float64(n) / elapsed
+		switch {
+		case e.idle[i] >= idleWindows:
+			e.rates[i] = 0
+		case e.ticks == 0:
+			e.rates[i] = inst
+		default:
 			e.rates[i] = e.alpha*inst + (1-e.alpha)*e.rates[i]
 		}
 	}
@@ -74,32 +89,4 @@ func (e *EWMAEstimator) Rates() []float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]float64(nil), e.rates...)
-}
-
-// StartBin records the per-file rates the new time bin is planned with;
-// Deviates compares against these.
-func (e *EWMAEstimator) StartBin(rates []float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	copy(e.binRates, rates)
-}
-
-// Deviates reports whether the current estimate differs from the rates of
-// the current bin by more than threshold (relative change) for any file.
-// Files going from zero to non-zero always trigger, mirroring
-// RateEstimator.NeedsNewBin.
-func (e *EWMAEstimator) Deviates(threshold float64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, r := range e.rates {
-		base := e.binRates[i]
-		if base == 0 && r > 0 {
-			return true
-		}
-		scale := math.Max(base, 1e-9)
-		if math.Abs(r-base)/scale > threshold {
-			return true
-		}
-	}
-	return false
 }

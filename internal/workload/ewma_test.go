@@ -39,31 +39,31 @@ func TestEWMASmoothing(t *testing.T) {
 	}
 }
 
-func TestEWMADeviates(t *testing.T) {
-	e := NewEWMAEstimator(2, 1)
+// TestEWMAIdleWindowsReportZero: a file without a request in the last
+// idleWindows ticks reports exactly 0, one request restarts its average, and
+// a file read every other tick never reaches 0.
+func TestEWMAIdleWindowsReportZero(t *testing.T) {
+	e := NewEWMAEstimator(2, 0.3)
 	for i := 0; i < 10; i++ {
 		e.Observe(0)
-	}
-	rates := e.Tick(1)
-	e.StartBin(rates)
-	if e.Deviates(0.25) {
-		t.Fatal("should not deviate right after StartBin")
-	}
-	// Rate of file 0 doubles.
-	for i := 0; i < 20; i++ {
-		e.Observe(0)
+		e.Observe(1)
 	}
 	e.Tick(1)
-	if !e.Deviates(0.25) {
-		t.Fatal("doubled rate should deviate")
+	for tick := 1; tick <= 2*idleWindows; tick++ {
+		if tick%2 == 0 {
+			e.Observe(1)
+		}
+		rates := e.Tick(1)
+		if idle := rates[0] == 0; idle != (tick >= idleWindows) {
+			t.Fatalf("after %d idle ticks file 0 reads %v", tick, rates[0])
+		}
+		if rates[1] == 0 {
+			t.Fatalf("file 1, read every other tick, reads 0 at tick %d", tick)
+		}
 	}
-	// Zero-to-nonzero always triggers.
-	e2 := NewEWMAEstimator(1, 1)
-	e2.StartBin([]float64{0})
-	e2.Observe(0)
-	e2.Tick(1)
-	if !e2.Deviates(10) {
-		t.Fatal("zero to non-zero should trigger at any threshold")
+	e.Observe(0)
+	if rates := e.Tick(1); math.Abs(rates[0]-0.3) > 1e-12 {
+		t.Fatalf("first tick with a request after going idle reads %v, want 0.3", rates[0])
 	}
 }
 

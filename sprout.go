@@ -58,7 +58,8 @@ type (
 	// ControllerStats are the controller's observability counters.
 	ControllerStats = core.Stats
 	// ServeOptions tunes the controller's concurrent serving path: hedged
-	// fetches, background fill workers, and the auto-replanner.
+	// fetches, background fill workers, and the adaptive loop
+	// (ReplanInterval), which re-plans the cache when observed rates move.
 	ServeOptions = core.ServeOptions
 	// LatencySnapshot summarises one read-latency distribution (p50/p90/p99).
 	LatencySnapshot = metrics.LatencySnapshot
@@ -156,14 +157,10 @@ type (
 	// and, with a latency target, the read p99 of each 250 ms window score
 	// into progressive brownout levels.
 	AdmissionConfig = core.AdmissionConfig
-	// AutoscaleConfig tunes the cache autoscaler: between replans it shrinks
-	// cold files' cache allocation (to zero after a cold dwell) and regrows
-	// hot or viral files from the freed budget.
-	AutoscaleConfig = core.AutoscaleConfig
 	// TenantPolicy is one tenant's QoS contract: SLO class, weighted-fair
 	// share, optional rate limit, and the files whose cache budget it owns.
 	// Wire a set into ServeOptions.Tenants to make tenancy first-class across
-	// the read plane, fill scheduler, optimizer, and autoscaler.
+	// the read plane, fill scheduler, and optimizer.
 	TenantPolicy = core.TenantPolicy
 	// TenantSnapshot is one tenant's QoS accounting (reads, sheds, throttles,
 	// latency distribution, cache share), from Controller.TenantStats.
@@ -265,8 +262,8 @@ func NewController(clu *Cluster, cacheCapacity int, opts OptimizerOptions, seed 
 }
 
 // NewControllerWith builds a Sprout controller with explicit serving
-// options — hedged fetches, fill-worker sizing, and the auto-replanner that
-// re-runs PlanTimeBin when the observed workload drifts.
+// options — hedged fetches, fill-worker sizing, and the adaptive loop that
+// re-runs PlanTimeBin when the observed workload drifts or a file goes idle.
 func NewControllerWith(clu *Cluster, cacheCapacity int, opts OptimizerOptions, serve ServeOptions, seed int64) (*Controller, error) {
 	return core.NewControllerWith(clu, cacheCapacity, opts, serve, seed)
 }
