@@ -3,24 +3,27 @@
 //
 //  1. Objects are written into a (7,4) pool over 12 OSDs and served through
 //     the Sprout controller with a warm functional cache.
-//  2. Two OSDs are killed under live load, losing their chunks. Nobody
-//     tells the controller: the failure detector notices the error streaks
-//     on the read path and flips the nodes out of the scheduler's draws,
-//     while reads keep succeeding — degraded — via failover and the cache.
+//  2. Two OSDs are killed under live load, losing their chunks. The read
+//     path's per-node breakers avoid them on their own error streaks, and
+//     a heartbeat on OSD state marks them down in the controller's
+//     membership, taking them out of the scheduler's draws, while reads keep
+//     succeeding — degraded — via failover and the cache.
 //  3. The repair plane reconstructs every lost chunk from survivors with
 //     the erasure coder and re-places them on live OSDs, restoring full
 //     redundancy while traffic continues.
-//  4. The failed OSDs come back; the liveness prober feeds the detector,
-//     which returns them to the scheduler, and the repair plane promotes
-//     them from Recovering to Up.
+//  4. The failed OSDs come back; the heartbeat marks them up, returning
+//     them to the scheduler, and the repair plane promotes them from
+//     Recovering to Up.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +42,27 @@ var (
 
 func main() {
 	flag.Parse()
-	ctx := context.Background()
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, out io.Writer) error {
+	// The heartbeat goroutine prints beside the main one.
+	var outMu sync.Mutex
+	printf := func(format string, args ...any) {
+		outMu.Lock()
+		defer outMu.Unlock()
+		fmt.Fprintf(out, format, args...)
+	}
+	sleep := func(d time.Duration) error {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(d):
+			return nil
+		}
+	}
 
 	// --- Storage plane: 12 OSDs, (7,4) pool, 24 objects. -----------------
 	oc, err := sprout.NewStorageCluster(sprout.StorageConfig{
@@ -49,11 +72,11 @@ func main() {
 		Seed:         1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pool, err := oc.CreatePool("ec-7-4", 7, 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rng := rand.New(rand.NewSource(3))
 	payload := make([]byte, *objSize)
@@ -61,59 +84,54 @@ func main() {
 	for i := 0; i < *objects; i++ {
 		rng.Read(payload)
 		if err := pool.Put(ctx, objName(i), payload); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("wrote %d objects of %d KiB into ec-7-4 over 12 OSDs\n", *objects, *objSize>>10)
+	printf("wrote %d objects of %d KiB into ec-7-4 over 12 OSDs\n", *objects, *objSize>>10)
 
 	// --- Control plane: controller over the pool's real topology. --------
 	lambdas := workload.Zipf(*objects, 1.1, 50)
 	view, err := pool.ClusterView(lambdas)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	// The serving path is the "avoid" signal: a node whose fetches keep
+	// failing is demoted from the read path before anyone marks it down.
+	breakers := sprout.NewBreakerSet(sprout.BreakerConfig{ErrorThreshold: 3, OpenFor: 100 * time.Millisecond})
 	ctrl, err := sprout.NewControllerWith(view, 2**objects, optimizer.Options{MaxOuterIter: 10},
 		sprout.ServeOptions{
 			HedgeDelay: 20 * time.Millisecond, HedgeExtra: 1,
 			// With the auto-replanner on, a membership change triggers an
 			// immediate PlanTimeBin against the degraded node set.
 			ReplanInterval: 300 * time.Millisecond, ReplanThreshold: 0.5,
+			Breakers: breakers,
 		}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ctrl.Close()
 
-	// --- Self-healing plane: repair manager + failure detector. ----------
+	// --- Self-healing plane: repair manager + membership heartbeat. ------
 	mgr := sprout.NewRepairManager(pool, sprout.RepairConfig{
 		Workers:      2,
 		ScanInterval: 50 * time.Millisecond,
 	})
 	mgr.Start()
 	defer mgr.Close()
-	det := sprout.NewFailureDetector(sprout.DetectorConfig{
-		ErrorThreshold: 3,
-		OnDown: func(osdID int) {
-			fmt.Printf("  detector: OSD %d DOWN -> excluded from scheduling, repair kicked\n", osdID)
-			ctrl.SetNodeDown(osdID)
-			mgr.Kick()
-		},
-		OnUp: func(osdID int) {
-			fmt.Printf("  detector: OSD %d UP -> back in scheduling\n", osdID)
-			ctrl.SetNodeUp(osdID)
-		},
-	})
 
-	// The fetcher feeds every chunk-read outcome into the detector — the
-	// serving path doubles as the failure signal, no separate monitoring.
-	fetcher := sprout.FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-		data, err := pool.GetChunk(ctx, objName(fileID), chunkIndex)
-		det.Observe(nodeID, err, 0)
-		return data, err
-	})
-
-	// A liveness prober (heartbeats) lets the detector see recoveries even
-	// while the scheduler sends the node no traffic.
+	// The heartbeat is the "gone" signal: it reads each OSD's state and is
+	// the controller's only source of membership, for both transitions.
+	heartbeat := func() {
+		for _, h := range oc.Health() {
+			switch down := h.State == sprout.OSDDown; {
+			case down && ctrl.SetNodeDown(h.ID):
+				printf("  heartbeat: OSD %d DOWN -> excluded from scheduling, repair kicked\n", h.ID)
+				mgr.Kick()
+			case !down && ctrl.SetNodeUp(h.ID):
+				printf("  heartbeat: OSD %d UP -> back in scheduling\n", h.ID)
+			}
+		}
+	}
 	stopProbe := make(chan struct{})
 	var probeWG sync.WaitGroup
 	probeWG.Add(1)
@@ -126,25 +144,20 @@ func main() {
 			case <-stopProbe:
 				return
 			case <-ticker.C:
-				for _, id := range det.DownNodes() {
-					osd, err := oc.OSD(id)
-					if err != nil {
-						continue
-					}
-					if osd.State() != sprout.OSDDown {
-						det.Observe(id, nil, 0)
-					}
-				}
+				heartbeat()
 			}
 		}
 	}()
 	defer func() { close(stopProbe); probeWG.Wait() }()
 
+	fetcher := sprout.FetcherFunc(func(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
+		return pool.GetChunk(ctx, objName(fileID), chunkIndex)
+	})
 	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := ctrl.PrefetchCache(ctx, fetcher); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// --- Serve live traffic across the failure/recovery phases. ----------
@@ -166,56 +179,63 @@ func main() {
 			}
 		}(w)
 	}
+	stopReaders := func() { stop.Store(true); wg.Wait() }
+	defer stopReaders() // idempotent; covers the early returns
 
-	phase := func(name string) {
-		fmt.Printf("--- %s\n", name)
-		time.Sleep(*phaseLen)
+	printf("--- phase 1: healthy serving\n")
+	if err := sleep(*phaseLen); err != nil {
+		return err
 	}
 
-	phase("phase 1: healthy serving")
-
-	fmt.Println("--- phase 2: killing OSDs 3 and 7 (chunks lost), load continues")
+	printf("--- phase 2: killing OSDs 3 and 7 (chunks lost), load continues\n")
 	if err := oc.FailOSDs(true, 3, 7); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	time.Sleep(*phaseLen)
+	if err := sleep(*phaseLen); err != nil {
+		return err
+	}
 
 	// Wait (while serving) until the repair plane reports full redundancy.
 	healStart := time.Now()
 	for len(pool.DegradedObjects()) > 0 && time.Since(healStart) < 30*time.Second {
-		time.Sleep(20 * time.Millisecond)
+		if err := sleep(20 * time.Millisecond); err != nil {
+			return err
+		}
 	}
 	rs := mgr.Stats()
-	fmt.Printf("  repair: %d chunks (%d KiB) reconstructed in %v wall, %d objects degraded\n",
+	printf("  repair: %d chunks (%d KiB) reconstructed in %v wall, %d objects degraded\n",
 		rs.ChunksRepaired, rs.BytesRepaired>>10, time.Since(healStart).Round(time.Millisecond),
 		len(pool.DegradedObjects()))
 
-	fmt.Println("--- phase 3: OSDs 3 and 7 recover")
+	printf("--- phase 3: OSDs 3 and 7 recover\n")
 	if err := oc.RecoverOSDs(3, 7); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	time.Sleep(*phaseLen)
+	if err := sleep(*phaseLen); err != nil {
+		return err
+	}
 
-	stop.Store(true)
-	wg.Wait()
+	stopReaders()
 	ctrl.WaitFills()
 
 	// --- Wrap-up. ---------------------------------------------------------
 	stats := ctrl.Stats()
 	lat := ctrl.ReadLatency()
-	fmt.Printf("served %d reads (%d errors) across healthy, degraded and recovery phases\n",
+	printf("served %d reads (%d errors) across healthy, degraded and recovery phases\n",
 		reads.Load(), readErrs.Load())
-	fmt.Printf("  cache hits: %d (p99 %v), storage: %d (p99 %v), degraded: %d (p99 %v)\n",
+	printf("  cache hits: %d (p99 %v), storage: %d (p99 %v), degraded: %d (p99 %v)\n",
 		lat.CacheHit.Count, lat.CacheHit.P99,
 		lat.Storage.Count, lat.Storage.P99,
 		lat.Degraded.Count, lat.Degraded.P99)
-	fmt.Printf("  failovers: %d, cache rescues: %d, membership changes: %d, auto-replans: %d\n",
-		stats.FetchFailovers, stats.CacheRescues, stats.MembershipChanges, stats.AutoReplans)
-	fmt.Printf("  detector down list at exit: %v (empty = all healthy)\n", det.DownNodes())
+	printf("  failovers: %d, cache rescues: %d, membership changes: %d, auto-replans: %d, breaker opens: %d\n",
+		stats.FetchFailovers, stats.CacheRescues, stats.MembershipChanges, stats.AutoReplans,
+		breakers.Stats().Opens)
+	printf("  down list at exit: %v (empty = all healthy)\n", ctrl.DownNodes())
 	for _, h := range oc.Health() {
 		if h.State != sprout.OSDUp {
-			fmt.Printf("  OSD %d still %v\n", h.ID, h.State)
+			printf("  OSD %d still %v\n", h.ID, h.State)
 		}
 	}
-	fmt.Println("done: failures detected from the read path, reads served throughout, redundancy restored")
+	printf("done: failures avoided on the read path, membership from the heartbeat, reads served throughout, redundancy restored\n")
+	return nil
 }

@@ -247,8 +247,10 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		readers, opsEach = 16, 40
 	}
 	if resilient {
-		// HedgeDelay must exceed LatencyThreshold so a fetch that loses to
-		// the hedge is already overdue when cancelled and registers as slow.
+		// Over the transport a fetch that loses to the hedge completes and
+		// reports its real latency; HedgeDelay > LatencyThreshold matters
+		// only for fetchers adapted from a blocking FetchChunk, whose hedge
+		// losers are cancelled and register as slow only when overdue.
 		// OpenFor stays short: the initial fault burst queues the shared
 		// worker pool and can transiently trip breakers on perfectly healthy
 		// nodes, and those must recover quickly via half-open probes or the

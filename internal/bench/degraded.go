@@ -186,7 +186,7 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 	lost := 0
 	if failed > 0 {
 		// Fail the first f OSDs with chunk loss, under live load, and tell
-		// the controller — the failure-detector path is exercised by the
+		// the controller — a heartbeat on OSD state is exercised by the
 		// nodefailure example; here injection is explicit so every point
 		// fails the same nodes.
 		before := chunkCounts(oc)

@@ -9,9 +9,6 @@ import (
 	"sprout/internal/ring"
 )
 
-// FillTenantStats exposes the fill scheduler's per-tenant ring telemetry.
-func (c *Controller) FillTenantStats() map[string]ring.Stats { return c.fillQ.TenantStats() }
-
 // fillArena recycles the chunk copies that background fills carry. A read
 // that enqueues a fill does not hand over its decode output — that memory
 // is the caller's payload buffer — it copies the data chunks into a leased

@@ -8,8 +8,9 @@ import "sort"
 // a replan against the degraded node set is requested immediately. It
 // returns false if the node is unknown or already down.
 //
-// Membership updates come from whoever detects the failure: the repair
-// plane's detector, an external health prober, or explicit injection.
+// Membership is the only "down" verdict and comes from whoever actually
+// knows: fault injection, or a heartbeat on OSD state. The read path's own
+// error streaks feed ServeOptions.Breakers ("avoid"), never membership.
 func (c *Controller) SetNodeDown(nodeID int) bool {
 	return c.setMembership(nodeID, true)
 }

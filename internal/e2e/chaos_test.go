@@ -56,9 +56,12 @@ func fetchesTo(t *testing.T, h *harness, chaos *transport.Chaos, rounds int) int
 // share is the plan's, whatever the machine's speed.
 func TestChaosSlowNode(t *testing.T) {
 	chaos := transport.NewChaos(7)
-	// HedgeDelay must exceed LatencyThreshold: a fetch through the slow node
-	// loses to the hedge and is cancelled at roughly the hedge delay, and
-	// only an already-overdue cancel registers as a slow observation.
+	// Over the transport a fetch through the slow node that loses to the
+	// hedge still completes and reports its real latency to the breaker.
+	// HedgeDelay > LatencyThreshold matters only for fetchers adapted from
+	// a blocking FetchChunk, whose hedge losers are cancelled and register
+	// as slow only when already overdue; it is kept so the test holds for
+	// both.
 	breakers := resilience.NewBreakerSet(resilience.BreakerConfig{
 		ErrorThreshold: 3,
 		// Wide enough that benign scheduling noise (race detector, shared CI

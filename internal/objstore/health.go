@@ -61,7 +61,6 @@ func (o *OSD) Recover() {
 	if o.State() != StateDown {
 		return
 	}
-	o.consecErrs.Store(0)
 	if o.lostChunks.Load() > 0 {
 		o.state.Store(int32(StateRecovering))
 		return
@@ -84,15 +83,10 @@ func (o *OSD) MarkUp() {
 // abandoning the fetch (hedging, fastest-k reads), not a node fault, so it
 // does not count against the OSD.
 func (o *OSD) observe(err error) error {
-	if err != nil {
-		if !errors.Is(err, context.Canceled) {
-			o.errors.Add(1)
-			o.consecErrs.Add(1)
-		}
-		return err
+	if err != nil && !errors.Is(err, context.Canceled) {
+		o.errors.Add(1)
 	}
-	o.consecErrs.Store(0)
-	return nil
+	return err
 }
 
 // OSDHealth is a snapshot of one OSD's lifecycle and health counters.
@@ -104,10 +98,8 @@ type OSDHealth struct {
 	Served int64
 	Busy   time.Duration
 	// Errors counts failed chunk operations (down rejections, missing
-	// chunks, timeouts); ConsecutiveErrors resets on every success and is
-	// the signal the failure detector thresholds on.
-	Errors            int64
-	ConsecutiveErrors int64
+	// chunks, timeouts).
+	Errors int64
 	// Chunks is the number of chunks currently stored; LostChunks counts
 	// chunks dropped by a Fail(loseChunks=true) that repair has not yet
 	// acknowledged via MarkUp.
@@ -119,14 +111,13 @@ type OSDHealth struct {
 func (o *OSD) Health() OSDHealth {
 	served, busy := o.Stats()
 	return OSDHealth{
-		ID:                o.ID,
-		State:             o.State(),
-		Served:            served,
-		Busy:              busy,
-		Errors:            o.errors.Load(),
-		ConsecutiveErrors: o.consecErrs.Load(),
-		Chunks:            o.NumChunks(),
-		LostChunks:        o.lostChunks.Load(),
+		ID:         o.ID,
+		State:      o.State(),
+		Served:     served,
+		Busy:       busy,
+		Errors:     o.errors.Load(),
+		Chunks:     o.NumChunks(),
+		LostChunks: o.lostChunks.Load(),
 	}
 }
 
@@ -163,17 +154,6 @@ func (p *Pool) ChunkLocations(object string) ([]ChunkLocation, error) {
 		}
 	}
 	return locs, nil
-}
-
-// AliveOSDs returns the pool's OSDs that currently serve requests.
-func (p *Pool) AliveOSDs() []*OSD {
-	alive := make([]*OSD, 0, len(p.osds))
-	for _, osd := range p.osds {
-		if osd.Alive() {
-			alive = append(alive, osd)
-		}
-	}
-	return alive
 }
 
 // OSDHealth returns health snapshots for every OSD backing the pool.
@@ -300,17 +280,6 @@ func (p *Pool) PlaceChunk(ctx context.Context, object string, chunk int, data []
 	}
 	p.mu.Unlock()
 	return target, nil
-}
-
-// ObjectPG exposes the placement group of an object (used by tests).
-func (p *Pool) ObjectPG(object string) (int, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	meta, ok := p.objects[object]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrObjectNotFound, object)
-	}
-	return meta.pg, nil
 }
 
 // ClusterView exports the pool's live topology as a cluster description the

@@ -70,7 +70,7 @@ func TestOSDLifecycle(t *testing.T) {
 		t.Fatalf("DeleteChunk on down OSD: %v", err)
 	}
 	h := osd.Health()
-	if h.Errors == 0 || h.ConsecutiveErrors == 0 {
+	if h.Errors == 0 {
 		t.Fatalf("down rejections not counted: %+v", h)
 	}
 	osd.Recover()

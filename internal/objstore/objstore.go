@@ -63,8 +63,9 @@ var (
 // An OSD has a lifecycle: it serves while Up or Recovering and fast-fails
 // every chunk operation with ErrOSDDown while Down (the node is
 // unreachable, so no service time is consumed). Fail and Recover drive the
-// transitions; health counters (errors, consecutive errors, lost chunks)
-// feed the repair plane's failure detector.
+// transitions; lost chunks decide whether Recover lands in Recovering, and
+// the error counter is telemetry. Whether the node may be read from is the
+// controller's membership, set by whoever watches State.
 type OSD struct {
 	ID int
 
@@ -83,7 +84,6 @@ type OSD struct {
 
 	state      atomic.Int32 // NodeState
 	errors     atomic.Int64
-	consecErrs atomic.Int64
 	lostChunks atomic.Int64
 
 	served atomic.Int64
@@ -347,13 +347,6 @@ func (p *Pool) placementGroup(object string) int {
 	_, _ = h.Write([]byte(object))
 	_, _ = h.Write([]byte(p.Name))
 	return int(h.Sum32()) % p.PlacementGroups
-}
-
-// osdsForPG maps a placement group to its ordered list of n distinct OSDs
-// (the CRUSH-like pseudo-random but deterministic mapping, precomputed at
-// pool creation). The returned slice is shared and must not be mutated.
-func (p *Pool) osdsForPG(pg int) []*OSD {
-	return p.pgOSDs[pg]
 }
 
 // chunkKey names one coded chunk of one stripe version of an object. The

@@ -215,31 +215,3 @@ func (e *evaluator) optimalZ(x []float64, z []float64) bool {
 	}
 	return true
 }
-
-// boundPerFile returns the per-file latency bounds U_i for the current x
-// (with per-file optimal z), plus the weighted objective. Used for reporting
-// and by the greedy baseline.
-func (e *evaluator) boundPerFile(x []float64) ([]float64, float64, bool) {
-	moments, ok := e.moments(x)
-	if !ok {
-		return nil, math.Inf(1), false
-	}
-	bounds := make([]float64, len(e.p.Files))
-	dense := make([]float64, len(e.p.Nodes))
-	var obj float64
-	for i, f := range e.p.Files {
-		for j := range dense {
-			dense[j] = 0
-		}
-		xs := e.l.fileSlice(x, i)
-		for j, node := range f.Nodes {
-			dense[node] = xs[j]
-		}
-		b, _ := latency.FileBound(dense, moments)
-		bounds[i] = b
-		if e.hatL > 0 {
-			obj += e.lambda[i] / e.hatL * b
-		}
-	}
-	return bounds, obj, true
-}

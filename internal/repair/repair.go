@@ -1,3 +1,11 @@
+// Package repair is the self-healing plane of the emulated storage cluster:
+// a prioritized repair queue that schedules the most exposed objects
+// (fewest surviving chunks) first, and a bounded worker pool that
+// reconstructs lost chunks with the erasure coder and re-places them on
+// live OSDs while the cluster keeps serving. It judges no node: reads
+// avoid a failing OSD through the per-node breakers (Config.Breakers), and
+// membership is whatever the controller's SetNodeDown/SetNodeUp were told
+// by whoever watches OSD state.
 package repair
 
 import (

@@ -3,7 +3,6 @@ package repair
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -43,57 +42,6 @@ func repairTestPool(t *testing.T, objects int) (*objstore.Cluster, *objstore.Poo
 		payloads[name] = payload
 	}
 	return c, pool, payloads
-}
-
-func TestDetectorThresholds(t *testing.T) {
-	var downs, ups []int
-	det := NewDetector(DetectorConfig{
-		ErrorThreshold: 3,
-		OnDown:         func(id int) { downs = append(downs, id) },
-		OnUp:           func(id int) { ups = append(ups, id) },
-	})
-	errBoom := errors.New("boom")
-
-	det.Observe(1, errBoom, 0)
-	det.Observe(1, errBoom, 0)
-	if det.Down(1) {
-		t.Fatal("down before threshold")
-	}
-	det.Observe(1, errBoom, 0)
-	if !det.Down(1) || len(downs) != 1 || downs[0] != 1 {
-		t.Fatalf("threshold crossing: down=%v downs=%v", det.Down(1), downs)
-	}
-	// A success resets and fires OnUp.
-	det.Observe(1, nil, 0)
-	if det.Down(1) || len(ups) != 1 {
-		t.Fatalf("recovery: down=%v ups=%v", det.Down(1), ups)
-	}
-	// A success between errors resets the streak.
-	det.Observe(2, errBoom, 0)
-	det.Observe(2, errBoom, 0)
-	det.Observe(2, nil, 0)
-	det.Observe(2, errBoom, 0)
-	det.Observe(2, errBoom, 0)
-	if det.Down(2) {
-		t.Fatal("streak not reset by success")
-	}
-	// Context cancellation is not an observation at all.
-	det.Observe(3, context.Canceled, 0)
-	det.Observe(3, context.Canceled, 0)
-	det.Observe(3, context.Canceled, 0)
-	if det.Down(3) {
-		t.Fatal("cancellations tripped the detector")
-	}
-	// Over-latency successes count as failures when a threshold is set.
-	slow := NewDetector(DetectorConfig{ErrorThreshold: 2, LatencyThreshold: time.Millisecond})
-	slow.Observe(4, nil, 5*time.Millisecond)
-	slow.Observe(4, nil, 5*time.Millisecond)
-	if !slow.Down(4) {
-		t.Fatal("latency threshold did not trip the detector")
-	}
-	if got := slow.DownNodes(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("DownNodes = %v", got)
-	}
 }
 
 func TestQueuePriorityAndDedup(t *testing.T) {

@@ -3,36 +3,11 @@ package repair
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"sprout/internal/resilience"
 )
-
-// TestDetectorIgnoresOverload pins the overload exclusion: a node shedding
-// load must not accumulate a failure streak (it is alive), but overload must
-// not reset a genuine error streak either — it is no observation at all.
-func TestDetectorIgnoresOverload(t *testing.T) {
-	det := NewDetector(DetectorConfig{ErrorThreshold: 3})
-	overload := fmt.Errorf("transport: rejected: %w", resilience.ErrOverload)
-	for i := 0; i < 10; i++ {
-		det.Observe(1, overload, 0)
-	}
-	if det.Down(1) {
-		t.Fatal("overload rejections tripped the failure detector")
-	}
-	// Overload interleaved with real errors neither extends nor resets the
-	// streak: the third real error still crosses the threshold.
-	errBoom := errors.New("boom")
-	det.Observe(2, errBoom, 0)
-	det.Observe(2, errBoom, 0)
-	det.Observe(2, overload, 0)
-	det.Observe(2, errBoom, 0)
-	if !det.Down(2) {
-		t.Fatal("overload observation reset a genuine error streak")
-	}
-}
 
 // TestScheduleRetryBacksOffThenStalls exercises the persistent attempt
 // budget: the first failure re-enqueues after a backoff delay, the failure

@@ -95,9 +95,9 @@ type BreakerStats struct {
 // (storage node / OSD ID). A breaker opens on a streak of failures or
 // over-latency successes, rejects while open, and re-closes through a
 // half-open probe phase. Breaker state means "avoid this target", which is
-// deliberately weaker than a failure detector's Down ("this target is
-// gone"): overload rejections count toward breakers — hammering a shedding
-// node helps nobody — but must never count toward Down.
+// deliberately weaker than the controller membership's Down ("this target
+// is gone"): overload rejections count toward breakers — hammering a
+// shedding node helps nobody — but must never count toward Down.
 //
 // All methods are safe for concurrent use. A nil *BreakerSet is valid and
 // means "breakers disabled": Allow always admits and Observe is a no-op, so

@@ -19,8 +19,8 @@ import (
 // ErrOverload is the classification anchor for load-shedding errors: any
 // error that wraps it (the transport's ErrOverloaded, the controller's
 // ErrSaturated) means "the target is shedding load", not "the target is
-// broken". Failure detectors must ignore such errors — a busy node is not a
-// dead node — while circuit breakers and retry budgets count them, because
+// broken". Membership must ignore such errors — a busy node is not a dead
+// node — while circuit breakers and retry budgets count them, because
 // sending more traffic at a shedding target makes everything worse.
 var ErrOverload = errors.New("resilience: overloaded")
 

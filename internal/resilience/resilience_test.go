@@ -88,6 +88,19 @@ func TestBreakerIgnoresContextCanceled(t *testing.T) {
 	}
 }
 
+// TestBreakerCountsOverload pins the other half of the overload rule: a
+// shedding node is alive (membership never hears of it) but still worth
+// avoiding, so overload rejections extend a breaker's streak.
+func TestBreakerCountsOverload(t *testing.T) {
+	s, _ := newTestBreakers(BreakerConfig{ErrorThreshold: 2})
+	overload := fmt.Errorf("transport: rejected: %w", ErrOverload)
+	s.Observe(3, overload, 0)
+	s.Observe(3, overload, 0)
+	if got := s.State(3); got != BreakerOpen {
+		t.Fatalf("state = %v, want open (overload counts toward breakers)", got)
+	}
+}
+
 func TestBreakerOverdueCancelCountsAsSlow(t *testing.T) {
 	s, _ := newTestBreakers(BreakerConfig{ErrorThreshold: 2, LatencyThreshold: 10 * time.Millisecond})
 	// Cancelled while still under the threshold: no signal (normal hedging).

@@ -9,8 +9,8 @@ import (
 
 // ErrInjected is the error surfaced to clients for faults injected by the
 // chaos harness. It deliberately does not wrap resilience.ErrOverload: an
-// injected fault models a broken node, so breakers and failure detectors
-// are supposed to count it.
+// injected fault models a broken node, so breakers are supposed to count
+// it.
 var ErrInjected = errors.New("chaos: injected fault")
 
 // ChaosRule describes the misbehaviour injected for one target OSD. A rule

@@ -142,7 +142,7 @@ func TestRetryBudgetStopsRetryStorm(t *testing.T) {
 		t.Fatal("budget did not record exhaustion")
 	}
 	// The denied-retry error must still classify as overload so upstream
-	// planes (detector, breakers) treat it correctly.
+	// planes (breakers, retry budgets) treat it correctly.
 	if !resilience.IsOverload(errorFromResponse(&Response{Code: codeOverloaded})) {
 		t.Fatal("surfaced overload lost its classification")
 	}

@@ -160,10 +160,6 @@ func (s *Server) Stats() TransportStats { return s.counters.snapshot() }
 // feeding the worker pool, aggregated across tenants.
 func (s *Server) WorkQueueStats() ring.Stats { return s.work.Stats() }
 
-// TenantQueueStats returns the per-tenant request-queue telemetry of the
-// weighted-fair scheduler, keyed by tenant name ("" is the default tenant).
-func (s *Server) TenantQueueStats() map[string]ring.Stats { return s.work.TenantStats() }
-
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)

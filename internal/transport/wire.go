@@ -234,7 +234,7 @@ func responseFits(resp *Response, maxFrame int) bool {
 // overloadError is ErrOverloaded's concrete type: it unwraps to
 // resilience.ErrOverload so the whole stack classifies server load
 // shedding as overload (retryable under the budget, counted by breakers,
-// ignored by failure detectors) without the transport's error string
+// never a reason to mark a node down) without the transport's error string
 // changing.
 type overloadError struct{}
 
@@ -244,8 +244,7 @@ func (overloadError) Unwrap() error { return resilience.ErrOverload }
 // ErrOverloaded is returned when the server sheds a request because its
 // max-in-flight limit is reached. The client retries these with jittered
 // exponential backoff while its retry budget lasts; it wraps
-// resilience.ErrOverload, so detectors know not to count it against node
-// health.
+// resilience.ErrOverload, so it never counts against membership.
 var ErrOverloaded error = overloadError{}
 
 // errConnBroken marks a request that failed because the underlying

@@ -124,11 +124,6 @@ type (
 	RepairConfig = repair.Config
 	// RepairStats is a snapshot of the repair plane's progress counters.
 	RepairStats = repair.Stats
-	// FailureDetector turns per-node error/timeout streaks into membership
-	// transitions.
-	FailureDetector = repair.Detector
-	// DetectorConfig tunes the failure detector.
-	DetectorConfig = repair.DetectorConfig
 
 	// TransportStats is a snapshot of a transport client's or server's
 	// data-plane counters.
@@ -214,8 +209,8 @@ var (
 	ErrSaturated = core.ErrSaturated
 	// ErrOverload classifies push-back (server overload responses, retry
 	// budget exhaustion, admission sheds) apart from real faults: overload
-	// must count against breakers and retry budgets, never against node
-	// health.
+	// must count against breakers and retry budgets, never against
+	// membership.
 	ErrOverload = resilience.ErrOverload
 	// ErrTenantThrottled is returned by Controller.Read when the calling
 	// tenant is over its configured rate limit. It unwraps to ErrOverload.
@@ -313,11 +308,4 @@ func NewStorageCluster(cfg StorageConfig) (*StorageCluster, error) {
 // launch its workers and periodic degradation scan.
 func NewRepairManager(pool *StoragePool, cfg RepairConfig) *RepairManager {
 	return repair.NewManager(pool, cfg)
-}
-
-// NewFailureDetector builds a consecutive-error failure detector; wire its
-// OnDown/OnUp callbacks to Controller.SetNodeDown/SetNodeUp to close the
-// detection-to-scheduling loop.
-func NewFailureDetector(cfg DetectorConfig) *FailureDetector {
-	return repair.NewDetector(cfg)
 }

@@ -151,7 +151,7 @@ func mustBuild(t *testing.T) *sprout.Cluster {
 
 // TestSelfHealingFacade drives the failure-handling surface purely through
 // the public facade: storage cluster, pool, controller over the pool's
-// topology, failure detector, and repair manager.
+// topology, membership, and repair manager.
 func TestSelfHealingFacade(t *testing.T) {
 	ctx := context.Background()
 	oc, err := sprout.NewStorageCluster(sprout.StorageConfig{
@@ -193,22 +193,17 @@ func TestSelfHealingFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	det := sprout.NewFailureDetector(sprout.DetectorConfig{
-		ErrorThreshold: 1,
-		OnDown:         func(id int) { ctrl.SetNodeDown(id) },
-		OnUp:           func(id int) { ctrl.SetNodeUp(id) },
-	})
 	mgr := sprout.NewRepairManager(pool, sprout.RepairConfig{Workers: 2})
 	mgr.Start()
 	defer mgr.Close()
 
-	// Fail an OSD with loss, detect it, read degraded, repair, verify.
+	// Fail an OSD with loss, mark it down, read degraded, repair, verify.
 	if err := oc.FailOSDs(true, 3); err != nil {
 		t.Fatal(err)
 	}
-	det.Observe(3, fmt.Errorf("probe failed"), 0)
+	ctrl.SetNodeDown(3)
 	if got := ctrl.DownNodes(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("detector did not propagate membership: %v", got)
+		t.Fatalf("membership not recorded: %v", got)
 	}
 	for i := 0; i < 6; i++ {
 		got, err := ctrl.Read(ctx, i, fetcher)
