@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,6 +328,9 @@ func TestPrefetchSurvivesDownAndFailingNodes(t *testing.T) {
 
 // TestPrefetchRejectsMixedStripeVersions keeps the prefetch's "one stripe
 // version per file" check across the move onto the read plane's fetch path.
+// It prefetches a single file: versionFlipFetcher's one version-1 chunk is
+// the first fetch of the whole PrefetchCache, which files prefetched
+// concurrently would share out unpredictably.
 func TestPrefetchRejectsMixedStripeVersions(t *testing.T) {
 	ctrl, store := buildController(t, 1, 2, 0.3)
 	defer ctrl.Close()
@@ -337,8 +341,12 @@ func TestPrefetchRejectsMixedStripeVersions(t *testing.T) {
 	if plan.D[0] == 0 {
 		t.Fatal("test premise: the plan caches nothing")
 	}
-	if err := ctrl.PrefetchCache(context.Background(), &versionFlipFetcher{fakeStore: store}); err == nil {
+	err = ctrl.PrefetchCache(context.Background(), &versionFlipFetcher{fakeStore: store})
+	if err == nil {
 		t.Fatal("prefetch accepted chunks of two stripe versions")
+	}
+	if !strings.HasPrefix(err.Error(), "core: prefetch file 0: ") || !strings.Contains(err.Error(), "span stripe versions") {
+		t.Fatalf("prefetch failed for another reason: %v", err)
 	}
 	if got := ctrl.Cache().ChunksForFile(0); got != 0 {
 		t.Fatalf("a mixed-version prefetch installed %d chunks", got)

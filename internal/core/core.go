@@ -705,24 +705,98 @@ func (c *Controller) cachedDataChunks(meta FileMeta) [][]byte {
 // placement nodes and skips down ones, fetchParallel fans the fetches out
 // and fails over — so a down or failing node costs a failover, not the
 // prefetch.
+//
+// Files are prefetched concurrently, at most one file per storage node at a
+// time, so the storage nodes work in parallel while no node's queue grows
+// past what one file per node puts on it. A file shed by an overloaded
+// server (resilience.IsOverload) while other files were in flight is not a
+// failure: it goes back on the list and one file fewer runs at a time from
+// then on, down to one. Any other error, or a shed with only that file in
+// flight, cancels the other files; PrefetchCache returns that file's error
+// once every file it started has finished and every fetch they launched has
+// completed.
 func (c *Controller) PrefetchCache(ctx context.Context, fetcher ChunkFetcher) error {
 	ep := c.epoch.Load()
 	if ep.plan == nil {
 		return ErrNoPlan
 	}
+	todo := make([]int, 0, len(ep.pending))
 	for fileID := range ep.pending {
-		if err := c.prefetchFile(ctx, fetcher, ep, c.files[fileID]); err != nil {
-			return fmt.Errorf("core: prefetch file %d: %w", fileID, err)
-		}
+		todo = append(todo, fileID)
 	}
-	return nil
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu       sync.Mutex // guards todo, workers and firstErr
+		workers  = min(len(c.nodeInFlight), len(todo))
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	// take hands out the next file, and whether its worker is the only one
+	// left; a worker that gets none exits.
+	take := func() (fileID int, alone, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr != nil || len(todo) == 0 {
+			workers--
+			return 0, false, false
+		}
+		fileID, todo = todo[len(todo)-1], todo[:len(todo)-1]
+		return fileID, workers == 1, true
+	}
+	for w := workers; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				fileID, alone, ok := take()
+				if !ok {
+					return
+				}
+				err := c.prefetchFile(ctx, fetcher, ep, c.files[fileID])
+				if err == nil {
+					continue
+				}
+				mu.Lock()
+				switch {
+				case firstErr != nil:
+				case resilience.IsOverload(err) && !alone:
+					// Shed while other files were in flight: hand the
+					// file back and run one file fewer at a time, or
+					// retry it alone if this is the last worker.
+					todo = append(todo, fileID)
+					if workers == 1 {
+						mu.Unlock()
+						continue
+					}
+					workers--
+				default:
+					firstErr = fmt.Errorf("core: prefetch file %d: %w", fileID, err)
+					cancel()
+				}
+				mu.Unlock()
+				return
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // prefetchFile fetches k storage chunks of one file, checks they belong to
-// one stripe version, decodes them and installs the file's pending fill.
-func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep *epoch, meta FileMeta) error {
+// one stripe version, decodes them and installs the file's pending fill. A
+// failed prefetch waits for the fetches it left in flight before it returns,
+// so a failed PrefetchCache leaves no fetch of its own behind.
+func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep *epoch, meta FileMeta) (err error) {
 	sc := getReadScratch()
-	defer putReadScratch(sc)
+	defer func() {
+		if err != nil {
+			for ; sc.outstanding > 0; sc.outstanding-- {
+				<-sc.results
+			}
+		}
+		putReadScratch(sc)
+	}()
 	if _, err := c.fetchChunks(ctx, sc, fetcher, ep, meta, meta.K, 0); err != nil {
 		return err
 	}

@@ -6,13 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sprout/internal/cluster"
 	"sprout/internal/erasure"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
+	"sprout/internal/resilience"
 )
 
 // fakeStore implements ChunkFetcher over in-memory encoded files and counts
@@ -262,6 +267,199 @@ func TestPrefetchWithoutPlan(t *testing.T) {
 	ctrl, store := buildController(t, 2, 2, 0.01)
 	if err := ctrl.PrefetchCache(context.Background(), store); !errors.Is(err, ErrNoPlan) {
 		t.Fatalf("expected ErrNoPlan, got %v", err)
+	}
+}
+
+// holdingStore is a fakeStore whose fetches wait until release is closed or
+// their context ends, recording how many are in flight at once. A fetch of a
+// chunk the store is told to fail returns its error at once, but only after
+// failAfter other fetches are being held.
+type holdingStore struct {
+	*fakeStore
+	release   chan struct{}
+	arrived   chan struct{} // one send per held fetch
+	failAfter int64
+	inFlight  atomic.Int64
+	peak      atomic.Int64
+}
+
+func newHoldingStore(store *fakeStore, capacity int) *holdingStore {
+	return &holdingStore{fakeStore: store, release: make(chan struct{}), arrived: make(chan struct{}, capacity)}
+}
+
+func (s *holdingStore) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+	s.mu.Lock()
+	_, failing := s.fail[[2]int{fileID, chunkIndex}]
+	s.mu.Unlock()
+	if failing {
+		for s.inFlight.Load() < s.failAfter && ctx.Err() == nil {
+			runtime.Gosched()
+		}
+		return s.fakeStore.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+	}
+	n := s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	s.arrived <- struct{}{}
+	select {
+	case <-s.release:
+		return s.fakeStore.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+	case <-ctx.Done():
+		// A real fetch takes a moment to notice its cancellation.
+		time.Sleep(5 * time.Millisecond)
+		return nil, ctx.Err()
+	}
+}
+
+// TestPrefetchCacheParallel: PrefetchCache works on several files at once,
+// never on more files than there are storage nodes, and a file whose chunks
+// all fail stops the others and is the error returned — after every fetch
+// has completed.
+func TestPrefetchCacheParallel(t *testing.T) {
+	t.Run("bounded by the node count", func(t *testing.T) {
+		ctrl, store := buildController(t, 12, 12, 0.02)
+		defer ctrl.Close()
+		plan, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, k := len(ctrl.NodeInFlight()), ctrl.Files()[0].K
+		if pending := len(ctrl.epoch.Load().pending); pending <= nodes {
+			t.Fatalf("test premise: %d files to prefetch, want more than the %d nodes", pending, nodes)
+		}
+		hold := newHoldingStore(store, 12*3) // room for every chunk of every file
+		release := sync.OnceFunc(func() { close(hold.release) })
+		defer release() // before ctrl.Close, which waits for held fetches
+		done := make(chan error, 1)
+		go func() { done <- ctrl.PrefetchCache(context.Background(), hold) }()
+		// Every node gets a file: nodes·k fetches are held at once, and no
+		// further one starts while they are.
+		timeout := time.After(5 * time.Second)
+		for i := 0; i < nodes*k; i++ {
+			select {
+			case <-hold.arrived:
+			case <-timeout:
+				t.Fatalf("only %d of %d fetches in flight at once", i, nodes*k)
+			}
+		}
+		select {
+		case <-hold.arrived:
+			t.Fatalf("a fetch started beyond one file per node: peak %d > %d·%d", hold.peak.Load(), nodes, k)
+		case <-time.After(20 * time.Millisecond):
+		}
+		release()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if peak := hold.peak.Load(); peak <= int64(k) || peak > int64(nodes*k) {
+			t.Fatalf("peak in flight %d, want in (%d, %d]", peak, k, nodes*k)
+		}
+		for i, d := range plan.D {
+			if got := ctrl.Cache().ChunksForFile(i); got != d {
+				t.Fatalf("file %d: cached %d, want %d", i, got, d)
+			}
+		}
+	})
+
+	t.Run("first error cancels the rest", func(t *testing.T) {
+		ctrl, store := buildController(t, 4, 8, 0.05)
+		defer ctrl.Close()
+		if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
+			t.Fatal(err)
+		}
+		pending := ctrl.epoch.Load().pending
+		if len(pending) < 2 || len(pending) > len(ctrl.NodeInFlight()) {
+			t.Fatalf("test premise: %d files to prefetch, want 2..%d (all started at once)", len(pending), len(ctrl.NodeInFlight()))
+		}
+		bad := -1
+		for fileID := range pending {
+			bad = fileID
+			break
+		}
+		meta := ctrl.Files()[bad]
+		for c := 0; c < meta.N; c++ {
+			store.fail[[2]int{bad, c}] = errors.New("disk on fire")
+		}
+		hold := newHoldingStore(store, 4*3) // room for every chunk of every file
+		// The bad file fails only once every other file's k fetches are held.
+		hold.failAfter = int64((len(pending) - 1) * meta.K)
+		// Nothing releases the held fetches: only PrefetchCache's own
+		// cancellation ends them before this deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		err := ctrl.PrefetchCache(ctx, hold)
+		if ctx.Err() != nil {
+			t.Fatal("the other files' fetches were not cancelled by the first error")
+		}
+		if want := fmt.Sprintf("core: prefetch file %d: ", bad); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("PrefetchCache = %v, want an error starting %q", err, want)
+		}
+		for node, n := range ctrl.NodeInFlight() {
+			if n != 0 {
+				t.Fatalf("node %d has %d fetches in flight after PrefetchCache returned", node, n)
+			}
+		}
+		if n := hold.inFlight.Load(); n != 0 {
+			t.Fatalf("%d fetches still held after PrefetchCache returned", n)
+		}
+		if got := ctrl.Cache().ChunksForFile(bad); got != 0 {
+			t.Fatalf("the failed file has %d chunks cached", got)
+		}
+	})
+}
+
+// sheddingStore is a fakeStore behind a server that admits limit fetches
+// at a time and sheds the rest with an overload error.
+type sheddingStore struct {
+	*fakeStore
+	limit    int64
+	inFlight atomic.Int64
+	sheds    atomic.Int64
+}
+
+func (s *sheddingStore) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+	defer s.inFlight.Add(-1)
+	if s.inFlight.Add(1) > s.limit {
+		s.sheds.Add(1)
+		return nil, fmt.Errorf("server busy: %w", resilience.ErrOverload)
+	}
+	time.Sleep(time.Millisecond) // the service, so fetches of different files overlap
+	return s.fakeStore.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+}
+
+// TestPrefetchCacheOverloadBacksOff: a server that sheds fetches beyond two
+// files' worth costs PrefetchCache concurrency, not the prefetch; one that
+// sheds even a single file's fetches fails it with the overload error.
+func TestPrefetchCacheOverloadBacksOff(t *testing.T) {
+	ctrl, store := buildController(t, 12, 12, 0.02)
+	defer ctrl.Close()
+	plan, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(ctrl.Files()[0].K)
+	shed := &sheddingStore{fakeStore: store, limit: 2 * k}
+	if err := ctrl.PrefetchCache(context.Background(), shed); err != nil {
+		t.Fatalf("PrefetchCache under a server admitting two files at once: %v", err)
+	}
+	if shed.sheds.Load() == 0 {
+		t.Fatal("test premise: the server never shed a fetch")
+	}
+	for i, d := range plan.D {
+		if got := ctrl.Cache().ChunksForFile(i); got != d {
+			t.Fatalf("file %d: cached %d, want %d", i, got, d)
+		}
+	}
+
+	ctrl2, store2 := buildController(t, 12, 12, 0.02)
+	defer ctrl2.Close()
+	if _, err := ctrl2.PlanTimeBin(ctrlLambdas(ctrl2)); err != nil {
+		t.Fatal(err)
+	}
+	err = ctrl2.PrefetchCache(context.Background(), &sheddingStore{fakeStore: store2, limit: 0})
+	if !resilience.IsOverload(err) || !strings.HasPrefix(err.Error(), "core: prefetch file ") {
+		t.Fatalf("PrefetchCache under a server shedding everything = %v, want a prefetch overload error", err)
 	}
 }
 

@@ -60,6 +60,15 @@ var (
 // from the configured distribution, scaled by the chunk size, so queueing
 // behaviour resembles the paper's testbed.
 //
+// Service runs on the OSD's own timeline: a request that arrives at time a
+// starts at max(a, busyUntil), the end of the service before it, and
+// completes no earlier than that start plus its service time, which becomes
+// the new busyUntil. A request therefore sleeps until its deadline on the
+// timeline rather than for its service time from whenever it got the queue,
+// so a timer that wakes late delays only its own response, never the
+// requests queued behind it, and the OSD is never faster than configured. A
+// service cancelled mid-sleep ends the timeline at the moment it gives up.
+//
 // An OSD has a lifecycle: it serves while Up or Recovering and fast-fails
 // every chunk operation with ErrOSDDown while Down (the node is
 // unreachable, so no service time is consumed). Fail and Recover drive the
@@ -76,6 +85,9 @@ type OSD struct {
 	svcMu  sync.Mutex
 	dataMu sync.Mutex
 	chunks map[string][]byte // key: object/pool/chunk identifier
+	// busyUntil is when the last service ends on the OSD's timeline; guarded
+	// by svcMu.
+	busyUntil time.Time
 
 	service queue.Dist // service time for a reference-sized chunk (seconds)
 	refSize int64      // reference chunk size in bytes for scaling
@@ -112,8 +124,26 @@ func (o *OSD) sampleService(size int64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// PutChunk stores a chunk, blocking for the simulated service time while
-// holding the OSD busy (FIFO service through the service mutex). It takes
+// serve places one service of the given length on the OSD's timeline for a
+// request that arrived at arrival, and sleeps until it ends. A cancelled
+// service ends the timeline now, freeing the OSD for the next request. Must
+// be called with svcMu held.
+func (o *OSD) serve(ctx context.Context, arrival time.Time, delay time.Duration) error {
+	start := arrival
+	if o.busyUntil.After(start) {
+		start = o.busyUntil
+	}
+	end := start.Add(delay)
+	if err := resilience.Sleep(ctx, time.Until(end)); err != nil {
+		o.busyUntil = time.Now()
+		return err
+	}
+	o.busyUntil = end
+	return nil
+}
+
+// PutChunk stores a chunk, blocking until its simulated service ends on the
+// OSD's timeline (FIFO service through the service mutex). It takes
 // ownership of data (see the package's chunk-ownership rule): the slice is
 // stored as is, not copied.
 func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
@@ -121,9 +151,10 @@ func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 		return o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
 	}
 	delay := o.sampleService(int64(len(data)))
+	arrival := time.Now()
 	o.svcMu.Lock()
 	defer o.svcMu.Unlock()
-	if err := resilience.Sleep(ctx, delay); err != nil {
+	if err := o.serve(ctx, arrival, delay); err != nil {
 		return o.observe(err)
 	}
 	o.dataMu.Lock()
@@ -134,14 +165,15 @@ func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 	return o.observe(nil)
 }
 
-// GetChunk retrieves a chunk, blocking for the simulated service time while
-// holding the OSD busy (FIFO service through the service mutex). The returned
+// GetChunk retrieves a chunk, blocking until its simulated service ends on
+// the OSD's timeline (FIFO service through the service mutex). The returned
 // slice is the stored chunk itself — shared, read-only memory (see the
 // package's chunk-ownership rule).
 func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
 	if o.State() == StateDown {
 		return nil, o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
 	}
+	arrival := time.Now()
 	o.svcMu.Lock()
 	defer o.svcMu.Unlock()
 	o.dataMu.Lock()
@@ -151,7 +183,7 @@ func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
 		return nil, o.observe(fmt.Errorf("%w: %s on osd %d", ErrChunkMissing, key, o.ID))
 	}
 	delay := o.sampleService(int64(len(data)))
-	if err := resilience.Sleep(ctx, delay); err != nil {
+	if err := o.serve(ctx, arrival, delay); err != nil {
 		return nil, o.observe(err)
 	}
 	o.served.Add(1)

@@ -3,7 +3,9 @@ package objstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +30,61 @@ func testCluster(t *testing.T, cacheBytes int64) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestOSDServiceTimeline: an OSD serves at exactly its configured rate. A
+// queue of requests takes the sum of their service times, not that sum plus
+// every timer's late wake-up, and never less; a cancelled service frees the
+// OSD at the moment it gives up.
+func TestOSDServiceTimeline(t *testing.T) {
+	t.Run("queue drains at the configured rate", func(t *testing.T) {
+		const (
+			requests = 40
+			service  = 2500 * time.Microsecond
+		)
+		osd := NewOSD(0, queue.Deterministic{Value: service.Seconds()}, 0, 1)
+		osd.chunks["c"] = make([]byte, 1024)
+		ctx := context.Background()
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i := 0; i < requests; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := osd.GetChunk(ctx, "c"); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		want := requests * service
+		if elapsed < want || elapsed > want+10*time.Millisecond {
+			t.Fatalf("%d queued %v reads took %v, want [%v, %v]", requests, service, elapsed, want, want+10*time.Millisecond)
+		}
+		if served, busy := osd.Stats(); served != requests || busy != want {
+			t.Fatalf("Stats = %d served, %v busy; want %d, %v (the sampled service, not the wall clock)", served, busy, requests, want)
+		}
+	})
+
+	t.Run("cancelled service frees the OSD", func(t *testing.T) {
+		// 2 ms per KiB: the 25 KiB chunk takes 50 ms, the 1 KiB one 2 ms.
+		osd := NewOSD(0, queue.Deterministic{Value: 0.002}, 1024, 1)
+		osd.chunks["big"] = make([]byte, 25*1024)
+		osd.chunks["small"] = make([]byte, 1024)
+		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer cancel()
+		if _, err := osd.GetChunk(ctx, "big"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("50 ms read under a 5 ms deadline: %v", err)
+		}
+		if _, err := osd.GetChunk(context.Background(), "small"); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed >= 25*time.Millisecond {
+			t.Fatalf("the read after a service cancelled at 5 ms finished at %v: the cancelled 50 ms still held the OSD", elapsed)
+		}
+	})
 }
 
 func TestNewClusterValidation(t *testing.T) {
@@ -188,8 +245,9 @@ func TestReadThroughLRUCachesObjects(t *testing.T) {
 		t.Fatal("object should be promoted into the cache tier after a miss")
 	}
 	// A hit must be served from the cache tier alone: no OSD serves a chunk
-	// for it. (Comparing wall-clock latencies here is flaky on loaded
-	// machines — sub-millisecond timer sleeps overshoot under contention.)
+	// for it. (Comparing wall-clock latencies here is flaky: timer sleeps
+	// overshoot, because the runtime's netpoller waits in whole milliseconds,
+	// even on an idle host.)
 	// Let the miss read's two cancelled straggler fetches drain first so
 	// their completions don't land between the snapshots.
 	time.Sleep(20 * time.Millisecond)
