@@ -7,8 +7,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"sprout"
 )
@@ -26,6 +28,12 @@ func (m memStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) ([]by
 }
 
 func main() {
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, out io.Writer) error {
 	// 1. Describe a cluster: 6 storage nodes, 10 files, (5,3) erasure code.
 	cfg := sprout.ClusterConfig{
 		NumNodes:     6,
@@ -39,14 +47,15 @@ func main() {
 	}
 	clu, err := cfg.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 2. Build a controller with a cache of 8 functional chunks.
 	ctrl, err := sprout.NewController(clu, 8, sprout.OptimizerOptions{}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer ctrl.Close()
 
 	// 3. Encode file contents onto the (in-memory) storage nodes.
 	store := memStore{}
@@ -58,11 +67,11 @@ func main() {
 		originals[meta.ID] = payload
 		dataChunks, err := meta.Code.Split(payload)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		coded, err := meta.Code.Encode(dataChunks)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		store[meta.ID] = map[int][]byte{}
 		for i, ch := range coded {
@@ -73,29 +82,29 @@ func main() {
 	// 4. Plan the cache for the current arrival rates (one "time bin").
 	plan, err := ctrl.PlanTimeBin(clu.Lambdas())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("latency bound: %.3f s, cache chunks used: %d / 8\n", plan.Objective, plan.CacheUsed())
-	fmt.Printf("cache allocation per file: %v\n", plan.D)
+	fmt.Fprintf(out, "latency bound: %.3f s, cache chunks used: %d / 8\n", plan.Objective, plan.CacheUsed())
+	fmt.Fprintf(out, "cache allocation per file: %v\n", plan.D)
 
 	// 5. Read every file twice: the first read enqueues background fills of
 	// the planned functional chunks, the second read uses them. WaitFills
 	// drains the background materialisation pool so the second pass sees a
 	// warm cache.
-	ctx := context.Background()
 	for pass := 1; pass <= 2; pass++ {
 		for fileID, want := range originals {
 			got, err := ctrl.Read(ctx, fileID, store)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if !bytes.Equal(got, want) {
-				log.Fatalf("file %d content mismatch", fileID)
+				return fmt.Errorf("file %d content mismatch", fileID)
 			}
 		}
 		ctrl.WaitFills()
 		stats := ctrl.Stats()
-		fmt.Printf("after pass %d: reads=%d chunks from cache=%d, from storage=%d\n",
+		fmt.Fprintf(out, "after pass %d: reads=%d chunks from cache=%d, from storage=%d\n",
 			pass, stats.Reads, stats.ChunksFromCache, stats.ChunksFromDisk)
 	}
+	return nil
 }

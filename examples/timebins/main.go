@@ -9,8 +9,10 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"sprout"
 	"sprout/internal/workload"
@@ -25,6 +27,12 @@ func (s nullStore) FetchChunk(_ context.Context, _, _, _ int) ([]byte, error) {
 }
 
 func main() {
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, out io.Writer) error {
 	// The Table I arrival rates are scaled up so that three 200-second bins
 	// contain enough requests to drive the estimator; the service rates are
 	// scaled by the same factor so per-node utilisation matches the paper's.
@@ -44,14 +52,14 @@ func main() {
 	}
 	clu, err := cfg.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ctrl, err := sprout.NewController(clu, 10, sprout.OptimizerOptions{MaxOuterIter: 15}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer ctrl.Close()
 	store := nullStore{chunkSize: 1 << 10}
-	ctx := context.Background()
 
 	schedule := workload.TableISchedule(200)
 	for b := range schedule.Bins {
@@ -64,23 +72,23 @@ func main() {
 	rng := rand.New(rand.NewSource(5))
 	requests, err := schedule.GenerateSchedule(rng)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("replaying %d requests across %d time bins\n", len(requests), len(schedule.Bins))
+	fmt.Fprintf(out, "replaying %d requests across %d time bins\n", len(requests), len(schedule.Bins))
 
 	// Plan the first bin with its known rates.
 	binStart := 0
 	if _, err := ctrl.PlanTimeBin(schedule.Bins[0].Lambdas); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	estimator.StartBin(schedule.Bins[0].Lambdas)
-	fmt.Printf("bin 1 allocation: %v\n", ctrl.Plan().D)
+	fmt.Fprintf(out, "bin 1 allocation: %v\n", ctrl.Plan().D)
 
 	rebins := 0
 	for _, req := range requests {
 		estimator.Observe(req.Arrival, req.FileID)
 		if _, err := ctrl.Read(ctx, req.FileID, store); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Re-plan when the estimator flags a significant rate change (at most
 		// once per 100-second window).
@@ -88,17 +96,18 @@ func main() {
 			rates := estimator.Rates(req.Arrival)
 			plan, err := ctrl.PlanTimeBin(rates)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			estimator.StartBin(rates)
 			binStart = int(req.Arrival)
 			rebins++
-			fmt.Printf("re-planned at t=%.0fs: allocation %v (bound %.2f s)\n", req.Arrival, plan.D, plan.Objective)
+			fmt.Fprintf(out, "re-planned at t=%.0fs: allocation %v (bound %.2f s)\n", req.Arrival, plan.D, plan.Objective)
 		}
 	}
 	ctrl.WaitFills()
 	stats := ctrl.Stats()
-	fmt.Printf("\n%d plan updates (%d triggered by the estimator)\n", stats.PlanUpdates, rebins)
-	fmt.Printf("chunks served from cache: %d, from storage: %d, background cache fills: %d\n",
+	fmt.Fprintf(out, "\n%d plan updates (%d triggered by the estimator)\n", stats.PlanUpdates, rebins)
+	fmt.Fprintf(out, "chunks served from cache: %d, from storage: %d, background cache fills: %d\n",
 		stats.ChunksFromCache, stats.ChunksFromDisk, stats.LazyFills)
+	return nil
 }

@@ -14,8 +14,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +40,12 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, out io.Writer) error {
 	const (
 		numVideos  = 120
 		cacheSize  = 150 // chunks
@@ -54,7 +62,7 @@ func main() {
 	}
 	clu, err := cfg.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Zipf popularity: a small head of titles dominates the request stream.
@@ -63,38 +71,38 @@ func main() {
 	lambdas := workload.Zipf(numVideos, 1.1, 0.22)
 	clu, err = clu.WithArrivalRates(lambdas)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	prob, err := sprout.ProblemFromCluster(clu, cacheSize)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts := sprout.OptimizerOptions{MaxOuterIter: 15}
 
 	functional, err := sprout.Optimize(prob, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	wholeFile, err := optimizer.WholeFileCaching(prob, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	noCache, err := optimizer.NoCache(prob, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("video CDN, 120 titles, Zipf(1.1) popularity, cache = 150 chunks")
-	fmt.Printf("  no cache:             %.2f s mean latency bound\n", noCache.Objective)
-	fmt.Printf("  whole-video caching:  %.2f s (caches %d chunks)\n", wholeFile.Objective, wholeFile.CacheUsed())
-	fmt.Printf("  Sprout functional:    %.2f s (caches %d chunks)\n", functional.Objective, functional.CacheUsed())
+	fmt.Fprintln(out, "video CDN, 120 titles, Zipf(1.1) popularity, cache = 150 chunks")
+	fmt.Fprintf(out, "  no cache:             %.2f s mean latency bound\n", noCache.Objective)
+	fmt.Fprintf(out, "  whole-video caching:  %.2f s (caches %d chunks)\n", wholeFile.Objective, wholeFile.CacheUsed())
+	fmt.Fprintf(out, "  Sprout functional:    %.2f s (caches %d chunks)\n", functional.Objective, functional.CacheUsed())
 
 	hot := 0
 	for i := 0; i < 10; i++ {
 		hot += functional.D[i]
 	}
-	fmt.Printf("  chunks cached for the 10 hottest titles: %d of %d\n", hot, functional.CacheUsed())
+	fmt.Fprintf(out, "  chunks cached for the 10 hottest titles: %d of %d\n", hot, functional.CacheUsed())
 
 	// A previously cold title goes viral: re-plan the next time bin with the
 	// new rates, warm-starting from the current allocation.
@@ -102,34 +110,34 @@ func main() {
 	lambdas[viral] = 0.05
 	clu2, err := clu.WithArrivalRates(lambdas)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prob2, err := sprout.ProblemFromCluster(clu2, cacheSize)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts.WarmStart = functional.D
 	replanned, err := sprout.Optimize(prob2, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nafter title %d goes viral (0.05 req/s):\n", viral)
-	fmt.Printf("  new bound %.2f s; viral title now holds %d cache chunks (was %d)\n",
+	fmt.Fprintf(out, "\nafter title %d goes viral (0.05 req/s):\n", viral)
+	fmt.Fprintf(out, "  new bound %.2f s; viral title now holds %d cache chunks (was %d)\n",
 		replanned.Objective, replanned.D[viral], functional.D[viral])
 
-	serveLive()
+	return serveLive(ctx, out)
 }
 
 // serveLive drives the concurrent serving path: Zipf traffic over a scaled-
 // down library, a mid-run popularity flip to the viral title, and the
 // auto-replanner adapting the cache plan without any manual PlanTimeBin.
-func serveLive() {
+func serveLive(ctx context.Context, out io.Writer) error {
 	const (
 		titles    = 40
 		cacheSize = 50
 		titleSize = 256 << 10
 	)
-	fmt.Printf("\nserving live traffic (%d titles, %v, %d readers, hedge %v +%d, replan every %v):\n",
+	fmt.Fprintf(out, "\nserving live traffic (%d titles, %v, %d readers, hedge %v +%d, replan every %v):\n",
 		titles, *serveFor, *readers, *hedgeDelay, *hedgeExtra, *replanEvery)
 
 	// The auto-replanner feeds *measured* request rates (thousands of reads
@@ -152,12 +160,12 @@ func serveLive() {
 	}
 	clu, err := cfg.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lambdas := workload.Zipf(titles, 1.1, 100)
 	clu, err = clu.WithArrivalRates(lambdas)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ctrl, err := sprout.NewControllerWith(clu, cacheSize, sprout.OptimizerOptions{MaxOuterIter: 10},
 		sprout.ServeOptions{
@@ -168,7 +176,7 @@ func serveLive() {
 			ReplanThreshold: *replanTh,
 		}, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ctrl.Close()
 
@@ -183,20 +191,19 @@ func serveLive() {
 		originals[meta.ID] = payload
 		dataChunks, err := meta.Code.Split(payload)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		chunks[meta.ID], err = meta.Code.Encode(dataChunks)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	store := bench.NewLatencyStore(chunks, 8, 300*time.Microsecond, 500*time.Microsecond, 0.03, 10)
 	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ctx := context.Background()
 	if err := ctrl.PrefetchCache(ctx, store); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Halfway through, the coldest title goes viral: readers flip most of
@@ -225,35 +232,48 @@ func serveLive() {
 		}
 		return store.SetFile(fileID, coded, len(data)), nil
 	})
-	time.AfterFunc(*serveFor/2, func() {
+	// The first failure, a reader's or the re-ingest's, cancels the rest and
+	// is what serveLive returns.
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		select {
+		case <-time.After(*serveFor / 2):
+		case <-ctx.Done():
+			return
+		}
 		goneViral.Store(true)
 		newCut := make([]byte, titleSize)
 		rand.New(rand.NewSource(99)).Read(newCut)
 		allowedViral.Store(&[][]byte{originals[viral], newCut})
 		if err := ctrl.Write(ctx, viral, newCut, storeWriter); err != nil {
-			log.Fatal(err)
+			fail(err)
+			return
 		}
 		originals[viral] = newCut
 		reingested.Store(true)
-	})
+	}()
 
 	stop := time.Now().Add(*serveFor)
 	picker := workload.NewRatePicker(lambdas)
-	var wg sync.WaitGroup
 	var readsDone atomic.Int64
 	for w := 0; w < *readers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w) + 20))
-			for time.Now().Before(stop) {
+			for time.Now().Before(stop) && ctx.Err() == nil {
 				title := picker.Pick(r.Float64())
 				if goneViral.Load() && r.Float64() < 0.6 {
 					title = viral
 				}
 				got, err := ctrl.Read(ctx, title, store)
 				if err != nil {
-					log.Fatal(err)
+					fail(err)
+					return
 				}
 				if title == viral {
 					okAny := false
@@ -264,43 +284,49 @@ func serveLive() {
 						}
 					}
 					if !okAny {
-						log.Fatalf("title %d served bytes matching neither cut (mixed stripe?)", title)
+						fail(fmt.Errorf("title %d served bytes matching neither cut (mixed stripe?)", title))
+						return
 					}
 				} else if !bytes.Equal(got, originals[title]) {
-					log.Fatalf("title %d content mismatch", title)
+					fail(fmt.Errorf("title %d content mismatch", title))
+					return
 				}
 				readsDone.Add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return err
+	}
 	ctrl.WaitFills()
 
 	// After the re-ingest committed, a fresh read must serve the new cut.
 	if reingested.Load() {
 		got, err := ctrl.Read(ctx, viral, store)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if !bytes.Equal(got, originals[viral]) {
-			log.Fatal("viral title still serves the old cut after re-ingest")
+			return fmt.Errorf("viral title still serves the old cut after re-ingest")
 		}
 	}
 
 	stats := ctrl.Stats()
 	lat := ctrl.ReadLatency()
-	fmt.Printf("  served %d reads (%.0f/s): %d auto-replans (%d rejected), %d background fills, %d hedges (%d wins)\n",
+	fmt.Fprintf(out, "  served %d reads (%.0f/s): %d auto-replans (%d rejected), %d background fills, %d hedges (%d wins)\n",
 		readsDone.Load(), float64(readsDone.Load())/serveFor.Seconds(),
 		stats.AutoReplans, stats.ReplanErrors, stats.LazyFills, stats.HedgesLaunched, stats.HedgeWins)
 	if reingested.Load() {
 		wlat := ctrl.WriteLatency()
-		fmt.Printf("  re-ingested viral title mid-run: %d write(s) in p50 %v, %d cache chunks invalidated, %d written through, %d stale-cache reloads, %d read retries\n",
+		fmt.Fprintf(out, "  re-ingested viral title mid-run: %d write(s) in p50 %v, %d cache chunks invalidated, %d written through, %d stale-cache reloads, %d read retries\n",
 			stats.Writes, wlat.P50, stats.CacheInvalidations, stats.WriteThroughChunks, stats.StaleCacheReloads, stats.ReadRetries)
 	}
-	fmt.Printf("  cache-hit reads: %6d  p50 %8v  p99 %8v\n",
+	fmt.Fprintf(out, "  cache-hit reads: %6d  p50 %8v  p99 %8v\n",
 		lat.CacheHit.Count, lat.CacheHit.P50, lat.CacheHit.P99)
-	fmt.Printf("  storage reads:   %6d  p50 %8v  p99 %8v\n",
+	fmt.Fprintf(out, "  storage reads:   %6d  p50 %8v  p99 %8v\n",
 		lat.Storage.Count, lat.Storage.P50, lat.Storage.P99)
-	fmt.Printf("  viral title now holds %d cache chunks (planned %d)\n",
+	fmt.Fprintf(out, "  viral title now holds %d cache chunks (planned %d)\n",
 		ctrl.Cache().ChunksForFile(viral), ctrl.CacheAllocationTarget(viral))
+	return nil
 }

@@ -101,7 +101,7 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		// nodes, and those must recover quickly via half-open probes or the
 		// healthy pool shrinks below k and reads are forced back onto the
 		// slow node. The genuinely bad node re-fails every probe, so the
-		// exponential re-open keeps it parked near MaxOpenFor regardless.
+		// exponential re-open keeps it parked near its cap regardless.
 		// LatencyThreshold must beat the injected 30ms fault with a wide
 		// margin over benign scheduling noise: the whole emulated cluster
 		// shares the host's cores, so healthy sub-ms fetches routinely

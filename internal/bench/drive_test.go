@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sprout/internal/core"
+	"sprout/internal/resilience"
 )
 
 func TestClosedLoopSpendsBudgetOnce(t *testing.T) {
@@ -92,7 +93,7 @@ func TestClosedLoopStopsWithContext(t *testing.T) {
 func TestClosedLoopClassifiesFailures(t *testing.T) {
 	results := []error{
 		fmt.Errorf("core: file 3: %w", core.ErrSaturated),
-		fmt.Errorf("core: tenant %q: %w", "bronze", core.ErrTenantThrottled),
+		fmt.Errorf("transport: node 2: %w", resilience.ErrOverload),
 		io.EOF,
 		nil,
 	}

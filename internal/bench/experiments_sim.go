@@ -304,10 +304,18 @@ type RequestSplit struct {
 	CacheFraction   float64
 }
 
+// fig7CalibFiles is the file count Fig. 7's per-object rates were
+// calibrated at against its fixed service rates. At any other file count the
+// per-object rate is scaled so the aggregate offered load stays at that
+// calibration point; above it the paper's rates would exceed the cluster's
+// capacity even with a full cache.
+const fig7CalibFiles = 150
+
 // Fig7RequestSplit reproduces the request-split dynamics: the optimizer's
 // plan is executed in the discrete-event simulator and the number of chunks
 // served from cache vs. storage is recorded per 5-second slot over a
-// 100-second time bin, for two workload intensities.
+// 100-second time bin, for two workload intensities. The series keep the
+// paper's λ labels; the simulated per-object rate is λ·fig7CalibFiles/files.
 func Fig7RequestSplit(cfg Config) ([]RequestSplit, error) {
 	cfg = cfg.withDefaults()
 	// Scaled version of the published setup: (7,4) objects, cache of 1250
@@ -328,7 +336,7 @@ func Fig7RequestSplit(cfg Config) ([]RequestSplit, error) {
 	for _, lambda := range []float64{0.0225, 0.0384} {
 		lambdas := make([]float64, numFiles)
 		for i := range lambdas {
-			lambdas[i] = lambda
+			lambdas[i] = lambda * (fig7CalibFiles / float64(numFiles))
 		}
 		cb, err := c.WithArrivalRates(lambdas)
 		if err != nil {

@@ -51,10 +51,9 @@ func (c *Controller) Read(ctx context.Context, fileID int, fetcher ChunkFetcher)
 // storage fetches with ErrSaturated.
 //
 // When tenant policies are configured (ServeOptions.Tenants), the calling
-// tenant is resolved from the context (WithTenant): its rate limit is
-// checked before any work is done, its SLO class shapes the brownout
-// decisions (gold keeps hedging under level 1 and is never shed; bronze is
-// shed first), and its latency histogram observes the read.
+// tenant is resolved from the context (WithTenant): its SLO class shapes the
+// brownout decisions (gold keeps hedging under level 1 and is never shed;
+// bronze is shed first), and its latency histogram observes the read.
 func (c *Controller) ReadInto(ctx context.Context, fileID int, fetcher ChunkFetcher, dst []byte) ([]byte, error) {
 	start := time.Now()
 	if fileID < 0 || fileID >= len(c.files) {
@@ -64,11 +63,6 @@ func (c *Controller) ReadInto(ctx context.Context, fileID int, fetcher ChunkFetc
 		return nil, ErrNoPlan
 	}
 	ts := c.tenantOf(TenantFrom(ctx))
-	if ts != nil && !ts.limiter.Allow() {
-		ts.rateLimited.Add(1)
-		c.stats.tenantThrottled.Add(1)
-		return nil, fmt.Errorf("core: tenant %q: %w", ts.policy.Name, ErrTenantThrottled)
-	}
 	if c.est != nil {
 		c.est.Observe(fileID)
 	}

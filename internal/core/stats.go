@@ -45,7 +45,6 @@ type counters struct {
 	hedgesSuppressed atomic.Int64
 	fillsSuppressed  atomic.Int64
 	shedReads        atomic.Int64
-	tenantThrottled  atomic.Int64
 	priorityHedges   atomic.Int64
 }
 
@@ -128,11 +127,9 @@ type Stats struct {
 	HedgesSuppressed int64
 	FillsSuppressed  int64
 	ShedReads        int64
-	// TenantThrottled counts reads refused by a tenant's rate limiter before
-	// any fetch or decode work; PriorityHedges counts gold-tenant reads that
-	// kept their hedge timer through brownout level 1.
-	TenantThrottled int64
-	PriorityHedges  int64
+	// PriorityHedges counts gold-tenant reads that kept their hedge timer
+	// through brownout level 1.
+	PriorityHedges int64
 }
 
 // Stats returns a snapshot of the controller counters.
@@ -174,7 +171,6 @@ func (c *Controller) Stats() Stats {
 		HedgesSuppressed: c.stats.hedgesSuppressed.Load(),
 		FillsSuppressed:  c.stats.fillsSuppressed.Load(),
 		ShedReads:        c.stats.shedReads.Load(),
-		TenantThrottled:  c.stats.tenantThrottled.Load(),
 		PriorityHedges:   c.stats.priorityHedges.Load(),
 	}
 }

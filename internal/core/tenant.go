@@ -8,7 +8,6 @@ import (
 
 	"sprout/internal/metrics"
 	"sprout/internal/optimizer"
-	"sprout/internal/resilience"
 )
 
 // SLO classes order tenants for the QoS plane's degradation decisions: under
@@ -37,15 +36,9 @@ type TenantPolicy struct {
 	// rejected.
 	Class string
 	// Weight is the tenant's fair share relative to the others: the
-	// weighted-fair queues, the repair tie-break, and the cache-budget split
-	// all use it. Values < 1 are clamped to 1.
+	// weighted-fair queues and the cache-budget split both use it. Values
+	// < 1 are clamped to 1.
 	Weight int
-	// RateLimit, when positive, caps the tenant's admitted read rate
-	// (requests per second); excess reads fail fast with ErrTenantThrottled
-	// before consuming fetch or decode capacity. Burst is the token-bucket
-	// allowance (default: one second's worth of RateLimit).
-	RateLimit float64
-	Burst     float64
 	// Files lists the file IDs this tenant owns. Ownership drives the
 	// cache-budget split: the optimizer divides the cache across tenants in
 	// proportion to Weight and plans each tenant's files within its share.
@@ -61,23 +54,18 @@ func (p TenantPolicy) withDefaults() TenantPolicy {
 	if p.Weight < 1 {
 		p.Weight = 1
 	}
-	if p.RateLimit > 0 && p.Burst <= 0 {
-		p.Burst = p.RateLimit
-	}
 	return p
 }
 
 // tenantState is the per-tenant accounting the read plane updates: an SLO
-// policy, a rate limiter, a latency histogram, and shed/throttle counters.
+// policy, a latency histogram, and read/shed counters.
 // States are created at construction and never change, so the read path
 // resolves one with a plain map lookup.
 type tenantState struct {
-	policy      TenantPolicy
-	limiter     *resilience.RateLimiter
-	hist        metrics.Histogram
-	reads       atomic.Int64
-	sheds       atomic.Int64
-	rateLimited atomic.Int64
+	policy TenantPolicy
+	hist   metrics.Histogram
+	reads  atomic.Int64
+	sheds  atomic.Int64
 	// cacheShare is the tenant's slice of the cache budget in chunks (0 when
 	// no budget split is configured). Written once at construction.
 	cacheShare int
@@ -140,7 +128,7 @@ func buildTenants(policies []TenantPolicy) (map[string]*tenantState, *tenantStat
 	var def *tenantState
 	for _, p := range policies {
 		p = p.withDefaults()
-		ts := &tenantState{policy: p, limiter: resilience.NewRateLimiter(p.RateLimit, p.Burst)}
+		ts := &tenantState{policy: p}
 		states[p.Name] = ts
 		if p.Name == DefaultTenant {
 			def = ts
@@ -190,28 +178,13 @@ func (ts *tenantState) shedUnder(ep *epoch, fileID int) bool {
 	}
 }
 
-// tenantThrottledError is ErrTenantThrottled's concrete type; it unwraps to
-// resilience.ErrOverload so throttles classify as load shedding.
-type tenantThrottledError struct{}
-
-func (tenantThrottledError) Error() string {
-	return "core: tenant over its rate limit, read refused"
-}
-func (tenantThrottledError) Unwrap() error { return resilience.ErrOverload }
-
-// ErrTenantThrottled is returned by Read when the calling tenant is over its
-// configured rate limit.
-var ErrTenantThrottled error = tenantThrottledError{}
-
 // TenantSnapshot is one tenant's QoS accounting.
 type TenantSnapshot struct {
 	Policy TenantPolicy
 	// Reads counts served reads; Sheds counts reads rejected with
-	// ErrSaturated under brownout; RateLimited counts reads refused by the
-	// tenant's rate limiter.
-	Reads       int64
-	Sheds       int64
-	RateLimited int64
+	// ErrSaturated under brownout.
+	Reads int64
+	Sheds int64
 	// Latency summarises the tenant's served-read latency distribution.
 	Latency metrics.LatencySnapshot
 	// CacheShare is the tenant's slice of the cache budget in chunks (0 when
@@ -228,12 +201,11 @@ func (c *Controller) TenantStats() map[string]TenantSnapshot {
 	out := make(map[string]TenantSnapshot, len(c.tenants))
 	for name, ts := range c.tenants {
 		out[name] = TenantSnapshot{
-			Policy:      ts.policy,
-			Reads:       ts.reads.Load(),
-			Sheds:       ts.sheds.Load(),
-			RateLimited: ts.rateLimited.Load(),
-			Latency:     ts.hist.Buckets().Snapshot(),
-			CacheShare:  ts.cacheShare,
+			Policy:     ts.policy,
+			Reads:      ts.reads.Load(),
+			Sheds:      ts.sheds.Load(),
+			Latency:    ts.hist.Buckets().Snapshot(),
+			CacheShare: ts.cacheShare,
 		}
 	}
 	return out

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sprout/internal/optimizer"
-	"sprout/internal/resilience"
 )
 
 // tenantServe is the three-class policy set most tenant tests share.
@@ -88,46 +87,6 @@ func TestTenantShedLadder(t *testing.T) {
 	}
 	if stats["gold"].Reads != 4 {
 		t.Fatalf("gold reads = %d, want 4", stats["gold"].Reads)
-	}
-}
-
-// TestTenantRateLimit pins the admission-edge throttle: a tenant over its
-// token bucket fails fast with ErrTenantThrottled (which classifies as
-// resilience.ErrOverload), and the refusals are accounted per tenant.
-func TestTenantRateLimit(t *testing.T) {
-	serve := ServeOptions{
-		Tenants: []TenantPolicy{
-			{Name: "capped", RateLimit: 1e-9, Burst: 2},
-		},
-	}
-	ctrl, store := buildControllerWith(t, 2, 0, 0.05, serve)
-	defer ctrl.Close()
-	if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithTenant(context.Background(), "capped")
-	for i := 0; i < 2; i++ {
-		if _, err := ctrl.Read(ctx, 0, store); err != nil {
-			t.Fatalf("read %d within burst: %v", i, err)
-		}
-	}
-	_, err := ctrl.Read(ctx, 0, store)
-	if !errors.Is(err, ErrTenantThrottled) {
-		t.Fatalf("read over burst = %v, want ErrTenantThrottled", err)
-	}
-	if !errors.Is(err, resilience.ErrOverload) {
-		t.Fatalf("throttle error does not unwrap to resilience.ErrOverload: %v", err)
-	}
-	// An unlimited tenant (and the untenanted default) is never throttled.
-	if _, err := ctrl.Read(context.Background(), 0, store); err != nil {
-		t.Fatalf("untenanted read: %v", err)
-	}
-	stats := ctrl.TenantStats()
-	if stats["capped"].RateLimited != 1 {
-		t.Fatalf("capped RateLimited = %d, want 1", stats["capped"].RateLimited)
-	}
-	if ctrl.Stats().TenantThrottled != 1 {
-		t.Fatalf("controller TenantThrottled = %d, want 1", ctrl.Stats().TenantThrottled)
 	}
 }
 

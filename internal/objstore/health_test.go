@@ -306,21 +306,3 @@ func TestClusterViewMatchesPool(t *testing.T) {
 		t.Fatal("ClusterView accepted mismatched lambda count")
 	}
 }
-
-func TestPoolDeleteChunk(t *testing.T) {
-	_, pool := healthTestCluster(t)
-	putObjects(t, pool, 1, 4<<10)
-	ctx := context.Background()
-	if err := pool.DeleteChunk("obj-000", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.GetChunk(ctx, "obj-000", 1); !errors.Is(err, ErrChunkMissing) {
-		t.Fatalf("GetChunk after delete: %v", err)
-	}
-	if err := pool.DeleteChunk("missing", 0); !errors.Is(err, ErrObjectNotFound) {
-		t.Fatalf("DeleteChunk unknown object: %v", err)
-	}
-	if err := pool.DeleteChunk("obj-000", 99); !errors.Is(err, ErrChunkMissing) {
-		t.Fatalf("DeleteChunk bad index: %v", err)
-	}
-}

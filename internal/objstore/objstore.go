@@ -549,20 +549,6 @@ func (p *Pool) GetChunkV(ctx context.Context, object string, chunk int) ([]byte,
 	return nil, 0, 0, lastErr
 }
 
-// DeleteChunk removes one coded chunk of the object's committed stripe from
-// its hosting OSD (no service delay). Used by the repair plane's tests and
-// by failure drills over the network.
-func (p *Pool) DeleteChunk(object string, chunk int) error {
-	meta, ok := p.meta(object)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrObjectNotFound, object)
-	}
-	if chunk < 0 || chunk >= p.N {
-		return fmt.Errorf("%w: chunk %d", ErrChunkMissing, chunk)
-	}
-	return p.osdForChunk(meta.pg, object, meta.version, chunk).DeleteChunk(p.chunkKey(object, meta.version, chunk))
-}
-
 // Version returns the committed stripe version of an object.
 func (p *Pool) Version(object string) (uint64, error) {
 	meta, ok := p.meta(object)

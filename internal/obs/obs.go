@@ -158,7 +158,6 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_hedges_suppressed_total", "Hedge timers withheld at brownout level 1 or deeper.", func(s core.Stats) int64 { return s.HedgesSuppressed }},
 		{"sprout_fills_suppressed_total", "Background fills deferred at brownout level 2 or deeper.", func(s core.Stats) int64 { return s.FillsSuppressed }},
 		{"sprout_shed_reads_total", "Low-value reads rejected with ErrSaturated at brownout level 3.", func(s core.Stats) int64 { return s.ShedReads }},
-		{"sprout_tenant_throttled_total", "Reads refused because the calling tenant was over its rate limit.", func(s core.Stats) int64 { return s.TenantThrottled }},
 		{"sprout_priority_hedges_total", "Gold-tenant reads that kept their hedge timer through brownout level 1.", func(s core.Stats) int64 { return s.PriorityHedges }},
 	} {
 		fn := m.fn
@@ -287,8 +286,6 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		func(s core.TenantSnapshot) float64 { return float64(s.Reads) })
 	perTenant("sprout_tenant_shed_reads_total", "Reads rejected under brownout shedding, by tenant.", metrics.KindCounter,
 		func(s core.TenantSnapshot) float64 { return float64(s.Sheds) })
-	perTenant("sprout_tenant_rate_limited_total", "Reads refused by the tenant's rate limiter.", metrics.KindCounter,
-		func(s core.TenantSnapshot) float64 { return float64(s.RateLimited) })
 	perTenant("sprout_tenant_cache_share_chunks", "Tenant's slice of the cache budget (0 without a split).", metrics.KindGauge,
 		func(s core.TenantSnapshot) float64 { return float64(s.CacheShare) })
 	perTenant("sprout_tenant_weight_ratio", "Tenant's weighted-fair share relative to the other tenants.", metrics.KindGauge,

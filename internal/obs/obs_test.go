@@ -47,7 +47,7 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 		ReplanInterval: time.Hour,
 		Tenants: []core.TenantPolicy{
 			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},
-			{Name: "bronze", Class: core.ClassBronze, Weight: 1, RateLimit: 100},
+			{Name: "bronze", Class: core.ClassBronze, Weight: 1},
 		},
 	}, 1)
 	if err != nil {

@@ -10,16 +10,12 @@ import (
 
 // item is one pending chunk repair. Priority is fewest surviving chunks
 // first: the objects closest to data loss are rebuilt before merely
-// under-replicated ones. Between equally exposed chunks the owning tenant's
-// QoS weight decides — a gold object's redundancy is restored before a
-// bronze one's — and seq breaks the remaining ties FIFO. Durability strictly
-// dominates tenancy: no weight ever reorders across survivor counts.
+// under-replicated ones, and seq breaks ties FIFO.
 type item struct {
 	object    string
 	chunk     int
 	surviving int
 	attempts  int
-	weight    int
 	seq       uint64
 }
 
@@ -29,9 +25,6 @@ func (h itemHeap) Len() int { return len(h) }
 func (h itemHeap) Less(i, j int) bool {
 	if h[i].surviving != h[j].surviving {
 		return h[i].surviving < h[j].surviving
-	}
-	if h[i].weight != h[j].weight {
-		return h[i].weight > h[j].weight
 	}
 	return h[i].seq < h[j].seq
 }
@@ -85,7 +78,7 @@ func chunkID(object string, chunk int) string {
 
 // push enqueues a chunk repair unless the same chunk is already queued.
 // Returns whether the item was accepted.
-func (q *repairQueue) push(object string, chunk, surviving, attempts, weight int) bool {
+func (q *repairQueue) push(object string, chunk, surviving, attempts int) bool {
 	key := chunkID(object, chunk)
 	q.mu.Lock()
 	if q.closed || q.queued[key] {
@@ -99,7 +92,6 @@ func (q *repairQueue) push(object string, chunk, surviving, attempts, weight int
 		chunk:     chunk,
 		surviving: surviving,
 		attempts:  attempts,
-		weight:    weight,
 		seq:       q.seq,
 	})
 	q.mu.Unlock()

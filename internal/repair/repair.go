@@ -2,10 +2,9 @@
 // a prioritized repair queue that schedules the most exposed objects
 // (fewest surviving chunks) first, and a bounded worker pool that
 // reconstructs lost chunks with the erasure coder and re-places them on
-// live OSDs while the cluster keeps serving. It judges no node: reads
-// avoid a failing OSD through the per-node breakers (Config.Breakers), and
-// membership is whatever the controller's SetNodeDown/SetNodeUp were told
-// by whoever watches OSD state.
+// live OSDs while the cluster keeps serving. It judges no node: membership
+// is whatever the controller's SetNodeDown/SetNodeUp were told by whoever
+// watches OSD state.
 package repair
 
 import (
@@ -30,36 +29,12 @@ type Config struct {
 	// ScanInterval is the period of the background degradation scan. Zero
 	// disables periodic scans; Kick and ScanOnce still work.
 	ScanInterval time.Duration
-	// MaxAttempts bounds per-chunk repair attempts. The count persists
-	// across scans: once a chunk has failed MaxAttempts times it is marked
-	// stalled and stops being retried until its survivor count changes or
-	// RetryStalled is called. Default 3.
-	MaxAttempts int
-	// RetryBackoff is the jittered exponential delay applied before a
-	// failed repair is re-enqueued, so a struggling pool is not hammered
-	// with immediate replays. The zero value uses the resilience defaults
-	// (2ms base, 250ms cap, doubling).
-	RetryBackoff resilience.Backoff
 	// Tick, when set, is a shared scheduler the periodic degradation scan
 	// runs on instead of the manager owning a scan goroutine — one
 	// process-wide timer batches every subsystem's periodic work. The
 	// caller owns the scheduler's lifetime; Close only unregisters the
 	// scan job. Nil means the manager owns a private scheduler.
 	Tick *tick.Scheduler
-	// TenantOf, when set, maps an object name to the tenant it belongs to;
-	// TenantWeights maps tenant names to their QoS weights. Together they
-	// give repairs a tenant-aware tie-break: among chunks with the same
-	// survivor count, higher-weight tenants are rebuilt first. Unknown
-	// tenants (and a nil TenantOf) repair at weight 1. Durability still
-	// dominates — weight never reorders across survivor counts.
-	TenantOf      func(object string) string
-	TenantWeights map[string]int
-	// Breakers, when set, are per-OSD circuit breakers consulted when
-	// picking survivors to read: OSDs whose breaker rejects traffic sit a
-	// repair read out while at least k healthier survivors remain. Every
-	// survivor fetch outcome is observed, so repair traffic keeps breaker
-	// state fresh.
-	Breakers *resilience.BreakerSet
 	// Logf, when set, receives repair-plane diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -68,11 +43,19 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	return c
 }
+
+// maxAttempts bounds per-chunk repair attempts. The count persists across
+// scans: once a chunk has failed maxAttempts times it is marked stalled and
+// stops being retried until its survivor count changes or RetryStalled is
+// called.
+const maxAttempts = 3
+
+// retryBackoff is the jittered exponential delay applied before a failed
+// repair is re-enqueued, so a struggling pool is not hammered with immediate
+// replays: the resilience defaults (2ms base, 250ms cap, doubling).
+var retryBackoff resilience.Backoff
 
 // Stats is a snapshot of the repair plane's progress counters.
 type Stats struct {
@@ -95,7 +78,7 @@ type Stats struct {
 	Failures int64
 	Retries  int64
 	// Stalled is the number of chunks currently out of attempt budget:
-	// they failed MaxAttempts times and wait for their survivor count to
+	// they failed maxAttempts times and wait for their survivor count to
 	// change or for RetryStalled.
 	Stalled int
 	// QueueDepth is the current length of the repair queue; InFlight counts
@@ -310,23 +293,12 @@ func (m *Manager) logf(format string, args ...any) {
 
 func (m *Manager) enqueue(object string, chunk, surviving, attempts int) bool {
 	m.inFlight.Add(1)
-	if !m.queue.push(object, chunk, surviving, attempts, m.tenantWeight(object)) {
+	if !m.queue.push(object, chunk, surviving, attempts) {
 		m.inFlight.Add(-1)
 		return false
 	}
 	m.enqueued.Add(1)
 	return true
-}
-
-// tenantWeight resolves the queue tie-break weight of an object's owner.
-func (m *Manager) tenantWeight(object string) int {
-	if m.cfg.TenantOf == nil {
-		return 1
-	}
-	if w, ok := m.cfg.TenantWeights[m.cfg.TenantOf(object)]; ok && w > 1 {
-		return w
-	}
-	return 1
 }
 
 // scanTick is one degradation scan on the scheduler: enqueue missing
@@ -373,7 +345,7 @@ func (m *Manager) worker() {
 }
 
 // scheduleRetry persists a failed chunk's attempt count and either
-// re-enqueues it after a jittered backoff delay or, once MaxAttempts is
+// re-enqueues it after a jittered backoff delay or, once maxAttempts is
 // reached, marks it stalled: no more retries until its survivor count
 // changes or RetryStalled releases it. The backoff sleep happens off the
 // worker and holds the in-flight count, so WaitIdle does not report idle
@@ -382,7 +354,7 @@ func (m *Manager) scheduleRetry(it *item) {
 	key := chunkID(it.object, it.chunk)
 	m.attemptMu.Lock()
 	m.attempts[key] = it.attempts + 1
-	if it.attempts+1 >= m.cfg.MaxAttempts {
+	if it.attempts+1 >= maxAttempts {
 		m.stalled[key] = it.surviving
 		m.attemptMu.Unlock()
 		m.logf("repair: %s chunk %d stalled after %d attempts", it.object, it.chunk, it.attempts+1)
@@ -390,7 +362,7 @@ func (m *Manager) scheduleRetry(it *item) {
 	}
 	m.attemptMu.Unlock()
 	m.retries.Add(1)
-	delay := m.cfg.RetryBackoff.Delay(it.attempts, rand.Float64())
+	delay := retryBackoff.Delay(it.attempts, rand.Float64())
 	m.inFlight.Add(1)
 	m.wg.Add(1)
 	go func() {
@@ -424,25 +396,6 @@ func (m *Manager) repairOne(it *item) error {
 		}
 	}
 	code := m.pool.Code()
-	// Circuit breakers shape the survivor picks: OSDs whose breaker rejects
-	// traffic sit the read out while enough healthier survivors remain, but
-	// are still used when they are the only path to k chunks.
-	if br := m.cfg.Breakers; br != nil && len(readable) > code.K() {
-		allowed := make([]objstore.ChunkLocation, 0, len(readable))
-		var tripped []objstore.ChunkLocation
-		for _, loc := range readable {
-			if br.Allow(loc.OSD.ID) {
-				allowed = append(allowed, loc)
-			} else {
-				tripped = append(tripped, loc)
-			}
-		}
-		if len(allowed) >= code.K() {
-			readable = allowed
-		} else {
-			readable = append(allowed, tripped...)
-		}
-	}
 	if len(readable) < code.K() {
 		// Not enough survivors to decode: leave the chunk for a later scan
 		// (an OSD recovering with its chunks intact can change this).
@@ -464,9 +417,7 @@ func (m *Manager) repairOne(it *item) error {
 	results := make(chan fetchRes, len(readable))
 	for _, loc := range readable {
 		go func(loc objstore.ChunkLocation) {
-			t0 := time.Now()
 			data, err := m.pool.GetChunk(rctx, it.object, loc.Chunk)
-			m.cfg.Breakers.Observe(loc.OSD.ID, err, time.Since(t0))
 			results <- fetchRes{chunk: loc.Chunk, data: data, err: err}
 		}(loc)
 	}

@@ -46,35 +46,34 @@ func repairTestPool(t *testing.T, objects int) (*objstore.Cluster, *objstore.Poo
 
 func TestQueuePriorityAndDedup(t *testing.T) {
 	q := newRepairQueue(1)
-	if !q.push("b", 0, 5, 0, 1) {
+	if !q.push("b", 0, 5, 0) {
 		t.Fatal("push rejected")
 	}
-	if !q.push("a", 1, 2, 0, 1) {
+	if !q.push("a", 1, 2, 0) {
 		t.Fatal("push rejected")
 	}
-	if !q.push("c", 2, 4, 0, 1) {
+	if !q.push("c", 2, 4, 0) {
 		t.Fatal("push rejected")
 	}
-	if q.push("a", 1, 2, 0, 1) {
+	if !q.push("d", 0, 4, 0) {
+		t.Fatal("push rejected")
+	}
+	if q.push("a", 1, 2, 0) {
 		t.Fatal("duplicate chunk accepted")
 	}
-	// Fewest survivors first.
-	if it := q.pop(); it.object != "a" {
-		t.Fatalf("first pop %q, want a (fewest survivors)", it.object)
-	}
-	if it := q.pop(); it.object != "c" {
-		t.Fatalf("second pop %q, want c", it.object)
-	}
-	if it := q.pop(); it.object != "b" {
-		t.Fatalf("third pop %q, want b", it.object)
+	// Fewest survivors first; equally exposed chunks in arrival order.
+	for i, want := range []string{"a", "c", "d", "b"} {
+		if it := q.pop(); it.object != want {
+			t.Fatalf("pop %d = %q, want %q", i, it.object, want)
+		}
 	}
 	// A popped chunk stays deduplicated until its repair attempt finishes:
 	// scans racing an in-flight repair cannot enqueue duplicates.
-	if q.push("a", 1, 2, 0, 1) {
+	if q.push("a", 1, 2, 0) {
 		t.Fatal("re-push accepted while repair in flight")
 	}
 	q.done("a", 1)
-	if !q.push("a", 1, 2, 0, 1) {
+	if !q.push("a", 1, 2, 0) {
 		t.Fatal("re-push after done rejected")
 	}
 	q.close()
@@ -85,58 +84,8 @@ func TestQueuePriorityAndDedup(t *testing.T) {
 	if it := q.pop(); it != nil {
 		t.Fatalf("pop on closed empty queue = %+v", it)
 	}
-	if q.push("x", 0, 1, 0, 1) {
+	if q.push("x", 0, 1, 0) {
 		t.Fatal("push accepted after close")
-	}
-}
-
-// TestQueueTenantWeightTieBreak pins the QoS ordering: among equally exposed
-// chunks the higher-weight tenant repairs first, but weight never reorders
-// across survivor counts — durability strictly dominates tenancy.
-func TestQueueTenantWeightTieBreak(t *testing.T) {
-	q := newRepairQueue(1)
-	q.push("bronze-1", 0, 3, 0, 1)
-	q.push("gold-1", 0, 3, 0, 4)
-	q.push("silver-1", 0, 3, 0, 2)
-	q.push("bronze-exposed", 0, 2, 0, 1) // fewer survivors beats any weight
-	q.push("gold-2", 1, 3, 0, 4)         // same weight as gold-1: FIFO
-
-	want := []string{"bronze-exposed", "gold-1", "gold-2", "silver-1", "bronze-1"}
-	for i, name := range want {
-		it := q.pop()
-		if it == nil || it.object != name {
-			t.Fatalf("pop %d = %+v, want %q", i, it, name)
-		}
-		q.done(it.object, it.chunk)
-	}
-	q.close()
-}
-
-// TestManagerTenantWeight pins the Config plumbing: enqueue resolves the
-// owner's weight through TenantOf/TenantWeights, defaulting unknown tenants
-// (and a nil TenantOf) to weight 1.
-func TestManagerTenantWeight(t *testing.T) {
-	_, pool, _ := repairTestPool(t, 2)
-	m := NewManager(pool, Config{
-		TenantOf: func(object string) string {
-			if object == "obj-0" {
-				return "gold"
-			}
-			return "unknown"
-		},
-		TenantWeights: map[string]int{"gold": 4},
-	})
-	defer m.Close()
-	if got := m.tenantWeight("obj-0"); got != 4 {
-		t.Fatalf("gold object weight = %d, want 4", got)
-	}
-	if got := m.tenantWeight("obj-1"); got != 1 {
-		t.Fatalf("unknown tenant weight = %d, want 1", got)
-	}
-	plain := NewManager(pool, Config{})
-	defer plain.Close()
-	if got := plain.tenantWeight("obj-0"); got != 1 {
-		t.Fatalf("nil TenantOf weight = %d, want 1", got)
 	}
 }
 

@@ -43,14 +43,17 @@ type BreakerConfig struct {
 	LatencyThreshold time.Duration
 	// OpenFor is how long an opened breaker rejects before allowing
 	// half-open probes. Re-opens after a failed probe double it, up to
-	// MaxOpenFor. Default 1s.
+	// 8×OpenFor. Default 1s.
 	OpenFor time.Duration
-	// MaxOpenFor caps the exponential re-open growth. Default 8×OpenFor.
-	MaxOpenFor time.Duration
-	// HalfOpenProbes bounds concurrent probes admitted in half-open.
-	// Default 2.
-	HalfOpenProbes int
 }
+
+const (
+	// maxOpenGrowth caps the exponential re-open growth at this multiple of
+	// OpenFor.
+	maxOpenGrowth = 8
+	// halfOpenProbes bounds concurrent probes admitted in half-open.
+	halfOpenProbes = 2
+)
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.ErrorThreshold <= 0 {
@@ -58,12 +61,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = time.Second
-	}
-	if c.MaxOpenFor <= 0 {
-		c.MaxOpenFor = 8 * c.OpenFor
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 2
 	}
 	return c
 }
@@ -161,7 +158,7 @@ func (s *BreakerSet) Allow(target int) bool {
 			b.entered = now
 			b.probes = 0
 		}
-		if b.probes < s.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			s.probes++
 			return true
@@ -217,10 +214,7 @@ func (s *BreakerSet) Observe(target int, err error, latency time.Duration) {
 		}
 	case BreakerHalfOpen:
 		// The probe failed: back to open, with a longer cooldown.
-		b.openFor *= 2
-		if b.openFor > s.cfg.MaxOpenFor {
-			b.openFor = s.cfg.MaxOpenFor
-		}
+		b.openFor = min(2*b.openFor, maxOpenGrowth*s.cfg.OpenFor)
 		b.state = BreakerOpen
 		b.until = now.Add(b.openFor)
 		b.probes = 0

@@ -4,56 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-func TestRateLimiterBurstThenRefill(t *testing.T) {
-	l := NewRateLimiter(10, 5)
-	now := time.Unix(0, 0)
-	for i := 0; i < 5; i++ {
-		if !l.allowAt(now) {
-			t.Fatalf("request %d refused inside the burst allowance", i)
-		}
-	}
-	if l.allowAt(now) {
-		t.Fatal("request beyond the burst admitted with no time elapsed")
-	}
-	if l.Denied() != 1 {
-		t.Fatalf("Denied = %d, want 1", l.Denied())
-	}
-	// 100ms at 10/s accrues exactly one token.
-	now = now.Add(100 * time.Millisecond)
-	if !l.allowAt(now) {
-		t.Fatal("request refused after a full token accrued")
-	}
-	if l.allowAt(now) {
-		t.Fatal("second request admitted on one accrued token")
-	}
-	// A long idle period caps accrual at the burst.
-	now = now.Add(time.Hour)
-	admitted := 0
-	for i := 0; i < 10; i++ {
-		if l.allowAt(now) {
-			admitted++
-		}
-	}
-	if admitted != 5 {
-		t.Fatalf("after long idle admitted %d, want burst of 5", admitted)
-	}
-}
-
-func TestRateLimiterNilAndZeroRate(t *testing.T) {
-	var l *RateLimiter
-	if !l.Allow() {
-		t.Fatal("nil limiter refused a request")
-	}
-	if l.Denied() != 0 {
-		t.Fatal("nil limiter reported denials")
-	}
-	if NewRateLimiter(0, 10) != nil {
-		t.Fatal("zero rate should build the unlimited (nil) limiter")
-	}
-}
 
 // TestRetryBudgetAmplificationBound races successes against withdrawals from
 // 8 goroutines and checks the budget's core promise: granted retries stay

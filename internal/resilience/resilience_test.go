@@ -120,7 +120,7 @@ func TestBreakerOverdueCancelCountsAsSlow(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
-	s, clk := newTestBreakers(BreakerConfig{ErrorThreshold: 1, OpenFor: time.Second, HalfOpenProbes: 2})
+	s, clk := newTestBreakers(BreakerConfig{ErrorThreshold: 1, OpenFor: time.Second})
 	s.Observe(3, errBoom, 0)
 	if s.Allow(3) {
 		t.Fatal("open breaker allowed traffic")
@@ -133,10 +133,10 @@ func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
 		t.Fatalf("state = %v, want half-open", got)
 	}
 	if !s.Allow(3) {
-		t.Fatal("second probe refused within HalfOpenProbes")
+		t.Fatal("second probe refused within halfOpenProbes")
 	}
 	if s.Allow(3) {
-		t.Fatal("third probe allowed beyond HalfOpenProbes")
+		t.Fatal("third probe allowed beyond halfOpenProbes")
 	}
 	s.Observe(3, nil, 0)
 	if got := s.State(3); got != BreakerClosed {
@@ -148,7 +148,7 @@ func TestBreakerHalfOpenProbeAndClose(t *testing.T) {
 }
 
 func TestBreakerReopenDoublesCooldown(t *testing.T) {
-	s, clk := newTestBreakers(BreakerConfig{ErrorThreshold: 1, OpenFor: time.Second, MaxOpenFor: 3 * time.Second})
+	s, clk := newTestBreakers(BreakerConfig{ErrorThreshold: 1, OpenFor: time.Second})
 	s.Observe(5, errBoom, 0)
 	clk.advance(1100 * time.Millisecond)
 	if !s.Allow(5) {
@@ -176,16 +176,34 @@ func TestBreakerReopenDoublesCooldown(t *testing.T) {
 	if st := s.Stats(); st.Reopens != 1 {
 		t.Fatalf("stats = %+v, want 1 reopen", st)
 	}
+	// Failed probes keep doubling the cooldown (2s, 4s, 8s) until it caps at
+	// maxOpenGrowth×OpenFor.
+	for _, cooldown := range []time.Duration{2, 4, 8, 8} {
+		s.Observe(5, errBoom, 0)
+		clk.advance(cooldown*time.Second - 100*time.Millisecond)
+		if s.Allow(5) {
+			t.Fatalf("probe allowed before the %v cooldown expired", cooldown*time.Second)
+		}
+		clk.advance(200 * time.Millisecond)
+		if !s.Allow(5) {
+			t.Fatalf("probe refused after the %v cooldown expired", cooldown*time.Second)
+		}
+	}
 }
 
 func TestBreakerHalfOpenStaleProbesReset(t *testing.T) {
-	s, clk := newTestBreakers(BreakerConfig{ErrorThreshold: 1, OpenFor: time.Second, HalfOpenProbes: 1})
+	s, clk := newTestBreakers(BreakerConfig{ErrorThreshold: 1, OpenFor: time.Second})
 	s.Observe(6, errBoom, 0)
 	clk.advance(1100 * time.Millisecond)
-	if !s.Allow(6) {
-		t.Fatal("probe refused after cooldown")
+	for i := 0; i < halfOpenProbes; i++ {
+		if !s.Allow(6) {
+			t.Fatalf("probe %d refused after cooldown", i)
+		}
 	}
-	// The probe never reports back (candidate enumerated but not fetched).
+	if s.Allow(6) {
+		t.Fatal("probe allowed beyond halfOpenProbes")
+	}
+	// The probes never report back (candidate enumerated but not fetched).
 	// After another cooldown the breaker must grant a fresh probe rather
 	// than staying wedged half-open.
 	clk.advance(1100 * time.Millisecond)

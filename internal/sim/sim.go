@@ -42,40 +42,12 @@ type Config struct {
 	SlotLength float64
 	// WarmupFraction of the horizon is excluded from latency statistics.
 	WarmupFraction float64
-	// HedgeDelay, if positive with HedgeExtra > 0, models hedged chunk
-	// fetches: a request still incomplete HedgeDelay seconds after arrival
-	// launches up to HedgeExtra extra chunk reads on the least-loaded
-	// placement nodes it has not already targeted. The request completes
-	// once its original count of storage pieces has finished (fastest
-	// responses win; hedged reads substitute for storage pieces only, never
-	// for the folded cache piece) — leftover redundant jobs are cancelled if
-	// still queued, but consume server time if already in service.
-	HedgeDelay float64
-	// HedgeExtra is the maximum number of extra hedged chunk reads per
-	// request.
-	HedgeExtra int
-	// Failures schedules node outages: between Down and Up (simulation
-	// seconds) the node serves nothing. Chunk reads already queued there are
-	// failed over to alive placement nodes; scheduler draws targeting a down
-	// node are likewise redirected. Up <= Down means the node never recovers
-	// within the horizon.
-	Failures []NodeFailure
 	// WriteFrac turns the fraction of arrivals into writes (the ingest
 	// plane's striped client-side puts): a write dispatches one chunk-write
-	// job to every alive placement node of the file — the full n-chunk
-	// stripe, no cache piece — and completes when the slowest chunk write
-	// finishes (fork-join over n instead of k−d). Writes targeting down
-	// nodes skip them (the staging path re-places chunks on live OSDs);
-	// a write with no alive placement node fails.
+	// job to every placement node of the file — the full n-chunk stripe, no
+	// cache piece — and completes when the slowest chunk write finishes
+	// (fork-join over n instead of k−d).
 	WriteFrac float64
-}
-
-// NodeFailure is one scheduled node outage, by node index into the
-// cluster's node list.
-type NodeFailure struct {
-	Node int
-	Down float64
-	Up   float64
 }
 
 // Result aggregates the simulation outputs.
@@ -96,26 +68,12 @@ type Result struct {
 	NodeChunks      []int64   // chunks served per node
 	CacheChunks     int64     // chunks served from cache
 	StorageChunks   int64     // chunks served from storage
-	HedgedChunks    int64     // extra chunk reads launched by hedging
-	CancelledChunks int64     // hedged/redundant reads cancelled before service
-	// DegradedRequests counts requests that had at least one chunk read
-	// redirected off a down node; FailedRequests counts requests that could
-	// not gather enough chunks because too many placement nodes were down;
-	// ReassignedChunks counts chunk reads moved to another node by an
-	// outage.
-	DegradedRequests int64
-	FailedRequests   int64
-	ReassignedChunks int64
 	// WriteRequests counts arrivals that were writes; WrittenChunks counts
 	// the chunk-write jobs they dispatched. Write latencies are kept apart
 	// from read latencies: a write's fork-join spans the full n-chunk
-	// stripe. DegradedWrites counts writes that skipped down placement
-	// nodes or had chunk jobs reassigned; FailedWrites counts writes with
-	// no alive placement node left.
+	// stripe.
 	WriteRequests    int64
 	WrittenChunks    int64
-	DegradedWrites   int64
-	FailedWrites     int64
 	MeanWriteLatency float64
 	P99WriteLatency  float64
 	Slots            []SlotStats
@@ -138,9 +96,6 @@ var (
 const (
 	evArrival = iota
 	evNodeDone
-	evHedge
-	evFail
-	evRecover
 )
 
 type event struct {
@@ -175,27 +130,18 @@ type requestState struct {
 	file      int
 	arrival   float64
 	isWrite   bool // full-stripe chunk writes instead of a k−d chunk read
-	required  int  // storage pieces that must finish (hedged reads substitute)
-	done      int  // storage pieces finished so far (hedged extras count too)
+	required  int  // storage pieces that must finish
+	done      int  // storage pieces finished so far
 	needCache bool // a folded cache piece (worth d chunks) must also finish
 	cacheDone bool
-	finished  bool    // enough pieces have finished; leftovers are redundant
-	failed    bool    // too many nodes down to ever gather enough pieces
-	degraded  bool    // at least one chunk read was redirected off a down node
-	targets   []int   // node indices already fetching a chunk for this request
-	completed float64 // completion time of the slowest counted piece so far
+	completed float64 // completion time of the slowest piece so far
 }
 
 type nodeState struct {
-	queue    []*chunkJob
+	queue    []*requestState // FIFO; the head is in service when busy
 	busy     bool
-	down     bool
 	busyTime float64
 	served   int64
-}
-
-type chunkJob struct {
-	req *requestState
 }
 
 // Run executes the simulation.
@@ -252,18 +198,6 @@ func Run(cfg Config) (*Result, error) {
 	for j := range nodeStates {
 		nodeStates[j] = &nodeState{}
 	}
-	for _, fe := range cfg.Failures {
-		if fe.Node < 0 || fe.Node >= len(nodes) {
-			return nil, fmt.Errorf("sim: failure references unknown node %d", fe.Node)
-		}
-		if fe.Down < 0 || fe.Down >= cfg.Horizon {
-			continue
-		}
-		push(&event{time: fe.Down, kind: evFail, node: fe.Node})
-		if fe.Up > fe.Down && fe.Up < cfg.Horizon {
-			push(&event{time: fe.Up, kind: evRecover, node: fe.Node})
-		}
-	}
 
 	var latencies []float64
 	var writeLatencies []float64
@@ -290,31 +224,20 @@ func Run(cfg Config) (*Result, error) {
 		return s
 	}
 
-	var cancelledChunks int64
 	startService := func(now float64, j int) {
 		ns := nodeStates[j]
-		if ns.busy || ns.down {
-			return
-		}
-		// Cancellation point: queued jobs whose request already finished are
-		// dropped before ever entering service.
-		for len(ns.queue) > 0 && ns.queue[0].req.finished {
-			ns.queue = ns.queue[1:]
-			cancelledChunks++
-		}
-		if len(ns.queue) == 0 {
+		if ns.busy || len(ns.queue) == 0 {
 			return
 		}
 		ns.busy = true
 		ns.served++
 		service := nodes[j].Service.Sample(rng)
 		ns.busyTime += service
-		push(&event{time: now + service, kind: evNodeDone, node: j, req: ns.queue[0].req})
+		push(&event{time: now + service, kind: evNodeDone, node: j, req: ns.queue[0]})
 	}
 
-	// finishPiece records one completed piece. Hedged storage reads are a
-	// 1-for-1 substitute for storage pieces only: the folded cache piece
-	// stands for d whole chunks and must complete on its own.
+	// finishPiece records one completed piece: a storage chunk, or the
+	// folded cache piece that stands for all d cached chunks.
 	finishPiece := func(now float64, req *requestState, cachePiece bool) {
 		if cachePiece {
 			req.cacheDone = true
@@ -324,8 +247,7 @@ func Run(cfg Config) (*Result, error) {
 		if now > req.completed {
 			req.completed = now
 		}
-		if !req.finished && req.done >= req.required && (!req.needCache || req.cacheDone) {
-			req.finished = true
+		if req.done >= req.required && (!req.needCache || req.cacheDone) {
 			lat := req.completed - req.arrival
 			if req.arrival >= warmup {
 				if req.isWrite {
@@ -339,68 +261,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Placement of each file as node indices, for hedge and failover target
-	// selection, and for the full-stripe dispatch of writes.
-	hedging := cfg.HedgeDelay > 0 && cfg.HedgeExtra > 0
+	// Placement of each file as node indices, for the full-stripe dispatch
+	// of writes.
 	var placementIdx [][]int
-	if hedging || len(cfg.Failures) > 0 || cfg.WriteFrac > 0 {
+	if cfg.WriteFrac > 0 {
 		idx := cfg.Cluster.NodeIndex()
 		placementIdx = make([][]int, len(files))
 		for i, f := range files {
 			placementIdx[i] = make([]int, 0, len(f.Placement))
 			for _, nodeID := range f.Placement {
-				if j, ok := idx[nodeID]; ok {
-					placementIdx[i] = append(placementIdx[i], j)
-				}
-			}
-		}
-	}
-	var hedgedChunks int64
-	var degradedRequests, failedRequests, reassignedChunks int64
-
-	// failoverNode picks the least-loaded alive placement node of the file
-	// not already fetching for the request, or -1 when none remains.
-	failoverNode := func(req *requestState) int {
-		targeted := make(map[int]bool, len(req.targets))
-		for _, j := range req.targets {
-			targeted[j] = true
-		}
-		best := -1
-		for _, j := range placementIdx[req.file] {
-			if targeted[j] || nodeStates[j].down {
-				continue
-			}
-			if best < 0 || len(nodeStates[j].queue) < len(nodeStates[best].queue) {
-				best = j
-			}
-		}
-		return best
-	}
-
-	// markDegraded flags a request whose chunk job was redirected off a
-	// down node; markFailed abandons one that can no longer gather enough
-	// pieces (its leftover jobs cancel at the service points). Reads and
-	// writes are accounted separately so the degraded-read metric stays a
-	// read metric under mixed workloads.
-	var degradedWrites, failedWrites int64
-	markDegraded := func(req *requestState) {
-		if !req.degraded {
-			req.degraded = true
-			if req.isWrite {
-				degradedWrites++
-			} else {
-				degradedRequests++
-			}
-		}
-	}
-	markFailed := func(req *requestState) {
-		if !req.finished {
-			req.finished = true
-			req.failed = true
-			if req.isWrite {
-				failedWrites++
-			} else {
-				failedRequests++
+				placementIdx[i] = append(placementIdx[i], idx[nodeID])
 			}
 		}
 	}
@@ -412,26 +282,14 @@ func Run(cfg Config) (*Result, error) {
 		switch ev.kind {
 		case evArrival:
 			if cfg.WriteFrac > 0 && rng.Float64() < cfg.WriteFrac {
-				// Write: dispatch the full n-chunk stripe to the file's alive
+				// Write: dispatch the full n-chunk stripe to the file's
 				// placement nodes; fork-join over all of them, no cache piece.
-				targets := make([]int, 0, len(placementIdx[ev.file]))
-				for _, j := range placementIdx[ev.file] {
-					if !nodeStates[j].down {
-						targets = append(targets, j)
-					}
-				}
+				targets := placementIdx[ev.file]
 				writeRequests++
-				req := &requestState{file: ev.file, arrival: now, isWrite: true, required: len(targets), targets: targets}
-				if len(targets) == 0 {
-					markFailed(req)
-					break
-				}
-				if len(targets) < len(placementIdx[ev.file]) {
-					markDegraded(req)
-				}
+				req := &requestState{file: ev.file, arrival: now, isWrite: true, required: len(targets)}
 				writtenChunks += int64(len(targets))
 				for _, j := range targets {
-					nodeStates[j].queue = append(nodeStates[j].queue, &chunkJob{req: req})
+					nodeStates[j].queue = append(nodeStates[j].queue, req)
 					startService(now, j)
 				}
 				break
@@ -454,11 +312,9 @@ func Run(cfg Config) (*Result, error) {
 			req := &requestState{
 				file: ev.file, arrival: now,
 				required: len(targets), needCache: cached > 0 && len(targets) > 0,
-				targets: targets,
 			}
 			if len(targets) == 0 {
 				// Entire file served from cache instantaneously.
-				req.finished = true
 				if now >= warmup {
 					latencies = append(latencies, cfg.CacheLatency)
 					perFileSum[ev.file] += cfg.CacheLatency
@@ -480,115 +336,18 @@ func Run(cfg Config) (*Result, error) {
 			if s := slotOf(now); s >= 0 {
 				slots[s].StorageChunks += int64(len(targets))
 			}
-			// Scheduler draws landing on a down node are redirected to an
-			// alive placement alternate; when none remains the request can
-			// never gather k chunks and is abandoned.
-			if len(cfg.Failures) > 0 {
-				for i, j := range req.targets {
-					if !nodeStates[j].down {
-						continue
-					}
-					alt := failoverNode(req)
-					if alt < 0 {
-						markFailed(req)
-						break
-					}
-					req.targets[i] = alt
-					reassignedChunks++
-					markDegraded(req)
-				}
-			}
-			if req.failed {
-				break
-			}
-			for _, j := range req.targets {
-				nodeStates[j].queue = append(nodeStates[j].queue, &chunkJob{req: req})
+			for _, j := range targets {
+				nodeStates[j].queue = append(nodeStates[j].queue, req)
 				startService(now, j)
 			}
-			if hedging && len(req.targets) > 0 {
-				push(&event{time: now + cfg.HedgeDelay, kind: evHedge, file: ev.file, req: req})
-			}
-		case evHedge:
-			req := ev.req
-			if req.finished || req.done >= req.required {
-				// Done, or only the cache piece is outstanding — an extra
-				// storage read could not complete the request.
-				break
-			}
-			// Launch up to HedgeExtra redundant chunk reads on the
-			// least-loaded placement nodes not already fetching for this
-			// request.
-			targeted := make(map[int]bool, len(req.targets))
-			for _, j := range req.targets {
-				targeted[j] = true
-			}
-			extra := make([]int, 0, len(placementIdx[ev.file]))
-			for _, j := range placementIdx[ev.file] {
-				if !targeted[j] && !nodeStates[j].down {
-					extra = append(extra, j)
-				}
-			}
-			sort.Slice(extra, func(a, b int) bool {
-				qa, qb := len(nodeStates[extra[a]].queue), len(nodeStates[extra[b]].queue)
-				if qa != qb {
-					return qa < qb
-				}
-				return extra[a] < extra[b]
-			})
-			if len(extra) > cfg.HedgeExtra {
-				extra = extra[:cfg.HedgeExtra]
-			}
-			for _, j := range extra {
-				req.targets = append(req.targets, j)
-				hedgedChunks++
-				nodeStates[j].queue = append(nodeStates[j].queue, &chunkJob{req: req})
-				startService(now, j)
-			}
-		case evFail:
-			ns := nodeStates[ev.node]
-			ns.down = true
-			// The job in service (if any) completes — its data was already in
-			// flight. Everything still queued fails over to alive placement
-			// alternates, or abandons its request when none remains.
-			waiting := ns.queue
-			if ns.busy {
-				waiting = waiting[1:]
-				ns.queue = ns.queue[:1:1]
-			} else {
-				ns.queue = nil
-			}
-			for _, job := range waiting {
-				if job.req.finished {
-					cancelledChunks++
-					continue
-				}
-				alt := failoverNode(job.req)
-				if alt < 0 {
-					markFailed(job.req)
-					continue
-				}
-				for i, j := range job.req.targets {
-					if j == ev.node {
-						job.req.targets[i] = alt
-						break
-					}
-				}
-				reassignedChunks++
-				markDegraded(job.req)
-				nodeStates[alt].queue = append(nodeStates[alt].queue, job)
-				startService(now, alt)
-			}
-		case evRecover:
-			nodeStates[ev.node].down = false
-			startService(now, ev.node)
 		case evNodeDone:
 			if ev.node >= 0 {
 				ns := nodeStates[ev.node]
 				// Pop the job at the head of the FIFO queue.
-				job := ns.queue[0]
+				req := ns.queue[0]
 				ns.queue = ns.queue[1:]
 				ns.busy = false
-				finishPiece(now, job.req, false)
+				finishPiece(now, req, false)
 				startService(now, ev.node)
 			} else {
 				// Cache read completion.
@@ -598,23 +357,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Requests:         requests,
-		Completed:        len(latencies),
-		PerFileLatency:   make([]float64, len(files)),
-		NodeUtilization:  make([]float64, len(nodes)),
-		NodeChunks:       make([]int64, len(nodes)),
-		CacheChunks:      cacheChunks,
-		StorageChunks:    storageChunks,
-		HedgedChunks:     hedgedChunks,
-		CancelledChunks:  cancelledChunks,
-		DegradedRequests: degradedRequests,
-		FailedRequests:   failedRequests,
-		ReassignedChunks: reassignedChunks,
-		WriteRequests:    writeRequests,
-		WrittenChunks:    writtenChunks,
-		DegradedWrites:   degradedWrites,
-		FailedWrites:     failedWrites,
-		Slots:            slots,
+		Requests:        requests,
+		Completed:       len(latencies),
+		PerFileLatency:  make([]float64, len(files)),
+		NodeUtilization: make([]float64, len(nodes)),
+		NodeChunks:      make([]int64, len(nodes)),
+		CacheChunks:     cacheChunks,
+		StorageChunks:   storageChunks,
+		WriteRequests:   writeRequests,
+		WrittenChunks:   writtenChunks,
+		Slots:           slots,
 	}
 	for i := range files {
 		if perFileCount[i] > 0 {

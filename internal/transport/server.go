@@ -57,12 +57,6 @@ type ServerConfig struct {
 	// and CommitObject cannot leak staged chunks forever. Zero disables the
 	// janitor (default).
 	StagedPutTTL time.Duration
-	// Tick, when set, is a shared scheduler the staged-put janitor runs on
-	// instead of the server owning a goroutine for it — one process-wide
-	// timer batches every subsystem's periodic work. The caller owns the
-	// scheduler's lifetime; Close only unregisters the job. Nil means the
-	// server owns a private scheduler when StagedPutTTL is set.
-	Tick *tick.Scheduler
 	// Chaos, when set, injects per-OSD latency, errors, stalls, and
 	// partitions into chunk-addressed requests, and optionally hangs newly
 	// accepted connections — the fault-injection harness behind the chaos
@@ -106,11 +100,7 @@ type Server struct {
 	work   *wfq.Sched[task]
 
 	// sched runs the staged-put janitor; nil when StagedPutTTL is unset.
-	// ownSched records whether Close must stop it (private) or only
-	// unregister janitorJob (shared via ServerConfig.Tick).
-	sched      *tick.Scheduler
-	ownSched   bool
-	janitorJob *tick.Job
+	sched *tick.Scheduler
 
 	counters transportCounters
 
@@ -463,11 +453,7 @@ func (s *Server) Close() error {
 	}
 	s.workerWG.Wait()
 	if s.sched != nil {
-		if s.ownSched {
-			s.sched.Close()
-		} else {
-			s.sched.Unregister(s.janitorJob)
-		}
+		s.sched.Close()
 	}
 	return err
 }
@@ -628,19 +614,14 @@ func isDisconnect(err error) bool {
 // startStagedJanitor registers the periodic staged-put sweep: staged puts
 // that outlived StagedPutTTL are aborted in every pool — a client that died
 // between BeginPut and CommitObject must not leak staged chunks on the OSDs
-// forever. The sweep runs on the shared scheduler when one was injected,
-// otherwise on a private one the server owns.
+// forever. The sweep runs on a private scheduler the server owns.
 func (s *Server) startStagedJanitor() {
 	interval := s.cfg.StagedPutTTL / 2
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	s.sched = s.cfg.Tick
-	if s.sched == nil {
-		s.sched = tick.New()
-		s.ownSched = true
-	}
-	s.janitorJob = s.sched.Register(interval, func(time.Time) {
+	s.sched = tick.New()
+	s.sched.Register(interval, func(time.Time) {
 		for _, name := range s.cluster.PoolNames() {
 			pool, err := s.cluster.Pool(name)
 			if err != nil {

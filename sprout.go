@@ -212,14 +212,11 @@ var (
 	// must count against breakers and retry budgets, never against
 	// membership.
 	ErrOverload = resilience.ErrOverload
-	// ErrTenantThrottled is returned by Controller.Read when the calling
-	// tenant is over its configured rate limit. It unwraps to ErrOverload.
-	ErrTenantThrottled = core.ErrTenantThrottled
 )
 
 // WithTenant returns a context carrying the tenant name; Controller.Read
-// resolves it against ServeOptions.Tenants for rate limiting, SLO-ordered
-// shedding, priority hedging, and per-tenant accounting.
+// resolves it against ServeOptions.Tenants for SLO-ordered shedding, priority
+// hedging, and per-tenant accounting.
 func WithTenant(ctx context.Context, name string) context.Context {
 	return core.WithTenant(ctx, name)
 }
@@ -231,7 +228,7 @@ func TenantFrom(ctx context.Context) string { return core.TenantFrom(ctx) }
 func IsOverload(err error) bool { return resilience.IsOverload(err) }
 
 // NewBreakerSet builds a per-target circuit breaker set for
-// ServeOptions.Breakers or RepairConfig.Breakers.
+// ServeOptions.Breakers.
 func NewBreakerSet(cfg BreakerConfig) *BreakerSet { return resilience.NewBreakerSet(cfg) }
 
 // NewMetricsRegistry bridges the given planes into a metric registry; serve
