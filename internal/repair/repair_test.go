@@ -89,6 +89,29 @@ func TestQueuePriorityAndDedup(t *testing.T) {
 	}
 }
 
+// TestQueueTenantWeightTieBreak pins the order among chunks of different
+// tenants: no tenant weight reorders the queue, so equally exposed chunks
+// repair in arrival order whoever owns them, and fewer survivors beats
+// arrival order — durability alone decides.
+func TestQueueTenantWeightTieBreak(t *testing.T) {
+	q := newRepairQueue(1)
+	q.push("bronze-1", 0, 3, 0)
+	q.push("gold-1", 0, 3, 0)
+	q.push("silver-1", 0, 3, 0)
+	q.push("bronze-exposed", 0, 2, 0) // fewer survivors goes first
+	q.push("gold-2", 1, 3, 0)
+
+	want := []string{"bronze-exposed", "bronze-1", "gold-1", "silver-1", "gold-2"}
+	for i, name := range want {
+		it := q.pop()
+		if it == nil || it.object != name {
+			t.Fatalf("pop %d = %+v, want %q", i, it, name)
+		}
+		q.done(it.object, it.chunk)
+	}
+	q.close()
+}
+
 func TestRepairRestoresRedundancy(t *testing.T) {
 	c, pool, payloads := repairTestPool(t, 12)
 	ctx := context.Background()

@@ -263,6 +263,52 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	}
 }
 
+// TestHedgingDisabledMatchesSeedBehaviour pins that the simulator, which
+// launches no hedged chunks, reproduces itself for a fixed seed on a (3,2)
+// placement with one slow node: the same requests, latencies and per-node
+// chunk counts on every run.
+func TestHedgingDisabledMatchesSeedBehaviour(t *testing.T) {
+	cfg := Config{
+		Cluster: &cluster.Cluster{
+			Nodes: []cluster.Node{
+				{ID: 0, Name: "slow", Service: queue.NewExponential(0.05)}, // mean 20s
+				{ID: 1, Name: "n1", Service: queue.NewExponential(10)},
+				{ID: 2, Name: "n2", Service: queue.NewExponential(10)},
+				{ID: 3, Name: "n3", Service: queue.NewExponential(10)},
+			},
+			Files: []cluster.File{{
+				ID: 0, Name: "f0", SizeBytes: 100, K: 2, N: 3,
+				Placement: []int{0, 1, 2}, Lambda: 0.02,
+			}},
+		},
+		Pi:      [][]float64{{0.4, 0.8, 0.8, 0}},
+		Horizon: 5000,
+		Seed:    3,
+	}
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Requests == 0 {
+		t.Fatal("no requests simulated")
+	}
+	if a.MeanLatency != b.MeanLatency || a.Requests != b.Requests || a.P99Latency != b.P99Latency {
+		t.Fatal("simulation must be deterministic for a fixed seed")
+	}
+	for i := range a.NodeChunks {
+		if a.NodeChunks[i] != b.NodeChunks[i] {
+			t.Fatalf("node %d served %d then %d chunks for the same seed", i, a.NodeChunks[i], b.NodeChunks[i])
+		}
+	}
+	if a.NodeChunks[3] != 0 {
+		t.Fatalf("node 3 is outside the placement but served %d chunks", a.NodeChunks[3])
+	}
+}
+
 // TestRequestWaitsForCachePiece pins the fork-join over the folded cache
 // piece: one cached chunk (d=1) plus one storage read (k-d=1) per request,
 // with a cache latency far above the storage service time. The storage read
