@@ -184,3 +184,73 @@ func (f *mixedOrderFetcher) StartFetches(ctx context.Context, fileID int, refs [
 		}
 	}()
 }
+
+// TestHedgeLoserBufferNeverReused: a fetcher that receives chunks into
+// FetchRef.Buf answers one fetch of each of the first reads 20 ms late, after
+// a hedge has completed the read. The loser still writes into its slot's
+// buffer when it lands, so the scratch it belongs to must never serve another
+// read: the reads after it, on the same goroutine, return the right bytes
+// while the losers land and after.
+func TestHedgeLoserBufferNeverReused(t *testing.T) {
+	ctx := context.Background()
+	ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3,
+		ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 1})
+	const hedgedReads = 3
+	f := &receivingFetcher{fakeStore: store}
+	f.held.Store(hedgedReads)
+	for i := 0; i < hedgedReads; i++ {
+		if _, err := ctrl.Read(ctx, 0, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, after := 0, 0; n < 200 || after < 20; n++ {
+		if f.landed.Load() == hedgedReads {
+			after++
+		}
+		got, err := ctrl.Read(ctx, 0, f)
+		if err != nil {
+			t.Fatalf("read %d: %v", n, err)
+		}
+		if !bytes.Equal(got, store.data[0]) {
+			t.Fatalf("read %d returned wrong data", n)
+		}
+	}
+	f.wg.Wait()
+	if ctrl.Stats().HedgeWins < hedgedReads {
+		t.Fatalf("%d hedge wins, want at least %d: the late fetches did not lose", ctrl.Stats().HedgeWins, hedgedReads)
+	}
+	waitNodesIdle(t, ctrl)
+}
+
+// receivingFetcher receives each chunk into its ref's Buf, as the transport
+// does, and completes it inside StartFetches — except, while held is
+// positive, the first fetch of a read's initial batch (a hedge leaves alone),
+// which it completes 20 ms later from a goroutine of its own.
+type receivingFetcher struct {
+	*fakeStore
+	held, landed atomic.Int32
+	wg           sync.WaitGroup
+}
+
+func (f *receivingFetcher) StartFetches(ctx context.Context, fileID int, refs []FetchRef) {
+	for i, ref := range refs {
+		complete := func() {
+			data, err := f.FetchChunk(ctx, fileID, ref.ChunkIndex, ref.NodeID)
+			if err == nil && cap(ref.Buf) >= len(data) {
+				data = append(ref.Buf[:0], data...)
+			}
+			ref.Sink.FetchDone(data, StripeInfo{}, err)
+		}
+		if i == 0 && len(refs) > 1 && f.held.Add(-1) >= 0 {
+			f.wg.Add(1)
+			go func() {
+				defer f.wg.Done()
+				time.Sleep(20 * time.Millisecond)
+				complete()
+				f.landed.Add(1)
+			}()
+			continue
+		}
+		complete()
+	}
+}

@@ -103,12 +103,14 @@ type FetchSink interface {
 
 // FetchRef is one fetch of a StartFetches batch: a coded chunk, the node
 // holding it, the payload size the caller expects (⌈file size/k⌉; 0 when it
-// does not know), and the sink its outcome is delivered to.
+// does not know), the sink its outcome is delivered to, and Buf, memory the
+// chunk may be received into (see AsyncChunkFetcher).
 type FetchRef struct {
 	ChunkIndex int
 	NodeID     int
 	Size       int
 	Sink       FetchSink
+	Buf        []byte
 }
 
 // AsyncChunkFetcher is implemented by fetchers that can send a read's chunk
@@ -137,6 +139,18 @@ type FetchRef struct {
 //     which must therefore outlive the read. Only ctx's deadline is used.
 //   - The payload follows the same rule as ChunkFetcher's: it may be memory
 //     shared with the store, so the controller only reads it.
+//   - Buf is a hint any fetcher may ignore: one that receives chunks into
+//     memory of its own (the transport) may receive an n-byte chunk into
+//     Buf[:n] when cap(Buf) ≥ n and deliver that; a longer one leaves Buf
+//     untouched. Buf is the read's (one per fetch slot of its scratch), so
+//     the fetcher writes to it only while the fetch is its alone to complete:
+//     taken out of whatever else could complete it (a deadline sweep, a
+//     failing connection) before the first byte lands, and completed exactly
+//     once, as a failed connection's pending fetches are, if the receive
+//     breaks off. The read hands a Buf to no other fetch before this one's
+//     sink is called and abandons a scratch it leaves with fetches
+//     outstanding, so a hedge loser writes only into memory no later read
+//     uses. Whatever outlives the read — fills, prefetch — copies the payload.
 type AsyncChunkFetcher interface {
 	ChunkFetcher
 	StartFetches(ctx context.Context, fileID int, refs []FetchRef)

@@ -427,7 +427,7 @@ func (c *Controller) fetchChunks(ctx context.Context, sc *readScratch, fetcher C
 func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher ChunkFetcher, fileID int, healthy, need, level int) (int, error) {
 	cands := sc.cands
 	if cap(sc.slots) < len(cands) {
-		sc.slots = make([]fetchSlot, len(cands))
+		sc.slots, sc.bufs = make([]fetchSlot, len(cands)), make([][]byte, len(cands))
 	}
 	slots := sc.slots[:len(cands)]
 	if cap(sc.results) < len(cands) {
@@ -448,8 +448,8 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 		c.stats.hedgesSuppressed.Add(1)
 		hedging = false
 	}
-	async, ok := fetcher.(AsyncChunkFetcher)
-	if !ok {
+	async, native := fetcher.(AsyncChunkFetcher)
+	if !native {
 		sc.blocking.bind(ctx, &c.workers, fetcher, hedging)
 		defer sc.blocking.release()
 		async = &sc.blocking
@@ -467,7 +467,14 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 		slot := &slots[i]
 		*slot = fetchSlot{ctrl: c, sc: sc, idx: int32(i), hedged: hedged, cand: cands[i], start: now}
 		c.nodeInFlight[slot.cand.node].Add(1)
-		sc.refs = append(sc.refs, FetchRef{ChunkIndex: slot.cand.chunkIndex, NodeID: slot.cand.nodeID, Size: chunkSize, Sink: slot})
+		ref := FetchRef{ChunkIndex: slot.cand.chunkIndex, NodeID: slot.cand.nodeID, Size: chunkSize, Sink: slot}
+		if native { // the blocking adapter's fetches would never use Buf
+			if cap(sc.bufs[i]) < chunkSize {
+				sc.bufs[i] = make([]byte, chunkSize)
+			}
+			ref.Buf = sc.bufs[i]
+		}
+		sc.refs = append(sc.refs, ref)
 	}
 	// start hands the launches gathered since the last call to the fetcher.
 	start := func() {

@@ -30,18 +30,22 @@ type readScratch struct {
 	dec erasure.DecodeScratch
 
 	// slots carries the in-flight fetch fan-out; slot i is owned by the
-	// fetcher from launch until its index appears on results. results is
-	// buffered to at least len(cands), so a straggler's send never blocks even
-	// after the read abandoned the scratch. refs gathers the launches of one
-	// point for the fetcher's StartFetches. blocking is that fetcher when the
-	// caller's only has the blocking FetchChunk, bound for one fan-out.
+	// fetcher from launch until its index appears on results. bufs[i] is the
+	// chunk-sized buffer slot i hands an asynchronous fetcher as FetchRef.Buf;
+	// it outlives the slot's reset, so a warm read's fetched chunks land in
+	// memory the scratch already has. results is buffered to at least
+	// len(cands), so a straggler's send never blocks even after the read
+	// abandoned the scratch. refs gathers the launches of one point for the
+	// fetcher's StartFetches. blocking is that fetcher when the caller's only
+	// has the blocking FetchChunk, bound for one fan-out.
 	slots    []fetchSlot
+	bufs     [][]byte
 	results  chan int32
 	refs     []FetchRef
 	blocking blockingFetches
 	// outstanding counts fetches launched but not yet received by the last
-	// parallel fan-out. Non-zero at release time means a straggler may
-	// still write into slots — the scratch is abandoned to the GC instead
+	// parallel fan-out. Non-zero at release time means a straggler may still
+	// write into slots or bufs — the scratch is abandoned to the GC instead
 	// of recycled (see putReadScratch).
 	outstanding int
 }
@@ -64,11 +68,11 @@ func getReadScratch() *readScratch {
 }
 
 // putReadScratch returns a scratch to the pool — unless the last fan-out
-// left fetches outstanding, in which case a straggler's completion may still
-// write into sc.slots and send on sc.results; recycling it would hand
-// those writes to an unrelated request, so the scratch is abandoned
-// (Forget balances the leak counter; the GC reclaims it once the last
-// straggler finishes).
+// left fetches outstanding, in which case a straggler may still receive its
+// chunk into sc.bufs, write into sc.slots and send on sc.results; recycling
+// it would hand those writes to an unrelated request, so the scratch is
+// abandoned (Forget balances the leak counter; the GC reclaims it once the
+// last straggler finishes).
 func putReadScratch(sc *readScratch) {
 	if sc.outstanding > 0 {
 		readScratchPool.Forget()

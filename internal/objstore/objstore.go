@@ -22,7 +22,10 @@
 // same rule continues upwards through core.DataChunkWriter and the
 // functional cache, so a chunk is copied only where bytes change shape:
 // erasure.Split on the way in, DecodeInto on the way out, and the kernel's
-// socket copies in between.
+// socket copies in between. Across the network the reader's copy is its own
+// memory: the transport client receives a fetched chunk into the buffer the
+// controller's read brought for it (core.FetchRef.Buf), which the read reuses
+// once it has decoded. No stored chunk is ever recycled.
 package objstore
 
 import (
@@ -39,7 +42,6 @@ import (
 
 	"sprout/internal/erasure"
 	"sprout/internal/queue"
-	"sprout/internal/resilience"
 )
 
 // Common errors.
@@ -85,9 +87,10 @@ type OSD struct {
 	svcMu  sync.Mutex
 	dataMu sync.Mutex
 	chunks map[string][]byte // key: object/pool/chunk identifier
-	// busyUntil is when the last service ends on the OSD's timeline; guarded
-	// by svcMu.
+	// busyUntil is when the last service ends on the OSD's timeline, and
+	// timer what every service sleeps on; both guarded by svcMu.
 	busyUntil time.Time
+	timer     *time.Timer
 
 	service queue.Dist // service time for a reference-sized chunk (seconds)
 	refSize int64      // reference chunk size in bytes for scaling
@@ -125,16 +128,30 @@ func (o *OSD) sampleService(size int64) time.Duration {
 }
 
 // serve places one service of the given length on the OSD's timeline for a
-// request that arrived at arrival, and sleeps until it ends. A cancelled
-// service ends the timeline now, freeing the OSD for the next request. Must
-// be called with svcMu held.
+// request that arrived at arrival, and sleeps until it ends on the OSD's one
+// timer. A cancelled service ends the timeline now, freeing the OSD for the
+// next request. Must be called with svcMu held.
 func (o *OSD) serve(ctx context.Context, arrival time.Time, delay time.Duration) error {
 	start := arrival
 	if o.busyUntil.After(start) {
 		start = o.busyUntil
 	}
 	end := start.Add(delay)
-	if err := resilience.Sleep(ctx, time.Until(end)); err != nil {
+	if d := time.Until(end); d > 0 {
+		if o.timer == nil {
+			o.timer = time.NewTimer(d)
+		} else {
+			o.timer.Reset(d)
+		}
+		select {
+		case <-ctx.Done():
+			o.timer.Stop()
+		case <-o.timer.C:
+			o.busyUntil = end
+			return nil
+		}
+	}
+	if err := ctx.Err(); err != nil {
 		o.busyUntil = time.Now()
 		return err
 	}
@@ -170,6 +187,12 @@ func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
 // slice is the stored chunk itself — shared, read-only memory (see the
 // package's chunk-ownership rule).
 func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
+	return o.getChunk(ctx, []byte(key))
+}
+
+// getChunk is GetChunk for a key in a buffer of the caller's, which it does
+// not keep.
+func (o *OSD) getChunk(ctx context.Context, key []byte) ([]byte, error) {
 	if o.State() == StateDown {
 		return nil, o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
 	}
@@ -177,10 +200,10 @@ func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
 	o.svcMu.Lock()
 	defer o.svcMu.Unlock()
 	o.dataMu.Lock()
-	data, ok := o.chunks[key]
+	data, ok := o.chunks[string(key)]
 	o.dataMu.Unlock()
 	if !ok {
-		return nil, o.observe(fmt.Errorf("%w: %s on osd %d", ErrChunkMissing, key, o.ID))
+		return nil, o.observe(fmt.Errorf("%w: %s on osd %d", ErrChunkMissing, string(key), o.ID))
 	}
 	delay := o.sampleService(int64(len(data)))
 	if err := o.serve(ctx, arrival, delay); err != nil {
@@ -386,15 +409,30 @@ func (p *Pool) placementGroup(object string) int {
 // never collides with the committed stripe and a reader holding a version
 // can never assemble chunks from two different puts.
 func (p *Pool) chunkKey(object string, version uint64, chunk int) string {
-	return p.Name + "/" + object + "/v" + strconv.FormatUint(version, 10) + "/" + strconv.Itoa(chunk)
+	var b [64]byte
+	return string(p.appendChunkKey(b[:0], object, version, chunk))
+}
+
+// appendChunkKey appends the chunk's key to dst, so that a caller with a
+// buffer on its stack names a chunk without allocating.
+func (p *Pool) appendChunkKey(dst []byte, object string, version uint64, chunk int) []byte {
+	dst = append(append(append(dst, p.Name...), '/'), object...)
+	dst = strconv.AppendUint(append(dst, "/v"...), version, 10)
+	return strconv.AppendInt(append(dst, '/'), int64(chunk), 10)
 }
 
 // osdForChunk resolves the OSD currently hosting a chunk of the given stripe
 // version: an override (recorded by repair or by a staged write that dodged
 // a Down OSD) if one exists, the CRUSH position otherwise.
 func (p *Pool) osdForChunk(pg int, object string, version uint64, chunk int) *OSD {
+	var b [64]byte
+	return p.osdForKey(pg, p.appendChunkKey(b[:0], object, version, chunk), chunk)
+}
+
+// osdForKey is osdForChunk for the chunk whose key is key.
+func (p *Pool) osdForKey(pg int, key []byte, chunk int) *OSD {
 	p.mu.RLock()
-	osd, ok := p.overrides[p.chunkKey(object, version, chunk)]
+	osd, ok := p.overrides[string(key)]
 	p.mu.RUnlock()
 	if ok {
 		return osd
@@ -533,7 +571,9 @@ func (p *Pool) GetChunkV(ctx context.Context, object string, chunk int) ([]byte,
 			p.unpin(object, meta.version)
 			return nil, 0, 0, fmt.Errorf("%w: chunk %d", ErrChunkMissing, chunk)
 		}
-		data, err := p.osdForChunk(meta.pg, object, meta.version, chunk).GetChunk(ctx, p.chunkKey(object, meta.version, chunk))
+		var b [64]byte
+		key := p.appendChunkKey(b[:0], object, meta.version, chunk)
+		data, err := p.osdForKey(meta.pg, key, chunk).getChunk(ctx, key)
 		p.unpin(object, meta.version)
 		if err == nil {
 			return data, meta.version, meta.size, nil

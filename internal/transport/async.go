@@ -188,15 +188,17 @@ func (c *Client) sweepLoop() {
 }
 
 // errPeerStalled fails a connection whose peer stopped reading while a write
-// was in progress; it is retried over another connection like any
-// broken one.
-var errPeerStalled = fmt.Errorf("%w: peer stopped reading", errConnBroken)
+// was in progress, or stopped writing in the middle of a fetch's data field;
+// it is retried over another connection like any broken one.
+var errPeerStalled = fmt.Errorf("%w: peer stalled", errConnBroken)
 
 // sweep completes the connection's asynchronous fetches whose deadline has
-// passed with context.DeadlineExceeded, and fails the connection if a write
-// has been stuck past its own. expired is scratch, returned emptied.
+// passed with context.DeadlineExceeded, and fails the connection if a write,
+// or the read of a fetch's data field, has been stuck past its own. expired
+// is scratch, returned emptied.
 func (cc *clientConn) sweep(now int64, expired []waiter) []waiter {
-	if by := cc.writeBy.Load(); by != 0 && now >= by {
+	w, r := cc.writeBy.Load(), cc.readBy.Load()
+	if (w != 0 && now >= w) || (r != 0 && now >= r) {
 		cc.fail(errPeerStalled)
 		return expired
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"runtime"
@@ -128,7 +129,7 @@ func answering(t *testing.T, conn net.Conn, answer func(req Request) (Response, 
 		if err != nil {
 			return
 		}
-		req, err := decodeRequest(payload)
+		req, err := decodeRequest(payload, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -803,4 +804,122 @@ func TestHedgeLoserCountsUntilResponse(t *testing.T) {
 	if !waitFor(5*time.Second, func() bool { return ctrl.NodeInFlight()[slow] == 0 }) {
 		t.Fatalf("in-flight count of the slow OSD never returned to zero: %v", ctrl.NodeInFlight())
 	}
+}
+
+// TestReceiveIntoOwnership pins the rules under which the read loop receives
+// a fetch's chunk into the buffer the fetch brought (core.FetchRef.Buf): it
+// writes there only while the fetch is its alone to complete, a receive that
+// breaks off still completes the fetch exactly once, and a chunk the buffer
+// cannot hold gets a buffer of its own.
+func TestReceiveIntoOwnership(t *testing.T) {
+	// startInto starts one fetch of chunk 0 into buf and returns its sink.
+	startInto := func(ctx context.Context, f *RemoteFetcher, buf []byte) *testSink {
+		sink := &testSink{t: t, done: make(chan fetchOutcome, 1)}
+		f.StartFetches(ctx, 1, []core.FetchRef{{ChunkIndex: 0, Sink: sink, Buf: buf}})
+		return sink
+	}
+	// stalling serves its first connection's first request with the frame's
+	// header and the first byte of a 1000-byte chunk of 0x5a, then waits for
+	// rest: true writes the remainder, false (or the test's end) hangs up.
+	// Everything else is answered at once with the same chunk.
+	chunk := filled(1000, 0x5a)
+	stalling := func(t *testing.T, rest chan bool) string {
+		defer t.Cleanup(func() { close(rest) })
+		return scriptedServer(t, func(i int, conn net.Conn) {
+			first := i == 0
+			answering(t, conn, func(req Request) (Response, bool) {
+				if !first {
+					return Response{Data: chunk}, true
+				}
+				first = false
+				frame := appendResponse(nil, &Response{ID: req.ID, Data: chunk})
+				cut := len(frame) - len(chunk) + 1
+				if _, err := conn.Write(frame[:cut]); err != nil {
+					return Response{}, false
+				}
+				if <-rest {
+					_, _ = conn.Write(frame[cut:])
+				} else {
+					_ = conn.Close()
+				}
+				return Response{}, false
+			})
+		})
+	}
+
+	t.Run("expired fetch never lands in its buffer", func(t *testing.T) {
+		rest := make(chan bool, 1)
+		client, err := DialConfig(stalling(t, rest), ClientConfig{Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		f := &RemoteFetcher{Client: client, Pool: "ec"}
+		buf := filled(4096, 0xab)
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		got := await(t, []*testSink{startInto(ctx, f, buf)}, 5*time.Second)[0]
+		if !errors.Is(got.err, context.DeadlineExceeded) {
+			t.Fatalf("the stalled fetch completed with %v, want context.DeadlineExceeded", got.err)
+		}
+		sum := crc32.ChecksumIEEE(buf)
+		// The rest of the response arrives after the fetch expired; a fetch
+		// behind it, on whichever connection, completes after it was read.
+		rest <- true
+		next := await(t, []*testSink{startInto(context.Background(), f, nil)}, 5*time.Second)[0]
+		if next.err != nil || !bytes.Equal(next.data, chunk) {
+			t.Fatalf("the fetch after it: %d bytes, %v", len(next.data), next.err)
+		}
+		if crc32.ChecksumIEEE(buf) != sum {
+			t.Fatal("a response written after its fetch expired landed in the fetch's buffer")
+		}
+	})
+
+	t.Run("a receive cut midway completes once through the fallback", func(t *testing.T) {
+		rest := make(chan bool, 1)
+		rest <- false
+		client, err := DialConfig(stalling(t, rest), ClientConfig{Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		f := &RemoteFetcher{Client: client, Pool: "ec"}
+		got := await(t, []*testSink{startInto(context.Background(), f, make([]byte, 4096))}, 5*time.Second)[0]
+		if got.err != nil || !bytes.Equal(got.data, chunk) {
+			t.Fatalf("got %d bytes, %v; want the chunk", len(got.data), got.err)
+		}
+		if st := client.Stats(); st.AsyncFallbacks != 1 {
+			t.Fatalf("%d fallbacks, want the cut fetch's one", st.AsyncFallbacks)
+		}
+	})
+
+	t.Run("a chunk longer than the buffer gets its own", func(t *testing.T) {
+		addr := scriptedServer(t, func(_ int, conn net.Conn) {
+			answering(t, conn, func(req Request) (Response, bool) {
+				return Response{Data: filled(1000*(req.Chunk+1), byte(req.Chunk+1))}, true
+			})
+		})
+		client, err := DialConfig(addr, ClientConfig{Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		f := &RemoteFetcher{Client: client, Pool: "ec"}
+		fits, short := filled(1000, 0xab), filled(1500, 0xab)
+		sinks := []*testSink{{t: t, done: make(chan fetchOutcome, 1)}, {t: t, done: make(chan fetchOutcome, 1)}}
+		f.StartFetches(context.Background(), 1, []core.FetchRef{
+			{ChunkIndex: 0, Sink: sinks[0], Buf: fits},
+			{ChunkIndex: 1, Sink: sinks[1], Buf: short},
+		})
+		got := await(t, sinks, 5*time.Second)
+		if got[0].err != nil || !bytes.Equal(got[0].data, filled(1000, 1)) || &got[0].data[0] != &fits[0] {
+			t.Fatalf("the chunk that fits: %v; want it received into its buffer", got[0].err)
+		}
+		if got[1].err != nil || !bytes.Equal(got[1].data, filled(2000, 2)) {
+			t.Fatalf("the longer chunk: %d bytes, %v", len(got[1].data), got[1].err)
+		}
+		if !allBytes(short, 0xab) {
+			t.Fatal("a chunk longer than its buffer was written into it")
+		}
+	})
 }

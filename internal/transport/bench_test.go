@@ -180,12 +180,16 @@ func BenchmarkTransportChunk256K(b *testing.B) {
 }
 
 // remoteReadAllocBound is what one uncached 16 KiB read over the transport
-// may allocate, server side included, a few above the measured 41: the four
-// response frames and chunk payloads, the server's request decode, the wfq
-// hand-off. The blocking fetch path this benchmark ran before chunk fetches
-// became completions measured 72; a channel, queued request, context or
-// timer per fetch creeping back in adds four or more.
-const remoteReadAllocBound = 46
+// may allocate, server side included. Measured: 1, the object's name, which
+// the server decodes once per run of requests to one object and the
+// benchmark's reads alternate objects. Everything else of the four chunk
+// fetches allocates nothing once warm: each chunk lands in its fetch slot's
+// buffer, request frames are read into the connection's scratch, responses
+// are queued by value, the chunk key is built on the stack and an OSD sleeps
+// on its own timer. Before that it measured 40, and the blocking fetch path
+// 72. A buffer, string, channel, context or timer per fetch creeping back in
+// adds four.
+const remoteReadAllocBound = 4
 
 // BenchmarkTransportRemoteRead is one reader's whole read over the network
 // data plane — controller, RemoteFetcher, loopback server, a 1 µs store — of

@@ -138,6 +138,11 @@ func TestChaosHangNewConns(t *testing.T) {
 	t.Cleanup(func() { _ = healthy.Close() })
 	ctx := context.Background()
 	seed(t, cluster, "obj", make([]byte, 3000))
+	// A dial returns once the kernel queued the connection, which may be
+	// before the server accepted it; one answered request proves it was.
+	if _, _, err := healthy.GetChunk(ctx, "data", "obj", 0); err != nil {
+		t.Fatal(err)
+	}
 
 	chaos.SetHangNewConns(true)
 	hung := NewClient(addr, ClientConfig{Conns: 1, Retries: -1})

@@ -18,13 +18,15 @@ package transport
 //     the server sheds a request, its fetches continue as blocking round trips
 //     on goroutines of their own (Client.fallback) — so dialing, retries,
 //     backoff and the retry budget exist once.
-//   - The connection's read loop is the only reader. It looks the response's
-//     ID up in the pending table, whose value says who waits: a round trip's
-//     channel, or a fetch's sink, which it completes on the spot
-//     (Client.complete).
+//   - The connection's read loop is the only reader. It reads a response's
+//     header, takes its ID out of the pending table, whose value says who
+//     waits — a round trip's channel, or a fetch's sink and the buffer the
+//     fetch brought (core.FetchRef.Buf), which the data field is then read
+//     into. A sink it completes on the spot (Client.complete).
 //   - One sweep goroutine per client enforces the deadlines of asynchronous
-//     fetches and of writes in progress (a peer that stopped reading), not a
-//     timer per request.
+//     fetches, of writes in progress (a peer that stopped reading) and of
+//     data fields being read (one that stalled mid-frame), not a timer per
+//     request.
 //
 // Close waits for every goroutine mentioned here.
 
@@ -455,6 +457,10 @@ type clientConn struct {
 	sending chan struct{}
 	batch   frameBatch
 	writeBy atomic.Int64
+	// readBy is the deadline (unix ns, 0 = none) of the fetch whose data
+	// field the read loop is reading; the sweep fails the connection when it
+	// passes, as it would have expired the fetch had it still been pending.
+	readBy atomic.Int64
 
 	mu       sync.Mutex
 	pending  map[uint64]waiter
@@ -469,6 +475,7 @@ type waiter struct {
 	ch chan Response
 
 	sink     core.FetchSink
+	buf      []byte // where the response's data field may land
 	pool     string
 	object   string
 	chunk    int
@@ -477,7 +484,7 @@ type waiter struct {
 
 // of returns w as the waiter of one ref of its batch.
 func (w waiter) of(ref core.FetchRef) waiter {
-	w.sink, w.chunk = ref.Sink, ref.ChunkIndex
+	w.sink, w.buf, w.chunk = ref.Sink, ref.Buf, ref.ChunkIndex
 	return w
 }
 
@@ -512,17 +519,24 @@ func (cc *clientConn) fail(err error) {
 		cc.mu.Unlock()
 		close(cc.done)
 		_ = cc.conn.Close()
-		retryable := errors.Is(err, errConnBroken)
 		for _, w := range pending {
-			switch {
-			case w.sink == nil:
-			case retryable:
-				cc.client.fallback(w, cc.slot, 1, err)
-			default:
-				w.fail(err)
-			}
+			cc.abandon(w, err)
 		}
 	})
+}
+
+// abandon completes w, a fetch whose connection failed with err: as a
+// blocking round trip over another connection when a round trip would retry
+// err, with err otherwise. A round trip's waiter is left to the round trip,
+// which sees the connection done.
+func (cc *clientConn) abandon(w waiter, err error) {
+	switch {
+	case w.sink == nil:
+	case errors.Is(err, errConnBroken):
+		cc.client.fallback(w, cc.slot, 1, err)
+	default:
+		w.fail(err)
+	}
 }
 
 // roundTrip sends req and waits for its response. It waits for the send side
@@ -603,27 +617,30 @@ func (cc *clientConn) readLoop() {
 	defer cc.client.wg.Done()
 	fr := newFrameReader(cc.conn)
 	for {
-		payload, err := fr.next(cc.client.cfg.MaxFrameSize)
+		resp, n, err := fr.responseHeader(cc.client.cfg.MaxFrameSize)
 		if err != nil {
-			if !isDisconnect(err) {
-				cc.client.counters.decodeErrors.Add(1)
-			}
-			cc.fail(fmt.Errorf("%w: %v", errConnBroken, err))
+			cc.readFailed(err)
 			return
 		}
-		cc.client.counters.countFrameIn(len(payload) + 4)
-		resp, err := decodeResponse(payload)
-		if err != nil {
-			cc.client.counters.decodeErrors.Add(1)
-			cc.fail(fmt.Errorf("%w: %v", errConnBroken, err))
-			return
-		}
+		// Taken before the first byte of the data field is read: from here
+		// on neither the sweep nor fail can complete this fetch, so the
+		// buffer it brought is still its own while the data lands in it.
 		cc.mu.Lock()
 		w, ok := cc.pending[resp.ID]
 		if ok {
 			delete(cc.pending, resp.ID)
 		}
 		cc.mu.Unlock()
+		cc.readBy.Store(w.deadline)
+		resp.Data, err = fr.data(n, w.buf)
+		cc.readBy.Store(0)
+		if err != nil {
+			// The taken fetch completes the way fail completed the pending ones.
+			cc.readFailed(err)
+			cc.abandon(w, cc.brokenErr())
+			return
+		}
+		cc.client.counters.countFrameIn(responsePayloadSize(&resp) + 4)
 		switch {
 		case !ok:
 			// A response for an unknown ID belongs to a round trip that was
@@ -634,4 +651,12 @@ func (cc *clientConn) readLoop() {
 			cc.client.complete(w, cc.slot, &resp)
 		}
 	}
+}
+
+// readFailed fails the connection after its read loop hit err.
+func (cc *clientConn) readFailed(err error) {
+	if !isDisconnect(err) {
+		cc.client.counters.decodeErrors.Add(1)
+	}
+	cc.fail(fmt.Errorf("%w: %v", errConnBroken, err))
 }

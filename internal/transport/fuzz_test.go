@@ -10,8 +10,9 @@ import (
 // payload the decoders operate on.
 func body(frame []byte) []byte { return frame[4:] }
 
-// FuzzDecodeFrame feeds arbitrary frame payloads through the request and
-// response decoders: they must never panic, and whenever a payload decodes
+// FuzzDecodeFrame feeds arbitrary frame payloads through the request decoder
+// and, streamed from a bytes.Reader, the client's header-first response
+// reader: they must never panic, and whenever a payload decodes
 // successfully, re-encoding it must reproduce the payload byte for byte
 // (so decode and encode agree on the wire format).
 func FuzzDecodeFrame(f *testing.F) {
@@ -84,7 +85,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xaa}, 64))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if req, err := decodeRequest(payload); err == nil {
+		if req, err := decodeRequest(payload, nil); err == nil {
 			if re := body(appendRequest(nil, &req)); !bytes.Equal(re, payload) {
 				t.Fatalf("request round trip mismatch:\n in: %x\nout: %x", payload, re)
 			}

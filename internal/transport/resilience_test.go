@@ -16,7 +16,7 @@ import (
 func TestDeadlineWireRoundTrip(t *testing.T) {
 	req := Request{ID: 42, Op: OpGetChunk, Pool: "ec", Object: "obj", Chunk: 3,
 		Deadline: uint64(time.Now().Add(time.Second).UnixNano())}
-	got, err := decodeRequest(body(appendRequest(nil, &req)))
+	got, err := decodeRequest(body(appendRequest(nil, &req)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

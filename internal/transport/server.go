@@ -215,7 +215,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		sc := &serverConn{
 			srv:  s,
 			conn: conn,
-			out:  make(chan *Response, outCap),
+			out:  make(chan Response, outCap),
 			done: make(chan struct{}),
 		}
 		s.mu.Lock()
@@ -250,7 +250,7 @@ func (s *Server) worker() {
 		// for the handler.
 		if t.req.Expired(time.Now()) {
 			s.counters.deadlineRejections.Add(1)
-			t.sc.send(&Response{ID: t.req.ID, Code: codeDeadlineExceeded, Err: context.DeadlineExceeded.Error()})
+			t.sc.send(Response{ID: t.req.ID, Code: codeDeadlineExceeded, Err: context.DeadlineExceeded.Error()})
 			continue
 		}
 		if s.chaosIntercept(&t) {
@@ -267,7 +267,7 @@ func (s *Server) worker() {
 				Latency: resp.Latency,
 			}
 		}
-		t.sc.send(&resp)
+		t.sc.send(resp)
 	}
 }
 
@@ -290,7 +290,7 @@ func (s *Server) chaosIntercept(t *task) bool {
 	}
 	switch verdict {
 	case chaosInjectError:
-		t.sc.send(&Response{ID: t.req.ID, Code: codeError, Err: ErrInjected.Error()})
+		t.sc.send(Response{ID: t.req.ID, Code: codeError, Err: ErrInjected.Error()})
 		return true
 	case chaosDropRequest:
 		return true
@@ -464,7 +464,7 @@ func (s *Server) Close() error {
 type serverConn struct {
 	srv       *Server
 	conn      net.Conn
-	out       chan *Response
+	out       chan Response
 	done      chan struct{}
 	closeOnce sync.Once
 }
@@ -479,6 +479,10 @@ func (sc *serverConn) teardown() {
 	sc.srv.mu.Unlock()
 }
 
+// requestScratchSize is the largest request frame a connection reads into
+// its scratch instead of a buffer of the frame's own.
+const requestScratchSize = 512
+
 // writeStallTimeout bounds how long a worker will wait on a connection
 // whose response queue is full; a peer that stalls its reads this long is
 // disconnected rather than allowed to wedge the worker pool.
@@ -488,7 +492,7 @@ const writeStallTimeout = 10 * time.Second
 // If the queue stays full for writeStallTimeout — the peer has stopped
 // draining its socket — the connection is torn down so one slow consumer
 // cannot block the shared workers indefinitely.
-func (sc *serverConn) send(resp *Response) {
+func (sc *serverConn) send(resp Response) {
 	select {
 	case sc.out <- resp:
 		return
@@ -511,8 +515,21 @@ func (sc *serverConn) readLoop() {
 	defer sc.srv.connWG.Done()
 	defer sc.teardown()
 	fr := newFrameReader(sc.conn)
+	// Small frames (a chunk fetch's) land in scratch; last holds the names
+	// of the previous request for the next one to reuse.
+	var scratch [requestScratchSize]byte
+	var last Request
 	for {
-		payload, err := fr.next(sc.srv.cfg.MaxFrameSize)
+		size, err := fr.begin(sc.srv.cfg.MaxFrameSize)
+		var payload []byte
+		if err == nil {
+			if size <= len(scratch) {
+				payload = scratch[:size]
+			} else {
+				payload = make([]byte, size)
+			}
+			err = fr.fill(payload)
+		}
 		if err != nil {
 			if !isDisconnect(err) {
 				sc.srv.counters.decodeErrors.Add(1)
@@ -521,7 +538,7 @@ func (sc *serverConn) readLoop() {
 			return
 		}
 		sc.srv.counters.countFrameIn(len(payload) + 4)
-		req, err := decodeRequest(payload)
+		req, err := decodeRequest(payload, &last)
 		if err != nil {
 			// A malformed frame means the stream can no longer be trusted;
 			// account for it, surface it, and end the session.
@@ -529,11 +546,17 @@ func (sc *serverConn) readLoop() {
 			sc.srv.logf("transport: %s: malformed request: %v", sc.conn.RemoteAddr(), err)
 			return
 		}
+		last.Pool, last.Object, last.Tenant = req.Pool, req.Object, req.Tenant
+		if size <= len(scratch) && req.Data != nil {
+			// The next frame overwrites the scratch, and a staged chunk's data
+			// must be its own (objstore's chunk-ownership rule).
+			req.Data = append([]byte(nil), req.Data...)
+		}
 		if req.Expired(time.Now()) {
 			// The client's deadline already passed in flight; shed before
 			// queueing rather than spend queue space and a worker on it.
 			sc.srv.counters.deadlineRejections.Add(1)
-			sc.send(&Response{ID: req.ID, Code: codeDeadlineExceeded, Err: context.DeadlineExceeded.Error()})
+			sc.send(Response{ID: req.ID, Code: codeDeadlineExceeded, Err: context.DeadlineExceeded.Error()})
 			continue
 		}
 		if sc.srv.work.Push(req.Tenant, task{sc: sc, req: req}) {
@@ -543,7 +566,7 @@ func (sc *serverConn) readLoop() {
 			// response instead of buffering unboundedly. Other tenants'
 			// queues are unaffected.
 			sc.srv.counters.overloadRejections.Add(1)
-			sc.send(&Response{ID: req.ID, Code: codeOverloaded, Err: ErrOverloaded.Error()})
+			sc.send(Response{ID: req.ID, Code: codeOverloaded, Err: ErrOverloaded.Error()})
 		}
 	}
 }
@@ -572,7 +595,7 @@ func (sc *serverConn) writeLoop() {
 // chunks or buffers made for this response, so nothing changes them before
 // the flush. The lease is released after the flush (on error paths too), so
 // encode memory is pinned only while a batch is actually in flight.
-func (sc *serverConn) writeBatch(b *frameBatch, resp *Response) bool {
+func (sc *serverConn) writeBatch(b *frameBatch, resp Response) bool {
 	lease := frameArena.Lease(batchBufSize)
 	b.enc = lease.B[:0]
 	defer func() {
@@ -581,10 +604,10 @@ func (sc *serverConn) writeBatch(b *frameBatch, resp *Response) bool {
 	}()
 	yielded := false
 	for {
-		if b.full(encodedSize(responsePayloadSize(resp), resp.Data)) && b.flush(sc.conn) != nil {
+		if b.full(encodedSize(responsePayloadSize(&resp), resp.Data)) && b.flush(sc.conn) != nil {
 			return false
 		}
-		b.addResponse(resp)
+		b.addResponse(&resp)
 		select {
 		case resp = <-sc.out:
 			yielded = false

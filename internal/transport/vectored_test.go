@@ -117,7 +117,7 @@ func TestVectoredPartialWritev(t *testing.T) {
 				t.Fatalf("frame %d: %v", i, err)
 			}
 			received.countFrameIn(len(payload) + 4)
-			got, err := decodeRequest(payload)
+			got, err := decodeRequest(payload, nil)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
@@ -288,7 +288,7 @@ func TestVectoredRetryResendsSameBytes(t *testing.T) {
 						if err != nil {
 							return
 						}
-						req, err := decodeRequest(payload)
+						req, err := decodeRequest(payload, nil)
 						if err != nil {
 							t.Error(err)
 							return
@@ -356,7 +356,7 @@ func TestCancelledRoundTripKeepsPayload(t *testing.T) {
 			if err != nil {
 				break // the client hung up
 			}
-			req, err := decodeRequest(payload)
+			req, err := decodeRequest(payload, nil)
 			if err != nil {
 				t.Error(err)
 				break

@@ -61,10 +61,11 @@
 // bytes or more is put in the vector as the caller's slice itself, so the
 // only copy of a chunk-sized payload on the way out is the kernel's. On the
 // way in, a frame of byRefMin bytes or more is read from the connection
-// straight into its own freshly allocated buffer (frameReader), which the
-// decoded Request.Data or Response.Data then aliases — on the server that
-// buffer becomes the stored chunk (objstore's chunk-ownership rule). The
-// bytes on the wire are the same either way.
+// straight into the buffer it ends up in (frameReader): on the server a fresh
+// one, which the decoded Request.Data aliases and which becomes the stored
+// chunk (objstore's chunk-ownership rule); on the client, which reads a
+// response header first, the buffer its fetch brought (core.FetchRef.Buf).
+// The bytes on the wire are the same either way.
 package transport
 
 import (
@@ -489,71 +490,106 @@ func encodedSize(payloadSize int, data []byte) int {
 // still has outstanding once the buffer is drained is read from the
 // connection straight into the frame's own buffer instead of bouncing
 // through the read buffer.
+// A response is read header first (responseHeader, then data), so that the
+// caller knows whose it is before choosing where its data field lands.
 type frameReader struct {
-	src io.Reader
-	br  *bufio.Reader
+	src  io.Reader
+	br   *bufio.Reader
+	left int // bytes of the current frame responseHeader has not read yet
 }
 
 func newFrameReader(src io.Reader) *frameReader {
 	return &frameReader{src: src, br: bufio.NewReaderSize(src, byRefMin)}
 }
 
-// next reads one frame payload, enforcing the size limit. The returned
-// buffer is freshly allocated and never reused: decoded requests and
-// responses alias it.
-func (fr *frameReader) next(maxSize int) ([]byte, error) {
+// begin reads the next frame's length prefix, enforcing the size limit, and
+// returns the payload size.
+func (fr *frameReader) begin(maxSize int) (int, error) {
 	hdr, err := fr.br.Peek(4)
 	if err != nil {
 		if len(hdr) > 0 && errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return 0, err
 	}
 	size := int(binary.BigEndian.Uint32(hdr))
 	if size < 1 || size > maxSize {
-		return nil, fmt.Errorf("transport: frame size %d outside (0, %d]", size, maxSize)
+		return 0, fmt.Errorf("transport: frame size %d outside (0, %d]", size, maxSize)
 	}
 	_, _ = fr.br.Discard(4) // the four bytes were just peeked: cannot fail
-	payload := make([]byte, size)
-	buffered := size
-	if size >= byRefMin && fr.br.Buffered() < size {
+	fr.left = size
+	return size, nil
+}
+
+// fill reads the next len(p) bytes of the stream into p.
+func (fr *frameReader) fill(p []byte) error {
+	buffered := len(p)
+	if len(p) >= byRefMin && fr.br.Buffered() < len(p) {
 		buffered = fr.br.Buffered()
 	}
-	_, err = io.ReadFull(fr.br, payload[:buffered])
-	if err == nil && buffered < size {
-		_, err = io.ReadFull(fr.src, payload[buffered:])
+	_, err := io.ReadFull(fr.br, p[:buffered])
+	if err == nil && buffered < len(p) {
+		_, err = io.ReadFull(fr.src, p[buffered:])
 	}
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// next reads one frame payload, enforcing the size limit. The returned
+// buffer is freshly allocated and never reused: decoded requests alias it.
+func (fr *frameReader) next(maxSize int) ([]byte, error) {
+	size, err := fr.begin(maxSize)
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, size)
+	return payload, fr.fill(payload)
+}
+
+// take returns the next n bytes of the current frame: a view of the read
+// buffer, valid until fr is next used, or a fresh buffer when n is larger.
+func (fr *frameReader) take(n int) ([]byte, error) {
+	if n < 0 || n > fr.left {
+		return nil, errTruncated
+	}
+	fr.left -= n
+	if n > fr.br.Size() {
+		b := make([]byte, n)
+		return b, fr.fill(b)
+	}
+	b, err := fr.br.Peek(n)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	return payload, nil
+	_, _ = fr.br.Discard(n)
+	return b, nil
 }
 
 var errTruncated = errors.New("transport: truncated frame")
 
+// reader reads the fields of a frame: from buf, a whole payload, or, when fr
+// is set, from the rest of fr's current frame.
 type reader struct {
 	buf []byte
 	off int
+	fr  *frameReader
 }
 
 func (r *reader) bytes(n int) ([]byte, error) {
+	if r.fr != nil {
+		return r.fr.take(n)
+	}
 	if n < 0 || r.off+n > len(r.buf) {
 		return nil, errTruncated
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
 }
 
 func (r *reader) u16() (uint16, error) {
@@ -572,15 +608,9 @@ func (r *reader) u32() (uint32, error) {
 	return binary.BigEndian.Uint32(b), nil
 }
 
-func (r *reader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (r *reader) string16() (string, error) {
+// string16 reads a string field; when its bytes spell same, it returns same
+// instead of allocating a copy.
+func (r *reader) string16(same string) (string, error) {
 	n, err := r.u16()
 	if err != nil {
 		return "", err
@@ -588,6 +618,9 @@ func (r *reader) string16() (string, error) {
 	b, err := r.bytes(int(n))
 	if err != nil {
 		return "", err
+	}
+	if string(b) == same {
+		return same, nil
 	}
 	return string(b), nil
 }
@@ -604,43 +637,32 @@ func (r *reader) blob32() ([]byte, error) {
 }
 
 // decodeRequest parses a request frame payload. The returned request's Data
-// aliases the payload buffer.
-func decodeRequest(payload []byte) (Request, error) {
+// aliases the payload buffer. Its names are prev's strings wherever the bytes
+// are the same (prev may be nil), so a run of requests to one object — the k
+// fetches of a read — decodes the object's name once.
+func decodeRequest(payload []byte, prev *Request) (Request, error) {
 	r := reader{buf: payload}
 	var req Request
-	kind, err := r.u8()
+	if prev == nil {
+		prev = &req
+	}
+	fixed, err := r.bytes(1 + 8 + 1 + 4 + 8 + 8) // kind … deadline
 	if err != nil {
 		return req, err
 	}
-	if kind != frameRequest {
-		return req, fmt.Errorf("transport: expected request frame, got kind %d", kind)
+	if fixed[0] != frameRequest {
+		return req, fmt.Errorf("transport: expected request frame, got kind %d", fixed[0])
 	}
-	if req.ID, err = r.u64(); err != nil {
+	req.ID, req.Op = binary.BigEndian.Uint64(fixed[1:]), Op(fixed[9])
+	req.Chunk = int(int32(binary.BigEndian.Uint32(fixed[10:])))
+	req.Version, req.Deadline = binary.BigEndian.Uint64(fixed[14:]), binary.BigEndian.Uint64(fixed[22:])
+	if req.Pool, err = r.string16(prev.Pool); err != nil {
 		return req, err
 	}
-	op, err := r.u8()
-	if err != nil {
+	if req.Object, err = r.string16(prev.Object); err != nil {
 		return req, err
 	}
-	req.Op = Op(op)
-	chunk, err := r.u32()
-	if err != nil {
-		return req, err
-	}
-	req.Chunk = int(int32(chunk))
-	if req.Version, err = r.u64(); err != nil {
-		return req, err
-	}
-	if req.Deadline, err = r.u64(); err != nil {
-		return req, err
-	}
-	if req.Pool, err = r.string16(); err != nil {
-		return req, err
-	}
-	if req.Object, err = r.string16(); err != nil {
-		return req, err
-	}
-	if req.Tenant, err = r.string16(); err != nil {
+	if req.Tenant, err = r.string16(prev.Tenant); err != nil {
 		return req, err
 	}
 	if req.Data, err = r.blob32(); err != nil {
@@ -652,57 +674,62 @@ func decodeRequest(payload []byte) (Request, error) {
 	return req, nil
 }
 
-// decodeResponse parses a response frame payload. The returned response's
-// Data aliases the payload buffer.
-func decodeResponse(payload []byte) (Response, error) {
-	r := reader{buf: payload}
+// responseHeader reads the next frame, a response, up to its data field, and
+// returns the response without Data and the data field's length, which data
+// reads next.
+func (fr *frameReader) responseHeader(maxSize int) (Response, int, error) {
 	var resp Response
-	kind, err := r.u8()
+	_, err := fr.begin(maxSize)
+	var fixed []byte
+	if err == nil {
+		fixed, err = fr.take(1 + 8 + 1 + 8 + 8 + 8) // kind … size
+	}
 	if err != nil {
-		return resp, err
+		return resp, 0, err
 	}
-	if kind != frameResponse {
-		return resp, fmt.Errorf("transport: expected response frame, got kind %d", kind)
+	if fixed[0] != frameResponse {
+		return resp, 0, fmt.Errorf("transport: expected response frame, got kind %d", fixed[0])
 	}
-	if resp.ID, err = r.u64(); err != nil {
-		return resp, err
-	}
-	if resp.Code, err = r.u8(); err != nil {
-		return resp, err
-	}
-	lat, err := r.u64()
-	if err != nil {
-		return resp, err
-	}
-	resp.Latency = time.Duration(lat)
-	if resp.Version, err = r.u64(); err != nil {
-		return resp, err
-	}
-	size, err := r.u64()
-	if err != nil {
-		return resp, err
-	}
-	resp.Size = int64(size)
-	if resp.Err, err = r.string16(); err != nil {
-		return resp, err
+	resp.ID, resp.Code = binary.BigEndian.Uint64(fixed[1:]), fixed[9]
+	resp.Latency = time.Duration(binary.BigEndian.Uint64(fixed[10:]))
+	resp.Version, resp.Size = binary.BigEndian.Uint64(fixed[18:]), int64(binary.BigEndian.Uint64(fixed[26:]))
+	r := reader{fr: fr}
+	if resp.Err, err = r.string16(""); err != nil {
+		return resp, 0, err
 	}
 	count, err := r.u16()
 	if err != nil {
-		return resp, err
+		return resp, 0, err
 	}
 	if count > 0 {
 		resp.Names = make([]string, count)
 		for i := range resp.Names {
-			if resp.Names[i], err = r.string16(); err != nil {
-				return resp, err
+			if resp.Names[i], err = r.string16(""); err != nil {
+				return resp, 0, err
 			}
 		}
 	}
-	if resp.Data, err = r.blob32(); err != nil {
-		return resp, err
+	n, err := r.u32()
+	switch {
+	case err != nil:
+		return resp, 0, err
+	case int(n) > fr.left:
+		return resp, 0, errTruncated
+	case int(n) < fr.left:
+		return resp, 0, fmt.Errorf("transport: %d trailing bytes in response frame", fr.left-int(n))
 	}
-	if r.off != len(r.buf) {
-		return resp, fmt.Errorf("transport: %d trailing bytes in response frame", len(r.buf)-r.off)
+	return resp, int(n), nil
+}
+
+// data reads the n-byte data field responseHeader announced into buf when it
+// has the capacity, into a fresh buffer otherwise.
+func (fr *frameReader) data(n int, buf []byte) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	return resp, nil
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	return buf, fr.fill(buf)
 }

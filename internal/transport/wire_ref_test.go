@@ -64,6 +64,24 @@ func readFrame(r io.Reader, maxSize int) ([]byte, error) {
 	return newFrameReader(r).next(maxSize)
 }
 
+// readResponse reads one response frame from fr the way the client's read
+// loop does — header first, then the data field, here into a fresh buffer.
+func readResponse(fr *frameReader) (Response, error) {
+	resp, n, err := fr.responseHeader(DefaultMaxFrameSize)
+	if err != nil {
+		return resp, err
+	}
+	resp.Data, err = fr.data(n, nil)
+	return resp, err
+}
+
+// decodeResponse decodes one response frame payload by streaming it, length
+// prefix restored, through readResponse from a bytes.Reader.
+func decodeResponse(payload []byte) (Response, error) {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	return readResponse(newFrameReader(bytes.NewReader(append(frame, payload...))))
+}
+
 // goldenSizes are the payload sizes on either side of every branch of the
 // vectored path: empty, tiny, around the by-reference threshold, and larger
 // than the batch buffer.

@@ -71,11 +71,7 @@ func TestWireOpcodes(t *testing.T) {
 	fr := newFrameReader(conn)
 	codes := make(map[uint64]byte)
 	for range reqs {
-		payload, err := fr.next(DefaultMaxFrameSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := decodeResponse(payload)
+		resp, err := readResponse(fr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +103,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("readFrame(%+v): %v", want, err)
 		}
-		got, err := decodeRequest(payload)
+		got, err := decodeRequest(payload, nil)
 		if err != nil {
 			t.Fatalf("decodeRequest(%+v): %v", want, err)
 		}
@@ -152,7 +148,7 @@ func TestAppendExtendsExistingBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeRequest(payload); err != nil || got.Pool != "p" {
+	if got, err := decodeRequest(payload, nil); err != nil || got.Pool != "p" {
 		t.Fatalf("decode after prefixed append: %+v, %v", got, err)
 	}
 }
@@ -175,7 +171,7 @@ func TestDecodeMalformedFrames(t *testing.T) {
 	req := Request{ID: 1, Op: OpPutChunk, Pool: "data", Object: "o", Data: []byte("abc")}
 	frame := appendRequest(nil, &req)
 	payload := frame[4:]
-	if _, err := decodeRequest(payload[:5]); err == nil {
+	if _, err := decodeRequest(payload[:5], nil); err == nil {
 		t.Fatal("truncated request payload accepted")
 	}
 	if _, err := decodeResponse(payload); err == nil {
@@ -183,11 +179,11 @@ func TestDecodeMalformedFrames(t *testing.T) {
 	}
 	resp := Response{ID: 1, Code: codeOK, Data: []byte("abc")}
 	rframe := appendResponse(nil, &resp)
-	if _, err := decodeRequest(rframe[4:]); err == nil {
+	if _, err := decodeRequest(rframe[4:], nil); err == nil {
 		t.Fatal("response payload accepted as request")
 	}
 	// Trailing garbage must be rejected, not silently ignored.
-	if _, err := decodeRequest(append(append([]byte(nil), payload...), 0xFF)); err == nil {
+	if _, err := decodeRequest(append(append([]byte(nil), payload...), 0xFF), nil); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
