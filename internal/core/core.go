@@ -178,14 +178,12 @@ func (f ObjectWriterFunc) WriteObject(ctx context.Context, fileID int, data []by
 // it. Controller.Write splits once for the cache write-through and hands
 // the same chunks to the storage write when the writer supports it.
 //
-// Ownership follows objstore's chunk-ownership rule — a chunk is immutable
-// from the moment it is handed over: when the file is fully cached the
-// controller installs these very slices in the functional cache after the
-// write returns (write-through by reference — no copy, no coding), where
-// lock-free readers copy out of them for as long as the entry lives. An
-// implementation may read them and may keep references past its return (a
-// send queue, a retry, an in-process store that keeps them as its stored
-// chunks), but must never write to them or recycle their memory.
+// The chunks may alias the caller's buffer (erasure.Split returns views of
+// it), and the controller clones what it caches only after the write
+// returns. So an implementation may read them until it returns and must
+// neither write to them nor keep them past its return. The transport's
+// StripedWriter is the one implementation: its PutChunk round trips read a
+// chunk only on the calling goroutine and have all returned before it does.
 type DataChunkWriter interface {
 	ObjectWriter
 	WriteDataChunks(ctx context.Context, fileID int, dataChunks [][]byte, size int) (uint64, error)

@@ -72,14 +72,16 @@ func (c *Controller) WriteVersion(ctx context.Context, fileID int, data []byte, 
 	// The storage plane now serves the new stripe; build the target cache set
 	// from the new data before taking the control-plane mutex. For a partial
 	// allocation that generates functional chunks (the expensive part); a
-	// fully cached file's set is the chunks Split already copied, handed to
-	// the cache by reference — the writer above only read them, and nothing
-	// writes to them again (see DataChunkWriter).
+	// fully cached file's set is the data chunks themselves, which Split
+	// left as views of the caller's buffer, so the cache gets its own clone.
 	var cacheSet [][]byte
 	if target > 0 {
 		if cacheSet, err = meta.Code.CacheSet(dataChunks, target); err != nil {
 			c.stats.writeErrors.Add(1)
 			return 0, fmt.Errorf("core: generating cache chunks for file %d: %w", fileID, err)
+		}
+		if target == meta.K {
+			cacheSet = cloneChunks(cacheSet)
 		}
 	}
 

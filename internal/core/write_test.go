@@ -189,6 +189,40 @@ func TestControllerWriteRefreshesCache(t *testing.T) {
 	}
 }
 
+// TestWriteThroughOwnsCachedChunks pins the write-through's ownership: Split
+// hands Write views of the caller's buffer, so the cache of a fully cached
+// file must hold its own copy. After Write returns the caller scribbles over
+// its buffer, and a read served wholly from the cache still returns the
+// written bytes.
+func TestWriteThroughOwnsCachedChunks(t *testing.T) {
+	ctrl, _, fetcher, writer, _ := writeTestController(t, 1, 32<<10, 4)
+	ctx := context.Background()
+	if target := ctrl.CacheAllocationTarget(0); target != ctrl.files[0].K {
+		t.Fatalf("plan caches %d chunks of file 0, the test needs all %d", target, ctrl.files[0].K)
+	}
+	buf := make([]byte, 32<<10)
+	rand.New(rand.NewSource(12)).Read(buf)
+	want := bytes.Clone(buf)
+	if err := ctrl.Write(ctx, 0, buf, writer); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = ^buf[i]
+	}
+	counting := &countingFetcher{VersionedChunkFetcher: fetcher}
+	before := ctrl.Stats().CacheOnlyReads
+	got, err := ctrl.Read(ctx, 0, counting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counting.fetches.Load() != 0 || ctrl.Stats().CacheOnlyReads != before+1 {
+		t.Fatalf("read fetched %d chunks from storage, want a cache-only read", counting.fetches.Load())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a cache-only read after Write returned the caller's later scribbles")
+	}
+}
+
 // TestInvalidateDropsCache covers the explicit escape hatch for unversioned
 // backends.
 func TestInvalidateDropsCache(t *testing.T) {

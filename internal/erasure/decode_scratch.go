@@ -163,8 +163,7 @@ func (c *Code) decodePlanFor(sc *DecodeScratch, chunks []Chunk) (*gf256.Matrix, 
 
 // decodeRows computes the k data rows out[r] = inv[r] · payloads. Unit
 // inverse rows (the systematic chunk is among the inputs) are one copy;
-// dense rows accumulate in place through the striped kernels, so their
-// (recycled) output is zeroed first.
+// dense rows are written by the striped kernels, which overwrite them.
 func (c *Code) decodeRows(sc *DecodeScratch, inv *gf256.Matrix, payloads, out [][]byte) {
 	denseRows := sc.denseRows[:0]
 	denseOuts := sc.denseOuts[:0]
@@ -173,7 +172,6 @@ func (c *Code) decodeRows(sc *DecodeScratch, inv *gf256.Matrix, payloads, out []
 			copy(out[r], payloads[j])
 			continue
 		}
-		clear(out[r])
 		denseRows = append(denseRows, inv.Data[r])
 		denseOuts = append(denseOuts, out[r])
 	}

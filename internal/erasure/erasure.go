@@ -121,21 +121,26 @@ func (c *Code) CacheRows(d int) []int {
 
 // Split partitions data into k equally sized data chunks, padding the final
 // chunk with zeros. The returned chunk size is ceil(len(data)/k).
+//
+// A chunk lying wholly inside data is a view of it; only the zero-padded
+// tail is allocated, and data is never written. So data must not change
+// while the chunks are in use, and a caller that keeps them clones them.
 func (c *Code) Split(data []byte) ([][]byte, error) {
 	if len(data) == 0 {
 		return nil, ErrEmptyData
 	}
 	chunkSize := (len(data) + c.k - 1) / c.k
+	full := len(data) / chunkSize
 	chunks := make([][]byte, c.k)
-	for i := 0; i < c.k; i++ {
-		chunks[i] = make([]byte, chunkSize)
-		start := i * chunkSize
-		if start < len(data) {
-			end := start + chunkSize
-			if end > len(data) {
-				end = len(data)
-			}
-			copy(chunks[i], data[start:end])
+	for i := 0; i < full; i++ {
+		chunks[i] = data[i*chunkSize : (i+1)*chunkSize : (i+1)*chunkSize]
+	}
+	if full < c.k {
+		tail := make([]byte, (c.k-full)*chunkSize)
+		copy(tail, data[full*chunkSize:])
+		for i := full; i < c.k; i++ {
+			off := (i - full) * chunkSize
+			chunks[i] = tail[off : off+chunkSize : off+chunkSize]
 		}
 	}
 	return chunks, nil
@@ -177,8 +182,27 @@ func (c *Code) EncodeParity(dataChunks [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// encodeParity computes generator rows k..n-1 into the zeroed parity chunks
-// and counts one encode.
+// EncodeParityInto is EncodeParity into caller-owned memory: it overwrites
+// the n-k chunks of parity, each the data chunks' size, so a recycled set
+// needs no clearing.
+func (c *Code) EncodeParityInto(dataChunks, parity [][]byte) error {
+	if err := c.checkDataChunks(dataChunks); err != nil {
+		return err
+	}
+	if len(parity) != c.n-c.k {
+		return fmt.Errorf("%w: want %d parity chunks, got %d", ErrShapeMismatch, c.n-c.k, len(parity))
+	}
+	for _, p := range parity {
+		if len(p) != len(dataChunks[0]) {
+			return ErrShapeMismatch
+		}
+	}
+	c.encodeParity(dataChunks, parity)
+	return nil
+}
+
+// encodeParity writes generator rows k..n-1 into the parity chunks and
+// counts one encode.
 func (c *Code) encodeParity(dataChunks, parity [][]byte) {
 	if len(parity) > 0 {
 		parallel := codeRows(c.generator.Data[c.k:c.n], dataChunks, parity)

@@ -78,6 +78,62 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSplitAliasesData pins Split's ownership rule: an exact split's chunks
+// are data's own memory and cannot grow into their neighbours, and a padded
+// split pads in memory of its own, never writing to data or to the spare
+// capacity behind it.
+func TestSplitAliasesData(t *testing.T) {
+	code, _ := New(7, 4)
+	rng := rand.New(rand.NewSource(11))
+	data := randomData(rng, 4*1024)
+	chunks, err := code.Split(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range chunks {
+		if &ch[0] != &data[i*1024] || len(ch) != 1024 || cap(ch) != 1024 {
+			t.Fatalf("exact split: chunk %d is not data[%d:%d] capped at its end", i, i*1024, (i+1)*1024)
+		}
+	}
+
+	// 4101 bytes split into chunks of 1026: three views and a padded tail.
+	// 5 bytes split into chunks of 2: two views, a padded chunk and a chunk
+	// of padding only.
+	for _, size := range []int{4*1024 + 5, 5} {
+		buf := randomData(rng, size+64)
+		before := bytes.Clone(buf)
+		data := buf[:size]
+		chunks, err := code.Split(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, before) {
+			t.Fatalf("size %d: Split wrote to data or the capacity behind it", size)
+		}
+		chunkSize := (size + 3) / 4
+		full := size / chunkSize
+		for i, ch := range chunks {
+			lo := min(i*chunkSize, size)
+			hi := min(lo+chunkSize, size)
+			if !bytes.Equal(ch[:hi-lo], data[lo:hi]) || len(ch) != chunkSize {
+				t.Fatalf("size %d: chunk %d does not hold data[%d:%d]", size, i, lo, hi)
+			}
+			if i < full {
+				continue
+			}
+			if !bytes.Equal(ch[hi-lo:], make([]byte, chunkSize-(hi-lo))) {
+				t.Fatalf("size %d: chunk %d is not zero-padded", size, i)
+			}
+			for j := range ch {
+				ch[j] = ^ch[j]
+			}
+			if !bytes.Equal(buf, before) {
+				t.Fatalf("size %d: padded chunk %d shares memory with data", size, i)
+			}
+		}
+	}
+}
+
 func TestSplitEmpty(t *testing.T) {
 	code, _ := New(7, 4)
 	if _, err := code.Split(nil); err == nil {

@@ -67,10 +67,10 @@ func submitStripe(job stripeJob) {
 	}
 }
 
-// stripeScratch recycles the per-stripe slice-header buffers so the hot
-// path performs no allocations beyond the output chunks themselves.
+// stripeScratch recycles a stripe's views of its sources and outputs so the
+// hot path performs no allocations beyond the output chunks themselves.
 type stripeScratch struct {
-	srcs [][]byte
+	views [][]byte
 }
 
 // scratchPool is counted so tests can assert every Get is matched by a
@@ -84,15 +84,14 @@ func StripeScratchPool() *arena.CountedPool { return scratchPool }
 // putScratch zeroes the retained views before pooling so a parked scratch
 // does not pin the caller's chunk buffers until the next reuse.
 func putScratch(sc *stripeScratch) {
-	clear(sc.srcs)
-	sc.srcs = sc.srcs[:0]
+	clear(sc.views)
+	sc.views = sc.views[:0]
 	scratchPool.Put(sc)
 }
 
-// codeRows computes outs[r] ^= rows[r] · srcs for every row, striping the
-// byte range over the worker pool when the chunks are large enough. outs
-// must be zeroed (or hold values to accumulate onto). It reports whether
-// the operation ran striped.
+// codeRows computes outs[r] = rows[r] · srcs for every row, overwriting
+// outs, striping the byte range over the worker pool when the chunks are
+// large enough. It reports whether the operation ran striped.
 func codeRows(rows [][]byte, srcs [][]byte, outs [][]byte) bool {
 	size := len(srcs[0])
 	if size < parallelThreshold || runtime.GOMAXPROCS(0) < 2 {
@@ -119,14 +118,15 @@ func codeRows(rows [][]byte, srcs [][]byte, outs [][]byte) bool {
 	return true
 }
 
-// applyRows runs the row kernels over one byte range of every chunk.
+// applyRows runs the row kernel over one byte range of every chunk.
 func applyRows(rows [][]byte, srcs [][]byte, outs [][]byte, lo, hi int, sc *stripeScratch) {
-	views := sc.srcs[:0]
+	views := sc.views[:0]
 	for _, s := range srcs {
 		views = append(views, s[lo:hi])
 	}
-	sc.srcs = views
-	for r, row := range rows {
-		gf256.MulAccumulateRows(row, views, outs[r][lo:hi])
+	for _, o := range outs {
+		views = append(views, o[lo:hi])
 	}
+	sc.views = views
+	gf256.MulRows(rows, views[:len(srcs)], views[len(srcs):], true)
 }

@@ -5,6 +5,11 @@
 // The field is constructed with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by most
 // storage erasure-code implementations, with generator element 2.
+//
+// The slice kernels come in tiers chosen once from CPUID: MulRows uses a
+// GFNI + AVX-512 kernel where the CPU and OS support it, every kernel
+// otherwise the AVX2 PSHUFB nibble kernels, and CPUs without AVX2 the
+// portable nibble-table loops.
 package gf256
 
 import "fmt"

@@ -17,13 +17,26 @@ var (
 	mulTableHigh [Order][16]byte
 )
 
-// initMulTables fills the nibble tables; called from init after the
-// log/exp tables exist.
+// gfniMatrix[c] is multiplication by c as the 8x8 bit matrix VGF2P8AFFINEQB
+// applies to every byte: byte 7-i of the word holds the input bits feeding
+// output bit i. (VGF2P8MULB hard-wires the AES polynomial, not 0x11d.)
+var gfniMatrix [Order]uint64
+
+// initMulTables fills the nibble tables and the GFNI matrices; called from
+// init after the log/exp tables exist.
 func initMulTables() {
 	for c := 0; c < Order; c++ {
 		for n := 0; n < 16; n++ {
 			mulTableLow[c][n] = Mul(byte(c), byte(n))
 			mulTableHigh[c][n] = Mul(byte(c), byte(n<<4))
+		}
+		for j := 0; j < 8; j++ {
+			p := Mul(byte(c), 1<<j)
+			for i := 0; i < 8; i++ {
+				if p>>i&1 != 0 {
+					gfniMatrix[c] |= 1 << (8*(7-i) + j)
+				}
+			}
 		}
 	}
 }
@@ -114,43 +127,68 @@ func mulAssignGeneric(c byte, src, dst []byte) {
 	}
 }
 
-// accBlockBytes bounds how much of dst each MulAccumulateRows pass streams
-// before moving to the next source row, so the dst block stays resident in
-// L1 across all k accumulations instead of being re-fetched per row.
-const accBlockBytes = 16 << 10
+// rowBlockBytes is how much of every chunk one MulRows pass covers before
+// moving on: the k source blocks and one output block stay resident in L1
+// while each output row reads all of them.
+const rowBlockBytes = 8 << 10
 
-// MulAccumulateRows applies a whole generator row at once:
+// MulRows applies a set of generator rows at once:
 //
-//	dst[i] ^= sum_j row[j] * srcs[j][i]
+//	outs[r][i] = sum_j rows[r][j] * srcs[j][i]        (assign)
+//	outs[r][i] ^= sum_j rows[r][j] * srcs[j][i]       (accumulate)
 //
-// It is the workhorse of Reed-Solomon encode/decode: one call per output
-// chunk instead of len(row) MulSlice calls, with dst processed in
-// L1-sized blocks so it is read and written from cache across all source
-// rows. All srcs and dst must have equal length.
-func MulAccumulateRows(row []byte, srcs [][]byte, dst []byte) {
-	if len(row) != len(srcs) {
-		panic("gf256: coefficient count does not match source count")
+// It is the workhorse of Reed-Solomon encode and decode. The chunks are
+// walked in L1-sized blocks, and within a block each output row is one
+// kernel call that reads all the sources and writes its output once, so an
+// assigned output needs no zeroing beforehand. All srcs and outs must have
+// equal length.
+func MulRows(rows [][]byte, srcs [][]byte, outs [][]byte, assign bool) {
+	if len(rows) != len(outs) {
+		panic("gf256: row count does not match output count")
 	}
-	size := len(dst)
+	if len(outs) == 0 {
+		return
+	}
+	size := len(outs[0])
+	for r, row := range rows {
+		if len(row) != len(srcs) || len(outs[r]) != size {
+			panic("gf256: row or output shape mismatch in MulRows")
+		}
+	}
 	for _, s := range srcs {
 		if len(s) != size {
-			panic("gf256: slice length mismatch in MulAccumulateRows")
+			panic("gf256: slice length mismatch in MulRows")
 		}
 	}
-	for off := 0; off < size; off += accBlockBytes {
-		end := off + accBlockBytes
-		if end > size {
-			end = size
+	for lo := 0; lo < size; lo += rowBlockBytes {
+		hi := min(lo+rowBlockBytes, size)
+		for r, row := range rows {
+			mulRow(row, srcs, lo, outs[r][lo:hi], assign)
 		}
-		d := dst[off:end]
-		for j, c := range row {
-			switch c {
-			case 0:
-			case 1:
-				xorSlice(srcs[j][off:end], d)
-			default:
-				mulAddSlice(c, srcs[j][off:end], d)
-			}
+	}
+}
+
+// mulRow computes dst = row · srcs[.][lo:lo+len(dst)] (or adds it to dst).
+// The GFNI kernel takes the largest 64-byte multiple of the range; the rest,
+// and CPUs without GFNI, go one coefficient at a time through the nibble
+// kernels.
+func mulRow(row []byte, srcs [][]byte, lo int, dst []byte, assign bool) {
+	if gfniEnabled && len(row) > 0 {
+		n := mulRowAsm(row, srcs, lo, dst, assign)
+		if n == len(dst) {
+			return
+		}
+		lo, dst = lo+n, dst[n:]
+	}
+	if assign && len(row) == 0 {
+		clear(dst)
+	}
+	for j, c := range row {
+		src := srcs[j][lo : lo+len(dst)]
+		if assign && j == 0 {
+			MulSliceAssign(c, src, dst)
+		} else {
+			MulSlice(c, src, dst)
 		}
 	}
 }

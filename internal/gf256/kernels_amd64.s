@@ -120,3 +120,89 @@ assign32:
 
 	VZEROUPPER
 	RET
+
+// func mulRowGFNI(matrices *[256]uint64, row *byte, srcs *[]byte, k, off int, dst *byte, n int, assign bool)
+//
+// dst[i] = sum_j row[j]*srcs[j][off+i] for i in [0, n), n a positive multiple
+// of 64 and k > 0; with assign false the sum is added to dst instead. Each
+// output vector is built in registers from all k sources and stored once:
+// per source one VGF2P8AFFINEQB with coefficient row[j]'s bit matrix,
+// broadcast to every lane, and one XOR. 128 bytes per pass while they last,
+// so each matrix and source pointer is loaded once for two vectors.
+TEXT ·mulRowGFNI(SB), NOSPLIT, $0-57
+	MOVQ    matrices+0(FP), AX
+	MOVQ    row+8(FP), BX
+	MOVQ    srcs+16(FP), SI
+	MOVQ    k+24(FP), CX
+	MOVQ    off+32(FP), DX
+	MOVQ    dst+40(FP), DI
+	MOVQ    n+48(FP), R8
+	MOVBLZX assign+56(FP), R9
+
+loop128:
+	CMPQ      R8, $128
+	JB        tail64
+	VPXORQ    Z0, Z0, Z0
+	VPXORQ    Z1, Z1, Z1
+	TESTQ     R9, R9
+	JNZ       start128
+	VMOVDQU64 (DI), Z0
+	VMOVDQU64 64(DI), Z1
+
+start128:
+	MOVQ BX, R10 // &row[j]
+	MOVQ SI, R11 // &srcs[j]
+	MOVQ CX, R12 // sources left
+
+src128:
+	MOVBQZX        (R10), R13
+	VPBROADCASTQ   (AX)(R13*8), Z2
+	MOVQ           (R11), R14
+	VMOVDQU64      (R14)(DX*1), Z3
+	VMOVDQU64      64(R14)(DX*1), Z4
+	VGF2P8AFFINEQB $0, Z2, Z3, Z3
+	VGF2P8AFFINEQB $0, Z2, Z4, Z4
+	VPXORQ         Z3, Z0, Z0
+	VPXORQ         Z4, Z1, Z1
+	INCQ           R10
+	ADDQ           $24, R11
+	DECQ           R12
+	JNZ            src128
+
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z1, 64(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, DX
+	SUBQ      $128, R8
+	JMP       loop128
+
+tail64:
+	TESTQ     R8, R8
+	JZ        rowdone
+	VPXORQ    Z0, Z0, Z0
+	TESTQ     R9, R9
+	JNZ       start64
+	VMOVDQU64 (DI), Z0
+
+start64:
+	MOVQ BX, R10
+	MOVQ SI, R11
+	MOVQ CX, R12
+
+src64:
+	MOVBQZX        (R10), R13
+	VPBROADCASTQ   (AX)(R13*8), Z2
+	MOVQ           (R11), R14
+	VMOVDQU64      (R14)(DX*1), Z3
+	VGF2P8AFFINEQB $0, Z2, Z3, Z3
+	VPXORQ         Z3, Z0, Z0
+	INCQ           R10
+	ADDQ           $24, R11
+	DECQ           R12
+	JNZ            src64
+
+	VMOVDQU64 Z0, (DI)
+
+rowdone:
+	VZEROUPPER
+	RET

@@ -90,35 +90,123 @@ func TestMulSliceGenericPath(t *testing.T) {
 	TestMulSliceMatchesReference(t)
 }
 
-func TestMulAccumulateRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, size := range []int{1, 8, 129, 4096, accBlockBytes + 13} {
-		for _, k := range []int{1, 4, 8} {
-			row := make([]byte, k)
-			srcs := make([][]byte, k)
-			for j := range srcs {
-				row[j] = byte(rng.Intn(Order))
-				srcs[j] = make([]byte, size)
-				rng.Read(srcs[j])
-			}
-			row[0] = 0 // cover the skip path
-			if k > 1 {
-				row[1] = 1 // cover the XOR fast path
-			}
-			want := make([]byte, size)
-			for j := range srcs {
-				mulSliceRef(row[j], srcs[j], want)
-			}
-			got := make([]byte, size)
-			MulAccumulateRows(row, srcs, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulAccumulateRows(k=%d, size=%d) diverges from per-row reference", k, size)
+// rowTier is one MulRows kernel tier, selected through the package's CPU
+// flags the way TestMulSliceGenericPath selects the portable loops.
+type rowTier struct {
+	name      string
+	gfni, asm bool
+	// lacks is why the CPU cannot run the tier, empty when it can.
+	lacks string
+}
+
+// rowTiers lists every tier, best first, with the flags as detected.
+func rowTiers() []rowTier {
+	tiers := []rowTier{
+		{name: "gfni", gfni: true, asm: asmEnabled},
+		{name: "avx2", asm: true},
+		{name: "generic"},
+	}
+	if !gfniEnabled {
+		tiers[0].lacks = "the CPU or OS lacks GFNI with AVX-512"
+	}
+	if !asmEnabled {
+		tiers[1].lacks = "the CPU or OS lacks AVX2"
+	}
+	return tiers
+}
+
+// use selects the tier's kernels, or skips tb, saying why, when the CPU
+// lacks them. It returns the function that restores the detected tier.
+func (tier rowTier) use(tb testing.TB) (restore func()) {
+	if tier.lacks != "" {
+		tb.Skipf("tier %s not exercised: %s", tier.name, tier.lacks)
+	}
+	savedGFNI, savedAsm := gfniEnabled, asmEnabled
+	gfniEnabled, asmEnabled = tier.gfni, tier.asm
+	return func() { gfniEnabled, asmEnabled = savedGFNI, savedAsm }
+}
+
+// mulRowsRef is MulRows in assign mode computed with the scalar Mul.
+func mulRowsRef(rows, srcs [][]byte, size int) [][]byte {
+	want := make([][]byte, len(rows))
+	for r, row := range rows {
+		want[r] = make([]byte, size)
+		for j, c := range row {
+			for i, s := range srcs[j] {
+				want[r][i] ^= Mul(c, s)
 			}
 		}
 	}
+	return want
 }
 
-func TestMulAccumulateRowsPanics(t *testing.T) {
+// TestMulRowsTiers checks every kernel tier the CPU has against the scalar
+// Mul: sizes around the vector width and the block size, 1-8 sources, 1-4
+// rows, coefficients 0, 1 and random, and both modes over outputs that
+// start out as garbage. The largest size, many blocks and a ragged tail,
+// runs a sample of the shapes: the scalar reference is slow under -race.
+func TestMulRowsTiers(t *testing.T) {
+	const large = 256<<10 + 17
+	sizes := []int{0, 1, 63, 64, 65, rowBlockBytes - 1, rowBlockBytes + 1, large}
+	for _, tier := range rowTiers() {
+		t.Run(tier.name, func(t *testing.T) {
+			defer tier.use(t)()
+			rng := rand.New(rand.NewSource(3))
+			cases := 0
+			for _, size := range sizes {
+				for k := 1; k <= 8; k++ {
+					for nrows := 1; nrows <= 4; nrows++ {
+						if size == large && (k != 1 && k != 8 || nrows != 1 && nrows != 4) {
+							continue
+						}
+						srcs := make([][]byte, k)
+						for j := range srcs {
+							srcs[j] = make([]byte, size)
+							rng.Read(srcs[j])
+						}
+						rows := make([][]byte, nrows)
+						for r := range rows {
+							rows[r] = make([]byte, k)
+							for j := range rows[r] {
+								switch (r + j) % 3 {
+								case 0:
+								case 1:
+									rows[r][j] = 1
+								default:
+									rows[r][j] = byte(2 + rng.Intn(Order-2))
+								}
+							}
+						}
+						want := mulRowsRef(rows, srcs, size)
+						for _, assign := range []bool{true, false} {
+							garbage := make([][]byte, nrows)
+							outs := make([][]byte, nrows)
+							for r := range outs {
+								garbage[r] = make([]byte, size)
+								rng.Read(garbage[r])
+								outs[r] = bytes.Clone(garbage[r])
+							}
+							MulRows(rows, srcs, outs, assign)
+							for r := range outs {
+								exp := bytes.Clone(want[r])
+								if !assign {
+									xorSlice(garbage[r], exp)
+								}
+								if !bytes.Equal(outs[r], exp) {
+									t.Fatalf("MulRows(size=%d, sources=%d, row %d of %d, assign=%v) diverges from Mul", size, k, r, nrows, assign)
+								}
+							}
+							cases++
+						}
+					}
+				}
+			}
+			t.Logf("tier %s: %d cases match the scalar reference", tier.name, cases)
+		})
+	}
+}
+
+func TestMulRowsPanics(t *testing.T) {
 	assertPanics := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -128,11 +216,18 @@ func TestMulAccumulateRowsPanics(t *testing.T) {
 		}()
 		fn()
 	}
+	buf := func() []byte { return make([]byte, 4) }
 	assertPanics("row/src mismatch", func() {
-		MulAccumulateRows([]byte{1, 2}, [][]byte{make([]byte, 4)}, make([]byte, 4))
+		MulRows([][]byte{{1, 2}}, [][]byte{buf()}, [][]byte{buf()}, true)
 	})
-	assertPanics("length mismatch", func() {
-		MulAccumulateRows([]byte{1}, [][]byte{make([]byte, 3)}, make([]byte, 4))
+	assertPanics("row/out mismatch", func() {
+		MulRows([][]byte{{1}, {2}}, [][]byte{buf()}, [][]byte{buf()}, true)
+	})
+	assertPanics("source length mismatch", func() {
+		MulRows([][]byte{{1}}, [][]byte{make([]byte, 3)}, [][]byte{buf()}, false)
+	})
+	assertPanics("output length mismatch", func() {
+		MulRows([][]byte{{1}, {1}}, [][]byte{buf()}, [][]byte{buf(), make([]byte, 5)}, false)
 	})
 }
 
@@ -177,22 +272,36 @@ func BenchmarkMulSliceSeed(b *testing.B) {
 	}
 }
 
-func BenchmarkMulAccumulateRows(b *testing.B) {
-	const k, size = 6, 1 << 20
-	row := make([]byte, k)
+// BenchmarkMulRows is a (7,4) parity encode of a 1 MiB object in one
+// call: 3 rows over 4 sources of 256 KiB, written in assign mode, once per
+// tier the CPU has.
+func BenchmarkMulRows(b *testing.B) {
+	const k, nrows, size = 4, 3, 256 << 10
 	srcs := make([][]byte, k)
 	for j := range srcs {
-		row[j] = byte(j*37 + 2)
 		srcs[j] = make([]byte, size)
 		for i := range srcs[j] {
 			srcs[j][i] = byte(i + j)
 		}
 	}
-	dst := make([]byte, size)
-	b.SetBytes(int64(k * size))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAccumulateRows(row, srcs, dst)
+	rows := make([][]byte, nrows)
+	outs := make([][]byte, nrows)
+	for r := range rows {
+		rows[r] = make([]byte, k)
+		for j := range rows[r] {
+			rows[r][j] = byte(r*37 + j*11 + 2)
+		}
+		outs[r] = make([]byte, size)
+	}
+	for _, tier := range rowTiers() {
+		b.Run(tier.name, func(b *testing.B) {
+			defer tier.use(b)()
+			b.SetBytes(k * size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulRows(rows, srcs, outs, true)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -384,10 +385,11 @@ func (p *Pool) AbortStaleStaged(olderThan time.Duration) int {
 // committed stripe version: encode into n chunks (the SIMD data plane),
 // stage them in parallel, then flip the version. On any staging or commit
 // failure the staged chunks are aborted and the previously committed stripe
-// remains untouched. data is copied exactly once, by Split; the split chunks
-// and their parity are staged by reference, so the caller keeps data.
+// remains untouched. data is copied exactly once, into a clone that Split
+// cuts into views; those chunks and their parity are staged by reference,
+// so the caller keeps data.
 func (p *Pool) PutV(ctx context.Context, object string, data []byte) (uint64, error) {
-	dataChunks, err := p.code.Split(data)
+	dataChunks, err := p.code.Split(bytes.Clone(data))
 	if err != nil {
 		return 0, err
 	}

@@ -19,10 +19,11 @@
 // return the stored slice by reference: shared read-only memory that readers
 // may keep for as long as they like (deleting or replacing a chunk only
 // drops the store's own reference) and must never write to or recycle. The
-// same rule continues upwards through core.DataChunkWriter and the
-// functional cache, so a chunk is copied only where bytes change shape:
-// erasure.Split on the way in, DecodeInto on the way out, and the kernel's
-// socket copies in between. Across the network the reader's copy is its own
+// same rule continues upwards through the functional cache, so a chunk is
+// copied only where it changes owner or shape: erasure.Split returns views
+// of the caller's buffer, Pool.PutV and a whole-file write-through clone the
+// caller's bytes once, DecodeInto copies on the way out, and the kernel's
+// socket copies lie in between. Across the network the reader's copy is its own
 // memory: the transport client receives a fetched chunk into the buffer the
 // controller's read brought for it (core.FetchRef.Buf), which the read reuses
 // once it has decoded. No stored chunk is ever recycled.

@@ -54,8 +54,9 @@ func TestImmutableChunkIsHandedOverNotCopied(t *testing.T) {
 }
 
 // TestImmutablePutVKeepsNoCallerMemory shows where the copy boundary of the
-// in-process write path is: PutV copies the object once (Split) and stores
-// chunks that share no memory with the caller's buffer, so scribbling over
+// in-process write path is: PutV copies the object once (a clone, which
+// Split cuts into views) and stores chunks that share no memory with the
+// caller's buffer, so scribbling over
 // the buffer afterwards changes no stored byte — for the first write and
 // for an overwrite alike.
 func TestImmutablePutVKeepsNoCallerMemory(t *testing.T) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"sprout/internal/erasure"
 )
@@ -45,7 +46,8 @@ func NewStripedWriter(ctx context.Context, client *Client, pool string) (*Stripe
 // committed stripe version: split + encode locally, BeginPut, stage all n
 // chunks concurrently (one pipelined round trip per chunk batch), commit.
 // Any failure aborts the staged chunks; the previously committed stripe, if
-// one exists, remains fully readable throughout.
+// one exists, remains fully readable throughout. data is sent without a
+// copy: it is only read, and only until Put returns.
 func (w *StripedWriter) Put(ctx context.Context, object string, data []byte) (uint64, error) {
 	dataChunks, err := w.Code.Split(data)
 	if err != nil {
@@ -55,15 +57,18 @@ func (w *StripedWriter) Put(ctx context.Context, object string, data []byte) (ui
 }
 
 // putChunks encodes pre-split data chunks and runs the staged write. Only
-// the n-k parity chunks are computed; the code is systematic, so storage
-// chunks 0..k-1 are the data chunks themselves and are sent by reference —
-// never copied, never multiplied, only read.
+// the n-k parity chunks are computed, into a recycled set; the code is
+// systematic, so storage chunks 0..k-1 are the data chunks themselves and
+// are sent by reference — never copied, never multiplied, only read.
 func (w *StripedWriter) putChunks(ctx context.Context, object string, dataChunks [][]byte, size int) (uint64, error) {
-	parity, err := w.Code.EncodeParity(dataChunks)
+	set := paritySets.Get().(*paritySet)
+	// Every PutChunk below, which reads its chunk only before it returns,
+	// has returned by the time putChunks does.
+	defer set.recycle()
+	storage, err := set.encode(w.Code, dataChunks)
 	if err != nil {
 		return 0, err
 	}
-	storage := append(append(make([][]byte, 0, w.Code.N()), dataChunks...), parity...)
 	version, err := w.Client.BeginPut(ctx, w.Pool, object)
 	if err != nil {
 		return 0, err
@@ -95,6 +100,43 @@ func (w *StripedWriter) putChunks(ctx context.Context, object string, dataChunks
 		return 0, firstErr
 	}
 	return version, nil
+}
+
+// paritySet is one put's storage chunk list and the memory its parity is
+// written into, recycled between puts so a put allocates no parity.
+type paritySet struct {
+	storage [][]byte
+	backing []byte
+}
+
+var paritySets = sync.Pool{New: func() any { return new(paritySet) }}
+
+// encode returns the n storage chunks of dataChunks: the data chunks
+// followed by their parity, written into the set's backing.
+func (s *paritySet) encode(code *erasure.Code, dataChunks [][]byte) ([][]byte, error) {
+	size := 0
+	if len(dataChunks) > 0 {
+		size = len(dataChunks[0])
+	}
+	parity := code.N() - code.K()
+	if cap(s.backing) < parity*size {
+		s.backing = make([]byte, parity*size)
+	}
+	s.storage = append(s.storage[:0], dataChunks...)
+	for i := 0; i < parity; i++ {
+		s.storage = append(s.storage, s.backing[i*size:(i+1)*size:(i+1)*size])
+	}
+	if err := code.EncodeParityInto(dataChunks, s.storage[len(dataChunks):]); err != nil {
+		return nil, err
+	}
+	return s.storage, nil
+}
+
+// recycle puts the set back, dropping its references to the data chunks.
+func (s *paritySet) recycle() {
+	clear(s.storage)
+	s.storage = s.storage[:0]
+	paritySets.Put(s)
 }
 
 // abort discards the staged put, using a fresh context so cleanup still

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +17,13 @@ import (
 )
 
 func stripedTestServer(t *testing.T) (*objstore.Cluster, *objstore.Pool, *Client) {
+	t.Helper()
+	return stripedTestServerWith(t, ServerConfig{StagedPutTTL: time.Minute})
+}
+
+// stripedTestServerWith serves a (7,4) pool over 10 zero-service OSDs with
+// the given server configuration.
+func stripedTestServerWith(t *testing.T, cfg ServerConfig) (*objstore.Cluster, *objstore.Pool, *Client) {
 	t.Helper()
 	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
 		NumOSDs:      10,
@@ -27,7 +38,7 @@ func stripedTestServer(t *testing.T) (*objstore.Cluster, *objstore.Pool, *Client
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWithConfig(cluster, ServerConfig{StagedPutTTL: time.Minute})
+	srv := NewServerWithConfig(cluster, cfg)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +154,95 @@ func TestWriteDataChunksOnlyReadsItsInput(t *testing.T) {
 			t.Fatalf("storage chunk %d differs from Encode's (size %d)", i, size)
 		}
 	}
+}
+
+// TestStripedPutRecyclesParityAfterReturn overwrites objects with concurrent
+// striped puts that share the recycled parity sets, while a chaos rule fails
+// every chunk written to one OSD: the puts whose stripe touches it abort
+// mid-stripe and the rest commit. Every object must then hold exactly
+// Encode's chunks of its last committed payload. A parity set put back while
+// its round trips still read it would be overwritten by another put's
+// encode; under -race that is also a data race, because chunks below the
+// by-reference threshold are copied into the frame by Go code.
+func TestStripedPutRecyclesParityAfterReturn(t *testing.T) {
+	chaos := NewChaos(9)
+	_, pool, client := stripedTestServerWith(t, ServerConfig{StagedPutTTL: time.Minute, Chaos: chaos})
+	ctx := context.Background()
+	writer, err := NewStripedWriter(ctx, client, "ec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, puts = 6, 8
+	rng := rand.New(rand.NewSource(10))
+	// Chunks of 8 KiB go into the frame by copy, of 64 KiB by reference.
+	payload := func(rng *rand.Rand, large bool) []byte {
+		size := 4*(8<<10) - rng.Intn(8)
+		if large {
+			size = 4*(64<<10) - rng.Intn(8)
+		}
+		p := make([]byte, size)
+		rng.Read(p)
+		return p
+	}
+	// The chaos harness only targets chunks of objects it can place, so
+	// every object exists before the rule is set and the puts overwrite.
+	stored := make([][]byte, writers*puts)
+	for id := range stored {
+		stored[id] = payload(rng, id%2 == 1)
+		if _, err := writer.Put(ctx, fmt.Sprintf("obj-%02d", id), stored[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chaos.SetRule(4, ChaosRule{ErrorRate: 1})
+	var committed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for p := 0; p < puts; p++ {
+				id := g*puts + p
+				next := payload(rng, p%2 == 0)
+				_, err := writer.Put(ctx, fmt.Sprintf("obj-%02d", id), next)
+				switch {
+				case err == nil:
+					stored[id] = next
+					committed.Add(1)
+				case !strings.Contains(err.Error(), ErrInjected.Error()):
+					t.Errorf("put %d: %v", id, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	chaos.ClearRule(4) // the rule fails chunk reads too
+	for id, data := range stored {
+		dataChunks, err := writer.Code.Split(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := writer.Code.Encode(dataChunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			got, _, size, err := client.GetChunkV(ctx, "ec", fmt.Sprintf("obj-%02d", id), i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) || size != int64(len(data)) {
+				t.Fatalf("object %d: storage chunk %d differs from Encode's of its last committed payload", id, i)
+			}
+		}
+	}
+	if n := committed.Load(); n == 0 || n == writers*puts {
+		t.Fatalf("%d of %d overwrites committed; the test needs both commits and aborts", n, writers*puts)
+	}
+	if staged := pool.StagedPuts(); staged != 0 {
+		t.Fatalf("%d staged puts left behind", staged)
+	}
+	t.Logf("%d overwrites committed, %d aborted by the chaos rule", committed.Load(), writers*puts-committed.Load())
 }
 
 func TestStripedWriterAbortOnFailure(t *testing.T) {
