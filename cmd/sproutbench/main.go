@@ -154,7 +154,7 @@ func experiments() []experiment {
 			}
 			return bench.TenantTable(r), nil
 		}},
-		{"hotpath", "serving hot path: lock-free MPSC ring vs channel hand-off, zero-alloc read checks", func(cfg bench.Config) (*bench.Table, error) {
+		{"hotpath", "serving hot path: work-queue (wfq) vs channel hand-off, zero-alloc read checks", func(cfg bench.Config) (*bench.Table, error) {
 			r, err := bench.HotpathQueues(cfg)
 			if err != nil {
 				return nil, err

@@ -567,7 +567,6 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 				src.Shards = append(src.Shards, obs.ShardSource{Shard: shardID(i), Controller: ctrl})
 			}
 		}
-		src.Rings = append(src.Rings, obs.RingSource{Name: "repair_wake", Stats: mgr.QueueStats})
 		serveMetrics(o.metricsAddr, src, out)
 	}
 

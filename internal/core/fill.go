@@ -20,7 +20,7 @@ var fillArena = arena.New("core_fill_chunks")
 // and metrics.
 func FillArena() *arena.Arena { return fillArena }
 
-// FillQueueStats exposes the background-fill ring's telemetry counters.
+// FillQueueStats exposes the background-fill queue's telemetry counters.
 func (c *Controller) FillQueueStats() ring.Stats { return c.fillQ.Stats() }
 
 // fillQueueCap bounds the fill job queue; when full, fill jobs are dropped
@@ -76,7 +76,7 @@ func (t *fillTracker) wait() {
 // padding included — into an arena lease and hands it to the background
 // materialisation pool through the weighted-fair fill scheduler, queued under
 // the reading tenant so one tenant's fill backlog cannot starve or overflow
-// another's. At most one job per file is in flight; when the tenant's ring is
+// another's. At most one job per file is in flight; when the tenant's queue is
 // full the job is dropped (lease released) and the file's next read
 // re-enqueues it.
 func (c *Controller) enqueueFill(tenant string, fileID, k int, data []byte, stripe StripeInfo) {
@@ -102,7 +102,7 @@ func (c *Controller) enqueueFill(tenant string, fileID, k int, data []byte, stri
 // reads continue to work while it waits.
 func (c *Controller) WaitFills() { c.fills.wait() }
 
-// fillWorker consumes the fill ring, parking while it is empty. On stop it
+// fillWorker consumes the fill queue, parking while it is empty. On stop it
 // abandons immediately; Close drains and releases whatever remains queued.
 func (c *Controller) fillWorker() {
 	defer c.fillWG.Done()

@@ -49,7 +49,8 @@ type Sources struct {
 	// Pools bridges named buffer arenas and counted scratch pools
 	// (lease hits, misses, outstanding).
 	Pools []PoolSource
-	// Rings bridges named lock-free work queues (pushes, pops, rejects,
+	// Rings bridges named work queues — the transport server's request
+	// queue and the controller's fill feed — (pushes, pops, rejects,
 	// parks).
 	Rings []RingSource
 	// Router bridges the shard router: routed operations per shard, the

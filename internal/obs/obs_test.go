@@ -83,7 +83,6 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 		Rings: []RingSource{
 			{Name: "controller_fill", Stats: ctrl.FillQueueStats},
 			{Name: "transport_work", Stats: func() ring.Stats { return ring.Stats{Pushes: 1, Pops: 1} }},
-			{Name: "repair_wake", Stats: func() ring.Stats { return ring.Stats{} }},
 		},
 		Router: rt,
 		Shards: []ShardSource{{Shard: "shard-0", Controller: ctrl}},

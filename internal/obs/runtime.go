@@ -17,9 +17,10 @@ type PoolSource interface {
 	Stats() arena.Stats
 }
 
-// RingSource names one lock-free work queue for the exporter. The stats
-// func closes over the owning subsystem, so a ring can be registered
-// without exposing the generic Buf type.
+// RingSource names one work queue (a wfq.Sched) for the exporter. The
+// stats func closes over the owning subsystem, so a queue can be registered
+// without exposing its element type. The type and the sprout_ring_* metric
+// names keep the name of the ring buffer the queues once ran on.
 type RingSource struct {
 	Name  string
 	Stats func() ring.Stats
@@ -112,8 +113,9 @@ func registerPools(r *metrics.Registry, pools []PoolSource) {
 }
 
 // registerRings exposes each work queue's push/pop/reject/park counters.
-// Rejects are the overload policy firing; parks count consumer sleeps, so
-// an idle server shows parks flat while pushes equal pops.
+// Rejects are the overload policy firing; parks count the times a consumer
+// found nothing queued and waited, so a busy queue shows parks flat while
+// pushes equal pops.
 func registerRings(r *metrics.Registry, rings []RingSource) {
 	collect := func(fn func(ring.Stats) float64) metrics.CollectorFunc {
 		return func() []metrics.Sample {
@@ -125,19 +127,19 @@ func registerRings(r *metrics.Registry, rings []RingSource) {
 		}
 	}
 	r.MustRegister(metrics.Desc{
-		Name: "sprout_ring_pushes_total", Help: "Items accepted into the work ring.",
+		Name: "sprout_ring_pushes_total", Help: "Items accepted into the work queue.",
 		Kind: metrics.KindCounter, Labels: []string{"queue"},
 	}, collect(func(s ring.Stats) float64 { return float64(s.Pushes) }))
 	r.MustRegister(metrics.Desc{
-		Name: "sprout_ring_pops_total", Help: "Items consumed from the work ring.",
+		Name: "sprout_ring_pops_total", Help: "Items consumed from the work queue.",
 		Kind: metrics.KindCounter, Labels: []string{"queue"},
 	}, collect(func(s ring.Stats) float64 { return float64(s.Pops) }))
 	r.MustRegister(metrics.Desc{
-		Name: "sprout_ring_rejects_total", Help: "Pushes refused by a full ring (overload policy applied).",
+		Name: "sprout_ring_rejects_total", Help: "Pushes refused by a full tenant queue (overload policy applied).",
 		Kind: metrics.KindCounter, Labels: []string{"queue"},
 	}, collect(func(s ring.Stats) float64 { return float64(s.Rejects) }))
 	r.MustRegister(metrics.Desc{
-		Name: "sprout_ring_parks_total", Help: "Times a ring consumer went to sleep waiting for work.",
+		Name: "sprout_ring_parks_total", Help: "Times a work-queue consumer found nothing queued and waited.",
 		Kind: metrics.KindCounter, Labels: []string{"queue"},
 	}, collect(func(s ring.Stats) float64 { return float64(s.Parks) }))
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // TestManagerStopLeaksNoWorkers is the goroutine-leak check for the
-// ring-parked repair workers: stopping the manager mid-repair — scan loop
-// running, workers parked or reconstructing — must release every goroutine
-// it started, including retry sleepers.
+// repair workers: stopping the manager mid-repair — scan loop running,
+// workers waiting on the queue or reconstructing — must release every
+// goroutine it started, including retry sleepers.
 func TestManagerStopLeaksNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c, pool, _ := repairTestPool(t, 8)
@@ -35,7 +35,7 @@ func TestManagerStopLeaksNoWorkers(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := mgr.QueueStats(); st.Pushes == 0 {
-		t.Fatalf("wake ring saw no traffic: %+v", st)
+	if st := mgr.Stats(); st.Enqueued == 0 {
+		t.Fatalf("repair queue saw no traffic: %+v", st)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"strconv"
 	"sync"
-
-	"sprout/internal/ring"
 )
 
 // item is one pending chunk repair. Priority is fewest surviving chunks
@@ -38,38 +36,23 @@ func (h *itemHeap) Pop() interface{} {
 	return it
 }
 
-// repairQueue is the prioritized repair queue. Every pending item lives in
-// a survivors-ascending heap under a mutex — priority is strict, so a chunk
-// one failure from loss enqueued last is still repaired first — but the
-// worker hand-off is lock-free: pushes publish wake tokens through a ring,
-// and idle workers park on the ring's eventcount instead of a condition
-// variable. A woken worker claims the heap-min; a token that finds the heap
-// already drained is a benign spurious wake. The token invariant (heap
-// non-empty ⇒ at least one token pending or being replenished) holds
-// because a worker that pops an item while more remain immediately
-// re-publishes a token, so a full-ring token drop can never strand work.
+// repairQueue is the prioritized repair queue: a survivors-ascending heap
+// under a mutex, with idle workers waiting on a condition variable. Priority
+// is resolved when a worker claims an item, so a chunk one failure from loss
+// enqueued last is still repaired first.
 type repairQueue struct {
-	wake *ring.Buf[struct{}]
-
 	mu     sync.Mutex
+	ready  sync.Cond // signalled on push, broadcast on close
 	heap   itemHeap
 	queued map[string]bool // object/chunk keys currently enqueued
 	seq    uint64
 	closed bool
 }
 
-// newRepairQueue sizes the wake ring to roughly the worker pool: enough
-// tokens that every worker can be woken at once without producers ever
-// blocking on the hand-off.
-func newRepairQueue(workers int) *repairQueue {
-	cap := 2 * workers
-	if cap < 4 {
-		cap = 4
-	}
-	return &repairQueue{
-		wake:   ring.New[struct{}](cap),
-		queued: make(map[string]bool),
-	}
+func newRepairQueue() *repairQueue {
+	q := &repairQueue{queued: make(map[string]bool)}
+	q.ready.L = &q.mu
+	return q
 }
 
 func chunkID(object string, chunk int) string {
@@ -95,10 +78,7 @@ func (q *repairQueue) push(object string, chunk, surviving, attempts int) bool {
 		seq:       q.seq,
 	})
 	q.mu.Unlock()
-	// A dropped token (full ring) is fine: a full ring already holds enough
-	// tokens to wake every worker, and each woken worker replenishes while
-	// items remain.
-	q.wake.TryPush(struct{}{})
+	q.ready.Signal()
 	return true
 }
 
@@ -108,34 +88,15 @@ func (q *repairQueue) push(object string, chunk, surviving, attempts int) bool {
 // marked as queued until done is called, so a scan racing an in-flight
 // repair cannot enqueue a duplicate.
 func (q *repairQueue) pop() *item {
-	for {
-		q.mu.Lock()
-		if len(q.heap) > 0 {
-			it := heap.Pop(&q.heap).(*item)
-			remaining := len(q.heap) > 0
-			q.mu.Unlock()
-			if remaining {
-				// Keep the token invariant for the other parked workers.
-				q.wake.TryPush(struct{}{})
-			}
-			return it
-		}
-		closed := q.closed
-		q.mu.Unlock()
-		if closed {
-			return nil
-		}
-		if _, ok := q.wake.PopWait(nil); !ok {
-			// Ring closed: loop once more to drain any heap remnants before
-			// reporting exhaustion.
-			q.mu.Lock()
-			empty := len(q.heap) == 0
-			q.mu.Unlock()
-			if empty {
-				return nil
-			}
-		}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.heap) == 0 && !q.closed {
+		q.ready.Wait()
 	}
+	if len(q.heap) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.heap).(*item)
 }
 
 // done clears a chunk's membership mark after its repair attempt finished.
@@ -155,10 +116,5 @@ func (q *repairQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.wake.Close()
+	q.ready.Broadcast()
 }
-
-// stats exposes the wake ring's telemetry counters: parks count workers
-// that actually went to sleep, rejects count benign token drops under
-// burst.
-func (q *repairQueue) stats() ring.Stats { return q.wake.Stats() }

@@ -18,7 +18,6 @@ import (
 	"sprout/internal/erasure"
 	"sprout/internal/objstore"
 	"sprout/internal/resilience"
-	"sprout/internal/ring"
 	"sprout/internal/tick"
 )
 
@@ -140,7 +139,7 @@ func NewManager(pool *objstore.Pool, cfg Config) *Manager {
 	m := &Manager{
 		pool:     pool,
 		cfg:      cfg,
-		queue:    newRepairQueue(cfg.Workers),
+		queue:    newRepairQueue(),
 		attempts: make(map[string]int),
 		stalled:  make(map[string]int),
 		ctx:      ctx,
@@ -262,10 +261,6 @@ func (m *Manager) Stats() Stats {
 		InFlight:       m.inFlight.Load(),
 	}
 }
-
-// QueueStats returns the telemetry counters of the lock-free ring that
-// hands prioritized repairs to the worker pool.
-func (m *Manager) QueueStats() ring.Stats { return m.queue.stats() }
 
 // WaitIdle blocks until no repairs are queued or running, or the context is
 // done. A drained queue does not imply a healthy pool: chunks with too few

@@ -45,7 +45,7 @@ func repairTestPool(t *testing.T, objects int) (*objstore.Cluster, *objstore.Poo
 }
 
 func TestQueuePriorityAndDedup(t *testing.T) {
-	q := newRepairQueue(1)
+	q := newRepairQueue()
 	if !q.push("b", 0, 5, 0) {
 		t.Fatal("push rejected")
 	}
@@ -94,7 +94,7 @@ func TestQueuePriorityAndDedup(t *testing.T) {
 // repair in arrival order whoever owns them, and fewer survivors beats
 // arrival order — durability alone decides.
 func TestQueueTenantWeightTieBreak(t *testing.T) {
-	q := newRepairQueue(1)
+	q := newRepairQueue()
 	q.push("bronze-1", 0, 3, 0)
 	q.push("gold-1", 0, 3, 0)
 	q.push("silver-1", 0, 3, 0)

@@ -1,376 +1,13 @@
-// Package ring provides the bounded lock-free MPSC/MPMC ring buffer the
-// serving path uses for work hand-off: the transport server's in-flight
-// request queue, the controller's background-fill feed, and the repair
-// queue's worker dispatch all push into one of these instead of a Go
-// channel.
-//
-// The design is the classic Dmitry Vyukov bounded MPMC queue: a
-// power-of-two slot array addressed through a mask, one atomic sequence
-// number per slot that encodes whether the slot is ready for a producer or
-// a consumer, and CAS-advanced head/tail cursors kept on separate cache
-// lines so producers and consumers do not false-share. Push never blocks:
-// a full ring reports failure and the caller applies its own overload
-// policy (the transport server answers "overloaded", the fill feed drops
-// the fill). Consumers spin briefly and then park on an eventcount —
-// an atomic waiter counter plus a one-token wake channel — so an idle
-// server burns no CPU while a loaded one hands work over without ever
-// touching a mutex.
-//
-// Sequentially consistent Go atomics make the park/unpark protocol sound:
-// a producer signals only after publishing the slot (seq store), and a
-// consumer re-polls after registering as a waiter, so for any push either
-// the producer observes the waiter and sends a wake token, or the consumer
-// observes the pushed slot — a wakeup is never lost. The wake channel
-// holds at most one token, so a burst of pushes against parked consumers
-// may collapse into a single pending token; to keep that from draining
-// the backlog through one consumer serially, a woken consumer that claims
-// an item re-publishes the token while the ring is still non-empty and
-// other consumers remain parked (wake chaining — the same token-replenish
-// invariant the repair queue documents). Spurious wakeups are benign: a
-// woken consumer that finds the ring empty simply re-parks.
+// Package ring holds the telemetry snapshot of a work queue. The queue
+// itself is internal/wfq; this type lives apart so the metrics exporter
+// (internal/obs) and the repository benchmark can read a queue's counters
+// without depending on the queue's element type.
 package ring
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// cacheLinePad separates the producer and consumer cursors. 64 bytes
-// covers x86-64 and most arm64 parts; being wrong only costs throughput.
-type cacheLinePad [64]byte
-
-type slot[T any] struct {
-	// seq encodes the slot state relative to the cursors: seq == pos means
-	// "free for the producer claiming position pos", seq == pos+1 means
-	// "holds the value pushed at pos, free for the consumer", and after a
-	// pop the slot is re-armed at pos+Cap for the producer's next lap.
-	seq atomic.Uint64
-	val T
-}
-
-// Buf is a bounded lock-free ring buffer. The zero value is not usable;
-// construct with New.
-type Buf[T any] struct {
-	mask  uint64
-	slots []slot[T]
-
-	_    cacheLinePad
-	tail atomic.Uint64 // next position a producer claims
-	_    cacheLinePad
-	head atomic.Uint64 // next position a consumer claims
-	_    cacheLinePad
-
-	// waiters counts consumers that are parked (or about to park) in
-	// PopWait; producers only touch the wake channel when it is non-zero,
-	// so the uncontended push path is two atomics and one load.
-	waiters atomic.Int32
-	wake    chan struct{}
-
-	closedCh  chan struct{}
-	closeOnce sync.Once
-
-	// Telemetry for the obs layer; best-effort counters, not part of the
-	// synchronization protocol. Successful push/pop totals are derived
-	// from the cursors in Stats so the hot ops pay no extra atomics.
-	rejects atomic.Int64
-	parks   atomic.Int64
-}
-
-// New returns a ring with capacity rounded up to the next power of two
-// (minimum 2).
-func New[T any](capacity int) *Buf[T] {
-	n := uint64(2)
-	for n < uint64(capacity) {
-		n <<= 1
-	}
-	b := &Buf[T]{
-		mask:     n - 1,
-		slots:    make([]slot[T], n),
-		wake:     make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
-	}
-	for i := range b.slots {
-		b.slots[i].seq.Store(uint64(i))
-	}
-	return b
-}
-
-// Cap returns the ring's capacity.
-func (b *Buf[T]) Cap() int { return int(b.mask + 1) }
-
-// Len returns the approximate number of queued items.
-func (b *Buf[T]) Len() int {
-	n := int64(b.tail.Load()) - int64(b.head.Load())
-	if n < 0 {
-		n = 0
-	}
-	if max := int64(b.mask + 1); n > max {
-		n = max
-	}
-	return int(n)
-}
-
-// TryPush enqueues v and wakes a parked consumer if one is registered.
-// It returns false when the ring is full — the caller's overload policy
-// decides what happens to v. Pushing to a closed ring is a caller bug;
-// items pushed after Close may or may not be drained.
-func (b *Buf[T]) TryPush(v T) bool {
-	pos := b.tail.Load()
-	for {
-		s := &b.slots[pos&b.mask]
-		seq := s.seq.Load()
-		switch diff := int64(seq) - int64(pos); {
-		case diff == 0:
-			if b.tail.CompareAndSwap(pos, pos+1) {
-				s.val = v
-				s.seq.Store(pos + 1)
-				b.signal()
-				return true
-			}
-			pos = b.tail.Load()
-		case diff < 0:
-			// The slot a full lap behind has not been consumed: full.
-			b.rejects.Add(1)
-			return false
-		default:
-			// Another producer claimed pos; reload.
-			pos = b.tail.Load()
-		}
-	}
-}
-
-// TryPop dequeues the oldest item, or reports false when the ring is
-// empty. Safe for concurrent consumers.
-func (b *Buf[T]) TryPop() (T, bool) {
-	var zero T
-	pos := b.head.Load()
-	for {
-		s := &b.slots[pos&b.mask]
-		seq := s.seq.Load()
-		switch diff := int64(seq) - int64(pos+1); {
-		case diff == 0:
-			if b.head.CompareAndSwap(pos, pos+1) {
-				v := s.val
-				s.val = zero // drop the reference so the GC can reclaim it
-				s.seq.Store(pos + b.mask + 1)
-				return v, true
-			}
-			pos = b.head.Load()
-		case diff < 0:
-			return zero, false
-		default:
-			pos = b.head.Load()
-		}
-	}
-}
-
-// PopBatch dequeues up to len(dst) items in one head advance and returns
-// how many it claimed. The batch claim amortizes the consumer's atomics
-// across the run — one CAS per batch instead of one per item — which is
-// what lets a draining consumer keep bursty producers away from the full
-// boundary. Safe for concurrent consumers.
-func (b *Buf[T]) PopBatch(dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	var zero T
-	for {
-		pos := b.head.Load()
-		// Measure the contiguous published run starting at head. The scan
-		// races with other consumers; the CAS below detects that and
-		// retries. A slot claimed by a producer that has not published yet
-		// ends the run — items behind it wait for the next call.
-		r := uint64(0)
-		for r < uint64(len(dst)) {
-			s := &b.slots[(pos+r)&b.mask]
-			if int64(s.seq.Load())-int64(pos+r+1) != 0 {
-				break
-			}
-			r++
-		}
-		if r == 0 {
-			return 0
-		}
-		if !b.head.CompareAndSwap(pos, pos+r) {
-			continue
-		}
-		for i := uint64(0); i < r; i++ {
-			s := &b.slots[(pos+i)&b.mask]
-			dst[i] = s.val
-			s.val = zero
-			s.seq.Store(pos + i + b.mask + 1)
-		}
-		return int(r)
-	}
-}
-
-// PopBatchWait fills dst like PopBatch but parks until at least one item
-// is available. Returns 0 with ok == false under the same conditions as
-// PopWait: stop fired, or the ring is closed and drained.
-func (b *Buf[T]) PopBatchWait(dst []T, stop <-chan struct{}) (int, bool) {
-	// woken: same wake-chaining discipline as PopWait — a batch claim can
-	// leave items behind (backlog longer than dst), and those must not
-	// stall behind this consumer while its peers sleep.
-	woken := false
-	for {
-		select {
-		case <-stop:
-			return 0, false
-		default:
-		}
-		if n := b.PopBatch(dst); n > 0 {
-			b.chainWake(woken)
-			return n, true
-		}
-		for i := 0; i < spinPops; i++ {
-			runtime.Gosched()
-			if n := b.PopBatch(dst); n > 0 {
-				b.chainWake(woken)
-				return n, true
-			}
-		}
-		select {
-		case <-b.closedCh:
-			n := b.PopBatch(dst)
-			return n, n > 0
-		default:
-		}
-		b.waiters.Add(1)
-		if n := b.PopBatch(dst); n > 0 {
-			b.waiters.Add(-1)
-			b.chainWake(woken)
-			return n, true
-		}
-		b.parks.Add(1)
-		select {
-		case <-b.wake:
-			woken = true
-		case <-b.closedCh:
-		case <-stop:
-			b.waiters.Add(-1)
-			return 0, false
-		}
-		b.waiters.Add(-1)
-	}
-}
-
-// signal hands one wake token to parked consumers. The channel holds at
-// most one token: a dropped send means a token is already pending, and
-// whichever consumer claims it chains the wake onward (see chainWake), so
-// no pushed item is stranded behind a collapsed burst of signals.
-func (b *Buf[T]) signal() {
-	if b.waiters.Load() == 0 {
-		return
-	}
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-// chainWake re-publishes the wake token a parked consumer consumed. A
-// burst of N pushes against an idle pool collapses into one pending token
-// (the channel holds at most one), so the single woken consumer must pass
-// the baton before it goes off to process its item: if the ring still
-// holds work and other consumers remain parked, send the token onward.
-// Each link in the chain wakes one more consumer, so the whole pool spins
-// up instead of one worker draining the backlog serially behind its own
-// (possibly slow) handler. Both load checks race benignly: a missed
-// waiter is still spinning and will re-poll, and an item pushed just
-// after the emptiness check re-signals from its producer.
-func (b *Buf[T]) chainWake(woken bool) {
-	if !woken || b.waiters.Load() == 0 || b.Len() == 0 {
-		return
-	}
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-// spinPops is how many yield-and-repoll rounds a consumer makes before
-// parking. Kept tiny: on a loaded server the repoll wins immediately, and
-// on an idle one we want to reach the parked state quickly.
-const spinPops = 4
-
-// PopWait dequeues the oldest item, parking until one arrives. It returns
-// ok == false when stop becomes ready (shutdown requested by the consumer's
-// owner — queued items are left for the owner to drain), or when the ring
-// has been closed and fully drained. A nil stop channel never fires.
-func (b *Buf[T]) PopWait(stop <-chan struct{}) (T, bool) {
-	var zero T
-	// woken records that this consumer consumed a wake token; a successful
-	// pop then chains the wake onward so a burst collapsed into one token
-	// still wakes the whole pool (see chainWake).
-	woken := false
-	for {
-		select {
-		case <-stop:
-			return zero, false
-		default:
-		}
-		if v, ok := b.TryPop(); ok {
-			b.chainWake(woken)
-			return v, true
-		}
-		for i := 0; i < spinPops; i++ {
-			runtime.Gosched()
-			if v, ok := b.TryPop(); ok {
-				b.chainWake(woken)
-				return v, true
-			}
-		}
-		select {
-		case <-b.closedCh:
-			// Closed: drain whatever remains, then report exhaustion.
-			return b.TryPop()
-		default:
-		}
-		b.waiters.Add(1)
-		// Re-poll after registering: this ordering is what guarantees a
-		// concurrent producer either sees the waiter or we see its item.
-		if v, ok := b.TryPop(); ok {
-			b.waiters.Add(-1)
-			b.chainWake(woken)
-			return v, true
-		}
-		b.parks.Add(1)
-		select {
-		case <-b.wake:
-			woken = true
-		case <-b.closedCh:
-		case <-stop:
-			b.waiters.Add(-1)
-			return zero, false
-		}
-		b.waiters.Add(-1)
-	}
-}
-
-// Close marks the ring closed and wakes every parked consumer. Consumers
-// drain the remaining items and then see ok == false from PopWait. The
-// caller must have stopped all producers first.
-func (b *Buf[T]) Close() {
-	b.closeOnce.Do(func() { close(b.closedCh) })
-}
-
-// Stats is a point-in-time telemetry snapshot.
+// Stats is a point-in-time telemetry snapshot of a work queue.
 type Stats struct {
-	Pushes  int64 // successful TryPush calls
-	Pops    int64 // successful pops
-	Rejects int64 // TryPush calls that found the ring full
-	Parks   int64 // times a consumer went to sleep in PopWait
-}
-
-// Stats returns the ring's telemetry counters. Pushes and Pops are read
-// from the cursors, so a claim that is still being published may be
-// counted one early — fine for telemetry.
-func (b *Buf[T]) Stats() Stats {
-	return Stats{
-		Pushes:  int64(b.tail.Load()),
-		Pops:    int64(b.head.Load()),
-		Rejects: b.rejects.Load(),
-		Parks:   b.parks.Load(),
-	}
+	Pushes  int64 // items accepted
+	Pops    int64 // items consumed
+	Rejects int64 // pushes refused by a full queue
+	Parks   int64 // times a consumer found nothing queued and waited
 }

@@ -10,9 +10,9 @@ import (
 
 // TestServerCloseMidFlightLeaksNothing closes the server while a burst of
 // requests is still in flight and asserts two invariants of the hot path:
-// every server goroutine (workers parked on the ring, conn loops, janitor)
-// exits, and every frame-encode lease taken by the write loops is returned
-// — even for batches cut short by the teardown.
+// every server goroutine (workers parked on the work queue, conn loops,
+// janitor) exits, and every frame-encode lease taken by the write loops is
+// returned — even for batches cut short by the teardown.
 func TestServerCloseMidFlightLeaksNothing(t *testing.T) {
 	framesBefore := FrameArena().Outstanding()
 	goroutinesBefore := runtime.NumGoroutine()
@@ -65,9 +65,9 @@ func TestServerCloseMidFlightLeaksNothing(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The ring must have admitted real traffic for this test to mean
+	// The work queue must have admitted real traffic for this test to mean
 	// anything.
 	if st := srv.WorkQueueStats(); st.Pushes == 0 || st.Pops == 0 {
-		t.Fatalf("work ring saw no traffic: %+v", st)
+		t.Fatalf("work queue saw no traffic: %+v", st)
 	}
 }

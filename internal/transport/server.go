@@ -40,9 +40,8 @@ type ServerConfig struct {
 	// MaxInFlight bounds each tenant's request queue feeding the shared
 	// worker pool. A frame arriving while its tenant's queue is full is
 	// answered immediately with an overload response instead of being
-	// buffered — so one tenant's burst overflows only its own queue. Each
-	// queue is a lock-free ring, so the effective bound is MaxInFlight
-	// rounded up to the next power of two (minimum 2). Default: 256.
+	// buffered — so one tenant's burst overflows only its own queue.
+	// Default: 256.
 	MaxInFlight int
 	// TenantWeights maps tenant names (Request.Tenant) to their share of
 	// the worker pool under the deficit-round-robin dispatcher. Tenants not
@@ -234,10 +233,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // worker executes requests in weighted-fair order across the per-tenant
-// queues, parking on the scheduler's eventcount when they are empty. A nil
-// stop channel is deliberate: shutdown is signalled by closing the
-// scheduler, which lets workers drain every request that was admitted
-// before the close.
+// queues, parking on the scheduler while they are empty. A nil stop
+// channel is deliberate: shutdown is signalled by closing the scheduler,
+// which lets workers drain every request that was admitted before the
+// close.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for {

@@ -1,29 +1,21 @@
-// Package wfq provides the weighted-fair work scheduler the serving path
-// uses wherever several tenants contend for one bounded worker pool: the
+// Package wfq is the serving path's one work queue: a weighted-fair
+// scheduler wherever several tenants contend for one worker pool — the
 // transport server's request queue and the controller's background-fill
-// feed. It replaces a single ring.Buf with one bounded MPSC ring per tenant
-// plus a deficit-round-robin dispatcher, so a tenant flooding its own queue
-// can only ever fill — and overflow — its own ring while the other tenants
+// feed. Each tenant has its own bounded FIFO, so a tenant flooding its
+// queue can only fill — and overflow — that queue while the other tenants
 // keep draining at their weighted share.
 //
-// The data path stays on the lock-free rings from internal/ring: producers
-// TryPush into their tenant's ring (a read-locked map lookup on the hot
-// path, a write-locked insert only the first time a tenant appears), and
-// consumers pop through a deficit-round-robin scan. Items are unit cost, so
-// DRR degenerates to weighted round robin: the dispatcher serves up to
-// weight×quantum items from a tenant's ring before advancing, skips empty
-// rings (forfeiting their remaining deficit, as DRR requires for work
-// conservation), and wraps around. The scan state (cursor + per-tenant
-// deficits) is tiny and guarded by a mutex; the mutex bounds nothing on the
-// producer side and is held only for the few loads of a scan, so the
-// scheduler keeps the ring's throughput characteristics while adding
-// isolation.
+// All queues sit under one mutex. Consumers pop through a
+// deficit-round-robin scan; items are unit cost, so DRR degenerates to
+// weighted round robin: the scan serves up to weight×quantum items from a
+// tenant before advancing, skips empty tenants (forfeiting their remaining
+// deficit, as DRR requires for work conservation), and wraps around.
 //
-// Parking mirrors the ring's eventcount protocol: producers signal a
-// one-token wake channel only when a consumer is registered as waiting, a
-// consumer re-polls after registering, and a woken consumer that claims an
-// item re-publishes the token while work remains (wake chaining), so bursts
-// collapsed into one token still spin up the whole pool.
+// Parking is a buffered channel holding one token per queued item: Push
+// enqueues and then sends a token, and a consumer receives a token before
+// it pops. A consumer therefore blocks exactly while nothing is queued, a
+// token always finds its item, and no wake-up can be lost — there is no
+// waiter count, wake chaining or spin.
 package wfq
 
 import (
@@ -35,8 +27,7 @@ import (
 
 // Config tunes a scheduler.
 type Config struct {
-	// QueueCap is the per-tenant ring capacity (rounded up to a power of
-	// two). Default 256.
+	// QueueCap is the per-tenant queue capacity. Default 256.
 	QueueCap int
 	// Weights maps tenant names to their fair-share weight. Tenants not
 	// listed (including the unnamed "" tenant) get weight 1. Values < 1 are
@@ -47,6 +38,11 @@ type Config struct {
 // quantum is the number of items one weight unit buys per round.
 const quantum = 1
 
+// maxTenants bounds the named queues a scheduler keeps (or len(Weights),
+// if larger): tenant names arrive from the wire, and queues are never
+// freed. Names past the bound share the "" queue.
+const maxTenants = 64
+
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
@@ -54,216 +50,185 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// tenantQ is one tenant's circular FIFO and its counters, guarded by
+// Sched.mu.
 type tenantQ[T any] struct {
 	name    string
 	weight  int
-	deficit int // guarded by Sched.cmu
-	buf     *ring.Buf[T]
+	deficit int
+	buf     []T
+	head, n int
+	st      ring.Stats // Parks stays 0: parks are not per tenant
 }
 
-// Sched is a deficit-round-robin scheduler over per-tenant bounded rings.
+// Sched is a deficit-round-robin scheduler over per-tenant bounded FIFOs.
 // Construct with New; safe for concurrent producers and consumers.
 type Sched[T any] struct {
-	cfg Config
+	cfg       Config
+	maxQueues int
 
-	mu     sync.RWMutex // guards queues/order growth
+	mu     sync.Mutex
 	queues map[string]*tenantQ[T]
 	order  []*tenantQ[T]
-
-	cmu    sync.Mutex // serialises the DRR scan state
 	cursor int
 
-	waiters atomic.Int32
-	wake    chan struct{}
+	// tokens holds one token per queued item. Its capacity covers every
+	// queue's every slot, so a send after a successful enqueue never blocks.
+	tokens chan struct{}
+	parks  atomic.Int64
 
 	closedCh  chan struct{}
 	closeOnce sync.Once
 }
 
-// New builds a scheduler. Tenants named in cfg.Weights get their rings
-// eagerly so the first request pays no write-lock; unknown tenants are
-// added on first push with weight 1.
+// New builds a scheduler. Tenants named in cfg.Weights get their queues
+// up front; unknown tenants are added on first push with weight 1.
 func New[T any](cfg Config) *Sched[T] {
+	cfg = cfg.withDefaults()
 	s := &Sched[T]{
-		cfg:      cfg.withDefaults(),
-		queues:   make(map[string]*tenantQ[T]),
-		wake:     make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
+		cfg:       cfg,
+		maxQueues: max(maxTenants, len(cfg.Weights)),
+		queues:    make(map[string]*tenantQ[T]),
+		closedCh:  make(chan struct{}),
 	}
-	for name := range s.cfg.Weights {
-		s.addQueue(name)
+	s.tokens = make(chan struct{}, (s.maxQueues+1)*cfg.QueueCap)
+	for name := range cfg.Weights {
+		s.queue(name)
 	}
 	return s
 }
 
-func (s *Sched[T]) weightOf(name string) int {
-	if w := s.cfg.Weights[name]; w > 1 {
-		return w
-	}
-	return 1
-}
-
-// addQueue inserts a tenant under the write lock; idempotent.
-func (s *Sched[T]) addQueue(name string) *tenantQ[T] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q, ok := s.queues[name]; ok {
+// queue returns tenant name's queue, adding it if the bound allows and
+// falling back to the shared "" queue if not. Callers hold s.mu (or own s
+// exclusively, as New does).
+func (s *Sched[T]) queue(name string) *tenantQ[T] {
+	if q := s.queues[name]; q != nil {
 		return q
 	}
-	q := &tenantQ[T]{name: name, weight: s.weightOf(name), buf: ring.New[T](s.cfg.QueueCap)}
+	if len(s.queues) >= s.maxQueues {
+		name = ""
+		if q := s.queues[name]; q != nil {
+			return q
+		}
+	}
+	w := s.cfg.Weights[name]
+	if w < 1 {
+		w = 1
+	}
+	q := &tenantQ[T]{name: name, weight: w, buf: make([]T, s.cfg.QueueCap)}
 	s.queues[name] = q
 	s.order = append(s.order, q)
 	return q
 }
 
-func (s *Sched[T]) queue(name string) *tenantQ[T] {
-	s.mu.RLock()
-	q := s.queues[name]
-	s.mu.RUnlock()
-	if q == nil {
-		q = s.addQueue(name)
-	}
-	return q
-}
-
-// Push enqueues v on tenant's ring. It returns false when that tenant's
-// ring is full — the caller applies its overload policy; other tenants'
-// capacity is unaffected. Pushing to a closed scheduler is a caller bug,
-// mirroring ring.Buf.
+// Push enqueues v on tenant's queue. It returns false when that queue is
+// full — the caller applies its overload policy; other tenants' capacity
+// is unaffected. Pushing to a closed scheduler is a caller bug.
 func (s *Sched[T]) Push(tenant string, v T) bool {
-	if !s.queue(tenant).buf.TryPush(v) {
+	s.mu.Lock()
+	q := s.queue(tenant)
+	if q.n == len(q.buf) {
+		q.st.Rejects++
+		s.mu.Unlock()
 		return false
 	}
-	s.signal()
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+	q.st.Pushes++
+	s.mu.Unlock()
+	s.tokens <- struct{}{}
 	return true
 }
 
-// TryPop runs one deficit-round-robin scan. Each visit either serves the
-// cursor's tenant (consuming one deficit credit, refreshed from
-// weight×quantum whenever it is exhausted) or forfeits an empty tenant's
-// remaining credit and advances — so a tenant with weight w gets up to
-// w×quantum consecutive pops before the cursor moves on, and empty tenants
-// cost one scan step each.
+// TryPop dequeues the next item in weighted-fair order, or reports false
+// when nothing is queued.
 func (s *Sched[T]) TryPop() (T, bool) {
-	var zero T
-	s.mu.RLock()
-	order := s.order
-	s.mu.RUnlock()
-	n := len(order)
-	if n == 0 {
+	select {
+	case <-s.tokens:
+		return s.pop(), true
+	default:
+		var zero T
 		return zero, false
-	}
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.cursor >= n {
-		s.cursor = 0
-	}
-	for visits := 0; visits < n; visits++ {
-		q := order[s.cursor]
-		if q.deficit <= 0 {
-			q.deficit = q.weight * quantum
-		}
-		if v, ok := q.buf.TryPop(); ok {
-			q.deficit--
-			if q.deficit <= 0 {
-				s.cursor = (s.cursor + 1) % n
-			}
-			return v, true
-		}
-		q.deficit = 0
-		s.cursor = (s.cursor + 1) % n
-	}
-	return zero, false
-}
-
-// nonEmpty reports whether any tenant ring holds work.
-func (s *Sched[T]) nonEmpty() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, q := range s.order {
-		if q.buf.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the approximate number of queued items across all tenants.
-func (s *Sched[T]) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int
-	for _, q := range s.order {
-		n += q.buf.Len()
-	}
-	return n
-}
-
-// signal hands one wake token to parked consumers (ring's eventcount
-// protocol: only touch the channel when a waiter is registered).
-func (s *Sched[T]) signal() {
-	if s.waiters.Load() == 0 {
-		return
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// chainWake re-publishes a consumed wake token while work remains and
-// consumers are parked, so a burst collapsed into one token wakes the whole
-// pool (see ring.Buf.chainWake for the full argument).
-func (s *Sched[T]) chainWake(woken bool) {
-	if !woken || s.waiters.Load() == 0 || !s.nonEmpty() {
-		return
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
 	}
 }
 
 // PopWait dequeues the next item in weighted-fair order, parking until one
-// arrives. It returns ok == false when stop becomes ready, or when the
-// scheduler has been closed and fully drained. A nil stop never fires.
+// arrives. It returns ok == false when stop becomes ready (queued items are
+// left for the owner), or when the scheduler has been closed and fully
+// drained. A nil stop never fires.
 func (s *Sched[T]) PopWait(stop <-chan struct{}) (T, bool) {
 	var zero T
-	woken := false
-	for {
-		select {
-		case <-stop:
-			return zero, false
-		default:
-		}
-		if v, ok := s.TryPop(); ok {
-			s.chainWake(woken)
-			return v, true
-		}
-		select {
-		case <-s.closedCh:
-			// Closed: drain what remains, then report exhaustion.
-			return s.TryPop()
-		default:
-		}
-		s.waiters.Add(1)
-		// Re-poll after registering: a concurrent producer either sees the
-		// waiter or we see its item — a wakeup is never lost.
-		if v, ok := s.TryPop(); ok {
-			s.waiters.Add(-1)
-			s.chainWake(woken)
-			return v, true
-		}
-		select {
-		case <-s.wake:
-			woken = true
-		case <-s.closedCh:
-		case <-stop:
-			s.waiters.Add(-1)
-			return zero, false
-		}
-		s.waiters.Add(-1)
+	select {
+	case <-stop:
+		return zero, false
+	default:
 	}
+	select {
+	case <-s.tokens:
+		return s.pop(), true
+	case <-s.closedCh:
+		return s.TryPop()
+	default:
+	}
+	s.parks.Add(1)
+	select {
+	case <-s.tokens:
+		return s.pop(), true
+	case <-s.closedCh:
+		// Closed: producers have stopped, so whatever tokens remain are
+		// the rest of the queue. Drain it, then report exhaustion.
+		return s.TryPop()
+	case <-stop:
+		return zero, false
+	}
+}
+
+// pop runs one deficit-round-robin scan for a consumer holding a token, so
+// some queue is non-empty. Each visit either serves the cursor's tenant
+// (consuming one deficit credit, refreshed from weight×quantum whenever it
+// is exhausted) or forfeits an empty tenant's remaining credit and
+// advances — so a tenant with weight w gets up to w×quantum consecutive
+// pops before the cursor moves on, and empty tenants cost one step each.
+func (s *Sched[T]) pop() T {
+	var zero T
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.order)
+	for {
+		if s.cursor >= n {
+			s.cursor = 0
+		}
+		q := s.order[s.cursor]
+		if q.n == 0 {
+			q.deficit = 0
+			s.cursor++
+			continue
+		}
+		if q.deficit <= 0 {
+			q.deficit = q.weight * quantum
+		}
+		v := q.buf[q.head]
+		q.buf[q.head] = zero // drop the reference so the GC can reclaim it
+		q.head = (q.head + 1) % len(q.buf)
+		q.n--
+		q.st.Pops++
+		q.deficit--
+		if q.deficit <= 0 {
+			s.cursor++
+		}
+		return v
+	}
+}
+
+// Len returns the number of queued items across all tenants.
+func (s *Sched[T]) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int
+	for _, q := range s.order {
+		n += q.n
+	}
+	return n
 }
 
 // Close marks the scheduler closed and wakes every parked consumer; they
@@ -273,28 +238,28 @@ func (s *Sched[T]) Close() {
 	s.closeOnce.Do(func() { close(s.closedCh) })
 }
 
-// Stats returns the ring telemetry aggregated across tenants.
+// Stats returns the queue telemetry summed across tenants, with Parks
+// counting the times a consumer found nothing queued and waited.
 func (s *Sched[T]) Stats() ring.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out ring.Stats
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := ring.Stats{Parks: s.parks.Load()}
 	for _, q := range s.order {
-		st := q.buf.Stats()
-		out.Pushes += st.Pushes
-		out.Pops += st.Pops
-		out.Rejects += st.Rejects
-		out.Parks += st.Parks
+		out.Pushes += q.st.Pushes
+		out.Pops += q.st.Pops
+		out.Rejects += q.st.Rejects
 	}
 	return out
 }
 
-// TenantStats returns the per-tenant ring telemetry, keyed by tenant name.
+// TenantStats returns the per-tenant queue telemetry, keyed by tenant
+// name. Parks are not per tenant and read 0 here.
 func (s *Sched[T]) TenantStats() map[string]ring.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make(map[string]ring.Stats, len(s.order))
 	for _, q := range s.order {
-		out[q.name] = q.buf.Stats()
+		out[q.name] = q.st
 	}
 	return out
 }
