@@ -268,6 +268,7 @@ func TestPolicyAblationOrdering(t *testing.T) {
 	functional := byName["functional (Algorithm 1)"]
 	exact := byName["exact caching (same allocation)"]
 	noCache := byName["no cache"]
+	wholeFile := byName["whole-file caching"]
 	// Both policies are solved with the same local heuristic, so allow a
 	// small relative slack; structurally functional caching dominates exact
 	// caching because its feasible scheduling set is a superset.
@@ -277,7 +278,26 @@ func TestPolicyAblationOrdering(t *testing.T) {
 	if functional.Objective > noCache.Objective*1.005 {
 		t.Fatalf("functional (%.3f) should not lose to no cache (%.3f)", functional.Objective, noCache.Objective)
 	}
+	// The paper's claim against whole-file caching: at a budget that is not
+	// a multiple of k = 4, functional caching also caches the remainder, and
+	// wins by at least 0.5 % (23.534 vs 23.890 measured, −1.5 %).
+	if functional.Objective > wholeFile.Objective*0.995 {
+		t.Fatalf("C=30: functional (%.3f) should beat whole-file caching (%.3f) by 0.5 %%", functional.Objective, wholeFile.Objective)
+	}
 	AblationTable(results)
+
+	// At a multiple of k the two may tie, but functional never loses.
+	results, err = PolicyAblation(cfg, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName = map[string]AblationResult{}
+	for _, r := range results {
+		byName[r.Policy] = r
+	}
+	if f, w := byName["functional (Algorithm 1)"], byName["whole-file caching"]; f.Objective > w.Objective {
+		t.Fatalf("C=28: functional (%.4f) should not lose to whole-file caching (%.4f)", f.Objective, w.Objective)
+	}
 }
 
 func abs(v float64) float64 {

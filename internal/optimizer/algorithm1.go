@@ -33,8 +33,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Optimize runs Algorithm 1 on the problem and returns the resulting cache
-// plan. It returns ErrInfeasible when no queueing-stable configuration can
-// be found even using the whole cache.
+// plan: the best of Algorithm 1's own plan and the candidate allocations
+// below. It returns ErrInfeasible when none of them is queueing-stable.
 func Optimize(p *Problem, opts Options) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -43,54 +43,10 @@ func Optimize(p *Problem, opts Options) (*Plan, error) {
 	l := newLayout(p.Files)
 	e := newEvaluator(p, l)
 
-	x, err := initialPoint(p, l, e, opts.WarmStart)
-	if err != nil {
-		return nil, err
-	}
-	z := make([]float64, len(p.Files))
-	if !e.optimalZ(x, z) {
-		return nil, ErrInfeasible
-	}
-	prevObj := e.objective(x, z)
-	if !isFiniteObjective(prevObj) {
-		return nil, ErrInfeasible
-	}
-
-	history := []float64{prevObj}
-	iterations := 0
-	for iter := 0; iter < opts.MaxOuterIter; iter++ {
-		iterations = iter + 1
-		// Prob Z: per-file optimal z for the current scheduling.
-		if !e.optimalZ(x, z) {
-			return nil, ErrInfeasible
-		}
-		// Prob Π with integer rounding: optimise scheduling (and implicitly
-		// the cache allocation) for fixed z.
-		if err := solveProbPi(p, l, e, x, z, opts); err != nil {
-			return nil, err
-		}
-		obj := e.objective(x, z)
-		history = append(history, obj)
-		if prevObj-obj <= opts.OuterTol {
-			prevObj = obj
-			break
-		}
-		prevObj = obj
-	}
-
-	// Polish: with the integral allocation fixed, refine the scheduling
-	// probabilities until convergence. This removes any slack left by the
-	// rounding passes and guarantees the reported plan is at least a local
-	// optimum for its own cache allocation.
-	d := extractAllocation(p, l, x)
-	polished, err := refineScheduling(p, l, e, x, z, d, opts)
-	if err != nil {
-		return nil, err
-	}
-	if polished < history[len(history)-1]-1e-12 {
-		history = append(history, polished)
-	}
-	finalObj := polished
+	// Algorithm 1 can fail where a plan exists: pinning the most fractional
+	// files to the ceiling of their storage reads can push a node past
+	// stability. The candidates are then still tried.
+	best, x, algErr := algorithm1(p, l, e, opts)
 
 	// Candidate allocations: the caller's warm start (feasible because the
 	// cache never shrinks mid-sweep in the paper's experiments) and a
@@ -127,24 +83,73 @@ func Optimize(p *Problem, opts Options) (*Plan, error) {
 			continue
 		}
 		candObj, err := refineScheduling(p, l, e, xc, zc, cand, opts)
-		if err != nil || candObj >= finalObj {
+		if err != nil || candObj >= best.Objective {
 			continue
 		}
-		copy(x, xc)
-		copy(z, zc)
-		d = cand
-		finalObj = candObj
-		history = append(history, candObj)
+		x = xc
+		best.D, best.Z, best.Objective = cand, zc, candObj
+		best.History = append(best.History, candObj)
+	}
+	if best.D == nil {
+		return nil, algErr
+	}
+	best.Pi = p.toMatrix(l, x)
+	return best, nil
+}
+
+// algorithm1 runs the paper's alternation of Prob Z and Prob Π with integer
+// rounding, then polishes the scheduling for the integral allocation. It
+// returns the plan without Pi and the scheduling vector Pi is made from.
+// When it meets no stable configuration it returns ErrInfeasible with a plan
+// that holds only Iterations and an infinite Objective.
+func algorithm1(p *Problem, l layout, e *evaluator, opts Options) (*Plan, []float64, error) {
+	failed := &Plan{Objective: math.Inf(1)}
+	x, err := initialPoint(p, l, e, opts.WarmStart)
+	if err != nil {
+		return failed, nil, err
+	}
+	z := make([]float64, len(p.Files))
+	if !e.optimalZ(x, z) {
+		return failed, nil, ErrInfeasible
+	}
+	prevObj := e.objective(x, z)
+	if !isFiniteObjective(prevObj) {
+		return failed, nil, ErrInfeasible
 	}
 
-	return &Plan{
-		D:          d,
-		Pi:         p.toMatrix(l, x),
-		Z:          append([]float64(nil), z...),
-		Objective:  finalObj,
-		History:    history,
-		Iterations: iterations,
-	}, nil
+	history := []float64{prevObj}
+	for iter := 0; iter < opts.MaxOuterIter; iter++ {
+		failed.Iterations = iter + 1
+		// Prob Z: per-file optimal z for the current scheduling.
+		if !e.optimalZ(x, z) {
+			return failed, nil, ErrInfeasible
+		}
+		// Prob Π with integer rounding: optimise scheduling (and implicitly
+		// the cache allocation) for fixed z.
+		if err := solveProbPi(p, l, e, x, z, opts); err != nil {
+			return failed, nil, err
+		}
+		obj := e.objective(x, z)
+		history = append(history, obj)
+		if prevObj-obj <= opts.OuterTol {
+			break
+		}
+		prevObj = obj
+	}
+
+	// Polish: with the integral allocation fixed, refine the scheduling
+	// probabilities until convergence. This removes any slack left by the
+	// rounding passes and guarantees the reported plan is at least a local
+	// optimum for its own cache allocation.
+	d := extractAllocation(p, l, x)
+	polished, err := refineScheduling(p, l, e, x, z, d, opts)
+	if err != nil {
+		return failed, nil, err
+	}
+	if polished < history[len(history)-1]-1e-12 {
+		history = append(history, polished)
+	}
+	return &Plan{D: d, Z: z, Objective: polished, History: history, Iterations: failed.Iterations}, x, nil
 }
 
 // warmFeasible reports whether a warm-start allocation fits the cache.
@@ -456,10 +461,11 @@ func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, o
 	for i, f := range p.Files {
 		kL[i] = 0
 		kU[i] = float64(f.K)
-		if f.Lambda == 0 {
+		if f.Lambda == 0 || p.CacheCapacity == 0 {
 			// Zero-rate files read all k chunks from storage (d_i = 0): their
 			// latency term is weightless, so nothing else would take back
-			// cache a warm start gave them.
+			// cache a warm start gave them. With no cache every file does,
+			// and pinning it keeps the projection exact.
 			kL[i] = kU[i]
 		}
 	}

@@ -1,11 +1,22 @@
 package optimizer
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The convex-optimization toolkit Algorithm 1 needs in place of the
-// commercial solver (MOSEK) used in the paper: Euclidean projection onto the
-// per-file constraint sets of Prob Π and projected gradient descent with a
-// backtracking line search, on a fixed step schedule.
+// commercial solver (MOSEK) used in the paper: exact Euclidean projection
+// onto the per-file constraint sets of Prob Π, and projected gradient descent
+// with a backtracking line search.
+//
+// The projection onto a capped simplex finds its Lagrange multiplier in
+// closed form from the sorted breakpoints of a piecewise-linear sum, with no
+// tolerance and no iteration cap. The line search stops an iteration, and
+// the descent, as soon as no step along the projection arc can gain
+// pgTolerance: for fixed z the Lemma-1 objective is convex in π, so
+// g·(x − P(x − t·g)) bounds the decrease of the step of length t, and that
+// bound only shrinks as t does.
 const (
 	// pgMaxIter caps projected-gradient iterations per Prob Π solve.
 	pgMaxIter = 80
@@ -26,6 +37,19 @@ const (
 // point and its objective value. x0 is projected once up front to make sure
 // it is feasible; when its objective value is infinite (outside the implicit
 // domain, e.g. queueing-unstable) it is returned as is.
+//
+// It stops after the first accepted step that gains less than pgTolerance,
+// and also when no step can gain that much. After projecting the first trial
+// point cand = P(x − t·g) of an iteration, decrease = g·(x − cand) bounds
+// f(x) − f(y) for every y on the projection arc at this or any shorter step:
+// f is convex, so f(x) − f(y) ≤ g·(x − y), and g·(x − P(x − t·g)) does not
+// grow as t shrinks. When decrease is below pgTolerance that one trial is
+// evaluated, accepted if it improves, and the descent returns — any step the
+// backtracking could still find would gain less than pgTolerance and end the
+// descent too. With an exact projection (refineScheduling, and solveProbPi
+// without cache) this is exact; with a cache, solveProbPi's projection
+// repairs the global cache constraint only approximately, and there it is a
+// heuristic.
 func projectedGradient(obj func(x []float64) float64, grad func(x, g []float64), project func(x []float64), x0 []float64) ([]float64, float64) {
 	n := len(x0)
 	x := append([]float64(nil), x0...)
@@ -47,6 +71,14 @@ func projectedGradient(obj func(x []float64) float64, grad func(x, g []float64),
 				cand[i] = x[i] - trial*g[i]
 			}
 			project(cand)
+			last := false
+			if bt == 0 {
+				var decrease float64
+				for i := range x {
+					decrease += g[i] * (x[i] - cand[i])
+				}
+				last = decrease < pgTolerance
+			}
 			fc := obj(cand)
 			if fc < fx-1e-15 {
 				copy(x, cand)
@@ -64,6 +96,9 @@ func projectedGradient(obj func(x []float64) float64, grad func(x, g []float64),
 					return x, fx
 				}
 				break
+			}
+			if last {
+				return x, fx
 			}
 			trial *= pgStepShrink
 			if trial < pgMinStep {
@@ -93,36 +128,29 @@ func clip(x, lo, hi float64) float64 {
 //	{ y : 0 <= y_i <= 1,  L <= sum_i y_i <= U }
 //
 // in place. It returns ErrInfeasible if the set is empty (L > len(x) or
-// U < 0 or L > U). The projection is computed by bisecting on the Lagrange
-// multiplier theta of the sum constraint: y_i = clip(x_i - theta, 0, 1).
+// U < 0 or L > U). The projection is y_i = clip(x_i − θ, 0, 1), where θ is 0
+// when the box clip already meets the sum bounds and otherwise solves
+// S(θ) = U (the clip sums above U) or S(θ) = L (below L), with
+// S(θ) = Σ clip(x_i − θ, 0, 1). S is piecewise linear and non-increasing,
+// with breakpoints x_i − 1 and x_i, so θ is found exactly: sort x, walk the
+// 2n breakpoints in order to the segment that brackets the target, and solve
+// the segment's linear equation (W. Wang, C. Lu, "Projection onto the Capped
+// Simplex", arXiv:1503.01002). There is no tolerance and no iteration
+// cap, and nothing is allocated for files on at most 32 nodes.
 func projectCappedSimplex(x []float64, l, u float64) error {
-	n := float64(len(x))
-	if l > u || l > n || u < 0 {
+	if l > u || l > float64(len(x)) || u < 0 {
 		return ErrInfeasible
 	}
-	if l < 0 {
-		l = 0
-	}
-	if u > n {
-		u = n
-	}
-	sumAt := func(theta float64) float64 {
-		var s float64
-		for _, v := range x {
-			s += clip(v-theta, 0, 1)
-		}
-		return s
+	var s0 float64
+	for _, v := range x {
+		s0 += clip(v, 0, 1)
 	}
 	var theta float64
-	switch s0 := sumAt(0); {
-	case s0 >= l && s0 <= u:
-		// The box projection already meets the sum bounds: theta = 0.
+	switch {
 	case s0 > u:
-		// Need theta > 0 such that sumAt(theta) == u.
-		theta = bisectDecreasing(sumAt, u, 0, maxAbs(x)+1)
-	default:
-		// s0 < l: need theta < 0 such that sumAt(theta) == l.
-		theta = bisectDecreasing(sumAt, l, -(maxAbs(x) + 2), 0)
+		theta = cappedSimplexShift(x, u)
+	case s0 < l:
+		theta = cappedSimplexShift(x, l)
 	}
 	for i := range x {
 		x[i] = clip(x[i]-theta, 0, 1)
@@ -130,26 +158,43 @@ func projectCappedSimplex(x []float64, l, u float64) error {
 	return nil
 }
 
-// bisectDecreasing finds theta in [lo, hi] such that f(theta) == target,
-// assuming f is non-increasing in theta.
-func bisectDecreasing(f func(float64) float64, target, lo, hi float64) float64 {
-	for iter := 0; iter < 200 && hi-lo > 1e-12*(1+math.Abs(hi)+math.Abs(lo)); iter++ {
-		mid := (lo + hi) / 2
-		if f(mid) > target {
-			lo = mid
+// cappedSimplexShift returns θ with Σ clip(x_i − θ, 0, 1) = target, for
+// 0 <= target <= len(x). It walks the breakpoints in increasing order — a
+// coordinate leaves 1 at x_i − 1 and reaches 0 at x_i — keeping the sum's
+// linear form ones + freeSum − free·θ on the current segment, until the sum
+// at the segment's right end is at most target.
+func cappedSimplexShift(x []float64, target float64) float64 {
+	var buf [32]float64
+	s := buf[:0]
+	if len(x) > len(buf) {
+		s = make([]float64, 0, len(x))
+	}
+	s = append(s, x...)
+	slices.Sort(s)
+	ones, free, freeSum := float64(len(s)), 0.0, 0.0
+	lo, hi := 0, 0 // next coordinate to leave 1, next to reach 0
+	for hi < len(s) {
+		enter := lo < len(s) && s[lo]-1 <= s[hi]
+		b := s[hi]
+		if enter {
+			b = s[lo] - 1
+		}
+		if ones+freeSum-free*b <= target {
+			if free == 0 {
+				return b
+			}
+			return (ones + freeSum - target) / free
+		}
+		if enter {
+			ones--
+			free++
+			freeSum += s[lo]
+			lo++
 		} else {
-			hi = mid
+			free--
+			freeSum -= s[hi]
+			hi++
 		}
 	}
-	return (lo + hi) / 2
-}
-
-func maxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
+	return s[len(s)-1]
 }

@@ -8,6 +8,7 @@ import (
 
 	"sprout/internal/cluster"
 	"sprout/internal/queue"
+	"sprout/internal/workload"
 )
 
 // smallProblem builds a modest, well-loaded test instance: 4 heterogeneous
@@ -487,5 +488,55 @@ func TestOptimizeZeroMeanServiceTerminates(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Optimize did not return within 2s on zero-mean service distributions")
+	}
+}
+
+// BenchmarkOptimize times one Algorithm 1 solve on the shapes the controller
+// plans at set-up: a CPU-bound store (200 files, every node a deterministic
+// microsecond, no cache), the paper setting (400 files on shifted-exponential
+// nodes, cache of 10 % of the chunks) and PaperConfig() at 200 files.
+func BenchmarkOptimize(b *testing.B) {
+	build := func(files int, service func(j int) queue.Dist, rate float64) *cluster.Cluster {
+		cfg := cluster.PaperConfig()
+		cfg.NumFiles = files
+		c, err := cfg.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if service != nil {
+			for j := range c.Nodes {
+				c.Nodes[j].Service = service(j)
+			}
+			if c, err = c.WithArrivalRates(workload.Zipf(files, 0.7, rate)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return c
+	}
+	cases := []struct {
+		name  string
+		clu   *cluster.Cluster
+		cache int
+	}{
+		{"small-hot", build(200, func(int) queue.Dist { return queue.Deterministic{Value: 1e-6} }, 10000), 0},
+		{"zipf-read", build(400, func(j int) queue.Dist {
+			mean := 0.004 * cluster.PaperServiceRates[0] / cluster.PaperServiceRates[j]
+			return queue.ShiftedExponential{Shift: mean / 2, Rate: 2 / mean}
+		}, 600), 160},
+		{"paper-200", build(200, nil, 0), 100},
+	}
+	for _, tc := range cases {
+		p, err := FromCluster(tc.clu, tc.cache)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Optimize(p, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
