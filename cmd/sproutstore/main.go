@@ -1,18 +1,16 @@
-// Command sproutstore runs the emulated Ceph-like object store, either as a
-// TCP server speaking the multiplexed binary protocol, as a load-generating
-// client against such a server, as a self-contained demo that starts a
-// server, writes objects through erasure-coded pools and reads them back
-// through both the LRU cache tier and the functional-caching equivalent
-// pools, or as a live Sprout controller plane — one or more shard controllers
-// behind the consistent-hash router — serving reads over the emulated OSDs
-// with hedged parallel fetches and the auto-replanner.
+// Command sproutstore runs the emulated Ceph-like object store in one of
+// three modes: ctrl (the default), a live Sprout controller plane — one or
+// more shard controllers behind the consistent-hash router — serving reads
+// over the emulated OSDs with hedged parallel fetches and the
+// auto-replanner; serve, a TCP server speaking the multiplexed binary
+// protocol; or load, a load-generating client against such a server. The
+// LRU cache tier vs functional caching comparison is examples/cephcluster.
 //
 // Usage:
 //
 //	sproutstore -mode serve -addr 127.0.0.1:7440 -workers 16 -inflight 512
 //	sproutstore -mode serve -chaos "2:lat=30ms;2:err=0.2;5:stall=1s;7:drop"
 //	sproutstore -mode load -target 127.0.0.1:7440 -clients 64 -conns 4
-//	sproutstore -mode demo
 //	sproutstore -mode ctrl -clients 8 -duration 3s -hedge-delay 10ms -replan-every 500ms
 //	sproutstore -mode ctrl -duration 3s -fail "500ms:2,5" -recover "2s:2" -lose
 //	sproutstore -mode ctrl -controllers 4 -clients 32 -duration 3s
@@ -43,13 +41,13 @@ import (
 
 	"sprout/internal/core"
 	"sprout/internal/erasure"
-	"sprout/internal/objstore"
 	"sprout/internal/obs"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/repair"
 	"sprout/internal/resilience"
 	"sprout/internal/router"
+	"sprout/internal/stack"
 	"sprout/internal/tick"
 	"sprout/internal/transport"
 	"sprout/internal/workload"
@@ -105,11 +103,11 @@ func parseFlags(args []string) (*options, error) {
 	var o options
 	var failSpec, recoverSpec string
 	fs := flag.NewFlagSet("sproutstore", flag.ContinueOnError)
-	fs.StringVar(&o.mode, "mode", "demo", "serve, load, demo, or ctrl")
+	fs.StringVar(&o.mode, "mode", "ctrl", "ctrl, serve, or load")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address in serve mode")
 	fs.IntVar(&o.osds, "osds", 12, "number of OSDs")
-	fs.IntVar(&o.objects, "objects", 20, "demo/ctrl: objects written into the pools")
-	fs.IntVar(&o.objSize, "size", 1<<20, "demo/ctrl: object size in bytes")
+	fs.IntVar(&o.objects, "objects", 20, "ctrl/serve: objects written into the pool for the controllers")
+	fs.IntVar(&o.objSize, "size", 1<<20, "ctrl/serve: object size in bytes")
 
 	fs.IntVar(&o.workers, "workers", 0, "serve: handler pool size (0 = default)")
 	fs.IntVar(&o.inflight, "inflight", 0, "serve: max queued requests before overload responses (0 = default)")
@@ -162,7 +160,7 @@ func parseFlags(args []string) (*options, error) {
 func logf(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 // run executes one sproutstore invocation: it returns when the mode's work
-// is done (load, demo, ctrl) or ctx ends (serve), with everything it started
+// is done (load, ctrl) or ctx ends (serve), with everything it started
 // stopped.
 func run(ctx context.Context, args []string, out io.Writer) error {
 	o, err := parseFlags(args)
@@ -172,31 +170,28 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if o.mode == "load" {
+	switch o.mode {
+	case "load":
 		if o.target == "" {
 			return errors.New("load mode needs -target host:port")
 		}
 		return runLoad(ctx, o, out)
-	}
-
-	cluster, pools, err := newCluster(o)
-	if err != nil {
-		return err
-	}
-	switch o.mode {
 	case "serve":
-		s, err := startServe(ctx, cluster, o, out)
+		s, err := startServe(ctx, o, out)
 		if err != nil {
 			return err
 		}
 		<-ctx.Done()
 		s.Close(out)
 		return nil
-	case "demo":
-		return runDemo(ctx, cluster, pools, o.objects, o.objSize, out)
 	case "ctrl":
-		fmt.Fprintf(out, "sproutstore: writing %d objects of %d bytes into ec-7-4...\n", o.objects, o.objSize)
-		p, err := newPlane(ctx, cluster, o, nil)
+		fmt.Fprintf(out, "sproutstore: writing %d objects of %d bytes into %s...\n", o.objects, o.objSize, stack.Pool)
+		st, err := newStack(ctx, o, o.objects, "")
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		p, err := newPlane(ctx, st, o, nil)
 		if err != nil {
 			return err
 		}
@@ -207,64 +202,61 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
-// newCluster builds the emulated OSD cluster with the (7,4) pool ec-7-4 and
-// the equivalent pools eq-0..eq-3 of the demo.
-func newCluster(o *options) (*objstore.Cluster, map[int]*objstore.Pool, error) {
-	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:            o.osds,
-		Services:           []queue.Dist{queue.ShiftedExponential{Shift: 0.002, Rate: 500}},
-		RefChunkSize:       int64(o.objSize / 4),
-		CacheService:       queue.Deterministic{Value: 0.0005},
-		CacheCapacityBytes: int64(o.objects) * int64(o.objSize) / 4,
-		Seed:               1,
+// newStack builds the emulated store: o.osds OSDs holding the (7,4) pool
+// with objects objects of o.objSize bytes, served on listen when it is set.
+func newStack(ctx context.Context, o *options, objects int, listen string) (*stack.Stack, error) {
+	return stack.New(ctx, stack.Spec{
+		OSDs:    o.osds,
+		Service: queue.ShiftedExponential{Shift: 0.002, Rate: 500},
+		Seed:    1,
+		Objects: objects,
+		Size:    o.objSize,
+		Listen:  listen,
+		Server: transport.ServerConfig{
+			Workers:     o.workers,
+			MaxInFlight: o.inflight,
+			Chaos:       o.chaos,
+			// Clients that die between BeginPut and CommitObject must not
+			// leak staged chunks on a long-running server.
+			StagedPutTTL: time.Minute,
+			Logf:         logf,
+		},
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := cluster.CreatePool("ec-7-4", 7, 4); err != nil {
-		return nil, nil, err
-	}
-	pools, err := cluster.CreateEquivalentPools("eq", 7, 4)
-	return cluster, pools, err
 }
 
 // storeServer is what -mode serve runs: the object-store server and, with
 // -controllers > 1, the shard endpoints of a controller plane next to it.
 type storeServer struct {
-	srv   *transport.Server
+	st    *stack.Stack
 	chaos *transport.Chaos
 	plane *plane
 }
 
-func startServe(ctx context.Context, cluster *objstore.Cluster, o *options, out io.Writer) (*storeServer, error) {
+// startServe serves the store on -addr, empty unless -controllers > 1 asks
+// for a controller plane, whose objects it ingests.
+func startServe(ctx context.Context, o *options, out io.Writer) (_ *storeServer, err error) {
+	objects := 0
+	if o.controllers > 1 {
+		objects = o.objects
+	}
 	s := &storeServer{chaos: o.chaos}
-	s.srv = transport.NewServerWithConfig(cluster, transport.ServerConfig{
-		Workers:     o.workers,
-		MaxInFlight: o.inflight,
-		Chaos:       o.chaos,
-		// Clients that die between BeginPut and CommitObject must not
-		// leak staged chunks on a long-running server.
-		StagedPutTTL: time.Minute,
-		Logf:         logf,
-	})
-	bound, err := s.srv.Listen(o.addr)
-	if err != nil {
+	if s.st, err = newStack(ctx, o, objects, o.addr); err != nil {
 		return nil, err
 	}
 	if o.metricsAddr != "" {
 		src := obs.Sources{
-			TransportServer: s.srv.Stats,
-			OSDHealth:       cluster.Health,
+			TransportServer: s.st.Server.Stats,
+			OSDHealth:       s.st.Cluster.Health,
 			Runtime:         true,
 			Pools:           []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
-			Rings:           []obs.RingSource{{Name: "transport_work", Stats: s.srv.WorkQueueStats}},
+			Rings:           []obs.RingSource{{Name: "transport_work", Stats: s.st.Server.WorkQueueStats}},
 		}
 		if o.chaos != nil {
 			src.Chaos = o.chaos.Stats
 		}
 		serveMetrics(o.metricsAddr, src, out)
 	}
-	fmt.Fprintf(out, "sproutstore: serving object store on %s (pools: ec-7-4, eq-0..eq-3)\n", bound)
+	fmt.Fprintf(out, "sproutstore: serving object store on %s (pool: %s)\n", s.st.Addr, stack.Pool)
 	if o.chaos != nil {
 		fmt.Fprintf(out, "sproutstore: chaos rules active: %s\n", o.chaosSpec)
 	}
@@ -273,9 +265,9 @@ func startServe(ctx context.Context, cluster *objstore.Cluster, o *options, out 
 		// from (CtrlMembership); reads and writes arrive at the shard
 		// endpoints from remote routers, which fan invalidations out to
 		// peers themselves.
-		s.plane, err = newPlane(ctx, cluster, o, &transport.ServerConfig{Workers: o.workers, StagedPutTTL: time.Minute})
+		s.plane, err = newPlane(ctx, s.st, o, &transport.ServerConfig{Workers: o.workers, StagedPutTTL: time.Minute})
 		if err != nil {
-			_ = s.srv.Close()
+			s.st.Close()
 			return nil, err
 		}
 		for i, ep := range s.plane.endpoints {
@@ -286,14 +278,14 @@ func startServe(ctx context.Context, cluster *objstore.Cluster, o *options, out 
 	return s, nil
 }
 
-// Close stops the endpoints and the store server and prints the serving
-// totals.
+// Close stops the endpoints, the controllers and the store server and
+// prints the serving totals.
 func (s *storeServer) Close(out io.Writer) {
 	if s.plane != nil {
 		s.plane.Close()
 	}
-	_ = s.srv.Close()
-	st := s.srv.Stats()
+	s.st.Close()
+	st := s.st.Server.Stats()
 	fmt.Fprintf(out, "sproutstore: served %d requests, %d frames in / %d out, %d KiB in / %d out, %d overload rejections, %d decode errors\n",
 		st.Requests, st.FramesReceived, st.FramesSent, st.BytesReceived>>10, st.BytesSent>>10,
 		st.OverloadRejections, st.DecodeErrors)
@@ -396,90 +388,41 @@ func parseChaosRules(spec string) (*transport.Chaos, error) {
 	return chaos, nil
 }
 
-// objName is the object naming scheme of the controller plane's ingest.
-func objName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-
 func shardID(i int) string { return fmt.Sprintf("shard-%d", i) }
-
-// poolFetcher adapts the erasure pool's versioned chunk reads to the
-// controller fetcher interface, so shard caches learn the stripe version of
-// every chunk they hold and late invalidations can be recognised as stale.
-type poolFetcher struct{ pool *objstore.Pool }
-
-func (f *poolFetcher) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-	data, _, err := f.FetchChunkV(ctx, fileID, chunkIndex, nodeID)
-	return data, err
-}
-
-func (f *poolFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, core.StripeInfo, error) {
-	data, version, size, err := f.pool.GetChunkV(ctx, objName(fileID), chunkIndex)
-	if err != nil {
-		return nil, core.StripeInfo{}, err
-	}
-	return data, core.StripeInfo{Version: version, Size: size}, nil
-}
-
-// poolWriter commits whole-object overwrites through the pool and reports
-// the committed stripe version for the invalidation fan-out.
-type poolWriter struct{ pool *objstore.Pool }
-
-func (w *poolWriter) WriteObject(ctx context.Context, fileID int, data []byte) (uint64, error) {
-	return w.pool.PutV(ctx, objName(fileID), data)
-}
 
 // plane is the controller plane of both -mode ctrl and -mode serve
 // -controllers N: the namespace consistent-hash-sharded over one or more
-// in-process shard controllers behind the read/write router. The total cache
-// budget is split evenly across shards and each shard plans only its owned
-// slice (lambda-masked). One process-wide scheduler batches every periodic
-// plane — the controllers' adaptive-loop and admission-window jobs and,
-// in ctrl mode, the repair scan — onto a single goroutine and timer.
+// shard controllers on the store's pool behind the read/write router. The
+// total cache budget is split evenly across shards and each shard plans
+// only its owned slice (lambda-masked). One process-wide scheduler batches
+// every periodic plane — the controllers' adaptive-loop and
+// admission-window jobs and, in ctrl mode, the repair scan — onto a single
+// goroutine and timer. The stack owns the controllers and closes them.
 type plane struct {
-	oc        *objstore.Cluster
-	pool      *objstore.Pool
-	lambdas   []float64
+	st        *stack.Stack
 	perShard  int
 	sched     *tick.Scheduler
 	router    *router.Router
 	ctrls     []*core.Controller
 	endpoints []*router.PeerEndpoint // one per shard when serving them over TCP
-	fetcher   *poolFetcher
 }
 
-// newPlane writes the working set into ec-7-4, exports the pool's real
-// topology (same OSD IDs, same per-chunk placement, so membership changes map
-// one to one) to o.controllers shard controllers built with the flags'
-// ServeOptions, plans and prefetches. With endpoint set, every shard is also
-// exposed as a TCP endpoint speaking the controller op set.
-func newPlane(ctx context.Context, oc *objstore.Cluster, o *options, endpoint *transport.ServerConfig) (_ *plane, err error) {
-	pool, err := oc.Pool("ec-7-4")
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(6))
-	payload := make([]byte, o.objSize)
-	for i := 0; i < o.objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, objName(i), payload); err != nil {
-			return nil, err
-		}
-	}
+// newPlane builds o.controllers shard controllers over the stack's pool
+// (same OSD IDs, same per-chunk placement, so membership changes map one to
+// one) with the flags' ServeOptions, plans and prefetches. With endpoint
+// set, every shard is also exposed as a TCP endpoint speaking the
+// controller op set.
+func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transport.ServerConfig) (_ *plane, err error) {
 	p := &plane{
-		oc: oc, pool: pool,
-		lambdas: workload.Zipf(o.objects, 1.1, 50),
-		sched:   tick.New(),
-		router:  router.New(router.Options{FanoutWorkers: 2}),
-		fetcher: &poolFetcher{pool: pool},
+		st:     st,
+		sched:  tick.New(),
+		router: router.New(router.Options{FanoutWorkers: 2}),
 	}
 	defer func() {
 		if err != nil {
 			p.Close()
 		}
 	}()
-	clu, err := pool.ClusterView(p.lambdas)
-	if err != nil {
-		return nil, err
-	}
 	capacity := o.cacheChunks
 	if capacity <= 0 {
 		capacity = 3 * o.objects
@@ -488,14 +431,14 @@ func newPlane(ctx context.Context, oc *objstore.Cluster, o *options, endpoint *t
 	serve := o.serve
 	serve.Tick = p.sched
 	for i := 0; i < o.controllers; i++ {
-		ctrl, err := core.NewControllerWith(clu, p.perShard, optimizer.Options{MaxOuterIter: 10}, serve, int64(i+1))
+		ctrl, err := st.NewController(p.perShard, optimizer.Options{MaxOuterIter: 10}, serve, int64(i+1))
 		if err != nil {
 			return nil, err
 		}
 		p.ctrls = append(p.ctrls, ctrl)
 		sh := router.Shard{ID: shardID(i), Ctrl: ctrl}
 		if endpoint != nil {
-			ep, err := router.ServeShard(ctrl, p.fetcher, &poolWriter{pool: pool}, p.router, "127.0.0.1:0", *endpoint)
+			ep, err := router.ServeShard(ctrl, st.Local, st.Local, p.router, "127.0.0.1:0", *endpoint)
 			if err != nil {
 				return nil, err
 			}
@@ -510,22 +453,19 @@ func newPlane(ctx context.Context, oc *objstore.Cluster, o *options, endpoint *t
 	// to its owned files, so every shard spends its cache slice only on
 	// content it actually serves — the ownership remote routers compute
 	// after a membership sync.
-	if err := p.router.PlanTimeBin(p.lambdas); err != nil {
+	if err := p.router.PlanTimeBin(st.Lambdas); err != nil {
 		return nil, err
 	}
-	if err := p.router.PrefetchCache(ctx, p.fetcher); err != nil {
+	if err := p.router.PrefetchCache(ctx, st.Local); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Close stops the endpoints, the controllers, the router and the scheduler.
+// Close stops the endpoints, the router and the scheduler.
 func (p *plane) Close() {
 	for _, ep := range p.endpoints {
 		_ = ep.Close()
-	}
-	for _, ctrl := range p.ctrls {
-		_ = ctrl.Close()
 	}
 	_ = p.router.Close()
 	p.sched.Close()
@@ -538,7 +478,7 @@ func (p *plane) Close() {
 // injected under live load with the repair plane reconstructing lost chunks
 // concurrently. It ends with the report.
 func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) error {
-	mgr := repair.NewManager(p.pool, repair.Config{
+	mgr := repair.NewManager(p.st.Pool, repair.Config{
 		Workers:      o.repairWorkers,
 		ScanInterval: o.repairScan,
 		Tick:         p.sched,
@@ -550,7 +490,7 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 	if o.metricsAddr != "" {
 		src := obs.Sources{
 			Repair:    mgr.Stats,
-			OSDHealth: p.oc.Health,
+			OSDHealth: p.st.Cluster.Health,
 			Runtime:   true,
 			Pools: []obs.PoolSource{
 				core.FillArena(), core.ReadScratchPool(), erasure.StripeScratchPool(),
@@ -576,7 +516,7 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 	// The first failed read ends the run for everyone.
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	picker := workload.NewRatePicker(p.lambdas)
+	picker := workload.NewRatePicker(p.st.Lambdas)
 	start := time.Now()
 	stop := start.Add(o.duration)
 	var reads atomic.Int64
@@ -588,7 +528,7 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 			r := rand.New(rand.NewSource(int64(w) + 40))
 			var dst []byte // reused across reads: ReadInto grows it once, then steady-state is zero-alloc
 			for time.Now().Before(stop) {
-				data, err := p.router.ReadInto(ctx, picker.Pick(r.Float64()), p.fetcher, dst)
+				data, err := p.router.ReadInto(ctx, picker.Pick(r.Float64()), p.st.Local, dst)
 				if err != nil {
 					cancel(err)
 					return
@@ -623,10 +563,10 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 		}
 	}
 	inject(o.failures, fmt.Sprintf("failed (lose chunks: %v)", o.loseChunks), (*core.Controller).SetNodeDown, func(ids []int) error {
-		return p.oc.FailOSDs(o.loseChunks, ids...)
+		return p.st.Cluster.FailOSDs(o.loseChunks, ids...)
 	})
 	inject(o.recoveries, "recovered", (*core.Controller).SetNodeUp, func(ids []int) error {
-		return p.oc.RecoverOSDs(ids...)
+		return p.st.Cluster.RecoverOSDs(ids...)
 	})
 
 	wg.Wait()
@@ -670,7 +610,7 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 		rps := mgr.Stats()
 		fmt.Fprintf(out, "  repair: %d chunks (%d KiB) reconstructed in %v, %d deferred, %d failures; degraded objects left: %d\n",
 			rps.ChunksRepaired, rps.BytesRepaired>>10, rps.RepairTime.Round(time.Millisecond),
-			rps.Deferred, rps.Failures, len(p.pool.DegradedObjects()))
+			rps.Deferred, rps.Failures, len(p.st.Pool.DegradedObjects()))
 		fmt.Fprintf(out, "  membership: down OSDs at exit: %v\n", p.ctrls[0].DownNodes())
 	}
 	return nil
@@ -773,63 +713,6 @@ func runLoad(ctx context.Context, o *options, out io.Writer) error {
 	s := client.Stats()
 	fmt.Fprintf(out, "client stats: %d frames / %d KiB sent, %d frames / %d KiB received, %d retries, %d overload rejections\n",
 		s.FramesSent, s.BytesSent>>10, s.FramesReceived, s.BytesReceived>>10, s.Retries, s.OverloadRejections)
-	return nil
-}
-
-func runDemo(ctx context.Context, cluster *objstore.Cluster, pools map[int]*objstore.Pool, objects, objSize int, out io.Writer) error {
-	base, err := cluster.Pool("ec-7-4")
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(2))
-	payload := make([]byte, objSize)
-
-	fmt.Fprintf(out, "writing %d objects of %d bytes through the (7,4) pool and the equivalent pools...\n", objects, objSize)
-	for i := 0; i < objects; i++ {
-		rng.Read(payload)
-		name := fmt.Sprintf("obj-%03d", i)
-		if err := base.Put(ctx, name, payload); err != nil {
-			return err
-		}
-		// Equivalent-code methodology: pool eq-d holds the (4-d)/4 portion of
-		// the object that must still be read from storage when d chunks are
-		// cached, so chunk sizes match the (7,4) pool.
-		for d, p := range pools {
-			portion := payload[:objSize*(4-d)/4]
-			if err := p.Put(ctx, name, portion); err != nil {
-				return err
-			}
-		}
-	}
-
-	var lruTotal, funcTotal time.Duration
-	for i := 0; i < objects; i++ {
-		name := fmt.Sprintf("obj-%03d", i)
-		_, lat, err := cluster.ReadThroughLRU(ctx, base, name)
-		if err != nil {
-			return err
-		}
-		lruTotal += lat
-		// Functional caching with d = 2 of 4 chunks in cache.
-		if _, lat, err = cluster.ReadFunctional(ctx, pools, name, 2, 4, int64(objSize)); err != nil {
-			return err
-		}
-		funcTotal += lat
-	}
-	fmt.Fprintf(out, "cold LRU tier reads:      mean %v\n", lruTotal/time.Duration(objects))
-	fmt.Fprintf(out, "functional caching (d=2): mean %v\n", funcTotal/time.Duration(objects))
-
-	// Second pass: the LRU tier is now warm.
-	lruTotal = 0
-	for i := 0; i < objects; i++ {
-		_, lat, err := cluster.ReadThroughLRU(ctx, base, fmt.Sprintf("obj-%03d", i))
-		if err != nil {
-			return err
-		}
-		lruTotal += lat
-	}
-	hits, misses, _ := cluster.CacheTier().Stats()
-	fmt.Fprintf(out, "warm LRU tier reads:      mean %v (hits %d, misses %d)\n", lruTotal/time.Duration(objects), hits, misses)
 	return nil
 }
 

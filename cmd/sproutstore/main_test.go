@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sprout/internal/cluster"
 	"sprout/internal/router"
 	"sprout/internal/transport"
 )
@@ -140,11 +141,12 @@ func TestCtrlModeReplansEveryShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cluster, _, err := newCluster(o)
+			st, err := newStack(context.Background(), o, o.objects, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := newPlane(context.Background(), cluster, o, nil)
+			defer st.Close()
+			p, err := newPlane(context.Background(), st, o, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,13 +195,9 @@ func TestServeModeShardEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, _, err := newCluster(o)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	var out syncBuffer
-	s, err := startServe(ctx, cluster, o, &out)
+	s, err := startServe(ctx, o, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +221,9 @@ func TestServeModeShardEndpoints(t *testing.T) {
 	if added, err := remote.SyncMembership(ctx, s.plane.endpoints[0].Addr()); err != nil || added != 2 {
 		t.Fatalf("SyncMembership = %d, %v; want both shards", added, err)
 	}
-	pool, err := cluster.Pool("ec-7-4")
-	if err != nil {
-		t.Fatal(err)
-	}
 	readAll := func() {
 		for fileID := 0; fileID < o.objects; fileID++ {
-			want, err := pool.Get(ctx, objName(fileID))
+			want, err := s.st.Pool.Get(ctx, cluster.ObjectName(fileID))
 			if err != nil {
 				t.Fatal(err)
 			}

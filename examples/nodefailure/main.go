@@ -30,6 +30,7 @@ import (
 
 	"sprout"
 	"sprout/internal/optimizer"
+	"sprout/internal/stack"
 	"sprout/internal/workload"
 )
 
@@ -65,40 +66,24 @@ func run(ctx context.Context, out io.Writer) error {
 	}
 
 	// --- Storage plane: 12 OSDs, (7,4) pool, 24 objects. -----------------
-	oc, err := sprout.NewStorageCluster(sprout.StorageConfig{
-		NumOSDs:      12,
-		Services:     []sprout.ServiceDist{sprout.Exponential(600)},
-		RefChunkSize: int64(*objSize / 4),
-		Seed:         1,
+	st, err := stack.New(ctx, stack.Spec{
+		Service: sprout.Exponential(600),
+		Seed:    1,
+		Objects: *objects,
+		Size:    *objSize,
 	})
 	if err != nil {
 		return err
 	}
-	pool, err := oc.CreatePool("ec-7-4", 7, 4)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(3))
-	payload := make([]byte, *objSize)
-	objName := func(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-	for i := 0; i < *objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, objName(i), payload); err != nil {
-			return err
-		}
-	}
-	printf("wrote %d objects of %d KiB into ec-7-4 over 12 OSDs\n", *objects, *objSize>>10)
+	defer st.Close()
+	oc, pool, fetcher := st.Cluster, st.Pool, st.Local
+	printf("wrote %d objects of %d KiB into %s over 12 OSDs\n", *objects, *objSize>>10, stack.Pool)
 
 	// --- Control plane: controller over the pool's real topology. --------
-	lambdas := workload.Zipf(*objects, 1.1, 50)
-	view, err := pool.ClusterView(lambdas)
-	if err != nil {
-		return err
-	}
 	// The serving path is the "avoid" signal: a node whose fetches keep
 	// failing is demoted from the read path before anyone marks it down.
 	breakers := sprout.NewBreakerSet(sprout.BreakerConfig{ErrorThreshold: 3, OpenFor: 100 * time.Millisecond})
-	ctrl, err := sprout.NewControllerWith(view, 2**objects, optimizer.Options{MaxOuterIter: 10},
+	ctrl, err := st.Controller(ctx, 2**objects, optimizer.Options{MaxOuterIter: 10},
 		sprout.ServeOptions{
 			HedgeDelay: 20 * time.Millisecond, HedgeExtra: 1,
 			// With the auto-replanner on, a membership change triggers an
@@ -109,7 +94,6 @@ func run(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer ctrl.Close()
 
 	// --- Self-healing plane: repair manager + membership heartbeat. ------
 	mgr := sprout.NewRepairManager(pool, sprout.RepairConfig{
@@ -150,18 +134,8 @@ func run(ctx context.Context, out io.Writer) error {
 	}()
 	defer func() { close(stopProbe); probeWG.Wait() }()
 
-	fetcher := sprout.FetcherFunc(func(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
-		return pool.GetChunk(ctx, objName(fileID), chunkIndex)
-	})
-	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-		return err
-	}
-	if err := ctrl.PrefetchCache(ctx, fetcher); err != nil {
-		return err
-	}
-
 	// --- Serve live traffic across the failure/recovery phases. ----------
-	picker := workload.NewRatePicker(lambdas)
+	picker := workload.NewRatePicker(st.Lambdas)
 	var stop atomic.Bool
 	var reads, readErrs atomic.Int64
 	var wg sync.WaitGroup

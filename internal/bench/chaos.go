@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"sprout/internal/core"
+	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
+	"sprout/internal/stack"
 	"sprout/internal/transport"
 )
 
@@ -55,14 +57,14 @@ func ChaosResilience(cfg Config) ([]ChaosResult, error) {
 // plan, by cycling a harmless 1µs latency rule across the cluster — the
 // plan concentrates fetches on a subset of OSDs and the cache serves the
 // rest, so faulting an arbitrary OSD may perturb nothing.
-func hotOSDs(s *stack, chaos *transport.Chaos, want int) ([]int, error) {
+func hotOSDs(st *stack.Stack, ctrl *core.Controller, chaos *transport.Chaos, want int) ([]int, error) {
 	ctx := context.Background()
 	var hot []int
-	for osd := 0; osd < len(s.cluster.OSDs()) && len(hot) < want; osd++ {
+	for osd := 0; osd < len(st.Cluster.OSDs()) && len(hot) < want; osd++ {
 		before := chaos.Stats().DelaysInjected
 		chaos.SetRule(osd, transport.ChaosRule{Latency: time.Microsecond})
-		for f := 0; f < s.objects; f++ {
-			if _, err := s.ctrl.Read(ctx, f, s.fetch[""]); err != nil {
+		for f := range st.Lambdas {
+			if _, err := ctrl.Read(ctx, f, st.Remote[""]); err != nil {
 				chaos.ClearRule(osd)
 				return nil, err
 			}
@@ -118,11 +120,16 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		ccfg.NoRetryBudget = true
 	}
 
-	s, err := newStack(cfg, scfg, ccfg, serve, "")
+	ctx := context.Background()
+	st, err := stack.New(ctx, wiredSpec(cfg, scfg, ccfg, ""))
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	defer s.close()
+	defer st.Close()
+	ctrl, err := st.Controller(ctx, 2*len(st.Lambdas), optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, serve, cfg.Seed)
+	if err != nil {
+		return ChaosResult{}, err
+	}
 
 	// Healthy baseline over the same stack before any fault is injected.
 	// slow+flaky compares like-for-like at the measurement concurrency;
@@ -133,7 +140,7 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		baseReaders = 2
 	}
 	load := func(readers, opsEach int) loopResult {
-		return s.read(closedLoop{workers: readers, opsEach: opsEach, seed: cfg.Seed + 200}, "", nil)
+		return zipfReads(st, ctrl, closedLoop{workers: readers, opsEach: opsEach, seed: cfg.Seed + 200}, "", nil)
 	}
 	healthy := load(baseReaders, 40)
 	if healthy.errs > 0 {
@@ -144,7 +151,7 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 	case "slow+flaky":
 		// One hot OSD at ~10× the healthy read latency, another failing 20%
 		// of its requests (the acceptance mix).
-		hot, err := hotOSDs(s, chaos, 2)
+		hot, err := hotOSDs(st, ctrl, chaos, 2)
 		if err != nil {
 			return ChaosResult{}, err
 		}
@@ -163,12 +170,12 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 	time.Sleep(400 * time.Millisecond)
 	load(readers, 5)
 
-	statsBefore := s.ctrl.Stats()
-	csBefore := s.fetch[""].Client.Stats()
-	overloadsBefore := s.server.Stats().OverloadRejections
+	statsBefore := ctrl.Stats()
+	csBefore := st.Remote[""].Client.Stats()
+	overloadsBefore := st.Server.Stats().OverloadRejections
 	res := load(readers, opsEach)
-	stats := s.ctrl.Stats()
-	cs := s.fetch[""].Client.Stats()
+	stats := ctrl.Stats()
+	cs := st.Remote[""].Client.Stats()
 
 	requests := cs.Requests - csBefore.Requests
 	retries := cs.Retries - csBefore.Retries
@@ -190,7 +197,7 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		Demotions:    stats.BreakerDemotions - statsBefore.BreakerDemotions,
 		Hedges:       stats.HedgesLaunched - statsBefore.HedgesLaunched,
 		RetryAmp:     amp,
-		Overloads:    s.server.Stats().OverloadRejections - overloadsBefore,
+		Overloads:    st.Server.Stats().OverloadRejections - overloadsBefore,
 	}, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/repair"
+	"sprout/internal/stack"
 	"sprout/internal/workload"
 )
 
@@ -88,67 +89,36 @@ func DegradedReadLatency(cfg Config) ([]DegradedResult, error) {
 
 func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed int) (DegradedResult, error) {
 	ctx := context.Background()
-	oc, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:      12,
-		Services:     []queue.Dist{queue.ShiftedExponential{Shift: 0.0005, Rate: 2000}},
-		RefChunkSize: int64(pt.objSize / 4),
-		Seed:         cfg.Seed,
+	st, err := stack.New(ctx, stack.Spec{
+		Service: queue.ShiftedExponential{Shift: 0.0005, Rate: 2000},
+		Seed:    cfg.Seed,
+		Objects: pt.objects,
+		Size:    pt.objSize,
 	})
 	if err != nil {
 		return DegradedResult{}, err
 	}
-	pool, err := oc.CreatePool("ec-7-4", 7, 4)
-	if err != nil {
-		return DegradedResult{}, err
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 9))
-	payload := make([]byte, pt.objSize)
-	objName := func(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-	for i := 0; i < pt.objects; i++ {
-		rng.Read(payload)
-		if err := pool.Put(ctx, objName(i), payload); err != nil {
-			return DegradedResult{}, err
-		}
-	}
-
-	lambdas := workload.Zipf(pt.objects, 1.1, 50)
-	view, err := pool.ClusterView(lambdas)
-	if err != nil {
-		return DegradedResult{}, err
-	}
+	defer st.Close()
 	capacity := 0
 	if cacheMode == "warm" {
 		capacity = 2 * pt.objects
 	}
-	ctrl, err := core.NewControllerWith(view, capacity, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, core.ServeOptions{}, cfg.Seed)
+	ctrl, err := st.Controller(ctx, capacity, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, core.ServeOptions{}, cfg.Seed)
 	if err != nil {
 		return DegradedResult{}, err
 	}
-	defer ctrl.Close()
-	fetcher := core.FetcherFunc(func(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
-		return pool.GetChunk(ctx, objName(fileID), chunkIndex)
-	})
-	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-		return DegradedResult{}, err
-	}
-	if capacity > 0 {
-		if err := ctrl.PrefetchCache(ctx, fetcher); err != nil {
-			return DegradedResult{}, err
-		}
-	}
 
-	mgr := repair.NewManager(pool, repair.Config{Workers: 2, ScanInterval: 25 * time.Millisecond})
+	mgr := repair.NewManager(st.Pool, repair.Config{Workers: 2, ScanInterval: 25 * time.Millisecond})
 	mgr.Start()
 	defer mgr.Close()
 
 	// Serve Zipf reads from the reader pool until told to stop.
-	picker := workload.NewRatePicker(lambdas)
+	picker := workload.NewRatePicker(st.Lambdas)
 	loadCtx, stopLoad := context.WithCancel(ctx)
 	loaded := make(chan loopResult, 1)
 	go func() {
 		loaded <- closedLoop{workers: pt.readers, seed: cfg.Seed + 100}.run(loadCtx, func(r *rand.Rand, _ int) error {
-			_, err := ctrl.Read(ctx, picker.Pick(r.Float64()), fetcher)
+			_, err := ctrl.Read(ctx, picker.Pick(r.Float64()), st.Local)
 			return err
 		})
 	}()
@@ -164,12 +134,12 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 		// the controller — a heartbeat on OSD state is exercised by the
 		// nodefailure example; here injection is explicit so every point
 		// fails the same nodes.
-		before := chunkCounts(oc)
+		before := chunkCounts(st.Cluster)
 		ids := make([]int, failed)
 		for i := range ids {
 			ids[i] = i
 		}
-		if err := oc.FailOSDs(true, ids...); err != nil {
+		if err := st.Cluster.FailOSDs(true, ids...); err != nil {
 			finish()
 			return DegradedResult{}, err
 		}
@@ -183,7 +153,7 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 		// deadline passes) while the readers keep hammering the pool.
 		deadline := time.Now().Add(pt.healBy)
 		for time.Now().Before(deadline) {
-			if mgr.Stats().InFlight == 0 && len(pool.DegradedObjects()) == 0 {
+			if mgr.Stats().InFlight == 0 && len(st.Pool.DegradedObjects()) == 0 {
 				break
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -213,7 +183,7 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 		Failovers:         stats.FetchFailovers,
 		LostChunks:        lost,
 		RepairedChunks:    rs.ChunksRepaired,
-		RemainingDegraded: len(pool.DegradedObjects()),
+		RemainingDegraded: len(st.Pool.DegradedObjects()),
 		RepairMBps:        mbps,
 	}, nil
 }

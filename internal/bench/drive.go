@@ -8,7 +8,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sprout/internal/core"
+	"sprout/internal/queue"
 	"sprout/internal/resilience"
+	"sprout/internal/stack"
+	"sprout/internal/transport"
+	"sprout/internal/workload"
 )
 
 // closedLoop is the harness's one load driver: workers goroutines each call
@@ -102,4 +107,44 @@ func pct(sorted []time.Duration, p float64) float64 {
 		return 0
 	}
 	return float64(sorted[int(p*float64(len(sorted)-1))]) / float64(time.Millisecond)
+}
+
+// wiredSpec is the stack of the chaos and tenants experiments: 4 to 24
+// objects of 16 KiB (enough for two tenants to own two each, few enough to
+// bound per-point ingest and probes) at 0.3 ms per chunk, served over
+// loopback with one client per tenant; the untenanted chaos experiment
+// passes the one tenant "".
+func wiredSpec(cfg Config, scfg transport.ServerConfig, ccfg transport.ClientConfig, tenants ...string) stack.Spec {
+	return stack.Spec{
+		Service: queue.Deterministic{Value: 0.0003},
+		Seed:    cfg.Seed,
+		Objects: max(4, min(cfg.Files, 24)),
+		Size:    16 << 10,
+		Listen:  "127.0.0.1:0",
+		Server:  scfg,
+		Tenants: tenants,
+		Client:  ccfg,
+	}
+}
+
+// zipfReads runs l over Zipf-picked reads of files (every object when nil)
+// through ctrl and tenant's fetcher, with the tenant stamped on each read.
+func zipfReads(st *stack.Stack, ctrl *core.Controller, l closedLoop, tenant string, files []int) loopResult {
+	rates := st.Lambdas
+	if files != nil {
+		rates = make([]float64, len(files))
+		for i, f := range files {
+			rates[i] = st.Lambdas[f]
+		}
+	}
+	picker := workload.NewRatePicker(rates)
+	ctx := core.WithTenant(context.Background(), tenant)
+	return l.run(ctx, func(r *rand.Rand, _ int) error {
+		f := picker.Pick(r.Float64())
+		if files != nil {
+			f = files[f]
+		}
+		_, err := ctrl.Read(ctx, f, st.Remote[tenant])
+		return err
+	})
 }

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"sprout/internal/core"
+	"sprout/internal/optimizer"
+	"sprout/internal/stack"
 	"sprout/internal/transport"
 )
 
@@ -49,10 +52,16 @@ func tenantFiles(objects int) (gold, bronze []int) {
 // at bronzeReaders, both driving the stack concurrently through their own
 // wire clients.
 func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error) {
-	goldFiles, bronzeFiles := tenantFiles(stackObjects(cfg))
-	s, err := newStack(cfg,
+	ctx := context.Background()
+	st, err := stack.New(ctx, wiredSpec(cfg,
 		transport.ServerConfig{TenantWeights: map[string]int{"gold": 4, "bronze": 1}},
-		transport.ClientConfig{Conns: 3, Retries: 4},
+		transport.ClientConfig{Conns: 3, Retries: 4}, "gold", "bronze"))
+	if err != nil {
+		return TenantResult{}, err
+	}
+	defer st.Close()
+	goldFiles, bronzeFiles := tenantFiles(len(st.Lambdas))
+	ctrl, err := st.Controller(ctx, 2*len(st.Lambdas), optimizer.Options{MaxOuterIter: cfg.MaxOuterIter},
 		core.ServeOptions{
 			HedgeDelay: 12 * time.Millisecond,
 			HedgeExtra: 1,
@@ -61,33 +70,32 @@ func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error
 				{Name: "gold", Class: core.ClassGold, Weight: 4, Files: goldFiles},
 				{Name: "bronze", Class: core.ClassBronze, Weight: 1, Files: bronzeFiles},
 			},
-		}, "gold", "bronze")
+		}, cfg.Seed)
 	if err != nil {
 		return TenantResult{}, err
 	}
-	defer s.close()
 
 	// Every reader of either tenant makes opsEach reads, shed or not.
 	const goldReaders, opsEach = 4, 120
 	drive := func(opsEach int) (gold, bronze loopResult) {
 		done := make(chan loopResult, 1)
 		go func() {
-			done <- s.read(closedLoop{workers: bronzeReaders, opsEach: opsEach, seed: cfg.Seed + 500}, "bronze", bronzeFiles)
+			done <- zipfReads(st, ctrl, closedLoop{workers: bronzeReaders, opsEach: opsEach, seed: cfg.Seed + 500}, "bronze", bronzeFiles)
 		}()
-		gold = s.read(closedLoop{workers: goldReaders, opsEach: opsEach, seed: cfg.Seed + 500}, "gold", goldFiles)
+		gold = zipfReads(st, ctrl, closedLoop{workers: goldReaders, opsEach: opsEach, seed: cfg.Seed + 500}, "gold", goldFiles)
 		return gold, <-done
 	}
 
 	// Unmeasured warmup settles the cache fills and the admission gate.
 	drive(15)
 
-	before := s.ctrl.Stats()
-	tsBefore := s.ctrl.TenantStats()
+	before := ctrl.Stats()
+	tsBefore := ctrl.TenantStats()
 	start := time.Now()
 	gold, bronze := drive(opsEach)
 	elapsed := time.Since(start)
-	stats := s.ctrl.Stats()
-	ts := s.ctrl.TenantStats()
+	stats := ctrl.Stats()
+	ts := ctrl.TenantStats()
 
 	return TenantResult{
 		Arm:            arm,

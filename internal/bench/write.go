@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"sprout/internal/objstore"
 	"sprout/internal/queue"
+	"sprout/internal/stack"
 	"sprout/internal/transport"
 )
 
@@ -58,51 +58,27 @@ func WriteThroughput(cfg Config) ([]WriteResult, error) {
 	return out, nil
 }
 
-// writeStore builds the ingest-bench store: 12 zero-service OSDs behind a
-// (7,4) pool, served over the binary transport.
-func writeStore(cfg Config) (*transport.Server, string, error) {
-	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:      12,
-		Services:     []queue.Dist{queue.Deterministic{Value: 0}},
-		RefChunkSize: writeBenchObject / 4,
-		Seed:         cfg.Seed,
+// writePoint measures totalOps striped puts from writers writers into 12
+// zero-service OSDs behind the (7,4) pool, served over loopback.
+func writePoint(cfg Config, writers, totalOps int) (WriteResult, error) {
+	ctx := context.Background()
+	st, err := stack.New(ctx, stack.Spec{
+		Service: queue.Deterministic{Value: 0},
+		Seed:    cfg.Seed,
+		Size:    writeBenchObject,
+		Listen:  "127.0.0.1:0",
+		Tenants: []string{""},
+		Client:  transport.ClientConfig{Conns: 4},
 	})
 	if err != nil {
-		return nil, "", err
-	}
-	if _, err := cluster.CreatePool("ingest", 7, 4); err != nil {
-		return nil, "", err
-	}
-	srv := transport.NewServer(cluster)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, addr, nil
-}
-
-func writePoint(cfg Config, writers, totalOps int) (WriteResult, error) {
-	srv, addr, err := writeStore(cfg)
-	if err != nil {
 		return WriteResult{}, err
 	}
-	defer srv.Close()
-	client, err := transport.DialConfig(addr, transport.ClientConfig{Conns: 4})
-	if err != nil {
-		return WriteResult{}, err
-	}
-	defer client.Close()
-
-	ctx := context.Background()
+	defer st.Close()
 	payload := make([]byte, writeBenchObject)
 	rand.New(rand.NewSource(cfg.Seed)).Read(payload)
-	writer, err := transport.NewStripedWriter(ctx, client, "ingest")
-	if err != nil {
-		return WriteResult{}, err
-	}
 
 	res := closedLoop{workers: writers, ops: totalOps}.run(ctx, func(_ *rand.Rand, op int) error {
-		_, err := writer.Put(ctx, fmt.Sprintf("obj-%02d", op%writeBenchWorkingSet), payload)
+		_, err := st.Striped.WriteObject(ctx, op%writeBenchWorkingSet, payload)
 		return err
 	})
 	if res.err != nil {
@@ -114,8 +90,8 @@ func writePoint(cfg Config, writers, totalOps int) (WriteResult, error) {
 		OpsPerSec: res.opsPerSec(),
 		P50ms:     pct(res.lats, 0.50),
 		P99ms:     pct(res.lats, 0.99),
-		Overloads: srv.Stats().OverloadRejections,
-		Retries:   client.Stats().Retries,
+		Overloads: st.Server.Stats().OverloadRejections,
+		Retries:   st.Striped.Client.Stats().Retries,
 	}, nil
 }
 

@@ -197,6 +197,10 @@ func PaperConfig() Config {
 	}
 }
 
+// ObjectName is the name of file fileID's object in a storage pool: every
+// store that serves a controller's files names them this way.
+func ObjectName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
+
 // Build creates a cluster from the configuration, using exponential service
 // times with the configured rates and random chunk placement.
 func (cfg Config) Build() (*Cluster, error) {
@@ -230,7 +234,7 @@ func (cfg Config) Build() (*Cluster, error) {
 		}
 		files[i] = File{
 			ID:        i,
-			Name:      fmt.Sprintf("file-%04d", i),
+			Name:      ObjectName(i),
 			SizeBytes: cfg.FileSize,
 			K:         cfg.K,
 			N:         cfg.N,

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sprout/internal/cluster"
 	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
@@ -64,7 +65,7 @@ func writeTestController(t *testing.T, objects, size, capacity int) (*Controller
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	name := func(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
+	name := cluster.ObjectName
 	payloads := make([][]byte, objects)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < objects; i++ {

@@ -1,41 +1,41 @@
-// Package e2e wires the full stack together — emulated OSD cluster, binary
-// transport, striped client-side writes, Sprout controller, repair plane —
-// and runs table-driven failure/overwrite scenarios against it. Run with
-// -race in CI: the scenarios are deliberately concurrent.
+// Package e2e takes the full stack as internal/stack wires it — emulated
+// OSD cluster, binary transport, striped client-side writes, Sprout
+// controller — adds a repair plane, and runs table-driven failure/overwrite
+// scenarios against it. Run with -race in CI: the scenarios are
+// deliberately concurrent.
 package e2e
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sprout/internal/cluster"
 	"sprout/internal/core"
-	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/repair"
+	"sprout/internal/stack"
 	"sprout/internal/transport"
 )
 
 const (
 	e2eObjects = 6
 	e2eSize    = 16 << 10
-	e2eOSDs    = 12
+	e2eOSDs    = 12 // the stack's cluster size
 	e2eN       = 7
 	e2eK       = 4
 )
 
-// harness is one fully wired stack: cluster + pool + TCP server + pooled
-// client + striped writer + remote fetcher + controller + repair manager.
+// harness is one fully wired stack — cluster, pool, TCP server, pooled
+// client, striped writer, remote fetcher, controller — plus a repair
+// manager.
 type harness struct {
-	cluster   *objstore.Cluster
-	pool      *objstore.Pool
-	writer    *transport.StripedWriter
+	*stack.Stack
 	fetcher   *transport.RemoteFetcher
 	ctrl      *core.Controller
 	repair    *repair.Manager
@@ -43,7 +43,36 @@ type harness struct {
 	payloadMu sync.Mutex
 }
 
-func (h *harness) objName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
+// e2eSpec is the stack every scenario runs on: six 16 KiB objects, read at
+// equal rates, over twelve 0.3 ms OSDs, served over loopback.
+func e2eSpec(scfg transport.ServerConfig, ccfg transport.ClientConfig) stack.Spec {
+	lambdas := make([]float64, e2eObjects)
+	for i := range lambdas {
+		lambdas[i] = 2.0
+	}
+	return stack.Spec{
+		Service: queue.Deterministic{Value: 0.0003},
+		Seed:    11,
+		Objects: e2eObjects,
+		Size:    e2eSize,
+		Lambdas: lambdas,
+		Listen:  "127.0.0.1:0",
+		Server:  scfg,
+		Tenants: []string{""},
+		Client:  ccfg,
+	}
+}
+
+// newStack builds spec's stack, closed when the test ends.
+func newStack(t *testing.T, spec stack.Spec) *stack.Stack {
+	t.Helper()
+	st, err := stack.New(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
 
 func (h *harness) payload(fileID int) []byte {
 	h.payloadMu.Lock()
@@ -60,7 +89,7 @@ func (h *harness) setPayload(fileID int, data []byte) {
 // write ingests new content for a file through the controller (striped
 // client-side write over the transport + functional-cache refresh).
 func (h *harness) write(ctx context.Context, fileID int, data []byte) error {
-	if err := h.ctrl.Write(ctx, fileID, data, h.writer); err != nil {
+	if err := h.ctrl.Write(ctx, fileID, data, h.Striped); err != nil {
 		return err
 	}
 	h.setPayload(fileID, data)
@@ -71,7 +100,7 @@ func (h *harness) write(ctx context.Context, fileID int, data []byte) error {
 // the controller's membership view, then kicks the repair plane.
 func (h *harness) fail(t *testing.T, ids ...int) {
 	t.Helper()
-	if err := h.cluster.FailOSDs(true, ids...); err != nil {
+	if err := h.Cluster.FailOSDs(true, ids...); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -82,7 +111,7 @@ func (h *harness) fail(t *testing.T, ids ...int) {
 
 func (h *harness) recover(t *testing.T, ids ...int) {
 	t.Helper()
-	if err := h.cluster.RecoverOSDs(ids...); err != nil {
+	if err := h.Cluster.RecoverOSDs(ids...); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -91,9 +120,8 @@ func (h *harness) recover(t *testing.T, ids ...int) {
 	h.repair.Kick()
 }
 
-// newHarness boots the stack: objects ingested with striped writes over
-// TCP, controller planned + prefetched over the remote fetcher, repair
-// workers running.
+// newHarness boots the stack: objects ingested, controller planned +
+// prefetched over the remote fetcher, repair workers running.
 func newHarness(t *testing.T, serve core.ServeOptions) *harness {
 	h, _ := newHarnessWith(t, serve,
 		transport.ServerConfig{StagedPutTTL: time.Minute},
@@ -106,78 +134,19 @@ func newHarness(t *testing.T, serve core.ServeOptions) *harness {
 // client so scenarios can inspect its transport stats.
 func newHarnessWith(t *testing.T, serve core.ServeOptions, scfg transport.ServerConfig, ccfg transport.ClientConfig) (*harness, *transport.Client) {
 	t.Helper()
-	ctx := context.Background()
-	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:      e2eOSDs,
-		Services:     []queue.Dist{queue.Deterministic{Value: 0.0003}},
-		RefChunkSize: e2eSize / e2eK,
-		Seed:         11,
-	})
-	if err != nil {
+	h := &harness{Stack: newStack(t, e2eSpec(scfg, ccfg)), payloads: make([][]byte, e2eObjects)}
+	h.fetcher = h.Remote[""]
+	for i := range h.payloads {
+		h.payloads[i] = h.Payload(i)
+	}
+	var err error
+	if h.ctrl, err = h.Controller(context.Background(), 2*e2eObjects, optimizer.Options{MaxOuterIter: 6}, serve, 1); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := cluster.CreatePool("ec", e2eN, e2eK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServerWithConfig(cluster, scfg)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	client, err := transport.DialConfig(addr, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = client.Close() })
-
-	writer, err := transport.NewStripedWriter(ctx, client, "ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{
-		cluster:  cluster,
-		pool:     pool,
-		writer:   writer,
-		fetcher:  &transport.RemoteFetcher{Client: client, Pool: "ec"},
-		payloads: make([][]byte, e2eObjects),
-	}
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < e2eObjects; i++ {
-		h.payloads[i] = make([]byte, e2eSize)
-		rng.Read(h.payloads[i])
-		if _, err := writer.Put(ctx, h.objName(i), h.payloads[i]); err != nil {
-			t.Fatalf("initial striped ingest of %s: %v", h.objName(i), err)
-		}
-	}
-
-	lambdas := make([]float64, e2eObjects)
-	for i := range lambdas {
-		lambdas[i] = 2.0
-	}
-	clu, err := pool.ClusterView(lambdas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := core.NewControllerWith(clu, 2*e2eObjects, optimizer.Options{MaxOuterIter: 6}, serve, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ctrl.Close() })
-	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.PrefetchCache(ctx, h.fetcher); err != nil {
-		t.Fatal(err)
-	}
-	h.ctrl = ctrl
-
-	mgr := repair.NewManager(pool, repair.Config{Workers: 2, ScanInterval: 20 * time.Millisecond})
-	mgr.Start()
-	t.Cleanup(mgr.Close)
-	h.repair = mgr
-	return h, client
+	h.repair = repair.NewManager(h.Pool, repair.Config{Workers: 2, ScanInterval: 20 * time.Millisecond})
+	h.repair.Start()
+	t.Cleanup(h.repair.Close)
+	return h, h.fetcher.Client
 }
 
 // readAndCheck reads fileID through the controller and verifies the bytes
@@ -314,7 +283,7 @@ func scenarioWriteDuringFailure(t *testing.T, h *harness) {
 	}
 	// Every chunk of the new stripe must be on a live OSD (staging dodged
 	// the down ones).
-	locs, err := h.pool.ChunkLocations(h.objName(1))
+	locs, err := h.Pool.ChunkLocations(cluster.ObjectName(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +365,7 @@ func scenarioHedgedReadDuringRepair(t *testing.T, h *harness) {
 	if err := h.repair.WaitIdle(waitCtx); err != nil {
 		t.Fatalf("repair did not drain: %v", err)
 	}
-	if left := len(h.pool.DegradedObjects()); left != 0 {
+	if left := len(h.Pool.DegradedObjects()); left != 0 {
 		t.Fatalf("%d objects still degraded after repair", left)
 	}
 	for fileID := 0; fileID < e2eObjects; fileID++ {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sprout/internal/cluster"
 	"sprout/internal/core"
 	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
@@ -57,22 +58,6 @@ func (l *chunkLedger) audit(t *testing.T, cluster *objstore.Cluster) {
 	}
 }
 
-// poolFetcher reads chunks straight from the in-process pool: what it
-// returns is the stored chunk itself, by reference.
-type poolFetcher struct {
-	h *harness
-}
-
-func (f poolFetcher) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-	data, _, err := f.FetchChunkV(ctx, fileID, chunkIndex, nodeID)
-	return data, err
-}
-
-func (f poolFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, core.StripeInfo, error) {
-	data, version, size, err := f.h.pool.GetChunkV(ctx, f.h.objName(fileID), chunkIndex)
-	return data, core.StripeInfo{Version: version, Size: size}, err
-}
-
 // TestStoredChunksImmutable drives every path that hands chunks to the
 // object store or takes them out by reference — striped and central writes,
 // overwrites, controller reads at cache allocations 0, partial and k over
@@ -90,26 +75,11 @@ func TestStoredChunksImmutable(t *testing.T) {
 	// Three controllers over the one pool — the harness's caches half the
 	// files whole, the second nothing, the third one file whole and one in
 	// part — so that reads run at d = 0, 0 < d < k and d = k.
-	lambdas := make([]float64, e2eObjects)
-	for i := range lambdas {
-		lambdas[i] = 2.0
-	}
-	view, err := h.pool.ClusterView(lambdas)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctrls := []*core.Controller{h.ctrl}
 	for _, capacity := range []int{0, e2eK + 2} {
-		ctrl, err := core.NewControllerWith(view, capacity, optimizer.Options{MaxOuterIter: 6},
+		ctrl, err := h.Controller(ctx, capacity, optimizer.Options{MaxOuterIter: 6},
 			core.ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 2}, 1)
 		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ctrl.Close() })
-		if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-			t.Fatal(err)
-		}
-		if err := ctrl.PrefetchCache(ctx, h.fetcher); err != nil {
 			t.Fatal(err)
 		}
 		ctrls = append(ctrls, ctrl)
@@ -142,12 +112,12 @@ func TestStoredChunksImmutable(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(2 * time.Millisecond):
-				ledger.audit(t, h.cluster)
+				ledger.audit(t, h.Cluster)
 			}
 		}
 	}()
 
-	fetchers := []core.ChunkFetcher{h.fetcher, poolFetcher{h}}
+	fetchers := []core.ChunkFetcher{h.fetcher, h.Local}
 	readAll := func(stage string) {
 		t.Helper()
 		for c, ctrl := range ctrls {
@@ -164,7 +134,7 @@ func TestStoredChunksImmutable(t *testing.T) {
 			}
 			ctrl.WaitFills()
 		}
-		ledger.audit(t, h.cluster)
+		ledger.audit(t, h.Cluster)
 	}
 	// wrote records a committed overwrite: the other controllers' caches are
 	// invalidated the way the router's fan-out would.
@@ -185,13 +155,13 @@ func TestStoredChunksImmutable(t *testing.T) {
 		}
 		return p
 	}
-	readAll("initial striped ingest")
+	readAll("initial ingest")
 
 	// In-process overwrites: Pool.PutV encodes the whole object and stages
 	// the chunks by reference.
 	for f := 0; f < 2; f++ {
 		data := payload(e2eSize, byte(40+f))
-		if _, err := h.pool.PutV(ctx, h.objName(f), data); err != nil {
+		if _, err := h.Pool.PutV(ctx, cluster.ObjectName(f), data); err != nil {
 			t.Fatal(err)
 		}
 		wrote(f, data, nil)
@@ -205,7 +175,7 @@ func TestStoredChunksImmutable(t *testing.T) {
 		for c, ctrl := range ctrls {
 			f := 2 + c
 			data := payload(size, byte(60+10*round+c))
-			if err := ctrl.Write(ctx, f, data, h.writer); err != nil {
+			if err := ctrl.Write(ctx, f, data, h.Striped); err != nil {
 				t.Fatal(err)
 			}
 			wrote(f, data, ctrl)
@@ -231,20 +201,20 @@ func TestStoredChunksImmutable(t *testing.T) {
 	// Dropped replies: staged chunks land on the OSD (the frame becomes the
 	// stored chunk) but the client never hears back, gives up and aborts;
 	// the retry after the partition heals stages the same keys again.
-	partitioned, err := h.pool.ChunkOSD(h.objName(5), 0)
+	partitioned, err := h.Pool.ChunkOSD(cluster.ObjectName(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chaos.SetRule(partitioned, transport.ChaosRule{DropReplies: true})
 	data := payload(8*e2eSize, 99)
 	short, cancel := context.WithTimeout(ctx, 150*time.Millisecond)
-	if err := h.ctrl.Write(short, 5, data, h.writer); err == nil {
+	if err := h.ctrl.Write(short, 5, data, h.Striped); err == nil {
 		t.Fatal("write across a reply-dropping partition succeeded")
 	}
 	cancel()
 	chaos.Reset()
 	readAll("after the aborted write")
-	if err := h.ctrl.Write(ctx, 5, data, h.writer); err != nil {
+	if err := h.ctrl.Write(ctx, 5, data, h.Striped); err != nil {
 		t.Fatal(err)
 	}
 	wrote(5, data, h.ctrl)
@@ -263,14 +233,14 @@ func TestStoredChunksImmutable(t *testing.T) {
 	if err := h.repair.WaitIdle(waitCtx); err != nil {
 		t.Fatalf("repair did not drain: %v", err)
 	}
-	if left := len(h.pool.DegradedObjects()); left != 0 {
+	if left := len(h.Pool.DegradedObjects()); left != 0 {
 		t.Fatalf("%d objects still degraded after repair", left)
 	}
 	readAll("repaired")
 
 	close(stop)
 	auditor.Wait()
-	ledger.audit(t, h.cluster)
+	ledger.audit(t, h.Cluster)
 	if len(ledger.seen) < 2*e2eObjects*e2eN {
 		t.Fatalf("ledger saw only %d stored buffers; the scenario did not overwrite and repair as intended", len(ledger.seen))
 	}

@@ -33,7 +33,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Controller:      h.ctrl,
 		TransportClient: client.Stats,
 		Repair:          h.repair.Stats,
-		OSDHealth:       h.cluster.Health,
+		OSDHealth:       h.Cluster.Health,
 	})
 	if issues := metrics.Lint(reg); len(issues) != 0 {
 		t.Fatalf("live registry fails conformance:\n  %s", strings.Join(issues, "\n  "))

@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
-	"sprout/internal/queue"
 	"sprout/internal/router"
 	"sprout/internal/transport"
 )
@@ -29,49 +27,11 @@ import (
 // serving torn or stale stripes once ownership lands on it.
 func TestChaosCrossShardCoherence(t *testing.T) {
 	ctx := context.Background()
-	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:      e2eOSDs,
-		Services:     []queue.Dist{queue.Deterministic{Value: 0.0003}},
-		RefChunkSize: e2eSize / e2eK,
-		Seed:         11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := cluster.CreatePool("ec", e2eN, e2eK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServerWithConfig(cluster, transport.ServerConfig{StagedPutTTL: time.Minute})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	client, err := transport.DialConfig(addr, transport.ClientConfig{Conns: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = client.Close() })
-	writer, err := transport.NewStripedWriter(ctx, client, "ec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetcher := &transport.RemoteFetcher{Client: client, Pool: "ec"}
-
+	wired := newStack(t, e2eSpec(transport.ServerConfig{StagedPutTTL: time.Minute}, transport.ClientConfig{Conns: 3}))
+	fetcher, writer := wired.Remote[""], wired.Striped
 	payloads := make([][]byte, e2eObjects)
-	for i := 0; i < e2eObjects; i++ {
-		payloads[i] = make([]byte, e2eSize)
-		for j := range payloads[i] {
-			payloads[i][j] = byte(i*31) ^ byte(j*7)
-		}
-		if _, err := writer.Put(ctx, fmt.Sprintf("file-%04d", i), payloads[i]); err != nil {
-			t.Fatalf("initial striped ingest of file %d: %v", i, err)
-		}
-	}
-	lambdas := make([]float64, e2eObjects)
-	for i := range lambdas {
-		lambdas[i] = 2.0
+	for i := range payloads {
+		payloads[i] = wired.Payload(i)
 	}
 
 	// newShardCtrl builds one controller over the shared pool, planned and
@@ -80,19 +40,8 @@ func TestChaosCrossShardCoherence(t *testing.T) {
 	// invalidation protocol keeps that cache safe to serve after a
 	// membership change hands the file to it.
 	newShardCtrl := func() *core.Controller {
-		clu, err := pool.ClusterView(lambdas)
+		ctrl, err := wired.Controller(ctx, 2*e2eObjects, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{}, 1)
 		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl, err := core.NewControllerWith(clu, 2*e2eObjects, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ctrl.Close() })
-		if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
-			t.Fatal(err)
-		}
-		if err := ctrl.PrefetchCache(ctx, fetcher); err != nil {
 			t.Fatal(err)
 		}
 		return ctrl

@@ -11,93 +11,47 @@ import (
 
 	"sprout/internal/core"
 	"sprout/internal/metrics"
-	"sprout/internal/objstore"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
+	"sprout/internal/stack"
 	"sprout/internal/transport"
 )
 
-// poolFetcher adapts an objstore pool to the controller's versioned fetcher.
-type poolFetcher struct {
-	pool *objstore.Pool
-}
-
-func objName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
-
-func (f *poolFetcher) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-	data, _, err := f.FetchChunkV(ctx, fileID, chunkIndex, nodeID)
-	return data, err
-}
-
-func (f *poolFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, core.StripeInfo, error) {
-	data, version, size, err := f.pool.GetChunkV(ctx, objName(fileID), chunkIndex)
-	if err != nil {
-		return nil, core.StripeInfo{}, err
-	}
-	return data, core.StripeInfo{Version: version, Size: size}, nil
-}
-
-// poolWriter adapts pool.PutV to the controller's ObjectWriter.
-type poolWriter struct {
-	pool *objstore.Pool
-}
-
-func (w *poolWriter) WriteObject(ctx context.Context, fileID int, data []byte) (uint64, error) {
-	return w.pool.PutV(ctx, objName(fileID), data)
-}
-
-// plane is a multi-shard test fixture: one storage pool, N shard
-// controllers over the full namespace, and the payloads ingested.
+// plane is a multi-shard test fixture: one stack of ten OSDs, N unplanned
+// shard controllers over the full namespace, and the payloads ingested.
 type plane struct {
-	pool     *objstore.Pool
+	*stack.Stack
 	ctrls    []*core.Controller
-	fetcher  *poolFetcher
-	writer   *poolWriter
 	payloads [][]byte
-	lambdas  []float64
 }
 
 func newPlane(t *testing.T, shards, objects, size, capacity int) *plane {
 	t.Helper()
-	oc, err := objstore.NewCluster(objstore.ClusterConfig{
-		NumOSDs:      10,
-		Services:     []queue.Dist{queue.Deterministic{Value: 0.0002}},
-		RefChunkSize: 8 << 10,
-		Seed:         5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := oc.CreatePool("ec", 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	payloads := make([][]byte, objects)
-	rng := rand.New(rand.NewSource(21))
-	for i := range payloads {
-		payloads[i] = make([]byte, size)
-		rng.Read(payloads[i])
-		if err := pool.Put(ctx, objName(i), payloads[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	lambdas := make([]float64, objects)
 	for i := range lambdas {
 		lambdas[i] = 1.0
 	}
-	clu, err := pool.ClusterView(lambdas)
+	st, err := stack.New(context.Background(), stack.Spec{
+		OSDs:    10,
+		Service: queue.Deterministic{Value: 0.0002},
+		Seed:    5,
+		Objects: objects,
+		Size:    size,
+		Lambdas: lambdas,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &plane{pool: pool, fetcher: &poolFetcher{pool: pool},
-		writer: &poolWriter{pool: pool}, payloads: payloads, lambdas: lambdas}
+	t.Cleanup(st.Close)
+	p := &plane{Stack: st}
+	for i := 0; i < objects; i++ {
+		p.payloads = append(p.payloads, st.Payload(i))
+	}
 	for i := 0; i < shards; i++ {
-		ctrl, err := core.NewController(clu, capacity, optimizer.Options{MaxOuterIter: 6}, int64(i+1))
+		ctrl, err := st.NewController(capacity, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{}, int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = ctrl.Close() })
 		p.ctrls = append(p.ctrls, ctrl)
 	}
 	return p
@@ -116,12 +70,12 @@ func TestRouterRoutesToOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.PlanTimeBin(p.lambdas); err != nil {
+	if err := r.PlanTimeBin(p.Lambdas); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	for f := 0; f < objects; f++ {
-		got, err := r.Read(ctx, f, p.fetcher)
+		got, err := r.Read(ctx, f, p.Local)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,10 +130,10 @@ func TestRouterWriteFanoutInvalidatesPeers(t *testing.T) {
 		}
 		// Deliberately unmasked: every shard plans and caches every file,
 		// the state a shard holds right after losing ownership.
-		if _, err := ctrl.PlanTimeBin(p.lambdas); err != nil {
+		if _, err := ctrl.PlanTimeBin(p.Lambdas); err != nil {
 			t.Fatal(err)
 		}
-		if err := ctrl.PrefetchCache(context.Background(), p.fetcher); err != nil {
+		if err := ctrl.PrefetchCache(context.Background(), p.Local); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +151,7 @@ func TestRouterWriteFanoutInvalidatesPeers(t *testing.T) {
 
 	next := make([]byte, 16<<10)
 	rand.New(rand.NewSource(33)).Read(next)
-	if err := r.Write(ctx, fileID, next, p.writer); err != nil {
+	if err := r.Write(ctx, fileID, next, p.Local); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +176,7 @@ func TestRouterWriteFanoutInvalidatesPeers(t *testing.T) {
 
 	// Every shard — owner or not — now serves the new bytes.
 	for i, ctrl := range p.ctrls {
-		got, err := ctrl.Read(ctx, fileID, p.fetcher)
+		got, err := ctrl.Read(ctx, fileID, p.Local)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +193,7 @@ func TestRouterRemoteShardsAndMembership(t *testing.T) {
 	const objects = 6
 	p := newPlane(t, 2, objects, 16<<10, 2*objects)
 	for _, ctrl := range p.ctrls {
-		if _, err := ctrl.PlanTimeBin(p.lambdas); err != nil {
+		if _, err := ctrl.PlanTimeBin(p.Lambdas); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +202,7 @@ func TestRouterRemoteShardsAndMembership(t *testing.T) {
 
 	var endpoints []*PeerEndpoint
 	for i, ctrl := range p.ctrls {
-		ep, err := ServeShard(ctrl, p.fetcher, p.writer, r, "127.0.0.1:0",
+		ep, err := ServeShard(ctrl, p.Local, p.Local, r, "127.0.0.1:0",
 			transport.ServerConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +263,7 @@ func TestRouterCloseLeaksNothing(t *testing.T) {
 	const objects = 4
 	p := newPlane(t, 2, objects, 16<<10, objects)
 	for _, ctrl := range p.ctrls {
-		if _, err := ctrl.PlanTimeBin(p.lambdas); err != nil {
+		if _, err := ctrl.PlanTimeBin(p.Lambdas); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +273,7 @@ func TestRouterCloseLeaksNothing(t *testing.T) {
 	r := New(Options{FanoutWorkers: 3, Client: transport.ClientConfig{Conns: 2}})
 	var endpoints []*PeerEndpoint
 	for i, ctrl := range p.ctrls {
-		ep, err := ServeShard(ctrl, p.fetcher, p.writer, nil, "127.0.0.1:0",
+		ep, err := ServeShard(ctrl, p.Local, p.Local, nil, "127.0.0.1:0",
 			transport.ServerConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)

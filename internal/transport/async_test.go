@@ -565,9 +565,9 @@ func TestAsyncFetchStalledPeer(t *testing.T) {
 	}
 	defer client.Close()
 	shrinkSocketBuffers(t, client.slots[0].cc.Load().conn)
-	// Frames of ~60 KiB: a few batches fill what the two sockets buffer.
-	name := strings.Repeat("n", 60<<10)
-	f := &RemoteFetcher{Client: client, Pool: "ec", ObjectName: func(int) string { return name }}
+	// Frames of ~60 KiB, carried by the pool name: a few batches fill what
+	// the two sockets buffer.
+	f := &RemoteFetcher{Client: client, Pool: strings.Repeat("p", 60<<10)}
 
 	var sinks []*testSink
 	blocked := false

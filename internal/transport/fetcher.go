@@ -2,9 +2,9 @@ package transport
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
+	"sprout/internal/cluster"
 	"sprout/internal/core"
 )
 
@@ -18,16 +18,14 @@ import (
 type RemoteFetcher struct {
 	// Client is the pooled transport client to fetch through.
 	Client *Client
-	// Pool is the remote erasure-coded pool holding the controller's files.
+	// Pool is the remote erasure-coded pool holding the controller's files,
+	// each named by cluster.ObjectName.
 	Pool string
-	// ObjectName maps a controller file ID to the remote object name.
-	// Defaults to "file-%04d", matching cluster.Config.Build naming.
-	ObjectName func(fileID int) string
 
-	// names caches the default object names by file ID, so the fetch path
-	// formats each name once instead of once per chunk. A published table
-	// is complete and never written again; growing swaps in a larger copy.
-	// Nil until the first default-named fetch, so a struct literal works.
+	// names caches the object names by file ID, so the fetch path formats
+	// each name once instead of once per chunk. A published table is
+	// complete and never written again; growing swaps in a larger copy. Nil
+	// until the first fetch, so a struct literal works.
 	names atomic.Pointer[[]string]
 }
 
@@ -74,25 +72,22 @@ func (f *RemoteFetcher) StartFetches(ctx context.Context, fileID int, refs []cor
 }
 
 func (f *RemoteFetcher) objectName(fileID int) string {
-	if f.ObjectName != nil {
-		return f.ObjectName(fileID)
-	}
 	if t := f.names.Load(); t != nil && fileID >= 0 && fileID < len(*t) {
 		return (*t)[fileID]
 	}
 	return f.growNames(fileID)
 }
 
-// maxCachedNames bounds the default-name table; IDs past it (or negative)
+// maxCachedNames bounds the name table; IDs past it (or negative)
 // are formatted per call.
 const maxCachedNames = 1 << 16
 
-// growNames publishes a table of default names that covers fileID and
+// growNames publishes a table of names that covers fileID and
 // returns fileID's name. Concurrent growers race on one compare-and-swap;
 // the loser retries against the winner's table.
 func (f *RemoteFetcher) growNames(fileID int) string {
 	if fileID < 0 || fileID >= maxCachedNames {
-		return fmt.Sprintf("file-%04d", fileID)
+		return cluster.ObjectName(fileID)
 	}
 	for {
 		old := f.names.Load()
@@ -105,7 +100,7 @@ func (f *RemoteFetcher) growNames(fileID int) string {
 		}
 		grown := make([]string, max(64, 2*len(have), fileID+1))
 		for i := copy(grown, have); i < len(grown); i++ {
-			grown[i] = fmt.Sprintf("file-%04d", i)
+			grown[i] = cluster.ObjectName(i)
 		}
 		if f.names.CompareAndSwap(old, &grown) {
 			return grown[fileID]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"sprout/internal/cluster"
 	"sprout/internal/erasure"
 )
 
@@ -22,10 +23,6 @@ type StripedWriter struct {
 	Pool string
 	// Code is the erasure coder; its (n, k) must match the remote pool.
 	Code *erasure.Code
-	// ObjectName maps a controller file ID to the remote object name for
-	// WriteObject. Defaults to "file-%04d", matching cluster.Config.Build
-	// naming and transport.RemoteFetcher.
-	ObjectName func(fileID int) string
 }
 
 // NewStripedWriter builds a striped writer for a remote pool, querying the
@@ -145,10 +142,10 @@ func (w *StripedWriter) abort(ctx context.Context, object string, version uint64
 	_ = w.Client.AbortPut(context.WithoutCancel(ctx), w.Pool, object, version)
 }
 
-// WriteObject implements the controller's ObjectWriter: it maps the file ID
-// to its remote object name and performs a striped put.
+// WriteObject implements the controller's ObjectWriter: a striped put of
+// the file's object, named by cluster.ObjectName.
 func (w *StripedWriter) WriteObject(ctx context.Context, fileID int, data []byte) (uint64, error) {
-	return w.Put(ctx, w.objectName(fileID), data)
+	return w.Put(ctx, cluster.ObjectName(fileID), data)
 }
 
 // WriteDataChunks implements the controller's DataChunkWriter fast path:
@@ -156,12 +153,5 @@ func (w *StripedWriter) WriteObject(ctx context.Context, fileID int, data []byte
 // the striped write encodes straight from the shared data chunks and, per
 // the interface's ownership rule, only reads them.
 func (w *StripedWriter) WriteDataChunks(ctx context.Context, fileID int, dataChunks [][]byte, size int) (uint64, error) {
-	return w.putChunks(ctx, w.objectName(fileID), dataChunks, size)
-}
-
-func (w *StripedWriter) objectName(fileID int) string {
-	if w.ObjectName != nil {
-		return w.ObjectName(fileID)
-	}
-	return fmt.Sprintf("file-%04d", fileID)
+	return w.putChunks(ctx, cluster.ObjectName(fileID), dataChunks, size)
 }
