@@ -169,6 +169,17 @@ func TestCtrlModeReplansEveryShard(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeHedgeDelay: a serving knob the controller rejects
+// ends run with that error instead of being replaced by a default.
+func TestRunRejectsNegativeHedgeDelay(t *testing.T) {
+	args := append([]string{"-mode", "ctrl", "-hedge-delay", "-1ms", "-duration", "100ms"}, smallArgs...)
+	var out syncBuffer
+	err := run(context.Background(), args, &out)
+	if err == nil || !strings.Contains(err.Error(), "negative HedgeDelay") {
+		t.Fatalf("run = %v, want the negative HedgeDelay error\n%s", err, out.String())
+	}
+}
+
 // planeGoroutines counts goroutines running transport, router or core code.
 func planeGoroutines() int {
 	buf := make([]byte, 1<<20)

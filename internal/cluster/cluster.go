@@ -133,15 +133,6 @@ func (c *Cluster) Lambdas() []float64 {
 	return l
 }
 
-// TotalArrivalRate returns the aggregate file request rate.
-func (c *Cluster) TotalArrivalRate() float64 {
-	var sum float64
-	for _, f := range c.Files {
-		sum += f.Lambda
-	}
-	return sum
-}
-
 // RandomPlacement selects n distinct nodes uniformly at random for a file.
 func RandomPlacement(rng *rand.Rand, numNodes, n int) ([]int, error) {
 	if n > numNodes {

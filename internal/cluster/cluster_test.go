@@ -23,7 +23,7 @@ func TestPaperConfigBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Aggregate arrival rate stated in the paper: ~0.1416/sec.
-	total := c.TotalArrivalRate()
+	total := totalRate(c)
 	if total < 0.14 || total > 0.145 {
 		t.Fatalf("total arrival rate = %v, want ~0.1416", total)
 	}
@@ -185,8 +185,8 @@ func TestLambdasAndWithArrivalRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.TotalArrivalRate() != 5 {
-		t.Fatalf("total = %v", c2.TotalArrivalRate())
+	if total := totalRate(c2); total != 5 {
+		t.Fatalf("total = %v", total)
 	}
 	// Original unchanged.
 	if c.Files[0].Lambda == 0.5 {
@@ -220,4 +220,13 @@ func TestPaperServiceRatesLength(t *testing.T) {
 	if len(PaperServiceRates) != 12 {
 		t.Fatalf("expected 12 service rates, got %d", len(PaperServiceRates))
 	}
+}
+
+// totalRate is the aggregate file request rate of c.
+func totalRate(c *Cluster) float64 {
+	var sum float64
+	for _, f := range c.Files {
+		sum += f.Lambda
+	}
+	return sum
 }

@@ -52,6 +52,7 @@ type AdmissionConfig struct {
 	MaxInFlight int
 	// LatencyTarget is the window read p99 considered full pressure. Zero
 	// disables the latency signal (queue depth alone drives the gate).
+	// NewControllerWith rejects a negative value for either field.
 	LatencyTarget time.Duration
 }
 

@@ -277,6 +277,35 @@ type ServeOptions struct {
 	Tenants []TenantPolicy
 }
 
+// validate rejects knobs withDefaults would otherwise silently replace or
+// misread: a negative duration or count, a ReplanThreshold that is negative
+// or not finite (a NaN never counts as drift, so the adaptive loop would
+// re-plan only when a rate turns on or off), and a negative admission
+// bound. Zero keeps its documented meaning, default or off.
+func (o ServeOptions) validate() error {
+	switch {
+	case o.HedgeDelay < 0:
+		return fmt.Errorf("core: negative HedgeDelay %v", o.HedgeDelay)
+	case o.HedgeExtra < 0:
+		return fmt.Errorf("core: negative HedgeExtra %d", o.HedgeExtra)
+	case o.FillWorkers < 0:
+		return fmt.Errorf("core: negative FillWorkers %d", o.FillWorkers)
+	case o.ReplanInterval < 0:
+		return fmt.Errorf("core: negative ReplanInterval %v", o.ReplanInterval)
+	case !(o.ReplanThreshold >= 0) || math.IsInf(o.ReplanThreshold, 1):
+		return fmt.Errorf("core: ReplanThreshold %v is not a finite non-negative number", o.ReplanThreshold)
+	}
+	if a := o.Admission; a != nil {
+		if a.MaxInFlight < 0 {
+			return fmt.Errorf("core: negative Admission.MaxInFlight %d", a.MaxInFlight)
+		}
+		if a.LatencyTarget < 0 {
+			return fmt.Errorf("core: negative Admission.LatencyTarget %v", a.LatencyTarget)
+		}
+	}
+	return nil
+}
+
 func (o ServeOptions) withDefaults() ServeOptions {
 	if o.HedgeDelay > 0 && o.HedgeExtra <= 0 {
 		o.HedgeExtra = 1
@@ -417,9 +446,14 @@ func NewController(clu *cluster.Cluster, cacheCapacity int, opts optimizer.Optio
 	return NewControllerWith(clu, cacheCapacity, opts, ServeOptions{}, seed)
 }
 
-// NewControllerWith builds a controller with explicit serving options.
+// NewControllerWith builds a controller with explicit serving options. It
+// returns an error for a negative duration or count, a ReplanThreshold that
+// is negative or not finite, or a tenant policy set validateTenants rejects.
 func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.Options, serve ServeOptions, seed int64) (*Controller, error) {
 	if err := clu.Validate(); err != nil {
+		return nil, err
+	}
+	if err := serve.validate(); err != nil {
 		return nil, err
 	}
 	if err := validateTenants(serve.Tenants, len(clu.Files)); err != nil {

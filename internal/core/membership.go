@@ -61,13 +61,3 @@ func (c *Controller) DownNodes() []int {
 	sort.Ints(out)
 	return out
 }
-
-// NodeDown reports whether the node with the given cluster ID is currently
-// marked down.
-func (c *Controller) NodeDown(nodeID int) bool {
-	pos, ok := c.nodeIdx[nodeID]
-	if !ok {
-		return false
-	}
-	return c.epoch.Load().down[pos]
-}

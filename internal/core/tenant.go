@@ -87,14 +87,18 @@ func TenantFrom(ctx context.Context) string {
 	return name
 }
 
-// validateTenants rejects policy sets the QoS plane would misread: an
-// unknown class (it would run with silver semantics), two policies under one
-// name (the later would replace the earlier), and a file ID that is out of
-// range or listed twice (the budget split would drop it).
+// validateTenants rejects policy sets the QoS plane would misread: an empty
+// name (the policy would capture untenanted reads, which belong to
+// DefaultTenant), an unknown class (it would run with silver semantics), two
+// policies under one name (the later would replace the earlier), and a file
+// ID that is out of range or listed twice (the budget split would drop it).
 func validateTenants(policies []TenantPolicy, nFiles int) error {
 	names := make(map[string]bool, len(policies))
 	owner := make(map[int]string)
 	for _, p := range policies {
+		if p.Name == "" {
+			return fmt.Errorf("core: tenant policy with an empty name (untenanted reads belong to %q)", DefaultTenant)
+		}
 		switch p.Class {
 		case "", ClassGold, ClassSilver, ClassBronze:
 		default:
@@ -239,10 +243,11 @@ func tenantWeights(policies []TenantPolicy) map[string]int {
 
 // tenantShares derives the optimizer's cache-budget partition from the
 // tenant policies: every file listed by a policy belongs to that tenant,
-// everything else to the default tenant. Returns nil (no split) when no
-// policy lists files — the budget then stays one shared pool. The policies
-// have passed validateTenants, so every listed file is in range and listed
-// once.
+// everything else to the default tenant — folded into the share of a policy
+// named DefaultTenant when there is one, so one tenant is never planned as
+// two slices. Returns nil (no split) when no policy lists files — the budget
+// then stays one shared pool. The policies have passed validateTenants, so
+// every listed file is in range and listed once.
 func tenantShares(policies []TenantPolicy, nFiles int) ([]optimizer.TenantShare, []string) {
 	owned := false
 	for _, p := range policies {
@@ -257,25 +262,27 @@ func tenantShares(policies []TenantPolicy, nFiles int) ([]optimizer.TenantShare,
 	listed := make([]bool, nFiles)
 	shares := make([]optimizer.TenantShare, 0, len(policies)+1)
 	names := make([]string, 0, len(policies)+1)
+	def := optimizer.TenantShare{Weight: 1}
 	for _, p := range policies {
 		p = p.withDefaults()
-		if len(p.Files) == 0 {
-			continue
-		}
 		for _, f := range p.Files {
 			listed[f] = true
 		}
-		shares = append(shares, optimizer.TenantShare{Weight: p.Weight, Files: slices.Clone(p.Files)})
-		names = append(names, p.Name)
-	}
-	var rest []int
-	for f, l := range listed {
-		if !l {
-			rest = append(rest, f)
+		switch {
+		case p.Name == DefaultTenant:
+			def = optimizer.TenantShare{Weight: p.Weight, Files: slices.Clone(p.Files)}
+		case len(p.Files) > 0:
+			shares = append(shares, optimizer.TenantShare{Weight: p.Weight, Files: slices.Clone(p.Files)})
+			names = append(names, p.Name)
 		}
 	}
-	if len(rest) > 0 {
-		shares = append(shares, optimizer.TenantShare{Weight: 1, Files: rest})
+	for f, l := range listed {
+		if !l {
+			def.Files = append(def.Files, f)
+		}
+	}
+	if len(def.Files) > 0 {
+		shares = append(shares, def)
 		names = append(names, DefaultTenant)
 	}
 	return shares, names

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -131,49 +132,91 @@ func TestTenantPriorityHedging(t *testing.T) {
 }
 
 // TestTenantCacheShares pins the budget partition: listed files map to their
-// owner's share, unlisted files to the default share, and the per-tenant
-// budgets sum to the cache capacity.
+// owner's share, unlisted files to the default share — folded into a policy
+// named DefaultTenant when one exists, never a second slice beside it — the
+// per-tenant budgets sum to the cache capacity, and the plan keeps each
+// tenant's files within its budget.
 func TestTenantCacheShares(t *testing.T) {
-	serve := ServeOptions{
-		Tenants: []TenantPolicy{
+	for _, tc := range []struct {
+		name     string
+		files    int
+		capacity int
+		policies []TenantPolicy
+	}{
+		{"unlisted files form the default share", 4, 6, []TenantPolicy{
 			{Name: "gold", Class: ClassGold, Weight: 3, Files: []int{0, 1}},
 			{Name: "bronze", Class: ClassBronze, Weight: 1, Files: []int{2}},
-		},
-	}
-	ctrl, _ := buildControllerWith(t, 4, 6, 0.05, serve)
-	defer ctrl.Close()
-	owner := map[int]int{}
-	for t, sh := range ctrl.tenantShares {
-		for _, f := range sh.Files {
-			owner[f] = t
-		}
-	}
-	if len(owner) != 4 || owner[0] != owner[1] || owner[0] == owner[2] || owner[3] == owner[0] || owner[3] == owner[2] {
-		t.Fatalf("shares %+v, want files 0,1 together, 2 apart and 3 in the default share", ctrl.tenantShares)
-	}
-	stats := ctrl.TenantStats()
-	total := 0
-	for _, snap := range stats {
-		total += snap.CacheShare
-	}
-	if total != 6 {
-		t.Fatalf("tenant cache shares sum to %d, want capacity 6", total)
-	}
-	if stats["gold"].CacheShare <= stats["bronze"].CacheShare {
-		t.Fatalf("gold share %d not larger than bronze %d at weight 3:1",
-			stats["gold"].CacheShare, stats["bronze"].CacheShare)
-	}
-	// The split plan still comes out of PlanTimeBin and respects capacity.
-	plan, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := 0
-	for _, d := range plan.D {
-		cached += d
-	}
-	if cached > 6 {
-		t.Fatalf("split plan caches %d chunks, capacity 6", cached)
+		}},
+		{"a default policy takes the unlisted files", 6, 12, []TenantPolicy{
+			{Name: DefaultTenant, Weight: 3, Files: []int{0, 1}},
+			{Name: "gold", Class: ClassGold, Weight: 1, Files: []int{2}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, _ := buildControllerWith(t, tc.files, tc.capacity, 0.05, ServeOptions{Tenants: tc.policies})
+			defer ctrl.Close()
+			// owner maps every file to its tenant: the policy listing it, or
+			// the default tenant.
+			owner := make([]string, tc.files)
+			for f := range owner {
+				owner[f] = DefaultTenant
+			}
+			weight := map[string]int{DefaultTenant: 1}
+			for _, p := range tc.policies {
+				weight[p.Name] = p.Weight
+				for _, f := range p.Files {
+					owner[f] = p.Name
+				}
+			}
+			stats := ctrl.TenantStats()
+			total := 0
+			for _, snap := range stats {
+				total += snap.CacheShare
+			}
+			if total != tc.capacity {
+				t.Fatalf("tenant cache shares %+v sum to %d, want capacity %d", stats, total, tc.capacity)
+			}
+			// One share per tenant, holding exactly that tenant's files.
+			shareOf := map[string]int{}
+			covered := 0
+			for i, sh := range ctrl.tenantShares {
+				name := owner[sh.Files[0]]
+				if j, ok := shareOf[name]; ok {
+					t.Fatalf("tenant %q planned as shares %d and %d: %+v", name, j, i, ctrl.tenantShares)
+				}
+				shareOf[name] = i
+				for _, f := range sh.Files {
+					if owner[f] != name {
+						t.Fatalf("share %+v mixes tenants %q and %q", sh, name, owner[f])
+					}
+				}
+				covered += len(sh.Files)
+			}
+			if covered != tc.files {
+				t.Fatalf("shares %+v cover %d of %d files", ctrl.tenantShares, covered, tc.files)
+			}
+			for a := range shareOf {
+				for b := range shareOf {
+					if weight[a] > weight[b] && stats[a].CacheShare <= stats[b].CacheShare {
+						t.Fatalf("%s share %d not larger than %s share %d at weight %d:%d",
+							a, stats[a].CacheShare, b, stats[b].CacheShare, weight[a], weight[b])
+					}
+				}
+			}
+			plan, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached := map[string]int{}
+			for f, d := range plan.D {
+				cached[owner[f]] += d
+			}
+			for name, d := range cached {
+				if d > stats[name].CacheShare {
+					t.Fatalf("tenant %q caches %d chunks, share %d", name, d, stats[name].CacheShare)
+				}
+			}
+		})
 	}
 }
 
@@ -190,12 +233,47 @@ func TestTenantValidation(t *testing.T) {
 		{"file out of range", []TenantPolicy{{Name: "a", Files: []int{4}}}},
 		{"negative file", []TenantPolicy{{Name: "a", Files: []int{-1}}}},
 		{"file listed by two policies", []TenantPolicy{{Name: "a", Files: []int{0, 1}}, {Name: "b", Files: []int{1}}}},
+		{"empty name", []TenantPolicy{{Name: "", Class: ClassGold}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{MaxOuterIter: 6}, ServeOptions{Tenants: tc.policies}, 1)
 			if err == nil {
 				ctrl.Close()
 				t.Fatal("NewControllerWith accepted the policies")
+			}
+		})
+	}
+}
+
+// TestServeOptionsValidation: NewControllerWith rejects a negative duration
+// or count, a ReplanThreshold that is negative or not finite, and a negative
+// admission bound, and accepts zero (default or off) for every knob.
+func TestServeOptionsValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		serve ServeOptions
+		ok    bool
+	}{
+		{"zero value", ServeOptions{}, true},
+		{"zero admission", ServeOptions{Admission: &AdmissionConfig{}}, true},
+		{"weight below one is clamped", ServeOptions{Tenants: []TenantPolicy{{Name: "a", Weight: -3}}}, true},
+		{"negative HedgeDelay", ServeOptions{HedgeDelay: -time.Millisecond}, false},
+		{"negative HedgeExtra", ServeOptions{HedgeDelay: time.Millisecond, HedgeExtra: -1}, false},
+		{"negative FillWorkers", ServeOptions{FillWorkers: -1}, false},
+		{"negative ReplanInterval", ServeOptions{ReplanInterval: -time.Second}, false},
+		{"negative ReplanThreshold", ServeOptions{ReplanThreshold: -0.1}, false},
+		{"NaN ReplanThreshold", ServeOptions{ReplanThreshold: math.NaN()}, false},
+		{"infinite ReplanThreshold", ServeOptions{ReplanThreshold: math.Inf(1)}, false},
+		{"negative MaxInFlight", ServeOptions{Admission: &AdmissionConfig{MaxInFlight: -1}}, false},
+		{"negative LatencyTarget", ServeOptions{Admission: &AdmissionConfig{LatencyTarget: -time.Millisecond}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{MaxOuterIter: 6}, tc.serve, 1)
+			if err == nil {
+				ctrl.Close()
+			}
+			if (err == nil) != tc.ok {
+				t.Fatalf("NewControllerWith(%+v) error = %v, want ok = %v", tc.serve, err, tc.ok)
 			}
 		})
 	}

@@ -100,7 +100,7 @@ func BenchmarkReconstructColdPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		code.SetPlanCacheSize(1) // drops all cached plans
+		code.plans = newPlanCache(1) // drops all cached plans
 		if _, err := code.Reconstruct(sel); err != nil {
 			b.Fatal(err)
 		}

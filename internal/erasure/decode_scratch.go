@@ -147,8 +147,7 @@ func (c *Code) decodePlanFor(sc *DecodeScratch, chunks []Chunk) (*gf256.Matrix, 
 		key[i] = byte(ch.Index)
 		payloads[i] = ch.Data
 	}
-	plans := c.plans.Load()
-	inv := plans.get(planKey(key))
+	inv := c.plans.get(planKey(key))
 	if inv == nil {
 		sub := c.generator.SelectRows(rows)
 		var err error
@@ -156,7 +155,7 @@ func (c *Code) decodePlanFor(sc *DecodeScratch, chunks []Chunk) (*gf256.Matrix, 
 		if err != nil {
 			return nil, nil, fmt.Errorf("erasure: selected chunks not decodable: %w", err)
 		}
-		plans.put(planKey(key), inv)
+		c.plans.put(planKey(key), inv)
 	}
 	return inv, payloads, nil
 }

@@ -14,7 +14,6 @@ package erasure
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"sprout/internal/gf256"
 )
@@ -43,10 +42,8 @@ type Code struct {
 	generator *gf256.Matrix
 
 	// plans caches inverted k x k generator submatrices per erasure
-	// pattern so steady-state decodes skip Gauss-Jordan entirely. Held
-	// through an atomic pointer so SetPlanCacheSize can swap the cache
-	// under concurrent decoders.
-	plans atomic.Pointer[planCache]
+	// pattern so steady-state decodes skip Gauss-Jordan entirely.
+	plans *planCache
 
 	counters coderCounters
 }
@@ -68,17 +65,7 @@ func New(n, k int) (*Code, error) {
 	for r := 0; r < parityRows; r++ {
 		copy(full.Data[k+r], cauchy.Data[r])
 	}
-	code := &Code{k: k, n: n, generator: full}
-	code.plans.Store(newPlanCache(DefaultPlanCacheSize))
-	return code, nil
-}
-
-// SetPlanCacheSize re-bounds the decode-plan cache, dropping all cached
-// plans and counters. Safe to call on a live coder; in-flight decodes may
-// finish against the old cache. Intended for tuning and tests; the default
-// bound suits steady-state serving.
-func (c *Code) SetPlanCacheSize(bound int) {
-	c.plans.Store(newPlanCache(bound))
+	return &Code{k: k, n: n, generator: full, plans: newPlanCache(DefaultPlanCacheSize)}, nil
 }
 
 // K returns the number of data chunks required to reconstruct a file.
@@ -347,19 +334,6 @@ func (c *Code) Verify(idx int, chunk []byte, dataChunks [][]byte) error {
 	return nil
 }
 
-// GeneratorRow returns a copy of the generator-matrix row for chunk idx,
-// exposing the linear combination that produces it. Useful for callers that
-// need to materialise functional chunks incrementally (e.g. when a file is
-// first read in a new time bin).
-func (c *Code) GeneratorRow(idx int) ([]byte, error) {
-	if idx < 0 || idx >= c.TotalChunks() {
-		return nil, fmt.Errorf("%w: index %d", ErrUnknownChunk, idx)
-	}
-	row := make([]byte, c.k)
-	copy(row, c.generator.Data[idx])
-	return row, nil
-}
-
 func (c *Code) checkDataChunks(dataChunks [][]byte) error {
 	if len(dataChunks) != c.k {
 		return fmt.Errorf("%w: want %d data chunks, got %d", ErrShapeMismatch, c.k, len(dataChunks))
@@ -374,23 +348,4 @@ func (c *Code) checkDataChunks(dataChunks [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// EncodeFile is a convenience helper that splits data, produces the n
-// storage chunks and returns them along with the original size needed for
-// decoding.
-func EncodeFile(n, k int, data []byte) (storage [][]byte, code *Code, err error) {
-	code, err = New(n, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	dataChunks, err := code.Split(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	storage, err = code.Encode(dataChunks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return storage, code, nil
 }

@@ -324,76 +324,6 @@ func TestVerify(t *testing.T) {
 	}
 }
 
-func TestGeneratorRowReproducesChunk(t *testing.T) {
-	code, _ := New(7, 4)
-	rng := rand.New(rand.NewSource(9))
-	dataChunks, _ := code.Split(randomData(rng, 128))
-	for idx := 0; idx < code.TotalChunks(); idx++ {
-		row, err := code.GeneratorRow(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := code.ChunkAt(idx, dataChunks)
-		got := make([]byte, len(dataChunks[0]))
-		for c, coef := range row {
-			mulAcc(coef, dataChunks[c], got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("generator row %d does not reproduce chunk", idx)
-		}
-	}
-}
-
-// mulAcc is a tiny local GF(2^8) multiply-accumulate used only to check that
-// GeneratorRow exposes the true coefficients (it goes through ChunkAt for the
-// reference value).
-func mulAcc(c byte, src, dst []byte) {
-	for i := range src {
-		dst[i] ^= gfMul(c, src[i])
-	}
-}
-
-func gfMul(a, b byte) byte {
-	var p byte
-	for b > 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		carry := a & 0x80
-		a <<= 1
-		if carry != 0 {
-			a ^= 0x1d
-		}
-		b >>= 1
-	}
-	return p
-}
-
-func TestEncodeFileHelper(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	data := randomData(rng, 777)
-	storage, code, err := EncodeFile(7, 4, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(storage) != 7 {
-		t.Fatalf("expected 7 storage chunks, got %d", len(storage))
-	}
-	chunks := []Chunk{
-		{Index: 6, Data: storage[6]},
-		{Index: 2, Data: storage[2]},
-		{Index: 4, Data: storage[4]},
-		{Index: 0, Data: storage[0]},
-	}
-	got, err := code.Decode(chunks, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("EncodeFile round trip failed")
-	}
-}
-
 func TestChunkAtOutOfRange(t *testing.T) {
 	code, _ := New(7, 4)
 	rng := rand.New(rand.NewSource(11))

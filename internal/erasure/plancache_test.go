@@ -85,7 +85,7 @@ func TestDecodePlanCacheOrderInvariant(t *testing.T) {
 // bound and checks the LRU stays bounded while decodes remain correct.
 func TestDecodePlanCacheEviction(t *testing.T) {
 	code, _ := New(7, 4)
-	code.SetPlanCacheSize(2)
+	code.plans = newPlanCache(2)
 	rng := rand.New(rand.NewSource(23))
 	data := randomData(rng, 4*512)
 	dataChunks, _ := code.Split(data)

@@ -66,16 +66,15 @@ func (c *coderCounters) countOp(parallel bool) {
 
 // Stats returns a consistent-enough snapshot of the coder's counters.
 func (c *Code) Stats() CoderStats {
-	plans := c.plans.Load()
 	return CoderStats{
 		Encodes:            c.counters.encodes.Load(),
 		Reconstructs:       c.counters.reconstructs.Load(),
 		CopyOnlyDecodes:    c.counters.copyOnlyDecodes.Load(),
 		BytesEncoded:       c.counters.bytesEncoded.Load(),
 		BytesReconstructed: c.counters.bytesReconstructed.Load(),
-		PlanHits:           plans.hits.Load(),
-		PlanMisses:         plans.misses.Load(),
-		PlansCached:        plans.len(),
+		PlanHits:           c.plans.hits.Load(),
+		PlanMisses:         c.plans.misses.Load(),
+		PlansCached:        c.plans.len(),
 		ParallelOps:        c.counters.parallelOps.Load(),
 		SerialOps:          c.counters.serialOps.Load(),
 	}

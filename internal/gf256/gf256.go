@@ -62,17 +62,6 @@ func Mul(a, b byte) byte {
 	return expTable[logTable[a]+logTable[b]]
 }
 
-// Div returns a / b in GF(2^8). It panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[logTable[a]-logTable[b]+Order-1]
-}
-
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
 	if a == 0 {
@@ -80,24 +69,6 @@ func Inv(a byte) byte {
 	}
 	return invTable[a]
 }
-
-// Exp returns a raised to the power n in GF(2^8). Exp(0, 0) is defined as 1.
-func Exp(a byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	l := (logTable[a] * n) % (Order - 1)
-	if l < 0 {
-		l += Order - 1
-	}
-	return expTable[l]
-}
-
-// Generator returns the primitive element used to construct the field.
-func Generator() byte { return 2 }
 
 // MulSlice computes dst[i] ^= c * src[i] for all i, i.e. it accumulates a
 // scalar multiple of src into dst. Both slices must have equal length.

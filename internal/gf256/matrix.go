@@ -36,19 +36,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Vandermonde returns a rows x cols Vandermonde matrix whose (r, c) entry is
-// r^c. Any k rows of a Vandermonde matrix with distinct evaluation points are
-// linearly independent, which is the property Reed-Solomon coding relies on.
-func Vandermonde(rows, cols int) *Matrix {
-	m := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			m.Data[r][c] = Exp(byte(r), c)
-		}
-	}
-	return m
-}
-
 // Cauchy returns a rows x cols Cauchy matrix with entry 1/(x_r + y_c) where
 // x_r = r + cols and y_c = c. Every square submatrix of a Cauchy matrix is
 // invertible. rows+cols must not exceed the field order.
@@ -87,24 +74,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 				continue
 			}
 			MulSlice(a, other.Data[k], out.Data[r])
-		}
-	}
-	return out
-}
-
-// MulVec multiplies the matrix by a column vector of data slices: result[r]
-// is the GF(2^8) linear combination sum_c m[r][c] * vecs[c], applied
-// element-wise over byte slices of equal length.
-func (m *Matrix) MulVec(vecs [][]byte) [][]byte {
-	if len(vecs) != m.Cols {
-		panic(fmt.Sprintf("gf256: vector count %d does not match columns %d", len(vecs), m.Cols))
-	}
-	size := len(vecs[0])
-	out := make([][]byte, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = make([]byte, size)
-		for c := 0; c < m.Cols; c++ {
-			MulSlice(m.Data[r][c], vecs[c], out[r])
 		}
 	}
 	return out

@@ -88,33 +88,3 @@ func absInt64(v int64) int64 {
 	}
 	return v
 }
-
-// PaperTestbedConfig returns a ClusterConfig mirroring the paper's testbed
-// for a given chunk size: 12 OSDs whose service times follow the Table IV
-// calibration (with mild heterogeneity across OSDs), an SSD cache tier
-// following Table V, and a 10 GB cache.
-func PaperTestbedConfig(chunkSize int64, seed int64) (ClusterConfig, error) {
-	base, err := StorageDistFor(chunkSize)
-	if err != nil {
-		return ClusterConfig{}, err
-	}
-	cacheDist, err := CacheDistFor(chunkSize)
-	if err != nil {
-		return ClusterConfig{}, err
-	}
-	// Mild heterogeneity: the paper's 12 servers differ by up to ~1.7x in
-	// mean service rate; reuse the same relative pattern.
-	factors := []float64{1.0, 1.0, 1.0, 1.0, 1.1, 1.1, 1.5, 1.5, 1.3, 1.3, 1.7, 1.7}
-	services := make([]queue.Dist, len(factors))
-	for i, f := range factors {
-		services[i] = queue.Scaled{Base: base, Factor: f}
-	}
-	return ClusterConfig{
-		NumOSDs:            12,
-		Services:           services,
-		RefChunkSize:       chunkSize,
-		CacheService:       cacheDist,
-		CacheCapacityBytes: 10 << 30,
-		Seed:               seed,
-	}, nil
-}

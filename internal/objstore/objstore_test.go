@@ -397,22 +397,6 @@ func TestStorageDistInterpolatesNearestRow(t *testing.T) {
 	}
 }
 
-func TestPaperTestbedConfig(t *testing.T) {
-	cfg, err := PaperTestbedConfig(16<<20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NumOSDs != 12 || len(cfg.Services) != 12 {
-		t.Fatalf("testbed config = %+v", cfg)
-	}
-	if cfg.CacheCapacityBytes != 10<<30 {
-		t.Fatal("cache capacity should be 10 GB")
-	}
-	if _, err := NewCluster(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNextPowerOfTwo(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 100: 128, 400: 512}
 	for in, want := range cases {

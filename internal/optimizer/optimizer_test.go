@@ -412,13 +412,6 @@ func TestPlanHelpers(t *testing.T) {
 	if plan.CacheUsed() != 3 {
 		t.Fatalf("CacheUsed = %d", plan.CacheUsed())
 	}
-	reads := plan.ChunksFromStorage([]int{4, 4, 4})
-	want := []int{3, 4, 2}
-	for i := range want {
-		if reads[i] != want[i] {
-			t.Fatalf("ChunksFromStorage = %v", reads)
-		}
-	}
 }
 
 func TestFromClusterExcluding(t *testing.T) {

@@ -204,15 +204,6 @@ func (pl *Plan) CacheUsed() int {
 	return s
 }
 
-// ChunksFromStorage returns k_i - d_i for file i.
-func (pl *Plan) ChunksFromStorage(k []int) []int {
-	out := make([]int, len(pl.D))
-	for i := range pl.D {
-		out[i] = k[i] - pl.D[i]
-	}
-	return out
-}
-
 // clampInt limits v to [lo, hi].
 func clampInt(v, lo, hi int) int {
 	if v < lo {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Dist is a service-time distribution. Implementations must provide the
@@ -159,65 +158,6 @@ func (g Gamma) Sample(rng *rand.Rand) float64 {
 			return d * v / g.Beta
 		}
 	}
-}
-
-// Empirical is a distribution backed by observed samples. It is used to feed
-// measured chunk service times (e.g. from the object-store substrate) back
-// into the analytical model.
-type Empirical struct {
-	samples []float64
-	m1      float64
-	m2      float64
-	m3      float64
-}
-
-var _ Dist = (*Empirical)(nil)
-
-// NewEmpirical builds an empirical distribution from samples. It returns an
-// error if no samples are provided.
-func NewEmpirical(samples []float64) (*Empirical, error) {
-	if len(samples) == 0 {
-		return nil, errors.New("queue: empirical distribution needs at least one sample")
-	}
-	cp := append([]float64(nil), samples...)
-	sort.Float64s(cp)
-	var m1, m2, m3 float64
-	for _, s := range cp {
-		m1 += s
-		m2 += s * s
-		m3 += s * s * s
-	}
-	n := float64(len(cp))
-	return &Empirical{samples: cp, m1: m1 / n, m2: m2 / n, m3: m3 / n}, nil
-}
-
-func (e *Empirical) Mean() float64    { return e.m1 }
-func (e *Empirical) Moment2() float64 { return e.m2 }
-func (e *Empirical) Moment3() float64 { return e.m3 }
-
-func (e *Empirical) Sample(rng *rand.Rand) float64 {
-	return e.samples[rng.Intn(len(e.samples))]
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the empirical samples.
-func (e *Empirical) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.samples[0]
-	}
-	if q >= 1 {
-		return e.samples[len(e.samples)-1]
-	}
-	idx := int(q * float64(len(e.samples)-1))
-	return e.samples[idx]
-}
-
-// CDF evaluates the empirical cumulative distribution function at x.
-func (e *Empirical) CDF(x float64) float64 {
-	i := sort.SearchFloat64s(e.samples, x)
-	for i < len(e.samples) && e.samples[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(e.samples))
 }
 
 // Scaled wraps a distribution and multiplies every sample and moment by a

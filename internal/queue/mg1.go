@@ -31,19 +31,6 @@ func StatsFromDist(d Dist) NodeStats {
 	}
 }
 
-// StatsFromMoments derives NodeStats directly from measured raw moments.
-func StatsFromMoments(mean, m2, m3 float64) (NodeStats, error) {
-	if mean <= 0 || m2 <= 0 || m3 <= 0 {
-		return NodeStats{}, fmt.Errorf("queue: moments must be positive (mean=%v m2=%v m3=%v)", mean, m2, m3)
-	}
-	return NodeStats{
-		Mu:        1 / mean,
-		Sigma2:    m2 - mean*mean,
-		Gamma2:    m2,
-		GammaHat3: m3,
-	}, nil
-}
-
 // ResponseMoments holds the mean and variance of the response time Q_j of an
 // M/G/1 queue at a given chunk arrival rate, computed from the
 // Pollaczek-Khinchine formulas used by the paper (eqs. (3)-(4)).
@@ -71,13 +58,4 @@ func (s NodeStats) Response(lambda float64) (ResponseMoments, error) {
 		lambda*s.GammaHat3/(3*(1-rho)) +
 		lambda*lambda*s.Gamma2*s.Gamma2/(4*(1-rho)*(1-rho))
 	return ResponseMoments{Mean: mean, Variance: variance, Rho: rho}, nil
-}
-
-// MaxStableRate returns the largest chunk arrival rate that keeps the node
-// stable with the given safety margin epsilon in (0,1): lambda < mu*(1-eps).
-func (s NodeStats) MaxStableRate(epsilon float64) float64 {
-	if epsilon <= 0 || epsilon >= 1 {
-		epsilon = 0.01
-	}
-	return s.Mu * (1 - epsilon)
 }

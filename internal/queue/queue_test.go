@@ -116,45 +116,6 @@ func TestSamplersMatchMoments(t *testing.T) {
 	}
 }
 
-func TestEmpirical(t *testing.T) {
-	samples := []float64{1, 2, 3, 4, 5}
-	e, err := NewEmpirical(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqual(e.Mean(), 3, 1e-12) {
-		t.Fatalf("mean = %v", e.Mean())
-	}
-	if !approxEqual(e.Moment2(), 11, 1e-12) {
-		t.Fatalf("m2 = %v", e.Moment2())
-	}
-	if e.CDF(0.5) != 0 {
-		t.Fatal("CDF below min should be 0")
-	}
-	if e.CDF(5) != 1 {
-		t.Fatal("CDF at max should be 1")
-	}
-	if e.CDF(2.5) != 0.4 {
-		t.Fatalf("CDF(2.5) = %v, want 0.4", e.CDF(2.5))
-	}
-	if e.Quantile(0) != 1 || e.Quantile(1) != 5 {
-		t.Fatal("quantile endpoints wrong")
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		s := e.Sample(rng)
-		if s < 1 || s > 5 {
-			t.Fatalf("empirical sample %v outside range", s)
-		}
-	}
-}
-
-func TestEmpiricalEmpty(t *testing.T) {
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Fatal("expected error for empty samples")
-	}
-}
-
 func TestScaled(t *testing.T) {
 	base := NewExponential(1)
 	s := Scaled{Base: base, Factor: 4}
@@ -218,34 +179,5 @@ func TestResponseMonotoneInLambda(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatsFromMoments(t *testing.T) {
-	s, err := StatsFromMoments(2, 6, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqual(s.Mu, 0.5, 1e-12) || !approxEqual(s.Sigma2, 2, 1e-12) {
-		t.Fatalf("stats = %+v", s)
-	}
-	if _, err := StatsFromMoments(0, 1, 1); err == nil {
-		t.Fatal("expected error for zero mean")
-	}
-}
-
-func TestMaxStableRate(t *testing.T) {
-	s := StatsFromDist(NewExponential(10))
-	r := s.MaxStableRate(0.1)
-	if !approxEqual(r, 9, 1e-12) {
-		t.Fatalf("MaxStableRate = %v", r)
-	}
-	// Invalid epsilon falls back to a default safety margin.
-	r = s.MaxStableRate(-5)
-	if r >= 10 || r <= 0 {
-		t.Fatalf("fallback MaxStableRate = %v", r)
-	}
-	if _, err := s.Response(r); err != nil {
-		t.Fatalf("MaxStableRate should be stable: %v", err)
 	}
 }

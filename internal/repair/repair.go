@@ -47,8 +47,7 @@ func (c Config) withDefaults() Config {
 
 // maxAttempts bounds per-chunk repair attempts. The count persists across
 // scans: once a chunk has failed maxAttempts times it is marked stalled and
-// stops being retried until its survivor count changes or RetryStalled is
-// called.
+// stops being retried until its survivor count changes.
 const maxAttempts = 3
 
 // retryBackoff is the jittered exponential delay applied before a failed
@@ -78,7 +77,7 @@ type Stats struct {
 	Retries  int64
 	// Stalled is the number of chunks currently out of attempt budget:
 	// they failed maxAttempts times and wait for their survivor count to
-	// change or for RetryStalled.
+	// change.
 	Stalled int
 	// QueueDepth is the current length of the repair queue; InFlight counts
 	// queued plus running repairs.
@@ -223,24 +222,6 @@ func (m *Manager) ScanOnce() int {
 	return added
 }
 
-// RetryStalled clears the attempt history of every stalled chunk and kicks
-// a scan, forcing chunks that exhausted their budget to be retried — the
-// operator hook for "the underlying fault is fixed, try again now". It
-// returns the number of chunks released.
-func (m *Manager) RetryStalled() int {
-	m.attemptMu.Lock()
-	n := len(m.stalled)
-	for key := range m.stalled {
-		delete(m.attempts, key)
-	}
-	m.stalled = make(map[string]int)
-	m.attemptMu.Unlock()
-	if n > 0 {
-		m.Kick()
-	}
-	return n
-}
-
 // Stats returns a snapshot of the repair counters.
 func (m *Manager) Stats() Stats {
 	m.attemptMu.Lock()
@@ -342,7 +323,7 @@ func (m *Manager) worker() {
 // scheduleRetry persists a failed chunk's attempt count and either
 // re-enqueues it after a jittered backoff delay or, once maxAttempts is
 // reached, marks it stalled: no more retries until its survivor count
-// changes or RetryStalled releases it. The backoff sleep happens off the
+// changes. The backoff sleep happens off the
 // worker and holds the in-flight count, so WaitIdle does not report idle
 // while a retry is pending.
 func (m *Manager) scheduleRetry(it *item) {

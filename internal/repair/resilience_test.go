@@ -7,8 +7,7 @@ import (
 
 // TestScheduleRetryBacksOffThenStalls exercises the persistent attempt
 // budget: each failure below maxAttempts re-enqueues after a backoff delay,
-// the failure that reaches it marks the chunk stalled instead, and
-// RetryStalled releases it.
+// and the failure that reaches it marks the chunk stalled instead.
 func TestScheduleRetryBacksOffThenStalls(t *testing.T) {
 	_, pool, _ := repairTestPool(t, 1)
 	m := NewManager(pool, Config{})
@@ -47,14 +46,6 @@ func TestScheduleRetryBacksOffThenStalls(t *testing.T) {
 	}
 	if m.queue.len() != 0 {
 		t.Fatal("stalled chunk was re-enqueued")
-	}
-
-	// RetryStalled releases it.
-	if n := m.RetryStalled(); n != 1 {
-		t.Fatalf("RetryStalled = %d, want 1", n)
-	}
-	if st := m.Stats(); st.Stalled != 0 {
-		t.Fatalf("Stalled after release = %d, want 0", st.Stalled)
 	}
 }
 

@@ -76,10 +76,7 @@ func NewPicker(pi []float64) (*Picker, error) {
 	return &Picker{probs: probs, nodes: nodes, cum: cum, setSize: setSize}, nil
 }
 
-// SetSize returns the number of distinct nodes selected by each Pick call.
-func (p *Picker) SetSize() int { return p.setSize }
-
-// Pick selects SetSize distinct node indices with the configured marginal
+// Pick selects setSize distinct node indices with the configured marginal
 // probabilities using Madow's systematic sampling.
 func (p *Picker) Pick(rng *rand.Rand) []int {
 	if p.setSize == 0 {
@@ -261,12 +258,6 @@ func (a *Assignment) Excluding(alive func(node int) bool) *Assignment {
 		pickers[i] = p.Excluding(alive)
 	}
 	return &Assignment{pickers: pickers}
-}
-
-// ChunksFromStorage returns how many chunks file i fetches from storage
-// nodes per request (k_i - d_i).
-func (a *Assignment) ChunksFromStorage(file int) int {
-	return a.pickers[file].SetSize()
 }
 
 // NumFiles returns the number of files covered by the assignment.

@@ -21,7 +21,7 @@ func TestNewPickerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero vector should be allowed: %v", err)
 	}
-	if p.SetSize() != 0 || p.Pick(rand.New(rand.NewSource(1))) != nil {
+	if p.setSize != 0 || p.Pick(rand.New(rand.NewSource(1))) != nil {
 		t.Fatal("zero vector picker should select nothing")
 	}
 }
@@ -33,8 +33,8 @@ func TestPickSelectsDistinctNodesOfCorrectSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.SetSize() != 4 {
-		t.Fatalf("set size = %d, want 4", p.SetSize())
+	if p.setSize != 4 {
+		t.Fatalf("set size = %d, want 4", p.setSize)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 1000; trial++ {
@@ -81,7 +81,7 @@ func TestPickMarginalsMatchProbabilities(t *testing.T) {
 
 func TestPickMarginalsQuick(t *testing.T) {
 	// Property: for random probability vectors (rounded to an integral sum),
-	// Pick always returns SetSize distinct in-range nodes.
+	// Pick always returns setSize distinct in-range nodes.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(10)
@@ -111,7 +111,7 @@ func TestPickMarginalsQuick(t *testing.T) {
 			return false
 		}
 		sel := picker.Pick(rng)
-		if len(sel) != picker.SetSize() {
+		if len(sel) != picker.setSize {
 			return false
 		}
 		seen := make(map[int]bool)
@@ -155,8 +155,8 @@ func TestAssignment(t *testing.T) {
 	if a.NumFiles() != 3 {
 		t.Fatalf("NumFiles = %d", a.NumFiles())
 	}
-	if a.ChunksFromStorage(0) != 2 || a.ChunksFromStorage(1) != 1 || a.ChunksFromStorage(2) != 0 {
-		t.Fatal("ChunksFromStorage wrong")
+	if a.pickers[0].setSize != 2 || a.pickers[1].setSize != 1 || a.pickers[2].setSize != 0 {
+		t.Fatal("chunks fetched from storage wrong")
 	}
 	rng := rand.New(rand.NewSource(11))
 	sel := a.Pick(0, rng)
@@ -189,8 +189,8 @@ func TestPickerExcluding(t *testing.T) {
 	}
 	alive := func(n int) bool { return n != 1 }
 	ex := p.Excluding(alive)
-	if ex.SetSize() != 2 {
-		t.Fatalf("excluded set size %d, want 2", ex.SetSize())
+	if ex.setSize != 2 {
+		t.Fatalf("excluded set size %d, want 2", ex.setSize)
 	}
 	m := ex.Marginals(4)
 	if m[1] != 0 {
@@ -251,8 +251,8 @@ func TestPickerExcludingFewerSurvivorsThanSetSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := p.Excluding(func(n int) bool { return n == 0 })
-	if ex.SetSize() != 1 {
-		t.Fatalf("set size %d, want 1 (single survivor)", ex.SetSize())
+	if ex.setSize != 1 {
+		t.Fatalf("set size %d, want 1 (single survivor)", ex.setSize)
 	}
 	got := ex.PickFrom(0.5)
 	if len(got) != 1 || got[0] != 0 {
@@ -260,7 +260,7 @@ func TestPickerExcludingFewerSurvivorsThanSetSize(t *testing.T) {
 	}
 	// All nodes down: empty picker.
 	none := p.Excluding(func(int) bool { return false })
-	if none.SetSize() != 0 || none.PickFrom(0.3) != nil {
+	if none.setSize != 0 || none.PickFrom(0.3) != nil {
 		t.Fatal("all-down picker must select nothing")
 	}
 }

@@ -49,7 +49,7 @@ func BenchmarkTransportBinaryGetChunk(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(addr, time.Second)
+	client, err := DialConfig(addr, ClientConfig{DialTimeout: time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkTransportChunk256K(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(addr, time.Second)
+	client, err := DialConfig(addr, ClientConfig{DialTimeout: time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,13 +160,6 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 // callers can inspect exhaustion counts.
 func (c *Client) RetryBudget() *resilience.RetryBudget { return c.budget }
 
-// Dial creates a client with default configuration (dial timeout set to
-// timeout) and verifies the server is reachable by establishing the first
-// pooled connection eagerly.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialConfig(addr, ClientConfig{DialTimeout: timeout})
-}
-
 // DialConfig creates a client with the given configuration and establishes
 // the first pooled connection eagerly.
 func DialConfig(addr string, cfg ClientConfig) (*Client, error) {

@@ -54,7 +54,7 @@ func TestControllerReadsOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	client, err := Dial(addr, time.Second)
+	client, err := DialConfig(addr, ClientConfig{DialTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestPeerOpsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(addr, 0)
+	cli, err := DialConfig(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPeerOpsWithoutHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(addr, 0)
+	cli, err := DialConfig(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

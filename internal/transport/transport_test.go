@@ -381,7 +381,7 @@ func TestRetryAcrossServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(addr, time.Second)
+	client, err := DialConfig(addr, ClientConfig{DialTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestOversizedResponseDegradesToError(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", 100*time.Millisecond); err == nil {
+	if _, err := DialConfig("127.0.0.1:1", ClientConfig{DialTimeout: 100 * time.Millisecond}); err == nil {
 		t.Fatal("expected dial error for closed port")
 	}
 }

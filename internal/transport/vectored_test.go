@@ -480,7 +480,7 @@ func TestImmutableNetworkCopyBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer shard.Close()
-			cli, err := Dial(addr, time.Second)
+			cli, err := DialConfig(addr, ClientConfig{DialTimeout: time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -107,9 +107,6 @@ func (e *RateEstimator) StartBin(rates []float64) {
 	copy(e.binRates, rates)
 }
 
-// Window returns the configured window length in seconds.
-func (e *RateEstimator) Window() float64 { return e.window }
-
 func (e *RateEstimator) expireLocked(now float64) {
 	cutoff := now - e.window
 	idx := 0

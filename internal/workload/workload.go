@@ -105,15 +105,6 @@ func (s Schedule) GenerateSchedule(rng *rand.Rand) ([]Request, error) {
 	return reqs, nil
 }
 
-// TotalDuration returns the sum of bin durations.
-func (s Schedule) TotalDuration() float64 {
-	var d float64
-	for _, b := range s.Bins {
-		d += b.Duration
-	}
-	return d
-}
-
 // TableIRates returns the per-file arrival rates of the paper's Table I: 10
 // files across 3 time bins, including the rate increases and decreases the
 // evolution experiment (Fig. 5) is built around.
