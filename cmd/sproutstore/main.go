@@ -153,6 +153,10 @@ func parseFlags(args []string) (*options, error) {
 	if o.controllers < 1 {
 		return nil, fmt.Errorf("-controllers %d: want at least 1", o.controllers)
 	}
+	// The controllers reject the same knobs, but only after the ingest.
+	if err := o.serve.Validate(); err != nil {
+		return nil, err
+	}
 	o.serve.Logf = logf
 	return &o, nil
 }
@@ -395,9 +399,9 @@ func shardID(i int) string { return fmt.Sprintf("shard-%d", i) }
 // shard controllers on the store's pool behind the read/write router. The
 // total cache budget is split evenly across shards and each shard plans
 // only its owned slice (lambda-masked). One process-wide scheduler batches
-// every periodic plane — the controllers' adaptive-loop and
-// admission-window jobs and, in ctrl mode, the repair scan — onto a single
-// goroutine and timer. The stack owns the controllers and closes them.
+// every periodic plane — the controllers' adaptive-loop jobs and, in
+// ctrl mode, the repair scan — onto a single goroutine and timer. The
+// stack owns the controllers and closes them.
 type plane struct {
 	st        *stack.Stack
 	perShard  int
@@ -577,7 +581,6 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 		ctrl.WaitFills()
 	}
 
-	stats := p.router.AggregateStats()
 	lat := p.router.AggregateReadLatencyBuckets()
 	rs := p.router.Stats()
 	fmt.Fprintf(out, "served %d reads (%.0f/s)\n", reads.Load(), float64(reads.Load())/o.duration.Seconds())
@@ -591,10 +594,23 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 	for _, sh := range rs.Shards {
 		routed[sh.ID] = sh.Reads
 	}
+	var stats core.Stats // the plane's totals of the counters printed below
 	for i, ctrl := range p.ctrls {
 		cs := ctrl.Stats()
 		fmt.Fprintf(out, "  %s: %6d routed reads, %d/%d chunks cache/OSD, storage p99 %9v, %d auto-replans\n",
 			shardID(i), routed[shardID(i)], cs.ChunksFromCache, cs.ChunksFromDisk, ctrl.ReadLatency().Storage.P99, cs.AutoReplans)
+		stats.ChunksFromCache += cs.ChunksFromCache
+		stats.ChunksFromDisk += cs.ChunksFromDisk
+		stats.LazyFills += cs.LazyFills
+		stats.FillsDropped += cs.FillsDropped
+		stats.HedgesLaunched += cs.HedgesLaunched
+		stats.HedgeWins += cs.HedgeWins
+		stats.FetchFailovers += cs.FetchFailovers
+		stats.CacheRescues += cs.CacheRescues
+		stats.PlanUpdates += cs.PlanUpdates
+		stats.AutoReplans += cs.AutoReplans
+		stats.ReplanErrors += cs.ReplanErrors
+		stats.MembershipChanges += cs.MembershipChanges
 	}
 	fmt.Fprintf(out, "  chunks: %d from cache, %d from OSDs; %d background fills (%d dropped)\n",
 		stats.ChunksFromCache, stats.ChunksFromDisk, stats.LazyFills, stats.FillsDropped)

@@ -170,13 +170,17 @@ func TestCtrlModeReplansEveryShard(t *testing.T) {
 }
 
 // TestRunRejectsNegativeHedgeDelay: a serving knob the controller rejects
-// ends run with that error instead of being replaced by a default.
+// ends run with that error instead of being replaced by a default, and
+// before any object is ingested.
 func TestRunRejectsNegativeHedgeDelay(t *testing.T) {
 	args := append([]string{"-mode", "ctrl", "-hedge-delay", "-1ms", "-duration", "100ms"}, smallArgs...)
 	var out syncBuffer
 	err := run(context.Background(), args, &out)
 	if err == nil || !strings.Contains(err.Error(), "negative HedgeDelay") {
 		t.Fatalf("run = %v, want the negative HedgeDelay error\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "writing") {
+		t.Fatalf("run ingested objects before rejecting the flag:\n%s", out.String())
 	}
 }
 

@@ -1,30 +1,18 @@
 // Package cache provides the cache-side data structures of Sprout: a
 // functional cache store holding coded chunks keyed by file and chunk index,
-// an exact-copy cache, and a byte-capacity LRU cache used to emulate the
-// Ceph cache-tier baseline. All caches are safe for concurrent use.
+// and a byte-capacity LRU cache used to emulate the Ceph cache-tier
+// baseline. All caches are safe for concurrent use.
 package cache
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Common errors.
-var (
-	ErrTooLarge = errors.New("cache: item larger than cache capacity")
-	ErrNotFound = errors.New("cache: item not found")
-)
-
-// ChunkKey identifies one coded chunk of one file.
-type ChunkKey struct {
-	FileID     int
-	ChunkIndex int // global index within the file's (n+k, k) code
-}
-
-func (k ChunkKey) String() string { return fmt.Sprintf("file%d/chunk%d", k.FileID, k.ChunkIndex) }
+// ErrTooLarge is returned by LRU.Put for a value larger than the whole cache.
+var ErrTooLarge = errors.New("cache: item larger than cache capacity")
 
 // FunctionalCache stores functional (coded) chunks per file according to a
 // cache plan. Capacity is expressed in chunks, mirroring the optimizer's
@@ -73,39 +61,6 @@ func (c *FunctionalCache) ChunksForFile(fileID int) int {
 	return len(c.byFile[fileID])
 }
 
-// Put stores a coded chunk. It returns false without storing when the cache
-// is full.
-func (c *FunctionalCache) Put(key ChunkKey, data []byte) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	file := c.byFile[key.FileID]
-	if file != nil {
-		if _, exists := file[key.ChunkIndex]; exists {
-			file[key.ChunkIndex] = data
-			return true
-		}
-	}
-	if c.size >= c.capacity {
-		return false
-	}
-	if file == nil {
-		file = make(map[int][]byte)
-		c.byFile[key.FileID] = file
-	}
-	file[key.ChunkIndex] = data
-	c.size++
-	return true
-}
-
-// Get retrieves a cached chunk.
-func (c *FunctionalCache) Get(key ChunkKey) ([]byte, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	data, ok := c.byFile[key.FileID][key.ChunkIndex]
-	c.count(ok)
-	return data, ok
-}
-
 func (c *FunctionalCache) count(hit bool) {
 	if hit {
 		c.hits.Add(1)
@@ -139,20 +94,6 @@ func (c *FunctionalCache) VisitFile(fileID int, visit func(chunkIndex int, data 
 	for idx, data := range file {
 		if !visit(idx, data) {
 			return
-		}
-	}
-}
-
-// Delete removes a chunk if present.
-func (c *FunctionalCache) Delete(key ChunkKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	file := c.byFile[key.FileID]
-	if _, ok := file[key.ChunkIndex]; ok {
-		delete(file, key.ChunkIndex)
-		c.size--
-		if len(file) == 0 {
-			delete(c.byFile, key.FileID)
 		}
 	}
 }

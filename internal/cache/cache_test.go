@@ -7,22 +7,27 @@ import (
 	"testing/quick"
 )
 
+// TestFunctionalCachePutGet: a chunk stored with ReplaceFile comes back
+// from VisitFile, and each visit counts as one hit or miss.
 func TestFunctionalCachePutGet(t *testing.T) {
 	c := NewFunctionalCache(3)
 	if c.Capacity() != 3 {
 		t.Fatalf("capacity = %d", c.Capacity())
 	}
-	k1 := ChunkKey{FileID: 1, ChunkIndex: 7}
-	if !c.Put(k1, []byte("abc")) {
-		t.Fatal("put failed on empty cache")
+	if _, ok := c.ReplaceFile(1, []int{7}, [][]byte{[]byte("abc")}); !ok {
+		t.Fatal("replace failed on empty cache")
 	}
-	got, ok := c.Get(k1)
-	if !ok || string(got) != "abc" {
-		t.Fatalf("get = %q, %v", got, ok)
+	var got []byte
+	c.VisitFile(1, func(idx int, data []byte) bool {
+		if idx == 7 {
+			got = data
+		}
+		return true
+	})
+	if string(got) != "abc" {
+		t.Fatalf("visit of chunk 7 = %q", got)
 	}
-	if _, ok := c.Get(ChunkKey{FileID: 2, ChunkIndex: 0}); ok {
-		t.Fatal("unexpected hit")
-	}
+	c.VisitFile(2, func(int, []byte) bool { t.Error("visited a chunk of an uncached file"); return true })
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d hits, %d misses", hits, misses)
@@ -33,8 +38,7 @@ func TestFunctionalCachePutGet(t *testing.T) {
 // show in Stats, one hit or miss per visit however many chunks it yields.
 func TestFunctionalCacheVisitFileCounted(t *testing.T) {
 	c := NewFunctionalCache(4)
-	c.Put(ChunkKey{1, 0}, []byte("a"))
-	c.Put(ChunkKey{1, 1}, []byte("b"))
+	c.ReplaceFile(1, []int{0, 1}, [][]byte{[]byte("a"), []byte("b")})
 	seen := 0
 	c.VisitFile(1, func(int, []byte) bool { seen++; return true })
 	c.VisitFile(1, func(int, []byte) bool { return false })
@@ -53,21 +57,20 @@ func TestFunctionalCacheVisitFileCounted(t *testing.T) {
 
 func TestFunctionalCacheCapacityEnforced(t *testing.T) {
 	c := NewFunctionalCache(2)
-	ok1 := c.Put(ChunkKey{1, 0}, []byte("a"))
-	ok2 := c.Put(ChunkKey{1, 1}, []byte("b"))
-	ok3 := c.Put(ChunkKey{2, 0}, []byte("c"))
-	if !ok1 || !ok2 {
-		t.Fatal("first two puts should succeed")
+	_, ok1 := c.ReplaceFile(1, []int{0, 1}, [][]byte{[]byte("a"), []byte("b")})
+	_, ok2 := c.ReplaceFile(2, []int{0}, [][]byte{[]byte("c")})
+	if !ok1 {
+		t.Fatal("a set that fits should be stored")
 	}
-	if ok3 {
-		t.Fatal("third put should be rejected at capacity")
+	if ok2 {
+		t.Fatal("a set past capacity should be rejected")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	// Updating an existing key does not count against capacity.
-	if !c.Put(ChunkKey{1, 0}, []byte("a2")) {
-		t.Fatal("update of existing key should succeed")
+	// Replacing a file's set frees its own slots first.
+	if _, ok := c.ReplaceFile(1, []int{0, 1}, [][]byte{[]byte("a2"), []byte("b2")}); !ok {
+		t.Fatal("replacing a stored set with one of the same size should succeed")
 	}
 }
 
@@ -76,17 +79,15 @@ func TestFunctionalCacheNegativeCapacity(t *testing.T) {
 	if c.Capacity() != 0 {
 		t.Fatalf("capacity = %d, want 0", c.Capacity())
 	}
-	if c.Put(ChunkKey{1, 0}, []byte("x")) {
-		t.Fatal("put should fail with zero capacity")
+	if _, ok := c.ReplaceFile(1, []int{0}, [][]byte{[]byte("x")}); ok {
+		t.Fatal("replace should fail with zero capacity")
 	}
 }
 
 func TestFunctionalCachePerFileAccounting(t *testing.T) {
 	c := NewFunctionalCache(10)
-	for i := 0; i < 3; i++ {
-		c.Put(ChunkKey{FileID: 5, ChunkIndex: i}, []byte{byte(i)})
-	}
-	c.Put(ChunkKey{FileID: 6, ChunkIndex: 0}, []byte("z"))
+	c.ReplaceFile(5, []int{0, 1, 2}, [][]byte{{0}, {1}, {2}})
+	c.ReplaceFile(6, []int{0}, [][]byte{[]byte("z")})
 	if c.ChunksForFile(5) != 3 || c.ChunksForFile(6) != 1 || c.ChunksForFile(7) != 0 {
 		t.Fatal("per-file accounting wrong")
 	}
@@ -99,9 +100,9 @@ func TestFunctionalCachePerFileAccounting(t *testing.T) {
 		t.Fatalf("GetFile = %v", file5)
 	}
 
-	c.Delete(ChunkKey{FileID: 5, ChunkIndex: 1})
-	if c.ChunksForFile(5) != 2 {
-		t.Fatal("delete did not update per-file count")
+	c.ReplaceFile(5, []int{0, 2}, [][]byte{{0}, {2}})
+	if c.ChunksForFile(5) != 2 || c.Len() != 3 {
+		t.Fatalf("replace did not update the counts: file %d, len %d", c.ChunksForFile(5), c.Len())
 	}
 	removed := c.DeleteFile(5)
 	if removed != 2 || c.ChunksForFile(5) != 0 || c.Len() != 1 {
@@ -111,9 +112,7 @@ func TestFunctionalCachePerFileAccounting(t *testing.T) {
 
 func TestFunctionalCacheTrimFile(t *testing.T) {
 	c := NewFunctionalCache(10)
-	for i := 0; i < 4; i++ {
-		c.Put(ChunkKey{FileID: 1, ChunkIndex: 10 + i}, []byte{byte(i)})
-	}
+	c.ReplaceFile(1, []int{10, 11, 12, 13}, [][]byte{{0}, {1}, {2}, {3}})
 	evicted := c.TrimFile(1, 2)
 	if evicted != 2 {
 		t.Fatalf("evicted %d, want 2", evicted)
@@ -122,10 +121,11 @@ func TestFunctionalCacheTrimFile(t *testing.T) {
 		t.Fatalf("remaining %d, want 2", c.ChunksForFile(1))
 	}
 	// The lowest chunk indices are retained.
-	if _, ok := c.Get(ChunkKey{FileID: 1, ChunkIndex: 10}); !ok {
+	file := c.GetFile(1)
+	if _, ok := file[10]; !ok {
 		t.Fatal("lowest chunk index should be retained")
 	}
-	if _, ok := c.Get(ChunkKey{FileID: 1, ChunkIndex: 13}); ok {
+	if _, ok := file[13]; ok {
 		t.Fatal("highest chunk index should be evicted")
 	}
 	// Trimming to a larger count is a no-op.
@@ -137,7 +137,7 @@ func TestFunctionalCacheTrimFile(t *testing.T) {
 		t.Fatal("trim to zero should remove all chunks")
 	}
 	// Negative keep behaves like zero.
-	c.Put(ChunkKey{FileID: 2, ChunkIndex: 0}, []byte("x"))
+	c.ReplaceFile(2, []int{0}, [][]byte{[]byte("x")})
 	if c.TrimFile(2, -3) != 1 {
 		t.Fatal("negative keep should evict everything")
 	}
@@ -145,10 +145,8 @@ func TestFunctionalCacheTrimFile(t *testing.T) {
 
 func TestFunctionalCacheReplaceFile(t *testing.T) {
 	c := NewFunctionalCache(6)
-	c.Put(ChunkKey{FileID: 2, ChunkIndex: 7}, []byte("other"))
-	for i := 0; i < 2; i++ {
-		c.Put(ChunkKey{FileID: 1, ChunkIndex: 7 + i}, []byte{byte(i)})
-	}
+	c.ReplaceFile(2, []int{7}, [][]byte{[]byte("other")})
+	c.ReplaceFile(1, []int{7, 8}, [][]byte{{0}, {1}})
 	// A different, larger index set replaces the old one entirely.
 	evicted, ok := c.ReplaceFile(1, []int{0, 1, 2, 3}, [][]byte{{10}, {11}, {12}, {13}})
 	if !ok || evicted != 2 {
@@ -228,10 +226,13 @@ func TestFunctionalCacheConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var indices []int
+			var payloads [][]byte
 			for i := 0; i < 100; i++ {
-				key := ChunkKey{FileID: g, ChunkIndex: i}
-				c.Put(key, []byte{byte(i)})
-				c.Get(key)
+				indices = append(indices, i)
+				payloads = append(payloads, []byte{byte(i)})
+				c.ReplaceFile(g, indices, payloads)
+				c.VisitFile(g, func(int, []byte) bool { return true })
 				c.ChunksForFile(g)
 			}
 		}(g)
@@ -322,7 +323,7 @@ func TestLRUNeverExceedsCapacity(t *testing.T) {
 		for i, s := range sizes {
 			val := make([]byte, int(s)%32)
 			_ = c.Put(fmt.Sprintf("k%d", i%10), val)
-			if c.Used() > c.Capacity() {
+			if c.Used() > 64 {
 				return false
 			}
 		}
@@ -348,14 +349,7 @@ func TestLRUConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Used() > c.Capacity() {
+	if c.Used() > 1<<16 {
 		t.Fatal("capacity exceeded under concurrency")
-	}
-}
-
-func TestChunkKeyString(t *testing.T) {
-	k := ChunkKey{FileID: 3, ChunkIndex: 9}
-	if k.String() != "file3/chunk9" {
-		t.Fatalf("String = %q", k.String())
 	}
 }

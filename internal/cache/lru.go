@@ -38,23 +38,6 @@ func NewLRU(capacityBytes int64) *LRU {
 	}
 }
 
-// Capacity returns the configured capacity in bytes.
-func (c *LRU) Capacity() int64 { return c.capacity }
-
-// Used returns the number of bytes currently stored.
-func (c *LRU) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
-// Len returns the number of cached entries.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Put inserts or updates an entry, evicting least-recently-used entries as
 // needed. It returns ErrTooLarge if the value alone exceeds the capacity.
 func (c *LRU) Put(key string, value []byte) error {
@@ -94,14 +77,6 @@ func (c *LRU) Get(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).value, true
 }
 
-// Contains reports whether the key is cached without updating recency.
-func (c *LRU) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
 // Remove deletes an entry if present.
 func (c *LRU) Remove(key string) {
 	c.mu.Lock()
@@ -116,17 +91,6 @@ func (c *LRU) Stats() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions
-}
-
-// Keys returns the cached keys from most to least recently used.
-func (c *LRU) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*lruEntry).key)
-	}
-	return keys
 }
 
 func (c *LRU) evictOldestLocked() {

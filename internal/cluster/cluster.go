@@ -37,14 +37,6 @@ type File struct {
 	Lambda    float64
 }
 
-// ChunkSize returns the size of each chunk in bytes (ceil(size/k)).
-func (f File) ChunkSize() int64 {
-	if f.K == 0 {
-		return 0
-	}
-	return (f.SizeBytes + int64(f.K) - 1) / int64(f.K)
-}
-
 // Cluster bundles nodes and files.
 type Cluster struct {
 	Nodes []Node

@@ -32,8 +32,8 @@ func TestPaperConfigBuild(t *testing.T) {
 		if f.N != 7 || f.K != 4 {
 			t.Fatalf("file %d has (%d,%d)", f.ID, f.N, f.K)
 		}
-		if f.ChunkSize() != PaperChunkSizeBytes {
-			t.Fatalf("chunk size = %d", f.ChunkSize())
+		if chunk := f.SizeBytes / int64(f.K); chunk != PaperChunkSizeBytes {
+			t.Fatalf("chunk size = %d", chunk)
 		}
 	}
 }
@@ -198,21 +198,6 @@ func TestLambdasAndWithArrivalRates(t *testing.T) {
 	newRates[0] = -1
 	if _, err := c.WithArrivalRates(newRates); err == nil {
 		t.Fatal("expected error for negative rate")
-	}
-}
-
-func TestChunkSize(t *testing.T) {
-	f := File{SizeBytes: 100, K: 4}
-	if f.ChunkSize() != 25 {
-		t.Fatalf("chunk size = %d", f.ChunkSize())
-	}
-	f = File{SizeBytes: 101, K: 4}
-	if f.ChunkSize() != 26 {
-		t.Fatalf("chunk size = %d", f.ChunkSize())
-	}
-	f = File{SizeBytes: 100, K: 0}
-	if f.ChunkSize() != 0 {
-		t.Fatalf("chunk size with k=0 should be 0")
 	}
 }
 

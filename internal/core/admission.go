@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sync/atomic"
-	"time"
 
-	"sprout/internal/metrics"
 	"sprout/internal/resilience"
 )
 
@@ -23,19 +21,16 @@ func (saturatedError) Unwrap() error { return resilience.ErrOverload }
 // file and could not be served from cache alone.
 var ErrSaturated error = saturatedError{}
 
-// The saturation score at which each brownout level engages, and the window
-// the latency signal's p99 is measured over.
+// The saturation score at which each brownout level engages.
 const (
-	noHedgeAt        = 0.75
-	cacheOnlyAt      = 1.0
-	shedAt           = 1.25
-	saturationWindow = 250 * time.Millisecond
+	noHedgeAt   = 0.75
+	cacheOnlyAt = 1.0
+	shedAt      = 1.25
 )
 
 // AdmissionConfig tunes the controller's saturation gate. The gate scores
-// pressure as max(inflight/MaxInFlight, window p99/LatencyTarget), where the
-// window p99 is the read-latency p99 of the last 250 ms, and degrades service
-// in levels as the score rises:
+// pressure as inflight/MaxInFlight and degrades service in levels as the
+// score rises:
 //
 //	level 1 (score ≥ 0.75): hedged fetches are suppressed
 //	level 2 (score ≥ 1.0):  background cache fills are suppressed
@@ -48,24 +43,15 @@ const (
 // for free would reduce goodput without relieving storage.
 type AdmissionConfig struct {
 	// MaxInFlight is the in-flight read count considered full pressure.
-	// Default 256.
+	// Default 256; NewControllerWith rejects a negative value.
 	MaxInFlight int
-	// LatencyTarget is the window read p99 considered full pressure. Zero
-	// disables the latency signal (queue depth alone drives the gate).
-	// NewControllerWith rejects a negative value for either field.
-	LatencyTarget time.Duration
 }
 
 // admissionGate is the one saturation judge behind the brownout levels: an
-// in-flight read counter, plus — when a latency target is set — the read
-// p99 of the last window, folded by the controller's window job.
+// in-flight read counter.
 type admissionGate struct {
 	cfg      AdmissionConfig
 	inflight atomic.Int64
-	p99      atomic.Int64 // last window's read p99 in ns
-	// window is the cumulative read-latency distribution at the last fold;
-	// only the window job touches it.
-	window metrics.HistogramBuckets
 }
 
 func newAdmissionGate(cfg AdmissionConfig) *admissionGate {
@@ -79,22 +65,9 @@ func (g *admissionGate) enter() { g.inflight.Add(1) }
 
 func (g *admissionGate) leave() { g.inflight.Add(-1) }
 
-// fold closes one window: the p99 of the reads observed since the previous
-// fold (cur minus the distribution at that fold) becomes the latency signal.
-// A window without reads reports 0.
-func (g *admissionGate) fold(cur metrics.HistogramBuckets) {
-	g.p99.Store(int64(cur.Sub(g.window).Quantile(0.99)))
-	g.window = cur
-}
-
-// score is the saturation pressure: the worse of the queue-depth and
-// latency signals.
+// score is the saturation pressure: in-flight reads over MaxInFlight.
 func (g *admissionGate) score() float64 {
-	s := float64(g.inflight.Load()) / float64(g.cfg.MaxInFlight)
-	if g.cfg.LatencyTarget > 0 {
-		s = max(s, float64(g.p99.Load())/float64(g.cfg.LatencyTarget))
-	}
-	return s
+	return float64(g.inflight.Load()) / float64(g.cfg.MaxInFlight)
 }
 
 // level maps the current score to a brownout level (0 = healthy).
@@ -113,21 +86,6 @@ func brownoutLevel(score float64) int {
 	}
 }
 
-// registerWindowJob installs the latency signal's measurement on the
-// controller's scheduler: every saturationWindow the read-latency histograms'
-// delta is folded into the gate's window p99.
-func (c *Controller) registerWindowJob() {
-	c.registerJob(saturationWindow, func(time.Time) { c.adm.fold(c.readBucketsTotal()) })
-}
-
-// readBucketsTotal folds the three read-latency classes into one
-// distribution for the gate's window p99.
-func (c *Controller) readBucketsTotal() metrics.HistogramBuckets {
-	return c.hist.cacheHit.Buckets().
-		Add(c.hist.storage.Buckets()).
-		Add(c.hist.degraded.Buckets())
-}
-
 // SaturationLevel reports the admission gate's current brownout level:
 // 0 healthy, 1 hedging suppressed, 2 background fills suppressed, 3 shedding
 // low-value storage reads. Always 0 when admission control is off.
@@ -139,7 +97,7 @@ func (c *Controller) SaturationLevel() int {
 }
 
 // SaturationScore reports the gate's raw pressure score (≥ 1 means at least
-// one signal is past its target); 0 when admission control is off.
+// MaxInFlight reads are in flight); 0 when admission control is off.
 func (c *Controller) SaturationScore() float64 {
 	if c.adm == nil {
 		return 0

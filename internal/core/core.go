@@ -246,9 +246,7 @@ type ServeOptions struct {
 	// Admission, when set, enables the saturation gate in front of Read:
 	// as pressure rises the controller first stops hedging, then suppresses
 	// background cache fills, and finally sheds low-value reads that would
-	// need storage fetches (ErrSaturated). With a LatencyTarget the
-	// controller also runs a periodic job that measures the read p99 of each
-	// 250 ms window for the gate's latency signal.
+	// need storage fetches (ErrSaturated).
 	Admission *AdmissionConfig
 
 	// Logf, when set, receives diagnostics from the background planes
@@ -256,13 +254,12 @@ type ServeOptions struct {
 	Logf func(format string, args ...any)
 
 	// Tick, when set, is a shared scheduler the controller registers its
-	// periodic jobs (the adaptive loop and its membership kick, the admission
-	// gate's latency window) on instead of running its own — one process-wide
-	// goroutine and timer batch every subsystem's maintenance. The caller
-	// owns the scheduler's lifetime; Close only unregisters the controller's
-	// jobs, so any number of controllers may share one scheduler. Nil means
-	// the controller owns a private scheduler when any periodic plane is
-	// enabled.
+	// periodic jobs (the adaptive loop and its membership kick) on instead
+	// of running its own — one process-wide goroutine and timer batch every
+	// subsystem's maintenance. The caller owns the scheduler's lifetime;
+	// Close only unregisters the controller's jobs, so any number of
+	// controllers may share one scheduler. Nil means the controller owns a
+	// private scheduler when the adaptive loop is enabled.
 	Tick *tick.Scheduler
 
 	// Tenants, when non-empty, makes tenants a first-class serving
@@ -277,12 +274,14 @@ type ServeOptions struct {
 	Tenants []TenantPolicy
 }
 
-// validate rejects knobs withDefaults would otherwise silently replace or
+// Validate rejects knobs withDefaults would otherwise silently replace or
 // misread: a negative duration or count, a ReplanThreshold that is negative
 // or not finite (a NaN never counts as drift, so the adaptive loop would
 // re-plan only when a rate turns on or off), and a negative admission
 // bound. Zero keeps its documented meaning, default or off.
-func (o ServeOptions) validate() error {
+// NewControllerWith runs it; callers that do expensive work before building
+// a controller run it first.
+func (o ServeOptions) Validate() error {
 	switch {
 	case o.HedgeDelay < 0:
 		return fmt.Errorf("core: negative HedgeDelay %v", o.HedgeDelay)
@@ -295,13 +294,8 @@ func (o ServeOptions) validate() error {
 	case !(o.ReplanThreshold >= 0) || math.IsInf(o.ReplanThreshold, 1):
 		return fmt.Errorf("core: ReplanThreshold %v is not a finite non-negative number", o.ReplanThreshold)
 	}
-	if a := o.Admission; a != nil {
-		if a.MaxInFlight < 0 {
-			return fmt.Errorf("core: negative Admission.MaxInFlight %d", a.MaxInFlight)
-		}
-		if a.LatencyTarget < 0 {
-			return fmt.Errorf("core: negative Admission.LatencyTarget %v", a.LatencyTarget)
-		}
+	if a := o.Admission; a != nil && a.MaxInFlight < 0 {
+		return fmt.Errorf("core: negative Admission.MaxInFlight %d", a.MaxInFlight)
 	}
 	return nil
 }
@@ -453,7 +447,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	if err := clu.Validate(); err != nil {
 		return nil, err
 	}
-	if err := serve.validate(); err != nil {
+	if err := serve.Validate(); err != nil {
 		return nil, err
 	}
 	if err := validateTenants(serve.Tenants, len(clu.Files)); err != nil {
@@ -512,7 +506,6 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	if serve.Admission != nil {
 		c.adm = newAdmissionGate(*serve.Admission)
 	}
-	latencyWindow := c.adm != nil && c.adm.cfg.LatencyTarget > 0
 	c.rngPool.New = func() any {
 		return rand.New(rand.NewSource(seed + c.rngSeq.Add(1)))
 	}
@@ -526,18 +519,15 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	}
 	if serve.Tick != nil {
 		c.sched = serve.Tick
-	} else if serve.ReplanInterval > 0 || latencyWindow {
-		// All periodic maintenance shares one scheduler goroutine and one
+	} else if serve.ReplanInterval > 0 {
+		// The adaptive loop's jobs share one scheduler goroutine and one
 		// timer: an idle controller does one bounded wakeup per earliest
-		// period instead of one per plane.
+		// period instead of one per job.
 		c.sched = tick.New()
 		c.ownSched = true
 	}
 	if serve.ReplanInterval > 0 {
 		c.registerReplanJobs(serve.ReplanInterval)
-	}
-	if latencyWindow {
-		c.registerWindowJob()
 	}
 	return c, nil
 }

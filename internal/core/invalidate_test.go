@@ -44,7 +44,7 @@ func TestInvalidateVersionLateAndDuplicateNoOps(t *testing.T) {
 	}
 
 	if _, err := ctrl.InvalidateVersion(0, 0, 0); err == nil {
-		t.Fatal("version-0 invalidation accepted; unversioned drops must use Invalidate")
+		t.Fatal("version-0 invalidation accepted")
 	}
 	if _, err := ctrl.InvalidateVersion(99, 1, 0); err == nil {
 		t.Fatal("out-of-range file accepted")
@@ -87,7 +87,7 @@ func TestInvalidateVersionDropsCacheOnlyWhenNewer(t *testing.T) {
 	// its invalidation arrives.
 	next := make([]byte, 32<<10)
 	rand.New(rand.NewSource(13)).Read(next)
-	if err := pool.Put(ctx, "file-0000", next); err != nil {
+	if _, err := pool.PutV(ctx, "file-0000", next); err != nil {
 		t.Fatal(err)
 	}
 	if applied, _ := ctrl.InvalidateVersion(0, version+1, len(next)); !applied {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,6 +136,9 @@ func TestDegradedReadAccounting(t *testing.T) {
 	}
 }
 
+// TestFailoverCountsAsDegraded: the first fetch of file 0 fails, so the
+// first read fails over to the file's one backup chunk. It must succeed
+// with the right bytes and be counted as one failover and one degraded read.
 func TestFailoverCountsAsDegraded(t *testing.T) {
 	ctrl, store := buildController(t, 4, 0, 0.01)
 	defer ctrl.Close()
@@ -142,23 +146,26 @@ func TestFailoverCountsAsDegraded(t *testing.T) {
 	if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
 		t.Fatal(err)
 	}
-	// Make one chunk of file 0 fail so the read fails over to its backup.
-	store.mu.Lock()
-	store.fail[[2]int{0, 0}] = errors.New("injected")
-	store.mu.Unlock()
-	sawFailover := false
-	for i := 0; i < 30 && !sawFailover; i++ {
-		if _, err := ctrl.Read(ctx, 0, store); err != nil {
-			t.Fatal(err)
+	var failed atomic.Bool
+	fetcher := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+		if fileID == 0 && failed.CompareAndSwap(false, true) {
+			return nil, errors.New("injected: first fetch of file 0")
 		}
-		sawFailover = ctrl.Stats().FetchFailovers > 0
+		return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
+	})
+	got, err := ctrl.Read(ctx, 0, fetcher)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sawFailover {
-		t.Skip("scheduler never targeted the failing chunk for this seed")
+	if !bytes.Equal(got, store.data[0]) {
+		t.Fatal("failed-over read returned wrong bytes")
 	}
 	stats := ctrl.Stats()
-	if stats.DegradedReads == 0 {
-		t.Fatalf("failover read not counted degraded: %+v", stats)
+	if stats.FetchFailovers != 1 || stats.DegradedReads != 1 {
+		t.Fatalf("failovers %d, degraded reads %d, want 1 and 1", stats.FetchFailovers, stats.DegradedReads)
+	}
+	if lat := ctrl.ReadLatency(); lat.Degraded.Count != 1 {
+		t.Fatalf("degraded histogram holds %d reads, want 1", lat.Degraded.Count)
 	}
 }
 
@@ -236,10 +243,11 @@ func TestSharedSchedulerKeepsControllersApart(t *testing.T) {
 		perCtrl int
 	}{
 		{"replan", ServeOptions{ReplanInterval: time.Hour}, 2},
+		// The admission gate registers no job of its own.
 		{"replan+admission", ServeOptions{
 			ReplanInterval: time.Hour,
-			Admission:      &AdmissionConfig{LatencyTarget: time.Second},
-		}, 3},
+			Admission:      &AdmissionConfig{},
+		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := tick.New()

@@ -165,7 +165,7 @@ func (c *Controller) readOnce(ctx context.Context, sc *readScratch, fileID int, 
 		}
 	}
 	// The cache contents must not have been swapped while we were reading
-	// (a concurrent Write or Invalidate publishes a new stripe record).
+	// (a concurrent Write or InvalidateVersion publishes a new stripe record).
 	if fromCache > 0 && c.cacheInfo[fileID].Load() != cacheStripe {
 		return nil, true, fmt.Errorf("core: file %d: cache refreshed mid-read", fileID)
 	}

@@ -92,7 +92,7 @@ type Stats struct {
 	WriteErrors int64
 	WriteBytes  int64
 	// CacheInvalidations counts functional cache chunks evicted because
-	// their file was overwritten (write-through refreshes, Invalidate calls,
+	// their file was overwritten (write-through refreshes, InvalidateVersion calls,
 	// and stale caches detected by the read plane's version check).
 	CacheInvalidations int64
 	// WriteThroughChunks counts cache chunks installed directly from

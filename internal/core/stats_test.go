@@ -40,20 +40,19 @@ func TestHistogramQuantileOverflowClamped(t *testing.T) {
 	}
 }
 
-// TestHistogramWindowedDeltaCarriesMax drives the real snapshot/Sub path the
-// admission gate's window fold uses: one slow read in the overflow bucket
-// must yield a windowed p99 bounded by the observed latency.
+// TestHistogramWindowedDeltaCarriesMax drives the real snapshot path the
+// read-latency exports use: one slow read in the overflow bucket must yield
+// a p99 bounded by the observed latency, and so must a fold of classes.
 func TestHistogramWindowedDeltaCarriesMax(t *testing.T) {
 	var h metrics.Histogram
-	prev := h.Buckets()
 	slow := 90 * time.Second // lands in the overflow bucket (≥ ~67s)
 	h.Observe(slow)
-	delta := h.Buckets().Sub(prev)
+	delta := h.Buckets()
 	if delta.Count != 1 {
-		t.Fatalf("delta count = %d, want 1", delta.Count)
+		t.Fatalf("snapshot count = %d, want 1", delta.Count)
 	}
 	if got := delta.Quantile(0.99); got > slow {
-		t.Fatalf("windowed p99 = %v, want ≤ the observed %v", got, slow)
+		t.Fatalf("p99 = %v, want ≤ the observed %v", got, slow)
 	}
 
 	// Folding classes (Add) must keep the larger max.

@@ -37,7 +37,7 @@ func TestTenantContextRoundTrip(t *testing.T) {
 func TestTenantShedLadder(t *testing.T) {
 	ctrl, store := buildControllerWith(t, 4, 0, 0.05, func() ServeOptions {
 		o := tenantServe()
-		o.Admission = &AdmissionConfig{LatencyTarget: time.Millisecond}
+		o.Admission = &AdmissionConfig{}
 		return o
 	}())
 	defer ctrl.Close()
@@ -265,7 +265,6 @@ func TestServeOptionsValidation(t *testing.T) {
 		{"NaN ReplanThreshold", ServeOptions{ReplanThreshold: math.NaN()}, false},
 		{"infinite ReplanThreshold", ServeOptions{ReplanThreshold: math.Inf(1)}, false},
 		{"negative MaxInFlight", ServeOptions{Admission: &AdmissionConfig{MaxInFlight: -1}}, false},
-		{"negative LatencyTarget", ServeOptions{Admission: &AdmissionConfig{LatencyTarget: -time.Millisecond}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{MaxOuterIter: 6}, tc.serve, 1)

@@ -112,22 +112,6 @@ func (c *Controller) WriteVersion(ctx context.Context, fileID int, data []byte, 
 	return version, nil
 }
 
-// Invalidate drops the file's functional cache chunks and stripe record. It
-// is the escape hatch for content overwritten outside Controller.Write by an
-// unversioned backend; with a versioned backend the read plane detects the
-// stale cache on its own. It returns the number of chunks evicted.
-func (c *Controller) Invalidate(fileID int) (int, error) {
-	if fileID < 0 || fileID >= len(c.files) {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownFile, fileID)
-	}
-	c.mu.Lock()
-	evicted := c.cache.DeleteFile(fileID)
-	c.cacheInfo[fileID].Store(nil)
-	c.mu.Unlock()
-	c.stats.cacheInvalidations.Add(int64(evicted))
-	return evicted, nil
-}
-
 // InvalidateVersion applies a versioned peer invalidation: a write committed
 // through another controller shard at the given stripe version. If this
 // controller's stripe record is already at or past that version the message
@@ -139,7 +123,7 @@ func (c *Controller) Invalidate(fileID int) (int, error) {
 // that decoded the superseded stripe. Pending fill targets stay planned: the
 // next read re-materialises the allocation from the new committed data.
 //
-// version must be non-zero; unversioned backends use Invalidate.
+// version must be non-zero.
 func (c *Controller) InvalidateVersion(fileID int, version uint64, size int) (bool, error) {
 	if fileID < 0 || fileID >= len(c.files) {
 		return false, fmt.Errorf("%w: %d", ErrUnknownFile, fileID)

@@ -71,7 +71,7 @@ func writeTestController(t *testing.T, objects, size, capacity int) (*Controller
 	for i := 0; i < objects; i++ {
 		payloads[i] = make([]byte, size)
 		rng.Read(payloads[i])
-		if err := pool.Put(ctx, name(i), payloads[i]); err != nil {
+		if _, err := pool.PutV(ctx, name(i), payloads[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,14 +88,6 @@ func writeTestController(t *testing.T, objects, size, capacity int) (*Controller
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ctrl.Close() })
-	// Close the invalidation loop: any committed put in the pool (including
-	// writes that bypass Controller.Write) drops the file's cached chunks.
-	pool.OnCommit(func(object string) {
-		var id int
-		if _, err := fmt.Sscanf(object, "file-%04d", &id); err == nil {
-			_, _ = ctrl.Invalidate(id)
-		}
-	})
 	fetcher := &poolFetcher{pool: pool, name: name}
 	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
 		t.Fatal(err)
@@ -126,10 +118,14 @@ func TestReadAfterPoolOverwriteNeverStale(t *testing.T) {
 	ctrl.WaitFills()
 
 	// Overwrite file 0 directly through the pool — bypassing the controller,
-	// as an external writer would.
+	// as an external writer would — and deliver its versioned invalidation.
 	newPayload := make([]byte, 32<<10)
 	rand.New(rand.NewSource(9)).Read(newPayload)
-	if err := pool.Put(ctx, "file-0000", newPayload); err != nil {
+	version, err := pool.PutV(ctx, "file-0000", newPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.InvalidateVersion(0, version, len(newPayload)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -224,25 +220,30 @@ func TestWriteThroughOwnsCachedChunks(t *testing.T) {
 	}
 }
 
-// TestInvalidateDropsCache covers the explicit escape hatch for unversioned
-// backends.
+// TestInvalidateDropsCache: a versioned invalidation from an external
+// writer drops the file's cached chunks, and one for an unknown file fails.
 func TestInvalidateDropsCache(t *testing.T) {
-	ctrl, _, fetcher, _, _ := writeTestController(t, 3, 16<<10, 6)
+	ctrl, pool, fetcher, _, _ := writeTestController(t, 3, 16<<10, 6)
 	ctx := context.Background()
 	if _, err := ctrl.Read(ctx, 0, fetcher); err != nil {
 		t.Fatal(err)
 	}
 	ctrl.WaitFills()
-	had := ctrl.Cache().ChunksForFile(0)
-	evicted, err := ctrl.Invalidate(0)
-	if err != nil || evicted != had {
-		t.Fatalf("Invalidate evicted %d of %d, err %v", evicted, had, err)
+	if ctrl.Cache().ChunksForFile(0) == 0 {
+		t.Fatal("read cached nothing to invalidate")
+	}
+	_, version, size, err := pool.GetChunkV(ctx, "file-0000", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := ctrl.InvalidateVersion(0, version+1, size); err != nil || !applied {
+		t.Fatalf("InvalidateVersion = %v, %v", applied, err)
 	}
 	if ctrl.Cache().ChunksForFile(0) != 0 {
-		t.Fatal("cache chunks survived Invalidate")
+		t.Fatal("cache chunks survived the invalidation")
 	}
-	if _, err := ctrl.Invalidate(99); err == nil {
-		t.Fatal("Invalidate of unknown file succeeded")
+	if _, err := ctrl.InvalidateVersion(99, version+1, size); err == nil {
+		t.Fatal("invalidation of an unknown file succeeded")
 	}
 }
 

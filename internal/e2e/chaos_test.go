@@ -101,7 +101,8 @@ func TestChaosSlowNode(t *testing.T) {
 	// cancel, and both register as slow observations.
 	var warmup int64
 	deadline := time.Now().Add(15 * time.Second)
-	for breakers.State(slow) != resilience.BreakerOpen {
+	// Within its minute-long OpenFor only an open breaker refuses traffic.
+	for breakers.Allow(slow) {
 		if time.Now().After(deadline) {
 			t.Fatalf("slow OSD %d never tripped its breaker despite taking fetch traffic", slow)
 		}
@@ -143,7 +144,7 @@ func TestChaosFlakyNode(t *testing.T) {
 	const flaky = 3
 	chaos.SetRule(flaky, transport.ChaosRule{ErrorRate: 1})
 	deadline := time.Now().Add(15 * time.Second)
-	for breakers.State(flaky) != resilience.BreakerOpen {
+	for breakers.Allow(flaky) { // refused only once the breaker is open
 		if time.Now().After(deadline) {
 			t.Skipf("scheduler never routed enough reads through OSD %d to trip its breaker", flaky)
 		}
@@ -233,11 +234,7 @@ func TestChaosOverloadRecovery(t *testing.T) {
 	h, client := newHarnessWith(t,
 		core.ServeOptions{Admission: &core.AdmissionConfig{MaxInFlight: 8}},
 		transport.ServerConfig{StagedPutTTL: time.Minute, Workers: 2, MaxInFlight: 8},
-		transport.ClientConfig{
-			Conns:   2,
-			Retries: 8,
-			Backoff: resilience.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond},
-		})
+		transport.ClientConfig{Conns: 2, Retries: 8})
 	// Skew the rates so the plan marks low-value files — the deepest
 	// brownout level needs something it is allowed to shed.
 	if _, err := h.ctrl.PlanTimeBin([]float64{0.5, 4, 4, 4, 4, 4}); err != nil {

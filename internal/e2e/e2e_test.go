@@ -43,19 +43,14 @@ type harness struct {
 	payloadMu sync.Mutex
 }
 
-// e2eSpec is the stack every scenario runs on: six 16 KiB objects, read at
-// equal rates, over twelve 0.3 ms OSDs, served over loopback.
+// e2eSpec is the stack every scenario runs on: six 16 KiB objects over
+// twelve 0.3 ms OSDs, served over loopback.
 func e2eSpec(scfg transport.ServerConfig, ccfg transport.ClientConfig) stack.Spec {
-	lambdas := make([]float64, e2eObjects)
-	for i := range lambdas {
-		lambdas[i] = 2.0
-	}
 	return stack.Spec{
 		Service: queue.Deterministic{Value: 0.0003},
 		Seed:    11,
 		Objects: e2eObjects,
 		Size:    e2eSize,
-		Lambdas: lambdas,
 		Listen:  "127.0.0.1:0",
 		Server:  scfg,
 		Tenants: []string{""},
@@ -63,7 +58,8 @@ func e2eSpec(scfg transport.ServerConfig, ccfg transport.ClientConfig) stack.Spe
 	}
 }
 
-// newStack builds spec's stack, closed when the test ends.
+// newStack builds spec's stack, its files read at equal rates, closed when
+// the test ends.
 func newStack(t *testing.T, spec stack.Spec) *stack.Stack {
 	t.Helper()
 	st, err := stack.New(context.Background(), spec)
@@ -71,6 +67,9 @@ func newStack(t *testing.T, spec stack.Spec) *stack.Stack {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
+	for i := range st.Lambdas {
+		st.Lambdas[i] = 2.0
+	}
 	return st
 }
 

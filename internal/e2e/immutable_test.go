@@ -138,11 +138,11 @@ func TestStoredChunksImmutable(t *testing.T) {
 	}
 	// wrote records a committed overwrite: the other controllers' caches are
 	// invalidated the way the router's fan-out would.
-	wrote := func(fileID int, data []byte, by *core.Controller) {
+	wrote := func(fileID int, version uint64, data []byte, by *core.Controller) {
 		h.setPayload(fileID, data)
 		for _, ctrl := range ctrls {
 			if ctrl != by {
-				if _, err := ctrl.Invalidate(fileID); err != nil {
+				if _, err := ctrl.InvalidateVersion(fileID, version, len(data)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -161,10 +161,11 @@ func TestStoredChunksImmutable(t *testing.T) {
 	// the chunks by reference.
 	for f := 0; f < 2; f++ {
 		data := payload(e2eSize, byte(40+f))
-		if _, err := h.Pool.PutV(ctx, cluster.ObjectName(f), data); err != nil {
+		version, err := h.Pool.PutV(ctx, cluster.ObjectName(f), data)
+		if err != nil {
 			t.Fatal(err)
 		}
-		wrote(f, data, nil)
+		wrote(f, version, data, nil)
 	}
 	readAll("in-process overwrite")
 
@@ -175,10 +176,11 @@ func TestStoredChunksImmutable(t *testing.T) {
 		for c, ctrl := range ctrls {
 			f := 2 + c
 			data := payload(size, byte(60+10*round+c))
-			if err := ctrl.Write(ctx, f, data, h.Striped); err != nil {
+			version, err := ctrl.WriteVersion(ctx, f, data, h.Striped)
+			if err != nil {
 				t.Fatal(err)
 			}
-			wrote(f, data, ctrl)
+			wrote(f, version, data, ctrl)
 		}
 		readAll(fmt.Sprintf("striped overwrite, round %d", round))
 	}
@@ -214,10 +216,11 @@ func TestStoredChunksImmutable(t *testing.T) {
 	cancel()
 	chaos.Reset()
 	readAll("after the aborted write")
-	if err := h.ctrl.Write(ctx, 5, data, h.Striped); err != nil {
+	version, err := h.ctrl.WriteVersion(ctx, 5, data, h.Striped)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wrote(5, data, h.ctrl)
+	wrote(5, version, data, h.ctrl)
 	readAll("after the partition healed")
 
 	// OSD loss and repair: survivors are fetched by reference, rebuilt

@@ -23,15 +23,15 @@ import (
 // Every scrape must parse under the strict exposition parser, pass the
 // conformance lint, and show monotonically increasing read counters.
 func TestMetricsEndpoint(t *testing.T) {
-	h, client := newHarnessWith(t, core.ServeOptions{
-		Admission:      &core.AdmissionConfig{LatencyTarget: 5 * time.Second},
+	h, _ := newHarnessWith(t, core.ServeOptions{
+		Admission:      &core.AdmissionConfig{},
 		ReplanInterval: 200 * time.Millisecond,
 	},
 		transport.ServerConfig{StagedPutTTL: time.Minute},
 		transport.ClientConfig{Conns: 3})
 	reg := obs.NewRegistry(obs.Sources{
 		Controller:      h.ctrl,
-		TransportClient: client.Stats,
+		TransportServer: h.Server.Stats,
 		Repair:          h.repair.Stats,
 		OSDHealth:       h.Cluster.Health,
 	})

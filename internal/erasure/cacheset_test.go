@@ -66,8 +66,8 @@ func TestCacheRowsDecodeWithAnyStorageSubset(t *testing.T) {
 			if d == k && row != i {
 				t.Fatalf("d=k: cached rows %v, want 0..%d", rows, k-1)
 			}
-			if err := code.Verify(row, set[i], dataChunks); err != nil {
-				t.Fatalf("d=%d: chunk for row %d: %v", d, row, err)
+			if want, err := code.ChunkAt(row, dataChunks); err != nil || !bytes.Equal(set[i], want) {
+				t.Fatalf("d=%d: chunk for row %d does not match its encoding (%v)", d, row, err)
 			}
 			cached[i] = Chunk{Index: row, Data: set[i]}
 		}
@@ -202,7 +202,7 @@ func TestDecodeInto(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := code.Join(joined, size)
+			want, err := code.AppendJoin(nil, joined, size)
 			if err != nil {
 				t.Fatal(err)
 			}

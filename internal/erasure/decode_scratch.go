@@ -185,32 +185,3 @@ func (c *Code) decodeRows(sc *DecodeScratch, inv *gf256.Matrix, payloads, out []
 	c.counters.reconstructs.Add(1)
 	c.counters.bytesReconstructed.Add(int64(len(payloads[0])) * int64(c.k))
 }
-
-// AppendJoin appends the concatenation of the data chunks, trimmed to
-// size bytes, onto dst and returns the extended slice — Join without the
-// output allocation when dst has capacity.
-func (c *Code) AppendJoin(dst []byte, chunks [][]byte, size int) ([]byte, error) {
-	if len(chunks) != c.k {
-		return nil, fmt.Errorf("%w: want %d data chunks, got %d", ErrShapeMismatch, c.k, len(chunks))
-	}
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
-	}
-	if size > total {
-		return nil, fmt.Errorf("%w: joined %d bytes, need %d", ErrShortData, total, size)
-	}
-	remaining := size
-	for _, ch := range chunks {
-		if remaining <= 0 {
-			break
-		}
-		n := len(ch)
-		if n > remaining {
-			n = remaining
-		}
-		dst = append(dst, ch[:n]...)
-		remaining -= n
-	}
-	return dst, nil
-}

@@ -24,7 +24,6 @@ var (
 	ErrShortData       = errors.New("erasure: not enough chunks to reconstruct")
 	ErrShapeMismatch   = errors.New("erasure: chunk size mismatch")
 	ErrUnknownChunk    = errors.New("erasure: chunk index out of range")
-	ErrVerifyFailed    = errors.New("erasure: chunk verification failed")
 	ErrEmptyData       = errors.New("erasure: empty data")
 	ErrTooManyRequests = errors.New("erasure: requested more chunks than the code provides")
 )
@@ -131,12 +130,6 @@ func (c *Code) Split(data []byte) ([][]byte, error) {
 		}
 	}
 	return chunks, nil
-}
-
-// Join concatenates data chunks and trims the result to size bytes, the
-// inverse of Split.
-func (c *Code) Join(chunks [][]byte, size int) ([]byte, error) {
-	return c.AppendJoin(make([]byte, 0, size), chunks, size)
 }
 
 // Encode produces the n storage chunks for the given data chunks. The first
@@ -314,24 +307,6 @@ func unitColumn(row []byte) int {
 // coded chunks.
 func (c *Code) Decode(chunks []Chunk, size int) ([]byte, error) {
 	return c.DecodeInto(new(DecodeScratch), nil, chunks, size)
-}
-
-// Verify checks that the supplied coded chunk matches what the code would
-// produce for the given data chunks.
-func (c *Code) Verify(idx int, chunk []byte, dataChunks [][]byte) error {
-	want, err := c.ChunkAt(idx, dataChunks)
-	if err != nil {
-		return err
-	}
-	if len(want) != len(chunk) {
-		return ErrShapeMismatch
-	}
-	for i := range want {
-		if want[i] != chunk[i] {
-			return ErrVerifyFailed
-		}
-	}
-	return nil
 }
 
 func (c *Code) checkDataChunks(dataChunks [][]byte) error {

@@ -68,7 +68,7 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		joined, err := code.Join(chunks, size)
+		joined, err := code.AppendJoin(nil, chunks, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,21 +306,6 @@ func TestCacheChunksValidation(t *testing.T) {
 	chunks, err := code.CacheChunks(dataChunks, 0)
 	if err != nil || len(chunks) != 0 {
 		t.Fatalf("d=0 should produce no chunks, got %d err %v", len(chunks), err)
-	}
-}
-
-func TestVerify(t *testing.T) {
-	code, _ := New(7, 4)
-	rng := rand.New(rand.NewSource(8))
-	dataChunks, _ := code.Split(randomData(rng, 256))
-	chunk, _ := code.ChunkAt(5, dataChunks)
-	if err := code.Verify(5, chunk, dataChunks); err != nil {
-		t.Fatalf("verify of valid chunk failed: %v", err)
-	}
-	corrupted := append([]byte(nil), chunk...)
-	corrupted[0] ^= 0xff
-	if err := code.Verify(5, corrupted, dataChunks); err == nil {
-		t.Fatal("verify of corrupted chunk should fail")
 	}
 }
 

@@ -50,10 +50,6 @@ func init() {
 // Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse.
 func Add(a, b byte) byte { return a ^ b }
 
-// Sub returns a - b in GF(2^8). Identical to Add because the field has
-// characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {

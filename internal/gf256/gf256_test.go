@@ -7,7 +7,7 @@ import (
 
 func TestAddIsXORAndSelfInverse(t *testing.T) {
 	f := func(a, b byte) bool {
-		return Add(a, b) == (a^b) && Add(Add(a, b), b) == a && Sub(a, b) == Add(a, b)
+		return Add(a, b) == (a^b) && Add(Add(a, b), b) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

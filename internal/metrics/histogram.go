@@ -58,29 +58,15 @@ func (h *Histogram) Buckets() HistogramBuckets {
 
 // HistogramBuckets is one snapshot of a Histogram: Counts[i] is the number
 // of observations in bucket i. Counts are cumulative over the histogram's
-// lifetime; windowed consumers diff successive snapshots (Sub), and
-// distributions fold bucket-wise (Add).
+// lifetime; distributions fold bucket-wise (Add).
 type HistogramBuckets struct {
 	Counts [histBuckets]int64
 	Count  int64
 	SumNS  int64
 	// MaxNS is the largest observation the histogram had seen at snapshot
-	// time. For a windowed delta (Sub) it is an upper bound on the window's
-	// maximum — the cumulative max only grows, so the newer snapshot's max
-	// dominates every sample inside the window. Quantile uses it to keep
-	// overflow-bucket estimates anchored to data that was actually observed.
+	// time. Quantile uses it to keep overflow-bucket estimates anchored to
+	// data that was actually observed.
 	MaxNS int64
-}
-
-// Sub returns the bucket-wise difference s - prev, the delta of two
-// snapshots of the same histogram. The delta keeps s's MaxNS: an upper
-// bound on the window max (exact when the max landed inside the window).
-func (s HistogramBuckets) Sub(prev HistogramBuckets) HistogramBuckets {
-	d := HistogramBuckets{Count: s.Count - prev.Count, SumNS: s.SumNS - prev.SumNS, MaxNS: s.MaxNS}
-	for i := range s.Counts {
-		d.Counts[i] = s.Counts[i] - prev.Counts[i]
-	}
-	return d
 }
 
 // Add returns the bucket-wise sum of two snapshots (for folding the

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sprout/internal/cache"
-	"sprout/internal/erasure"
 	"sprout/internal/queue"
 	"sprout/internal/resilience"
 )
@@ -201,14 +200,3 @@ func (c *Cluster) ReadFunctional(ctx context.Context, pools map[int]*Pool, objec
 
 // CacheTier exposes the LRU cache tier (nil when no cache is configured).
 func (c *Cluster) CacheTier() *cache.LRU { return c.cacheTier }
-
-// CoderStats aggregates the erasure data-plane counters across every pool
-// in the cluster, so callers can report cluster-wide coding throughput and
-// decode-plan cache effectiveness.
-func (c *Cluster) CoderStats() erasure.CoderStats {
-	var total erasure.CoderStats
-	for _, p := range c.pools {
-		total = total.Add(p.CoderStats())
-	}
-	return total
-}

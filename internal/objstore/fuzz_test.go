@@ -146,7 +146,7 @@ func FuzzStagedPut(f *testing.F) {
 			case 4: // whole-object put through the public path
 				obj := objName(arg)
 				data := payload(arg|128, 500+int(arg))
-				if err := pool.Put(ctx, obj, data); err != nil {
+				if _, err := pool.PutV(ctx, obj, data); err != nil {
 					t.Fatalf("put: %v", err)
 				}
 				model[obj] = data

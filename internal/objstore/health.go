@@ -156,15 +156,6 @@ func (p *Pool) ChunkLocations(object string) ([]ChunkLocation, error) {
 	return locs, nil
 }
 
-// OSDHealth returns health snapshots for every OSD backing the pool.
-func (p *Pool) OSDHealth() []OSDHealth {
-	out := make([]OSDHealth, len(p.osds))
-	for i, osd := range p.osds {
-		out[i] = osd.Health()
-	}
-	return out
-}
-
 // DegradedObject describes an object with unreadable chunks: the chunk
 // indices lost and the number of chunks still readable.
 type DegradedObject struct {

@@ -36,7 +36,7 @@ func putObjects(t *testing.T, pool *Pool, n, size int) {
 		for j := range payload {
 			payload[j] = byte(i + j)
 		}
-		if err := pool.Put(ctx, fmt.Sprintf("obj-%03d", i), payload); err != nil {
+		if _, err := pool.PutV(ctx, fmt.Sprintf("obj-%03d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestPutRollsBackPartialWrites(t *testing.T) {
 	osd.Fail(false)
 	payload := make([]byte, 8<<10)
 	for i := 0; i < 8; i++ {
-		if err := pool.Put(ctx, fmt.Sprintf("leak-%02d", i), payload); err != nil {
+		if _, err := pool.PutV(ctx, fmt.Sprintf("leak-%02d", i), payload); err != nil {
 			t.Fatalf("put with one OSD down: %v", err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestPutRollsBackPartialWrites(t *testing.T) {
 		o.Fail(false)
 	}
 	for i := 0; i < 4; i++ {
-		err := pool.Put(ctx, fmt.Sprintf("fail-%02d", i), payload)
+		_, err := pool.PutV(ctx, fmt.Sprintf("fail-%02d", i), payload)
 		if !errors.Is(err, ErrNoRepairTarget) && !errors.Is(err, ErrOSDDown) {
 			t.Fatalf("put with 6 of 10 OSDs: err %v, want staging failure", err)
 		}

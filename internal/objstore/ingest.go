@@ -16,7 +16,7 @@ import (
 // stripe's chunks are deleted. AbortPut deletes the staged chunks, so a
 // failed or abandoned put leaves the previously committed stripe fully
 // intact. Clients that encode locally (the SIMD coder) drive these three
-// operations directly over the transport; Pool.Put is the same machinery
+// operations directly over the transport; Pool.PutV is the same machinery
 // run server-side.
 
 // stagedKey identifies one in-flight two-phase put.
@@ -311,26 +311,6 @@ func (p *Pool) CommitObject(object string, version uint64, size int) error {
 		hook(object)
 	}
 	return nil
-}
-
-// ReapPrevious immediately deletes every stripe parked for deferred garbage
-// collection and returns how many stripes were reaped. Used by tests and by
-// quiesce points that want exact chunk accounting; steady-state overwrites
-// reap automatically one commit later.
-func (p *Pool) ReapPrevious() int {
-	p.mu.Lock()
-	parked := make([]prevStripe, 0, len(p.prev))
-	objects := make([]string, 0, len(p.prev))
-	for object, ps := range p.prev {
-		parked = append(parked, ps)
-		objects = append(objects, object)
-		delete(p.prev, object)
-	}
-	p.mu.Unlock()
-	for i, ps := range parked {
-		p.reapOrZombie(objects[i], ps)
-	}
-	return len(parked)
 }
 
 // AbortPut discards a staged put, deleting any chunks it staged. Aborting an

@@ -297,9 +297,10 @@ type Pool struct {
 	staged map[stagedKey]*stagedPut
 	// prev defers garbage collection of superseded stripes by one commit:
 	// when version v+1 commits, version v's chunks are parked here and only
-	// deleted when v+2 commits (or ReapPrevious runs). Readers that pinned v
-	// just before the flip can therefore still decode it — without the grace
-	// stripe, a reader racing back-to-back overwrites could starve.
+	// deleted when v+2 commits (or the tests' ReapPrevious runs). Readers
+	// that pinned v just before the flip can therefore still decode it —
+	// without the grace stripe, a reader racing back-to-back overwrites
+	// could starve.
 	prev map[string]prevStripe
 	// pins counts readers currently decoding a stripe version; a pinned
 	// stripe is never garbage collected — reaping moves it to zombies and
@@ -464,15 +465,6 @@ func (p *Pool) meta(object string) (objectMeta, bool) {
 	return meta, ok
 }
 
-// Put writes an object through the two-phase commit path: encode into n
-// chunks, stage them under a fresh stripe version, and commit the version
-// flip. A failed put aborts the staged chunks and is invisible to readers —
-// the previously committed stripe (if any) remains fully intact.
-func (p *Pool) Put(ctx context.Context, object string, data []byte) error {
-	_, err := p.PutV(ctx, object, data)
-	return err
-}
-
 // Get reads an object by collecting k chunks of its committed stripe version
 // from the hosting OSDs (all n are contacted; the k fastest responses win,
 // mirroring Ceph's read path for erasure-coded pools) and decoding. The
@@ -588,26 +580,6 @@ func (p *Pool) GetChunkV(ctx context.Context, object string, chunk int) ([]byte,
 		}
 	}
 	return nil, 0, 0, lastErr
-}
-
-// Version returns the committed stripe version of an object.
-func (p *Pool) Version(object string) (uint64, error) {
-	meta, ok := p.meta(object)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrObjectNotFound, object)
-	}
-	return meta.version, nil
-}
-
-// ObjectSize returns the stored size of an object.
-func (p *Pool) ObjectSize(object string) (int, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	meta, ok := p.objects[object]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrObjectNotFound, object)
-	}
-	return meta.size, nil
 }
 
 // Objects returns the names of all objects in the pool, sorted.

@@ -106,7 +106,7 @@ func TestPoolPutGetRoundTrip(t *testing.T) {
 	payload := make([]byte, 10*1024)
 	rng.Read(payload)
 	ctx := context.Background()
-	if err := pool.Put(ctx, "obj1", payload); err != nil {
+	if _, err := pool.PutV(ctx, "obj1", payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := pool.Get(ctx, "obj1")
@@ -149,7 +149,7 @@ func TestPoolChunkDistribution(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		payload := make([]byte, 512)
 		rng.Read(payload)
-		if err := pool.Put(ctx, string(rune('a'+i%26))+string(rune('0'+i/26)), payload); err != nil {
+		if _, err := pool.PutV(ctx, string(rune('a'+i%26))+string(rune('0'+i/26)), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestPoolGetChunk(t *testing.T) {
 	ctx := context.Background()
 	payload := make([]byte, 3000)
 	rand.New(rand.NewSource(4)).Read(payload)
-	if err := pool.Put(ctx, "o", payload); err != nil {
+	if _, err := pool.PutV(ctx, "o", payload); err != nil {
 		t.Fatal(err)
 	}
 	// Chunk 0 of a systematic code is the first data chunk.
@@ -231,7 +231,7 @@ func TestReadThroughLRUCachesObjects(t *testing.T) {
 	ctx := context.Background()
 	payload := make([]byte, 6000)
 	rand.New(rand.NewSource(5)).Read(payload)
-	if err := pool.Put(ctx, "hot", payload); err != nil {
+	if _, err := pool.PutV(ctx, "hot", payload); err != nil {
 		t.Fatal(err)
 	}
 	data, _, err := c.ReadThroughLRU(ctx, pool, "hot")
@@ -241,7 +241,7 @@ func TestReadThroughLRUCachesObjects(t *testing.T) {
 	if !bytes.Equal(data, payload) {
 		t.Fatal("miss read returned wrong data")
 	}
-	if !c.CacheTier().Contains("hot") {
+	if cached, ok := c.CacheTier().Get("hot"); !ok || !bytes.Equal(cached, payload) {
 		t.Fatal("object should be promoted into the cache tier after a miss")
 	}
 	// A hit must be served from the cache tier alone: no OSD serves a chunk
@@ -256,6 +256,7 @@ func TestReadThroughLRUCachesObjects(t *testing.T) {
 		served, _ := osd.Stats()
 		servedBefore += served
 	}
+	hitsBefore, _, _ := c.CacheTier().Stats()
 	data, _, err = c.ReadThroughLRU(ctx, pool, "hot")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestReadThroughLRUCachesObjects(t *testing.T) {
 	if servedAfter != servedBefore {
 		t.Fatalf("cache hit read %d chunks from OSDs, want 0", servedAfter-servedBefore)
 	}
-	if hits, _, _ := c.CacheTier().Stats(); hits == 0 {
+	if hits, _, _ := c.CacheTier().Stats(); hits == hitsBefore {
 		t.Fatal("cache tier recorded no hit")
 	}
 }
@@ -288,7 +289,7 @@ func TestReadFunctionalUsesEquivalentPool(t *testing.T) {
 	// Write the object into every equivalent pool (the evaluation
 	// methodology writes according to the object-pool map).
 	for _, p := range pools {
-		if err := p.Put(ctx, "obj", payload); err != nil {
+		if _, err := p.PutV(ctx, "obj", payload); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestStagedPutInvisibleUntilCommit(t *testing.T) {
 	ctx := context.Background()
 
 	old := payloadFor(9, 6<<10)
-	if err := pool.Put(ctx, "obj", old); err != nil {
+	if _, err := pool.PutV(ctx, "obj", old); err != nil {
 		t.Fatal(err)
 	}
 	oldVersion, _ := pool.Version("obj")
@@ -155,7 +155,7 @@ func TestAbortPutLeavesNoTrace(t *testing.T) {
 	ctx := context.Background()
 
 	old := payloadFor(3, 4<<10)
-	if err := pool.Put(ctx, "obj", old); err != nil {
+	if _, err := pool.PutV(ctx, "obj", old); err != nil {
 		t.Fatal(err)
 	}
 	version, err := pool.BeginPut("obj")
@@ -223,14 +223,14 @@ func TestOverrideLifetimeAcrossOverwrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	osd.Fail(false)
-	if err := pool.Put(ctx, "obj", payloadFor(1, 8<<10)); err != nil {
+	if _, err := pool.PutV(ctx, "obj", payloadFor(1, 8<<10)); err != nil {
 		t.Fatal(err)
 	}
 	overridesV1 := countOverrides()
 
 	// Overwrite while the OSD is still down: the old stripe is parked, and
 	// its overrides must survive until the stripe is reaped.
-	if err := pool.Put(ctx, "obj", payloadFor(2, 8<<10)); err != nil {
+	if _, err := pool.PutV(ctx, "obj", payloadFor(2, 8<<10)); err != nil {
 		t.Fatal(err)
 	}
 	if got := countOverrides(); got < overridesV1 {
@@ -258,7 +258,7 @@ func TestConcurrentOverwriteAndGet(t *testing.T) {
 	ctx := context.Background()
 
 	const size = 8 << 10
-	if err := pool.Put(ctx, "hot", payloadFor(0, size)); err != nil {
+	if _, err := pool.PutV(ctx, "hot", payloadFor(0, size)); err != nil {
 		t.Fatal(err)
 	}
 	// committed[tag] reports whether payloadFor(tag) was (or is being)
@@ -388,7 +388,7 @@ func TestPutGetLinearizableRandom(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3: // Put
 				payload := payloadFor(byte(rng.Intn(256)), 512+rng.Intn(4096))
-				err := pool.Put(ctx, obj, payload)
+				_, err := pool.PutV(ctx, obj, payload)
 				if err == nil {
 					model[obj] = payload
 				} else if len(down) == 0 {

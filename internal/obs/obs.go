@@ -34,8 +34,8 @@ type Sources struct {
 	// saturation gate, the live plan's cache targets, cache occupancy, and
 	// the per-file erasure coders.
 	Controller *core.Controller
-	// TransportClient and TransportServer snapshot each side's wire counters.
-	TransportClient func() transport.TransportStats
+	// TransportServer snapshots the transport server's wire counters,
+	// exported under side="server".
 	TransportServer func() transport.TransportStats
 	// Repair snapshots the repair manager's progress counters.
 	Repair func() repair.Stats
@@ -72,8 +72,8 @@ func Register(r *metrics.Registry, s Sources) {
 	if s.Controller != nil {
 		registerController(r, s.Controller)
 	}
-	if s.TransportClient != nil || s.TransportServer != nil {
-		registerTransport(r, s.TransportClient, s.TransportServer)
+	if s.TransportServer != nil {
+		registerTransport(r, s.TransportServer)
 	}
 	if s.Repair != nil {
 		registerRepair(r, s.Repair)
@@ -451,51 +451,32 @@ func registerErasure(r *metrics.Registry, st func() erasure.CoderStats) {
 
 // registerTransport exposes both wire sides under one family set with a
 // side label, so dashboards can overlay client and server views.
-func registerTransport(r *metrics.Registry, client, server func() transport.TransportStats) {
-	sides := make([]string, 0, 2)
-	snaps := make([]func() transport.TransportStats, 0, 2)
-	if client != nil {
-		sides, snaps = append(sides, "client"), append(snaps, client)
-	}
-	if server != nil {
-		sides, snaps = append(sides, "server"), append(snaps, server)
-	}
+// registerTransport exports the server's wire counters. The side label
+// stays so the series keep their names and labels; it always reads
+// "server".
+func registerTransport(r *metrics.Registry, server func() transport.TransportStats) {
 	perSide := func(name, help string, fn func(transport.TransportStats) int64) {
 		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Labels: []string{"side"}},
 			metrics.CollectorFunc(func() []metrics.Sample {
-				out := make([]metrics.Sample, len(sides))
-				for i := range sides {
-					out[i] = metrics.Sample{LabelValues: []string{sides[i]}, Value: float64(fn(snaps[i]()))}
-				}
-				return out
+				return []metrics.Sample{{LabelValues: []string{"server"}, Value: float64(fn(server()))}}
 			}))
 	}
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_transport_frames_total", Help: "Wire frames, by side and direction.",
-		Kind: metrics.KindCounter, Labels: []string{"side", "direction"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, 0, 2*len(sides))
-		for i := range sides {
-			s := snaps[i]()
-			out = append(out,
-				metrics.Sample{LabelValues: []string{sides[i], "sent"}, Value: float64(s.FramesSent)},
-				metrics.Sample{LabelValues: []string{sides[i], "received"}, Value: float64(s.FramesReceived)})
-		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_transport_bytes_total", Help: "Wire bytes including length prefixes, by side and direction.",
-		Kind: metrics.KindCounter, Labels: []string{"side", "direction"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, 0, 2*len(sides))
-		for i := range sides {
-			s := snaps[i]()
-			out = append(out,
-				metrics.Sample{LabelValues: []string{sides[i], "sent"}, Value: float64(s.BytesSent)},
-				metrics.Sample{LabelValues: []string{sides[i], "received"}, Value: float64(s.BytesReceived)})
-		}
-		return out
-	}))
+	perDirection := func(name, help string, sent, received func(transport.TransportStats) int64) {
+		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Labels: []string{"side", "direction"}},
+			metrics.CollectorFunc(func() []metrics.Sample {
+				s := server()
+				return []metrics.Sample{
+					{LabelValues: []string{"server", "sent"}, Value: float64(sent(s))},
+					{LabelValues: []string{"server", "received"}, Value: float64(received(s))},
+				}
+			}))
+	}
+	perDirection("sprout_transport_frames_total", "Wire frames, by side and direction.",
+		func(s transport.TransportStats) int64 { return s.FramesSent },
+		func(s transport.TransportStats) int64 { return s.FramesReceived })
+	perDirection("sprout_transport_bytes_total", "Wire bytes including length prefixes, by side and direction.",
+		func(s transport.TransportStats) int64 { return s.BytesSent },
+		func(s transport.TransportStats) int64 { return s.BytesReceived })
 	perSide("sprout_transport_payload_bytes_by_reference_total", "Payload bytes handed to the kernel as the caller's or the store's own slice, never copied in user space.",
 		func(s transport.TransportStats) int64 { return s.BytesByReference })
 	perSide("sprout_transport_fetch_batches_total", "Batches of chunk requests a read sent itself, in one write (RemoteFetcher.StartFetches).",

@@ -43,7 +43,7 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	}
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
 	ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{
-		Admission:      &core.AdmissionConfig{LatencyTarget: time.Second},
+		Admission:      &core.AdmissionConfig{},
 		ReplanInterval: time.Hour,
 		Tenants: []core.TenantPolicy{
 			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},
@@ -63,7 +63,6 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 
 	return NewRegistry(Sources{
 		Controller:      ctrl,
-		TransportClient: func() transport.TransportStats { return transport.TransportStats{Requests: 1} },
 		TransportServer: func() transport.TransportStats { return transport.TransportStats{Requests: 2} },
 		Repair:          func() repair.Stats { return repair.Stats{Scans: 1} },
 		OSDHealth: func() []objstore.OSDHealth {

@@ -261,7 +261,7 @@ func initialPoint(p *Problem, l layout, e *evaluator, warmStart []int) ([]float6
 		worst, worstRho := -1, 0.0
 		for j, s := range p.Nodes {
 			rho := e.loads[j] / s.Mu
-			if rho >= 1-e.eps && rho > worstRho {
+			if rho >= 1-stabilityMargin && rho > worstRho {
 				worst, worstRho = j, rho
 			}
 		}
@@ -270,7 +270,7 @@ func initialPoint(p *Problem, l layout, e *evaluator, warmStart []int) ([]float6
 		}
 		// Reduce the load on the worst node to just below the stability edge
 		// by scaling down every file's probability on that node.
-		target := p.Nodes[worst].Mu * (1 - 2*e.eps)
+		target := p.Nodes[worst].Mu * (1 - 2*stabilityMargin)
 		excess := e.loads[worst] - target
 		if excess <= 0 {
 			continue
@@ -380,7 +380,7 @@ func rebalance(p *Problem, l layout, e *evaluator, x []float64) {
 				worst, worstRho = j, rho
 			}
 		}
-		if worst < 0 || worstRho < 1-e.eps {
+		if worst < 0 || worstRho < 1-stabilityMargin {
 			return
 		}
 		needed := e.loads[worst] - p.Nodes[worst].Mu*(1-margin)

@@ -15,7 +15,6 @@ type evaluator struct {
 	l      layout
 	lambda []float64 // per-file arrival rates
 	hatL   float64   // total arrival rate
-	eps    float64   // stability margin
 
 	// scratch buffers reused across evaluations
 	loads   []float64 // Lambda_j
@@ -33,7 +32,6 @@ func newEvaluator(p *Problem, l layout) *evaluator {
 		l:      l,
 		lambda: make([]float64, len(p.Files)),
 		hatL:   p.totalLambda(),
-		eps:    p.stabilityMargin(),
 	}
 	for i, f := range p.Files {
 		e.lambda[i] = f.Lambda
@@ -67,7 +65,7 @@ func (e *evaluator) nodeLoads(x []float64) bool {
 	stable := true
 	for j, s := range e.p.Nodes {
 		rho := e.loads[j] / s.Mu
-		if rho >= 1-e.eps {
+		if rho >= 1-stabilityMargin {
 			stable = false
 		}
 	}

@@ -29,11 +29,11 @@ type Problem struct {
 	Nodes         []queue.NodeStats
 	Files         []FileSpec
 	CacheCapacity int // capacity in chunks
-
-	// StabilityMargin epsilon treats any node with rho >= 1-epsilon as
-	// infeasible. Zero selects a small default.
-	StabilityMargin float64
 }
+
+// stabilityMargin is the epsilon that treats any node with rho >= 1-epsilon
+// as infeasible.
+const stabilityMargin = 1e-3
 
 // Validation errors.
 var (
@@ -77,13 +77,6 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (p *Problem) stabilityMargin() float64 {
-	if p.StabilityMargin <= 0 || p.StabilityMargin >= 1 {
-		return 1e-3
-	}
-	return p.StabilityMargin
 }
 
 // totalLambda returns the aggregate file request rate.

@@ -50,11 +50,6 @@ func (c Config) withDefaults() Config {
 // stops being retried until its survivor count changes.
 const maxAttempts = 3
 
-// retryBackoff is the jittered exponential delay applied before a failed
-// repair is re-enqueued, so a struggling pool is not hammered with immediate
-// replays: the resilience defaults (2ms base, 250ms cap, doubling).
-var retryBackoff resilience.Backoff
-
 // Stats is a snapshot of the repair plane's progress counters.
 type Stats struct {
 	// Scans counts degradation scans; Enqueued counts chunk repairs accepted
@@ -338,7 +333,9 @@ func (m *Manager) scheduleRetry(it *item) {
 	}
 	m.attemptMu.Unlock()
 	m.retries.Add(1)
-	delay := retryBackoff.Delay(it.attempts, rand.Float64())
+	// A failed repair waits the client's retry backoff before it is
+	// re-enqueued, so a struggling pool is not hammered with replays.
+	delay := resilience.BackoffDelay(it.attempts, rand.Float64())
 	m.inFlight.Add(1)
 	m.wg.Add(1)
 	go func() {

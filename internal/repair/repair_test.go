@@ -36,7 +36,7 @@ func repairTestPool(t *testing.T, objects int) (*objstore.Cluster, *objstore.Poo
 		payload := make([]byte, 8<<10)
 		rng.Read(payload)
 		name := fmt.Sprintf("obj-%03d", i)
-		if err := pool.Put(ctx, name, payload); err != nil {
+		if _, err := pool.PutV(ctx, name, payload); err != nil {
 			t.Fatal(err)
 		}
 		payloads[name] = payload

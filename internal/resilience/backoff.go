@@ -2,60 +2,27 @@ package resilience
 
 import "time"
 
-// Backoff computes jittered exponential retry delays. It holds no state:
-// Delay is a pure function of the attempt number and a caller-supplied
-// uniform random variate, matching the repo's idiom of keeping randomness
-// in the caller (scheduler.PickFrom, the controller's rngPool) so tests
-// stay deterministic.
-type Backoff struct {
-	// Base is the delay before the first retry. Default 2ms.
-	Base time.Duration
-	// Max caps the grown delay. Default 250ms.
-	Max time.Duration
-	// Multiplier grows the delay per attempt. Default 2.
-	Multiplier float64
-	// Jitter in [0,1] is the fraction of the delay that is randomised:
-	// the returned delay lies in [d·(1−Jitter), d]. Default 0.5.
-	Jitter float64
-}
+// The retry backoff the transport client and the repair plane share: the
+// first retry waits up to backoffBase, each later one backoffGrowth times
+// longer up to backoffMax, and backoffJitter of every delay is randomised.
+const (
+	backoffBase   = 2 * time.Millisecond
+	backoffMax    = 250 * time.Millisecond
+	backoffGrowth = 2
+	backoffJitter = 0.5
+)
 
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 2 * time.Millisecond
+// BackoffDelay returns the jittered exponential sleep before retry number
+// attempt (0 = first retry), using u ∈ [0,1) as the jitter variate. It is a
+// pure function: randomness stays in the caller (scheduler.PickFrom, the
+// controller's rngPool), so tests stay deterministic.
+func BackoffDelay(attempt int, u float64) time.Duration {
+	d := float64(backoffBase)
+	for i := 0; i < attempt && d < float64(backoffMax); i++ {
+		d *= backoffGrowth
 	}
-	if b.Max <= 0 {
-		b.Max = 250 * time.Millisecond
-	}
-	if b.Multiplier < 1 {
-		b.Multiplier = 2
-	}
-	if b.Jitter < 0 || b.Jitter > 1 {
-		b.Jitter = 0.5
-	}
-	return b
-}
-
-// Delay returns the sleep before retry number attempt (0 = first retry),
-// using u ∈ [0,1) as the jitter variate.
-func (b Backoff) Delay(attempt int, u float64) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Base)
-	for i := 0; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	if u < 0 {
-		u = 0
-	} else if u >= 1 {
-		u = 1
-	}
-	// Spread over [d·(1−Jitter), d] so concurrent retries decorrelate.
-	d = d * (1 - b.Jitter*(1-u))
-	return time.Duration(d)
+	d = min(d, float64(backoffMax))
+	u = min(max(u, 0), 1)
+	// Spread over [d·(1−jitter), d] so concurrent retries decorrelate.
+	return time.Duration(d * (1 - backoffJitter*(1-u)))
 }

@@ -225,34 +225,6 @@ func (s *BreakerSet) Observe(target int, err error, latency time.Duration) {
 	}
 }
 
-// State returns the target's current breaker position (Closed for targets
-// never observed).
-func (s *BreakerSet) State(target int) BreakerState {
-	if s == nil {
-		return BreakerClosed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.m[target]; b != nil {
-		return b.state
-	}
-	return BreakerClosed
-}
-
-// Snapshot returns the state of every breaker that has been touched.
-func (s *BreakerSet) Snapshot() map[int]BreakerState {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]BreakerState, len(s.m))
-	for t, b := range s.m {
-		out[t] = b.state
-	}
-	return out
-}
-
 // Stats returns the cumulative transition counters.
 func (s *BreakerSet) Stats() BreakerStats {
 	if s == nil {

@@ -221,9 +221,6 @@ func TestBreakerNilReceiver(t *testing.T) {
 	if got := s.State(1); got != BreakerClosed {
 		t.Fatalf("nil BreakerSet state = %v, want closed", got)
 	}
-	if s.Snapshot() != nil {
-		t.Fatal("nil BreakerSet snapshot should be nil")
-	}
 	if st := s.Stats(); st != (BreakerStats{}) {
 		t.Fatalf("nil BreakerSet stats = %+v, want zero", st)
 	}
@@ -248,7 +245,9 @@ func TestBreakerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s.Snapshot()
+	for target := 0; target < 5; target++ {
+		s.State(target)
+	}
 	s.Stats()
 }
 
@@ -298,43 +297,43 @@ func TestRetryBudgetNil(t *testing.T) {
 }
 
 func TestBackoffDelay(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
-	// u=1 gives the full (unjittered) delay.
-	for i, want := range []time.Duration{10, 20, 40, 80, 80, 80} {
-		if got := b.Delay(i, 1); got != want*time.Millisecond {
-			t.Fatalf("Delay(%d, 1) = %v, want %v", i, got, want*time.Millisecond)
+	// u=1 gives the full (unjittered) delay: 2ms doubling to the 250ms cap.
+	for i, want := range []time.Duration{2, 4, 8, 16, 32, 64, 128, 250, 250} {
+		if got := BackoffDelay(i, 1); got != want*time.Millisecond {
+			t.Fatalf("BackoffDelay(%d, 1) = %v, want %v", i, got, want*time.Millisecond)
 		}
 	}
-	// u=0 gives the floor of the jitter window.
-	if got := b.Delay(0, 0); got != 5*time.Millisecond {
-		t.Fatalf("Delay(0, 0) = %v, want 5ms", got)
+	// u=0 gives the floor of the 50% jitter window.
+	if got := BackoffDelay(0, 0); got != time.Millisecond {
+		t.Fatalf("BackoffDelay(0, 0) = %v, want 1ms", got)
 	}
 	// Mid-window values stay inside [d/2, d].
 	for i := 0; i < 4; i++ {
 		for _, u := range []float64{0.1, 0.37, 0.99} {
-			d := b.Delay(i, u)
-			hi := b.Delay(i, 1)
+			d := BackoffDelay(i, u)
+			hi := BackoffDelay(i, 1)
 			if d < hi/2 || d > hi {
-				t.Fatalf("Delay(%d, %v) = %v outside [%v, %v]", i, u, d, hi/2, hi)
+				t.Fatalf("BackoffDelay(%d, %v) = %v outside [%v, %v]", i, u, d, hi/2, hi)
 			}
 		}
 	}
 	// Out-of-range variates clamp instead of exploding.
-	if d := b.Delay(0, -3); d != b.Delay(0, 0) {
-		t.Fatalf("Delay(0, -3) = %v, want clamp to u=0", d)
+	if d := BackoffDelay(0, -3); d != BackoffDelay(0, 0) {
+		t.Fatalf("BackoffDelay(0, -3) = %v, want clamp to u=0", d)
 	}
-	if d := b.Delay(0, 7); d != b.Delay(0, 1) {
-		t.Fatalf("Delay(0, 7) = %v, want clamp to u=1", d)
+	if d := BackoffDelay(0, 7); d != BackoffDelay(0, 1) {
+		t.Fatalf("BackoffDelay(0, 7) = %v, want clamp to u=1", d)
 	}
 }
 
+// TestBackoffDefaults pins the constants the client and repair share: a 2ms
+// first retry and a 250ms cap.
 func TestBackoffDefaults(t *testing.T) {
-	var b Backoff
-	if d := b.Delay(0, 1); d != 2*time.Millisecond {
-		t.Fatalf("default Delay(0, 1) = %v, want 2ms", d)
+	if d := BackoffDelay(0, 1); d != 2*time.Millisecond {
+		t.Fatalf("BackoffDelay(0, 1) = %v, want 2ms", d)
 	}
-	if d := b.Delay(20, 1); d != 250*time.Millisecond {
-		t.Fatalf("default Delay(20, 1) = %v, want capped at 250ms", d)
+	if d := BackoffDelay(20, 1); d != 250*time.Millisecond {
+		t.Fatalf("BackoffDelay(20, 1) = %v, want capped at 250ms", d)
 	}
 }
 

@@ -73,8 +73,5 @@ func ServeShard(ctrl *core.Controller, fetcher core.ChunkFetcher, writer core.Ob
 // Addr returns the endpoint's bound address.
 func (e *PeerEndpoint) Addr() string { return e.addr }
 
-// Stats returns the endpoint's transport counters.
-func (e *PeerEndpoint) Stats() transport.TransportStats { return e.srv.Stats() }
-
 // Close stops serving. The shard controller belongs to the caller.
 func (e *PeerEndpoint) Close() error { return e.srv.Close() }

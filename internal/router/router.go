@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -504,26 +503,6 @@ func (r *Router) PrefetchCache(ctx context.Context, fetcher core.ChunkFetcher) e
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// AggregateStats sums the controller counters of every in-process shard —
-// the single-controller Stats() view of the whole plane. Remote shards
-// export their own counters in their own process.
-func (r *Router) AggregateStats() core.Stats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var total core.Stats
-	tv := reflect.ValueOf(&total).Elem()
-	for _, h := range r.shards {
-		if h.ctrl == nil {
-			continue
-		}
-		sv := reflect.ValueOf(h.ctrl.Stats())
-		for i := 0; i < sv.NumField(); i++ {
-			tv.Field(i).SetInt(tv.Field(i).Int() + sv.Field(i).Int())
-		}
-	}
-	return total
 }
 
 // AggregateReadLatencyBuckets folds every in-process shard's read-latency

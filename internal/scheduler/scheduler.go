@@ -199,18 +199,6 @@ func (p *Picker) Excluding(alive func(node int) bool) *Picker {
 	return &Picker{probs: scaled, nodes: nodes, cum: cum, setSize: setSize}
 }
 
-// Marginals returns the effective inclusion probability of every node index
-// up to the given length, for verification and testing.
-func (p *Picker) Marginals(numNodes int) []float64 {
-	m := make([]float64, numNodes)
-	for i, node := range p.nodes {
-		if node < numNodes {
-			m[node] = p.probs[i]
-		}
-	}
-	return m
-}
-
 // Assignment is a full scheduling policy: one probability vector per file.
 type Assignment struct {
 	pickers []*Picker
@@ -236,12 +224,6 @@ func (a *Assignment) Pick(file int, rng *rand.Rand) []int {
 	return a.pickers[file].Pick(rng)
 }
 
-// PickFrom selects the storage nodes for one request of the given file from
-// a caller-supplied uniform draw; see Picker.PickFrom.
-func (a *Assignment) PickFrom(file int, u float64) []int {
-	return a.pickers[file].PickFrom(u)
-}
-
 // AppendPickFrom selects the storage nodes for one request of the given
 // file, appending onto dst; see Picker.AppendPickFrom.
 func (a *Assignment) AppendPickFrom(dst []int, file int, u float64) []int {
@@ -259,9 +241,6 @@ func (a *Assignment) Excluding(alive func(node int) bool) *Assignment {
 	}
 	return &Assignment{pickers: pickers}
 }
-
-// NumFiles returns the number of files covered by the assignment.
-func (a *Assignment) NumFiles() int { return len(a.pickers) }
 
 // ExpectedWork is the ranking key of queue-aware chunk scheduling: the
 // expected completion time of one more chunk request sent to a node that

@@ -152,8 +152,8 @@ func TestAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumFiles() != 3 {
-		t.Fatalf("NumFiles = %d", a.NumFiles())
+	if len(a.pickers) != 3 {
+		t.Fatalf("pickers = %d", len(a.pickers))
 	}
 	if a.pickers[0].setSize != 2 || a.pickers[1].setSize != 1 || a.pickers[2].setSize != 0 {
 		t.Fatal("chunks fetched from storage wrong")
@@ -281,7 +281,7 @@ func TestAssignmentExcludingSharesHealthyPickers(t *testing.T) {
 	if ex.pickers[0] == a.pickers[0] {
 		t.Fatal("affected picker was not rebuilt")
 	}
-	if got := ex.PickFrom(0, 0.5); len(got) != 1 || got[0] != 1 {
+	if got := ex.AppendPickFrom(nil, 0, 0.5); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("file 0 pick = %v, want [1]", got)
 	}
 }

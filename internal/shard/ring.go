@@ -111,13 +111,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Len returns the number of members.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ids)
-}
-
 // Version returns the membership version: it increments on every Add or
 // Remove, letting peers detect that their cached view of the ring is stale.
 func (r *Ring) Version() uint64 {

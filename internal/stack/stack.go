@@ -46,9 +46,6 @@ type Spec struct {
 	Seed int64
 	// Objects objects of Size bytes are ingested as files 0..Objects-1.
 	Objects, Size int
-	// Lambdas are the files' arrival rates the controllers plan for; nil
-	// means a Zipf(1.1) split of 50 requests/s.
-	Lambdas []float64
 
 	// Listen, when set, serves the cluster over a transport server bound
 	// to this address and configured by Server.
@@ -64,6 +61,9 @@ type Spec struct {
 type Stack struct {
 	Cluster *objstore.Cluster
 	Pool    *objstore.Pool
+	// Lambdas are the files' arrival rates the controllers plan for: a
+	// Zipf(1.1) split of 50 requests/s, which callers may overwrite
+	// before they build controllers.
 	Lambdas []float64
 	// Local reads and writes the pool in process.
 	Local PoolIO
@@ -88,10 +88,7 @@ func New(ctx context.Context, spec Spec) (_ *Stack, err error) {
 	if len(spec.Tenants) > 0 && spec.Listen == "" {
 		return nil, errors.New("stack: tenants need a listen address")
 	}
-	s := &Stack{spec: spec, Lambdas: spec.Lambdas, Remote: map[string]*transport.RemoteFetcher{}}
-	if s.Lambdas == nil {
-		s.Lambdas = workload.Zipf(spec.Objects, 1.1, 50)
-	}
+	s := &Stack{spec: spec, Lambdas: workload.Zipf(spec.Objects, 1.1, 50), Remote: map[string]*transport.RemoteFetcher{}}
 	defer func() {
 		if err != nil {
 			s.Close()

@@ -18,7 +18,6 @@ import (
 	"sprout/internal/core"
 	"sprout/internal/optimizer"
 	"sprout/internal/racedetect"
-	"sprout/internal/resilience"
 )
 
 // fetchOutcome is what one sink of a test batch received.
@@ -489,17 +488,17 @@ func TestAsyncFetchRetriesUnderBudget(t *testing.T) {
 				}(i)
 			}
 		}()
-		budget := resilience.NewRetryBudget(100, 1)
-		if sc.drained {
-			for budget.Withdraw() {
-			}
-		}
-		client, err := DialConfig(ln.Addr().String(), ClientConfig{Conns: 1, Retries: 2,
-			Backoff: resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}, RetryBudget: budget})
+		// Only the drained scenario keeps the client's budget, emptied
+		// before the first fetch; the others must never see a retry denied.
+		client, err := DialConfig(ln.Addr().String(), ClientConfig{Conns: 1, Retries: 2, NoRetryBudget: !sc.drained})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer client.Close()
+		if budget := client.RetryBudget(); sc.drained {
+			for budget.Withdraw() {
+			}
+		}
 		errs := fetch(&RemoteFetcher{Client: client, Pool: "ec"})
 		return outcome{errs: errs, stats: client.Stats()}
 	}
@@ -666,7 +665,7 @@ func TestClientCloseWaitsForGoroutines(t *testing.T) {
 	ctx := context.Background()
 	for round := 0; round < 5; round++ {
 		before := clientGoroutines()
-		client, err := DialConfig(addr, ClientConfig{Conns: 2, Backoff: resilience.Backoff{Base: time.Millisecond}})
+		client, err := DialConfig(addr, ClientConfig{Conns: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -731,7 +730,7 @@ func TestHedgeLoserCountsUntilResponse(t *testing.T) {
 	}
 	ctx := context.Background()
 	payload := patterned(3000, 5)
-	if err := pool.Put(ctx, "file-0000", payload); err != nil {
+	if _, err := pool.PutV(ctx, "file-0000", payload); err != nil {
 		t.Fatal(err)
 	}
 	view, err := pool.ClusterView([]float64{0.1})

@@ -33,7 +33,7 @@ func benchCluster(b *testing.B, chunkSize int) *objstore.Cluster {
 	}
 	payload := make([]byte, 3*chunkSize)
 	rand.New(rand.NewSource(2)).Read(payload)
-	if err := pool.Put(context.Background(), "obj", payload); err != nil {
+	if _, err := pool.PutV(context.Background(), "obj", payload); err != nil {
 		b.Fatal(err)
 	}
 	return cluster
@@ -218,7 +218,7 @@ func BenchmarkTransportRemoteRead(b *testing.B) {
 	lambdas := make([]float64, objects)
 	for i := range lambdas {
 		lambdas[i] = 1
-		if err := pool.Put(ctx, fmt.Sprintf("file-%04d", i), payload); err != nil {
+		if _, err := pool.PutV(ctx, fmt.Sprintf("file-%04d", i), payload); err != nil {
 			b.Fatal(err)
 		}
 	}

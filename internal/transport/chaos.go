@@ -99,15 +99,6 @@ func (c *Chaos) Reset() {
 	c.mu.Unlock()
 }
 
-// SetHangNewConns makes the server accept new connections and then never
-// service them (accept-then-hang), until unset. Existing connections are
-// unaffected.
-func (c *Chaos) SetHangNewConns(v bool) {
-	c.mu.Lock()
-	c.hangNewConns = v
-	c.mu.Unlock()
-}
-
 // Rule returns the active rule for an OSD, if any.
 func (c *Chaos) Rule(osd int) (ChaosRule, bool) {
 	if c == nil {

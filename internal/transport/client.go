@@ -61,24 +61,19 @@ type ClientConfig struct {
 	// Replay is safe for every operation: the reads, CommitObject, AbortPut
 	// and Invalidate are idempotent, a replayed PutChunk stages the same
 	// bytes again, and a replayed BeginPut or CtrlWrite at worst leaves an
-	// unused or superseded stripe version behind. Each
-	// retry waits a jittered exponential backoff and must be granted by the
-	// retry budget, so retries cannot amplify load into a struggling
-	// server. Default: 2. Set to -1 to disable retries entirely.
+	// unused or superseded stripe version behind. Each retry waits
+	// resilience.BackoffDelay (2ms doubling to 250ms, 50% jitter) and must
+	// be granted by the retry budget, so retries cannot amplify load into a
+	// struggling server. Default: 2. Set to -1 to disable retries entirely.
 	Retries int
 	// MaxFrameSize bounds accepted response frames. Default:
 	// DefaultMaxFrameSize.
 	MaxFrameSize int
-	// Backoff shapes the delay before each retry. The zero value uses the
-	// resilience defaults (2ms base, ×2 growth, 250ms cap, 50% jitter).
-	Backoff resilience.Backoff
-	// RetryBudget, when set, governs this client's retries; several clients
-	// may share one budget. When nil the client creates its own default
-	// budget (10 tokens, 0.1 replenish ratio — steady-state retry
-	// amplification ≤ 1.1×). Set NoRetryBudget to run without one.
-	RetryBudget *resilience.RetryBudget
-	// NoRetryBudget disables the retry budget (every retry is granted) —
-	// the "resilience off" arm of A/B experiments.
+	// NoRetryBudget disables the client's retry budget (every retry is
+	// granted) — the "resilience off" arm of A/B experiments. By default
+	// the client owns a budget of 10 tokens replenished 0.1 per success,
+	// so steady-state retry amplification stays ≤ 1.1×; Client.RetryBudget
+	// exposes it.
 	NoRetryBudget bool
 	// Tenant names the workload class this client's requests belong to.
 	// It is stamped into every request frame, so the server's weighted-fair
@@ -147,8 +142,8 @@ type connSlot struct {
 // NewClient creates a client for addr. Connections are dialed lazily.
 func NewClient(addr string, cfg ClientConfig) *Client {
 	cfg = cfg.withDefaults()
-	budget := cfg.RetryBudget
-	if budget == nil && !cfg.NoRetryBudget {
+	var budget *resilience.RetryBudget
+	if !cfg.NoRetryBudget {
 		budget = resilience.NewRetryBudget(0, 0)
 	}
 	c := &Client{addr: addr, cfg: cfg, budget: budget, slots: make([]connSlot, cfg.Conns)}
@@ -303,7 +298,7 @@ func (c *Client) attempts(ctx context.Context, req Request, slot, first int, las
 				break
 			}
 			c.counters.retries.Add(1)
-			if err := resilience.Sleep(ctx, c.cfg.Backoff.Delay(attempt-1, rand.Float64())); err != nil {
+			if err := resilience.Sleep(ctx, resilience.BackoffDelay(attempt-1, rand.Float64())); err != nil {
 				return Response{}, fmt.Errorf("transport: context done during retry backoff: %w", err)
 			}
 			slot = (slot + 1) % c.cfg.Conns

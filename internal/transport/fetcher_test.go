@@ -44,7 +44,7 @@ func TestControllerReadsOverNetwork(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = make([]byte, fileSize)
 		rng.Read(payloads[i])
-		if err := pool.Put(context.Background(), cluster.ObjectName(i), payloads[i]); err != nil {
+		if _, err := pool.PutV(context.Background(), cluster.ObjectName(i), payloads[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,18 +47,17 @@ func TestDeadlineWireRoundTrip(t *testing.T) {
 }
 
 // TestOverloadRetryUnderBudget drives a tiny server far past its in-flight
-// limit: with budgeted backoff retries enabled, every request eventually
-// lands — the overload rejections are absorbed by replays instead of
-// surfacing to callers.
+// limit: with backoff retries the budget never denies, every request
+// eventually lands — the overload rejections are absorbed by replays
+// instead of surfacing to callers.
 func TestOverloadRetryUnderBudget(t *testing.T) {
 	cluster := testClusterWithService(t, 0.005)
 	srv, client := startServerWithConfig(t, cluster,
 		ServerConfig{Workers: 1, MaxInFlight: 1},
 		ClientConfig{
-			Conns:       1,
-			Retries:     20,
-			Backoff:     resilience.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-			RetryBudget: resilience.NewRetryBudget(1000, 1),
+			Conns:         1,
+			Retries:       20,
+			NoRetryBudget: true,
 		})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -98,15 +97,10 @@ func TestOverloadRetryUnderBudget(t *testing.T) {
 // overload error must surface to callers.
 func TestRetryBudgetStopsRetryStorm(t *testing.T) {
 	cluster := testClusterWithService(t, 0.05)
-	budget := resilience.NewRetryBudget(4, 0.01)
 	_, client := startServerWithConfig(t, cluster,
 		ServerConfig{Workers: 1, MaxInFlight: 1},
-		ClientConfig{
-			Conns:       1,
-			Retries:     10,
-			Backoff:     resilience.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
-			RetryBudget: budget,
-		})
+		ClientConfig{Conns: 1, Retries: 10})
+	budget := client.RetryBudget()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	seed(t, cluster, "hot", make([]byte, 3000))
@@ -220,7 +214,7 @@ func waitForCounter(t *testing.T, read func() int64) int64 {
 func TestBrokenConnRetrySucceeds(t *testing.T) {
 	cluster := testClusterWithService(t, 0.0001)
 	_, client := startServerWithConfig(t, cluster, ServerConfig{},
-		ClientConfig{Conns: 2, Backoff: resilience.Backoff{Base: time.Millisecond}})
+		ClientConfig{Conns: 2})
 	ctx := context.Background()
 	seed(t, cluster, "obj", make([]byte, 3000))
 	// Break every pooled connection out from under the client.

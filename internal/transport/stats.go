@@ -49,26 +49,6 @@ type TransportStats struct {
 	ConnsOpened int64
 }
 
-// Add returns the element-wise sum of two snapshots.
-func (s TransportStats) Add(o TransportStats) TransportStats {
-	return TransportStats{
-		FramesSent:         s.FramesSent + o.FramesSent,
-		FramesReceived:     s.FramesReceived + o.FramesReceived,
-		BytesSent:          s.BytesSent + o.BytesSent,
-		BytesReceived:      s.BytesReceived + o.BytesReceived,
-		Requests:           s.Requests + o.Requests,
-		Retries:            s.Retries + o.Retries,
-		BytesByReference:   s.BytesByReference + o.BytesByReference,
-		FetchBatches:       s.FetchBatches + o.FetchBatches,
-		AsyncFallbacks:     s.AsyncFallbacks + o.AsyncFallbacks,
-		OverloadRejections: s.OverloadRejections + o.OverloadRejections,
-		DeadlineRejections: s.DeadlineRejections + o.DeadlineRejections,
-		RetriesDenied:      s.RetriesDenied + o.RetriesDenied,
-		DecodeErrors:       s.DecodeErrors + o.DecodeErrors,
-		ConnsOpened:        s.ConnsOpened + o.ConnsOpened,
-	}
-}
-
 // transportCounters holds the live atomics behind a TransportStats snapshot.
 type transportCounters struct {
 	framesSent         atomic.Int64

@@ -64,7 +64,7 @@ func seed(t *testing.T, cluster *objstore.Cluster, object string, payload []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Put(context.Background(), object, payload); err != nil {
+	if _, err := pool.PutV(context.Background(), object, payload); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sprout/internal/racedetect"
-	"sprout/internal/resilience"
 )
 
 func filled(n int, b byte) []byte {
@@ -163,7 +162,7 @@ func TestVectoredPartialWritev(t *testing.T) {
 		}
 		want := map[string][][]byte{}
 		for object, chunk := range map[string]int{"big": big, "small": small} {
-			if err := pool.Put(ctx, object, patterned(pool.K*chunk, byte(chunk))); err != nil {
+			if _, err := pool.PutV(ctx, object, patterned(pool.K*chunk, byte(chunk))); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < pool.N; i++ {
@@ -311,7 +310,7 @@ func TestVectoredRetryResendsSameBytes(t *testing.T) {
 						}
 					}
 				})
-				client := NewClient(addr, ClientConfig{Conns: 1, Retries: 2, Backoff: resilience.Backoff{Base: time.Millisecond}})
+				client := NewClient(addr, ClientConfig{Conns: 1, Retries: 2})
 				defer client.Close()
 				data := patterned(size, 0x5a)
 				want := bytes.Clone(data)
@@ -527,7 +526,7 @@ func TestRemoteFetcherDefaultNamesAllocateNothing(t *testing.T) {
 	}
 	ctx := context.Background()
 	// An ID past 255: smaller ints are boxed without allocating.
-	if err := pool.Put(ctx, "file-1007", patterned(3000, 9)); err != nil {
+	if _, err := pool.PutV(ctx, "file-1007", patterned(3000, 9)); err != nil {
 		t.Fatal(err)
 	}
 	perFetch := func(fetch func() error) float64 {

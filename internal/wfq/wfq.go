@@ -220,17 +220,6 @@ func (s *Sched[T]) pop() T {
 	}
 }
 
-// Len returns the number of queued items across all tenants.
-func (s *Sched[T]) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int
-	for _, q := range s.order {
-		n += q.n
-	}
-	return n
-}
-
 // Close marks the scheduler closed and wakes every parked consumer; they
 // drain the remaining items and then see ok == false. The caller must have
 // stopped all producers first.
@@ -248,18 +237,6 @@ func (s *Sched[T]) Stats() ring.Stats {
 		out.Pushes += q.st.Pushes
 		out.Pops += q.st.Pops
 		out.Rejects += q.st.Rejects
-	}
-	return out
-}
-
-// TenantStats returns the per-tenant queue telemetry, keyed by tenant
-// name. Parks are not per tenant and read 0 here.
-func (s *Sched[T]) TenantStats() map[string]ring.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]ring.Stats, len(s.order))
-	for _, q := range s.order {
-		out[q.name] = q.st
 	}
 	return out
 }

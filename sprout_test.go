@@ -139,7 +139,7 @@ func TestSelfHealingFacade(t *testing.T) {
 	}
 	payload := bytes.Repeat([]byte{9}, 8<<10)
 	for i := 0; i < 6; i++ {
-		if err := pool.Put(ctx, fmt.Sprintf("obj-%d", i), payload); err != nil {
+		if _, err := pool.PutV(ctx, fmt.Sprintf("obj-%d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
