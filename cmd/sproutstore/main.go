@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,6 +42,7 @@ import (
 
 	"sprout/internal/core"
 	"sprout/internal/erasure"
+	"sprout/internal/metrics"
 	"sprout/internal/obs"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
@@ -180,30 +182,41 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return errors.New("load mode needs -target host:port")
 		}
 		return runLoad(ctx, o, out)
-	case "serve":
-		s, err := startServe(ctx, o, out)
+	case "serve", "ctrl":
+	default:
+		return fmt.Errorf("unknown mode %q", o.mode)
+	}
+	// The metrics address is bound before any ingest, so a taken port ends
+	// the run at once; the planes register into reg as they come up.
+	reg := metrics.NewRegistry()
+	if o.metricsAddr != "" {
+		stop, err := serveMetrics(o.metricsAddr, reg, out)
+		if err != nil {
+			return err
+		}
+		defer stop()
+	}
+	if o.mode == "serve" {
+		s, err := startServe(ctx, o, out, reg)
 		if err != nil {
 			return err
 		}
 		<-ctx.Done()
 		s.Close(out)
 		return nil
-	case "ctrl":
-		fmt.Fprintf(out, "sproutstore: writing %d objects of %d bytes into %s...\n", o.objects, o.objSize, stack.Pool)
-		st, err := newStack(ctx, o, o.objects, "")
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		p, err := newPlane(ctx, st, o, nil)
-		if err != nil {
-			return err
-		}
-		defer p.Close()
-		return p.serveReaders(ctx, o, out)
-	default:
-		return fmt.Errorf("unknown mode %q", o.mode)
 	}
+	fmt.Fprintf(out, "sproutstore: writing %d objects of %d bytes into %s...\n", o.objects, o.objSize, stack.Pool)
+	st, err := newStack(ctx, o, o.objects, "")
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	p, err := newPlane(ctx, st, o, nil)
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	return p.serveReaders(ctx, o, out, reg)
 }
 
 // newStack builds the emulated store: o.osds OSDs holding the (7,4) pool
@@ -237,8 +250,9 @@ type storeServer struct {
 }
 
 // startServe serves the store on -addr, empty unless -controllers > 1 asks
-// for a controller plane, whose objects it ingests.
-func startServe(ctx context.Context, o *options, out io.Writer) (_ *storeServer, err error) {
+// for a controller plane, whose objects it ingests, and registers what it
+// runs into reg.
+func startServe(ctx context.Context, o *options, out io.Writer, reg *metrics.Registry) (_ *storeServer, err error) {
 	objects := 0
 	if o.controllers > 1 {
 		objects = o.objects
@@ -246,19 +260,6 @@ func startServe(ctx context.Context, o *options, out io.Writer) (_ *storeServer,
 	s := &storeServer{chaos: o.chaos}
 	if s.st, err = newStack(ctx, o, objects, o.addr); err != nil {
 		return nil, err
-	}
-	if o.metricsAddr != "" {
-		src := obs.Sources{
-			TransportServer: s.st.Server.Stats,
-			OSDHealth:       s.st.Cluster.Health,
-			Runtime:         true,
-			Pools:           []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
-			Rings:           []obs.RingSource{{Name: "transport_work", Stats: s.st.Server.WorkQueueStats}},
-		}
-		if o.chaos != nil {
-			src.Chaos = o.chaos.Stats
-		}
-		serveMetrics(o.metricsAddr, src, out)
 	}
 	fmt.Fprintf(out, "sproutstore: serving object store on %s (pool: %s)\n", s.st.Addr, stack.Pool)
 	if o.chaos != nil {
@@ -279,6 +280,20 @@ func startServe(ctx context.Context, o *options, out io.Writer) (_ *storeServer,
 				shardID(i), ep.Addr(), s.plane.perShard, o.serve.HedgeDelay, o.serve.HedgeExtra)
 		}
 	}
+	src := obs.Sources{
+		TransportServer: s.st.Server.Stats,
+		OSDHealth:       s.st.Cluster.Health,
+		Runtime:         true,
+		Pools:           []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
+		Rings:           []obs.RingSource{{Name: "transport_work", Stats: s.st.Server.WorkQueueStats}},
+	}
+	if o.chaos != nil {
+		src.Chaos = o.chaos.Stats
+	}
+	if s.plane != nil {
+		s.plane.addMetrics(&src)
+	}
+	obs.Register(reg, src)
 	return s, nil
 }
 
@@ -466,6 +481,17 @@ func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transp
 	return p, nil
 }
 
+// addMetrics adds the plane to src: every shard controller with its fill
+// queue, the router, and the controllers' scratch pools.
+func (p *plane) addMetrics(src *obs.Sources) {
+	src.Router = p.router
+	src.Pools = append(src.Pools, core.FillArena(), core.ReadScratchPool())
+	for i, ctrl := range p.ctrls {
+		src.Controllers = append(src.Controllers, obs.ShardSource{Shard: shardID(i), Controller: ctrl})
+		src.Rings = append(src.Rings, obs.RingSource{Name: "controller_fill_" + shardID(i), Stats: ctrl.FillQueueStats})
+	}
+}
+
 // Close stops the endpoints, the router and the scheduler.
 func (p *plane) Close() {
 	for _, ep := range p.endpoints {
@@ -480,8 +506,9 @@ func (p *plane) Close() {
 // calibrated service times, background cache fills, the auto-replanner
 // re-planning from measured rates, and — with -fail/-recover — OSD failures
 // injected under live load with the repair plane reconstructing lost chunks
-// concurrently. It ends with the report.
-func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) error {
+// concurrently. It registers the plane and the repair manager into reg and
+// ends with the report.
+func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer, reg *metrics.Registry) error {
 	mgr := repair.NewManager(p.st.Pool, repair.Config{
 		Workers:      o.repairWorkers,
 		ScanInterval: o.repairScan,
@@ -491,28 +518,14 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 	mgr.Start()
 	defer mgr.Close()
 
-	if o.metricsAddr != "" {
-		src := obs.Sources{
-			Repair:    mgr.Stats,
-			OSDHealth: p.st.Cluster.Health,
-			Runtime:   true,
-			Pools: []obs.PoolSource{
-				core.FillArena(), core.ReadScratchPool(), erasure.StripeScratchPool(),
-			},
-		}
-		if len(p.ctrls) == 1 {
-			// One shard is the unsharded deployment: its controller's own
-			// families, no router or per-shard series.
-			src.Controller = p.ctrls[0]
-			src.Rings = append(src.Rings, obs.RingSource{Name: "controller_fill", Stats: p.ctrls[0].FillQueueStats})
-		} else {
-			src.Router = p.router
-			for i, ctrl := range p.ctrls {
-				src.Shards = append(src.Shards, obs.ShardSource{Shard: shardID(i), Controller: ctrl})
-			}
-		}
-		serveMetrics(o.metricsAddr, src, out)
+	src := obs.Sources{
+		Repair:    mgr.Stats,
+		OSDHealth: p.st.Cluster.Health,
+		Runtime:   true,
+		Pools:     []obs.PoolSource{erasure.StripeScratchPool()},
 	}
+	p.addMetrics(&src)
+	obs.Register(reg, src)
 
 	fmt.Fprintf(out, "sproutstore: serving %d readers for %v across %d shards (cache %d chunks/shard, hedge %v +%d, replan every %v)\n",
 		o.clients, o.duration, len(p.ctrls), p.perShard,
@@ -581,24 +594,22 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 		ctrl.WaitFills()
 	}
 
-	lat := p.router.AggregateReadLatencyBuckets()
 	rs := p.router.Stats()
 	fmt.Fprintf(out, "served %d reads (%.0f/s)\n", reads.Load(), float64(reads.Load())/o.duration.Seconds())
-	for _, class := range []struct{ label, key string }{
-		{"cache-hit reads:", "cache_hit"}, {"storage reads:", "storage"}, {"degraded reads:", "degraded"},
-	} {
-		l := lat[class.key].Snapshot()
-		fmt.Fprintf(out, "  %-16s %6d  p50 %9v  p90 %9v  p99 %9v\n", class.label, l.Count, l.P50, l.P90, l.P99)
-	}
 	routed := map[string]int64{}
 	for _, sh := range rs.Shards {
 		routed[sh.ID] = sh.Reads
 	}
-	var stats core.Stats // the plane's totals of the counters printed below
+	// The plane's totals of the counters and latencies printed below.
+	var stats core.Stats
+	var lat [3]metrics.HistogramBuckets // cache hit, storage, degraded
 	for i, ctrl := range p.ctrls {
-		cs := ctrl.Stats()
+		cs, cl := ctrl.Stats(), ctrl.ReadLatency()
 		fmt.Fprintf(out, "  %s: %6d routed reads, %d/%d chunks cache/OSD, storage p99 %9v, %d auto-replans\n",
-			shardID(i), routed[shardID(i)], cs.ChunksFromCache, cs.ChunksFromDisk, ctrl.ReadLatency().Storage.P99, cs.AutoReplans)
+			shardID(i), routed[shardID(i)], cs.ChunksFromCache, cs.ChunksFromDisk, cl.Storage.Snapshot().P99, cs.AutoReplans)
+		for j, b := range []metrics.HistogramBuckets{cl.CacheHit, cl.Storage, cl.Degraded} {
+			lat[j] = lat[j].Add(b)
+		}
 		stats.ChunksFromCache += cs.ChunksFromCache
 		stats.ChunksFromDisk += cs.ChunksFromDisk
 		stats.LazyFills += cs.LazyFills
@@ -611,6 +622,10 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer) err
 		stats.AutoReplans += cs.AutoReplans
 		stats.ReplanErrors += cs.ReplanErrors
 		stats.MembershipChanges += cs.MembershipChanges
+	}
+	for j, label := range []string{"cache-hit reads:", "storage reads:", "degraded reads:"} {
+		l := lat[j].Snapshot()
+		fmt.Fprintf(out, "  %-16s %6d  p50 %9v  p90 %9v  p99 %9v\n", label, l.Count, l.P50, l.P90, l.P99)
 	}
 	fmt.Fprintf(out, "  chunks: %d from cache, %d from OSDs; %d background fills (%d dropped)\n",
 		stats.ChunksFromCache, stats.ChunksFromDisk, stats.LazyFills, stats.FillsDropped)
@@ -732,15 +747,26 @@ func runLoad(ctx context.Context, o *options, out io.Writer) error {
 	return nil
 }
 
-// serveMetrics exposes the bridged metric registry at addr/metrics for the
-// life of the process.
-func serveMetrics(addr string, src obs.Sources, out io.Writer) {
+// serveMetrics binds addr and serves reg at /metrics on it until stop is
+// called. It prints the bound address, so ":0" shows the port it got.
+func serveMetrics(addr string, reg *metrics.Registry, out io.Writer) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-metrics: %w", err)
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.NewRegistry(src).Handler())
+	mux.Handle("/metrics", reg.Handler())
+	srv := &http.Server{Handler: mux}
+	done := make(chan struct{})
 	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
+		defer close(done)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			logf("sproutstore: metrics server: %v", err)
 		}
 	}()
-	fmt.Fprintf(out, "sproutstore: metrics at http://%s/metrics\n", addr)
+	fmt.Fprintf(out, "sproutstore: metrics at http://%s/metrics\n", ln.Addr())
+	return func() {
+		_ = srv.Close()
+		<-done
+	}, nil
 }

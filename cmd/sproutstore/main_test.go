@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net"
+	"net/http"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -13,6 +16,7 @@ import (
 	"time"
 
 	"sprout/internal/cluster"
+	"sprout/internal/metrics"
 	"sprout/internal/router"
 	"sprout/internal/transport"
 )
@@ -151,7 +155,7 @@ func TestCtrlModeReplansEveryShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			if err := p.serveReaders(context.Background(), o, &out); err != nil {
+			if err := p.serveReaders(context.Background(), o, &out, metrics.NewRegistry()); err != nil {
 				t.Fatal(err)
 			}
 			if want, _ := strconv.Atoi(controllers); len(p.ctrls) != want {
@@ -212,7 +216,7 @@ func TestServeModeShardEndpoints(t *testing.T) {
 	}
 	ctx := context.Background()
 	var out syncBuffer
-	s, err := startServe(ctx, o, &out)
+	s, err := startServe(ctx, o, &out, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,4 +284,92 @@ func TestServeModeShardEndpoints(t *testing.T) {
 	eventually(t, "no transport, router or core goroutine is left", func() bool {
 		return planeGoroutines() <= before
 	})
+}
+
+// TestMetricsBindFailureEndsRun: a -metrics address that cannot be bound ends
+// run with the bind error, before any object is ingested.
+func TestMetricsBindFailureEndsRun(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, mode := range []string{"ctrl", "serve"} {
+		args := append([]string{"-mode", mode, "-controllers", "2", "-duration", "100ms", "-metrics", held.Addr().String()}, smallArgs...)
+		var out syncBuffer
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "-metrics") {
+			t.Fatalf("%s: run = %v, want the -metrics bind error\n%s", mode, err, out.String())
+		}
+		if strings.Contains(out.String(), "writing") || strings.Contains(out.String(), "serving") {
+			t.Fatalf("%s: run went on after the bind failed:\n%s", mode, out.String())
+		}
+	}
+}
+
+// TestMetricsExportEveryShard runs both plane modes with two shard
+// controllers and -metrics 127.0.0.1:0: the printed address is the bound
+// one, a scrape parses strictly and shows the controller families for both
+// shards, and the endpoint is gone once run returns.
+func TestMetricsExportEveryShard(t *testing.T) {
+	for _, mode := range []string{"ctrl", "serve"} {
+		t.Run(mode, func(t *testing.T) {
+			args := append([]string{"-mode", mode, "-controllers", "2", "-duration", "1s", "-metrics", "127.0.0.1:0"}, smallArgs...)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var out syncBuffer
+			done := make(chan error, 1)
+			go func() { done <- run(ctx, args, &out) }()
+
+			addrRE := regexp.MustCompile(`metrics at http://(\S+)/metrics`)
+			eventually(t, "the metrics address is printed", func() bool { return addrRE.MatchString(out.String()) })
+			addr := addrRE.FindStringSubmatch(out.String())[1]
+			if strings.HasSuffix(addr, ":0") {
+				t.Fatalf("printed the requested address %s, not the bound one", addr)
+			}
+			// The planes register while the endpoint already serves, so a
+			// scrape may catch the registry half filled.
+			eventually(t, "both shards are exported", func() bool {
+				fams := scrapeMetrics(t, addr)
+				for _, name := range []string{"sprout_reads_total", "sprout_saturation_level", "sprout_read_chunks_total"} {
+					shards := map[string]bool{}
+					if fam := fams[name]; fam != nil {
+						for _, s := range fam.Samples {
+							shards[s.Labels["shard"]] = true
+						}
+					}
+					if !shards["shard-0"] || !shards["shard-1"] || len(shards) != 2 {
+						return false
+					}
+				}
+				return true
+			})
+
+			if mode == "serve" {
+				cancel()
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("run: %v\n%s", err, out.String())
+			}
+			if conn, err := net.Dial("tcp", addr); err == nil {
+				conn.Close()
+				t.Fatalf("metrics endpoint %s still accepts connections after run returned", addr)
+			}
+		})
+	}
+}
+
+// scrapeMetrics fetches addr/metrics and parses it strictly.
+func scrapeMetrics(t *testing.T, addr string) map[string]*metrics.ParsedFamily {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		t.Fatalf("strict parse of the scrape: %v", err)
+	}
+	return fams
 }

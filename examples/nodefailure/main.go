@@ -195,12 +195,11 @@ func run(ctx context.Context, out io.Writer) error {
 	// --- Wrap-up. ---------------------------------------------------------
 	stats := ctrl.Stats()
 	lat := ctrl.ReadLatency()
+	hit, sto, deg := lat.CacheHit.Snapshot(), lat.Storage.Snapshot(), lat.Degraded.Snapshot()
 	printf("served %d reads (%d errors) across healthy, degraded and recovery phases\n",
 		reads.Load(), readErrs.Load())
 	printf("  cache hits: %d (p99 %v), storage: %d (p99 %v), degraded: %d (p99 %v)\n",
-		lat.CacheHit.Count, lat.CacheHit.P99,
-		lat.Storage.Count, lat.Storage.P99,
-		lat.Degraded.Count, lat.Degraded.P99)
+		hit.Count, hit.P99, sto.Count, sto.P99, deg.Count, deg.P99)
 	printf("  failovers: %d, cache rescues: %d, membership changes: %d, auto-replans: %d, breaker opens: %d\n",
 		stats.FetchFailovers, stats.CacheRescues, stats.MembershipChanges, stats.AutoReplans,
 		breakers.Stats().Opens)

@@ -314,18 +314,19 @@ func serveLive(ctx context.Context, out io.Writer) error {
 
 	stats := ctrl.Stats()
 	lat := ctrl.ReadLatency()
+	hit, sto := lat.CacheHit.Snapshot(), lat.Storage.Snapshot()
 	fmt.Fprintf(out, "  served %d reads (%.0f/s): %d auto-replans (%d rejected), %d background fills, %d hedges (%d wins)\n",
 		readsDone.Load(), float64(readsDone.Load())/serveFor.Seconds(),
 		stats.AutoReplans, stats.ReplanErrors, stats.LazyFills, stats.HedgesLaunched, stats.HedgeWins)
 	if reingested.Load() {
-		wlat := ctrl.WriteLatency()
+		wlat := ctrl.WriteLatency().Snapshot()
 		fmt.Fprintf(out, "  re-ingested viral title mid-run: %d write(s) in p50 %v, %d cache chunks invalidated, %d written through, %d stale-cache reloads, %d read retries\n",
 			stats.Writes, wlat.P50, stats.CacheInvalidations, stats.WriteThroughChunks, stats.StaleCacheReloads, stats.ReadRetries)
 	}
 	fmt.Fprintf(out, "  cache-hit reads: %6d  p50 %8v  p99 %8v\n",
-		lat.CacheHit.Count, lat.CacheHit.P50, lat.CacheHit.P99)
+		hit.Count, hit.P50, hit.P99)
 	fmt.Fprintf(out, "  storage reads:   %6d  p50 %8v  p99 %8v\n",
-		lat.Storage.Count, lat.Storage.P50, lat.Storage.P99)
+		sto.Count, sto.P50, sto.P99)
 	fmt.Fprintf(out, "  viral title now holds %d cache chunks (planned %d)\n",
 		ctrl.Cache().ChunksForFile(viral), ctrl.CacheAllocationTarget(viral))
 	return nil

@@ -231,7 +231,7 @@ func shardPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg 
 	}
 	for _, ctrl := range ctrls {
 		out.PerShardP99ms = append(out.PerShardP99ms,
-			float64(ctrl.ReadLatency().Storage.P99)/float64(time.Millisecond))
+			float64(ctrl.ReadLatency().Storage.Snapshot().P99)/float64(time.Millisecond))
 	}
 	for _, s := range st.Shards {
 		out.PerShardReads = append(out.PerShardReads, s.Reads)

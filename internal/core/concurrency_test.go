@@ -343,7 +343,7 @@ func TestReadLatencyHistogram(t *testing.T) {
 	if total != 9 {
 		t.Fatalf("histogram holds %d reads, want 9", total)
 	}
-	for _, s := range []metrics.LatencySnapshot{lat.CacheHit, lat.Storage} {
+	for _, s := range []metrics.LatencySnapshot{lat.CacheHit.Snapshot(), lat.Storage.Snapshot()} {
 		if s.Count == 0 {
 			continue
 		}

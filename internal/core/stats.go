@@ -195,46 +195,31 @@ func (h *readHist) observe(d time.Duration, cacheOnly, degraded bool) {
 	}
 }
 
-// ReadLatencyStats is the controller's read-latency histogram snapshot.
-type ReadLatencyStats struct {
+// ReadBuckets is the controller's read-latency histograms by serving class.
+type ReadBuckets struct {
 	// CacheHit covers healthy reads served entirely from cached chunks;
 	// Storage covers healthy reads that fetched at least one chunk from
 	// storage nodes; Degraded covers reads that failed over or were served
 	// while fewer than k storage chunks were on live nodes.
-	CacheHit metrics.LatencySnapshot
-	Storage  metrics.LatencySnapshot
-	Degraded metrics.LatencySnapshot
+	CacheHit metrics.HistogramBuckets
+	Storage  metrics.HistogramBuckets
+	Degraded metrics.HistogramBuckets
 }
 
-// ReadLatency returns percentile snapshots of read latency split by cache
-// hits versus healthy storage reads versus degraded reads.
-func (c *Controller) ReadLatency() ReadLatencyStats {
-	return ReadLatencyStats{
-		CacheHit: c.hist.cacheHit.Buckets().Snapshot(),
-		Storage:  c.hist.storage.Buckets().Snapshot(),
-		Degraded: c.hist.degraded.Buckets().Snapshot(),
+// ReadLatency returns the read-latency buckets split by cache hits versus
+// healthy storage reads versus degraded reads; Snapshot gives quantiles.
+func (c *Controller) ReadLatency() ReadBuckets {
+	return ReadBuckets{
+		CacheHit: c.hist.cacheHit.Buckets(),
+		Storage:  c.hist.storage.Buckets(),
+		Degraded: c.hist.degraded.Buckets(),
 	}
 }
 
-// WriteLatency returns the percentile snapshot of Controller.Write latency
-// end to end: storage write (encode, staged chunk fan-out, commit) plus the
+// WriteLatency returns the buckets of Controller.Write latency end to end:
+// storage write (encode, staged chunk fan-out, commit) plus the
 // write-through cache refresh.
-func (c *Controller) WriteLatency() metrics.LatencySnapshot {
-	return c.writeHist.Buckets().Snapshot()
-}
-
-// ReadLatencyBuckets returns the raw read-latency buckets keyed by serving
-// class: "cache_hit", "storage", and "degraded".
-func (c *Controller) ReadLatencyBuckets() map[string]metrics.HistogramBuckets {
-	return map[string]metrics.HistogramBuckets{
-		"cache_hit": c.hist.cacheHit.Buckets(),
-		"storage":   c.hist.storage.Buckets(),
-		"degraded":  c.hist.degraded.Buckets(),
-	}
-}
-
-// WriteLatencyBuckets returns the raw write-latency buckets.
-func (c *Controller) WriteLatencyBuckets() metrics.HistogramBuckets {
+func (c *Controller) WriteLatency() metrics.HistogramBuckets {
 	return c.writeHist.Buckets()
 }
 

@@ -189,8 +189,8 @@ type TenantSnapshot struct {
 	// ErrSaturated under brownout.
 	Reads int64
 	Sheds int64
-	// Latency summarises the tenant's served-read latency distribution.
-	Latency metrics.LatencySnapshot
+	// Latency holds the tenant's served-read latency buckets.
+	Latency metrics.HistogramBuckets
 	// CacheShare is the tenant's slice of the cache budget in chunks (0 when
 	// no budget split is configured).
 	CacheShare int
@@ -208,22 +208,9 @@ func (c *Controller) TenantStats() map[string]TenantSnapshot {
 			Policy:     ts.policy,
 			Reads:      ts.reads.Load(),
 			Sheds:      ts.sheds.Load(),
-			Latency:    ts.hist.Buckets().Snapshot(),
+			Latency:    ts.hist.Buckets(),
 			CacheShare: ts.cacheShare,
 		}
-	}
-	return out
-}
-
-// TenantLatencyBuckets returns the raw per-tenant read-latency buckets for
-// the metrics exporter. Nil when tenants are not configured.
-func (c *Controller) TenantLatencyBuckets() map[string]metrics.HistogramBuckets {
-	if c.tenants == nil {
-		return nil
-	}
-	out := make(map[string]metrics.HistogramBuckets, len(c.tenants))
-	for name, ts := range c.tenants {
-		out[name] = ts.hist.Buckets()
 	}
 	return out
 }

@@ -30,7 +30,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		transport.ServerConfig{StagedPutTTL: time.Minute},
 		transport.ClientConfig{Conns: 3})
 	reg := obs.NewRegistry(obs.Sources{
-		Controller:      h.ctrl,
+		Controllers:     []obs.ShardSource{{Shard: "shard-0", Controller: h.ctrl}},
 		TransportServer: h.Server.Stats,
 		Repair:          h.repair.Stats,
 		OSDHealth:       h.Cluster.Health,

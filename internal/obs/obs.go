@@ -14,7 +14,8 @@
 package obs
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 
 	"sprout/internal/core"
@@ -30,10 +31,11 @@ import (
 // deployment registers exactly the planes it runs; the conformance test
 // registers all of them.
 type Sources struct {
-	// Controller bridges read/write counters, latency histograms, the
-	// saturation gate, the live plan's cache targets, cache occupancy, and
-	// the per-file erasure coders.
-	Controller *core.Controller
+	// Controllers bridges each controller's read/write counters, latency
+	// histograms, saturation gate, live plan's cache targets, cache
+	// occupancy, tenants and per-file erasure coders. Every family carries a
+	// shard label; an unsharded deployment is a list of one.
+	Controllers []ShardSource
 	// TransportServer snapshots the transport server's wire counters,
 	// exported under side="server".
 	TransportServer func() transport.TransportStats
@@ -50,18 +52,15 @@ type Sources struct {
 	// (lease hits, misses, outstanding).
 	Pools []PoolSource
 	// Rings bridges named work queues — the transport server's request
-	// queue and the controller's fill feed — (pushes, pops, rejects,
+	// queue and the controllers' fill feeds — (pushes, pops, rejects,
 	// parks).
 	Rings []RingSource
 	// Router bridges the shard router: routed operations per shard, the
 	// invalidation fan-out protocol counters, and fan-out latency.
 	Router *router.Router
-	// Shards bridges per-shard controller series under shared families with
-	// a shard label, so one scrape shows every shard of the metadata plane.
-	Shards []ShardSource
 }
 
-// ShardSource names one shard controller for per-shard series.
+// ShardSource names one controller: Shard is its shard label value.
 type ShardSource struct {
 	Shard      string
 	Controller *core.Controller
@@ -69,8 +68,8 @@ type ShardSource struct {
 
 // Register wires every non-nil source into the registry.
 func Register(r *metrics.Registry, s Sources) {
-	if s.Controller != nil {
-		registerController(r, s.Controller)
+	if len(s.Controllers) > 0 {
+		registerController(r, s.Controllers)
 	}
 	if s.TransportServer != nil {
 		registerTransport(r, s.TransportServer)
@@ -95,9 +94,6 @@ func Register(r *metrics.Registry, s Sources) {
 	}
 	if s.Router != nil {
 		registerRouter(r, s.Router)
-	}
-	if len(s.Shards) > 0 {
-		registerShards(r, s.Shards)
 	}
 }
 
@@ -125,8 +121,39 @@ func gauge(r *metrics.Registry, name, help string, fn func() float64) {
 		}))
 }
 
-func registerController(r *metrics.Registry, c *core.Controller) {
-	st := func() core.Stats { return c.Stats() }
+// family registers one controller family with a shard label ahead of
+// d.Labels: fn returns one controller's samples without it.
+func family(r *metrics.Registry, shards []ShardSource, d metrics.Desc, fn func(*core.Controller) []metrics.Sample) {
+	d.Labels = append([]string{"shard"}, d.Labels...)
+	r.MustRegister(d, metrics.CollectorFunc(func() []metrics.Sample {
+		var out []metrics.Sample
+		for _, s := range shards {
+			for _, smp := range fn(s.Controller) {
+				smp.LabelValues = append([]string{s.Shard}, smp.LabelValues...)
+				out = append(out, smp)
+			}
+		}
+		return out
+	}))
+}
+
+// perShard registers one controller family with one value per shard.
+func perShard(r *metrics.Registry, shards []ShardSource, name, help string, kind metrics.Kind, fn func(*core.Controller) float64) {
+	family(r, shards, metrics.Desc{Name: name, Help: help, Kind: kind}, func(c *core.Controller) []metrics.Sample {
+		return []metrics.Sample{{Value: fn(c)}}
+	})
+}
+
+// byID labels one sample per map entry with its integer key.
+func byID[V int | int64](m map[int]V) []metrics.Sample {
+	out := make([]metrics.Sample, 0, len(m))
+	for id, v := range m {
+		out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(id)}, Value: float64(v)})
+	}
+	return out
+}
+
+func registerController(r *metrics.Registry, shards []ShardSource) {
 	for _, m := range []struct {
 		name, help string
 		fn         func(core.Stats) int64
@@ -162,93 +189,77 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 		{"sprout_priority_hedges_total", "Gold-tenant reads that kept their hedge timer through brownout level 1.", func(s core.Stats) int64 { return s.PriorityHedges }},
 	} {
 		fn := m.fn
-		counter(r, m.name, m.help, func() int64 { return fn(st()) })
+		perShard(r, shards, m.name, m.help, metrics.KindCounter, func(c *core.Controller) float64 { return float64(fn(c.Stats())) })
 	}
 
-	r.MustRegister(metrics.Desc{
+	family(r, shards, metrics.Desc{
 		Name: "sprout_peer_invalidations_total",
 		Help: "Versioned peer invalidations received: applied, or dropped as stale (late or duplicate).",
 		Kind: metrics.KindCounter, Labels: []string{"result"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		s := st()
+	}, func(c *core.Controller) []metrics.Sample {
+		s := c.Stats()
 		return []metrics.Sample{
 			{LabelValues: []string{"applied"}, Value: float64(s.InvalidationsApplied)},
 			{LabelValues: []string{"stale_dropped"}, Value: float64(s.InvalidationsStale)},
 		}
-	}))
-
-	r.MustRegister(metrics.Desc{
+	})
+	family(r, shards, metrics.Desc{
 		Name: "sprout_read_chunks_total", Help: "Chunks consumed by reads, by source.",
 		Kind: metrics.KindCounter, Labels: []string{"source"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		s := st()
+	}, func(c *core.Controller) []metrics.Sample {
+		s := c.Stats()
 		return []metrics.Sample{
 			{LabelValues: []string{"cache"}, Value: float64(s.ChunksFromCache)},
 			{LabelValues: []string{"storage"}, Value: float64(s.ChunksFromDisk)},
 		}
-	}))
+	})
 
-	r.MustRegister(metrics.Desc{
+	family(r, shards, metrics.Desc{
 		Name: "sprout_read_latency_seconds", Help: "Read latency by serving class.",
 		Kind: metrics.KindHistogram, Labels: []string{"class"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		byClass := c.ReadLatencyBuckets()
-		out := make([]metrics.Sample, 0, len(byClass))
-		for _, class := range []string{"cache_hit", "storage", "degraded"} {
-			out = append(out, metrics.Sample{LabelValues: []string{class}, Hist: byClass[class].HistValue()})
+	}, func(c *core.Controller) []metrics.Sample {
+		lat := c.ReadLatency()
+		return []metrics.Sample{
+			{LabelValues: []string{"cache_hit"}, Hist: lat.CacheHit.HistValue()},
+			{LabelValues: []string{"storage"}, Hist: lat.Storage.HistValue()},
+			{LabelValues: []string{"degraded"}, Hist: lat.Degraded.HistValue()},
 		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
+	})
+	family(r, shards, metrics.Desc{
 		Name: "sprout_write_latency_seconds", Help: "End-to-end object write latency.",
 		Kind: metrics.KindHistogram,
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		return []metrics.Sample{{Hist: c.WriteLatencyBuckets().HistValue()}}
-	}))
+	}, func(c *core.Controller) []metrics.Sample {
+		return []metrics.Sample{{Hist: c.WriteLatency().HistValue()}}
+	})
 
-	gauge(r, "sprout_saturation_level", "Admission-gate brownout level (0 healthy … 3 shedding).",
-		func() float64 { return float64(c.SaturationLevel()) })
-	gauge(r, "sprout_saturation_score_ratio", "Saturation pressure score (1 means a signal is at its target).",
-		func() float64 { return c.SaturationScore() })
-	gauge(r, "sprout_inflight_reads_requests", "Reads currently inside the admission gate.",
-		func() float64 { return float64(c.InFlightReads()) })
-	r.MustRegister(metrics.Desc{
+	perShard(r, shards, "sprout_saturation_level", "Admission-gate brownout level (0 healthy … 3 shedding).", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.SaturationLevel()) })
+	perShard(r, shards, "sprout_saturation_score_ratio", "Saturation pressure score (1 means a signal is at its target).", metrics.KindGauge,
+		func(c *core.Controller) float64 { return c.SaturationScore() })
+	perShard(r, shards, "sprout_inflight_reads_requests", "Reads currently inside the admission gate.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.InFlightReads()) })
+	family(r, shards, metrics.Desc{
 		Name: "sprout_node_inflight_requests",
 		Help: "Chunk fetches this controller has outstanding on each storage node, the backlog that ranks fetch candidates.",
 		Kind: metrics.KindGauge, Labels: []string{"node"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		inflight := c.NodeInFlight()
-		out := make([]metrics.Sample, 0, len(inflight))
-		for id, n := range inflight {
-			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(id)}, Value: float64(n)})
-		}
-		return out
-	}))
+	}, func(c *core.Controller) []metrics.Sample { return byID(c.NodeInFlight()) })
 
-	cache := c.Cache()
-	gauge(r, "sprout_cache_used_chunks", "Functional-cache chunks currently resident.",
-		func() float64 { return float64(cache.Len()) })
-	gauge(r, "sprout_cache_capacity_chunks", "Functional-cache capacity.",
-		func() float64 { return float64(cache.Capacity()) })
-	counter(r, "sprout_cache_hits_total", "Functional-cache chunk lookups served.",
-		func() int64 { h, _ := cache.Stats(); return int64(h) })
-	counter(r, "sprout_cache_misses_total", "Functional-cache chunk lookups missed.",
-		func() int64 { _, m := cache.Stats(); return int64(m) })
-	r.MustRegister(metrics.Desc{
+	perShard(r, shards, "sprout_cache_used_chunks", "Functional-cache chunks currently resident.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.Cache().Len()) })
+	perShard(r, shards, "sprout_cache_capacity_chunks", "Functional-cache capacity.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(c.Cache().Capacity()) })
+	perShard(r, shards, "sprout_cache_hits_total", "Functional-cache chunk lookups served.", metrics.KindCounter,
+		func(c *core.Controller) float64 { h, _ := c.Cache().Stats(); return float64(h) })
+	perShard(r, shards, "sprout_cache_misses_total", "Functional-cache chunk lookups missed.", metrics.KindCounter,
+		func(c *core.Controller) float64 { _, m := c.Cache().Stats(); return float64(m) })
+	family(r, shards, metrics.Desc{
 		Name: "sprout_cache_occupancy_chunks", Help: "Cached functional chunks per file.",
 		Kind: metrics.KindGauge, Labels: []string{"file"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		alloc := cache.Allocation()
-		out := make([]metrics.Sample, 0, len(alloc))
-		for fileID, n := range alloc {
-			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(fileID)}, Value: float64(n)})
-		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
+	}, func(c *core.Controller) []metrics.Sample { return byID(c.Cache().Allocation()) })
+	family(r, shards, metrics.Desc{
 		Name: "sprout_cache_target_chunks", Help: "Per-file cache allocation d_i of the live plan.",
 		Kind: metrics.KindGauge, Labels: []string{"file"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
+	}, func(c *core.Controller) []metrics.Sample {
 		plan := c.Plan()
 		if plan == nil {
 			return nil
@@ -258,63 +269,37 @@ func registerController(r *metrics.Registry, c *core.Controller) {
 			out = append(out, metrics.Sample{LabelValues: []string{strconv.Itoa(fileID)}, Value: float64(d)})
 		}
 		return out
-	}))
+	})
 
 	// Per-tenant QoS families. The label set is bounded by configuration:
 	// unknown tenant names fold into the default state, so a hostile client
 	// cannot inflate the exposition. With no tenants configured the
 	// collectors return no samples.
-	tenantNames := func(snaps map[string]core.TenantSnapshot) []string {
-		names := make([]string, 0, len(snaps))
-		for name := range snaps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return names
-	}
-	perTenant := func(name, help string, kind metrics.Kind, fn func(core.TenantSnapshot) float64) {
-		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: kind, Labels: []string{"tenant"}},
-			metrics.CollectorFunc(func() []metrics.Sample {
+	perTenant := func(name, help string, kind metrics.Kind, fn func(core.TenantSnapshot) metrics.Sample) {
+		family(r, shards, metrics.Desc{Name: name, Help: help, Kind: kind, Labels: []string{"tenant"}},
+			func(c *core.Controller) []metrics.Sample {
 				snaps := c.TenantStats()
 				out := make([]metrics.Sample, 0, len(snaps))
-				for _, tn := range tenantNames(snaps) {
-					out = append(out, metrics.Sample{LabelValues: []string{tn}, Value: fn(snaps[tn])})
+				for _, tn := range slices.Sorted(maps.Keys(snaps)) {
+					s := fn(snaps[tn])
+					s.LabelValues = []string{tn}
+					out = append(out, s)
 				}
 				return out
-			}))
+			})
 	}
 	perTenant("sprout_tenant_reads_total", "Reads served, by tenant.", metrics.KindCounter,
-		func(s core.TenantSnapshot) float64 { return float64(s.Reads) })
+		func(s core.TenantSnapshot) metrics.Sample { return metrics.Sample{Value: float64(s.Reads)} })
 	perTenant("sprout_tenant_shed_reads_total", "Reads rejected under brownout shedding, by tenant.", metrics.KindCounter,
-		func(s core.TenantSnapshot) float64 { return float64(s.Sheds) })
+		func(s core.TenantSnapshot) metrics.Sample { return metrics.Sample{Value: float64(s.Sheds)} })
 	perTenant("sprout_tenant_cache_share_chunks", "Tenant's slice of the cache budget (0 without a split).", metrics.KindGauge,
-		func(s core.TenantSnapshot) float64 { return float64(s.CacheShare) })
+		func(s core.TenantSnapshot) metrics.Sample { return metrics.Sample{Value: float64(s.CacheShare)} })
 	perTenant("sprout_tenant_weight_ratio", "Tenant's weighted-fair share relative to the other tenants.", metrics.KindGauge,
-		func(s core.TenantSnapshot) float64 { return float64(s.Policy.Weight) })
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_tenant_read_latency_seconds", Help: "Served-read latency by tenant.",
-		Kind: metrics.KindHistogram, Labels: []string{"tenant"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		byTenant := c.TenantLatencyBuckets()
-		names := make([]string, 0, len(byTenant))
-		for name := range byTenant {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		out := make([]metrics.Sample, 0, len(names))
-		for _, tn := range names {
-			out = append(out, metrics.Sample{LabelValues: []string{tn}, Hist: byTenant[tn].HistValue()})
-		}
-		return out
-	}))
+		func(s core.TenantSnapshot) metrics.Sample { return metrics.Sample{Value: float64(s.Policy.Weight)} })
+	perTenant("sprout_tenant_read_latency_seconds", "Served-read latency by tenant.", metrics.KindHistogram,
+		func(s core.TenantSnapshot) metrics.Sample { return metrics.Sample{Hist: s.Latency.HistValue()} })
 
-	registerErasure(r, func() erasure.CoderStats {
-		var sum erasure.CoderStats
-		for _, f := range c.Files() {
-			sum = sum.Add(f.Code.Stats())
-		}
-		return sum
-	})
+	registerErasure(r, shards)
 }
 
 // registerRouter bridges the shard router's routing and fan-out counters.
@@ -371,63 +356,15 @@ func registerRouter(r *metrics.Registry, rt *router.Router) {
 		func() int64 { return int64(rt.Stats().RingVersion) })
 }
 
-// registerShards exposes per-shard controller series under shared families
-// with a shard label.
-func registerShards(r *metrics.Registry, shards []ShardSource) {
-	perShard := func(name, help string, kind metrics.Kind, fn func(*core.Controller) float64) {
-		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: kind, Labels: []string{"shard"}},
-			metrics.CollectorFunc(func() []metrics.Sample {
-				out := make([]metrics.Sample, len(shards))
-				for i, s := range shards {
-					out[i] = metrics.Sample{LabelValues: []string{s.Shard}, Value: fn(s.Controller)}
-				}
-				return out
-			}))
+// registerErasure sums each controller's per-file erasure coders.
+func registerErasure(r *metrics.Registry, shards []ShardSource) {
+	st := func(c *core.Controller) erasure.CoderStats {
+		var sum erasure.CoderStats
+		for _, f := range c.Files() {
+			sum = sum.Add(f.Code.Stats())
+		}
+		return sum
 	}
-	perShard("sprout_shard_reads_total", "Reads served by each shard controller.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().Reads) })
-	perShard("sprout_shard_writes_total", "Writes committed by each shard controller.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().Writes) })
-	perShard("sprout_shard_lazy_fills_total", "Background cache fills completed by each shard.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().LazyFills) })
-	perShard("sprout_shard_plan_updates_total", "Cache plans applied by each shard.", metrics.KindCounter,
-		func(c *core.Controller) float64 { return float64(c.Stats().PlanUpdates) })
-	perShard("sprout_shard_cache_used_chunks", "Functional-cache chunks resident on each shard.", metrics.KindGauge,
-		func(c *core.Controller) float64 { return float64(c.Cache().Len()) })
-	perShard("sprout_shard_cache_capacity_chunks", "Functional-cache capacity of each shard.", metrics.KindGauge,
-		func(c *core.Controller) float64 { return float64(c.Cache().Capacity()) })
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_shard_invalidations_total",
-		Help: "Versioned peer invalidations received by each shard: applied, or dropped as stale (late or duplicate).",
-		Kind: metrics.KindCounter, Labels: []string{"shard", "result"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, 0, 2*len(shards))
-		for _, s := range shards {
-			st := s.Controller.Stats()
-			out = append(out,
-				metrics.Sample{LabelValues: []string{s.Shard, "applied"}, Value: float64(st.InvalidationsApplied)},
-				metrics.Sample{LabelValues: []string{s.Shard, "stale_dropped"}, Value: float64(st.InvalidationsStale)})
-		}
-		return out
-	}))
-	r.MustRegister(metrics.Desc{
-		Name: "sprout_shard_read_latency_seconds",
-		Help: "Read latency per shard, all serving classes folded.",
-		Kind: metrics.KindHistogram, Labels: []string{"shard"},
-	}, metrics.CollectorFunc(func() []metrics.Sample {
-		out := make([]metrics.Sample, len(shards))
-		for i, s := range shards {
-			var all metrics.HistogramBuckets
-			for _, b := range s.Controller.ReadLatencyBuckets() {
-				all = all.Add(b)
-			}
-			out[i] = metrics.Sample{LabelValues: []string{s.Shard}, Hist: all.HistValue()}
-		}
-		return out
-	}))
-}
-
-func registerErasure(r *metrics.Registry, st func() erasure.CoderStats) {
 	for _, m := range []struct {
 		name, help string
 		fn         func(erasure.CoderStats) int64
@@ -443,10 +380,10 @@ func registerErasure(r *metrics.Registry, st func() erasure.CoderStats) {
 		{"sprout_erasure_serial_ops_total", "Coding operations run inline on the caller.", func(s erasure.CoderStats) int64 { return s.SerialOps }},
 	} {
 		fn := m.fn
-		counter(r, m.name, m.help, func() int64 { return fn(st()) })
+		perShard(r, shards, m.name, m.help, metrics.KindCounter, func(c *core.Controller) float64 { return float64(fn(st(c))) })
 	}
-	gauge(r, "sprout_erasure_cached_plans", "Inverted decode matrices currently cached.",
-		func() float64 { return float64(st().PlansCached) })
+	perShard(r, shards, "sprout_erasure_cached_plans", "Inverted decode matrices currently cached.", metrics.KindGauge,
+		func(c *core.Controller) float64 { return float64(st(c).PlansCached) })
 }
 
 // registerTransport exposes both wire sides under one family set with a

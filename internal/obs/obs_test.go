@@ -26,9 +26,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite docs/metrics.md from the live registry")
 
-// fullRegistry builds a registry with every plane registered — the complete
-// metric surface, used by the conformance and docs tests.
-func fullRegistry(t *testing.T) *metrics.Registry {
+// shardControllers builds two planned controllers — the shards of one
+// plane — over a small cluster with two tenants, each with its cache filled
+// from an in-memory store.
+func shardControllers(t *testing.T) []ShardSource {
 	t.Helper()
 	nodes := make([]cluster.Node, 4)
 	for i := range nodes {
@@ -36,33 +37,71 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	}
 	rng := rand.New(rand.NewSource(7))
 	files := make([]cluster.File, 3)
+	lambdas := make([]float64, len(files))
 	for i := range files {
 		placement, _ := cluster.RandomPlacement(rng, 4, 3)
 		files[i] = cluster.File{ID: i, Name: fmt.Sprintf("f%d", i), SizeBytes: 300,
 			K: 2, N: 3, Placement: placement, Lambda: 0.05}
+		lambdas[i] = 0.05
 	}
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
-	ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{
-		Admission:      &core.AdmissionConfig{},
-		ReplanInterval: time.Hour,
-		Tenants: []core.TenantPolicy{
-			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},
-			{Name: "bronze", Class: core.ClassBronze, Weight: 1},
-		},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
+	var shards []ShardSource
+	for i := 0; i < 2; i++ {
+		ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{
+			Admission:      &core.AdmissionConfig{},
+			ReplanInterval: time.Hour,
+			Tenants: []core.TenantPolicy{
+				{Name: "gold", Class: core.ClassGold, Weight: 4, Files: []int{0}},
+				{Name: "bronze", Class: core.ClassBronze, Weight: 1},
+			},
+		}, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ctrl.Close() })
+		stored := make([][][]byte, len(files))
+		for f, meta := range ctrl.Files() {
+			payload := make([]byte, meta.SizeBytes)
+			rng.Read(payload)
+			data, err := meta.Code.Split(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stored[f], err = meta.Code.Encode(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
+			t.Fatal(err)
+		}
+		fetcher := core.FetcherFunc(func(_ context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
+			return stored[fileID][chunkIndex], nil
+		})
+		if err := ctrl.PrefetchCache(context.Background(), fetcher); err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, ShardSource{Shard: fmt.Sprintf("shard-%d", i), Controller: ctrl})
 	}
-	t.Cleanup(func() { ctrl.Close() })
+	return shards
+}
 
+// fullRegistry builds a registry with every plane registered — the complete
+// metric surface, used by the conformance and docs tests.
+func fullRegistry(t *testing.T) *metrics.Registry {
+	t.Helper()
+	shards := shardControllers(t)
 	rt := router.New(router.Options{FanoutWorkers: 1})
-	if err := rt.AddShard(router.Shard{ID: "shard-0", Ctrl: ctrl}); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { _ = rt.Close() })
+	var rings []RingSource
+	for _, s := range shards {
+		if err := rt.AddShard(router.Shard{ID: s.Shard, Ctrl: s.Controller}); err != nil {
+			t.Fatal(err)
+		}
+		rings = append(rings, RingSource{Name: "controller_fill_" + s.Shard, Stats: s.Controller.FillQueueStats})
+	}
 
 	return NewRegistry(Sources{
-		Controller:      ctrl,
+		Controllers:     shards,
 		TransportServer: func() transport.TransportStats { return transport.TransportStats{Requests: 2} },
 		Repair:          func() repair.Stats { return repair.Stats{Scans: 1} },
 		OSDHealth: func() []objstore.OSDHealth {
@@ -79,13 +118,45 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 			core.ReadScratchPool(),
 			erasure.StripeScratchPool(),
 		},
-		Rings: []RingSource{
-			{Name: "controller_fill", Stats: ctrl.FillQueueStats},
-			{Name: "transport_work", Stats: func() ring.Stats { return ring.Stats{Pushes: 1, Pops: 1} }},
-		},
+		Rings:  append(rings, RingSource{Name: "transport_work", Stats: func() ring.Stats { return ring.Stats{Pushes: 1, Pops: 1} }}),
 		Router: rt,
-		Shards: []ShardSource{{Shard: "shard-0", Controller: ctrl}},
 	})
+}
+
+// TestEveryControllerFamilyHasEveryShard: a controller is exported one way,
+// whatever the number of shards. Every family the controllers register
+// lints clean, parses strictly, and carries series for each shard.
+func TestEveryControllerFamilyHasEveryShard(t *testing.T) {
+	shards := shardControllers(t)
+	reg := NewRegistry(Sources{Controllers: shards})
+	if issues := metrics.Lint(reg); len(issues) != 0 {
+		t.Fatalf("controller families fail conformance:\n  %s", strings.Join(issues, "\n  "))
+	}
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("strict parse: %v\n%s", err, sb.String())
+	}
+	if len(fams) < 50 {
+		t.Fatalf("%d controller families, want the full surface", len(fams))
+	}
+	for name, fam := range fams {
+		seen := map[string]bool{}
+		for _, s := range fam.Samples {
+			seen[s.Labels["shard"]] = true
+		}
+		for _, s := range shards {
+			if !seen[s.Shard] {
+				t.Errorf("%s has no series for shard %q (saw %v)", name, s.Shard, seen)
+			}
+		}
+		if len(seen) != len(shards) {
+			t.Errorf("%s: shard label values %v, want exactly %d shards", name, seen, len(shards))
+		}
+	}
 }
 
 // TestConformance is the promlint-style gate: every registered family must
@@ -128,9 +199,6 @@ func TestExpositionParsesStrictly(t *testing.T) {
 		"sprout_router_reads_total",
 		"sprout_router_invalidations_sent_total",
 		"sprout_router_fanout_latency_seconds",
-		"sprout_shard_reads_total",
-		"sprout_shard_invalidations_total",
-		"sprout_shard_read_latency_seconds",
 	} {
 		if fams[want] == nil {
 			t.Errorf("exposition missing family %s", want)
@@ -211,7 +279,7 @@ func TestReadLatencyHistogramBridges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := NewRegistry(Sources{Controller: ctrl})
+	reg := NewRegistry(Sources{Controllers: []ShardSource{{Shard: "shard-0", Controller: ctrl}}})
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)

@@ -504,20 +504,3 @@ func (r *Router) PrefetchCache(ctx context.Context, fetcher core.ChunkFetcher) e
 	}
 	return errors.Join(errs...)
 }
-
-// AggregateReadLatencyBuckets folds every in-process shard's read-latency
-// histograms into one set of buckets per serving class.
-func (r *Router) AggregateReadLatencyBuckets() map[string]metrics.HistogramBuckets {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := map[string]metrics.HistogramBuckets{}
-	for _, h := range r.shards {
-		if h.ctrl == nil {
-			continue
-		}
-		for class, b := range h.ctrl.ReadLatencyBuckets() {
-			out[class] = out[class].Add(b)
-		}
-	}
-	return out
-}

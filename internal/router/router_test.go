@@ -97,8 +97,9 @@ func TestRouterRoutesToOwner(t *testing.T) {
 		t.Fatalf("controller reads summed over shards = %d, want %d", ctrlReads, objects)
 	}
 	var all metrics.HistogramBuckets
-	for _, b := range r.AggregateReadLatencyBuckets() {
-		all = all.Add(b)
+	for _, ctrl := range p.ctrls {
+		lat := ctrl.ReadLatency()
+		all = all.Add(lat.CacheHit).Add(lat.Storage).Add(lat.Degraded)
 	}
 	if lat := all.Snapshot(); lat.Count != objects || lat.P99 <= 0 {
 		t.Fatalf("aggregated latency snapshot = %+v", lat)

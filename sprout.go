@@ -86,6 +86,9 @@ type (
 	// MetricsSources selects which planes an observability registry bridges;
 	// nil fields are skipped.
 	MetricsSources = obs.Sources
+	// ShardSource names one controller in MetricsSources.Controllers; its
+	// shard label tells one controller's series from another's.
+	ShardSource = obs.ShardSource
 )
 
 // OSD lifecycle states.
