@@ -36,7 +36,6 @@ var callerAllowlist = map[string]string{
 	"sprout/internal/router.Router.OwnerOf":     "the ring owner sproutstore's tests check routing against",
 	"sprout/internal/router.Router.RemoveShard": "the leave of e2e's cross-shard coherence chaos test",
 	"sprout/internal/stack.Stack.Payload":       "the ingest oracle: the bytes New wrote for an object",
-	"sprout/internal/tick.Scheduler.NumJobs":    "core's tests check that a closed controller unregisters its jobs",
 	"sprout/internal/transport.Chaos.Reset":     "the chaos harness: e2e scenarios heal the network between phases",
 	"sprout/internal/transport.Chaos.Rule":      "sproutstore's flag test reads back the rules -chaos parsed",
 

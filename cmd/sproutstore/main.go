@@ -50,7 +50,6 @@ import (
 	"sprout/internal/resilience"
 	"sprout/internal/router"
 	"sprout/internal/stack"
-	"sprout/internal/tick"
 	"sprout/internal/transport"
 	"sprout/internal/workload"
 )
@@ -270,7 +269,7 @@ func startServe(ctx context.Context, o *options, out io.Writer, reg *metrics.Reg
 		// from (CtrlMembership); reads and writes arrive at the shard
 		// endpoints from remote routers, which fan invalidations out to
 		// peers themselves.
-		s.plane, err = newPlane(ctx, s.st, o, &transport.ServerConfig{Workers: o.workers, StagedPutTTL: time.Minute})
+		s.plane, err = newPlane(ctx, s.st, o, &transport.ServerConfig{Workers: o.workers})
 		if err != nil {
 			s.st.Close()
 			return nil, err
@@ -281,11 +280,11 @@ func startServe(ctx context.Context, o *options, out io.Writer, reg *metrics.Reg
 		}
 	}
 	src := obs.Sources{
-		TransportServer: s.st.Server.Stats,
-		OSDHealth:       s.st.Cluster.Health,
-		Runtime:         true,
-		Pools:           []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
-		Rings:           []obs.RingSource{{Name: "transport_work", Stats: s.st.Server.WorkQueueStats}},
+		TransportServers: []obs.TransportSource{{Server: "store", Stats: s.st.Server.Stats}},
+		OSDHealth:        s.st.Cluster.Health,
+		Runtime:          true,
+		Pools:            []obs.PoolSource{transport.FrameArena(), erasure.StripeScratchPool()},
+		Rings:            []obs.RingSource{{Name: "transport_work", Stats: s.st.Server.WorkQueueStats}},
 	}
 	if o.chaos != nil {
 		src.Chaos = o.chaos.Stats
@@ -413,14 +412,13 @@ func shardID(i int) string { return fmt.Sprintf("shard-%d", i) }
 // -controllers N: the namespace consistent-hash-sharded over one or more
 // shard controllers on the store's pool behind the read/write router. The
 // total cache budget is split evenly across shards and each shard plans
-// only its owned slice (lambda-masked). One process-wide scheduler batches
-// every periodic plane — the controllers' adaptive-loop jobs and, in
-// ctrl mode, the repair scan — onto a single goroutine and timer. The
-// stack owns the controllers and closes them.
+// only its owned slice (lambda-masked). Every shard controller runs its own
+// adaptive loop, and the repair manager of ctrl mode its own scan loop, so
+// one shard's replan never holds up another's. The stack owns the
+// controllers and closes them.
 type plane struct {
 	st        *stack.Stack
 	perShard  int
-	sched     *tick.Scheduler
 	router    *router.Router
 	ctrls     []*core.Controller
 	endpoints []*router.PeerEndpoint // one per shard when serving them over TCP
@@ -434,7 +432,6 @@ type plane struct {
 func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transport.ServerConfig) (_ *plane, err error) {
 	p := &plane{
 		st:     st,
-		sched:  tick.New(),
 		router: router.New(router.Options{FanoutWorkers: 2}),
 	}
 	defer func() {
@@ -447,10 +444,8 @@ func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transp
 		capacity = 3 * o.objects
 	}
 	p.perShard = max(1, capacity/o.controllers)
-	serve := o.serve
-	serve.Tick = p.sched
 	for i := 0; i < o.controllers; i++ {
-		ctrl, err := st.NewController(p.perShard, optimizer.Options{MaxOuterIter: 10}, serve, int64(i+1))
+		ctrl, err := st.NewController(p.perShard, optimizer.Options{MaxOuterIter: 10}, o.serve, int64(i+1))
 		if err != nil {
 			return nil, err
 		}
@@ -482,7 +477,8 @@ func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transp
 }
 
 // addMetrics adds the plane to src: every shard controller with its fill
-// queue, the router, and the controllers' scratch pools.
+// queue, every shard endpoint's transport server with its request queue,
+// the router, and the controllers' scratch pools.
 func (p *plane) addMetrics(src *obs.Sources) {
 	src.Router = p.router
 	src.Pools = append(src.Pools, core.FillArena(), core.ReadScratchPool())
@@ -490,15 +486,18 @@ func (p *plane) addMetrics(src *obs.Sources) {
 		src.Controllers = append(src.Controllers, obs.ShardSource{Shard: shardID(i), Controller: ctrl})
 		src.Rings = append(src.Rings, obs.RingSource{Name: "controller_fill_" + shardID(i), Stats: ctrl.FillQueueStats})
 	}
+	for i, ep := range p.endpoints {
+		src.TransportServers = append(src.TransportServers, obs.TransportSource{Server: shardID(i), Stats: ep.Stats})
+		src.Rings = append(src.Rings, obs.RingSource{Name: "transport_work_" + shardID(i), Stats: ep.WorkQueueStats})
+	}
 }
 
-// Close stops the endpoints, the router and the scheduler.
+// Close stops the endpoints and the router.
 func (p *plane) Close() {
 	for _, ep := range p.endpoints {
 		_ = ep.Close()
 	}
 	_ = p.router.Close()
-	p.sched.Close()
 }
 
 // serveReaders serves Zipf-distributed reads through the plane for
@@ -512,7 +511,6 @@ func (p *plane) serveReaders(ctx context.Context, o *options, out io.Writer, reg
 	mgr := repair.NewManager(p.st.Pool, repair.Config{
 		Workers:      o.repairWorkers,
 		ScanInterval: o.repairScan,
-		Tick:         p.sched,
 		Logf:         logf,
 	})
 	mgr.Start()

@@ -123,9 +123,8 @@ var smallArgs = []string{"-objects", "8", "-size", "8192", "-clients", "4"}
 
 // TestCtrlModeReplansEveryShard runs -mode ctrl with one and with two shard
 // controllers through an OSD failure and recovery: the command succeeds,
-// serves reads, and every shard re-plans after the membership change — on a
-// scheduler the shards share, where one shard's jobs used to replace the
-// others'.
+// serves reads, and every shard re-plans after the membership change, each
+// on its own adaptive loop.
 func TestCtrlModeReplansEveryShard(t *testing.T) {
 	for _, controllers := range []string{"1", "2"} {
 		t.Run("controllers="+controllers, func(t *testing.T) {
@@ -310,7 +309,8 @@ func TestMetricsBindFailureEndsRun(t *testing.T) {
 // TestMetricsExportEveryShard runs both plane modes with two shard
 // controllers and -metrics 127.0.0.1:0: the printed address is the bound
 // one, a scrape parses strictly and shows the controller families for both
-// shards, and the endpoint is gone once run returns.
+// shards — in serve mode also each shard endpoint's transport server and
+// request queue — and the endpoint is gone once run returns.
 func TestMetricsExportEveryShard(t *testing.T) {
 	for _, mode := range []string{"ctrl", "serve"} {
 		t.Run(mode, func(t *testing.T) {
@@ -331,14 +331,33 @@ func TestMetricsExportEveryShard(t *testing.T) {
 			// scrape may catch the registry half filled.
 			eventually(t, "both shards are exported", func() bool {
 				fams := scrapeMetrics(t, addr)
-				for _, name := range []string{"sprout_reads_total", "sprout_saturation_level", "sprout_read_chunks_total"} {
-					shards := map[string]bool{}
+				// labelValues collects the values of label in family name.
+				labelValues := func(name, label string) map[string]bool {
+					seen := map[string]bool{}
 					if fam := fams[name]; fam != nil {
 						for _, s := range fam.Samples {
-							shards[s.Labels["shard"]] = true
+							seen[s.Labels[label]] = true
 						}
 					}
+					return seen
+				}
+				for _, name := range []string{"sprout_reads_total", "sprout_saturation_level", "sprout_read_chunks_total"} {
+					shards := labelValues(name, "shard")
 					if !shards["shard-0"] || !shards["shard-1"] || len(shards) != 2 {
+						return false
+					}
+				}
+				if mode == "serve" {
+					// Every shard endpoint's transport server and request
+					// queue, next to the store's.
+					servers := labelValues("sprout_transport_requests_total", "server")
+					queues := labelValues("sprout_ring_pushes_total", "queue")
+					for _, want := range []string{"store", "shard-0", "shard-1"} {
+						if !servers[want] {
+							return false
+						}
+					}
+					if !queues["transport_work"] || !queues["transport_work_shard-0"] || !queues["transport_work_shard-1"] {
 						return false
 					}
 				}

@@ -13,12 +13,12 @@ import (
 const foldSeconds = 100
 
 // buildAdaptive builds a controller whose adaptive loop runs only when the
-// test folds it — ReplanInterval is set, on a stopped scheduler — with a plan
-// for lambdas whose cache content is prefetched.
+// test folds it — ReplanInterval is an hour, so the loop's own ticker never
+// fires during a test — with a plan for lambdas whose cache content is
+// prefetched.
 func buildAdaptive(t *testing.T, lambdas []float64, capacity int, serve ServeOptions) (*Controller, *fakeStore) {
 	t.Helper()
 	serve.ReplanInterval = time.Hour
-	serve.Tick = stoppedTick()
 	ctrl, store := buildControllerWith(t, len(lambdas), capacity, 0.05, serve)
 	t.Cleanup(func() { ctrl.Close() })
 	if _, err := ctrl.PlanTimeBin(lambdas); err != nil {

@@ -45,7 +45,6 @@ import (
 	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
 	"sprout/internal/scheduler"
-	"sprout/internal/tick"
 	"sprout/internal/wfq"
 	"sprout/internal/workload"
 )
@@ -229,7 +228,8 @@ type ServeOptions struct {
 	// chunks and pending fill at once, a file that turned hot is filled after
 	// its next read. A period of tens of milliseconds makes the loop scale
 	// the cache as fast as traffic moves; a long one is the paper's
-	// per-time-bin re-optimisation.
+	// per-time-bin re-optimisation. The loop is one goroutine of the
+	// controller's own, and Close waits for it.
 	ReplanInterval time.Duration
 	// ReplanThreshold is the relative rate change that triggers a replan.
 	// Default 0.25.
@@ -252,15 +252,6 @@ type ServeOptions struct {
 	// Logf, when set, receives diagnostics from the background planes
 	// (auto-replan failures). Never called on the read path.
 	Logf func(format string, args ...any)
-
-	// Tick, when set, is a shared scheduler the controller registers its
-	// periodic jobs (the adaptive loop and its membership kick) on instead
-	// of running its own — one process-wide goroutine and timer batch every
-	// subsystem's maintenance. The caller owns the scheduler's lifetime;
-	// Close only unregisters the controller's jobs, so any number of
-	// controllers may share one scheduler. Nil means the controller owns a
-	// private scheduler when the adaptive loop is enabled.
-	Tick *tick.Scheduler
 
 	// Tenants, when non-empty, makes tenants a first-class serving
 	// dimension: reads resolve their tenant from the context (WithTenant —
@@ -405,19 +396,13 @@ type Controller struct {
 	workers fetchWorkers
 
 	est *workload.EWMAEstimator // non-nil when the adaptive loop runs
-	// sched batches the controller's periodic maintenance — the adaptive
-	// loop, the admission window — onto one goroutine and one timer; nil
-	// when no periodic plane is enabled. A membership change kicks the
-	// replanNow job (nil unless the adaptive loop runs) instead of nudging a
-	// dedicated channel.
-	sched *tick.Scheduler
-	// ownSched records whether the controller created sched (and must close
-	// it) or borrowed it from ServeOptions.Tick (and must only unregister).
-	ownSched  bool
-	schedJobs []*tick.Job
-	replanNow *tick.Job
-	stopCh    chan struct{}
-	stopOnce  sync.Once
+	// replanKick asks the adaptive loop for an immediate replan after a
+	// membership change; nil unless the loop runs. loopWG waits for the
+	// loop's goroutine.
+	replanKick chan struct{}
+	loopWG     sync.WaitGroup
+	stopCh     chan struct{}
+	stopOnce   sync.Once
 
 	// adm is the saturation gate; nil when admission control is off.
 	adm *admissionGate
@@ -516,18 +501,9 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	}
 	if serve.ReplanInterval > 0 {
 		c.est = workload.NewEWMAEstimator(len(files), rateAlpha)
-	}
-	if serve.Tick != nil {
-		c.sched = serve.Tick
-	} else if serve.ReplanInterval > 0 {
-		// The adaptive loop's jobs share one scheduler goroutine and one
-		// timer: an idle controller does one bounded wakeup per earliest
-		// period instead of one per job.
-		c.sched = tick.New()
-		c.ownSched = true
-	}
-	if serve.ReplanInterval > 0 {
-		c.registerReplanJobs(serve.ReplanInterval)
+		c.replanKick = make(chan struct{}, 1)
+		c.loopWG.Add(1)
+		go c.adaptLoop(serve.ReplanInterval)
 	}
 	return c, nil
 }
@@ -537,15 +513,7 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 // Close.
 func (c *Controller) Close() error {
 	c.stopOnce.Do(func() { close(c.stopCh) })
-	if c.sched != nil {
-		if c.ownSched {
-			c.sched.Close()
-		} else {
-			for _, job := range c.schedJobs {
-				c.sched.Unregister(job)
-			}
-		}
-	}
+	c.loopWG.Wait()
 	c.fillWG.Wait()
 	// Discard fills still queued when the workers exited, releasing their
 	// chunk-copy leases.
@@ -849,14 +817,6 @@ func (c *Controller) prefetchFile(ctx context.Context, fetcher ChunkFetcher, ep 
 	return c.installFill(meta.ID, dataChunks, stripe)
 }
 
-// registerJob registers a periodic job and records its handle so Close can
-// unregister from a shared scheduler.
-func (c *Controller) registerJob(period time.Duration, fn func(now time.Time)) *tick.Job {
-	job := c.sched.Register(period, fn)
-	c.schedJobs = append(c.schedJobs, job)
-	return job
-}
-
 // runReplan re-plans the time bin against the given rate estimate, counting
 // errors and successes. Shared by the periodic drift check and the
 // membership-change kick.
@@ -871,37 +831,46 @@ func (c *Controller) runReplan(rates []float64) {
 	c.stats.autoReplans.Add(1)
 }
 
-// registerReplanJobs installs the adaptive loop on the shared scheduler —
-// adapt every interval — plus the kick-only replanNow job a membership
-// change fires so PlanTimeBin re-runs against the new node set without
-// waiting for workload drift.
-func (c *Controller) registerReplanJobs(interval time.Duration) {
+// adaptLoop is the adaptive loop: every interval it folds the estimator
+// and re-plans on drift (adapt), and a membership change's kick re-plans at
+// once against the new node set without waiting for workload drift. It
+// exits when Close closes stopCh.
+func (c *Controller) adaptLoop(interval time.Duration) {
+	defer c.loopWG.Done()
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
 	// Fold counters over measured elapsed time, not the nominal interval:
 	// when a slow PlanTimeBin delays the tick, the counters hold several
 	// intervals of requests and dividing by the interval would inflate the
-	// rate estimate (and cascade into spurious replans). Jobs run
-	// sequentially on the scheduler goroutine, so closure state needs no
-	// locking.
+	// rate estimate (and cascade into spurious replans).
 	last := time.Now()
-	c.registerJob(interval, func(now time.Time) {
-		c.adapt(now.Sub(last).Seconds())
-		last = now
-	})
-	c.replanNow = c.registerJob(0, func(time.Time) {
-		// Membership changed: re-plan immediately against the new node set,
-		// using the freshest rate estimate (falling back to the rates the
-		// current plan was computed for when the estimator has not folded a
-		// tick yet).
-		ep := c.epoch.Load()
-		if ep.plan == nil {
+	for {
+		select {
+		case <-ticker.C:
+			now := time.Now()
+			c.adapt(now.Sub(last).Seconds())
+			last = now
+		case <-c.replanKick:
+			c.replanNow()
+		case <-c.stopCh:
 			return
 		}
-		rates := c.est.Rates()
-		if !anyPositive(rates) {
-			rates = ep.clu.Lambdas()
-		}
-		c.runReplan(rates)
-	})
+	}
+}
+
+// replanNow re-plans against the current node set, using the freshest rate
+// estimate (falling back to the rates the current plan was computed for
+// when the estimator has not folded a tick yet).
+func (c *Controller) replanNow() {
+	ep := c.epoch.Load()
+	if ep.plan == nil {
+		return
+	}
+	rates := c.est.Rates()
+	if !anyPositive(rates) {
+		rates = ep.clu.Lambdas()
+	}
+	c.runReplan(rates)
 }
 
 // adapt is one pass of the adaptive loop: it folds the estimator over the

@@ -45,8 +45,11 @@ func (c *Controller) setMembership(nodeID int, down bool) bool {
 	c.stats.membershipChanges.Add(1)
 	c.mu.Unlock()
 
-	if c.replanNow != nil {
-		c.sched.Kick(c.replanNow)
+	if c.replanKick != nil {
+		select {
+		case c.replanKick <- struct{}{}:
+		default: // a replan is already pending
+		}
 	}
 	return true
 }

@@ -14,7 +14,6 @@ import (
 	"sprout/internal/cluster"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
-	"sprout/internal/tick"
 )
 
 func TestSetNodeDownExcludesNodeFromFetches(t *testing.T) {
@@ -232,80 +231,46 @@ func TestMembershipFlipsDuringConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestSharedSchedulerKeepsControllersApart: controllers borrowing one
-// scheduler each keep jobs of their own. A membership change on one re-plans
-// that one and not its neighbour, closing one leaves the other's jobs
-// registered and running, and closing both leaves the scheduler empty.
-func TestSharedSchedulerKeepsControllersApart(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		serve   ServeOptions
-		perCtrl int
-	}{
-		{"replan", ServeOptions{ReplanInterval: time.Hour}, 2},
-		// The admission gate registers no job of its own.
-		{"replan+admission", ServeOptions{
-			ReplanInterval: time.Hour,
-			Admission:      &AdmissionConfig{},
-		}, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sched := tick.New()
-			defer sched.Close()
-			tc.serve.Tick = sched
-			a, _ := buildControllerWith(t, 4, 4, 0.05, tc.serve)
-			b, _ := buildControllerWith(t, 4, 4, 0.05, tc.serve)
-			defer a.Close()
-			defer b.Close()
-			if got := sched.NumJobs(); got != 2*tc.perCtrl {
-				t.Fatalf("%d jobs registered by two controllers, want %d", got, 2*tc.perCtrl)
+// TestControllersReplanApart: every controller runs an adaptive loop of its
+// own. A membership change on one re-plans that one and not its neighbour,
+// and once Close has returned the closed one never re-plans again — a later
+// membership change leaves its kick unread — while its neighbour still does.
+func TestControllersReplanApart(t *testing.T) {
+	serve := ServeOptions{ReplanInterval: time.Hour}
+	a, _ := buildControllerWith(t, 4, 4, 0.05, serve)
+	b, _ := buildControllerWith(t, 4, 4, 0.05, serve)
+	defer a.Close()
+	defer b.Close()
+	for _, c := range []*Controller{a, b} {
+		if _, err := c.PlanTimeBin(ctrlLambdas(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReplans := func(c *Controller, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); c.Stats().AutoReplans < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("controller never re-planned (%d auto-replans, want %d)", c.Stats().AutoReplans, want)
 			}
-			for _, c := range []*Controller{a, b} {
-				if _, err := c.PlanTimeBin(ctrlLambdas(c)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// replansSettle waits for want auto-replans on c, then for one more
-			// pass of the scheduler, so a kick that landed on the wrong
-			// controller has run too.
-			replansSettle := func(c *Controller, want int64) {
-				t.Helper()
-				for deadline := time.Now().Add(5 * time.Second); c.Stats().AutoReplans < want; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("controller never re-planned (%d auto-replans, want %d)", c.Stats().AutoReplans, want)
-					}
-				}
-				passed := make(chan struct{})
-				marker := sched.Register(0, func(time.Time) { close(passed) })
-				sched.Kick(marker)
-				<-passed
-				sched.Unregister(marker)
-			}
+		}
+	}
 
-			a.SetNodeDown(2)
-			replansSettle(a, 1)
-			if got := b.Stats().AutoReplans; got != 0 {
-				t.Fatalf("a's membership change re-planned b %d times", got)
-			}
+	a.SetNodeDown(2)
+	waitReplans(a, 1)
+	if got, queued := b.Stats().AutoReplans, len(b.replanKick); got != 0 || queued != 0 {
+		t.Fatalf("a's membership change reached b: %d auto-replans, %d kicks queued", got, queued)
+	}
 
-			if err := a.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sched.NumJobs(); got != tc.perCtrl {
-				t.Fatalf("%d jobs left after closing a, want b's %d", got, tc.perCtrl)
-			}
-			b.SetNodeDown(2)
-			replansSettle(b, 1)
-			if got := a.Stats().AutoReplans; got != 1 {
-				t.Fatalf("closed controller a re-planned again: %d auto-replans", got)
-			}
-
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sched.NumJobs(); got != 0 {
-				t.Fatalf("%d jobs left on the borrowed scheduler after closing both", got)
-			}
-		})
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a.SetNodeUp(2)
+	b.SetNodeDown(2)
+	waitReplans(b, 1)
+	if got := a.Stats().AutoReplans; got != 1 {
+		t.Fatalf("closed controller a re-planned again: %d auto-replans", got)
+	}
+	if queued := len(a.replanKick); queued != 1 {
+		t.Fatalf("closed controller a's kick was read (%d queued): its loop outlived Close", queued)
 	}
 }

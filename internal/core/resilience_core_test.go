@@ -12,7 +12,6 @@ import (
 
 	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
-	"sprout/internal/tick"
 )
 
 // failingNodeFetcher wraps a fakeStore and fails every fetch aimed at one
@@ -237,14 +236,6 @@ func TestAdmissionScoreIsQueueDepth(t *testing.T) {
 	if got := g.score(); got != 1.5 {
 		t.Fatalf("score at 15 in flight of 10 = %v, want 1.5", got)
 	}
-}
-
-// stoppedTick is a scheduler that never runs its jobs: a controller given it
-// registers its jobs there, and the test is the only one running them.
-func stoppedTick() *tick.Scheduler {
-	s := tick.New()
-	s.Close()
-	return s
 }
 
 // TestSaturationLevelMapsScore: SaturationLevel is the threshold map of

@@ -30,10 +30,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		transport.ServerConfig{StagedPutTTL: time.Minute},
 		transport.ClientConfig{Conns: 3})
 	reg := obs.NewRegistry(obs.Sources{
-		Controllers:     []obs.ShardSource{{Shard: "shard-0", Controller: h.ctrl}},
-		TransportServer: h.Server.Stats,
-		Repair:          h.repair.Stats,
-		OSDHealth:       h.Cluster.Health,
+		Controllers:      []obs.ShardSource{{Shard: "shard-0", Controller: h.ctrl}},
+		TransportServers: []obs.TransportSource{{Server: "store", Stats: h.Server.Stats}},
+		Repair:           h.repair.Stats,
+		OSDHealth:        h.Cluster.Health,
 	})
 	if issues := metrics.Lint(reg); len(issues) != 0 {
 		t.Fatalf("live registry fails conformance:\n  %s", strings.Join(issues, "\n  "))

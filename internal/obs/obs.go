@@ -36,9 +36,9 @@ type Sources struct {
 	// occupancy, tenants and per-file erasure coders. Every family carries a
 	// shard label; an unsharded deployment is a list of one.
 	Controllers []ShardSource
-	// TransportServer snapshots the transport server's wire counters,
-	// exported under side="server".
-	TransportServer func() transport.TransportStats
+	// TransportServers bridges each transport server's wire counters under
+	// its server label: the object store's and every shard endpoint's.
+	TransportServers []TransportSource
 	// Repair snapshots the repair manager's progress counters.
 	Repair func() repair.Stats
 	// OSDHealth snapshots per-OSD lifecycle state and health counters.
@@ -66,13 +66,20 @@ type ShardSource struct {
 	Controller *core.Controller
 }
 
+// TransportSource names one transport server: Server is its server label
+// value ("store", "shard-<i>").
+type TransportSource struct {
+	Server string
+	Stats  func() transport.TransportStats
+}
+
 // Register wires every non-nil source into the registry.
 func Register(r *metrics.Registry, s Sources) {
 	if len(s.Controllers) > 0 {
 		registerController(r, s.Controllers)
 	}
-	if s.TransportServer != nil {
-		registerTransport(r, s.TransportServer)
+	if len(s.TransportServers) > 0 {
+		registerTransport(r, s.TransportServers)
 	}
 	if s.Repair != nil {
 		registerRepair(r, s.Repair)
@@ -386,53 +393,50 @@ func registerErasure(r *metrics.Registry, shards []ShardSource) {
 		func(c *core.Controller) float64 { return float64(st(c).PlansCached) })
 }
 
-// registerTransport exposes both wire sides under one family set with a
-// side label, so dashboards can overlay client and server views.
-// registerTransport exports the server's wire counters. The side label
-// stays so the series keep their names and labels; it always reads
-// "server".
-func registerTransport(r *metrics.Registry, server func() transport.TransportStats) {
-	perSide := func(name, help string, fn func(transport.TransportStats) int64) {
-		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Labels: []string{"side"}},
+// registerTransport exports each server's wire counters under a server
+// label. The client-only counters (retries, denied retries, fetch batches,
+// async fallbacks) are not exported: no server increments them.
+func registerTransport(r *metrics.Registry, servers []TransportSource) {
+	perServer := func(name, help string, fn func(transport.TransportStats) int64) {
+		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Labels: []string{"server"}},
 			metrics.CollectorFunc(func() []metrics.Sample {
-				return []metrics.Sample{{LabelValues: []string{"server"}, Value: float64(fn(server()))}}
+				out := make([]metrics.Sample, len(servers))
+				for i, s := range servers {
+					out[i] = metrics.Sample{LabelValues: []string{s.Server}, Value: float64(fn(s.Stats()))}
+				}
+				return out
 			}))
 	}
 	perDirection := func(name, help string, sent, received func(transport.TransportStats) int64) {
-		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Labels: []string{"side", "direction"}},
+		r.MustRegister(metrics.Desc{Name: name, Help: help, Kind: metrics.KindCounter, Labels: []string{"server", "direction"}},
 			metrics.CollectorFunc(func() []metrics.Sample {
-				s := server()
-				return []metrics.Sample{
-					{LabelValues: []string{"server", "sent"}, Value: float64(sent(s))},
-					{LabelValues: []string{"server", "received"}, Value: float64(received(s))},
+				out := make([]metrics.Sample, 0, 2*len(servers))
+				for _, s := range servers {
+					st := s.Stats()
+					out = append(out,
+						metrics.Sample{LabelValues: []string{s.Server, "sent"}, Value: float64(sent(st))},
+						metrics.Sample{LabelValues: []string{s.Server, "received"}, Value: float64(received(st))})
 				}
+				return out
 			}))
 	}
-	perDirection("sprout_transport_frames_total", "Wire frames, by side and direction.",
+	perDirection("sprout_transport_frames_total", "Wire frames, by server and direction.",
 		func(s transport.TransportStats) int64 { return s.FramesSent },
 		func(s transport.TransportStats) int64 { return s.FramesReceived })
-	perDirection("sprout_transport_bytes_total", "Wire bytes including length prefixes, by side and direction.",
+	perDirection("sprout_transport_bytes_total", "Wire bytes including length prefixes, by server and direction.",
 		func(s transport.TransportStats) int64 { return s.BytesSent },
 		func(s transport.TransportStats) int64 { return s.BytesReceived })
-	perSide("sprout_transport_payload_bytes_by_reference_total", "Payload bytes handed to the kernel as the caller's or the store's own slice, never copied in user space.",
+	perServer("sprout_transport_payload_bytes_by_reference_total", "Payload bytes handed to the kernel as the store's own slice, never copied in user space.",
 		func(s transport.TransportStats) int64 { return s.BytesByReference })
-	perSide("sprout_transport_fetch_batches_total", "Batches of chunk requests a read sent itself, in one write (RemoteFetcher.StartFetches).",
-		func(s transport.TransportStats) int64 { return s.FetchBatches })
-	perSide("sprout_transport_async_fallbacks_total", "Chunk fetches of such batches that continued as blocking round trips: connection not up, busy or broken, or request shed.",
-		func(s transport.TransportStats) int64 { return s.AsyncFallbacks })
-	perSide("sprout_transport_requests_total", "Round trips started (client) or dispatched (server).",
+	perServer("sprout_transport_requests_total", "Requests admitted into the server's work queue.",
 		func(s transport.TransportStats) int64 { return s.Requests })
-	perSide("sprout_transport_retries_total", "Round trips replayed after a broken connection.",
-		func(s transport.TransportStats) int64 { return s.Retries })
-	perSide("sprout_transport_retries_denied_total", "Retries refused by the retry budget.",
-		func(s transport.TransportStats) int64 { return s.RetriesDenied })
-	perSide("sprout_transport_overload_rejections_total", "Requests shed by the max-in-flight limit.",
+	perServer("sprout_transport_overload_rejections_total", "Requests shed by the max-in-flight limit.",
 		func(s transport.TransportStats) int64 { return s.OverloadRejections })
-	perSide("sprout_transport_deadline_rejections_total", "Requests shed because their deadline had passed.",
+	perServer("sprout_transport_deadline_rejections_total", "Requests shed because their deadline had passed.",
 		func(s transport.TransportStats) int64 { return s.DeadlineRejections })
-	perSide("sprout_transport_decode_errors_total", "Malformed or truncated wire frames.",
+	perServer("sprout_transport_decode_errors_total", "Malformed or truncated wire frames.",
 		func(s transport.TransportStats) int64 { return s.DecodeErrors })
-	perSide("sprout_transport_conns_opened_total", "TCP connections dialed (client) or accepted (server).",
+	perServer("sprout_transport_conns_opened_total", "TCP connections accepted.",
 		func(s transport.TransportStats) int64 { return s.ConnsOpened })
 }
 

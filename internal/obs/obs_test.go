@@ -101,9 +101,12 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	}
 
 	return NewRegistry(Sources{
-		Controllers:     shards,
-		TransportServer: func() transport.TransportStats { return transport.TransportStats{Requests: 2} },
-		Repair:          func() repair.Stats { return repair.Stats{Scans: 1} },
+		Controllers: shards,
+		TransportServers: []TransportSource{
+			{Server: "store", Stats: func() transport.TransportStats { return transport.TransportStats{Requests: 2} }},
+			{Server: "shard-0", Stats: func() transport.TransportStats { return transport.TransportStats{Requests: 1} }},
+		},
+		Repair: func() repair.Stats { return repair.Stats{Scans: 1} },
 		OSDHealth: func() []objstore.OSDHealth {
 			return []objstore.OSDHealth{
 				{ID: 0, State: objstore.StateUp, Served: 3, Chunks: 2},

@@ -18,7 +18,6 @@ import (
 	"sprout/internal/erasure"
 	"sprout/internal/objstore"
 	"sprout/internal/resilience"
-	"sprout/internal/tick"
 )
 
 // Config tunes the repair manager.
@@ -28,12 +27,6 @@ type Config struct {
 	// ScanInterval is the period of the background degradation scan. Zero
 	// disables periodic scans; Kick and ScanOnce still work.
 	ScanInterval time.Duration
-	// Tick, when set, is a shared scheduler the periodic degradation scan
-	// runs on instead of the manager owning a scan goroutine — one
-	// process-wide timer batches every subsystem's periodic work. The
-	// caller owns the scheduler's lifetime; Close only unregisters the
-	// scan job. Nil means the manager owns a private scheduler.
-	Tick *tick.Scheduler
 	// Logf, when set, receives repair-plane diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -89,12 +82,8 @@ type Manager struct {
 
 	queue *repairQueue
 
-	// sched drives the periodic degradation scan (and Kick requests);
-	// ownSched records whether Close must stop it or only unregister.
-	// scanJob is set by Start; Kick may race it, hence the atomic.
-	sched    *tick.Scheduler
-	ownSched bool
-	scanJob  atomic.Pointer[tick.Job]
+	// kick asks the scan loop for an immediate degradation scan.
+	kick chan struct{}
 
 	// attemptMu guards the persistent retry bookkeeping. attempts carries a
 	// chunk's failure count across scans; stalled maps a chunk that
@@ -138,51 +127,46 @@ func NewManager(pool *objstore.Pool, cfg Config) *Manager {
 		stalled:  make(map[string]int),
 		ctx:      ctx,
 		cancel:   cancel,
-	}
-	// The scheduler is picked here, not in Start, so Kick never races the
-	// startOnce body; the scan job itself is only registered by Start.
-	if m.sched = cfg.Tick; m.sched == nil {
-		m.sched = tick.New()
-		m.ownSched = true
+		kick:     make(chan struct{}, 1),
 	}
 	return m
 }
 
-// Start launches the worker pool and registers the degradation scan on the
-// scheduler. With ScanInterval set the scan is periodic; without it the
-// job is kick-only (Kick and ScanOnce still work).
+// Start launches the worker pool and the degradation scan loop. With
+// ScanInterval set the scan is periodic; without it the loop scans only
+// when kicked (Kick and ScanOnce still work).
 func (m *Manager) Start() {
 	m.startOnce.Do(func() {
+		// A Kick before Start is a no-op: drop what it left.
+		select {
+		case <-m.kick:
+		default:
+		}
 		for i := 0; i < m.cfg.Workers; i++ {
 			m.wg.Add(1)
 			go m.worker()
 		}
-		m.scanJob.Store(m.sched.Register(m.cfg.ScanInterval, func(time.Time) { m.scanTick() }))
+		m.wg.Add(1)
+		go m.scanLoop()
 	})
 }
 
-// Close stops the scan job and workers. In-flight repairs are cancelled.
+// Close stops the scan loop and workers. In-flight repairs are cancelled.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
 		m.cancel()
-		if m.sched != nil {
-			if m.ownSched {
-				m.sched.Close()
-			} else {
-				m.sched.Unregister(m.scanJob.Load())
-			}
-		}
 		m.queue.close()
 	})
 	m.wg.Wait()
 }
 
 // Kick triggers an immediate degradation scan (e.g. right after a failure
-// was injected or detected) without waiting for the next periodic tick.
-// A Kick before Start is a no-op (the scan job is not registered yet).
+// was injected or detected) without waiting for the next periodic scan.
+// A Kick before Start is a no-op.
 func (m *Manager) Kick() {
-	if job := m.scanJob.Load(); job != nil {
-		m.sched.Kick(job)
+	select {
+	case m.kick <- struct{}{}:
+	default: // a scan is already pending
 	}
 }
 
@@ -272,7 +256,29 @@ func (m *Manager) enqueue(object string, chunk, surviving, attempts int) bool {
 	return true
 }
 
-// scanTick is one degradation scan on the scheduler: enqueue missing
+// scanLoop scans every ScanInterval (never when it is zero: the tick
+// channel stays nil) and on every Kick, until Close cancels the context.
+// A scan that races Close finds the queue closed and enqueues nothing.
+func (m *Manager) scanLoop() {
+	defer m.wg.Done()
+	var tick <-chan time.Time
+	if m.cfg.ScanInterval > 0 {
+		ticker := time.NewTicker(m.cfg.ScanInterval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	for {
+		select {
+		case <-tick:
+		case <-m.kick:
+		case <-m.ctx.Done():
+			return
+		}
+		m.scanTick()
+	}
+}
+
+// scanTick is one degradation scan of the scan loop: enqueue missing
 // chunks, and when the pool is fully healthy promote Recovering OSDs back
 // to Up — the pool has regained full redundancy.
 func (m *Manager) scanTick() {

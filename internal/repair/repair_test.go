@@ -265,3 +265,37 @@ func TestRepairUnderConcurrentReads(t *testing.T) {
 	default:
 	}
 }
+
+// TestKickOnlyScan: with ScanInterval zero the scan loop scans only when
+// kicked. A Kick before Start is dropped, every Kick after it runs one scan,
+// and after Close no Kick scans again.
+func TestKickOnlyScan(t *testing.T) {
+	_, pool, _ := repairTestPool(t, 4)
+	mgr := NewManager(pool, Config{Workers: 1})
+	mgr.Kick()
+	mgr.Start()
+	defer mgr.Close()
+	settle := func() { time.Sleep(20 * time.Millisecond) }
+	settle()
+	if n := mgr.Stats().Scans; n != 0 {
+		t.Fatalf("%d scans after a Kick before Start, want 0", n)
+	}
+	for want := int64(1); want <= 2; want++ {
+		mgr.Kick()
+		for deadline := time.Now().Add(5 * time.Second); mgr.Stats().Scans < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Kick %d never scanned (%d scans)", want, mgr.Stats().Scans)
+			}
+		}
+	}
+	settle()
+	if n := mgr.Stats().Scans; n != 2 {
+		t.Fatalf("%d scans after two Kicks and no period, want 2", n)
+	}
+	mgr.Close()
+	mgr.Kick()
+	settle()
+	if n := mgr.Stats().Scans; n != 2 {
+		t.Fatalf("%d scans after a Kick past Close, want 2", n)
+	}
+}

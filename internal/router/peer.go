@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sprout/internal/core"
+	"sprout/internal/ring"
 	"sprout/internal/transport"
 )
 
@@ -72,6 +73,12 @@ func ServeShard(ctrl *core.Controller, fetcher core.ChunkFetcher, writer core.Ob
 
 // Addr returns the endpoint's bound address.
 func (e *PeerEndpoint) Addr() string { return e.addr }
+
+// Stats returns the endpoint's transport server wire counters.
+func (e *PeerEndpoint) Stats() transport.TransportStats { return e.srv.Stats() }
+
+// WorkQueueStats returns the endpoint's request-queue counters.
+func (e *PeerEndpoint) WorkQueueStats() ring.Stats { return e.srv.WorkQueueStats() }
 
 // Close stops serving. The shard controller belongs to the caller.
 func (e *PeerEndpoint) Close() error { return e.srv.Close() }

@@ -17,7 +17,6 @@ import (
 	"sprout/internal/objstore"
 	"sprout/internal/resilience"
 	"sprout/internal/ring"
-	"sprout/internal/tick"
 	"sprout/internal/wfq"
 )
 
@@ -98,9 +97,6 @@ type Server struct {
 	cancel context.CancelFunc
 	work   *wfq.Sched[task]
 
-	// sched runs the staged-put janitor; nil when StagedPutTTL is unset.
-	sched *tick.Scheduler
-
 	counters transportCounters
 
 	mu       sync.Mutex
@@ -110,7 +106,7 @@ type Server struct {
 	started  bool
 
 	connWG   sync.WaitGroup // accept loop + per-connection reader/writer
-	workerWG sync.WaitGroup
+	workerWG sync.WaitGroup // workers + staged-put janitor
 }
 
 type task struct {
@@ -177,7 +173,8 @@ func (s *Server) Listen(addr string) (string, error) {
 			go s.worker()
 		}
 		if s.cfg.StagedPutTTL > 0 && s.cluster != nil {
-			s.startStagedJanitor()
+			s.workerWG.Add(1)
+			go s.stagedJanitor()
 		}
 	}
 	s.mu.Unlock()
@@ -451,9 +448,6 @@ func (s *Server) Close() error {
 		s.work.Close()
 	}
 	s.workerWG.Wait()
-	if s.sched != nil {
-		s.sched.Close()
-	}
 	return err
 }
 
@@ -633,17 +627,24 @@ func isDisconnect(err error) bool {
 		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET)
 }
 
-// startStagedJanitor registers the periodic staged-put sweep: staged puts
-// that outlived StagedPutTTL are aborted in every pool — a client that died
+// stagedJanitor is the periodic staged-put sweep: staged puts that
+// outlived StagedPutTTL are aborted in every pool — a client that died
 // between BeginPut and CommitObject must not leak staged chunks on the OSDs
-// forever. The sweep runs on a private scheduler the server owns.
-func (s *Server) startStagedJanitor() {
+// forever. It runs until Close cancels the server's context.
+func (s *Server) stagedJanitor() {
+	defer s.workerWG.Done()
 	interval := s.cfg.StagedPutTTL / 2
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	s.sched = tick.New()
-	s.sched.Register(interval, func(time.Time) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ticker.C:
+		case <-s.ctx.Done():
+			return
+		}
 		for _, name := range s.cluster.PoolNames() {
 			pool, err := s.cluster.Pool(name)
 			if err != nil {
@@ -653,5 +654,5 @@ func (s *Server) startStagedJanitor() {
 				s.logf("transport: aborted %d stale staged puts in pool %q", aborted, name)
 			}
 		}
-	})
+	}
 }

@@ -323,3 +323,22 @@ func TestCommitUnknownVersionFails(t *testing.T) {
 		t.Fatalf("commit of unknown staged put: %v, want ErrNoStagedPut across the wire", err)
 	}
 }
+
+// TestStagedJanitorAbortsAbandonedPut: a put begun and never committed — a
+// client that died mid-write — is aborted by the server's janitor once it
+// outlives StagedPutTTL.
+func TestStagedJanitorAbortsAbandonedPut(t *testing.T) {
+	_, pool, client := stripedTestServerWith(t, ServerConfig{StagedPutTTL: 20 * time.Millisecond})
+	version, err := client.BeginPut(context.Background(), "ec", "abandoned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PutChunk(context.Background(), "ec", "abandoned", version, 0, make([]byte, 1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); pool.StagedPuts() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d staged puts left long after the TTL", pool.StagedPuts())
+		}
+	}
+}
