@@ -231,46 +231,50 @@ func TestMembershipFlipsDuringConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestControllersReplanApart: every controller runs an adaptive loop of its
-// own. A membership change on one re-plans that one and not its neighbour,
-// and once Close has returned the closed one never re-plans again — a later
-// membership change leaves its kick unread — while its neighbour still does.
-func TestControllersReplanApart(t *testing.T) {
-	serve := ServeOptions{ReplanInterval: time.Hour}
-	a, _ := buildControllerWith(t, 4, 4, 0.05, serve)
-	b, _ := buildControllerWith(t, 4, 4, 0.05, serve)
-	defer a.Close()
-	defer b.Close()
-	for _, c := range []*Controller{a, b} {
-		if _, err := c.PlanTimeBin(ctrlLambdas(c)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitReplans := func(c *Controller, want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); c.Stats().AutoReplans < want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("controller never re-planned (%d auto-replans, want %d)", c.Stats().AutoReplans, want)
+// TestSharedSchedulerKeepsControllersApart: every controller runs an adaptive
+// loop of its own (the name is kept from when controllers could share one
+// scheduler). A membership change on one re-plans that one and not its
+// neighbour, and once Close has returned the closed one never re-plans again —
+// a later membership change leaves its kick unread — while its neighbour still
+// does.
+func TestSharedSchedulerKeepsControllersApart(t *testing.T) {
+	t.Run("replan", func(t *testing.T) {
+		serve := ServeOptions{ReplanInterval: time.Hour}
+		a, _ := buildControllerWith(t, 4, 4, 0.05, serve)
+		b, _ := buildControllerWith(t, 4, 4, 0.05, serve)
+		defer a.Close()
+		defer b.Close()
+		for _, c := range []*Controller{a, b} {
+			if _, err := c.PlanTimeBin(ctrlLambdas(c)); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		waitReplans := func(c *Controller, want int64) {
+			t.Helper()
+			for deadline := time.Now().Add(5 * time.Second); c.Stats().AutoReplans < want; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("controller never re-planned (%d auto-replans, want %d)", c.Stats().AutoReplans, want)
+				}
+			}
+		}
 
-	a.SetNodeDown(2)
-	waitReplans(a, 1)
-	if got, queued := b.Stats().AutoReplans, len(b.replanKick); got != 0 || queued != 0 {
-		t.Fatalf("a's membership change reached b: %d auto-replans, %d kicks queued", got, queued)
-	}
+		a.SetNodeDown(2)
+		waitReplans(a, 1)
+		if got, queued := b.Stats().AutoReplans, len(b.replanKick); got != 0 || queued != 0 {
+			t.Fatalf("a's membership change reached b: %d auto-replans, %d kicks queued", got, queued)
+		}
 
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	a.SetNodeUp(2)
-	b.SetNodeDown(2)
-	waitReplans(b, 1)
-	if got := a.Stats().AutoReplans; got != 1 {
-		t.Fatalf("closed controller a re-planned again: %d auto-replans", got)
-	}
-	if queued := len(a.replanKick); queued != 1 {
-		t.Fatalf("closed controller a's kick was read (%d queued): its loop outlived Close", queued)
-	}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		a.SetNodeUp(2)
+		b.SetNodeDown(2)
+		waitReplans(b, 1)
+		if got := a.Stats().AutoReplans; got != 1 {
+			t.Fatalf("closed controller a re-planned again: %d auto-replans", got)
+		}
+		if queued := len(a.replanKick); queued != 1 {
+			t.Fatalf("closed controller a's kick was read (%d queued): its loop outlived Close", queued)
+		}
+	})
 }
