@@ -232,8 +232,7 @@ func TestMembershipFlipsDuringConcurrentReads(t *testing.T) {
 }
 
 // TestSharedSchedulerKeepsControllersApart: every controller runs an adaptive
-// loop of its own (the name is kept from when controllers could share one
-// scheduler). A membership change on one re-plans that one and not its
+// loop of its own. A membership change on one re-plans that one and not its
 // neighbour, and once Close has returned the closed one never re-plans again —
 // a later membership change leaves its kick unread — while its neighbour still
 // does.
