@@ -37,8 +37,8 @@ const (
 )
 
 // WriteThroughput measures the ingest plane: striped client-side writes
-// (encode with the local SIMD coder, stage the n chunks in parallel over the
-// pooled connections, two-phase commit) at 1, 8 and 16 concurrent writers
+// (encode with the local SIMD coder, send the n staged chunks in one write
+// per pooled connection, two-phase commit) at 1, 8 and 16 concurrent writers
 // over loopback. OSD service times are zero, so the points measure how the
 // client, the transport and the staging path scale with concurrency.
 func WriteThroughput(cfg Config) ([]WriteResult, error) {

@@ -181,8 +181,9 @@ func (f ObjectWriterFunc) WriteObject(ctx context.Context, fileID int, data []by
 // it), and the controller clones what it caches only after the write
 // returns. So an implementation may read them until it returns and must
 // neither write to them nor keep them past its return. The transport's
-// StripedWriter is the one implementation: its PutChunk round trips read a
-// chunk only on the calling goroutine and have all returned before it does.
+// StripedWriter is the one implementation: it reads a chunk only inside its
+// own writes of the chunk frames, on the calling goroutine, all of which are
+// over before it returns.
 type DataChunkWriter interface {
 	ObjectWriter
 	WriteDataChunks(ctx context.Context, fileID int, dataChunks [][]byte, size int) (uint64, error)

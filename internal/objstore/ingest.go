@@ -117,9 +117,11 @@ func (p *Pool) BeginPut(object string) (uint64, error) {
 		return 0, fmt.Errorf("%w: empty object name", ErrBadPoolParams)
 	}
 	version := p.verSeq.Add(1)
+	pg := p.placementGroup(object)
 	p.mu.Lock()
+	p.place(pg)
 	p.staged[stagedKey{object, version}] = &stagedPut{
-		pg:      p.placementGroup(object),
+		pg:      pg,
 		started: time.Now(),
 		targets: make(map[int]*OSD, p.N),
 	}

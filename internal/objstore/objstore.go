@@ -279,9 +279,13 @@ type Pool struct {
 
 	osds []*OSD
 	code *erasure.Code
-	// pgOSDs is the precomputed CRUSH-like placement, indexed by placement
-	// group: recomputing the seeded permutation per request would dominate
-	// the serving path. Entries are read-only after construction.
+	// pgOSDs is the CRUSH-like placement, indexed by placement group: a
+	// group's OSD list is built once, when BeginPut first opens a put in it
+	// (under mu), because recomputing the seeded permutation per request
+	// would dominate the serving path and building all of them up front
+	// costs a pool milliseconds it mostly does not need. Every other reader
+	// reaches a group through an object that was begun, so it finds the
+	// entry built and reads it without a lock; a built entry never changes.
 	pgOSDs [][]*OSD
 
 	mu      sync.RWMutex
@@ -365,15 +369,22 @@ func NewPool(name string, n, k int, osds []*OSD, pgs int) (*Pool, error) {
 		pins:            make(map[stagedKey]int),
 		zombies:         make(map[stagedKey]prevStripe),
 	}
-	for pg := range p.pgOSDs {
-		perm := rand.New(rand.NewSource(int64(pg)*2654435761 + int64(len(osds)))).Perm(len(osds))
-		mapped := make([]*OSD, n)
-		for i := 0; i < n; i++ {
-			mapped[i] = osds[perm[i]]
-		}
-		p.pgOSDs[pg] = mapped
-	}
 	return p, nil
+}
+
+// place builds placement group pg's OSD list if it is not built yet: the
+// first N OSDs of a permutation seeded by the group and the OSD count. The
+// caller holds p.mu.
+func (p *Pool) place(pg int) {
+	if p.pgOSDs[pg] != nil {
+		return
+	}
+	perm := rand.New(rand.NewSource(int64(pg)*2654435761 + int64(len(p.osds)))).Perm(len(p.osds))
+	mapped := make([]*OSD, p.N)
+	for i := range mapped {
+		mapped[i] = p.osds[perm[i]]
+	}
+	p.pgOSDs[pg] = mapped
 }
 
 func nextPowerOfTwo(v int) int {

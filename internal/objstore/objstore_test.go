@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -162,6 +163,53 @@ func TestPoolChunkDistribution(t *testing.T) {
 	}
 	if loaded < 5 {
 		t.Fatalf("only %d of 6 OSDs received chunks; placement too skewed", loaded)
+	}
+}
+
+// TestLazyPlacementMatchesEager pins the placement of a 12-OSD (7,4) pool:
+// every placement group's OSD list, built when BeginPut first opens a put in
+// the group, is the one the pool once built for all groups up front — the
+// first N OSDs of a permutation seeded by the group and the OSD count.
+func TestLazyPlacementMatchesEager(t *testing.T) {
+	osds := make([]*OSD, 12)
+	for i := range osds {
+		osds[i] = NewOSD(i, queue.Deterministic{Value: 0}, 1<<10, int64(i))
+	}
+	pool, err := NewPool("ec", 7, 4, osds, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.PlacementGroups != 512 {
+		t.Fatalf("%d placement groups, want 512", pool.PlacementGroups)
+	}
+	for pg, mapped := range pool.pgOSDs {
+		if mapped != nil {
+			t.Fatalf("placement group %d built before any put opened in it", pg)
+		}
+	}
+	built := 0
+	for i := 0; built < pool.PlacementGroups; i++ {
+		if i == 100_000 {
+			t.Fatalf("only %d of %d placement groups built after %d puts", built, pool.PlacementGroups, i)
+		}
+		object := fmt.Sprintf("obj-%d", i)
+		if pool.pgOSDs[pool.placementGroup(object)] == nil {
+			built++
+		}
+		if _, err := pool.BeginPut(object); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pg, mapped := range pool.pgOSDs {
+		perm := rand.New(rand.NewSource(int64(pg)*2654435761 + int64(len(osds)))).Perm(len(osds))
+		for c, osd := range mapped {
+			if osd != osds[perm[c]] {
+				t.Fatalf("placement group %d chunk %d on OSD %d, eager placement put it on %d", pg, c, osd.ID, perm[c])
+			}
+		}
+		if len(mapped) != pool.N {
+			t.Fatalf("placement group %d lists %d OSDs, want %d", pg, len(mapped), pool.N)
+		}
 	}
 }
 

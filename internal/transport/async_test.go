@@ -625,7 +625,7 @@ func TestBlockingWriteStalledPeer(t *testing.T) {
 	start := time.Now()
 	returned := make(chan error, 1)
 	go func() {
-		_, err := client.PutChunk(ctx, "p", "o", 1, 0, buf)
+		err := putChunk(ctx, client, "p", "o", 1, 0, buf)
 		// The buffer is the caller's again: reuse it at once.
 		for j := range buf {
 			buf[j] = 0xFF
@@ -643,7 +643,7 @@ func TestBlockingWriteStalledPeer(t *testing.T) {
 	case <-time.After(timeout + 2*sweepInterval + slack):
 		t.Fatalf("PutChunk still blocked %v after its %v deadline, want an error within two sweeps of it", time.Since(start)-timeout, timeout)
 	}
-	if _, err := client.PutChunk(context.Background(), "p", "o", 1, 1, filled(1000, 'B')); err != nil {
+	if err := putChunk(context.Background(), client, "p", "o", 1, 1, filled(1000, 'B')); err != nil {
 		t.Fatalf("PutChunk after the stalled connection was failed: %v", err)
 	}
 	if st := client.Stats(); st.ConnsOpened != 2 {

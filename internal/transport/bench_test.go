@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,7 +166,7 @@ func BenchmarkTransportChunk256K(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.PutChunk(ctx, "data", "staged", version, i%5, chunk); err != nil {
+			if err := putChunk(ctx, client, "data", "staged", version, i%5, chunk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -288,16 +289,81 @@ func BenchmarkTransportRemoteRead(b *testing.B) {
 // that it was 3.57 MiB (a zeroed copy in Split and fresh zeroed parity).
 const stripedPutByteBound = 2 << 20
 
-// BenchmarkTransportStripedPut is one 1 MiB striped put over loopback into a
-// (7,4) pool of zero-service OSDs: split, parity encode, seven staged chunk
-// writes and the commit. It fails when a put allocates more than
-// stripedPutByteBound, counted process-wide.
+// BenchmarkTransportStripedPut is one striped put over loopback into a (7,4)
+// pool of zero-service OSDs: split, parity encode, BeginPut, the seven
+// staged chunks in one write and the commit. 1MiB is large-rw's object, put
+// by one writer; it fails when a put allocates more than
+// stripedPutByteBound, counted process-wide. 16KiB is small-hot's object,
+// put by eight parallel writers, where the per-put overhead is what shows.
 func BenchmarkTransportStripedPut(b *testing.B) {
-	const size = 1 << 20
+	b.Run("1MiB", func(b *testing.B) {
+		const size = 1 << 20
+		writer := stripedBenchWriter(b, size)
+		ctx := context.Background()
+		payload := make([]byte, size)
+		rand.New(rand.NewSource(4)).Read(payload)
+		put := func(i int) {
+			if _, err := writer.Put(ctx, fmt.Sprintf("obj-%d", i%4), payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+
+		// The allocation check runs over a fixed number of puts, so it holds
+		// at -benchtime 1x too; it doubles as the warm-up.
+		const measured = 20
+		for i := 0; i < 4; i++ {
+			put(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < measured; i++ {
+			put(i)
+		}
+		runtime.ReadMemStats(&after)
+		perPut := float64(after.TotalAlloc-before.TotalAlloc) / measured
+		if perPut > stripedPutByteBound {
+			b.Fatalf("a striped put allocates %.2f MiB, bound %.2f MiB", perPut/(1<<20), float64(stripedPutByteBound)/(1<<20))
+		}
+
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			put(i)
+		}
+		b.ReportMetric(perPut/(1<<20), "MiB/put")
+	})
+	b.Run("16KiB", func(b *testing.B) {
+		const size, writers = 16 << 10, 8
+		writer := stripedBenchWriter(b, size)
+		ctx := context.Background()
+		payload := make([]byte, size)
+		rand.New(rand.NewSource(4)).Read(payload)
+		var next atomic.Int64
+		b.SetBytes(size)
+		b.SetParallelism((writers + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			object := fmt.Sprintf("obj-%d", next.Add(1))
+			for pb.Next() {
+				if _, err := writer.Put(ctx, object, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
+// stripedBenchWriter serves a (7,4) pool of zero-service OSDs, sized for
+// objects of size bytes, over loopback and returns a striped writer into it
+// over a two-connection client.
+func stripedBenchWriter(b *testing.B, size int) *StripedWriter {
+	b.Helper()
 	cluster, err := objstore.NewCluster(objstore.ClusterConfig{
 		NumOSDs:      8,
 		Services:     []queue.Dist{queue.Deterministic{Value: 0}},
-		RefChunkSize: size / 4,
+		RefChunkSize: int64(size / 4),
 		Seed:         1,
 	})
 	if err != nil {
@@ -311,47 +377,15 @@ func BenchmarkTransportStripedPut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
+	b.Cleanup(func() { _ = srv.Close() })
 	client, err := DialConfig(addr, ClientConfig{Conns: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer client.Close()
-	ctx := context.Background()
-	writer, err := NewStripedWriter(ctx, client, "ec")
+	b.Cleanup(func() { _ = client.Close() })
+	writer, err := NewStripedWriter(context.Background(), client, "ec")
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := make([]byte, size)
-	rand.New(rand.NewSource(4)).Read(payload)
-	put := func(i int) {
-		if _, err := writer.Put(ctx, fmt.Sprintf("obj-%d", i%4), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	// The allocation check runs over a fixed number of puts, so it holds at
-	// -benchtime 1x too; it doubles as the warm-up.
-	const measured = 20
-	for i := 0; i < 4; i++ {
-		put(i)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < measured; i++ {
-		put(i)
-	}
-	runtime.ReadMemStats(&after)
-	perPut := float64(after.TotalAlloc-before.TotalAlloc) / measured
-	if perPut > stripedPutByteBound {
-		b.Fatalf("a striped put allocates %.2f MiB, bound %.2f MiB", perPut/(1<<20), float64(stripedPutByteBound)/(1<<20))
-	}
-
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		put(i)
-	}
-	b.ReportMetric(perPut/(1<<20), "MiB/put")
+	return writer
 }

@@ -4,25 +4,29 @@ package transport
 // response the caller, the same way; which goroutine does what:
 //
 //   - The goroutine that has a request — a blocking round trip (call:
-//     GetChunk, PutChunk, the peer ops, … and every retry) or a controller
-//     read with a batch of chunk fetches (RemoteFetcher.StartFetches) — takes the
+//     GetChunk, BeginPut, CommitObject, the peer ops, … and every retry), a
+//     striped put's n staged chunks (Client.stageChunks) or a controller read
+//     with a batch of chunk fetches (RemoteFetcher.StartFetches) — takes the
 //     connection's send side, registers who waits for each response, encodes
 //     the frames into the connection's one frameBatch and writes them itself,
 //     in one write. So a payload is only ever read inside its own caller's
 //     write: nothing is lent to another goroutine.
 //   - A round trip waits for the send side, as long as its context and the
 //     connection last, and then for its response on a channel of its own. A
-//     batch never waits: it takes the next connection whose send side is free
-//     (one per connection when the chunks are large enough to be worth
-//     spreading over the pool), and when none is, or the connection breaks, or
-//     the server sheds a request, its fetches continue as blocking round trips
-//     on goroutines of their own (Client.fallback) — so dialing, retries,
-//     backoff and the retry budget exist once.
+//     put waits the same way, and then for its chunks' responses on one
+//     channel they share; a chunk the server shed, or whose connection broke,
+//     it replays as a round trip. A fetch batch never waits: it takes the next
+//     connection whose send side is free, and when none is, or the connection
+//     breaks, or the server sheds a request, its fetches continue as blocking
+//     round trips on goroutines of their own (Client.fallback) — so dialing,
+//     retries, backoff and the retry budget exist once. Puts and fetch
+//     batches alike use one connection per chunk run when the chunks are
+//     large enough to be worth spreading over the pool.
 //   - The connection's read loop is the only reader. It reads a response's
 //     header, takes its ID out of the pending table, whose value says who
-//     waits — a round trip's channel, or a fetch's sink and the buffer the
-//     fetch brought (core.FetchRef.Buf), which the data field is then read
-//     into. A sink it completes on the spot (Client.complete).
+//     waits — a round trip's or a put's channel, or a fetch's sink and the
+//     buffer the fetch brought (core.FetchRef.Buf), which the data field is
+//     then read into. A sink it completes on the spot (Client.complete).
 //   - One sweep goroutine per client enforces the deadlines of asynchronous
 //     fetches, of writes in progress (a peer that stopped reading) and of
 //     data fields being read (one that stalled mid-frame), not a timer per
@@ -272,16 +276,23 @@ func (c *Client) call(ctx context.Context, req Request) (Response, error) {
 	if err := validateRequest(&req, c.cfg.MaxFrameSize); err != nil {
 		return Response{}, err
 	}
+	ctx, cancel := c.withDeadline(ctx, &req)
+	defer cancel()
+	c.counters.requests.Add(1)
+	return c.attempts(ctx, req, int(c.rr.Add(1))%c.cfg.Conns, 0, nil)
+}
+
+// withDeadline bounds ctx by RequestTimeout when it carries no deadline of
+// its own, and stamps the deadline into req.
+func (c *Client) withDeadline(ctx context.Context, req *Request) (context.Context, context.CancelFunc) {
+	cancel := context.CancelFunc(func() {})
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Deadline = uint64(dl.UnixNano())
 	}
-	c.counters.requests.Add(1)
-	return c.attempts(ctx, req, int(c.rr.Add(1))%c.cfg.Conns, 0, nil)
+	return ctx, cancel
 }
 
 // attempts is the retry loop of one request: round trips number first,
@@ -380,16 +391,6 @@ func (c *Client) BeginPut(ctx context.Context, pool, object string) (uint64, err
 	return resp.Version, nil
 }
 
-// PutChunk stages one locally encoded chunk of a two-phase put on its target
-// OSD. Re-sending the same chunk (a retry) overwrites the staged payload.
-// data is sent by reference but only read until the call returns — also
-// when it returns early because ctx is done — so the caller may reuse the
-// buffer afterwards.
-func (c *Client) PutChunk(ctx context.Context, pool, object string, version uint64, chunk int, data []byte) (time.Duration, error) {
-	resp, err := c.call(ctx, Request{Op: OpPutChunk, Pool: pool, Object: object, Version: version, Chunk: chunk, Data: data})
-	return resp.Latency, err
-}
-
 // CommitObject atomically flips the object to the staged stripe version; the
 // put becomes visible to readers only when this returns. size is the byte
 // length of the original object. Replaying a commit that already succeeded
@@ -457,10 +458,11 @@ type clientConn struct {
 }
 
 // waiter is what a pending request ID maps to — who gets the response: a
-// blocking round trip's channel, or (ch nil) an asynchronous chunk fetch,
-// which is all the state such a fetch has: no channel, context or timer.
+// blocking round trip's channel, a striped put's (one the put's chunks
+// share), or (ch nil) an asynchronous chunk fetch, which is all the state
+// such a fetch has: no channel, context or timer.
 type waiter struct {
-	ch chan Response
+	ch chan<- answer
 
 	sink     core.FetchSink
 	buf      []byte // where the response's data field may land
@@ -468,6 +470,15 @@ type waiter struct {
 	object   string
 	chunk    int
 	deadline int64 // unix ns, 0 = none; also in the request frame
+}
+
+// answer is what a waiting caller learns of one of its requests from the
+// connection it was sent on: the response the read loop read for it, or the
+// error the connection failed with.
+type answer struct {
+	chunk, slot int
+	resp        Response
+	err         error
 }
 
 // of returns w as the waiter of one ref of its batch.
@@ -495,9 +506,10 @@ func (cc *clientConn) broken() bool {
 	}
 }
 
-// fail marks the connection broken and wakes every pending round trip.
-// Asynchronous fetches pending on it continue as blocking round trips over
-// another connection when the failure is one a round trip would retry.
+// fail marks the connection broken and completes every request pending on it
+// (abandon): a round trip's or a put's with err, an asynchronous fetch as a
+// blocking round trip over another connection when the failure is one a
+// round trip would retry.
 func (cc *clientConn) fail(err error) {
 	cc.failOnce.Do(func() {
 		cc.mu.Lock()
@@ -513,13 +525,16 @@ func (cc *clientConn) fail(err error) {
 	})
 }
 
-// abandon completes w, a fetch whose connection failed with err: as a
-// blocking round trip over another connection when a round trip would retry
-// err, with err otherwise. A round trip's waiter is left to the round trip,
-// which sees the connection done.
+// abandon completes w, whose connection failed with err. A round trip or a
+// put's chunk gets err on its channel, and its caller decides; a fetch
+// continues as a blocking round trip over another connection when a round
+// trip would retry err, and fails with err otherwise.
 func (cc *clientConn) abandon(w waiter, err error) {
 	switch {
+	case w.ch != nil:
+		w.ch <- answer{chunk: w.chunk, slot: cc.slot, err: err}
 	case w.sink == nil:
+		// The read loop was reading a response nobody waits for any more.
 	case errors.Is(err, errConnBroken):
 		cc.client.fallback(w, cc.slot, 1, err)
 	default:
@@ -532,54 +547,80 @@ func (cc *clientConn) abandon(w waiter, err error) {
 // put nothing on the wire. req.Data is read only during the write below, on
 // this goroutine, so the caller has its buffer back whenever roundTrip returns.
 func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, error) {
+	id := cc.client.nextID.Add(1)
+	ch := make(chan answer, 1)
+	if err := cc.sendRun(ctx, &req, [][]byte{req.Data}, req.Chunk, id, ch); err != nil {
+		return Response{}, err
+	}
 	select {
-	case cc.sending <- struct{}{}:
-	case <-cc.done:
-		return Response{}, cc.brokenErr()
+	case a := <-ch:
+		return a.resp, a.err
 	case <-ctx.Done():
+		cc.drop(id, 1)
 		return Response{}, ctx.Err()
 	}
-	req.ID = cc.client.nextID.Add(1)
-	ch := make(chan Response, 1)
-	// Registered before anything is written, or the response could beat its
+}
+
+// sendRun registers a waiter per element of data, numbered from first and
+// answering on ch, and puts their request frames — req's, for chunk
+// chunk+i carrying data[i] — on the wire with a single write from the
+// calling goroutine. It waits for the send side no longer than ctx and the
+// connection last; a failure there has registered and sent nothing. Once it
+// returns nil every request is somebody's to answer on ch: the read loop's
+// or fail's.
+func (cc *clientConn) sendRun(ctx context.Context, req *Request, data [][]byte, chunk int, first uint64, ch chan<- answer) error {
+	if err := cc.acquire(ctx); err != nil {
+		return err
+	}
+	// Registered before anything is written, or a response could beat its
 	// waiter to the table.
 	cc.mu.Lock()
 	if cc.pending == nil {
 		cc.mu.Unlock()
 		<-cc.sending
-		return Response{}, cc.brokenErr()
+		return cc.brokenErr()
 	}
-	cc.pending[req.ID] = waiter{ch: ch}
+	for i := range data {
+		cc.pending[first+uint64(i)] = waiter{ch: ch, chunk: chunk + i}
+	}
 	cc.mu.Unlock()
-	cc.batch.addRequest(&req)
-	if !cc.write(int64(req.Deadline)) {
-		return Response{}, cc.brokenErr()
+	for i, d := range data {
+		req.ID, req.Chunk, req.Data = first+uint64(i), chunk+i, d
+		cc.batch.addRequest(req)
 	}
+	cc.write(int64(req.Deadline))
+	return nil
+}
+
+// drop takes the count requests numbered from first out of the pending
+// table: their caller has stopped waiting, and the read loop drops their
+// responses.
+func (cc *clientConn) drop(first uint64, count int) {
+	cc.mu.Lock()
+	for i := 0; i < count; i++ {
+		delete(cc.pending, first+uint64(i))
+	}
+	cc.mu.Unlock()
+}
+
+// acquire takes the connection's send side, waiting for it no longer than ctx
+// and the connection last.
+func (cc *clientConn) acquire(ctx context.Context) error {
 	select {
-	case resp := <-ch:
-		return resp, nil
+	case cc.sending <- struct{}{}:
+		return nil
 	case <-cc.done:
-		// The response may have been delivered in the same instant the
-		// connection died; prefer it over the connection error.
-		select {
-		case resp := <-ch:
-			return resp, nil
-		default:
-			return Response{}, cc.brokenErr()
-		}
+		return cc.brokenErr()
 	case <-ctx.Done():
-		cc.mu.Lock()
-		delete(cc.pending, req.ID)
-		cc.mu.Unlock()
-		return Response{}, ctx.Err()
+		return ctx.Err()
 	}
 }
 
 // write puts the frames gathered in cc.batch on the wire in one write, with
 // deadline published for the sweep while it lasts, and gives the send side up.
-// A failed write fails the connection, which completes or retries whatever was
-// registered on it. The caller holds the send side.
-func (cc *clientConn) write(deadline int64) bool {
+// A failed write fails the connection, which answers, retries or completes
+// whatever was registered on it. The caller holds the send side.
+func (cc *clientConn) write(deadline int64) {
 	cc.writeBy.Store(deadline)
 	err := cc.batch.flush(cc.conn)
 	cc.writeBy.Store(0)
@@ -587,7 +628,6 @@ func (cc *clientConn) write(deadline int64) bool {
 	if err != nil {
 		cc.fail(fmt.Errorf("%w: %v", errConnBroken, err))
 	}
-	return err == nil
 }
 
 // brokenErr returns the recorded connection-failure cause (which wraps
@@ -634,7 +674,7 @@ func (cc *clientConn) readLoop() {
 			// A response for an unknown ID belongs to a round trip that was
 			// cancelled or a fetch whose deadline passed; it is dropped.
 		case w.ch != nil:
-			w.ch <- resp
+			w.ch <- answer{chunk: w.chunk, slot: cc.slot, resp: resp}
 		default:
 			cc.client.complete(w, cc.slot, &resp)
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -10,10 +11,10 @@ import (
 )
 
 // StripedWriter is the transport's one ingest path: it encodes objects
-// locally with the SIMD erasure coder and fans the n chunk writes out in
-// parallel over the client's pooled connections, wrapped in a two-phase
-// commit — stage every chunk under a fresh stripe version, then flip the
-// object metadata with CommitObject. A failed put is aborted and stays
+// locally with the SIMD erasure coder and sends the n chunk writes together,
+// one write per pooled connection they use, wrapped in a two-phase commit —
+// stage every chunk under a fresh stripe version, then flip the object
+// metadata with CommitObject. A failed put is aborted and stays
 // invisible to readers. The server only stores chunks: n/k×S bytes cross
 // the wire per object and the encode CPU is spent at the client.
 type StripedWriter struct {
@@ -40,8 +41,9 @@ func NewStripedWriter(ctx context.Context, client *Client, pool string) (*Stripe
 }
 
 // Put writes an object through the striped two-phase path and returns the
-// committed stripe version: split + encode locally, BeginPut, stage all n
-// chunks concurrently (one pipelined round trip per chunk batch), commit.
+// committed stripe version: split + encode locally, BeginPut, stage the n
+// chunks (their frames leave in one write per connection used and are
+// answered together), commit — three round trips.
 // Any failure aborts the staged chunks; the previously committed stripe, if
 // one exists, remains fully readable throughout. data is sent without a
 // copy: it is only read, and only until Put returns.
@@ -59,8 +61,8 @@ func (w *StripedWriter) Put(ctx context.Context, object string, data []byte) (ui
 // are sent by reference — never copied, never multiplied, only read.
 func (w *StripedWriter) putChunks(ctx context.Context, object string, dataChunks [][]byte, size int) (uint64, error) {
 	set := paritySets.Get().(*paritySet)
-	// Every PutChunk below, which reads its chunk only before it returns,
-	// has returned by the time putChunks does.
+	// stageChunks reads the chunks only inside its own writes, all of which
+	// are over by the time it returns.
 	defer set.recycle()
 	storage, err := set.encode(w.Code, dataChunks)
 	if err != nil {
@@ -70,33 +72,113 @@ func (w *StripedWriter) putChunks(ctx context.Context, object string, dataChunks
 	if err != nil {
 		return 0, err
 	}
-	n := w.Code.N()
-	errs := make(chan error, n)
-	stageCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			_, err := w.Client.PutChunk(stageCtx, w.Pool, object, version, i, storage[i])
-			errs <- err
-		}(i)
+	err = w.Client.stageChunks(ctx, w.Pool, object, version, storage)
+	if err == nil {
+		err = w.Client.CommitObject(ctx, w.Pool, object, version, size)
 	}
-	var firstErr error
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-			cancel() // abandon the remaining chunk writes
-		}
-	}
-	if firstErr == nil {
-		if err := w.Client.CommitObject(ctx, w.Pool, object, version, size); err != nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
+	if err != nil {
 		w.abort(ctx, object, version)
-		return 0, firstErr
+		return 0, err
 	}
 	return version, nil
+}
+
+// replay is a chunk that stageChunks sends again as a round trip, resuming
+// attempts' loop at attempt first over the connection at slot after lastErr.
+type replay struct {
+	chunk, slot, first int
+	lastErr            error
+}
+
+// stageChunks stages chunks[i] as chunk i of object's put at version the way
+// startFetches sends a read's fetches: the requests leave over one connection
+// in one write from the calling goroutine — divided over the pool, one write
+// per connection, once the chunks are spreadMin or more — and the
+// connections' read loops hand the responses back on one channel. A chunk the
+// server shed, or whose connection broke, is replayed as a round trip through
+// attempts, so retries, backoff and the retry budget are call's; a chunk that
+// could not be sent at all starts there at attempt 0. The chunks are read
+// only inside this goroutine's writes, so they are the caller's again when
+// stageChunks returns. It returns the first failure; when ctx ends it takes
+// its requests out of the pending tables and returns ctx's error.
+func (c *Client) stageChunks(ctx context.Context, pool, object string, version uint64, chunks [][]byte) error {
+	req := Request{Op: OpPutChunk, Pool: pool, Object: object, Version: version, Tenant: c.cfg.Tenant}
+	for _, data := range chunks {
+		req.Data = data
+		if err := validateRequest(&req, c.cfg.MaxFrameSize); err != nil {
+			return err
+		}
+	}
+	ctx, cancel := c.withDeadline(ctx, &req)
+	defer cancel()
+	n := len(chunks)
+	c.counters.requests.Add(int64(n))
+	first := c.nextID.Add(uint64(n)) - uint64(n) + 1
+	// A slot per chunk: each request is answered on it at most once, so the
+	// read loop and fail never block on it, even once the put has returned.
+	results := make(chan answer, n)
+
+	// Spread as startFetches spreads a read's fetches, and for the same
+	// reason: from spreadMin on, the transfer is what the put waits for.
+	parts := 1
+	if n > 0 && len(chunks[0]) >= spreadMin {
+		parts = min(c.cfg.Conns, n)
+	}
+	var replays []replay
+	var err error
+	slot, from, waiting := int(c.rr.Add(1)), 0, 0
+	for p := 0; p < parts && err == nil; p++ {
+		to, s := from+(n-from)/(parts-p), (slot+p)%c.cfg.Conns
+		cc, sendErr := c.conn(s)
+		if sendErr == nil {
+			sendErr = cc.sendRun(ctx, &req, chunks[from:to], from, first+uint64(from), results)
+		}
+		switch {
+		case sendErr == nil:
+			waiting += to - from
+		case ctx.Err() != nil:
+			err = ctx.Err()
+		default:
+			for i := from; i < to; i++ {
+				replays = append(replays, replay{i, s, 0, sendErr})
+			}
+		}
+		from = to
+	}
+	for ; waiting > 0 && err == nil; waiting-- {
+		select {
+		case r := <-results:
+			rerr, retry := r.err, errors.Is(r.err, errConnBroken)
+			if r.err == nil {
+				rerr, retry = c.classify(&r.resp)
+			}
+			switch {
+			case retry:
+				replays = append(replays, replay{r.chunk, r.slot, 1, rerr})
+			case rerr != nil:
+				err = rerr
+			}
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	if err != nil {
+		// Request IDs are the client's, so each connection holds only the
+		// ones that were sent over it.
+		for i := range c.slots {
+			if cc := c.slots[i].cc.Load(); cc != nil {
+				cc.drop(first, n)
+			}
+		}
+		return err
+	}
+	for _, r := range replays {
+		req.Chunk, req.Data = r.chunk, chunks[r.chunk]
+		if _, err := c.attempts(ctx, req, r.slot, r.first, r.lastErr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // paritySet is one put's storage chunk list and the memory its parity is

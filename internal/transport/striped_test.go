@@ -333,7 +333,7 @@ func TestStagedJanitorAbortsAbandonedPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.PutChunk(context.Background(), "ec", "abandoned", version, 0, make([]byte, 1<<10)); err != nil {
+	if err := putChunk(context.Background(), client, "ec", "abandoned", version, 0, make([]byte, 1<<10)); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); pool.StagedPuts() != 0; time.Sleep(time.Millisecond) {

@@ -88,6 +88,14 @@ func getObject(ctx context.Context, client *Client, pool, object string, k int) 
 	return out[:size], nil
 }
 
+// putChunk stages one chunk of a two-phase put as a single round trip — the
+// way a striped put replays a chunk — so a test can drive one chunk's
+// request, its payload and its retries by itself.
+func putChunk(ctx context.Context, client *Client, pool, object string, version uint64, chunk int, data []byte) error {
+	_, err := client.call(ctx, Request{Op: OpPutChunk, Pool: pool, Object: object, Version: version, Chunk: chunk, Data: data})
+	return err
+}
+
 // TestPutGetOverTCP writes an object the way every writer does — a striped
 // two-phase put over the wire — and reads it back chunk by chunk.
 func TestPutGetOverTCP(t *testing.T) {
@@ -441,7 +449,7 @@ func TestRequestTooLargeRejectedLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.PutChunk(ctx, "data", "obj", version, 0, make([]byte, 2048))
+	err = putChunk(ctx, client, "data", "obj", version, 0, make([]byte, 2048))
 	if !errors.Is(err, ErrRequestTooLarge) {
 		t.Fatalf("want ErrRequestTooLarge, got %v", err)
 	}
@@ -449,7 +457,7 @@ func TestRequestTooLargeRejectedLocally(t *testing.T) {
 		t.Fatal("oversized request must not burn retries on healthy connections")
 	}
 	// The pooled connections stay healthy for well-sized requests.
-	if _, err := client.PutChunk(ctx, "data", "obj", version, 0, make([]byte, 128)); err != nil {
+	if err := putChunk(ctx, client, "data", "obj", version, 0, make([]byte, 128)); err != nil {
 		t.Fatalf("connection poisoned by rejected oversized request: %v", err)
 	}
 }

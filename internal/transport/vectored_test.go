@@ -201,7 +201,7 @@ func TestVectoredPartialWritev(t *testing.T) {
 						return
 					}
 					// Stage the chunk just read back under the open put.
-					if _, err := client.PutChunk(ctx, "data", "staged", version, chunk, want["big"][chunk]); err != nil {
+					if err := putChunk(ctx, client, "data", "staged", version, chunk, want["big"][chunk]); err != nil {
 						t.Errorf("put chunk %d: %v", chunk, err)
 						return
 					}
@@ -314,7 +314,7 @@ func TestVectoredRetryResendsSameBytes(t *testing.T) {
 				defer client.Close()
 				data := patterned(size, 0x5a)
 				want := bytes.Clone(data)
-				if _, err := client.PutChunk(context.Background(), "p", "o", 7, 3, data); err != nil {
+				if err := putChunk(context.Background(), client, "p", "o", 7, 3, data); err != nil {
 					t.Fatal(err)
 				}
 				mu.Lock()
@@ -382,7 +382,7 @@ func TestCancelledRoundTripKeepsPayload(t *testing.T) {
 	put := func(i int) {
 		defer wg.Done()
 		buf := filled(size, byte('A'+i))
-		_, err := client.PutChunk(ctx, "p", "o", 1, i, buf)
+		err := putChunk(ctx, client, "p", "o", 1, i, buf)
 		// The buffer is the caller's again: reuse it at once.
 		for j := range buf {
 			buf[j] = scribble
@@ -458,7 +458,7 @@ func TestImmutableNetworkCopyBoundary(t *testing.T) {
 			for i := range wantChunks {
 				buf := patterned(chunk, byte(10+i))
 				wantChunks[i] = bytes.Clone(buf)
-				if _, err := client.PutChunk(ctx, "data", "staged", version, i, buf); err != nil {
+				if err := putChunk(ctx, client, "data", "staged", version, i, buf); err != nil {
 					t.Fatal(err)
 				}
 				clear(buf)

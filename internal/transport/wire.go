@@ -9,8 +9,9 @@
 //
 // There is one way in and one way out: a client reads an object chunk by
 // chunk (GetChunk) and writes it as a stripe it encoded itself
-// (StripedWriter: BeginPut, one PutChunk per chunk, CommitObject or
-// AbortPut). The server never encodes, gathers, or decodes an object.
+// (StripedWriter: BeginPut, the n PutChunk frames in one write per
+// connection, CommitObject or AbortPut). The server never encodes, gathers,
+// or decodes an object.
 //
 // # Wire format
 //
