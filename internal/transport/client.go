@@ -569,8 +569,12 @@ func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, err
 // returns nil every request is somebody's to answer on ch: the read loop's
 // or fail's.
 func (cc *clientConn) sendRun(ctx context.Context, req *Request, data [][]byte, chunk int, first uint64, ch chan<- answer) error {
-	if err := cc.acquire(ctx); err != nil {
-		return err
+	select {
+	case cc.sending <- struct{}{}:
+	case <-cc.done:
+		return cc.brokenErr()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 	// Registered before anything is written, or a response could beat its
 	// waiter to the table.
@@ -601,19 +605,6 @@ func (cc *clientConn) drop(first uint64, count int) {
 		delete(cc.pending, first+uint64(i))
 	}
 	cc.mu.Unlock()
-}
-
-// acquire takes the connection's send side, waiting for it no longer than ctx
-// and the connection last.
-func (cc *clientConn) acquire(ctx context.Context) error {
-	select {
-	case cc.sending <- struct{}{}:
-		return nil
-	case <-cc.done:
-		return cc.brokenErr()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // write puts the frames gathered in cc.batch on the wire in one write, with
