@@ -432,7 +432,7 @@ type plane struct {
 func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transport.ServerConfig) (_ *plane, err error) {
 	p := &plane{
 		st:     st,
-		router: router.New(router.Options{FanoutWorkers: 2}),
+		router: router.New(router.Options{}),
 	}
 	defer func() {
 		if err != nil {

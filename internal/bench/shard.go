@@ -141,7 +141,7 @@ func shardPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg 
 	}
 	writer := &storeWriter{clu: clu, stores: stores}
 
-	r := router.New(router.Options{FanoutWorkers: 2, Client: transport.ClientConfig{Conns: 4}})
+	r := router.New(router.Options{Client: transport.ClientConfig{Conns: 4}})
 	defer r.Close()
 
 	ctrls := make([]*core.Controller, shards)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"sprout/internal/queue"
 )
@@ -180,9 +181,33 @@ func PaperConfig() Config {
 	}
 }
 
+// StripeInfo identifies the stripe a chunk belongs to: the storage plane's
+// per-object version number and the object's byte size under that version.
+// The zero value means "unversioned" — a fetcher that cannot report versions
+// (legacy stores, synthetic tests) — and opts out of consistency checking.
+type StripeInfo struct {
+	Version uint64
+	Size    int
+}
+
 // ObjectName is the name of file fileID's object in a storage pool: every
-// store that serves a controller's files names them this way.
-func ObjectName(fileID int) string { return fmt.Sprintf("file-%04d", fileID) }
+// store that serves a controller's files names them this way. A name below
+// len(names) is formatted once and kept, so a fetch path that names its file
+// per chunk allocates nothing.
+func ObjectName(fileID int) string {
+	if fileID < 0 || fileID >= len(names) {
+		return fmt.Sprintf("file-%04d", fileID)
+	}
+	if name := names[fileID].Load(); name != nil {
+		return *name
+	}
+	name := fmt.Sprintf("file-%04d", fileID)
+	names[fileID].Store(&name)
+	return name
+}
+
+// names caches ObjectName's results by file ID.
+var names [1 << 14]atomic.Pointer[string]
 
 // Build creates a cluster from the configuration, using exponential service
 // times with the configured rates and random chunk placement.

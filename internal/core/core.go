@@ -74,14 +74,9 @@ func (f FetcherFunc) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID 
 	return f(ctx, fileID, chunkIndex, nodeID)
 }
 
-// StripeInfo identifies the stripe a chunk belongs to: the storage plane's
-// per-object version number and the object's byte size under that version.
-// The zero value means "unversioned" — a fetcher that cannot report versions
-// (legacy stores, synthetic tests) — and opts out of consistency checking.
-type StripeInfo struct {
-	Version uint64
-	Size    int
-}
+// StripeInfo identifies the stripe a chunk belongs to; the zero value opts
+// out of consistency checking (see cluster.StripeInfo).
+type StripeInfo = cluster.StripeInfo
 
 // VersionedChunkFetcher is implemented by fetchers that know which stripe
 // version each chunk belongs to (the object store's versioned read path).
@@ -113,13 +108,15 @@ type FetchRef struct {
 }
 
 // AsyncChunkFetcher is implemented by fetchers that can send a read's chunk
-// requests without a goroutine blocking in each round trip (the transport's
-// RemoteFetcher). It is the one shape the read plane fetches through: all the
-// fetches a read launches at one point — the initial k−d, a failover, the
-// hedges — are issued with a single StartFetches call from the read's own
-// goroutine, and their outcomes are taken as completions. A fetcher without
-// it is wrapped in one that has: its blocking FetchChunk runs on the
-// controller's parked workers, which deliver to the same sinks.
+// requests without a goroutine blocking in each round trip or service (the
+// transport's RemoteFetcher, and the in-process stack.PoolIO, whose reads
+// complete off the OSDs' timelines). It is the one shape the read plane
+// fetches through: all the fetches a read launches at one point — the
+// initial k−d, a failover, the hedges — are issued with a single
+// StartFetches call from the read's own goroutine, and their outcomes are
+// taken as completions. A fetcher without it is wrapped in one that has:
+// its blocking FetchChunk runs on the controller's parked workers, which
+// deliver to the same sinks.
 //
 // The contract, for each ref of a call:
 //

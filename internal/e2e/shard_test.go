@@ -47,7 +47,7 @@ func TestChaosCrossShardCoherence(t *testing.T) {
 		return ctrl
 	}
 
-	r := router.New(router.Options{FanoutWorkers: 2})
+	r := router.New(router.Options{})
 	t.Cleanup(func() { _ = r.Close() })
 	var ctrls []*core.Controller
 	for i := 0; i < 3; i++ {

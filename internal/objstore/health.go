@@ -46,10 +46,10 @@ func (o *OSD) Alive() bool { return o.State() != StateDown }
 func (o *OSD) Fail(loseChunks bool) {
 	o.state.Store(int32(StateDown))
 	if loseChunks {
-		o.dataMu.Lock()
+		o.mu.Lock()
 		lost := len(o.chunks)
 		o.chunks = make(map[string][]byte)
-		o.dataMu.Unlock()
+		o.mu.Unlock()
 		o.lostChunks.Add(int64(lost))
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sprout/internal/cluster"
 	"sprout/internal/erasure"
 	"sprout/internal/queue"
 )
@@ -58,19 +59,20 @@ var (
 	ErrStagedStripe   = errors.New("objstore: staged stripe incomplete or inconsistent")
 )
 
-// OSD is one object storage daemon. Chunk reads and writes are serialised
-// through a per-OSD queue (mutex) and take a simulated service time drawn
-// from the configured distribution, scaled by the chunk size, so queueing
-// behaviour resembles the paper's testbed.
+// OSD is one object storage daemon. Chunk reads and writes take a simulated
+// service time drawn from the configured distribution, scaled by the chunk
+// size, so queueing behaviour resembles the paper's testbed.
 //
-// Service runs on the OSD's own timeline: a request that arrives at time a
-// starts at max(a, busyUntil), the end of the service before it, and
-// completes no earlier than that start plus its service time, which becomes
-// the new busyUntil. A request therefore sleeps until its deadline on the
-// timeline rather than for its service time from whenever it got the queue,
-// so a timer that wakes late delays only its own response, never the
-// requests queued behind it, and the OSD is never faster than configured. A
-// service cancelled mid-sleep ends the timeline at the moment it gives up.
+// Service is FIFO on the OSD's own timeline, the paper's M/G/1 queue: chunk
+// operations queue in arrival order, and the one at the head starts at
+// max(its arrival, busyUntil), the end of the service before it, and ends
+// its service time later, which becomes the new busyUntil. One timer
+// completes the head at the end of its slot, so a timer that wakes late
+// delays only its own response, never the requests queued behind it, and the
+// OSD is never faster than configured. No lock is held across a service:
+// placing an operation on the timeline, or taking it off, is one short
+// critical section. A service cancelled mid-slot ends the timeline at the
+// moment it gives up, and a cancelled queued operation consumes no service.
 //
 // An OSD has a lifecycle: it serves while Up or Recovering and fast-fails
 // every chunk operation with ErrOSDDown while Down (the node is
@@ -81,22 +83,23 @@ var (
 type OSD struct {
 	ID int
 
-	// svcMu serialises chunk reads/writes through the simulated service
-	// times (the FIFO disk queue). dataMu guards only the chunk map, so
+	// mu guards the chunk map and the timeline — the queue of chunk
+	// operations from head (in service) to tail, busyUntil, and the rng
+	// service times are drawn from — and is never held across a wait, so
 	// metadata operations (HasChunk, DeleteChunk, NumChunks — used by the
-	// repair plane's degradation scans) never wait behind service sleeps.
-	svcMu  sync.Mutex
-	dataMu sync.Mutex
-	chunks map[string][]byte // key: object/pool/chunk identifier
-	// busyUntil is when the last service ends on the OSD's timeline, and
-	// timer what every service sleeps on; both guarded by svcMu.
-	busyUntil time.Time
-	timer     *time.Timer
+	// repair plane's degradation scans) never wait behind a service.
+	mu         sync.Mutex
+	chunks     map[string][]byte // key: object/pool/chunk identifier
+	head, tail *chunkOp
+	busyUntil  time.Time
+	rng        *rand.Rand
+	// wake completes the head at the end of its slot.
+	wake *time.Timer
+	// waits recycles the waiters of blocking GetChunk and PutChunk calls.
+	waits sync.Pool
 
 	service queue.Dist // service time for a reference-sized chunk (seconds)
 	refSize int64      // reference chunk size in bytes for scaling
-	rng     *rand.Rand
-	rngMu   sync.Mutex
 
 	state      atomic.Int32 // NodeState
 	errors     atomic.Int64
@@ -109,113 +112,80 @@ type OSD struct {
 // NewOSD creates an OSD with the given per-chunk service-time distribution
 // calibrated for refSize-byte chunks.
 func NewOSD(id int, service queue.Dist, refSize int64, seed int64) *OSD {
-	return &OSD{
+	o := &OSD{
 		ID:      id,
 		chunks:  make(map[string][]byte),
 		service: service,
 		refSize: refSize,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
+	o.waits.New = func() any {
+		w := &opWait{ch: make(chan struct{}, 1)}
+		w.op.done = w
+		return w
+	}
+	return o
 }
 
+// sampleService draws one service time for a size-byte chunk. The caller
+// holds o.mu.
 func (o *OSD) sampleService(size int64) time.Duration {
-	o.rngMu.Lock()
 	s := o.service.Sample(o.rng)
-	o.rngMu.Unlock()
 	if o.refSize > 0 && size > 0 {
 		s *= float64(size) / float64(o.refSize)
 	}
 	return time.Duration(s * float64(time.Second))
 }
 
-// serve places one service of the given length on the OSD's timeline for a
-// request that arrived at arrival, and sleeps until it ends on the OSD's one
-// timer. A cancelled service ends the timeline now, freeing the OSD for the
-// next request. Must be called with svcMu held.
-func (o *OSD) serve(ctx context.Context, arrival time.Time, delay time.Duration) error {
-	start := arrival
-	if o.busyUntil.After(start) {
-		start = o.busyUntil
-	}
-	end := start.Add(delay)
-	if d := time.Until(end); d > 0 {
-		if o.timer == nil {
-			o.timer = time.NewTimer(d)
-		} else {
-			o.timer.Reset(d)
-		}
-		select {
-		case <-ctx.Done():
-			o.timer.Stop()
-		case <-o.timer.C:
-			o.busyUntil = end
-			return nil
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		o.busyUntil = time.Now()
-		return err
-	}
-	o.busyUntil = end
-	return nil
-}
-
-// PutChunk stores a chunk, blocking until its simulated service ends on the
-// OSD's timeline (FIFO service through the service mutex). It takes
-// ownership of data (see the package's chunk-ownership rule): the slice is
-// stored as is, not copied.
+// PutChunk stores a chunk once its service ends on the OSD's timeline. It
+// takes ownership of data (see the package's chunk-ownership rule): the
+// slice is stored as is, not copied.
 func (o *OSD) PutChunk(ctx context.Context, key string, data []byte) error {
-	if o.State() == StateDown {
-		return o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
-	}
-	delay := o.sampleService(int64(len(data)))
-	arrival := time.Now()
-	o.svcMu.Lock()
-	defer o.svcMu.Unlock()
-	if err := o.serve(ctx, arrival, delay); err != nil {
-		return o.observe(err)
-	}
-	o.dataMu.Lock()
-	o.chunks[key] = data
-	o.dataMu.Unlock()
-	o.served.Add(1)
-	o.busyNS.Add(int64(delay))
-	return o.observe(nil)
+	w := o.waits.Get().(*opWait)
+	w.op.name, w.op.data, w.op.put = key, data, true
+	_, err := o.wait(ctx, w)
+	return err
 }
 
-// GetChunk retrieves a chunk, blocking until its simulated service ends on
-// the OSD's timeline (FIFO service through the service mutex). The returned
-// slice is the stored chunk itself — shared, read-only memory (see the
-// package's chunk-ownership rule).
+// GetChunk retrieves a chunk once its service ends on the OSD's timeline.
+// The returned slice is the stored chunk itself — shared, read-only memory
+// (see the package's chunk-ownership rule).
 func (o *OSD) GetChunk(ctx context.Context, key string) ([]byte, error) {
-	return o.getChunk(ctx, []byte(key))
+	w := o.waits.Get().(*opWait)
+	w.op.key = append(w.op.key[:0], key...)
+	return o.wait(ctx, w)
 }
 
-// getChunk is GetChunk for a key in a buffer of the caller's, which it does
-// not keep.
-func (o *OSD) getChunk(ctx context.Context, key []byte) ([]byte, error) {
-	if o.State() == StateDown {
-		return nil, o.observe(fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID))
+// opWait is the op of a blocking GetChunk or PutChunk and the channel its
+// completion is signalled on.
+type opWait struct {
+	op chunkOp
+	ch chan struct{}
+}
+
+func (w *opWait) opDone() { w.ch <- struct{}{} }
+
+// wait places w's op on the timeline, waits for its outcome and recycles w.
+// A ctx that ends first takes the op off the timeline, unless its slot has
+// already ended.
+func (o *OSD) wait(ctx context.Context, w *opWait) ([]byte, error) {
+	o.start(&w.op)
+	select {
+	case <-w.ch:
+	case <-ctx.Done():
+		if o.cancel(&w.op) {
+			w.op.err = o.observe(ctx.Err())
+		} else {
+			<-w.ch
+		}
 	}
-	arrival := time.Now()
-	o.svcMu.Lock()
-	defer o.svcMu.Unlock()
-	o.dataMu.Lock()
-	data, ok := o.chunks[string(key)]
-	o.dataMu.Unlock()
-	if !ok {
-		return nil, o.observe(fmt.Errorf("%w: %s on osd %d", ErrChunkMissing, string(key), o.ID))
+	data, err := w.op.data, w.op.err
+	if err != nil {
+		data = nil
 	}
-	delay := o.sampleService(int64(len(data)))
-	if err := o.serve(ctx, arrival, delay); err != nil {
-		return nil, o.observe(err)
-	}
-	o.served.Add(1)
-	o.busyNS.Add(int64(delay))
-	if err := o.observe(nil); err != nil {
-		return nil, err
-	}
-	return data, nil
+	w.op = chunkOp{key: w.op.key[:0], done: w}
+	o.waits.Put(w)
+	return data, err
 }
 
 // DeleteChunk removes a chunk without service delay (metadata operation).
@@ -224,9 +194,9 @@ func (o *OSD) DeleteChunk(key string) error {
 	if o.State() == StateDown {
 		return fmt.Errorf("%w: osd %d", ErrOSDDown, o.ID)
 	}
-	o.dataMu.Lock()
+	o.mu.Lock()
 	delete(o.chunks, key)
-	o.dataMu.Unlock()
+	o.mu.Unlock()
 	return nil
 }
 
@@ -234,8 +204,8 @@ func (o *OSD) DeleteChunk(key string) error {
 // the stored slice itself (shared and read-only, like GetChunk's result),
 // without service delay. Audits use it to check stored bytes in place.
 func (o *OSD) Chunks() map[string][]byte {
-	o.dataMu.Lock()
-	defer o.dataMu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	out := make(map[string][]byte, len(o.chunks))
 	for key, data := range o.chunks {
 		out[key] = data
@@ -245,8 +215,8 @@ func (o *OSD) Chunks() map[string][]byte {
 
 // NumChunks returns how many chunks the OSD currently stores.
 func (o *OSD) NumChunks() int {
-	o.dataMu.Lock()
-	defer o.dataMu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	return len(o.chunks)
 }
 
@@ -257,8 +227,8 @@ func (o *OSD) Service() queue.Dist { return o.service }
 // HasChunk reports whether the OSD stores the chunk, without service delay
 // and without waiting behind in-flight chunk operations.
 func (o *OSD) HasChunk(key string) bool {
-	o.dataMu.Lock()
-	defer o.dataMu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	_, ok := o.chunks[key]
 	return ok
 }
@@ -325,6 +295,8 @@ type Pool struct {
 	// Sprout controllers register functional-cache invalidation, so an
 	// overwrite through any path never leaves stale cached bytes behind.
 	commitHooks []func(object string)
+	// reads recycles the chunk reads of ReadChunk and GetChunkV.
+	reads sync.Pool
 }
 
 type objectMeta struct {
@@ -368,6 +340,11 @@ func NewPool(name string, n, k int, osds []*OSD, pgs int) (*Pool, error) {
 		prev:            make(map[string]prevStripe),
 		pins:            make(map[stagedKey]int),
 		zombies:         make(map[stagedKey]prevStripe),
+	}
+	p.reads.New = func() any {
+		r := &chunkRead{pool: p, ch: make(chan struct{}, 1)}
+		r.op.done = r
+		return r
 	}
 	return p, nil
 }
@@ -478,13 +455,13 @@ func (p *Pool) meta(object string) (objectMeta, bool) {
 
 // Get reads an object by collecting k chunks of its committed stripe version
 // from the hosting OSDs (all n are contacted; the k fastest responses win,
-// mirroring Ceph's read path for erasure-coded pools) and decoding. The
-// version is pinned when the metadata is read: a concurrent overwrite can
-// never contribute chunks to this read's stripe, and garbage collection
-// defers deletion of the pinned stripe until the read finishes, so reads
-// never starve under continuous overwrites. The retry loop remains for
-// failure cases (a chunk lost to a Down OSD may exist again under the next
-// committed version).
+// mirroring Ceph's read path for erasure-coded pools, and the rest are taken
+// off their OSDs' timelines) and decoding. The version is pinned when the
+// metadata is read: a concurrent overwrite can never contribute chunks to
+// this read's stripe, and garbage collection defers deletion of the pinned
+// stripe until the read finishes, so reads never starve under continuous
+// overwrites. The retry loop remains for failure cases (a chunk lost to a
+// Down OSD may exist again under the next committed version).
 func (p *Pool) Get(ctx context.Context, object string) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < versionRetries; attempt++ {
@@ -492,10 +469,10 @@ func (p *Pool) Get(ctx context.Context, object string) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrObjectNotFound, object)
 		}
-		data, err := p.getVersion(ctx, object, meta)
+		chunks, err := p.gather(ctx, object, meta, nil)
 		p.unpin(object, meta.version)
 		if err == nil {
-			return data, nil
+			return p.code.Decode(chunks, meta.size)
 		}
 		if ctx.Err() != nil {
 			return nil, err
@@ -515,39 +492,71 @@ func (p *Pool) Get(ctx context.Context, object string) ([]byte, error) {
 // commits land inside one read window.
 const versionRetries = 6
 
-// getVersion reads one pinned stripe version of an object.
-func (p *Pool) getVersion(ctx context.Context, object string, meta objectMeta) ([]byte, error) {
-	type resp struct {
-		idx  int
-		data []byte
-		err  error
+// GetChunks reads the listed coded chunks of the object's committed stripe,
+// all pinned to one version, and returns the first k to arrive; the rest are
+// taken off their OSDs' timelines.
+func (p *Pool) GetChunks(ctx context.Context, object string, chunks []int) ([]erasure.Chunk, error) {
+	meta, ok := p.pinMeta(object)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrObjectNotFound, object)
 	}
-	ch := make(chan resp, p.N)
-	readCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for i := 0; i < p.N; i++ {
-		go func(i int, osd *OSD) {
-			data, err := osd.GetChunk(readCtx, p.chunkKey(object, meta.version, i))
-			ch <- resp{idx: i, data: data, err: err}
-		}(i, p.osdForChunk(meta.pg, object, meta.version, i))
+	defer p.unpin(object, meta.version)
+	return p.gather(ctx, object, meta, chunks)
+}
+
+// stripeRead is one chunk op of a gather, which completes on its channel.
+type stripeRead struct {
+	op   chunkOp
+	osd  *OSD
+	idx  int
+	done chan *stripeRead
+}
+
+func (s *stripeRead) opDone() { s.done <- s }
+
+// gather reads the listed chunks (nil: all n) of one pinned stripe version
+// and returns the first k to arrive.
+func (p *Pool) gather(ctx context.Context, object string, meta objectMeta, chunks []int) ([]erasure.Chunk, error) {
+	if chunks == nil {
+		chunks = make([]int, p.N)
+		for i := range chunks {
+			chunks[i] = i
+		}
 	}
-	chunks := make([]erasure.Chunk, 0, p.K)
+	done := make(chan *stripeRead, len(chunks))
+	reads := make([]stripeRead, len(chunks))
+	for i, idx := range chunks {
+		r := &reads[i]
+		r.idx, r.done, r.op.done = idx, done, r
+		r.op.key = p.appendChunkKey(nil, object, meta.version, idx)
+		r.osd = p.osdForKey(meta.pg, r.op.key, idx)
+		r.osd.start(&r.op)
+	}
+	defer func() {
+		for i := range reads {
+			reads[i].osd.cancel(&reads[i].op)
+		}
+	}()
+	got := make([]erasure.Chunk, 0, p.K)
 	var lastErr error
-	for received := 0; received < p.N && len(chunks) < p.K; received++ {
-		r := <-ch
-		if r.err != nil {
-			lastErr = r.err
-			continue
+	for range reads {
+		select {
+		case r := <-done:
+			if r.op.err != nil {
+				lastErr = r.op.err
+				continue
+			}
+			if got = append(got, erasure.Chunk{Index: r.idx, Data: r.op.data}); len(got) == p.K {
+				return got, nil
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		chunks = append(chunks, erasure.Chunk{Index: r.idx, Data: r.data})
 	}
-	if len(chunks) < p.K {
-		if lastErr != nil {
-			return nil, lastErr
-		}
-		return nil, fmt.Errorf("%w: object %s", ErrChunkMissing, object)
+	if lastErr == nil {
+		lastErr = fmt.Errorf("%w: object %s", ErrChunkMissing, object)
 	}
-	return p.code.Decode(chunks, meta.size)
+	return nil, fmt.Errorf("gathered %d of %d chunks: %w", len(got), p.K, lastErr)
 }
 
 // GetChunk reads one specific coded chunk of an object's committed stripe
@@ -558,39 +567,121 @@ func (p *Pool) GetChunk(ctx context.Context, object string, chunk int) ([]byte, 
 	return data, err
 }
 
-// GetChunkV reads one coded chunk and reports the stripe version and object
-// size it belongs to, so callers assembling a stripe from several GetChunkV
-// calls (the controller's read plane) can detect a concurrent overwrite
-// instead of decoding a mixed-version stripe. A read that loses its pinned
-// version to a concurrent commit retries against the new version. The chunk
-// is returned by reference and is read-only.
+// GetChunkV is ReadChunk waited for, with the stripe's version and object
+// size, so callers assembling a stripe from several GetChunkV calls (the
+// controller's read plane) can detect a concurrent overwrite instead of
+// decoding a mixed-version stripe. It returns when ctx ends; the read, as
+// over the wire, still ends at its slot or at ctx's deadline. The chunk is
+// returned by reference and is read-only.
 func (p *Pool) GetChunkV(ctx context.Context, object string, chunk int) ([]byte, uint64, int, error) {
-	var lastErr error
-	for attempt := 0; attempt < versionRetries; attempt++ {
-		meta, ok := p.pinMeta(object)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("%w: %s", ErrObjectNotFound, object)
-		}
-		if chunk < 0 || chunk >= p.N {
-			p.unpin(object, meta.version)
-			return nil, 0, 0, fmt.Errorf("%w: chunk %d", ErrChunkMissing, chunk)
-		}
-		var b [64]byte
-		key := p.appendChunkKey(b[:0], object, meta.version, chunk)
-		data, err := p.osdForKey(meta.pg, key, chunk).getChunk(ctx, key)
-		p.unpin(object, meta.version)
-		if err == nil {
-			return data, meta.version, meta.size, nil
-		}
-		if ctx.Err() != nil {
-			return nil, 0, 0, err
-		}
-		lastErr = err
-		if cur, ok := p.meta(object); !ok || cur.version == meta.version {
-			return nil, 0, 0, err
+	r := p.reads.Get().(*chunkRead)
+	r.read(ctx, object, chunk)
+	select {
+	case <-r.ch:
+	case <-ctx.Done():
+		return nil, 0, 0, ctx.Err() // r completes later, and is left to the GC
+	}
+	data, stripe, err := r.op.data, r.stripe, r.err
+	if err != nil {
+		data, stripe = nil, cluster.StripeInfo{}
+	}
+	r.recycle()
+	return data, stripe.Version, stripe.Size, err
+}
+
+// ChunkSink receives the outcome of one ReadChunk: the chunk, by reference
+// and read-only, with the stripe it belongs to, or the error. A core.FetchSink
+// is one.
+type ChunkSink interface {
+	FetchDone(data []byte, stripe cluster.StripeInfo, err error)
+}
+
+// ReadChunk reads one coded chunk of the object's committed stripe without
+// waiting for it: sink receives the outcome exactly once, never under a lock
+// of the pool or an OSD, and inline when the read fails before it is queued
+// or its slot on the OSD's timeline has ended by then. The read pins its
+// stripe version until completion, where a read that lost its stripe to a
+// concurrent commit retries against the new version. Only ctx's deadline is
+// used: a read not served by then completes with context.DeadlineExceeded.
+func (p *Pool) ReadChunk(ctx context.Context, object string, chunk int, sink ChunkSink) {
+	r := p.reads.Get().(*chunkRead)
+	r.sink = sink
+	r.read(ctx, object, chunk)
+}
+
+// chunkRead is one chunk read in flight: the stripe it pinned and the OSD op
+// reading its chunk. It completes into sink and is recycled, or, for a
+// GetChunkV (no sink), leaves err set and signals ch.
+type chunkRead struct {
+	op     chunkOp
+	pool   *Pool
+	object string
+	chunk  int
+	stripe cluster.StripeInfo
+	flips  int // version flips chased so far
+	sink   ChunkSink
+	ch     chan struct{}
+	err    error
+}
+
+func (r *chunkRead) read(ctx context.Context, object string, chunk int) {
+	r.object, r.chunk, r.flips = object, chunk, 0
+	r.op.deadline, _ = ctx.Deadline()
+	r.attempt()
+}
+
+// attempt pins the object's committed stripe and places the chunk's read on
+// the OSD hosting it.
+func (r *chunkRead) attempt() {
+	p := r.pool
+	meta, ok := p.pinMeta(r.object)
+	switch {
+	case !ok:
+		r.finish(fmt.Errorf("%w: %s", ErrObjectNotFound, r.object))
+	case r.chunk < 0 || r.chunk >= p.N:
+		p.unpin(r.object, meta.version)
+		r.finish(fmt.Errorf("%w: chunk %d", ErrChunkMissing, r.chunk))
+	default:
+		r.stripe = cluster.StripeInfo{Version: meta.version, Size: meta.size}
+		r.op.key = p.appendChunkKey(r.op.key[:0], r.object, meta.version, r.chunk)
+		p.osdForKey(meta.pg, r.op.key, r.chunk).start(&r.op)
+	}
+}
+
+// opDone unpins the stripe the op read and, when the op failed because a
+// commit replaced that stripe meanwhile, reads the chunk again from the new
+// one.
+func (r *chunkRead) opDone() {
+	p, err := r.pool, r.op.err
+	p.unpin(r.object, r.stripe.Version)
+	if err != nil && err != context.DeadlineExceeded && r.flips < versionRetries-1 {
+		if cur, ok := p.meta(r.object); ok && cur.version != r.stripe.Version {
+			r.flips++
+			r.attempt()
+			return
 		}
 	}
-	return nil, 0, 0, lastErr
+	r.finish(err)
+}
+
+func (r *chunkRead) finish(err error) {
+	if r.sink == nil {
+		r.err = err
+		r.ch <- struct{}{}
+		return
+	}
+	sink, data, stripe := r.sink, r.op.data, r.stripe
+	if err != nil {
+		data, stripe = nil, cluster.StripeInfo{}
+	}
+	r.recycle()
+	sink.FetchDone(data, stripe, err)
+}
+
+// recycle drops the read's references and returns it to its pool.
+func (r *chunkRead) recycle() {
+	r.op.data, r.sink, r.err, r.object = nil, nil, nil, ""
+	r.pool.reads.Put(r)
 }
 
 // Objects returns the names of all objects in the pool, sorted.

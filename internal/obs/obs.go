@@ -334,7 +334,7 @@ func registerRouter(r *metrics.Registry, rt *router.Router) {
 		return out
 	}))
 	counter(r, "sprout_router_invalidations_sent_total",
-		"Invalidation deliveries handed to the fan-out pool.",
+		"Invalidation deliveries started to peer shards.",
 		func() int64 { return rt.Stats().InvalidationsSent })
 	r.MustRegister(metrics.Desc{
 		Name: "sprout_router_invalidation_acks_total",

@@ -90,7 +90,7 @@ func shardControllers(t *testing.T) []ShardSource {
 func fullRegistry(t *testing.T) *metrics.Registry {
 	t.Helper()
 	shards := shardControllers(t)
-	rt := router.New(router.Options{FanoutWorkers: 1})
+	rt := router.New(router.Options{})
 	t.Cleanup(func() { _ = rt.Close() })
 	var rings []RingSource
 	for _, s := range shards {

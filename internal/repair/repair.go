@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sprout/internal/erasure"
 	"sprout/internal/objstore"
 	"sprout/internal/resilience"
 )
@@ -368,10 +367,10 @@ func (m *Manager) repairOne(it *item) error {
 		m.skipped.Add(1) // healed by another path since the scan
 		return nil
 	}
-	readable := make([]objstore.ChunkLocation, 0, len(locs))
+	var readable []int
 	for _, loc := range locs {
 		if loc.Alive && loc.Present {
-			readable = append(readable, loc)
+			readable = append(readable, loc.Chunk)
 		}
 	}
 	code := m.pool.Code()
@@ -383,35 +382,12 @@ func (m *Manager) repairOne(it *item) error {
 			it.object, it.chunk, len(readable), code.K())
 		return nil
 	}
-	// Fetch survivors in parallel and keep the fastest k — repair reads
-	// compete with live traffic in the OSD queues, so serialising them
-	// would make rebuild time scale with queue depth times k.
-	type fetchRes struct {
-		chunk int
-		data  []byte
-		err   error
-	}
-	rctx, cancel := context.WithCancel(m.ctx)
-	defer cancel()
-	results := make(chan fetchRes, len(readable))
-	for _, loc := range readable {
-		go func(loc objstore.ChunkLocation) {
-			data, err := m.pool.GetChunk(rctx, it.object, loc.Chunk)
-			results <- fetchRes{chunk: loc.Chunk, data: data, err: err}
-		}(loc)
-	}
-	chunks := make([]erasure.Chunk, 0, code.K())
-	for received := 0; received < len(readable) && len(chunks) < code.K(); received++ {
-		r := <-results
-		if r.err != nil {
-			continue
-		}
-		chunks = append(chunks, erasure.Chunk{Index: r.chunk, Data: r.data})
-	}
-	cancel()
-	if len(chunks) < code.K() {
-		return fmt.Errorf("repair: %s chunk %d: gathered %d of %d survivors",
-			it.object, it.chunk, len(chunks), code.K())
+	// Read every survivor and keep the fastest k — repair reads compete with
+	// live traffic in the OSD queues, so serialising them would make rebuild
+	// time scale with queue depth times k.
+	chunks, err := m.pool.GetChunks(m.ctx, it.object, readable)
+	if err != nil {
+		return fmt.Errorf("repair: %s chunk %d: %w", it.object, it.chunk, err)
 	}
 	dataChunks, err := code.Reconstruct(chunks)
 	if err != nil {

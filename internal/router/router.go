@@ -39,9 +39,6 @@ type Shard struct {
 
 // Options tunes the router.
 type Options struct {
-	// FanoutWorkers sizes the invalidation fan-out pool (default 4). The
-	// workers are persistent; Close stops them.
-	FanoutWorkers int
 	// Client configures the pooled connections to remote shards.
 	Client transport.ClientConfig
 }
@@ -57,22 +54,8 @@ type handle struct {
 	writes atomic.Int64
 }
 
-// invJob is one invalidation delivery to one peer shard.
-type invJob struct {
-	h       *handle
-	fileID  int
-	version uint64
-	size    int
-	done    chan invResult
-}
-
-type invResult struct {
-	applied bool
-	err     error
-}
-
-// Router routes reads and writes to the owning shard and owns the
-// invalidation fan-out machinery.
+// Router routes reads and writes to the owning shard and fans each
+// committed write's invalidation out to the other shards.
 type Router struct {
 	opts Options
 	ring *shard.Ring
@@ -80,12 +63,7 @@ type Router struct {
 	mu     sync.RWMutex
 	shards map[string]*handle
 
-	jobs     chan invJob
-	workerWG sync.WaitGroup
-	stopCh   chan struct{}
-	stopOnce sync.Once
-
-	invSent    atomic.Int64 // deliveries handed to the fan-out pool
+	invSent    atomic.Int64 // deliveries started
 	invApplied atomic.Int64 // peer applied the invalidation
 	invStale   atomic.Int64 // peer dropped it as late/duplicate
 	invErrors  atomic.Int64 // deliveries that failed after retries
@@ -95,21 +73,11 @@ type Router struct {
 
 // New builds a router with no shards; add them with AddShard.
 func New(opts Options) *Router {
-	if opts.FanoutWorkers <= 0 {
-		opts.FanoutWorkers = 4
-	}
-	r := &Router{
+	return &Router{
 		opts:   opts,
 		ring:   shard.New(shard.DefaultVirtualNodes),
 		shards: make(map[string]*handle),
-		jobs:   make(chan invJob),
-		stopCh: make(chan struct{}),
 	}
-	for i := 0; i < opts.FanoutWorkers; i++ {
-		r.workerWG.Add(1)
-		go r.fanoutWorker()
-	}
-	return r
 }
 
 // AddShard registers a shard and gives it its arcs on the ring. Files whose
@@ -247,8 +215,8 @@ func (r *Router) Write(ctx context.Context, fileID int, data []byte, writer core
 	return nil
 }
 
-// fanoutInvalidate delivers fileID@version to every shard except the owner
-// and waits for the acknowledgements.
+// fanoutInvalidate delivers fileID@version to every shard except the owner,
+// all at once, and waits for the acknowledgements.
 func (r *Router) fanoutInvalidate(ownerID string, fileID int, version uint64, size int) {
 	r.mu.RLock()
 	peers := make([]*handle, 0, len(r.shards))
@@ -263,58 +231,41 @@ func (r *Router) fanoutInvalidate(ownerID string, fileID int, version uint64, si
 	}
 	start := time.Now()
 	r.fanouts.Add(1)
-	done := make(chan invResult, len(peers))
-	submitted := 0
+	var wg sync.WaitGroup
 	for _, h := range peers {
-		select {
-		case r.jobs <- invJob{h: h, fileID: fileID, version: version, size: size, done: done}:
-			r.invSent.Add(1)
-			submitted++
-		case <-r.stopCh:
-			// Shutting down: the write committed; the remaining deliveries
-			// are abandoned and surface as errors.
-			r.invErrors.Add(1)
-		}
+		r.invSent.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.deliver(h, fileID, version, size)
+		}()
 	}
-	for i := 0; i < submitted; i++ {
-		res := <-done
-		switch {
-		case res.err != nil:
-			r.invErrors.Add(1)
-		case res.applied:
-			r.invApplied.Add(1)
-		default:
-			r.invStale.Add(1)
-		}
-	}
+	wg.Wait()
 	r.fanoutHist.Observe(time.Since(start))
 }
 
-// fanoutWorker delivers invalidations until Close.
-func (r *Router) fanoutWorker() {
-	defer r.workerWG.Done()
-	for {
-		select {
-		case job := <-r.jobs:
-			job.done <- r.deliver(job)
-		case <-r.stopCh:
-			return
-		}
+// deliver pushes one invalidation to one shard and counts its outcome. The
+// transport client already retries broken connections and overload under
+// its retry budget, so delivery is at-least-once as long as the peer is
+// reachable.
+func (r *Router) deliver(h *handle, fileID int, version uint64, size int) {
+	var applied bool
+	var err error
+	if h.ctrl != nil {
+		applied, err = h.ctrl.InvalidateVersion(fileID, version, size)
+	} else {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		applied, err = h.client.Invalidate(ctx, fileID, version, size)
+		cancel()
 	}
-}
-
-// deliver pushes one invalidation to one shard. The transport client
-// already retries broken connections and overload under its retry budget,
-// so delivery is at-least-once as long as the peer is reachable.
-func (r *Router) deliver(job invJob) invResult {
-	if job.h.ctrl != nil {
-		applied, err := job.h.ctrl.InvalidateVersion(job.fileID, job.version, job.size)
-		return invResult{applied: applied, err: err}
+	switch {
+	case err != nil:
+		r.invErrors.Add(1)
+	case applied:
+		r.invApplied.Add(1)
+	default:
+		r.invStale.Add(1)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	applied, err := job.h.client.Invalidate(ctx, job.fileID, job.version, job.size)
-	return invResult{applied: applied, err: err}
 }
 
 // Membership returns the ring version and the members as flat
@@ -368,12 +319,10 @@ func (r *Router) SyncMembership(ctx context.Context, addr string) (int, error) {
 	return added, nil
 }
 
-// Close stops the fan-out workers and drains every remote shard's
-// connection pool. It is idempotent. Shard controllers belong to their
-// creators and stay open.
+// Close drains every remote shard's connection pool and leaves the ring
+// empty. It is idempotent. Shard controllers belong to their creators and
+// stay open.
 func (r *Router) Close() error {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	r.workerWG.Wait()
 	r.mu.Lock()
 	handles := make([]*handle, 0, len(r.shards))
 	for id, h := range r.shards {
@@ -403,9 +352,9 @@ type Stats struct {
 	Shards []ShardStats
 	// RingVersion is the membership version (bumps on add/remove).
 	RingVersion uint64
-	// Fan-out protocol counters: deliveries handed to the worker pool,
-	// deliveries the peer applied, deliveries the peer dropped as late or
-	// duplicate (the protocol's idempotence), and deliveries that failed.
+	// Fan-out protocol counters: deliveries started, deliveries the peer
+	// applied, deliveries the peer dropped as late or duplicate (the
+	// protocol's idempotence), and deliveries that failed.
 	InvalidationsSent    int64
 	InvalidationsApplied int64
 	InvalidationsStale   int64

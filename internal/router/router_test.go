@@ -124,7 +124,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 func TestRouterWriteFanoutInvalidatesPeers(t *testing.T) {
 	const objects = 4
 	p := newPlane(t, 3, objects, 16<<10, 4*objects)
-	r := New(Options{FanoutWorkers: 2})
+	r := New(Options{})
 	defer r.Close()
 	for i, ctrl := range p.ctrls {
 		if err := r.AddShard(Shard{ID: fmt.Sprintf("shard-%d", i), Ctrl: ctrl}); err != nil {
@@ -272,7 +272,7 @@ func TestRouterCloseLeaksNothing(t *testing.T) {
 
 	goroutinesBefore := runtime.NumGoroutine()
 
-	r := New(Options{FanoutWorkers: 3, Client: transport.ClientConfig{Conns: 2}})
+	r := New(Options{Client: transport.ClientConfig{Conns: 2}})
 	var endpoints []*PeerEndpoint
 	for i, ctrl := range p.ctrls {
 		ep, err := ServeShard(ctrl, p.Local, p.Local, nil, "127.0.0.1:0",

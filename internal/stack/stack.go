@@ -236,13 +236,25 @@ type PoolIO struct{ pool *objstore.Pool }
 
 var (
 	_ core.VersionedChunkFetcher = PoolIO{}
+	_ core.AsyncChunkFetcher     = PoolIO{}
 	_ core.ObjectWriter          = PoolIO{}
 )
 
+// StartFetches implements core.AsyncChunkFetcher: each ref's chunk read is
+// placed on its OSD's timeline, and its sink is completed off that timeline —
+// inline when the read fails at once or its slot has already ended. As over
+// the wire, only ctx's deadline is used, so a hedge loser runs to
+// completion; the node IDs and Bufs are ignored.
+func (p PoolIO) StartFetches(ctx context.Context, fileID int, refs []core.FetchRef) {
+	object := cluster.ObjectName(fileID)
+	for _, ref := range refs {
+		p.pool.ReadChunk(ctx, object, ref.ChunkIndex, ref.Sink)
+	}
+}
+
 // FetchChunk reads one coded chunk; the node ID is ignored.
-func (p PoolIO) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-	data, _, err := p.FetchChunkV(ctx, fileID, chunkIndex, nodeID)
-	return data, err
+func (p PoolIO) FetchChunk(ctx context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
+	return p.pool.GetChunk(ctx, cluster.ObjectName(fileID), chunkIndex)
 }
 
 // FetchChunkV reads one coded chunk with its stripe's version and size.

@@ -12,6 +12,7 @@ import (
 	"sprout/internal/core"
 	"sprout/internal/optimizer"
 	"sprout/internal/queue"
+	"sprout/internal/racedetect"
 	"sprout/internal/transport"
 )
 
@@ -127,5 +128,44 @@ func TestFailedNewStopsEverything(t *testing.T) {
 			t.Fatalf("%s: New = %v, want an error containing %q", tc.name, err, tc.wantErr)
 		}
 		settles(t, before)
+	}
+}
+
+// errSink is a reusable FetchSink: each completion sends its error.
+type errSink chan error
+
+func (s errSink) FetchDone(_ []byte, _ core.StripeInfo, err error) { s <- err }
+
+// TestStartFetchesAllocatesNothing: a warm in-process fan-out — PoolIO's
+// StartFetches with a sink the caller reuses — allocates nothing, whether its
+// reads complete inline (no service time) or off the OSDs' timers.
+func TestStartFetchesAllocatesNothing(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	for _, service := range []float64{0, 0.00001} {
+		ctx := context.Background()
+		st, err := New(ctx, Spec{Service: queue.Deterministic{Value: service}, Seed: 1, Objects: 2, Size: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := make(errSink, 4)
+		refs := make([]core.FetchRef, 4)
+		for i := range refs {
+			refs[i] = core.FetchRef{ChunkIndex: i, Sink: sink}
+		}
+		fetch := func() {
+			st.Local.StartFetches(ctx, 1, refs)
+			for range refs {
+				if err := <-sink; err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fetch()
+		if n := testing.AllocsPerRun(200, fetch); n != 0 {
+			t.Errorf("service %gs: StartFetches of %d chunks allocates %v times", service, len(refs), n)
+		}
+		st.Close()
 	}
 }

@@ -80,9 +80,13 @@ func await(t *testing.T, sinks []*testSink, timeout time.Duration) []fetchOutcom
 }
 
 // clientGoroutines counts the goroutines running client code: connection
-// loops, the sweep, fallback round trips. One inside its deferred
-// WaitGroup.Done has finished — Close may return on that very call before
-// the goroutine does — so it is not counted.
+// loops, the sweep, fallback round trips. It reads each goroutine's frames,
+// not the "created by" trailer, and skips the go statement's wrapper
+// (gowrap): a goroutine counts when a client function is blocked or calls
+// another function. One that has called its deferred WaitGroup.Done has
+// finished — Close may return on that very call, before the goroutine
+// exits — so it is not counted, neither inside Done nor runnable in its
+// client function's epilogue, with nothing above it.
 func clientGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -91,8 +95,21 @@ func clientGoroutines() int {
 		if strings.Contains(g, "sync.(*WaitGroup).Done") {
 			continue
 		}
-		if strings.Contains(g, "transport.(*Client).") || strings.Contains(g, "transport.(*clientConn).") {
-			n++
+		header, frames, _ := strings.Cut(g, "\n")
+		frames, _, _ = strings.Cut(frames, "created by ")
+		parked := !strings.Contains(header, "[running") && !strings.Contains(header, "[runnable")
+		depth := 0
+		for _, fn := range strings.Split(frames, "\n") {
+			if fn == "" || strings.HasPrefix(fn, "\t") {
+				continue // a frame's file line
+			}
+			client := (strings.Contains(fn, "transport.(*Client).") || strings.Contains(fn, "transport.(*clientConn).")) &&
+				!strings.Contains(fn, ".gowrap")
+			if client && (parked || depth > 0) {
+				n++
+				break
+			}
+			depth++
 		}
 	}
 	return n

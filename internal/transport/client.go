@@ -297,20 +297,14 @@ func (c *Client) withDeadline(ctx context.Context, req *Request) (context.Contex
 
 // attempts is the retry loop of one request: round trips number first,
 // first+1, … up to cfg.Retries, attempt 0 over the connection at slot and
-// each later one — after the budget granted it and the backoff was slept —
-// over the next. A caller that starts past attempt 0 (an asynchronous fetch
-// whose first attempt failed in a retryable way) passes that failure as
-// lastErr.
+// each later one — once retry granted it — over the next. A caller that
+// starts past attempt 0 (an asynchronous fetch whose first attempt failed in
+// a retryable way) passes that failure as lastErr.
 func (c *Client) attempts(ctx context.Context, req Request, slot, first int, lastErr error) (Response, error) {
-	for attempt := first; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := first; ; attempt++ {
 		if attempt > 0 {
-			if !c.budget.Withdraw() {
-				c.counters.retriesDenied.Add(1)
-				break
-			}
-			c.counters.retries.Add(1)
-			if err := resilience.Sleep(ctx, resilience.BackoffDelay(attempt-1, rand.Float64())); err != nil {
-				return Response{}, fmt.Errorf("transport: context done during retry backoff: %w", err)
+			if err := c.retry(ctx, attempt, lastErr); err != nil {
+				return Response{}, err
 			}
 			slot = (slot + 1) % c.cfg.Conns
 		}
@@ -336,7 +330,24 @@ func (c *Client) attempts(ctx context.Context, req Request, slot, first int, las
 		}
 		lastErr = err
 	}
-	return Response{}, fmt.Errorf("transport: request failed after retries: %w", lastErr)
+}
+
+// retry grants attempt, a retry of what last failed with lastErr: it must be
+// within cfg.Retries and granted by the retry budget, and it sleeps the
+// attempt's backoff first. The error it returns ends the request.
+func (c *Client) retry(ctx context.Context, attempt int, lastErr error) error {
+	if attempt > c.cfg.Retries {
+		return fmt.Errorf("transport: request failed after retries: %w", lastErr)
+	}
+	if !c.budget.Withdraw() {
+		c.counters.retriesDenied.Add(1)
+		return fmt.Errorf("transport: request failed after retries: %w", lastErr)
+	}
+	c.counters.retries.Add(1)
+	if err := resilience.Sleep(ctx, resilience.BackoffDelay(attempt-1, rand.Float64())); err != nil {
+		return fmt.Errorf("transport: context done during retry backoff: %w", err)
+	}
+	return nil
 }
 
 // classify is the one place a response becomes a request's outcome, for
@@ -549,7 +560,7 @@ func (cc *clientConn) abandon(w waiter, err error) {
 func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, error) {
 	id := cc.client.nextID.Add(1)
 	ch := make(chan answer, 1)
-	if err := cc.sendRun(ctx, &req, [][]byte{req.Data}, req.Chunk, id, ch); err != nil {
+	if err := cc.sendRun(ctx, &req, [][]byte{req.Data}, []int{req.Chunk}, id, ch); err != nil {
 		return Response{}, err
 	}
 	select {
@@ -563,12 +574,12 @@ func (cc *clientConn) roundTrip(ctx context.Context, req Request) (Response, err
 
 // sendRun registers a waiter per element of data, numbered from first and
 // answering on ch, and puts their request frames — req's, for chunk
-// chunk+i carrying data[i] — on the wire with a single write from the
+// chunks[i] carrying data[i] — on the wire with a single write from the
 // calling goroutine. It waits for the send side no longer than ctx and the
 // connection last; a failure there has registered and sent nothing. Once it
 // returns nil every request is somebody's to answer on ch: the read loop's
 // or fail's.
-func (cc *clientConn) sendRun(ctx context.Context, req *Request, data [][]byte, chunk int, first uint64, ch chan<- answer) error {
+func (cc *clientConn) sendRun(ctx context.Context, req *Request, data [][]byte, chunks []int, first uint64, ch chan<- answer) error {
 	select {
 	case cc.sending <- struct{}{}:
 	case <-cc.done:
@@ -585,11 +596,11 @@ func (cc *clientConn) sendRun(ctx context.Context, req *Request, data [][]byte, 
 		return cc.brokenErr()
 	}
 	for i := range data {
-		cc.pending[first+uint64(i)] = waiter{ch: ch, chunk: chunk + i}
+		cc.pending[first+uint64(i)] = waiter{ch: ch, chunk: chunks[i]}
 	}
 	cc.mu.Unlock()
 	for i, d := range data {
-		req.ID, req.Chunk, req.Data = first+uint64(i), chunk+i, d
+		req.ID, req.Chunk, req.Data = first+uint64(i), chunks[i], d
 		cc.batch.addRequest(req)
 	}
 	cc.write(int64(req.Deadline))

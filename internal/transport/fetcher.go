@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"sync/atomic"
 
 	"sprout/internal/cluster"
 	"sprout/internal/core"
@@ -21,12 +20,6 @@ type RemoteFetcher struct {
 	// Pool is the remote erasure-coded pool holding the controller's files,
 	// each named by cluster.ObjectName.
 	Pool string
-
-	// names caches the object names by file ID, so the fetch path formats
-	// each name once instead of once per chunk. A published table is
-	// complete and never written again; growing swaps in a larger copy. Nil
-	// until the first fetch, so a struct literal works.
-	names atomic.Pointer[[]string]
 }
 
 var (
@@ -50,7 +43,7 @@ func (f *RemoteFetcher) FetchChunkV(ctx context.Context, fileID, chunkIndex, nod
 }
 
 func (f *RemoteFetcher) fetch(ctx context.Context, fileID, chunkIndex int) ([]byte, core.StripeInfo, error) {
-	name := f.objectName(fileID)
+	name := cluster.ObjectName(fileID)
 	data, version, size, err := f.Client.GetChunkV(ctx, f.Pool, name, chunkIndex)
 	if err != nil {
 		return nil, core.StripeInfo{}, fetchError(chunkIndex, f.Pool, name, err)
@@ -68,42 +61,5 @@ func (f *RemoteFetcher) fetch(ctx context.Context, fileID, chunkIndex int) ([]by
 // when the server shed the request or the connection broke. As in FetchChunk
 // the node IDs are ignored.
 func (f *RemoteFetcher) StartFetches(ctx context.Context, fileID int, refs []core.FetchRef) {
-	f.Client.startFetches(ctx, f.Pool, f.objectName(fileID), refs)
-}
-
-func (f *RemoteFetcher) objectName(fileID int) string {
-	if t := f.names.Load(); t != nil && fileID >= 0 && fileID < len(*t) {
-		return (*t)[fileID]
-	}
-	return f.growNames(fileID)
-}
-
-// maxCachedNames bounds the name table; IDs past it (or negative)
-// are formatted per call.
-const maxCachedNames = 1 << 16
-
-// growNames publishes a table of names that covers fileID and
-// returns fileID's name. Concurrent growers race on one compare-and-swap;
-// the loser retries against the winner's table.
-func (f *RemoteFetcher) growNames(fileID int) string {
-	if fileID < 0 || fileID >= maxCachedNames {
-		return cluster.ObjectName(fileID)
-	}
-	for {
-		old := f.names.Load()
-		var have []string
-		if old != nil {
-			have = *old
-		}
-		if fileID < len(have) {
-			return have[fileID]
-		}
-		grown := make([]string, max(64, 2*len(have), fileID+1))
-		for i := copy(grown, have); i < len(grown); i++ {
-			grown[i] = cluster.ObjectName(i)
-		}
-		if f.names.CompareAndSwap(old, &grown) {
-			return grown[fileID]
-		}
-	}
+	f.Client.startFetches(ctx, f.Pool, cluster.ObjectName(fileID), refs)
 }

@@ -177,14 +177,14 @@ func slowStripedServer(t *testing.T, service time.Duration, scfg ServerConfig, c
 }
 
 // TestStageChunksOverloadedCommitsByRetry: a server that admits one request
-// at a time answers most of a put's chunks "overloaded" when they arrive
-// together; the put replays them, each a round trip with its own backoff,
-// and commits. The retry budget is off: its default grants five retries in a
-// row, and a replay that arrives while the queue is still full needs another.
+// at a time answers all but one of a put's chunks "overloaded" when they
+// arrive together; the put replays the shed ones together, one retry and one
+// backoff per replay, and commits after six, within the default retry
+// budget.
 func TestStageChunksOverloadedCommitsByRetry(t *testing.T) {
 	_, pool, client := slowStripedServer(t, 2*time.Millisecond,
 		ServerConfig{Workers: 1, MaxInFlight: 1, StagedPutTTL: time.Minute},
-		ClientConfig{Conns: 1, Retries: 6, NoRetryBudget: true})
+		ClientConfig{Conns: 1, Retries: 6})
 	ctx := context.Background()
 	writer, err := NewStripedWriter(ctx, client, "ec")
 	if err != nil {
@@ -210,10 +210,9 @@ func TestStageChunksOverloadedCommitsByRetry(t *testing.T) {
 
 // TestStageChunksConnTornDown breaks the connection a put's chunks were sent
 // over while the server is still storing them. With retries the put replays
-// them over a new connection and commits; without, it aborts, leaving no
-// staged put behind and the previous stripe readable. The replay costs one
-// retry per chunk, as seven round trips on the broken connection would have,
-// and the default retry budget grants five in a row, so it is off here.
+// all seven over a new connection, one retry under the default retry budget,
+// and commits; without, it aborts, leaving no staged put behind and the
+// previous stripe readable.
 func TestStageChunksConnTornDown(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -221,7 +220,7 @@ func TestStageChunksConnTornDown(t *testing.T) {
 	}{{"replayed", 2}, {"aborted", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, pool, client := slowStripedServer(t, 20*time.Millisecond, ServerConfig{StagedPutTTL: time.Minute},
-				ClientConfig{Conns: 1, Retries: tc.retries, NoRetryBudget: true})
+				ClientConfig{Conns: 1, Retries: tc.retries})
 			ctx := context.Background()
 			writer, err := NewStripedWriter(ctx, client, "ec")
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 
 	"sprout/internal/cluster"
@@ -83,24 +84,18 @@ func (w *StripedWriter) putChunks(ctx context.Context, object string, dataChunks
 	return version, nil
 }
 
-// replay is a chunk that stageChunks sends again as a round trip, resuming
-// attempts' loop at attempt first over the connection at slot after lastErr.
-type replay struct {
-	chunk, slot, first int
-	lastErr            error
-}
-
 // stageChunks stages chunks[i] as chunk i of object's put at version the way
 // startFetches sends a read's fetches: the requests leave over one connection
 // in one write from the calling goroutine — divided over the pool, one write
 // per connection, once the chunks are spreadMin or more — and the
-// connections' read loops hand the responses back on one channel. A chunk the
-// server shed, or whose connection broke, is replayed as a round trip through
-// attempts, so retries, backoff and the retry budget are call's; a chunk that
-// could not be sent at all starts there at attempt 0. The chunks are read
-// only inside this goroutine's writes, so they are the caller's again when
-// stageChunks returns. It returns the first failure; when ctx ends it takes
-// its requests out of the pending tables and returns ctx's error.
+// connections' read loops hand the responses back on one channel. The chunks
+// the server shed, whose connection broke or that could not be sent are sent
+// again together, the same way, over the next connection: each such replay is
+// one retry, granted by the retry budget and backed off like a round trip's,
+// up to cfg.Retries. The chunks are read only inside this goroutine's writes,
+// so they are the caller's again when stageChunks returns. It returns the
+// first failure; when ctx ends it takes its requests out of the pending
+// tables and returns ctx's error.
 func (c *Client) stageChunks(ctx context.Context, pool, object string, version uint64, chunks [][]byte) error {
 	req := Request{Op: OpPutChunk, Pool: pool, Object: object, Version: version, Tenant: c.cfg.Tenant}
 	for _, data := range chunks {
@@ -113,70 +108,86 @@ func (c *Client) stageChunks(ctx context.Context, pool, object string, version u
 	defer cancel()
 	n := len(chunks)
 	c.counters.requests.Add(int64(n))
-	first := c.nextID.Add(uint64(n)) - uint64(n) + 1
 	// A slot per chunk: each request is answered on it at most once, so the
 	// read loop and fail never block on it, even once the put has returned.
 	results := make(chan answer, n)
-
 	// Spread as startFetches spreads a read's fetches, and for the same
 	// reason: from spreadMin on, the transfer is what the put waits for.
-	parts := 1
-	if n > 0 && len(chunks[0]) >= spreadMin {
-		parts = min(c.cfg.Conns, n)
+	spread := n > 0 && len(chunks[0]) >= spreadMin
+	// todo numbers the chunks the attempt sends, data holds them; again
+	// gathers those to replay.
+	todo, again, data := make([]int, n), make([]int, 0, n), make([][]byte, 0, n)
+	for i := range todo {
+		todo[i] = i
 	}
-	var replays []replay
-	var err error
-	slot, from, waiting := int(c.rr.Add(1)), 0, 0
-	for p := 0; p < parts && err == nil; p++ {
-		to, s := from+(n-from)/(parts-p), (slot+p)%c.cfg.Conns
-		cc, sendErr := c.conn(s)
-		if sendErr == nil {
-			sendErr = cc.sendRun(ctx, &req, chunks[from:to], from, first+uint64(from), results)
-		}
-		switch {
-		case sendErr == nil:
-			waiting += to - from
-		case ctx.Err() != nil:
-			err = ctx.Err()
-		default:
-			for i := from; i < to; i++ {
-				replays = append(replays, replay{i, s, 0, sendErr})
+	var lastErr error
+	slot := int(c.rr.Add(1))
+	for attempt := 0; len(todo) > 0; attempt++ {
+		if attempt > 0 {
+			if err := c.retry(ctx, attempt, lastErr); err != nil {
+				return err
 			}
+			slot++
 		}
-		from = to
-	}
-	for ; waiting > 0 && err == nil; waiting-- {
-		select {
-		case r := <-results:
-			rerr, retry := r.err, errors.Is(r.err, errConnBroken)
-			if r.err == nil {
-				rerr, retry = c.classify(&r.resp)
+		m := len(todo)
+		data = data[:0]
+		for _, i := range todo {
+			data = append(data, chunks[i])
+		}
+		parts := 1
+		if spread {
+			parts = min(c.cfg.Conns, m)
+		}
+		first := c.nextID.Add(uint64(m)) - uint64(m) + 1
+		var err error
+		again = again[:0]
+		from, waiting := 0, 0
+		for p := 0; p < parts && err == nil; p++ {
+			to, s := from+(m-from)/(parts-p), (slot+p)%c.cfg.Conns
+			cc, sendErr := c.conn(s)
+			if sendErr == nil {
+				sendErr = cc.sendRun(ctx, &req, data[from:to], todo[from:to], first+uint64(from), results)
 			}
 			switch {
-			case retry:
-				replays = append(replays, replay{r.chunk, r.slot, 1, rerr})
-			case rerr != nil:
-				err = rerr
+			case sendErr == nil:
+				waiting += to - from
+			case ctx.Err() != nil:
+				err = ctx.Err()
+			case errors.Is(sendErr, net.ErrClosed):
+				err = sendErr
+			default:
+				again, lastErr = append(again, todo[from:to]...), sendErr
 			}
-		case <-ctx.Done():
-			err = ctx.Err()
+			from = to
 		}
-	}
-	if err != nil {
-		// Request IDs are the client's, so each connection holds only the
-		// ones that were sent over it.
-		for i := range c.slots {
-			if cc := c.slots[i].cc.Load(); cc != nil {
-				cc.drop(first, n)
+		for ; waiting > 0 && err == nil; waiting-- {
+			select {
+			case r := <-results:
+				rerr, retry := r.err, errors.Is(r.err, errConnBroken)
+				if r.err == nil {
+					rerr, retry = c.classify(&r.resp)
+				}
+				switch {
+				case retry:
+					again, lastErr = append(again, r.chunk), rerr
+				case rerr != nil:
+					err = rerr
+				}
+			case <-ctx.Done():
+				err = ctx.Err()
 			}
 		}
-		return err
-	}
-	for _, r := range replays {
-		req.Chunk, req.Data = r.chunk, chunks[r.chunk]
-		if _, err := c.attempts(ctx, req, r.slot, r.first, r.lastErr); err != nil {
+		if err != nil {
+			// Request IDs are the client's, so each connection holds only the
+			// ones that were sent over it.
+			for i := range c.slots {
+				if cc := c.slots[i].cc.Load(); cc != nil {
+					cc.drop(first, m)
+				}
+			}
 			return err
 		}
+		todo, again = again, todo
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sprout/internal/cluster"
 	"sprout/internal/racedetect"
 )
 
@@ -506,17 +507,16 @@ func TestRemoteFetcherDefaultNamesAllocateNothing(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts include the race detector's own")
 	}
-	cached := &RemoteFetcher{}
 	for _, id := range []int{0, 63, 64, 1000, 0, 9999} {
-		if got, want := cached.objectName(id), fmt.Sprintf("file-%04d", id); got != want {
-			t.Fatalf("objectName(%d) = %q, want %q", id, got, want)
+		if got, want := cluster.ObjectName(id), fmt.Sprintf("file-%04d", id); got != want {
+			t.Fatalf("ObjectName(%d) = %q, want %q", id, got, want)
 		}
 	}
-	if got := cached.objectName(-1); got != "file--001" {
-		t.Fatalf("objectName(-1) = %q", got)
+	if got := cluster.ObjectName(-1); got != "file--001" {
+		t.Fatalf("ObjectName(-1) = %q", got)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = cached.objectName(1000) }); n != 0 {
-		t.Fatalf("cached objectName allocates %v times", n)
+	if n := testing.AllocsPerRun(100, func() { _ = cluster.ObjectName(1000) }); n != 0 {
+		t.Fatalf("cached ObjectName allocates %v times", n)
 	}
 
 	_, client, cluster := startServer(t)
