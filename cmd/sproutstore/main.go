@@ -151,8 +151,17 @@ func parseFlags(args []string) (*options, error) {
 	if o.writeFrac < 0 || o.writeFrac > 1 {
 		return nil, fmt.Errorf("-writefrac %v outside [0, 1]", o.writeFrac)
 	}
-	if o.controllers < 1 {
-		return nil, fmt.Errorf("-controllers %d: want at least 1", o.controllers)
+	// The stack's (7,4) pool puts an object's seven chunks on seven OSDs.
+	if o.osds < 7 {
+		return nil, fmt.Errorf("-osds %d: the (7,4) pool needs at least 7", o.osds)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"objects", o.objects}, {"size", o.objSize}, {"clients", o.clients}, {"controllers", o.controllers}} {
+		if f.v < 1 {
+			return nil, fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
+		}
 	}
 	// The controllers reject the same knobs, but only after the ingest.
 	if err := o.serve.Validate(); err != nil {

@@ -187,6 +187,30 @@ func TestRunRejectsNegativeHedgeDelay(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadCounts: a cluster too small for the (7,4) pool, or no
+// objects, bytes or clients, ends run with an error that names the flag,
+// before anything is printed or ingested.
+func TestRunRejectsBadCounts(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-osds", "6"},
+		{"-objects", "0"},
+		{"-size", "0"},
+		{"-clients", "0"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			args := append(append([]string{"-mode", "ctrl", "-duration", "100ms"}, smallArgs...), tc.flag, tc.value)
+			var out syncBuffer
+			err := run(context.Background(), args, &out)
+			if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value) {
+				t.Fatalf("run = %v, want an error naming %s %s\n%s", err, tc.flag, tc.value, out.String())
+			}
+			if out.String() != "" {
+				t.Fatalf("run printed before rejecting the flag:\n%s", out.String())
+			}
+		})
+	}
+}
+
 // planeGoroutines counts goroutines running transport, router or core code.
 func planeGoroutines() int {
 	buf := make([]byte, 1<<20)

@@ -114,7 +114,8 @@ func (s *LatencyStore) FetchChunkV(ctx context.Context, fileID, chunkIndex, _ in
 }
 
 // instantStore serves the same chunks with no delay (used to prefetch warm
-// caches without paying the emulated latency).
+// caches without paying the emulated latency, and by the hotpath allocation
+// counts).
 type instantStore struct{ chunks [][][]byte }
 
 func (s *instantStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
@@ -123,6 +124,16 @@ func (s *instantStore) FetchChunk(_ context.Context, fileID, chunkIndex, _ int) 
 		return nil, fmt.Errorf("bench: no chunk %d of file %d", chunkIndex, fileID)
 	}
 	return file[chunkIndex], nil
+}
+
+// StartFetches implements core.AsyncChunkFetcher, completing every fetch
+// inside the call, so reads through it take the completion path production
+// fetchers take and the hotpath allocation counts measure that path.
+func (s *instantStore) StartFetches(ctx context.Context, fileID int, refs []core.FetchRef) {
+	for _, ref := range refs {
+		data, err := s.FetchChunk(ctx, fileID, ref.ChunkIndex, ref.NodeID)
+		ref.Sink.FetchDone(data, core.StripeInfo{}, err)
+	}
 }
 
 // readServeOptions maps an experiment mode to controller serving options.

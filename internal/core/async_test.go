@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -74,10 +75,23 @@ func (s *onceSink) FetchDone(data []byte, info StripeInfo, err error) {
 	s.inner.FetchDone(data, info, err)
 }
 
+// waitGoroutines waits up to five seconds for the goroutine count to fall
+// back to want, the count before the goroutines under test were started.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, want <= %d (a fetch, fill or loop goroutine leaked)", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAsyncFetchBatches pins what the read hands an asynchronous fetcher:
 // everything launched at one point in one StartFetches call — the initial
-// k−d, each failover alone, the hedges together — and nothing through the
-// blocking adapter's workers.
+// k−d, each failover alone, the hedges together — nothing through the
+// blocking adapter, and no goroutine left running once the fetches complete.
 func TestAsyncFetchBatches(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -120,6 +134,7 @@ func TestAsyncFetchBatches(t *testing.T) {
 				inner = tc.fetch(store, release)
 			}
 			fake := newAsyncFake(t, inner, false)
+			before := runtime.NumGoroutine()
 			done := make(chan error, 1)
 			go func() {
 				got, err := ctrl.Read(ctx, 0, fake)
@@ -141,9 +156,7 @@ func TestAsyncFetchBatches(t *testing.T) {
 				t.Fatalf("StartFetches calls carried %v refs, want %v", got, tc.want)
 			}
 			waitNodesIdle(t, ctrl)
-			if workers := parkedFetchWorkers(ctrl); workers != 0 {
-				t.Fatalf("%d fetch workers were started for an asynchronous fetcher", workers)
-			}
+			waitGoroutines(t, before)
 		})
 	}
 }

@@ -72,7 +72,7 @@ type fetchPath struct {
 
 var fetchPaths = []fetchPath{
 	// A blocking fetcher as it is: the controller adapts it (blockingFetches)
-	// and its parked workers run the fetches.
+	// and runs each fetch on a goroutine of its own.
 	{name: "workers", wrap: func(_ *testing.T, f ChunkFetcher) ChunkFetcher { return f }},
 	{name: "async", wrap: func(t *testing.T, f ChunkFetcher) ChunkFetcher { return newAsyncFake(t, f, false) }},
 	{name: "async-inline", inline: true, wrap: func(t *testing.T, f ChunkFetcher) ChunkFetcher { return newAsyncFake(t, f, true) }},

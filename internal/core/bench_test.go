@@ -87,11 +87,12 @@ func benchController(b *testing.B, numFiles, fileSize, capacity int, serve Serve
 // (scheduling, cache lookup, parallel fetch fan-out, decode) over an
 // instant in-memory store, across concurrent readers via RunParallel.
 // Each reader reuses a payload buffer through ReadInto, so allocs/op
-// isolates the serving path itself: every variant must stay at zero. nocache
-// fetches through the parked fetch workers, nocache-async through an
-// AsyncChunkFetcher. The cached variants hold every file whole, so their
-// reads are k copies; cached-1MiB is the size where that copy, not the
-// bookkeeping, is the cost.
+// isolates the serving path itself: the nocache-async and cached variants
+// must stay at zero. nocache fetches through a blocking fetcher, so it
+// measures the blocking adapter's goroutine per fetch; nocache-async fetches
+// through an AsyncChunkFetcher, the path production reads take. The cached
+// variants hold every file whole, so their reads are k copies; cached-1MiB is
+// the size where that copy, not the bookkeeping, is the cost.
 func BenchmarkControllerRead(b *testing.B) {
 	for _, bc := range []struct {
 		name                  string

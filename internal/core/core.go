@@ -54,24 +54,17 @@ import (
 // TCP client; tests use in-memory fakes.
 //
 // Fetchers must honour context cancellation. A FetchChunk the read plane
-// runs for a fetcher that is not an AsyncChunkFetcher gets a context that ends
-// with the caller's and, when the read hedges, as soon as the read has
-// gathered enough chunks: the adapter that runs those calls (blockingFetches)
-// cancels the hedge losers. Nothing else is cancelled by the controller.
+// runs for a fetcher that is not an AsyncChunkFetcher runs on a goroutine of
+// its own, under a context that ends with the caller's and, when the read
+// hedges, as soon as the read has gathered enough chunks: the adapter that
+// runs those calls (blockingFetches) cancels the hedge losers, and Close
+// waits for them. Nothing else is cancelled by the controller.
 //
 // The returned payload may be memory shared with the store — the in-process
 // object store returns its stored chunk by reference — so the controller
 // only ever reads it (objstore's chunk-ownership rule).
 type ChunkFetcher interface {
 	FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error)
-}
-
-// FetcherFunc adapts a function to the ChunkFetcher interface.
-type FetcherFunc func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error)
-
-// FetchChunk implements ChunkFetcher.
-func (f FetcherFunc) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
-	return f(ctx, fileID, chunkIndex, nodeID)
 }
 
 // StripeInfo identifies the stripe a chunk belongs to; the zero value opts
@@ -115,8 +108,8 @@ type FetchRef struct {
 // initial k−d, a failover, the hedges — are issued with a single
 // StartFetches call from the read's own goroutine, and their outcomes are
 // taken as completions. A fetcher without it is wrapped in one that has:
-// its blocking FetchChunk runs on the controller's parked workers, which
-// deliver to the same sinks.
+// each of its blocking FetchChunk calls runs on a goroutine of its own, which
+// delivers to the same sink.
 //
 // The contract, for each ref of a call:
 //
@@ -389,9 +382,10 @@ type Controller struct {
 	tenantDefault *tenantState
 	tenantShares  []optimizer.TenantShare
 
-	// workers run the fetches of fetchers that only have the blocking
-	// FetchChunk (see blockingFetches); an AsyncChunkFetcher starts none.
-	workers fetchWorkers
+	// fetchWG counts the goroutines running the fetches of fetchers that
+	// only have the blocking FetchChunk (see blockingFetches); an
+	// AsyncChunkFetcher starts none.
+	fetchWG sync.WaitGroup
 
 	est *workload.EWMAEstimator // non-nil when the adaptive loop runs
 	// replanKick asks the adaptive loop for an immediate replan after a
@@ -506,7 +500,8 @@ func NewControllerWith(clu *cluster.Cluster, cacheCapacity int, opts optimizer.O
 	return c, nil
 }
 
-// Close stops the background planes (fill workers and the adaptive loop).
+// Close stops the background planes (fill workers and the adaptive loop)
+// and waits for the blocking fetches still running, hedge losers included.
 // In-flight fills are completed or discarded; Read must not be called after
 // Close.
 func (c *Controller) Close() error {
@@ -524,7 +519,7 @@ func (c *Controller) Close() error {
 		c.fillInFlight.Delete(job.fileID)
 		c.fills.add(-1)
 	}
-	c.workers.stop()
+	c.fetchWG.Wait()
 	return nil
 }
 

@@ -520,6 +520,14 @@ func TestReadPropagatesFetchErrors(t *testing.T) {
 	}
 }
 
+// FetcherFunc adapts a function to the ChunkFetcher interface.
+type FetcherFunc func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error)
+
+// FetchChunk implements ChunkFetcher.
+func (f FetcherFunc) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+	return f(ctx, fileID, chunkIndex, nodeID)
+}
+
 func TestFetcherFuncAdapter(t *testing.T) {
 	called := false
 	f := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {

@@ -450,7 +450,7 @@ func (c *Controller) fetchParallel(ctx context.Context, sc *readScratch, fetcher
 	}
 	async, native := fetcher.(AsyncChunkFetcher)
 	if !native {
-		sc.blocking.bind(ctx, &c.workers, fetcher, hedging)
+		sc.blocking.bind(ctx, &c.fetchWG, fetcher, hedging)
 		defer sc.blocking.release()
 		async = &sc.blocking
 	}

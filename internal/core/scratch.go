@@ -130,24 +130,25 @@ func (s *fetchSlot) FetchDone(data []byte, info StripeInfo, err error) {
 
 // blockingFetches presents a fetcher that only has the blocking FetchChunk
 // as an AsyncChunkFetcher, for the one fan-out it is bound to: StartFetches
-// runs each fetch on one of the controller's parked workers, which completes
-// the ref's sink with what FetchChunkV returned. It lives in the read scratch,
-// so adapting allocates nothing. Its fetches are the only ones that can be
+// runs each fetch on a goroutine of its own, which completes the ref's sink
+// with what FetchChunkV returned and is counted on the controller's fetchWG
+// until then, so Close can wait for it. It lives in the read scratch, so
+// binding allocates nothing. Its fetches are the only ones that can be
 // cancelled one fan-out at a time — through the context they run under — so
 // the hedge-loser cancellation is its own (bind, release).
 type blockingFetches struct {
 	ChunkFetcher
-	workers *fetchWorkers
-	ctx     context.Context
-	cancel  context.CancelFunc
+	wg     *sync.WaitGroup
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // bind makes b the asynchronous face of fetcher for one fan-out under ctx,
 // the context StartFetches will be handed. A fan-out that hedges may return
 // with fetches still running and binds cancellable; any other has received
 // every outcome by the time it succeeds.
-func (b *blockingFetches) bind(ctx context.Context, workers *fetchWorkers, fetcher ChunkFetcher, cancellable bool) {
-	b.ChunkFetcher, b.workers, b.ctx = fetcher, workers, ctx
+func (b *blockingFetches) bind(ctx context.Context, wg *sync.WaitGroup, fetcher ChunkFetcher, cancellable bool) {
+	b.ChunkFetcher, b.wg, b.ctx = fetcher, wg, ctx
 	if cancellable {
 		b.ctx, b.cancel = context.WithCancel(ctx)
 	}
@@ -156,101 +157,24 @@ func (b *blockingFetches) bind(ctx context.Context, workers *fetchWorkers, fetch
 // StartFetches implements AsyncChunkFetcher.
 func (b *blockingFetches) StartFetches(_ context.Context, fileID int, refs []FetchRef) {
 	for _, ref := range refs {
-		b.workers.run(fetchJob{ctx: b.ctx, fetcher: b.ChunkFetcher, fileID: fileID, ref: ref})
+		b.wg.Add(1)
+		go fetchBlocking(b.ctx, b.wg, b.ChunkFetcher, fileID, ref)
 	}
 }
 
+// fetchBlocking runs one blocking fetch and completes its sink. It takes what
+// it needs by value, so nothing reads the binding after release.
+func fetchBlocking(ctx context.Context, wg *sync.WaitGroup, fetcher ChunkFetcher, fileID int, ref FetchRef) {
+	defer wg.Done()
+	data, info, err := fetchChunkV(ctx, fetcher, fileID, ref.ChunkIndex, ref.NodeID)
+	ref.Sink.FetchDone(data, info, err)
+}
+
 // release ends the binding, cancelling the fetches of a cancellable one that
-// are still running. The jobs carry what they need, so nothing reads b after.
+// are still running.
 func (b *blockingFetches) release() {
 	if b.cancel != nil {
 		b.cancel()
 	}
 	*b = blockingFetches{}
-}
-
-// fetchJob is one blocking fetch handed to a worker; the zero job (no sink)
-// tells a parked worker to exit.
-type fetchJob struct {
-	ctx     context.Context
-	fetcher ChunkFetcher
-	fileID  int
-	ref     FetchRef
-}
-
-// fetchWorkers is a controller's free list of reusable fetch goroutines: a
-// mutex-guarded idle stack plus a poison protocol on stop. A worker is its job
-// channel, which holds one job so that whoever popped it from the idle list
-// hands over without waiting for the worker to reach its receive. Spawning
-// happens only on cold start or concurrency growth; the steady state has no
-// per-request goroutine and closure allocations of `go func(){...}()`.
-type fetchWorkers struct {
-	mu     sync.Mutex
-	idle   []chan fetchJob
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// maxIdleFetchWorkers bounds the parked-worker free list; workers beyond
-// it exit after their fetch instead of parking, so a short burst does not
-// pin goroutines forever.
-const maxIdleFetchWorkers = 256
-
-// run hands job to an idle worker, spawning a fresh one only when the free
-// list is empty.
-func (p *fetchWorkers) run(job fetchJob) {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
-		p.idle[n-1] = nil
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		w <- job
-		return
-	}
-	p.mu.Unlock()
-	w := make(chan fetchJob, 1)
-	w <- job
-	p.wg.Add(1)
-	go p.loop(w)
-}
-
-// loop runs blocking fetches until poisoned or retired. The worker re-parks
-// itself on the idle list BEFORE completing the sink, so by the time the read
-// processes the result the worker is already reusable for the failover or
-// hedge that result may trigger.
-func (p *fetchWorkers) loop(w chan fetchJob) {
-	defer p.wg.Done()
-	for {
-		job := <-w
-		if job.ref.Sink == nil {
-			return
-		}
-		data, info, err := fetchChunkV(job.ctx, job.fetcher, job.fileID, job.ref.ChunkIndex, job.ref.NodeID)
-		p.mu.Lock()
-		park := !p.closed && len(p.idle) < maxIdleFetchWorkers
-		if park {
-			p.idle = append(p.idle, w)
-		}
-		p.mu.Unlock()
-		job.ref.Sink.FetchDone(data, info, err)
-		if !park {
-			return
-		}
-	}
-}
-
-// stop poisons every parked worker and waits for busy ones to finish their
-// current fetch and exit. Called from Close after the serving path has
-// quiesced (Read must not run concurrently).
-func (p *fetchWorkers) stop() {
-	p.mu.Lock()
-	p.closed = true
-	idle := p.idle
-	p.idle = nil
-	p.mu.Unlock()
-	for _, w := range idle {
-		w <- fetchJob{}
-	}
-	p.wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,46 +92,68 @@ func TestReadPathLeaseBalance(t *testing.T) {
 	}
 }
 
-// parkedFetchWorkers counts the workers the blocking adapter has parked.
-func parkedFetchWorkers(ctrl *Controller) int {
-	ctrl.workers.mu.Lock()
-	defer ctrl.workers.mu.Unlock()
-	return len(ctrl.workers.idle)
-}
-
 // TestFetchWorkersExitOnClose is the goroutine-leak check for the blocking
-// adapter's reusable fetch workers and the ring-fed fill workers: everything
-// spawned while serving must be gone after Close.
+// adapter, which runs each fetch on a goroutine of its own: a hedged read
+// returns while its loser is still held in FetchChunk, the loser's context is
+// cancelled when the read returns, Close waits for the loser's goroutine, and
+// everything spawned while serving is gone after Close.
 func TestFetchWorkersExitOnClose(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ctrl, store := buildController(t, 4, 0, 0.05)
-	if _, err := ctrl.PlanTimeBin(ctrlLambdas(ctrl)); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 10; round++ {
-		for fileID := 0; fileID < 4; fileID++ {
-			if _, err := ctrl.Read(context.Background(), fileID, store); err != nil {
-				t.Fatal(err)
-			}
+	ctrl, store := backlogController(t, uniformMeans(5, 0.004), 5, 3,
+		ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 2})
+	var (
+		calls     atomic.Int64
+		cancelled = make(chan error, 1)
+		returned  atomic.Bool
+		stop      = make(chan struct{})
+	)
+	// Runs before the controller's cleanup Close: a loser the read failed to
+	// cancel must fail the test, not hang it.
+	t.Cleanup(func() { close(stop) })
+	fetcher := FetcherFunc(func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+		if calls.Add(1) > 1 {
+			return store.FetchChunk(ctx, fileID, chunkIndex, nodeID)
 		}
+		// The loser: held until the read cancels it, then slow to return, so
+		// a Close that does not wait for it returns first.
+		select {
+		case <-ctx.Done():
+		case <-stop:
+		}
+		cancelled <- ctx.Err()
+		time.Sleep(50 * time.Millisecond)
+		returned.Store(true)
+		return nil, ctx.Err()
+	})
+	done := make(chan error, 1)
+	go func() {
+		got, err := ctrl.Read(context.Background(), 0, fetcher)
+		if err == nil && !bytes.Equal(got, store.data[0]) {
+			err = errors.New("read returned wrong data")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a hedged read waited for its loser")
 	}
-	if parkedFetchWorkers(ctrl) == 0 {
-		t.Fatal("reads through a blocking fetcher parked no worker: the check below shows nothing")
+	select {
+	case err := <-cancelled:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the loser's context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hedge loser's context was not cancelled when its read returned")
 	}
 	ctrl.Close()
-	if n := parkedFetchWorkers(ctrl); n != 0 {
-		t.Fatalf("%d fetch workers still parked after Close", n)
+	if !returned.Load() {
+		t.Fatal("Close returned while a blocking fetch was still running")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines after Close: %d, want <= %d (fetch or fill workers leaked)", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestReadIntoZeroAllocCached is the unit-level version of the benchmark

@@ -26,6 +26,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite docs/metrics.md from the live registry")
 
+// fetchFunc adapts a function to core.ChunkFetcher.
+type fetchFunc func(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error)
+
+func (f fetchFunc) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID int) ([]byte, error) {
+	return f(ctx, fileID, chunkIndex, nodeID)
+}
+
 // shardControllers builds two planned controllers — the shards of one
 // plane — over a small cluster with two tenants, each with its cache filled
 // from an in-memory store.
@@ -74,7 +81,7 @@ func shardControllers(t *testing.T) []ShardSource {
 		if _, err := ctrl.PlanTimeBin(lambdas); err != nil {
 			t.Fatal(err)
 		}
-		fetcher := core.FetcherFunc(func(_ context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
+		fetcher := fetchFunc(func(_ context.Context, fileID, chunkIndex, _ int) ([]byte, error) {
 			return stored[fileID][chunkIndex], nil
 		})
 		if err := ctrl.PrefetchCache(context.Background(), fetcher); err != nil {
@@ -272,7 +279,7 @@ func TestReadLatencyHistogramBridges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetcher := core.FetcherFunc(func(_ context.Context, _, chunkIndex, _ int) ([]byte, error) {
+	fetcher := fetchFunc(func(_ context.Context, _, chunkIndex, _ int) ([]byte, error) {
 		return storage[chunkIndex], nil
 	})
 	if _, err := ctrl.PlanTimeBin([]float64{0.05}); err != nil {

@@ -259,8 +259,8 @@ func TestRouterRemoteShardsAndMembership(t *testing.T) {
 }
 
 // TestRouterCloseLeaksNothing is the goroutine/connection-leak gate: Close
-// must stop the fan-out workers and drain every remote shard's connection
-// pool, even with traffic in flight just before.
+// must drain every remote shard's connection pool, even with traffic in
+// flight just before.
 func TestRouterCloseLeaksNothing(t *testing.T) {
 	const objects = 4
 	p := newPlane(t, 2, objects, 16<<10, objects)
@@ -308,10 +308,10 @@ func TestRouterCloseLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The controllers spawn pooled fetch workers lazily on first read —
-	// after the goroutine baseline was taken. They are owned by the
-	// controllers, not the router; close them now (idempotent with the
-	// cleanup) so the poll below counts only router/transport leaks.
+	// Whatever the reads and writes left running in the controllers — a
+	// fetch still in flight, a background fill — is the controllers', not
+	// the router's; close them now (idempotent with the cleanup) so the poll
+	// below counts only router/transport leaks.
 	for _, ctrl := range p.ctrls {
 		_ = ctrl.Close()
 	}
