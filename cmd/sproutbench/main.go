@@ -11,8 +11,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -165,78 +168,106 @@ func experiments() []experiment {
 }
 
 func main() {
-	var (
-		expName  = flag.String("exp", "all", "experiment to run (see -list), or 'all'")
-		files    = flag.Int("files", 0, "number of files/objects (0 = quick default, 1000 = paper scale)")
-		iters    = flag.Int("iters", 0, "max outer iterations of the optimizer (0 = default)")
-		horizon  = flag.Float64("horizon", 0, "simulation horizon in seconds (0 = default)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		paper    = flag.Bool("paper", false, "use full paper-scale defaults (slow)")
-		jsonPath = flag.String("json", "", "write machine-readable metrics of the selected experiments to this file ('-' = stdout)")
-	)
-	flag.Parse()
-
-	if *list {
-		for _, e := range experiments() {
-			fmt.Printf("  %-8s %s\n", e.name, e.desc)
-		}
-		return
-	}
-
-	cfg := bench.Quick()
-	if *paper {
-		cfg = bench.Paper()
-	}
-	if *files > 0 {
-		cfg.Files = *files
-	}
-	if *iters > 0 {
-		cfg.MaxOuterIter = *iters
-	}
-	if *horizon > 0 {
-		cfg.SimHorizon = *horizon
-	}
-	cfg.Seed = *seed
-
-	selected := strings.ToLower(*expName)
-	ran := 0
-	var results []bench.Run
-	for _, e := range experiments() {
-		if selected != "all" && selected != e.name {
-			continue
-		}
-		start := time.Now()
-		table, err := e.run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sproutbench: %s: %v\n", e.name, err)
-			os.Exit(1)
-		}
-		table.Write(os.Stdout)
-		fmt.Printf("  (%s completed in %v with %d files)\n\n", e.name, time.Since(start).Round(time.Millisecond), cfg.Files)
-		if len(table.Metrics) > 0 {
-			results = append(results, bench.Run{
-				Experiment: e.name, Files: cfg.Files, Seed: cfg.Seed, Metrics: table.Metrics,
-			})
-		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "sproutbench: unknown experiment %q (use -list)\n", *expName)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sproutbench:", err)
 		os.Exit(1)
 	}
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sproutbench: encode json: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if *jsonPath == "-" {
-			os.Stdout.Write(buf)
-		} else if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sproutbench: write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+}
+
+// options holds the parsed command line.
+type options struct {
+	exps     []experiment // the selected experiments, in -list order
+	list     bool
+	jsonPath string
+	cfg      bench.Config
+}
+
+// parseFlags parses and checks the command line; nothing runs before it
+// returns.
+func parseFlags(args []string) (*options, error) {
+	var o options
+	fs := flag.NewFlagSet("sproutbench", flag.ContinueOnError)
+	expName := fs.String("exp", "all", "experiment to run (see -list), or 'all'")
+	files := fs.Int("files", 0, "number of files/objects (0 = quick default, 1000 = paper scale)")
+	horizon := fs.Float64("horizon", 0, "simulation horizon in seconds (0 = default)")
+	seed := fs.Int64("seed", 1, "random seed")
+	fs.BoolVar(&o.list, "list", false, "list available experiments and exit")
+	paper := fs.Bool("paper", false, "use full paper-scale defaults (slow)")
+	fs.StringVar(&o.jsonPath, "json", "", "write machine-readable metrics of the selected experiments to this file ('-' = stdout)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if *files < 0 {
+		return nil, fmt.Errorf("-files %d: want 0 (the default) or more", *files)
+	}
+	if !(*horizon >= 0) || math.IsInf(*horizon, 1) {
+		return nil, fmt.Errorf("-horizon %v: want 0 (the default) or a finite number of seconds", *horizon)
+	}
+	selected := strings.ToLower(*expName)
+	for _, e := range experiments() {
+		if selected == "all" || selected == e.name {
+			o.exps = append(o.exps, e)
 		}
 	}
+	if len(o.exps) == 0 && !o.list {
+		return nil, fmt.Errorf("unknown experiment %q (use -list)", *expName)
+	}
+	o.cfg = bench.Quick()
+	if *paper {
+		o.cfg = bench.Paper()
+	}
+	if *files > 0 {
+		o.cfg.Files = *files
+	}
+	if *horizon > 0 {
+		o.cfg.SimHorizon = *horizon
+	}
+	o.cfg.Seed = *seed
+	return &o, nil
+}
+
+// run executes one sproutbench invocation, printing the tables to out.
+func run(args []string, out io.Writer) error {
+	o, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if o.list {
+		for _, e := range experiments() {
+			fmt.Fprintf(out, "  %-8s %s\n", e.name, e.desc)
+		}
+		return nil
+	}
+
+	var results []bench.Run
+	for _, e := range o.exps {
+		start := time.Now()
+		table, err := e.run(o.cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		table.Write(out)
+		fmt.Fprintf(out, "  (%s completed in %v with %d files)\n\n", e.name, time.Since(start).Round(time.Millisecond), o.cfg.Files)
+		if len(table.Metrics) > 0 {
+			results = append(results, bench.Run{
+				Experiment: e.name, Files: o.cfg.Files, Seed: o.cfg.Seed, Metrics: table.Metrics,
+			})
+		}
+	}
+	if o.jsonPath == "" {
+		return nil
+	}
+	buf, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encode json: %w", err)
+	}
+	buf = append(buf, '\n')
+	if o.jsonPath == "-" {
+		_, err = out.Write(buf)
+		return err
+	}
+	return os.WriteFile(o.jsonPath, buf, 0o644)
 }

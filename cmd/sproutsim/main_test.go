@@ -1,0 +1,28 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunRejectsBadFlags: an out-of-range flag ends run with an error that
+// names it, before any plan is solved or anything is printed.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-rate", "-1"},
+		{"-horizon", "0"},
+		{"-horizon", "-5"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run([]string{"-files", "20", "-cache", "10", tc.flag, tc.value}, &out)
+			if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.value) {
+				t.Fatalf("run = %v, want an error naming %s %s", err, tc.flag, tc.value)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("run printed before rejecting the flag:\n%s", out.String())
+			}
+		})
+	}
+}

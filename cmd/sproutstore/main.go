@@ -44,7 +44,6 @@ import (
 	"sprout/internal/erasure"
 	"sprout/internal/metrics"
 	"sprout/internal/obs"
-	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/repair"
 	"sprout/internal/resilience"
@@ -454,7 +453,7 @@ func newPlane(ctx context.Context, st *stack.Stack, o *options, endpoint *transp
 	}
 	p.perShard = max(1, capacity/o.controllers)
 	for i := 0; i < o.controllers; i++ {
-		ctrl, err := st.NewController(p.perShard, optimizer.Options{MaxOuterIter: 10}, o.serve, int64(i+1))
+		ctrl, err := st.NewController(p.perShard, o.serve, int64(i+1))
 		if err != nil {
 			return nil, err
 		}

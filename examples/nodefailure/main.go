@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"sprout"
-	"sprout/internal/optimizer"
 	"sprout/internal/stack"
 	"sprout/internal/workload"
 )
@@ -83,14 +82,13 @@ func run(ctx context.Context, out io.Writer) error {
 	// The serving path is the "avoid" signal: a node whose fetches keep
 	// failing is demoted from the read path before anyone marks it down.
 	breakers := sprout.NewBreakerSet(sprout.BreakerConfig{ErrorThreshold: 3, OpenFor: 100 * time.Millisecond})
-	ctrl, err := st.Controller(ctx, 2**objects, optimizer.Options{MaxOuterIter: 10},
-		sprout.ServeOptions{
-			HedgeDelay: 20 * time.Millisecond, HedgeExtra: 1,
-			// With the auto-replanner on, a membership change triggers an
-			// immediate PlanTimeBin against the degraded node set.
-			ReplanInterval: 300 * time.Millisecond, ReplanThreshold: 0.5,
-			Breakers: breakers,
-		}, 1)
+	ctrl, err := st.Controller(ctx, 2**objects, sprout.ServeOptions{
+		HedgeDelay: 20 * time.Millisecond, HedgeExtra: 1,
+		// With the auto-replanner on, a membership change triggers an
+		// immediate PlanTimeBin against the degraded node set.
+		ReplanInterval: 300 * time.Millisecond, ReplanThreshold: 0.5,
+		Breakers: breakers,
+	}, 1)
 	if err != nil {
 		return err
 	}

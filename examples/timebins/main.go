@@ -54,7 +54,7 @@ func run(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctrl, err := sprout.NewController(clu, 10, sprout.OptimizerOptions{MaxOuterIter: 15}, 1)
+	ctrl, err := sprout.NewController(clu, 10, sprout.OptimizerOptions{}, 1)
 	if err != nil {
 		return err
 	}

@@ -78,17 +78,15 @@ func run(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := sprout.OptimizerOptions{MaxOuterIter: 15}
-
-	functional, err := sprout.Optimize(prob, opts)
+	functional, err := sprout.Optimize(prob, sprout.OptimizerOptions{})
 	if err != nil {
 		return err
 	}
-	wholeFile, err := optimizer.WholeFileCaching(prob, opts)
+	wholeFile, err := optimizer.WholeFileCaching(prob)
 	if err != nil {
 		return err
 	}
-	noCache, err := optimizer.NoCache(prob, opts)
+	noCache, err := optimizer.NoCache(prob)
 	if err != nil {
 		return err
 	}
@@ -116,8 +114,7 @@ func run(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts.WarmStart = functional.D
-	replanned, err := sprout.Optimize(prob2, opts)
+	replanned, err := sprout.Optimize(prob2, sprout.OptimizerOptions{WarmStart: functional.D})
 	if err != nil {
 		return err
 	}
@@ -167,7 +164,7 @@ func serveLive(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctrl, err := sprout.NewControllerWith(clu, cacheSize, sprout.OptimizerOptions{MaxOuterIter: 10},
+	ctrl, err := sprout.NewControllerWith(clu, cacheSize, sprout.OptimizerOptions{},
 		sprout.ServeOptions{
 			HedgeDelay:      *hedgeDelay,
 			HedgeExtra:      *hedgeExtra,

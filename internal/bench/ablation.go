@@ -35,8 +35,6 @@ func PolicyAblation(cfg Config, cacheChunks int) ([]AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := optimizer.Options{MaxOuterIter: cfg.MaxOuterIter, OuterTol: 0.01}
-
 	var out []AblationResult
 	add := func(policy string, plan *optimizer.Plan, err error) error {
 		if err != nil {
@@ -46,27 +44,27 @@ func PolicyAblation(cfg Config, cacheChunks int) ([]AblationResult, error) {
 		return nil
 	}
 
-	functional, err := optimizer.Optimize(p, opts)
+	functional, err := optimizer.Optimize(p, optimizer.Options{})
 	if err := add("functional (Algorithm 1)", functional, err); err != nil {
 		return nil, err
 	}
-	exact, err := optimizer.ExactCaching(p, functional.D, opts)
+	exact, err := optimizer.ExactCaching(p, functional.D)
 	if err := add("exact caching (same allocation)", exact, err); err != nil {
 		return nil, err
 	}
-	greedy, err := optimizer.GreedyCaching(p, opts)
+	greedy, err := optimizer.GreedyCaching(p)
 	if err := add("greedy marginal benefit", greedy, err); err != nil {
 		return nil, err
 	}
-	popularity, err := optimizer.PopularityCaching(p, opts)
+	popularity, err := optimizer.PopularityCaching(p)
 	if err := add("popularity (rate-ordered)", popularity, err); err != nil {
 		return nil, err
 	}
-	wholeFile, err := optimizer.WholeFileCaching(p, opts)
+	wholeFile, err := optimizer.WholeFileCaching(p)
 	if err := add("whole-file caching", wholeFile, err); err != nil {
 		return nil, err
 	}
-	noCache, err := optimizer.NoCache(p, opts)
+	noCache, err := optimizer.NoCache(p)
 	if err := add("no cache", noCache, err); err != nil {
 		return nil, err
 	}

@@ -100,7 +100,7 @@ func autoscaleServeOptions(closed bool) core.ServeOptions {
 }
 
 func runAutoscaleArm(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg Config, capacity int, armName string, closed bool) ([]AutoscalePhase, error) {
-	ctrl, err := core.NewControllerWith(clu, capacity, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter},
+	ctrl, err := core.NewControllerWith(clu, capacity, optimizer.Options{},
 		autoscaleServeOptions(closed), cfg.Seed)
 	if err != nil {
 		return nil, err

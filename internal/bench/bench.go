@@ -21,8 +21,6 @@ type Config struct {
 	// Files is the number of files/objects in the large simulations
 	// (paper: 1000).
 	Files int
-	// MaxOuterIter caps the optimizer's outer iterations.
-	MaxOuterIter int
 	// SimHorizon is the simulated duration (seconds) for discrete-event
 	// validation runs.
 	SimHorizon float64
@@ -32,21 +30,18 @@ type Config struct {
 
 // Paper returns the full paper-scale configuration.
 func Paper() Config {
-	return Config{Files: 1000, MaxOuterIter: 25, SimHorizon: 20000, Seed: 1}
+	return Config{Files: 1000, SimHorizon: 20000, Seed: 1}
 }
 
 // Quick returns a reduced configuration for fast benchmark runs.
 func Quick() Config {
-	return Config{Files: 150, MaxOuterIter: 10, SimHorizon: 5000, Seed: 1}
+	return Config{Files: 150, SimHorizon: 5000, Seed: 1}
 }
 
 func (c Config) withDefaults() Config {
 	d := Paper()
 	if c.Files <= 0 {
 		c.Files = d.Files
-	}
-	if c.MaxOuterIter <= 0 {
-		c.MaxOuterIter = d.MaxOuterIter
 	}
 	if c.SimHorizon <= 0 {
 		c.SimHorizon = d.SimHorizon

@@ -22,12 +22,12 @@ func workloadClass16MB() workload.ObjectClass {
 // tiny returns a very small configuration so unit tests stay fast; the
 // benchmark suite and the CLI run the larger configurations.
 func tiny() Config {
-	return Config{Files: 40, MaxOuterIter: 6, SimHorizon: 800, Seed: 1}
+	return Config{Files: 40, SimHorizon: 800, Seed: 1}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Files != 1000 || c.MaxOuterIter <= 0 || c.SimHorizon <= 0 || c.Seed == 0 {
+	if c.Files != 1000 || c.SimHorizon <= 0 || c.Seed == 0 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	q := Quick()

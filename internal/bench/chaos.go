@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/optimizer"
 	"sprout/internal/resilience"
 	"sprout/internal/stack"
 	"sprout/internal/transport"
@@ -126,7 +125,7 @@ func chaosPoint(cfg Config, scenario string, resilient bool) (ChaosResult, error
 		return ChaosResult{}, err
 	}
 	defer st.Close()
-	ctrl, err := st.Controller(ctx, 2*len(st.Lambdas), optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, serve, cfg.Seed)
+	ctrl, err := st.Controller(ctx, 2*len(st.Lambdas), serve, cfg.Seed)
 	if err != nil {
 		return ChaosResult{}, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"sprout/internal/core"
 	"sprout/internal/objstore"
-	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/repair"
 	"sprout/internal/stack"
@@ -103,7 +102,7 @@ func degradedReadPoint(cfg Config, pt degradedPoint, cacheMode string, failed in
 	if cacheMode == "warm" {
 		capacity = 2 * pt.objects
 	}
-	ctrl, err := st.Controller(ctx, capacity, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, core.ServeOptions{}, cfg.Seed)
+	ctrl, err := st.Controller(ctx, capacity, core.ServeOptions{}, cfg.Seed)
 	if err != nil {
 		return DegradedResult{}, err
 	}

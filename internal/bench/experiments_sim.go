@@ -45,11 +45,7 @@ func Fig3Convergence(cfg Config) ([]ConvergenceSeries, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := optimizer.Optimize(p, optimizer.Options{
-			MaxOuterIter: cfg.MaxOuterIter,
-			OuterTol:     0.01,
-			WarmStart:    warm,
-		})
+		plan, err := optimizer.Optimize(p, optimizer.Options{WarmStart: warm})
 		if err != nil {
 			return nil, fmt.Errorf("fig3: C=%d: %w", size, err)
 		}
@@ -101,11 +97,7 @@ func Fig4CacheSize(cfg Config) ([]CacheSizePoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := optimizer.Optimize(p, optimizer.Options{
-			MaxOuterIter: cfg.MaxOuterIter,
-			OuterTol:     0.01,
-			WarmStart:    warm,
-		})
+		plan, err := optimizer.Optimize(p, optimizer.Options{WarmStart: warm})
 		if err != nil {
 			return nil, fmt.Errorf("fig4: C=%d: %w", size, err)
 		}
@@ -164,11 +156,7 @@ func Fig5Evolution(cfg Config) (*EvolutionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := optimizer.Optimize(p, optimizer.Options{
-			MaxOuterIter: cfg.MaxOuterIter,
-			OuterTol:     0.001,
-			WarmStart:    warm,
-		})
+		plan, err := optimizer.Optimize(p, optimizer.Options{WarmStart: warm})
 		if err != nil {
 			return nil, fmt.Errorf("fig5: bin %d: %w", bin, err)
 		}
@@ -262,11 +250,7 @@ func Fig6Placement(cfg Config) ([]PlacementPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := optimizer.Optimize(p, optimizer.Options{
-			MaxOuterIter: cfg.MaxOuterIter,
-			OuterTol:     0.001,
-			WarmStart:    warm,
-		})
+		plan, err := optimizer.Optimize(p, optimizer.Options{WarmStart: warm})
 		if err != nil {
 			return nil, fmt.Errorf("fig6: rate %v: %w", rate, err)
 		}
@@ -346,7 +330,7 @@ func Fig7RequestSplit(cfg Config) ([]RequestSplit, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := optimizer.Optimize(p, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter, OuterTol: 0.01})
+		plan, err := optimizer.Optimize(p, optimizer.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("fig7: lambda %v: %w", lambda, err)
 		}

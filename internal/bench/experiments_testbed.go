@@ -317,7 +317,7 @@ func compareForClass(cfg Config, class workload.ObjectClass, perObjectRate float
 	if err != nil {
 		return nil, err
 	}
-	plan, err := optimizer.Optimize(prob, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter, OuterTol: 0.001})
+	plan, err := optimizer.Optimize(prob, optimizer.Options{})
 	if err != nil {
 		return nil, err
 	}

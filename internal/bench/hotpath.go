@@ -251,7 +251,7 @@ func measureReadAllocs(cfg Config, rep *HotpathReport) error {
 
 	measure := func(capacity int) (float64, error) {
 		ctrl, err := core.NewControllerWith(clu, capacity,
-			optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, core.ServeOptions{}, cfg.Seed)
+			optimizer.Options{}, core.ServeOptions{}, cfg.Seed)
 		if err != nil {
 			return 0, err
 		}

@@ -262,7 +262,7 @@ func readPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg C
 	if err != nil {
 		return ReadResult{}, err
 	}
-	ctrl, err := core.NewControllerWith(clu, capacity, optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, serve, cfg.Seed)
+	ctrl, err := core.NewControllerWith(clu, capacity, optimizer.Options{}, serve, cfg.Seed)
 	if err != nil {
 		return ReadResult{}, err
 	}

@@ -160,7 +160,7 @@ func shardPoint(clu *cluster.Cluster, lambdas []float64, chunks [][][]byte, cfg 
 	}()
 	for i := 0; i < shards; i++ {
 		ctrl, err := core.NewControllerWith(clu, 0,
-			optimizer.Options{MaxOuterIter: cfg.MaxOuterIter}, core.ServeOptions{}, cfg.Seed)
+			optimizer.Options{}, core.ServeOptions{}, cfg.Seed)
 		if err != nil {
 			return ShardResult{}, err
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/optimizer"
 	"sprout/internal/stack"
 	"sprout/internal/transport"
 )
@@ -61,16 +60,15 @@ func tenantPoint(cfg Config, arm string, bronzeReaders int) (TenantResult, error
 	}
 	defer st.Close()
 	goldFiles, bronzeFiles := tenantFiles(len(st.Lambdas))
-	ctrl, err := st.Controller(ctx, 2*len(st.Lambdas), optimizer.Options{MaxOuterIter: cfg.MaxOuterIter},
-		core.ServeOptions{
-			HedgeDelay: 12 * time.Millisecond,
-			HedgeExtra: 1,
-			Admission:  &core.AdmissionConfig{MaxInFlight: 12},
-			Tenants: []core.TenantPolicy{
-				{Name: "gold", Class: core.ClassGold, Weight: 4, Files: goldFiles},
-				{Name: "bronze", Class: core.ClassBronze, Weight: 1, Files: bronzeFiles},
-			},
-		}, cfg.Seed)
+	ctrl, err := st.Controller(ctx, 2*len(st.Lambdas), core.ServeOptions{
+		HedgeDelay: 12 * time.Millisecond,
+		HedgeExtra: 1,
+		Admission:  &core.AdmissionConfig{MaxInFlight: 12},
+		Tenants: []core.TenantPolicy{
+			{Name: "gold", Class: core.ClassGold, Weight: 4, Files: goldFiles},
+			{Name: "bronze", Class: core.ClassBronze, Weight: 1, Files: bronzeFiles},
+		},
+	}, cfg.Seed)
 	if err != nil {
 		return TenantResult{}, err
 	}

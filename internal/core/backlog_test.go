@@ -32,7 +32,7 @@ func backlogController(t *testing.T, means []float64, n, k int, serve ServeOptio
 	clu := &cluster.Cluster{Nodes: nodes, Files: []cluster.File{{
 		ID: 0, Name: "f0", SizeBytes: 600, K: k, N: n, Placement: placement, Lambda: 0.01,
 	}}}
-	ctrl, err := NewControllerWith(clu, 0, optimizer.Options{MaxOuterIter: 6}, serve, 1)
+	ctrl, err := NewControllerWith(clu, 0, optimizer.Options{}, serve, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func benchController(b *testing.B, numFiles, fileSize, capacity int, serve Serve
 		}
 	}
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
-	ctrl, err := NewControllerWith(clu, capacity, optimizer.Options{MaxOuterIter: 6}, serve, 1)
+	ctrl, err := NewControllerWith(clu, capacity, optimizer.Options{}, serve, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

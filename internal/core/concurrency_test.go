@@ -185,7 +185,7 @@ func (s *slowStore) FetchChunk(ctx context.Context, fileID, chunkIndex, nodeID i
 // and the hanging fetches must be cancelled via context.
 func TestHedgedFetchCancellation(t *testing.T) {
 	clu := testCluster(1, 0.05)
-	ctrl, err := NewControllerWith(clu, 0, optimizer.Options{MaxOuterIter: 6},
+	ctrl, err := NewControllerWith(clu, 0, optimizer.Options{},
 		ServeOptions{HedgeDelay: 5 * time.Millisecond, HedgeExtra: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestReadContextCancellation(t *testing.T) {
 // without any manual PlanTimeBin call.
 func TestAutoReplanner(t *testing.T) {
 	clu := testCluster(4, 0.05)
-	ctrl, err := NewControllerWith(clu, 6, optimizer.Options{MaxOuterIter: 6},
+	ctrl, err := NewControllerWith(clu, 6, optimizer.Options{},
 		ServeOptions{ReplanInterval: 20 * time.Millisecond, ReplanThreshold: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)

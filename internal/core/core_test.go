@@ -109,7 +109,7 @@ func testCluster(numFiles int, lambda float64) *cluster.Cluster {
 func buildController(t *testing.T, numFiles, capacity int, lambda float64) (*Controller, *fakeStore) {
 	t.Helper()
 	clu := testCluster(numFiles, lambda)
-	ctrl, err := NewController(clu, capacity, optimizer.Options{MaxOuterIter: 6}, 1)
+	ctrl, err := NewController(clu, capacity, optimizer.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func degradedTestCluster(numFiles int) *cluster.Cluster {
 
 func TestDegradedReadAccounting(t *testing.T) {
 	clu := degradedTestCluster(3)
-	ctrl, err := NewController(clu, 3*len(clu.Files), optimizer.Options{MaxOuterIter: 6}, 1)
+	ctrl, err := NewController(clu, 3*len(clu.Files), optimizer.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func failingNodeFetcher(store *fakeStore, node int, fail error) FetcherFunc {
 func buildControllerWith(t *testing.T, numFiles, capacity int, lambda float64, serve ServeOptions) (*Controller, *fakeStore) {
 	t.Helper()
 	clu := testCluster(numFiles, lambda)
-	ctrl, err := NewControllerWith(clu, capacity, optimizer.Options{MaxOuterIter: 6}, serve, 1)
+	ctrl, err := NewControllerWith(clu, capacity, optimizer.Options{}, serve, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func TestTenantValidation(t *testing.T) {
 		{"empty name", []TenantPolicy{{Name: "", Class: ClassGold}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{MaxOuterIter: 6}, ServeOptions{Tenants: tc.policies}, 1)
+			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{}, ServeOptions{Tenants: tc.policies}, 1)
 			if err == nil {
 				ctrl.Close()
 				t.Fatal("NewControllerWith accepted the policies")
@@ -267,7 +267,7 @@ func TestServeOptionsValidation(t *testing.T) {
 		{"negative MaxInFlight", ServeOptions{Admission: &AdmissionConfig{MaxInFlight: -1}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{MaxOuterIter: 6}, tc.serve, 1)
+			ctrl, err := NewControllerWith(testCluster(4, 0.05), 4, optimizer.Options{}, tc.serve, 1)
 			if err == nil {
 				ctrl.Close()
 			}

@@ -83,7 +83,7 @@ func writeTestController(t *testing.T, objects, size, capacity int) (*Controller
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(clu, capacity, optimizer.Options{MaxOuterIter: 6}, 1)
+	ctrl, err := NewController(clu, capacity, optimizer.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"sprout/internal/cluster"
 	"sprout/internal/core"
-	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/repair"
 	"sprout/internal/stack"
@@ -139,7 +138,7 @@ func newHarnessWith(t *testing.T, serve core.ServeOptions, scfg transport.Server
 		h.payloads[i] = h.Payload(i)
 	}
 	var err error
-	if h.ctrl, err = h.Controller(context.Background(), 2*e2eObjects, optimizer.Options{MaxOuterIter: 6}, serve, 1); err != nil {
+	if h.ctrl, err = h.Controller(context.Background(), 2*e2eObjects, serve, 1); err != nil {
 		t.Fatal(err)
 	}
 	h.repair = repair.NewManager(h.Pool, repair.Config{Workers: 2, ScanInterval: 20 * time.Millisecond})

@@ -12,7 +12,6 @@ import (
 	"sprout/internal/cluster"
 	"sprout/internal/core"
 	"sprout/internal/objstore"
-	"sprout/internal/optimizer"
 	"sprout/internal/transport"
 )
 
@@ -77,8 +76,7 @@ func TestStoredChunksImmutable(t *testing.T) {
 	// part — so that reads run at d = 0, 0 < d < k and d = k.
 	ctrls := []*core.Controller{h.ctrl}
 	for _, capacity := range []int{0, e2eK + 2} {
-		ctrl, err := h.Controller(ctx, capacity, optimizer.Options{MaxOuterIter: 6},
-			core.ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 2}, 1)
+		ctrl, err := h.Controller(ctx, capacity, core.ServeOptions{HedgeDelay: 2 * time.Millisecond, HedgeExtra: 2}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

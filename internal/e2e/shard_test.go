@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/optimizer"
 	"sprout/internal/router"
 	"sprout/internal/transport"
 )
@@ -40,7 +39,7 @@ func TestChaosCrossShardCoherence(t *testing.T) {
 	// invalidation protocol keeps that cache safe to serve after a
 	// membership change hands the file to it.
 	newShardCtrl := func() *core.Controller {
-		ctrl, err := wired.Controller(ctx, 2*e2eObjects, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{}, 1)
+		ctrl, err := wired.Controller(ctx, 2*e2eObjects, core.ServeOptions{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

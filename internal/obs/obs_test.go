@@ -54,7 +54,7 @@ func shardControllers(t *testing.T) []ShardSource {
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
 	var shards []ShardSource
 	for i := 0; i < 2; i++ {
-		ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{
+		ctrl, err := core.NewControllerWith(clu, 4, optimizer.Options{}, core.ServeOptions{
 			Admission:      &core.AdmissionConfig{},
 			ReplanInterval: time.Hour,
 			Tenants: []core.TenantPolicy{
@@ -262,7 +262,7 @@ func TestReadLatencyHistogramBridges(t *testing.T) {
 	clu := &cluster.Cluster{Nodes: nodes, Files: []cluster.File{
 		{ID: 0, Name: "f0", SizeBytes: 300, K: 2, N: 3, Placement: placement, Lambda: 0.05},
 	}}
-	ctrl, err := core.NewController(clu, 2, optimizer.Options{MaxOuterIter: 6}, 1)
+	ctrl, err := core.NewController(clu, 2, optimizer.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,10 @@ import (
 	"sort"
 )
 
-// Options tunes Algorithm 1. The zero value selects reasonable defaults.
+// Options carries an optional warm start for Algorithm 1.
 type Options struct {
-	// OuterTol stops the outer loop when the objective improves by less than
-	// this amount between iterations (paper default: 0.01 seconds).
-	OuterTol float64
-	// MaxOuterIter caps the number of outer iterations.
-	MaxOuterIter int
-	// WarmStart optionally provides an initial cache allocation d_i; the
-	// scheduling probabilities are spread evenly over each file's nodes.
+	// WarmStart optionally provides an initial cache allocation d_i; each
+	// file's storage reads are spread over its nodes by service rate.
 	WarmStart []int
 }
 
@@ -22,15 +17,15 @@ type Options struct {
 // allocation is fixed to an integer in each inner rounding pass.
 const roundFraction = 0.5
 
-func (o Options) withDefaults() Options {
-	if o.OuterTol <= 0 {
-		o.OuterTol = 0.01
-	}
-	if o.MaxOuterIter <= 0 {
-		o.MaxOuterIter = 30
-	}
-	return o
-}
+// Algorithm 1 alternates Prob Z and Prob Π until the latency bound stops
+// improving: its outer loop stops once an iteration gains less than
+// outerTol seconds of bound, refineScheduling's once a pass gains less than
+// outerTol/4, and each loop runs at most maxOuterIter iterations. The gain
+// is absolute, so on µs-scale bounds the outer loop stops after one.
+const (
+	outerTol     = 0.001
+	maxOuterIter = 30
+)
 
 // Optimize runs Algorithm 1 on the problem and returns the resulting cache
 // plan: the best of Algorithm 1's own plan and the candidate allocations
@@ -39,14 +34,10 @@ func Optimize(p *Problem, opts Options) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	l := newLayout(p.Files)
-	e := newEvaluator(p, l)
-
 	// Algorithm 1 can fail where a plan exists: pinning the most fractional
 	// files to the ceiling of their storage reads can push a node past
 	// stability. The candidates are then still tried.
-	best, x, algErr := algorithm1(p, l, e, opts)
+	best, algErr := algorithm1(p, opts.WarmStart)
 
 	// Candidate allocations: the caller's warm start (feasible because the
 	// cache never shrinks mid-sweep in the paper's experiments) and a
@@ -74,64 +65,55 @@ func Optimize(p *Problem, opts Options) (*Plan, error) {
 		if !warmFeasible(p, cand) {
 			continue
 		}
-		xc, err := initialPoint(p, l, e, cand)
-		if err != nil {
+		c, err := optimizeWithFixedAllocation(p, cand)
+		if err != nil || c.Objective >= best.Objective {
 			continue
 		}
-		zc := make([]float64, len(p.Files))
-		if !e.optimalZ(xc, zc) {
-			continue
-		}
-		candObj, err := refineScheduling(p, l, e, xc, zc, cand, opts)
-		if err != nil || candObj >= best.Objective {
-			continue
-		}
-		x = xc
-		best.D, best.Z, best.Objective = cand, zc, candObj
-		best.History = append(best.History, candObj)
+		best.D, best.Pi, best.Z, best.Objective = c.D, c.Pi, c.Z, c.Objective
+		best.History = append(best.History, c.Objective)
 	}
 	if best.D == nil {
 		return nil, algErr
 	}
-	best.Pi = p.toMatrix(l, x)
 	return best, nil
 }
 
 // algorithm1 runs the paper's alternation of Prob Z and Prob Π with integer
-// rounding, then polishes the scheduling for the integral allocation. It
-// returns the plan without Pi and the scheduling vector Pi is made from.
+// rounding, then polishes the scheduling for the integral allocation.
 // When it meets no stable configuration it returns ErrInfeasible with a plan
 // that holds only Iterations and an infinite Objective.
-func algorithm1(p *Problem, l layout, e *evaluator, opts Options) (*Plan, []float64, error) {
+func algorithm1(p *Problem, warmStart []int) (*Plan, error) {
+	l := newLayout(p.Files)
+	e := newEvaluator(p, l)
 	failed := &Plan{Objective: math.Inf(1)}
-	x, err := initialPoint(p, l, e, opts.WarmStart)
+	x, err := initialPoint(p, l, e, warmStart)
 	if err != nil {
-		return failed, nil, err
+		return failed, err
 	}
 	z := make([]float64, len(p.Files))
 	if !e.optimalZ(x, z) {
-		return failed, nil, ErrInfeasible
+		return failed, ErrInfeasible
 	}
 	prevObj := e.objective(x, z)
 	if !isFiniteObjective(prevObj) {
-		return failed, nil, ErrInfeasible
+		return failed, ErrInfeasible
 	}
 
 	history := []float64{prevObj}
-	for iter := 0; iter < opts.MaxOuterIter; iter++ {
+	for iter := 0; iter < maxOuterIter; iter++ {
 		failed.Iterations = iter + 1
 		// Prob Z: per-file optimal z for the current scheduling.
 		if !e.optimalZ(x, z) {
-			return failed, nil, ErrInfeasible
+			return failed, ErrInfeasible
 		}
 		// Prob Π with integer rounding: optimise scheduling (and implicitly
 		// the cache allocation) for fixed z.
-		if err := solveProbPi(p, l, e, x, z, opts); err != nil {
-			return failed, nil, err
+		if err := solveProbPi(p, l, e, x, z); err != nil {
+			return failed, err
 		}
 		obj := e.objective(x, z)
 		history = append(history, obj)
-		if prevObj-obj <= opts.OuterTol {
+		if prevObj-obj <= outerTol {
 			break
 		}
 		prevObj = obj
@@ -142,14 +124,14 @@ func algorithm1(p *Problem, l layout, e *evaluator, opts Options) (*Plan, []floa
 	// rounding passes and guarantees the reported plan is at least a local
 	// optimum for its own cache allocation.
 	d := extractAllocation(p, l, x)
-	polished, err := refineScheduling(p, l, e, x, z, d, opts)
+	polished, err := refineScheduling(p, l, e, x, z, d)
 	if err != nil {
-		return failed, nil, err
+		return failed, err
 	}
 	if polished < history[len(history)-1]-1e-12 {
 		history = append(history, polished)
 	}
-	return &Plan{D: d, Z: z, Objective: polished, History: history, Iterations: failed.Iterations}, x, nil
+	return &Plan{D: d, Pi: p.toMatrix(l, x), Z: z, Objective: polished, History: history, Iterations: failed.Iterations}, nil
 }
 
 // warmFeasible reports whether a warm-start allocation fits the cache.
@@ -165,14 +147,9 @@ func warmFeasible(p *Problem, d []int) bool {
 // handed to files in decreasing order of arrival rate, whole files first,
 // until the capacity is exhausted.
 func popularityAllocation(p *Problem) []int {
-	order := make([]int, len(p.Files))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return p.Files[order[a]].Lambda > p.Files[order[b]].Lambda })
 	d := make([]int, len(p.Files))
 	remaining := p.CacheCapacity
-	for _, i := range order {
+	for _, i := range byRateDesc(p) {
 		if remaining <= 0 {
 			break
 		}
@@ -196,7 +173,7 @@ func popularityAllocation(p *Problem) []int {
 // refineScheduling pins the cache allocation to d and alternates Prob Z with
 // projected-gradient scheduling optimization until the objective stops
 // improving. x and z are updated in place; the final objective is returned.
-func refineScheduling(p *Problem, l layout, e *evaluator, x []float64, z []float64, d []int, opts Options) (float64, error) {
+func refineScheduling(p *Problem, l layout, e *evaluator, x []float64, z []float64, d []int) (float64, error) {
 	kL := make([]float64, len(p.Files))
 	kU := make([]float64, len(p.Files))
 	for i, f := range p.Files {
@@ -205,7 +182,7 @@ func refineScheduling(p *Problem, l layout, e *evaluator, x []float64, z []float
 	}
 	project := func(y []float64) { projectFeasible(p, l, y, kL, kU, 0) }
 	prev := math.Inf(1)
-	for iter := 0; iter < opts.MaxOuterIter; iter++ {
+	for iter := 0; iter < maxOuterIter; iter++ {
 		if !e.optimalZ(x, z) {
 			return math.Inf(1), ErrInfeasible
 		}
@@ -217,8 +194,7 @@ func refineScheduling(p *Problem, l layout, e *evaluator, x []float64, z []float
 		}
 		copy(x, next)
 		cur := e.objective(x, z)
-		if prev-cur <= opts.OuterTol/4 {
-			prev = cur
+		if prev-cur <= outerTol/4 {
 			break
 		}
 		prev = cur
@@ -454,7 +430,7 @@ func cacheUsedFractional(p *Problem, l layout, x []float64) float64 {
 // relaxed Prob Π with projected gradient descent, then pin the files with
 // the largest fractional storage reads to integral values, until every
 // file's storage-read count (and hence its cache allocation) is integral.
-func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64, opts Options) error {
+func solveProbPi(p *Problem, l layout, e *evaluator, x []float64, z []float64) error {
 	r := len(p.Files)
 	kL := make([]float64, r)
 	kU := make([]float64, r)

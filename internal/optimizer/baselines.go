@@ -10,53 +10,40 @@ import (
 // NoCache evaluates the latency bound with no cache at all: every file
 // spreads its k_i chunk reads over its hosting nodes and the scheduling is
 // optimised with projected gradient (a single Prob Π solve with kL=kU=k_i).
-func NoCache(p *Problem, opts Options) (*Plan, error) {
+func NoCache(p *Problem) (*Plan, error) {
 	noCacheProblem := *p
 	noCacheProblem.CacheCapacity = 0
-	return Optimize(&noCacheProblem, opts)
+	return Optimize(&noCacheProblem, Options{})
 }
 
 // WholeFileCaching greedily caches entire files (d_i = k_i) in decreasing
 // order of arrival rate until the cache is full, then optimises scheduling
 // for the remaining files. It is the "cache complete files" strategy the
 // paper contrasts with partial functional caching.
-func WholeFileCaching(p *Problem, opts Options) (*Plan, error) {
+func WholeFileCaching(p *Problem) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	order := make([]int, len(p.Files))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Files[order[a]].Lambda > p.Files[order[b]].Lambda
-	})
 	warm := make([]int, len(p.Files))
 	remaining := p.CacheCapacity
-	for _, i := range order {
+	for _, i := range byRateDesc(p) {
 		if remaining >= p.Files[i].K {
 			warm[i] = p.Files[i].K
 			remaining -= p.Files[i].K
 		}
 	}
-	return optimizeWithFixedAllocation(p, warm, opts)
+	return optimizeWithFixedAllocation(p, warm)
 }
 
 // PopularityCaching allocates cache chunks one at a time to files in
 // decreasing order of arrival rate (round-robin across the most popular
 // files), ignoring placement and service rates. It represents a
 // "cache the most popular data" policy with functional chunks.
-func PopularityCaching(p *Problem, opts Options) (*Plan, error) {
+func PopularityCaching(p *Problem) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	order := make([]int, len(p.Files))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Files[order[a]].Lambda > p.Files[order[b]].Lambda
-	})
+	order := byRateDesc(p)
 	warm := make([]int, len(p.Files))
 	remaining := p.CacheCapacity
 	for remaining > 0 {
@@ -75,7 +62,17 @@ func PopularityCaching(p *Problem, opts Options) (*Plan, error) {
 			break
 		}
 	}
-	return optimizeWithFixedAllocation(p, warm, opts)
+	return optimizeWithFixedAllocation(p, warm)
+}
+
+// byRateDesc returns the file indices in decreasing order of arrival rate.
+func byRateDesc(p *Problem) []int {
+	order := make([]int, len(p.Files))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return p.Files[order[a]].Lambda > p.Files[order[b]].Lambda })
+	return order
 }
 
 // GreedyCaching is the marginal-benefit heuristic ablation: starting from no
@@ -83,11 +80,10 @@ func PopularityCaching(p *Problem, opts Options) (*Plan, error) {
 // bound decreases the most when its read on the currently slowest selected
 // node is dropped, until the cache is full. Scheduling probabilities are
 // then re-optimised once with the allocation fixed.
-func GreedyCaching(p *Problem, opts Options) (*Plan, error) {
+func GreedyCaching(p *Problem) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	l := newLayout(p.Files)
 	e := newEvaluator(p, l)
 
@@ -185,14 +181,13 @@ func GreedyCaching(p *Problem, opts Options) (*Plan, error) {
 			}
 		}
 	}
-	return optimizeWithFixedAllocation(p, d, opts)
+	return optimizeWithFixedAllocation(p, d)
 }
 
 // optimizeWithFixedAllocation runs Algorithm 1 with the cache allocation
 // pinned to the supplied values: each file's storage reads are forced to
 // exactly k_i - d_i, and only the scheduling probabilities are optimised.
-func optimizeWithFixedAllocation(p *Problem, d []int, opts Options) (*Plan, error) {
-	opts = opts.withDefaults()
+func optimizeWithFixedAllocation(p *Problem, d []int) (*Plan, error) {
 	l := newLayout(p.Files)
 	e := newEvaluator(p, l)
 
@@ -208,7 +203,7 @@ func optimizeWithFixedAllocation(p *Problem, d []int, opts Options) (*Plan, erro
 	if !e.optimalZ(x, z) {
 		return nil, ErrInfeasible
 	}
-	final, err := refineScheduling(p, l, e, x, z, alloc, opts)
+	final, err := refineScheduling(p, l, e, x, z, alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +225,7 @@ func optimizeWithFixedAllocation(p *Problem, d []int, opts Options) (*Plan, erro
 // (the most favourable choice for exact caching). The allocation d is taken
 // from an existing plan (typically a functional-caching plan) so the two
 // policies can be compared at identical cache budgets.
-func ExactCaching(p *Problem, d []int, opts Options) (*Plan, error) {
+func ExactCaching(p *Problem, d []int) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -250,5 +245,5 @@ func ExactCaching(p *Problem, d []int, opts Options) (*Plan, error) {
 		}
 		restricted.Files[i] = FileSpec{K: f.K, Nodes: kept, Lambda: f.Lambda}
 	}
-	return optimizeWithFixedAllocation(&restricted, d, opts)
+	return optimizeWithFixedAllocation(&restricted, d)
 }

@@ -150,7 +150,7 @@ func TestObjectiveUnstableIsInf(t *testing.T) {
 
 func TestOptimizeProducesFeasiblePlan(t *testing.T) {
 	p := smallProblem(8, 6, 0.05)
-	plan, err := Optimize(p, Options{MaxOuterIter: 10})
+	plan, err := Optimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestOptimizeProducesFeasiblePlan(t *testing.T) {
 
 func TestOptimizeHistoryNonIncreasing(t *testing.T) {
 	p := smallProblem(10, 8, 0.06)
-	plan, err := Optimize(p, Options{MaxOuterIter: 12, OuterTol: 1e-4})
+	plan, err := Optimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +208,11 @@ func TestCachingReducesLatencyBound(t *testing.T) {
 	// More cache should never hurt, and with a loaded system it should help.
 	p0 := smallProblem(10, 0, 0.06)
 	pC := smallProblem(10, 10, 0.06)
-	plan0, err := Optimize(p0, Options{MaxOuterIter: 10})
+	plan0, err := Optimize(p0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planC, err := Optimize(pC, Options{MaxOuterIter: 10})
+	planC, err := Optimize(pC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFullCacheDrivesLatencyToZero(t *testing.T) {
 	// When the cache can hold every chunk of every file, the optimizer should
 	// push (nearly) everything into the cache and the bound should approach 0.
 	p := smallProblem(4, 8, 0.05) // 4 files * k=2 = 8 chunks
-	plan, err := Optimize(p, Options{MaxOuterIter: 20, OuterTol: 1e-6})
+	plan, err := Optimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFullCacheDrivesLatencyToZero(t *testing.T) {
 func TestOptimizeInfeasible(t *testing.T) {
 	// Total load far above total service capacity with no cache: infeasible.
 	p := smallProblem(5, 0, 2.0)
-	if _, err := Optimize(p, Options{MaxOuterIter: 3}); err == nil {
+	if _, err := Optimize(p, Options{}); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }
@@ -251,7 +251,7 @@ func TestOptimizeInfeasible(t *testing.T) {
 func TestWarmStartRespectsAllocation(t *testing.T) {
 	p := smallProblem(6, 4, 0.05)
 	warm := []int{1, 1, 0, 0, 0, 0}
-	plan, err := Optimize(p, Options{MaxOuterIter: 5, WarmStart: warm})
+	plan, err := Optimize(p, Options{WarmStart: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestZeroRateFilesGetNoCache(t *testing.T) {
 		for _, s := range solvers {
 			q := *p
 			q.Files = append([]FileSpec(nil), p.Files...)
-			warm, err := s.solve(&q, Options{MaxOuterIter: 6})
+			warm, err := s.solve(&q, Options{})
 			if err != nil {
 				t.Fatalf("seed %d %s: warm plan: %v", seed, s.name, err)
 			}
@@ -292,7 +292,7 @@ func TestZeroRateFilesGetNoCache(t *testing.T) {
 					q.Files[i].Lambda = 0
 				}
 			}
-			plan, err := s.solve(&q, Options{MaxOuterIter: 6, WarmStart: warm.D})
+			plan, err := s.solve(&q, Options{WarmStart: warm.D})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, s.name, err)
 			}
@@ -308,7 +308,7 @@ func TestZeroRateFilesGetNoCache(t *testing.T) {
 
 func TestNoCacheBaseline(t *testing.T) {
 	p := smallProblem(6, 4, 0.05)
-	plan, err := NoCache(p, Options{MaxOuterIter: 6})
+	plan, err := NoCache(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestNoCacheBaseline(t *testing.T) {
 
 func TestWholeFileCachingRespectsCapacity(t *testing.T) {
 	p := smallProblem(6, 5, 0.05)
-	plan, err := WholeFileCaching(p, Options{MaxOuterIter: 6})
+	plan, err := WholeFileCaching(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestWholeFileCachingRespectsCapacity(t *testing.T) {
 func TestPopularityCachingPrefersHotFiles(t *testing.T) {
 	p := smallProblem(6, 3, 0.01)
 	p.Files[2].Lambda = 0.2 // make file 2 much hotter
-	plan, err := PopularityCaching(p, Options{MaxOuterIter: 6})
+	plan, err := PopularityCaching(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestPopularityCachingPrefersHotFiles(t *testing.T) {
 
 func TestGreedyCachingUsesCacheAndIsFeasible(t *testing.T) {
 	p := smallProblem(8, 6, 0.06)
-	plan, err := GreedyCaching(p, Options{MaxOuterIter: 6})
+	plan, err := GreedyCaching(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +368,11 @@ func TestFunctionalBeatsExactCaching(t *testing.T) {
 	// allocation, functional caching (any k-d of n nodes) achieves a latency
 	// bound no worse than exact caching (k-d of the remaining n-d nodes).
 	p := smallProblem(8, 6, 0.06)
-	functional, err := Optimize(p, Options{MaxOuterIter: 10})
+	functional, err := Optimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactCaching(p, functional.D, Options{MaxOuterIter: 10})
+	exact, err := ExactCaching(p, functional.D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestOptimizeMatchesPaperScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Optimize(p, Options{MaxOuterIter: 8})
+	plan, err := Optimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestFromClusterExcluding(t *testing.T) {
 		}
 	}
 	// A plan computed on the degraded problem places no load on down nodes.
-	plan, err := Optimize(prob, Options{MaxOuterIter: 5})
+	plan, err := Optimize(prob, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

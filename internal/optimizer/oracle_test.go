@@ -22,7 +22,7 @@ func oracleOptimum(p *Problem) (best, bestOnePartial *Plan) {
 	var walk func(i, left, room int)
 	walk = func(i, left, room int) {
 		if i == len(d) {
-			plan, err := optimizeWithFixedAllocation(p, d, Options{})
+			plan, err := optimizeWithFixedAllocation(p, d)
 			if err != nil {
 				return
 			}
@@ -87,6 +87,19 @@ func TestOptimizeFeasibleAtEveryBudget(t *testing.T) {
 		if plan.CacheUsed() > c {
 			t.Fatalf("C=%d: plan caches %d chunks", c, plan.CacheUsed())
 		}
+	}
+}
+
+// TestOptimizeStopsNearConverged: with no cache the reproducer's plan
+// converges to 9.723 s; Algorithm 1's outer loops must stop within 0.3 % of
+// that. An absolute stop at 0.01 s of gain per iteration ends at 9.785.
+func TestOptimizeStopsNearConverged(t *testing.T) {
+	plan, err := Optimize(reproducerProblem(0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Objective > 9.75 {
+		t.Fatalf("bound %.4f s after %d outer iterations, want <= 9.75", plan.Objective, plan.Iterations)
 	}
 }
 

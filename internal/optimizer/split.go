@@ -16,6 +16,11 @@ type TenantShare struct {
 	Files []int
 }
 
+// weight is the share's Weight with values < 1 read as 1.
+func (s TenantShare) weight() int {
+	return max(s.Weight, 1)
+}
+
 // SplitBudgets divides capacity across the shares in proportion to their
 // weights using largest-remainder rounding, so the budgets sum exactly to
 // capacity and no tenant loses more than one chunk to quantisation.
@@ -26,14 +31,8 @@ func SplitBudgets(capacity int, shares []TenantShare) []int {
 		return budgets
 	}
 	total := 0
-	weights := make([]int, n)
-	for i, s := range shares {
-		w := s.Weight
-		if w < 1 {
-			w = 1
-		}
-		weights[i] = w
-		total += w
+	for _, s := range shares {
+		total += s.weight()
 	}
 	type rem struct {
 		idx  int
@@ -41,8 +40,8 @@ func SplitBudgets(capacity int, shares []TenantShare) []int {
 	}
 	rems := make([]rem, n)
 	used := 0
-	for i, w := range weights {
-		exact := float64(capacity) * float64(w) / float64(total)
+	for i, s := range shares {
+		exact := float64(capacity) * float64(s.weight()) / float64(total)
 		budgets[i] = int(exact)
 		used += budgets[i]
 		rems[i] = rem{idx: i, frac: exact - float64(budgets[i])}
@@ -107,11 +106,7 @@ func OptimizeSplit(p *Problem, opts Options, shares []TenantShare) (*Plan, error
 	budgets := SplitBudgets(p.CacheCapacity, shares)
 	totalWeight := 0
 	for _, s := range shares {
-		w := s.Weight
-		if w < 1 {
-			w = 1
-		}
-		totalWeight += w
+		totalWeight += s.weight()
 	}
 
 	merged := &Plan{
@@ -121,10 +116,6 @@ func OptimizeSplit(p *Problem, opts Options, shares []TenantShare) (*Plan, error
 	}
 	var subObjective, subLambda float64
 	for t, s := range shares {
-		w := s.Weight
-		if w < 1 {
-			w = 1
-		}
 		sub := *p
 		sub.CacheCapacity = budgets[t]
 		sub.Files = make([]FileSpec, len(p.Files))
@@ -149,7 +140,7 @@ func OptimizeSplit(p *Problem, opts Options, shares []TenantShare) (*Plan, error
 		}
 		// Fair slice of the service capacity first; full capacity as the
 		// work-conserving fallback.
-		frac := float64(w) / float64(totalWeight)
+		frac := float64(s.weight()) / float64(totalWeight)
 		sliced := sub
 		sliced.Nodes = append(sub.Nodes[:0:0], sub.Nodes...)
 		for j := range sliced.Nodes {

@@ -50,7 +50,7 @@ func TestOptimizeSplitRespectsBudgets(t *testing.T) {
 		{Weight: 2, Files: []int{0, 1, 2}},
 		{Weight: 1, Files: []int{3, 4, 5}},
 	}
-	plan, err := OptimizeSplit(p, Options{MaxOuterIter: 6}, shares)
+	plan, err := OptimizeSplit(p, Options{}, shares)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestOptimizeSplitRespectsBudgets(t *testing.T) {
 
 func TestOptimizeSplitMatchesOptimizeWhenUnsplit(t *testing.T) {
 	p := smallProblem(4, 4, 0.05)
-	joint, err := Optimize(p, Options{MaxOuterIter: 6})
+	joint, err := Optimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := OptimizeSplit(p, Options{MaxOuterIter: 6}, nil)
+	split, err := OptimizeSplit(p, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"sprout/internal/core"
 	"sprout/internal/metrics"
-	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/stack"
 	"sprout/internal/transport"
@@ -46,7 +45,7 @@ func newPlane(t *testing.T, shards, objects, size, capacity int) *plane {
 		p.payloads = append(p.payloads, st.Payload(i))
 	}
 	for i := 0; i < shards; i++ {
-		ctrl, err := st.NewController(capacity, optimizer.Options{MaxOuterIter: 6}, core.ServeOptions{}, int64(i+1))
+		ctrl, err := st.NewController(capacity, core.ServeOptions{}, int64(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}

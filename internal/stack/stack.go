@@ -181,12 +181,12 @@ func (s *Stack) Payload(fileID int) []byte {
 // NewController builds one controller over the pool's placement with room
 // for capacity chunks, unplanned, for callers that plan it themselves.
 // Close closes it.
-func (s *Stack) NewController(capacity int, opts optimizer.Options, serve core.ServeOptions, seed int64) (*core.Controller, error) {
+func (s *Stack) NewController(capacity int, serve core.ServeOptions, seed int64) (*core.Controller, error) {
 	view, err := s.Pool.ClusterView(s.Lambdas)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := core.NewControllerWith(view, capacity, opts, serve, seed)
+	ctrl, err := core.NewControllerWith(view, capacity, optimizer.Options{}, serve, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -197,8 +197,8 @@ func (s *Stack) NewController(capacity int, opts optimizer.Options, serve core.S
 // Controller is NewController planned for the stack's lambdas and with its
 // functional cache prefetched: over the wire through the first tenant's
 // client when the stack has one, in process otherwise.
-func (s *Stack) Controller(ctx context.Context, capacity int, opts optimizer.Options, serve core.ServeOptions, seed int64) (*core.Controller, error) {
-	ctrl, err := s.NewController(capacity, opts, serve, seed)
+func (s *Stack) Controller(ctx context.Context, capacity int, serve core.ServeOptions, seed int64) (*core.Controller, error) {
+	ctrl, err := s.NewController(capacity, serve, seed)
 	if err != nil {
 		return nil, err
 	}

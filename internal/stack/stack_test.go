@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/optimizer"
 	"sprout/internal/queue"
 	"sprout/internal/racedetect"
 	"sprout/internal/transport"
@@ -65,7 +64,7 @@ func TestCloseStopsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve := core.ServeOptions{HedgeDelay: 5 * time.Millisecond, HedgeExtra: 1, ReplanInterval: 20 * time.Millisecond, ReplanThreshold: 0.5}
-	ctrl, err := st.Controller(ctx, 12, optimizer.Options{MaxOuterIter: 4}, serve, 1)
+	ctrl, err := st.Controller(ctx, 12, serve, 1)
 	if err != nil {
 		st.Close()
 		t.Fatal(err)

@@ -754,7 +754,7 @@ func TestHedgeLoserCountsUntilResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := core.NewControllerWith(view, 0, optimizer.Options{MaxOuterIter: 6},
+	ctrl, err := core.NewControllerWith(view, 0, optimizer.Options{},
 		core.ServeOptions{HedgeDelay: 20 * time.Millisecond, HedgeExtra: 1}, 1)
 	if err != nil {
 		t.Fatal(err)

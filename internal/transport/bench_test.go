@@ -238,7 +238,7 @@ func BenchmarkTransportRemoteRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctrl, err := core.NewController(view, 0, optimizer.Options{MaxOuterIter: 6}, 1)
+	ctrl, err := core.NewController(view, 0, optimizer.Options{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestControllerReadsOverNetwork(t *testing.T) {
 		}
 	}
 	clu := &cluster.Cluster{Nodes: nodes, Files: files}
-	ctrl, err := core.NewController(clu, 6, optimizer.Options{MaxOuterIter: 6}, 1)
+	ctrl, err := core.NewController(clu, 6, optimizer.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,8 @@ type (
 	// ClusterConfig builds synthetic clusters.
 	ClusterConfig = cluster.Config
 
-	// OptimizerOptions tunes Algorithm 1.
+	// OptimizerOptions carries an optional warm start (a previous plan's
+	// cache allocation) for Algorithm 1; its zero value starts cold.
 	OptimizerOptions = optimizer.Options
 	// Plan is the optimizer's per-time-bin output.
 	Plan = optimizer.Plan

@@ -33,7 +33,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := sprout.NewController(clu, 4, sprout.OptimizerOptions{MaxOuterIter: 5}, 1)
+	ctrl, err := sprout.NewController(clu, 4, sprout.OptimizerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPaperConfigExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sprout.Optimize(p, sprout.OptimizerOptions{MaxOuterIter: 3}); err != nil {
+	if _, err := sprout.Optimize(p, sprout.OptimizerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +151,7 @@ func TestSelfHealingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := sprout.NewController(view, 6, sprout.OptimizerOptions{MaxOuterIter: 4}, 1)
+	ctrl, err := sprout.NewController(view, 6, sprout.OptimizerOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
